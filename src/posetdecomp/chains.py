@@ -74,26 +74,32 @@ class ChainDecomposition:
     def _from_index_parts(
         cls, p: Poset, parts: Sequence[Sequence[int]]
     ) -> "ChainDecomposition":
+        # a chain listed by predecessor count ascends, and a part is a chain
+        # iff that listing relates every element to the next one
+        preds = p.pred_counts
         seen: set[int] = set()
         total = 0
+        sorted_chains = []
         for part in parts:
             if not part:
                 raise InvalidDecompositionError("empty chain")
             total += len(part)
             seen.update(part)
-            for a_pos, a in enumerate(part):
-                for b in part[a_pos + 1:]:
-                    if not (p.lt[a, b] or p.lt[b, a]):
-                        raise InvalidDecompositionError(
-                            f"elements {p.labels[a]!r} and {p.labels[b]!r} share a part "
-                            "but are incomparable"
-                        )
+            ordered = sorted(part, key=preds.__getitem__)
+            if not all(p.lt[a, b] for a, b in zip(ordered, ordered[1:])):
+                a, b = next(
+                    (a, b)
+                    for a_pos, a in enumerate(part)
+                    for b in part[a_pos + 1:]
+                    if not (p.lt[a, b] or p.lt[b, a])
+                )
+                raise InvalidDecompositionError(
+                    f"elements {p.labels[a]!r} and {p.labels[b]!r} share a part "
+                    "but are incomparable"
+                )
+            sorted_chains.append(tuple(ordered))
         if total != p.n or len(seen) != p.n:
             raise InvalidDecompositionError("parts do not partition the ground set")
-        sorted_chains = []
-        for part in parts:
-            ordered = sorted(part, key=lambda a: sum(bool(p.lt[b, a]) for b in part))
-            sorted_chains.append(tuple(ordered))
         sorted_chains.sort(key=lambda c: c[0])
         return cls(p, tuple(sorted_chains))
 
@@ -175,26 +181,57 @@ def _hopcroft_karp(succ: list[list[int]], n: int) -> tuple[list[int], list[int]]
                     queue.append(owner)
         if not reachable_free:
             return match_l, match_r
-
-        def augment(x: int) -> bool:
-            for y in succ[x]:
-                owner = match_r[y]
-                if owner == -1 or (dist[owner] == dist[x] + 1 and augment(owner)):
-                    match_l[x] = y
-                    match_r[y] = x
-                    return True
-            dist[x] = inf
-            return False
-
         for x in range(n):
             if match_l[x] == -1:
-                augment(x)
+                _augment(x, succ, match_l, match_r, dist, inf)
+
+
+def _augment(
+    root: int,
+    succ: list[list[int]],
+    match_l: list[int],
+    match_r: list[int],
+    dist: list[int],
+    inf: int,
+) -> bool:
+    """One augmenting path from a free left vertex along the BFS layers.
+
+    Depth-first with an explicit stack: `path` holds the left vertices of the
+    alternating path and `via[i]` the right vertex joining path[i] to
+    path[i + 1].  A dead-end left vertex gets distance `inf`, as in the
+    recursive formulation, so later searches of this phase skip it.
+    """
+    path = [root]
+    via: list[int] = []
+    pending = [iter(succ[root])]
+    while path:
+        x = path[-1]
+        for y in pending[-1]:
+            owner = match_r[y]
+            if owner == -1:
+                via.append(y)
+                for a, b in zip(path, via):
+                    match_l[a] = b
+                    match_r[b] = a
+                return True
+            if dist[owner] == dist[x] + 1:
+                via.append(y)
+                path.append(owner)
+                pending.append(iter(succ[owner]))
+                break
+        else:
+            dist[x] = inf
+            path.pop()
+            pending.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def minimum_chain_decomposition(p: Poset) -> ChainDecomposition:
     """A minimum-size chain decomposition (Dilworth bound) via matching."""
     n = p.n
-    succ = [[int(j) for j in np.flatnonzero(p.lt[i])] for i in range(n)]
+    succ = [np.flatnonzero(row).tolist() for row in p.lt]
     match_l, match_r = _hopcroft_karp(succ, n)
     chains = []
     for start in range(n):
@@ -210,7 +247,7 @@ def minimum_chain_decomposition(p: Poset) -> ChainDecomposition:
 def maximum_antichain(p: Poset) -> tuple:
     """A maximum antichain, as labels, from the Koenig cover complement."""
     n = p.n
-    succ = [[int(j) for j in np.flatnonzero(p.lt[i])] for i in range(n)]
+    succ = [np.flatnonzero(row).tolist() for row in p.lt]
     match_l, match_r = _hopcroft_karp(succ, n)
     in_zl = [match_l[x] == -1 for x in range(n)]
     in_zr = [False] * n
@@ -256,7 +293,7 @@ def enumerate_chain_decompositions(
         raise ScopeExceededError(
             f"decomposition enumeration capped at n <= {cap} (got n = {p.n})"
         )
-    order = sorted(range(p.n), key=lambda i: int(p.lt[:, i].sum()))
+    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
     chains: list[list[int]] = []
 
     def place(pos: int) -> Iterator[ChainDecomposition]:

@@ -95,7 +95,7 @@ def minimum_noncrossing_decomposition(
         raise ScopeExceededError(
             f"noncrossing minimum capped at n <= {cap} (got n = {p.n})"
         )
-    order = sorted(range(p.n), key=lambda i: int(p.lt[:, i].sum()))
+    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
     lower_bound = width(p) if p.n else 0
     chains: list[list[int]] = []
     best: list = [p.n + 1, None]
@@ -130,7 +130,7 @@ def count_noncrossing_decompositions(p: Poset, cap: int | None = NONCROSSING_CAP
         raise ScopeExceededError(
             f"noncrossing count capped at n <= {cap} (got n = {p.n})"
         )
-    order = sorted(range(p.n), key=lambda i: int(p.lt[:, i].sum()))
+    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
     chains: list[list[int]] = []
 
     def place(pos: int) -> int:

@@ -3,13 +3,19 @@
 Element labels are opaque (hashable) values kept in input order; every
 operation works on dense indices 0..n-1 internally.  The matrix `lt` holds the
 full strict order (transitively closed), which makes comparability and
-interval queries O(1) at the price of O(n^2) memory; the posets this package
-targets are small enough that exhaustive verification dominates everything.
+interval queries O(1) at the price of O(n^2) memory.
+
+Closure, the transitivity check and the Hasse diagram all rest on one
+two-step reachability product, computed as a float32 BLAS matrix product of
+0/1 matrices.  It is exact: every entry is a count of at most n two-step
+paths, and float32 represents every integer below 2**24, so no rounding can
+occur for any poset this package can hold.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,13 +31,25 @@ AUTOMORPHISM_CAP = 9
 POSET_ENUMERATION_CAP = 5
 
 
+def _two_step(rel: np.ndarray) -> np.ndarray:
+    """Pairs (i, j) joined by a path i -> k -> j of two steps in `rel`.
+
+    One float32 BLAS product of the 0/1 matrix with itself.  Entry (i, j) of
+    the product counts the middle points k, so it is an integer of at most
+    n; float32 holds every integer below 2**24 exactly, and every partial
+    sum is such an integer, so the result is exact for n < 2**24.
+    """
+    f = np.asarray(rel, dtype=np.float32)
+    return (f @ f) > 0
+
+
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Boolean transitive closure by repeated squaring."""
-    closed = rel.astype(np.int64)
+    closed = np.asarray(rel, dtype=bool)
     while True:
-        grown = (((closed @ closed) > 0) | (closed > 0)).astype(np.int64)
+        grown = closed | _two_step(closed)
         if np.array_equal(grown, closed):
-            return closed.astype(bool)
+            return grown
         closed = grown
 
 
@@ -50,8 +68,7 @@ class Poset:
             raise ValueError("strict order cannot be reflexive")
         if (lt & lt.T).any():
             raise ValueError("strict order cannot be symmetric on any pair")
-        lt_int = lt.astype(np.int64)
-        if (~lt & ((lt_int @ lt_int) > 0)).any():
+        if (~lt & _two_step(lt)).any():
             raise ValueError("relation is not transitively closed")
         lt = lt.copy()
         lt.setflags(write=False)
@@ -100,6 +117,11 @@ class Poset:
     def label(self, i: int):
         return self.labels[i]
 
+    @cached_property
+    def pred_counts(self) -> tuple[int, ...]:
+        """Number of elements below each element, by index."""
+        return tuple(np.count_nonzero(self.lt, axis=0).tolist())
+
     @property
     def lt_bytes(self) -> bytes:
         """Row-major 0/1 bytes of the strict order, for the scan kernels."""
@@ -122,15 +144,8 @@ class Poset:
 
     def covers(self) -> list[tuple]:
         """Hasse diagram pairs (x, y), in element input order."""
-        lt_int = self.lt.astype(np.int64)
-        composite = (lt_int @ lt_int) > 0
-        hasse = self.lt & ~composite
-        return [
-            (self.labels[i], self.labels[j])
-            for i in range(self.n)
-            for j in range(self.n)
-            if hasse[i, j]
-        ]
+        hasse = self.lt & ~_two_step(self.lt)
+        return [(self.labels[i], self.labels[j]) for i, j in zip(*np.nonzero(hasse))]
 
     def induced(self, keep: Iterable) -> "Poset":
         """Sub-poset on a subset of labels, in the order given."""
@@ -166,31 +181,33 @@ class Poset:
 
 
 def _find_cycle(rel: np.ndarray) -> list[int] | None:
-    """Witness cycle (as an index list) in a directed relation, else None."""
+    """Witness cycle (as an index list) in a directed relation, else None.
+
+    Depth-first search from each unvisited index in turn, successors in
+    index order, with an explicit stack; the witness is the stretch of the
+    current path from the first back edge's target to its end.
+    """
     n = rel.shape[0]
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        color[v] = 1
-        stack.append(v)
-        for w in np.flatnonzero(rel[v]):
-            w = int(w)
-            if color[w] == 1:
-                return stack[stack.index(w):]
-            if color[w] == 0:
-                found = visit(w)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    for v in range(n):
-        if color[v] == 0:
-            found = visit(v)
-            if found is not None:
-                return found
+    succ = [np.flatnonzero(row).tolist() for row in rel]
+    color = [0] * n  # 0 unvisited, 1 on the path, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
 
 
@@ -271,8 +288,7 @@ def mobius(p: Poset, x, y) -> int:
 
 
 def _topological_order(p: Poset) -> list[int]:
-    order = sorted(range(p.n), key=lambda i: int(p.lt[:, i].sum()))
-    return order
+    return sorted(range(p.n), key=p.pred_counts.__getitem__)
 
 
 # -- linear extensions ------------------------------------------------------
@@ -292,7 +308,7 @@ def linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> Itera
 
 def _linear_extensions_iter(p: Poset) -> Iterator[tuple]:
     n = p.n
-    preds = [int(p.lt[:, i].sum()) for i in range(n)]
+    preds = list(p.pred_counts)
     out: list[int] = []
 
     def extend() -> Iterator[tuple]:

@@ -24,7 +24,7 @@ from .chains import (
 from .cut import enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure
 from .generate import chain, random_poset, wrap_forest
-from .hcd import deletion_bounds, is_homogeneous, mhcd, verify_embedding
+from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
 from .nccd import (
     all_132_avoiding,
     ascending_runs_decomposition,
@@ -93,12 +93,12 @@ def check_dilworth(p: Poset, seed: int = 0) -> dict:
 
 
 def check_homogeneous(p: Poset, seed: int = 0, shuffles: int = 8) -> dict:
-    """The merge fixpoint is homogeneous, order-independent, and minimal."""
+    """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint."""
     d = mhcd(p)
     details: dict = {"k": d.k}
     passed = is_chain_decomposition(p, d) and is_homogeneous(p, d)
     confluent = all(
-        _chain_set(mhcd(p, shuffle_seed=seed + s)) == _chain_set(d)
+        _chain_set(merge_fixpoint(p, shuffle_seed=seed + s)) == _chain_set(d)
         for s in range(shuffles)
     )
     details["confluent"] = confluent
@@ -335,11 +335,13 @@ def check_catalan_counts(limit: int = 8) -> dict:
 
 
 def _threads() -> int:
+    """Worker count from POSET_DECOMP_THREADS, at least 1, at most the CPU count."""
     raw = os.environ.get("POSET_DECOMP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _check_worker(payload) -> dict:

@@ -6,6 +6,9 @@ over indices so test expectations never share code paths with the library.
 
 import itertools
 import math
+import random
+
+import numpy as np
 
 
 def comparable(p, a, b) -> bool:
@@ -58,6 +61,49 @@ def brute_minimal_homogeneous(p):
     return [
         frozenset(tuple(block) for block in part) for part in hom if len(part) == least
     ]
+
+
+def merge_fixpoint(p, shuffle_seed=None):
+    """Greedy chain merging from singletons until no pair is mergeable.
+
+    Two chains are mergeable when every cross pair is comparable and they
+    relate alike to every other chain.  Each round lists every mergeable
+    pair afresh from element comparabilities; with a seed the round merges a
+    uniformly drawn one, otherwise the first.  Returns the chains as a
+    frozenset of index tuples, each in poset order.
+    """
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    comp = [[comparable(p, a, b) for b in range(p.n)] for a in range(p.n)]
+    chains = [[x] for x in range(p.n)]
+    while True:
+        k = len(chains)
+        joined = [
+            [all(comp[a][b] for a in chains[i] for b in chains[j]) for j in range(k)]
+            for i in range(k)
+        ]
+        mergeable = [
+            (i, j)
+            for i, j in itertools.combinations(range(k), 2)
+            if joined[i][j]
+            and all(joined[i][t] == joined[j][t] for t in range(k) if t not in (i, j))
+        ]
+        if not mergeable:
+            break
+        i, j = rng.choice(mergeable) if rng else mergeable[0]
+        chains[i] += chains.pop(j)
+    return frozenset(
+        tuple(sorted(c, key=lambda x: sum(bool(p.lt[y, x]) for y in c))) for c in chains
+    )
+
+
+def closure_by_squaring(rel):
+    """Transitive closure by repeated int64 squaring of the relation matrix."""
+    closed = np.asarray(rel).astype(np.int64)
+    while True:
+        grown = (((closed @ closed) > 0) | (closed > 0)).astype(np.int64)
+        if np.array_equal(grown, closed):
+            return closed.astype(bool)
+        closed = grown
 
 
 def max_antichain_size(p) -> int:

@@ -1,10 +1,12 @@
 """Chain decompositions, Dilworth minimum, maximum antichains."""
 
+import numpy as np
 import pytest
 
 from posetdecomp import (
     ChainDecomposition,
     InvalidDecompositionError,
+    Poset,
     decomposition_from_lines,
     enumerate_chain_decompositions,
     is_antichain,
@@ -124,3 +126,18 @@ def test_empty_poset():
     for p in enumerate_posets(0):
         assert minimum_chain_decomposition(p).k == 0
         assert maximum_antichain(p) == ()
+
+
+def test_matching_with_long_augmenting_path():
+    # a fence a_i < b_i, a_i < b_(i+1): the b indices descend, so the first
+    # greedy phase matches every a_i with b_(i+1), and a_m's only augmenting
+    # path then runs through all 1200 matched pairs down to b_0
+    m = 1200
+    n = 2 * (m + 1)
+    lt = np.zeros((n, n), dtype=bool)
+    for i in range(m + 1):
+        lt[i, n - 1 - i] = True
+        if i < m:
+            lt[i, n - 2 - i] = True
+    p = Poset([str(i) for i in range(n)], lt)
+    assert minimum_chain_decomposition(p).k == m + 1

@@ -8,8 +8,9 @@ import pytest
 
 import posetdecomp.cut
 import posetdecomp.hcd
+import posetdecomp.verify
 from posetdecomp.cli import main
-from posetdecomp.generate import two_chain_fan
+from posetdecomp.generate import chain, two_chain_fan
 from posetdecomp.textio import dumps
 
 CLI = [sys.executable, "-m", "posetdecomp.cli"]
@@ -138,6 +139,26 @@ def test_verify_wrapforest_family():
 def test_verify_checks_subset():
     out = run_cli("verify", "exhaustive", "--nmax", "3", "--checks", "dilworth,cut")
     assert out.returncode == 0
+
+
+def test_analyze_1000_chain_in_process(tmp_path, capsys):
+    target = tmp_path / "chain.txt"
+    target.write_text(dumps(chain(1000)))
+    code = main(["analyze", str(target), "--dilworth", "--mhcd", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["sections"]["mhcd"]["k"] == 1
+    assert doc["sections"]["dilworth"]["minimum_chains"] == 1
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(posetdecomp.verify.os, "cpu_count", lambda: 4)
+    for raw, expected in (("64", 4), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
+        monkeypatch.setenv("POSET_DECOMP_THREADS", raw)
+        assert posetdecomp.verify._threads() == expected, raw
+    monkeypatch.setattr(posetdecomp.verify.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("POSET_DECOMP_THREADS", "8")
+    assert posetdecomp.verify._threads() == 1
 
 
 def test_main_is_callable_in_process(capsys):

@@ -15,13 +15,21 @@ from posetdecomp import (
     graph_automorphisms,
     induced_chain_permutation,
     is_homogeneous,
+    merge_fixpoint,
     mhcd,
     min_homogeneous,
     minimum_chain_decomposition,
     preserves_length_classes,
     verify_embedding,
 )
-from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, two_chain_fan
+from posetdecomp.generate import (
+    antichain,
+    boolean_lattice,
+    chain,
+    random_poset,
+    two_chain_fan,
+    wrap_forest,
+)
 from posetdecomp.hcd import _as_decomposition
 from posetdecomp.poset import automorphisms, enumerate_posets
 
@@ -74,7 +82,27 @@ def test_mhcd_confluent_under_shuffles():
         for p in enumerate_posets(n, cap=5):
             base = frozenset(mhcd(p).chains)
             for s in range(5):
-                assert frozenset(mhcd(p, shuffle_seed=s).chains) == base
+                assert oracles.merge_fixpoint(p, shuffle_seed=s) == base
+
+
+def test_twin_classes_equal_merge_oracle_on_seeded_families():
+    families = (
+        lambda s: random_poset(9, seed=s),
+        lambda s: wrap_forest(20, seed=s),
+        lambda s: random_poset(14, density=0.15, seed=s),
+    )
+    for make in families:
+        for s in range(200):
+            p = make(s)
+            assert frozenset(mhcd(p).chains) == oracles.merge_fixpoint(p), s
+
+
+def test_library_merge_fixpoint_equals_twin_classes():
+    for p in [theta(), two_chain_fan(3), boolean_lattice(3), wrap_forest(12, seed=4)]:
+        d = mhcd(p)
+        assert merge_fixpoint(p) == d
+        for s in range(5):
+            assert merge_fixpoint(p, shuffle_seed=s) == d
 
 
 def test_min_homogeneous_values():
@@ -164,6 +192,16 @@ def test_embedding_random():
         p = random_poset(7, density=0.3, seed=seed)
         rep = verify_embedding(p, seed=seed)
         assert rep.ok
+
+
+def test_embedding_hom_pairs_exhaustive_or_sampled():
+    p = antichain(4)  # |Aut| = 24, so 576 pairs
+    full = verify_embedding(p, hom_pair_cap=576)
+    assert full.hom_pairs_checked == 576
+    assert not any(f["kind"] == "hom-pairs-sampled" for f in full.findings)
+    sampled = verify_embedding(p, hom_pair_cap=100, seed=3)
+    assert sampled.ok and sampled.hom_pairs_checked == 100
+    assert {"kind": "hom-pairs-sampled", "checked": 100, "total": 576} in sampled.findings
 
 
 def test_deletion_bounds_exhaustive():

@@ -1,5 +1,7 @@
 """Poset construction, validation, Mobius machinery, and enumeration."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,54 @@ def test_transitive_closure_long_path():
     closed = transitive_closure(rel)
     assert closed[0, n - 1]
     assert closed.sum() == n * (n - 1) // 2
+
+
+def test_transitive_closure_matches_squaring_oracle():
+    rng = random.Random(5)
+    for trial in range(200):
+        n = rng.randint(0, 60)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3))
+        rel = np.array(
+            [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
+        ).reshape(n, n)
+        if trial % 2:
+            rel = np.triu(rel, 1)  # acyclic half of the trials
+        assert np.array_equal(transitive_closure(rel), oracles.closure_by_squaring(rel))
+
+
+def test_transitive_closure_of_scrambled_1000_chain():
+    # the int64 squaring oracle needs about 20 s at n = 1000, so the expected
+    # closure comes from the path itself: i < j iff i comes first on the path
+    n = 1000
+    path = list(range(n))
+    random.Random(9).shuffle(path)
+    rel = np.zeros((n, n), dtype=bool)
+    for x, y in zip(path, path[1:]):
+        rel[x, y] = True
+    pos = np.empty(n, dtype=int)
+    pos[path] = np.arange(n)
+    assert np.array_equal(transitive_closure(rel), pos[:, None] < pos[None, :])
+
+
+def test_from_cover_relations_on_2000_chain():
+    n = 2000
+    labels = [str(i) for i in range(n)]
+    p = Poset.from_cover_relations(labels, list(zip(labels, labels[1:])))
+    assert p.less("0", str(n - 1))
+    assert int(p.lt.sum()) == n * (n - 1) // 2
+    assert len(p.covers()) == n - 1
+
+
+def test_2000_cycle_witness_is_a_directed_cycle():
+    n = 2000
+    labels = [str(i) for i in range(n)]
+    covers = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+    with pytest.raises(CycleError) as exc:
+        Poset.from_cover_relations(labels, covers)
+    cycle = exc.value.cycle
+    assert len(set(cycle)) == len(cycle) == n
+    related = set(covers)
+    assert all((x, y) in related for x, y in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def test_covers_of_diamond():
