@@ -22,7 +22,7 @@ from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
 from .generate import FAMILIES, make_family
 from .hcd import acyclic_orientation, chain_graph, mhcd, verify_embedding
 from .nccd import verify_chain_bounds
-from .poset import AUTOMORPHISM_CAP, Poset
+from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
 from .textio import dumps, load, loads
 from .verify import DEFAULT_CHECKS, verify_exhaustive, verify_random
 
@@ -235,7 +235,8 @@ def _print_verify(summary: dict) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     which = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     if args.mode == "exhaustive":
-        summary = verify_exhaustive(args.nmax, which=which, seed=args.seed)
+        cap = None if args.unsafe_scope else POSET_ENUMERATION_CAP
+        summary = verify_exhaustive(args.nmax, which=which, seed=args.seed, cap=cap)
     else:
         summary = verify_random(
             args.n,
@@ -293,6 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vex.add_argument("--seed", type=int, default=0)
     vex.add_argument("--checks", help="comma-separated check names (default: all)")
     vex.add_argument("--json", action="store_true")
+    vex.add_argument(
+        "--unsafe-scope",
+        action="store_true",
+        help=f"allow --nmax above {POSET_ENUMERATION_CAP} (3^(n(n-1)/2) relation "
+        "assignments per size; nmax = 7 would take hours)",
+    )
     vex.set_defaults(func=_cmd_verify)
 
     vr = vsub.add_parser("random", help="seeded random posets")

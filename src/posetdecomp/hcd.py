@@ -168,6 +168,7 @@ class ChainGraph:
 
         def node(i: int) -> str:
             text = "<" + ",".join(str(x) for x in labels[i]) + ">"
+            text = text.replace("\\", "\\\\").replace('"', '\\"')
             return f'  c{i} [label="{text}"];'
 
         directed = self.oriented is not None

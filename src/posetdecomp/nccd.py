@@ -512,14 +512,25 @@ class TreeNode:
 
 def tree_to_text(root: TreeNode) -> str:
     """Nested-parentheses rendering, root as `*`."""
-
-    def render(node: TreeNode) -> str:
-        name = "*" if node.label is None else str(node.label)
-        if not node.children:
-            return name
-        return name + "(" + " ".join(render(c) for c in node.children) + ")"
-
-    return render(root)
+    parts: list[str] = []
+    # an explicit stack of nodes and pending punctuation, so depth costs no recursion
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        name = "*" if item.label is None else str(item.label)
+        if not item.children:
+            parts.append(name)
+            continue
+        parts.append(name + "(")
+        stack.append(")")
+        for i in range(len(item.children) - 1, -1, -1):
+            stack.append(item.children[i])
+            if i:
+                stack.append(" ")
+    return "".join(parts)
 
 
 def attachment_tree(p: Poset, d: ChainDecomposition, order: Sequence[int]) -> TreeNode:
@@ -560,10 +571,13 @@ def attachment_tree(p: Poset, d: ChainDecomposition, order: Sequence[int]) -> Tr
 
 
 def _preorder(node: TreeNode, out: list) -> None:
-    if node.label is not None:
-        out.append(node.label)
-    for child in node.children:
-        _preorder(child, out)
+    """Append the labels below node (node first, children left to right)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.label is not None:
+            out.append(node.label)
+        stack.extend(reversed(node.children))
 
 
 def derived_extension(p: Poset) -> tuple:

@@ -307,28 +307,33 @@ def linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> Itera
 
 
 def _linear_extensions_iter(p: Poset) -> Iterator[tuple]:
+    # depth-first over prefixes, lowest free index first, with an explicit
+    # prefix stack so that long chains cost no recursion
     n = p.n
     preds = list(p.pred_counts)
+    succs = [np.flatnonzero(p.lt[i]).tolist() for i in range(n)]
     out: list[int] = []
-
-    def extend() -> Iterator[tuple]:
+    start = 0  # the lowest index still to try at the current depth
+    while True:
         if len(out) == n:
             yield tuple(p.labels[i] for i in out)
+            i = None
+        else:
+            i = next((j for j in range(start, n) if preds[j] == 0), None)
+        if i is not None:
+            preds[i] = -1
+            for j in succs[i]:
+                preds[j] -= 1
+            out.append(i)
+            start = 0
+            continue
+        if not out:
             return
-        for i in range(n):
-            if preds[i] == 0:
-                preds[i] = -1
-                succs = [int(j) for j in np.flatnonzero(p.lt[i])]
-                for j in succs:
-                    preds[j] -= 1
-                out.append(i)
-                yield from extend()
-                out.pop()
-                for j in succs:
-                    preds[j] += 1
-                preds[i] = 0
-
-    return extend()
+        i = out.pop()
+        for j in succs[i]:
+            preds[j] += 1
+        preds[i] = 0
+        start = i + 1
 
 
 def is_linear_extension(p: Poset, seq: Sequence) -> bool:

@@ -62,9 +62,26 @@ def load(path) -> Poset:
         return loads(fh.read())
 
 
+def _check_label(name: str) -> None:
+    # split() != [name] catches the empty label and any whitespace, the
+    # separators that splitlines() breaks lines at included
+    if name.split() != [name] or "<" in name or "#" in name or name.startswith("elements:"):
+        raise FormatError(f"label {name!r} cannot be read back from the text format")
+
+
 def dumps(p: Poset) -> str:
-    """Serialize as an element line plus the Hasse diagram."""
-    lines = [f"# poset, n={p.n}", "elements: " + " ".join(str(x) for x in p.labels)]
+    """Serialize as an element line plus the Hasse diagram.
+
+    Raises FormatError for labels that `loads` could not read back: empty
+    ones, ones holding whitespace, '<' or '#', ones starting with
+    'elements:', and distinct labels with the same string form.
+    """
+    names = [str(x) for x in p.labels]
+    for name in names:
+        _check_label(name)
+    if len(set(names)) != len(names):
+        raise FormatError("two labels have the same string form")
+    lines = [f"# poset, n={p.n}", "elements: " + " ".join(names)]
     lines.extend(f"{x} < {y}" for x, y in p.covers())
     return "\n".join(lines) + "\n"
 

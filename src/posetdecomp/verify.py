@@ -22,7 +22,7 @@ from .chains import (
     minimum_chain_decomposition,
 )
 from .cut import enumerate_admissible_cuts, verify_cut_identity
-from .errors import CheckFailure
+from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
 from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
 from .nccd import (
@@ -38,7 +38,13 @@ from .nccd import (
     minimum_noncrossing_decomposition,
     verify_chain_bounds,
 )
-from .poset import Poset, enumerate_posets, mobius_matrix, signed_chain_count_matrix
+from .poset import (
+    POSET_ENUMERATION_CAP,
+    Poset,
+    enumerate_posets,
+    mobius_matrix,
+    signed_chain_count_matrix,
+)
 
 DEFAULT_CHECKS = (
     "dilworth",
@@ -289,7 +295,13 @@ _CHECKS = {
 
 
 def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
-    """Run the named checks on one poset; exceptions become failed checks."""
+    """Run the named checks on one poset; failures become failed checks.
+
+    A CheckFailure, an InternalInconsistencyError, a ScopeExceededError or a
+    RecursionError inside a check fails that check with the error text, and
+    the returned record names the poset, so a sweep keeps its witness and
+    runs on.  Any other exception propagates.
+    """
     checks = []
     findings = []
     for name in which:
@@ -303,6 +315,13 @@ def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
                 "passed": False,
                 "details": {"error": str(exc)},
                 "witness": repr(exc.witness),
+            }
+        except (InternalInconsistencyError, ScopeExceededError, RecursionError) as exc:
+            # the poset itself is the witness; the sweep goes on
+            result = {
+                "name": name,
+                "passed": False,
+                "details": {"error": f"{type(exc).__name__}: {exc}"},
             }
         for f in result.pop("findings", []):
             findings.append({"check": name, **(f if isinstance(f, dict) else {"kind": str(f)})})
@@ -386,9 +405,21 @@ def _summarize(mode: str, results: list[dict], extra_checks: list[dict]) -> dict
     }
 
 
-def verify_exhaustive(nmax: int, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
-    """Run the checks on every labeled poset with at most nmax elements."""
-    posets = [p for n in range(nmax + 1) for p in enumerate_posets(n, cap=nmax)]
+def verify_exhaustive(
+    nmax: int,
+    which=DEFAULT_CHECKS,
+    seed: int = 0,
+    cap: int | None = POSET_ENUMERATION_CAP,
+) -> dict:
+    """Run the checks on every labeled poset with at most nmax elements.
+
+    Refuses nmax > cap before enumerating anything; cap=None lifts the guard.
+    """
+    if cap is not None and nmax > cap:
+        raise ScopeExceededError(
+            f"exhaustive sweep capped at nmax <= {cap} (got nmax = {nmax})"
+        )
+    posets = [p for n in range(nmax + 1) for p in enumerate_posets(n, cap=None)]
     results = _run_many(posets, which, seed)
     extra = [check_catalan_counts()]
     summary = _summarize("exhaustive", results, extra)

@@ -166,6 +166,77 @@ def naive_min_descents(p) -> int:
     return min((descent_count(p, perm) for perm in naive_avoiders(p)), default=0)
 
 
+# The library's min_descents before its width-bounded bitset search, kept
+# verbatim: a plain pruned walk of the permutation tree.
+def scan_min_descents(pattern: bytes, lt: bytes, n: int) -> int:
+    """Minimum descent count over all pattern-avoiding permutations."""
+    if n == 0:
+        return 0
+    if len(pattern) != n * n or len(lt) != n * n:
+        raise ValueError("matrix size mismatch")
+    best = n + 1
+    perm = [0] * n
+    used = [False] * n
+
+    def scan(depth: int, partial: int) -> None:
+        nonlocal best
+        if depth == n:
+            best = partial + 1
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            seen_small = False
+            bad = False
+            vrow = v * n
+            for j in range(depth):
+                pj = perm[j]
+                if seen_small and pattern[vrow + pj]:
+                    bad = True
+                    break
+                if pattern[pj * n + v]:
+                    seen_small = True
+            if bad:
+                continue
+            nd = partial
+            if depth > 0 and not lt[perm[depth - 1] * n + v]:
+                nd += 1
+            if nd + 1 >= best:
+                continue
+            perm[depth] = v
+            used[v] = True
+            scan(depth + 1, nd)
+            used[v] = False
+
+    scan(0, 0)
+    return best
+
+
+def tree_text(node) -> str:
+    """Recursive nested-parentheses rendering of a plane tree, root as `*`."""
+    name = "*" if node.label is None else str(node.label)
+    if not node.children:
+        return name
+    return name + "(" + " ".join(tree_text(c) for c in node.children) + ")"
+
+
+def preorder_labels(node) -> list:
+    """Recursive preorder of a plane tree's labels, the unlabeled root skipped."""
+    out = [] if node.label is None else [node.label]
+    for child in node.children:
+        out.extend(preorder_labels(child))
+    return out
+
+
+def linear_extensions_by_filter(p) -> list:
+    """Every linear extension as an index tuple, lexicographic, by filtering n! orders."""
+    return [
+        perm
+        for perm in itertools.permutations(range(p.n))
+        if not any(p.lt[perm[b], perm[a]] for a in range(p.n) for b in range(a + 1, p.n))
+    ]
+
+
 def signed_chain_count_oracle(p, x, y) -> int:
     """Even-minus-odd count of strictly increasing sequences from x to y."""
     if x == y:

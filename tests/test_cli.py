@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ import posetdecomp.cut
 import posetdecomp.hcd
 import posetdecomp.verify
 from posetdecomp.cli import main
+from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
 from posetdecomp.generate import chain, two_chain_fan
 from posetdecomp.textio import dumps
 
@@ -201,3 +203,47 @@ def test_mutated_orientation_fails(monkeypatch, capsys):
     code = main(["verify", "exhaustive", "--nmax", "3"])
     captured = capsys.readouterr()
     assert code == 1
+
+
+def test_verify_exhaustive_honors_enumeration_cap(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "exhaustive", "--nmax", "6"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert elapsed < 5
+    assert "--unsafe-scope" in capsys.readouterr().err
+    with pytest.raises(ScopeExceededError):
+        posetdecomp.verify.verify_exhaustive(3, which=("dilworth",), cap=2)
+
+
+def test_verify_exhaustive_unsafe_scope_flag(monkeypatch):
+    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
+    summary = posetdecomp.verify.verify_exhaustive(3, which=("dilworth",), cap=None)
+    assert summary["ok"] and summary["posets"] == 1 + 1 + 3 + 19
+    assert main(["verify", "exhaustive", "--nmax", "3", "--checks", "dilworth", "--unsafe-scope"]) == 0
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InternalInconsistencyError("broken invariant"), ScopeExceededError("too big"), RecursionError("deep")],
+)
+def test_sweep_survives_check_errors(monkeypatch, error):
+    # an error inside one check fails that check for that poset; the sweep
+    # finishes and keeps the poset as its witness
+    def boom(p, seed=0):
+        if p.n == 3:
+            raise error
+        return {"name": "cut", "passed": True, "details": {}}
+
+    monkeypatch.setitem(posetdecomp.verify._CHECKS, "cut", boom)
+    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
+    summary = posetdecomp.verify.verify_exhaustive(3, which=("dilworth", "cut"))
+    assert summary["posets"] == 24
+    assert not summary["ok"]
+    assert len(summary["failures"]) == 19
+    for failure in summary["failures"]:
+        assert failure["poset"]["n"] == 3
+        dilworth, cut = failure["checks"]
+        assert dilworth["passed"]
+        assert not cut["passed"]
+        assert cut["details"]["error"] == f"{type(error).__name__}: {error}"

@@ -138,6 +138,12 @@ def test_to_dot_shapes():
     assert ori.startswith("digraph d {") and "->" in ori
 
 
+def test_to_dot_escapes_quotes_and_backslashes():
+    p = Poset.from_cover_relations(['say "hi"', "a\\b"], [('say "hi"', "a\\b")])
+    dot = chain_graph(p).to_dot("g")
+    assert 'c0 [label="<say \\"hi\\",a\\\\b>"];' in dot
+
+
 def test_graph_automorphisms_square_cycle():
     # an undirected 4-cycle has the dihedral symmetry group of order 8
     mat = np.zeros((4, 4), dtype=bool)

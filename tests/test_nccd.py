@@ -1,6 +1,7 @@
 """Noncrossing decompositions, 132 patterns, descents, trees, the bound chain."""
 
 import itertools
+import random
 
 import pytest
 
@@ -27,11 +28,13 @@ from posetdecomp import (
     minimum_chain_decomposition,
     minimum_noncrossing_decomposition,
     tree_to_text,
+    TreeNode,
     verify_chain_bounds,
     wrap_order,
     wrap_relation,
 )
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
+from posetdecomp.nccd import _preorder
 from posetdecomp.poset import enumerate_posets
 
 import oracles
@@ -233,6 +236,49 @@ def test_tree_single_chain():
     assert tree_to_text(tree) == "*(3(2(1)))"
     assert derived_extension(p) == ("1", "2", "3")
 
+
+
+def _random_plane_tree(rng, size: int) -> TreeNode:
+    root = TreeNode(None)
+    nodes = [root]
+    for i in range(size):
+        parent = rng.choice(nodes)
+        child = TreeNode(str(i))
+        parent.children.insert(rng.randint(0, len(parent.children)), child)
+        nodes.append(child)
+    return root
+
+
+def test_tree_walks_match_recursive_oracles():
+    rng = random.Random(7)
+    for size in (0, 1, 2, 5, 30, 200):
+        for _ in range(20):
+            tree = _random_plane_tree(rng, size)
+            assert tree_to_text(tree) == oracles.tree_text(tree)
+            walk: list = []
+            _preorder(tree, walk)
+            assert walk == oracles.preorder_labels(tree)
+
+
+def test_tree_walks_on_deep_path():
+    root = TreeNode(None)
+    node = root
+    for i in range(5000):
+        child = TreeNode(i)
+        node.children.append(child)
+        node = child
+    walk: list = []
+    _preorder(root, walk)
+    assert walk == list(range(5000))
+    assert tree_to_text(root) == "*(" + "(".join(map(str, range(5000))) + ")" * 5000
+
+
+def test_derived_extension_on_long_chain():
+    # a 1100-element chain hangs as one path of depth 1100 off the root
+    p = chain(1100)
+    e = derived_extension(p)
+    assert is_linear_extension(p, e)
+    assert e == p.labels
 
 def test_derived_extension_is_linear_extension_exhaustive():
     for n in range(6):

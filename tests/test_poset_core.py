@@ -19,7 +19,7 @@ from posetdecomp import (
     signed_chain_count_matrix,
     transitive_closure,
 )
-from posetdecomp.generate import antichain, boolean_lattice, chain
+from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset
 from posetdecomp.poset import automorphisms, isomorphic
 
 import oracles
@@ -199,6 +199,19 @@ def test_linear_extensions_chain_and_antichain():
     for e in exts:
         assert is_linear_extension(diamond(), e)
 
+
+
+def test_linear_extensions_match_filter_oracle():
+    cases = [p for n in range(5) for p in enumerate_posets(n)]
+    cases += [random_poset(7, density=0.3, seed=s) for s in range(5)]
+    for p in cases:
+        want = [tuple(p.labels[i] for i in perm) for perm in oracles.linear_extensions_by_filter(p)]
+        assert list(linear_extensions(p)) == want
+
+
+def test_linear_extensions_of_long_chain():
+    p = chain(1500)
+    assert list(linear_extensions(p, cap=None)) == [p.labels]
 
 def test_is_linear_extension_rejects_swap():
     p = chain(3)

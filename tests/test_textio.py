@@ -2,7 +2,7 @@
 
 import pytest
 
-from posetdecomp import CycleError, FormatError, dumps, loads
+from posetdecomp import CycleError, FormatError, Poset, dumps, loads
 from posetdecomp.generate import antichain, boolean_lattice, random_poset, two_chain_fan
 
 
@@ -62,3 +62,26 @@ def test_empty_poset_round_trip():
     p = loads("elements:\n")
     assert p.n == 0
     assert loads(dumps(p)) == p
+
+
+def test_round_trip_unusual_labels():
+    labels = ["a:b", "x-1", "é", "(p)", "q>r", "elements", "v\"w", "back\\slash"]
+    p = Poset.from_cover_relations(labels, [("a:b", "x-1"), ("x-1", "é"), ("q>r", "v\"w")])
+    q = loads(dumps(p))
+    assert q == p
+    assert q.labels == tuple(labels)
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "a b", " a", "a\tb", "line\nbreak", "a\u2028b", "a<b", "a#b", "elements:x"]
+)
+def test_dumps_rejects_unreadable_label(bad):
+    p = Poset.from_cover_relations(["ok", bad], [("ok", bad)])
+    with pytest.raises(FormatError):
+        dumps(p)
+
+
+def test_dumps_rejects_labels_with_equal_text():
+    p = Poset.from_cover_relations([1, "1"], [])
+    with pytest.raises(FormatError):
+        dumps(p)
