@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -228,8 +228,12 @@ def _augment(
     return False
 
 
-def minimum_chain_decomposition(p: Poset) -> ChainDecomposition:
-    """A minimum-size chain decomposition (Dilworth bound) via matching."""
+def _dilworth(p: Poset) -> tuple[ChainDecomposition, tuple]:
+    """A minimum chain decomposition and a maximum antichain from one matching.
+
+    The chains follow matched edges; the antichain, as labels, is the
+    complement of the Koenig vertex cover.
+    """
     n = p.n
     succ = [np.flatnonzero(row).tolist() for row in p.lt]
     match_l, match_r = _hopcroft_karp(succ, n)
@@ -241,14 +245,6 @@ def minimum_chain_decomposition(p: Poset) -> ChainDecomposition:
         while match_l[chain[-1]] != -1:
             chain.append(match_l[chain[-1]])
         chains.append(chain)
-    return ChainDecomposition._from_index_parts(p, chains)
-
-
-def maximum_antichain(p: Poset) -> tuple:
-    """A maximum antichain, as labels, from the Koenig cover complement."""
-    n = p.n
-    succ = [np.flatnonzero(row).tolist() for row in p.lt]
-    match_l, match_r = _hopcroft_karp(succ, n)
     in_zl = [match_l[x] == -1 for x in range(n)]
     in_zr = [False] * n
     queue = deque(x for x in range(n) if in_zl[x])
@@ -266,7 +262,17 @@ def maximum_antichain(p: Poset) -> tuple:
     matched = sum(1 for x in range(n) if match_l[x] != -1)
     if len(antichain) != n - matched or not is_antichain(p, antichain):
         raise InternalInconsistencyError("cover complement is not a maximum antichain")
-    return tuple(antichain)
+    return ChainDecomposition._from_index_parts(p, chains), tuple(antichain)
+
+
+def minimum_chain_decomposition(p: Poset) -> ChainDecomposition:
+    """A minimum-size chain decomposition (Dilworth bound) via matching."""
+    return _dilworth(p)[0]
+
+
+def maximum_antichain(p: Poset) -> tuple:
+    """A maximum antichain, as labels, from the Koenig cover complement."""
+    return _dilworth(p)[1]
 
 
 def width(p: Poset) -> int:
@@ -280,14 +286,11 @@ def width(p: Poset) -> int:
 def enumerate_chain_decompositions(
     p: Poset,
     cap: int | None = DECOMPOSITION_ENUMERATION_CAP,
-    prune: Callable[[Poset, tuple[tuple[int, ...], ...]], bool] | None = None,
 ) -> Iterator[ChainDecomposition]:
     """Every partition of the poset into chains, exactly once.
 
     Elements are placed in linear-extension order, so a chain only ever grows
-    past its current maximum; `prune`, when given, sees the partial family
-    after each placement and must be monotone (never true again once false) to
-    keep the enumeration exact under pruning.
+    past its current maximum.
     """
     if cap is not None and p.n > cap:
         raise ScopeExceededError(
@@ -304,12 +307,10 @@ def enumerate_chain_decompositions(
         for chain in chains:
             if p.lt[chain[-1], v]:
                 chain.append(v)
-                if prune is None or prune(p, tuple(tuple(c) for c in chains)):
-                    yield from place(pos + 1)
+                yield from place(pos + 1)
                 chain.pop()
         chains.append([v])
-        if prune is None or prune(p, tuple(tuple(c) for c in chains)):
-            yield from place(pos + 1)
+        yield from place(pos + 1)
         chains.pop()
 
     return place(0)

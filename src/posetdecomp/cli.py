@@ -16,12 +16,12 @@ import argparse
 import json
 import sys
 
-from .chains import maximum_antichain, minimum_chain_decomposition
+from .chains import _dilworth
 from .cut import enumerate_admissible_cuts, integer_determinant, j_matrix, verify_cut_identity
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
 from .generate import FAMILIES, make_family
 from .hcd import acyclic_orientation, chain_graph, mhcd, verify_embedding
-from .nccd import verify_chain_bounds
+from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, verify_chain_bounds
 from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
 from .textio import dumps, load, loads
 from .verify import DEFAULT_CHECKS, verify_exhaustive, verify_random
@@ -43,8 +43,7 @@ def _emit_json(doc: dict) -> None:
 
 
 def _section_dilworth(p: Poset, unsafe: bool) -> dict:
-    d = minimum_chain_decomposition(p)
-    a = maximum_antichain(p)
+    d, a = _dilworth(p)
     return {
         "minimum_chains": d.k,
         "maximum_antichain": len(a),
@@ -84,9 +83,8 @@ def _section_embedding(p: Poset, unsafe: bool) -> dict:
 
 
 def _section_inequalities(p: Poset, unsafe: bool) -> dict:
-    if unsafe:
-        return verify_chain_bounds(p, nc_cap=None, scan_cap=None).to_dict()
-    return verify_chain_bounds(p).to_dict()
+    nc_cap, scan_cap = (None, None) if unsafe else (NONCROSSING_CAP, DESCENT_SCAN_CAP)
+    return verify_chain_bounds(p, nc_cap=nc_cap, scan_cap=scan_cap).to_dict()
 
 
 _SECTIONS = {

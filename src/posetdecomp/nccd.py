@@ -18,7 +18,7 @@ plane tree built by leftmost attachment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +83,38 @@ def _creates_crossing(p: Poset, chains: list[list[int]], j: int, v: int) -> bool
     return False
 
 
+def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
+    """Every noncrossing decomposition with fewer than limit[0] chains.
+
+    Elements are placed in linear-extension order; each one extends a chain
+    whose top lies below it without completing a crossing, or opens a new
+    chain while that stays under the limit.  Each decomposition is yielded as
+    the live chain lists, so a caller keeping one must copy it.  The limit is
+    read at every step, so the caller may lower it between yields.
+    """
+    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
+    chains: list[list[int]] = []
+
+    def place(pos: int) -> Iterator[list[list[int]]]:
+        if len(chains) >= limit[0]:
+            return
+        if pos == p.n:
+            yield chains
+            return
+        v = order[pos]
+        for j, chain in enumerate(chains):
+            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
+                chain.append(v)
+                yield from place(pos + 1)
+                chain.pop()
+        if len(chains) + 1 < limit[0]:
+            chains.append([v])
+            yield from place(pos + 1)
+            chains.pop()
+
+    return place(0)
+
+
 def minimum_noncrossing_decomposition(
     p: Poset, cap: int | None = NONCROSSING_CAP
 ) -> tuple[int, ChainDecomposition]:
@@ -95,33 +127,17 @@ def minimum_noncrossing_decomposition(
         raise ScopeExceededError(
             f"noncrossing minimum capped at n <= {cap} (got n = {p.n})"
         )
-    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
     lower_bound = width(p) if p.n else 0
-    chains: list[list[int]] = []
-    best: list = [p.n + 1, None]
-
-    def place(pos: int) -> None:
-        if best[0] == lower_bound or len(chains) >= best[0]:
-            return
-        if pos == p.n:
-            best[0] = len(chains)
-            best[1] = [tuple(c) for c in chains]
-            return
-        v = order[pos]
-        for j, chain in enumerate(chains):
-            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
-                chain.append(v)
-                place(pos + 1)
-                chain.pop()
-        if len(chains) + 1 < best[0]:
-            chains.append([v])
-            place(pos + 1)
-            chains.pop()
-
-    place(0)
-    if best[1] is None:
+    limit = [p.n + 1]
+    best = None
+    for chains in _noncrossing_walk(p, limit):
+        best = [tuple(c) for c in chains]
+        limit[0] = len(best)
+        if limit[0] == lower_bound:
+            break
+    if best is None:
         raise InternalInconsistencyError("search left no decomposition at all")
-    return best[0], ChainDecomposition._from_index_parts(p, best[1])
+    return len(best), ChainDecomposition._from_index_parts(p, best)
 
 
 def count_noncrossing_decompositions(p: Poset, cap: int | None = NONCROSSING_CAP) -> int:
@@ -130,25 +146,8 @@ def count_noncrossing_decompositions(p: Poset, cap: int | None = NONCROSSING_CAP
         raise ScopeExceededError(
             f"noncrossing count capped at n <= {cap} (got n = {p.n})"
         )
-    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
-    chains: list[list[int]] = []
-
-    def place(pos: int) -> int:
-        if pos == p.n:
-            return 1
-        total = 0
-        v = order[pos]
-        for j, chain in enumerate(chains):
-            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
-                chain.append(v)
-                total += place(pos + 1)
-                chain.pop()
-        chains.append([v])
-        total += place(pos + 1)
-        chains.pop()
-        return total
-
-    return place(0)
+    # no decomposition has more than n chains, so the limit never prunes
+    return sum(1 for _ in _noncrossing_walk(p, [p.n + 1]))
 
 
 # -- pattern avoidance ---------------------------------------------------------
@@ -290,33 +289,36 @@ def min_descents_over_extension_avoiders(
 class WrapOrder:
     """Strict order on the chains of the minimal homogeneous decomposition.
 
-    Chain i sits below chain j when j wraps around i (some x < y < z with
-    x, z in j and y in i) or when i lies entirely above j.
+    Chain i sits below chain j when j wraps around i (`wrapped[i, j]`: some
+    x < y < z with x, z in j and y in i) or when i lies entirely above j
+    (`above[i, j]`).
     """
 
     decomposition: ChainDecomposition
-    relation: np.ndarray
-    findings: list = field(default_factory=list)
+    wrapped: np.ndarray
+    above: np.ndarray
 
-    def as_poset(self) -> Poset:
-        labels = self.decomposition.chains_as_labels()
-        return Poset(labels, self.relation)
+    @property
+    def relation(self) -> np.ndarray:
+        return self.wrapped | self.above
+
+
+def _wrap_matrices(p: Poset, d: ChainDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The `wrapped` and `above` matrices of WrapOrder, with False diagonals."""
+    lo = np.array([c[0] for c in d.chains], dtype=np.intp)
+    hi = np.array([c[-1] for c in d.chains], dtype=np.intp)
+    # between[j, y]: y lies strictly between the ends of chain j
+    between = p.lt[lo] & p.lt[:, hi].T
+    member = np.arange(d.k)[:, None] == np.array(d.chain_of, dtype=np.intp)
+    wrapped = member @ between.T
+    np.fill_diagonal(wrapped, False)
+    return wrapped, p.lt[np.ix_(hi, lo)].T
 
 
 def wrap_relation(p: Poset, d) -> np.ndarray:
     """The raw wrap relation on any homogeneous decomposition's chains."""
-    d = _as_decomposition(p, d)
-    k = d.k
-    rel = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            lo, hi = d.chains[j][0], d.chains[j][-1]
-            wrapped = any(p.lt[lo, y] and p.lt[y, hi] for y in d.chains[i])
-            above = bool(p.lt[hi, d.chains[i][0]])
-            rel[i, j] = wrapped or above
-    return rel
+    wrapped, above = _wrap_matrices(p, _as_decomposition(p, d))
+    return wrapped | above
 
 
 def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
@@ -330,7 +332,8 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
     d = mhcd(p) if d is None else _as_decomposition(p, d)
     if d != mhcd(p):
         raise ValueError("wrap order is only defined on the minimal homogeneous decomposition")
-    rel = wrap_relation(p, d)
+    w = WrapOrder(d, *_wrap_matrices(p, d))
+    rel = w.relation
     comp = chain_comparability(p, d)
     names = d.chains_as_labels()
     both = rel & rel.T
@@ -341,7 +344,6 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
         missing = np.argwhere(transitive_closure(rel) & ~rel)
         i, j = map(int, missing[0])
         raise CheckFailure("wrap relation is not transitive", witness=(names[i], names[j]))
-    findings: list = []
     for i in range(d.k):
         for j in range(i + 1, d.k):
             if not comp[i, j]:
@@ -357,14 +359,15 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
                     "comparable chains carry no wrap relation",
                     witness=(names[i], names[j]),
                 )
-    return WrapOrder(d, rel, findings)
+    return w
 
 
 def _interleaving_blocks(p: Poset, chain_a: tuple[int, ...], chain_b: tuple[int, ...]) -> int:
     """Alternation blocks in the merged total order of two comparable chains."""
+    # comparable chains of a homogeneous decomposition form one chain, which
+    # the predecessor counts in p list in order
     union = [(x, 0) for x in chain_a] + [(x, 1) for x in chain_b]
-    elems = [x for x, _ in union]
-    union.sort(key=lambda pair: sum(bool(p.lt[y, pair[0]]) for y in elems))
+    union.sort(key=lambda pair: p.pred_counts[pair[0]])
     blocks = 1
     for (_, side), (_, prev_side) in zip(union[1:], union):
         if side != prev_side:
@@ -390,16 +393,8 @@ def canonical_chain_order(
     d = mhcd(p) if d is None else _as_decomposition(p, d)
     w = wrap_order(p, d)
     rel = w.relation
-    findings = list(w.findings)
-    chains = d.chains
+    findings: list = []
     names = d.chains_as_labels()
-
-    def wraps(inner: int, outer: int) -> bool:
-        lo, hi = chains[outer][0], chains[outer][-1]
-        return any(p.lt[lo, y] and p.lt[y, hi] for y in chains[inner])
-
-    def sits_above(i: int, t: int) -> bool:
-        return bool(p.lt[chains[t][-1], chains[i][0]])
 
     def arrange(members: list[int]) -> list[int]:
         if len(members) <= 1:
@@ -416,8 +411,8 @@ def canonical_chain_order(
             for c in working:
                 if c in groups:
                     continue
-                wrapping = [m for m in markers if wraps(c, m)]
-                above = [m for m in markers if sits_above(c, m)]
+                wrapping = [m for m in markers if w.wrapped[c, m]]
+                above = [m for m in markers if w.above[c, m]]
                 if len(wrapping) > 1:
                     raise CheckFailure(
                         "chain wrapped by two maximal chains",
@@ -440,7 +435,7 @@ def canonical_chain_order(
                     )
             for c1 in case_deferred:
                 for c2 in case_grouped:
-                    if (rel[c1, c2] or rel[c2, c1]) and not sits_above(c1, c2):
+                    if (rel[c1, c2] or rel[c2, c1]) and not w.above[c1, c2]:
                         findings.append(
                             {
                                 "kind": "deferred-vs-grouped-order",
@@ -480,9 +475,7 @@ def descent_optimal_permutation(p: Poset) -> tuple:
     yields exactly one descent per chain and avoids 132; violations raise
     CheckFailure because they would refute the construction.
     """
-    d = mhcd(p)
-    order, _ = canonical_chain_order(p, d)
-    pi = chain_concatenation(p, d, order)
+    d, _, _, pi, _ = _construction(p)
     if not is_132_avoiding(p, pi):
         raise CheckFailure("chain concatenation contains a 132 pattern", witness=pi)
     prof = descent_profile(p, pi)
@@ -580,14 +573,24 @@ def _preorder(node: TreeNode, out: list) -> None:
         stack.extend(reversed(node.children))
 
 
+def _construction(p: Poset) -> tuple[ChainDecomposition, tuple[int, ...], list, tuple, tuple]:
+    """The constructive witnesses of the bound chain, built once.
+
+    Returns (d, order, findings, pi, e): the minimal homogeneous
+    decomposition, its canonical chain order with that order's findings, the
+    chain concatenation along the order, and the reversed preorder of the
+    attachment tree.  e is not yet checked to be a linear extension.
+    """
+    d = mhcd(p)
+    order, findings = canonical_chain_order(p, d)
+    walk: list = []
+    _preorder(attachment_tree(p, d, order), walk)
+    return d, order, findings, chain_concatenation(p, d, order), tuple(reversed(walk))
+
+
 def derived_extension(p: Poset) -> tuple:
     """Reverse preorder of the attachment tree; verified linear extension."""
-    d = mhcd(p)
-    order, _ = canonical_chain_order(p, d)
-    tree = attachment_tree(p, d, order)
-    walk: list = []
-    _preorder(tree, walk)
-    e = tuple(reversed(walk))
+    e = _construction(p)[4]
     if not is_linear_extension(p, e):
         raise CheckFailure("derived order is not a linear extension", witness=e)
     return e
@@ -648,13 +651,7 @@ def verify_chain_bounds(
     """
     min_chains = minimum_chain_decomposition(p).k
     min_nc, nc_witness = minimum_noncrossing_decomposition(p, cap=nc_cap)
-    d = mhcd(p)
-    order, findings = canonical_chain_order(p, d)
-    pi = chain_concatenation(p, d, order)
-    tree = attachment_tree(p, d, order)
-    walk: list = []
-    _preorder(tree, walk)
-    e = tuple(reversed(walk))
+    d, _, findings, pi, e = _construction(p)
     checks = {
         "extension-is-linear": is_linear_extension(p, e),
         "witness-has-min-descents": descent_profile(p, pi).count == d.k,

@@ -14,11 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .chains import (
+    _dilworth,
     enumerate_chain_decompositions,
     is_antichain,
     is_chain,
     is_chain_decomposition,
-    maximum_antichain,
     minimum_chain_decomposition,
 )
 from .cut import enumerate_admissible_cuts, verify_cut_identity
@@ -26,12 +26,12 @@ from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
 from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
 from .nccd import (
+    DESCENT_SCAN_CAP,
+    NONCROSSING_CAP,
+    _construction,
     all_132_avoiding,
     ascending_runs_decomposition,
-    canonical_chain_order,
-    chain_concatenation,
     count_noncrossing_decompositions,
-    derived_extension,
     descent_profile,
     is_132_avoiding,
     is_132_avoiding_in_extension,
@@ -42,6 +42,7 @@ from .poset import (
     POSET_ENUMERATION_CAP,
     Poset,
     enumerate_posets,
+    is_linear_extension,
     mobius_matrix,
     signed_chain_count_matrix,
 )
@@ -59,8 +60,6 @@ DEFAULT_CHECKS = (
 
 BRUTE_FORCE_CAP = 6
 SEGMENT_SWEEP_CAP = 6
-SCAN_CAP = 8
-NONCROSSING_CAP = 10
 
 
 def catalan_numbers(count: int) -> list[int]:
@@ -77,8 +76,7 @@ def _chain_set(d) -> frozenset:
 
 def check_dilworth(p: Poset, seed: int = 0) -> dict:
     """Minimum decomposition size equals the maximum antichain size."""
-    d = minimum_chain_decomposition(p)
-    a = maximum_antichain(p)
+    d, a = _dilworth(p)
     details: dict = {"chains": d.k, "antichain": len(a)}
     passed = (
         d.k == len(a)
@@ -197,7 +195,7 @@ def check_embedding(p: Poset, seed: int = 0) -> dict:
 
 def check_bounds(p: Poset, seed: int = 0) -> dict:
     """The five-minimum inequality chain, or its pipeline half for larger n."""
-    if p.n <= SCAN_CAP:
+    if p.n <= DESCENT_SCAN_CAP:
         rep = verify_chain_bounds(p)
         out = {
             "name": "bounds",
@@ -216,10 +214,9 @@ def check_bounds(p: Poset, seed: int = 0) -> dict:
         return out
     # permutation scans are exponential; above the cap check the constructive
     # pipeline only
-    d = mhcd(p)
-    order, findings = canonical_chain_order(p, d)
-    pi = chain_concatenation(p, d, order)
-    e = derived_extension(p)
+    d, _, findings, pi, e = _construction(p)
+    if not is_linear_extension(p, e):
+        raise CheckFailure("derived order is not a linear extension", witness=e)
     checks = {
         "witness-has-min-descents": descent_profile(p, pi).count == d.k,
         "witness-avoids-132": is_132_avoiding(p, pi),

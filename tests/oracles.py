@@ -140,6 +140,101 @@ def count_noncrossing(p) -> int:
     return sum(1 for part in chain_partitions(p) if noncrossing_partition(p, part))
 
 
+# The library's two noncrossing searches before they shared one placement
+# walk, kept verbatim apart from their dependencies: the crossing test is
+# copied, the Dilworth lower bound is `max_antichain_size`, predecessor counts
+# are recounted here, and the witness chains come back sorted by first element.
+def _creates_crossing(p, chains, j, v) -> bool:
+    cj = chains[j]
+    for i, ci in enumerate(chains):
+        if i == j:
+            continue
+        for bpos in range(1, len(ci)):
+            b = ci[bpos]
+            if not p.lt[b, v]:
+                continue
+            for apos in range(bpos):
+                a = ci[apos]
+                if any(p.lt[a, c] and p.lt[c, b] for c in cj):
+                    return True
+    return False
+
+
+def _placement_order(p) -> list:
+    return sorted(range(p.n), key=lambda x: sum(bool(p.lt[y, x]) for y in range(p.n)))
+
+
+def recursive_min_noncrossing(p):
+    """(size, chains) of the first minimum noncrossing decomposition found."""
+    order = _placement_order(p)
+    lower_bound = max_antichain_size(p) if p.n else 0
+    chains = []
+    best = [p.n + 1, None]
+
+    def place(pos: int) -> None:
+        if best[0] == lower_bound or len(chains) >= best[0]:
+            return
+        if pos == p.n:
+            best[0] = len(chains)
+            best[1] = [tuple(c) for c in chains]
+            return
+        v = order[pos]
+        for j, chain in enumerate(chains):
+            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
+                chain.append(v)
+                place(pos + 1)
+                chain.pop()
+        if len(chains) + 1 < best[0]:
+            chains.append([v])
+            place(pos + 1)
+            chains.pop()
+
+    place(0)
+    return best[0], tuple(sorted(best[1]))
+
+
+def recursive_count_noncrossing(p) -> int:
+    """Number of noncrossing decompositions by the unpruned placement search."""
+    order = _placement_order(p)
+    chains = []
+
+    def place(pos: int) -> int:
+        if pos == p.n:
+            return 1
+        total = 0
+        v = order[pos]
+        for j, chain in enumerate(chains):
+            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
+                chain.append(v)
+                total += place(pos + 1)
+                chain.pop()
+        chains.append([v])
+        total += place(pos + 1)
+        chains.pop()
+        return total
+
+    return place(0)
+
+
+def wrap_matrices(p, chains):
+    """(wrapped, above) as nested lists, by the pairwise loop over chains.
+
+    wrapped[i][j]: some element of chain i lies strictly between the ends of
+    chain j; above[i][j]: chain i starts above the top of chain j.
+    """
+    k = len(chains)
+    wrapped = [[False] * k for _ in range(k)]
+    above = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            lo, hi = chains[j][0], chains[j][-1]
+            wrapped[i][j] = any(p.lt[lo, y] and p.lt[y, hi] for y in chains[i])
+            above[i][j] = bool(p.lt[hi, chains[i][0]])
+    return wrapped, above
+
+
 def naive_avoiders(p):
     """All 132-avoiding index permutations via the cubic scan."""
     out = []

@@ -141,3 +141,20 @@ def test_matching_with_long_augmenting_path():
             lt[i, n - 2 - i] = True
     p = Poset([str(i) for i in range(n)], lt)
     assert minimum_chain_decomposition(p).k == m + 1
+
+
+def test_dilworth_check_and_section_match_once(monkeypatch):
+    from posetdecomp import chains, cli, verify
+
+    calls = []
+    real = chains._hopcroft_karp
+
+    def counted(succ, n):
+        calls.append(n)
+        return real(succ, n)
+
+    monkeypatch.setattr(chains, "_hopcroft_karp", counted)
+    p = random_poset(9, seed=3)
+    assert verify.check_dilworth(p)["passed"]
+    assert cli._section_dilworth(p, False)["equal"]
+    assert calls == [9, 9]

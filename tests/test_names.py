@@ -1,0 +1,29 @@
+"""Every exported name and every name the benchmark traces resolves."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import posetdecomp
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_all_exports_resolve():
+    assert [name for name in posetdecomp.__all__ if not hasattr(posetdecomp, name)] == []
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer rebinds each module.function by name and refuses
+    # to start when one is gone
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name in spans.TRACED:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"posetdecomp.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []
+    for module in spans.MODULES:
+        importlib.import_module(f"posetdecomp.{module}")

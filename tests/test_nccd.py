@@ -33,6 +33,7 @@ from posetdecomp import (
     wrap_order,
     wrap_relation,
 )
+from posetdecomp import nccd, verify
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.nccd import _preorder
 from posetdecomp.poset import enumerate_posets
@@ -89,6 +90,15 @@ def test_count_noncrossing_matches_oracle():
 def test_catalan_counts():
     for n in range(1, 8):
         assert count_noncrossing_decompositions(chain(n)) == oracles.catalan_closed_form(n)
+
+
+def test_noncrossing_walk_matches_recursive_searches():
+    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
+    posets += [random_poset(8, density=0.3, seed=seed) for seed in range(200)]
+    for p in posets:
+        nc, witness = minimum_noncrossing_decomposition(p)
+        assert (nc, witness.chains) == oracles.recursive_min_noncrossing(p)
+        assert count_noncrossing_decompositions(p) == oracles.recursive_count_noncrossing(p)
 
 
 # -- patterns and descents --------------------------------------------------------
@@ -177,6 +187,20 @@ def test_wrap_relation_theta():
         [True, False, False],
         [True, False, False],
     ]
+
+
+def test_wrap_matrices_match_loop_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
+    posets += [random_poset(9, seed=seed) for seed in range(20)]
+    posets += [wrap_forest(20, seed=seed) for seed in range(20)]
+    for p in posets:
+        w = wrap_order(p)
+        wrapped, above = oracles.wrap_matrices(p, w.decomposition.chains)
+        assert w.wrapped.tolist() == wrapped
+        assert w.above.tolist() == above
+        union = [[a or b for a, b in zip(ra, rb)] for ra, rb in zip(wrapped, above)]
+        assert w.relation.tolist() == union
+        assert wrap_relation(p, w.decomposition).tolist() == union
 
 
 def test_wrap_order_requires_minimal_decomposition():
@@ -329,6 +353,29 @@ def test_chain_bounds_random():
         p = random_poset(7, density=0.3, seed=seed)
         rep = verify_chain_bounds(p)
         assert rep.ok
+
+
+def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
+    calls = []
+    real = nccd.canonical_chain_order
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # count calls through either module's binding
+    monkeypatch.setattr(nccd, "canonical_chain_order", counted)
+    monkeypatch.setattr(verify, "canonical_chain_order", counted, raising=False)
+    cases = [(random_poset(9, seed=s), k) for s, k in enumerate((6, 5, 5, 7))]
+    cases += [(random_poset(10, seed=s), k) for s, k in enumerate((5, 7, 10, 9))]
+    cases += [(wrap_forest(12, seed=s), k) for s, k in enumerate((4, 3, 3, 4))]
+    cases += [(wrap_forest(20, seed=s), k) for s, k in enumerate((6, 5, 6, 8))]
+    for p, k in cases:
+        calls.clear()
+        out = verify.check_bounds(p)
+        assert out["passed"]
+        assert out["details"] == {"k": k, "scans": "skipped"}
+        assert len(calls) == 1
 
 
 def test_report_serializes_to_plain_json_types():
