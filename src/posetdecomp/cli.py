@@ -17,7 +17,7 @@ import json
 import sys
 
 from .chains import _dilworth
-from .cut import enumerate_admissible_cuts, integer_determinant, j_matrix, verify_cut_identity
+from .cut import CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
 from .generate import FAMILIES, make_family
 from .hcd import acyclic_orientation, chain_graph, mhcd, verify_embedding
@@ -66,13 +66,13 @@ def _section_mhcd(p: Poset, unsafe: bool) -> dict:
 
 
 def _section_cut_check(p: Poset, unsafe: bool) -> dict:
-    d = mhcd(p)
-    cuts = enumerate_admissible_cuts(p, d)
+    frame = CutFrame(p, mhcd(p))
+    cuts = enumerate_admissible_cuts(p, frame.decomposition, frame)
     reports = [verify_cut_identity(p, c) for c in cuts]
     return {
         "admissible_cuts": len(cuts),
         "identity_holds": all(r.equal for r in reports),
-        "j_determinant": integer_determinant(j_matrix(p, d)),
+        "j_determinant": frame.j_determinant,
         "cuts": [{"heights": list(r.heights), "equal": r.equal} for r in reports],
     }
 

@@ -8,8 +8,16 @@ exact integer identity:
 
     D J = D_low J + D_up J - D_low J D_up J,    J = I + adjacency(G).
 
-All arithmetic here uses Python integers, so there is no overflow to worry
-about; reports carry both sides of the identity verbatim.
+Everything on the left-hand side depends on the decomposition only, not on
+the cut: a `CutFrame` computes the chain comparability (which certifies
+homogeneity), J, the whole-poset signed counts, D_whole, D_whole J and det J
+once, and every cut of that decomposition carries it.  Per cut only D_low and
+D_up are computed, from the induced sub-posets of the two sides.
+
+The signed counts are exact (numpy int64 up to 64 elements, Python integers
+above; see `signed_chain_count_matrix`), and every matrix here holds Python
+integers, so there is no overflow to worry about; reports carry both sides of
+the identity verbatim.
 """
 
 from __future__ import annotations
@@ -21,8 +29,44 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .chains import ChainDecomposition
-from .hcd import _as_decomposition, chain_comparability
+from .hcd import ChainGraph, _as_decomposition, chain_comparability
 from .poset import Poset, signed_chain_count_matrix
+
+
+class CutFrame:
+    """The cut-independent half of the cut identity for one decomposition.
+
+    Building a frame computes the chain comparability, which certifies that
+    the decomposition is homogeneous (NotHomogeneousError otherwise).  J, the
+    whole-poset signed counts, D_whole, D_whole J and det J are computed on
+    first use and then shared by every cut of the decomposition.
+    """
+
+    def __init__(self, p: Poset, d) -> None:
+        self.poset = p
+        self.decomposition = _as_decomposition(p, d)
+        self.graph = ChainGraph(self.decomposition, chain_comparability(p, self.decomposition))
+
+    @cached_property
+    def j(self) -> list[list[int]]:
+        return j_matrix(self.poset, self.graph)
+
+    @cached_property
+    def counts(self) -> list[list[int]]:
+        """Signed chain counts of the whole poset."""
+        return signed_chain_count_matrix(self.poset)
+
+    @cached_property
+    def d_whole(self) -> list[list[int]]:
+        return _chain_sums(self.counts, self.decomposition.chains)
+
+    @cached_property
+    def lhs(self) -> list[list[int]]:
+        return _mat_mul(self.d_whole, self.j)
+
+    @cached_property
+    def j_determinant(self) -> int:
+        return integer_determinant(self.j)
 
 
 @dataclass(frozen=True)
@@ -30,12 +74,14 @@ class Cut:
     """A homogeneous decomposition sliced at one height per chain.
 
     Height h on a chain of size m (0 <= h <= m) puts the lowest h elements
-    into the lower part and the rest into the upper part.
+    into the lower part and the rest into the upper part.  `frame` is the
+    decomposition's shared CutFrame.
     """
 
     poset: Poset
     decomposition: ChainDecomposition
     heights: tuple[int, ...]
+    frame: CutFrame = field(compare=False, repr=False)
 
     @cached_property
     def lower_parts(self) -> tuple[tuple[int, ...], ...]:
@@ -67,15 +113,15 @@ class Cut:
 
 def make_cut(p: Poset, d, heights: Sequence[int]) -> Cut:
     """Validate heights against a homogeneous decomposition and build the cut."""
-    d = _as_decomposition(p, d)
-    chain_comparability(p, d)  # raises NotHomogeneousError when not homogeneous
+    frame = CutFrame(p, d)  # raises NotHomogeneousError when not homogeneous
+    d = frame.decomposition
     heights = tuple(int(h) for h in heights)
     if len(heights) != d.k:
         raise ValueError(f"expected {d.k} heights, got {len(heights)}")
     for h, chain in zip(heights, d.chains):
         if not 0 <= h <= len(chain):
             raise ValueError(f"height {h} out of range for a chain of size {len(chain)}")
-    return Cut(p, d, heights)
+    return Cut(p, d, heights, frame)
 
 
 def is_proper(cut: Cut) -> bool:
@@ -91,7 +137,7 @@ def is_admissible(cut: Cut) -> bool:
     if not is_proper(cut):
         return False
     p = cut.poset
-    comp = chain_comparability(p, cut.decomposition)
+    comp = cut.frame.graph.adjacency
     k = cut.decomposition.k
     for i in range(k):
         top_low = cut.lower_parts[i][-1]
@@ -104,16 +150,22 @@ def is_admissible(cut: Cut) -> bool:
     return True
 
 
-def enumerate_proper_cuts(p: Poset, d) -> Iterator[Cut]:
-    """All proper cuts of the decomposition (empty when some chain is a point)."""
-    d = _as_decomposition(p, d)
+def enumerate_proper_cuts(p: Poset, d, frame: CutFrame | None = None) -> Iterator[Cut]:
+    """All proper cuts of the decomposition (empty when some chain is a point).
+
+    Every cut shares `frame`, or one frame built at the first proper cut, so
+    a decomposition without proper cuts is never checked for homogeneity.
+    """
+    d = _as_decomposition(p, d) if frame is None else frame.decomposition
     ranges = [range(1, len(chain)) for chain in d.chains]
     for heights in itertools.product(*ranges):
-        yield make_cut(p, d, heights)
+        if frame is None:
+            frame = CutFrame(p, d)
+        yield Cut(p, d, heights, frame)
 
 
-def enumerate_admissible_cuts(p: Poset, d) -> list[Cut]:
-    return [cut for cut in enumerate_proper_cuts(p, d) if is_admissible(cut)]
+def enumerate_admissible_cuts(p: Poset, d, frame: CutFrame | None = None) -> list[Cut]:
+    return [cut for cut in enumerate_proper_cuts(p, d, frame) if is_admissible(cut)]
 
 
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
@@ -139,37 +191,38 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     """
     d = _as_decomposition(p, d)
     if scope == "whole":
-        parts = d.chains
-        counts = signed_chain_count_matrix(p)
-        local = {x: x for x in range(p.n)}
-    elif scope in ("lower", "upper"):
-        if cut is None:
-            raise ValueError(f"scope {scope!r} needs a cut")
-        parts = cut.lower_parts if scope == "lower" else cut.upper_parts
-        keep = [x for part in parts for x in part]
-        sub = p.induced([p.labels[x] for x in keep])
-        counts = signed_chain_count_matrix(sub)
-        local = {x: i for i, x in enumerate(keep)}
-    else:
+        return _chain_sums(signed_chain_count_matrix(p), d.chains)
+    if scope not in ("lower", "upper"):
         raise ValueError(f"unknown scope {scope!r}")
-    k = d.k
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = 0
-            for x in parts[i]:
-                row = counts[local[x]]
-                for y in parts[j]:
-                    acc += row[local[y]]
-            out[i][j] = acc
-    return out
+    if cut is None:
+        raise ValueError(f"scope {scope!r} needs a cut")
+    parts = cut.lower_parts if scope == "lower" else cut.upper_parts
+    keep = [x for part in parts for x in part]
+    sub = p.induced([p.labels[x] for x in keep])
+    # renumber each part into the sub-poset, which lists the parts in turn
+    starts = list(itertools.accumulate((len(part) for part in parts), initial=0))
+    local = [range(a, b) for a, b in zip(starts, starts[1:])]
+    return _chain_sums(signed_chain_count_matrix(sub), local)
+
+
+def _chain_sums(counts: list[list[int]], parts) -> list[list[int]]:
+    """Entry (i, j): the sum of counts[x][y] over x in parts[i], y in parts[j]."""
+    n = len(counts)
+    rows = [[sum(counts[x][y] for x in part) for y in range(n)] for part in parts]
+    return [[sum(row[y] for y in part) for part in parts] for row in rows]
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:
-    """Identity plus the adjacency matrix of the chain graph."""
-    d = _as_decomposition(p, d)
-    comp = chain_comparability(p, d)
-    k = d.k
+    """Identity plus the adjacency matrix of the chain graph.
+
+    `d` is a homogeneous decomposition, whose chain comparability is computed
+    here, or its ChainGraph, whose adjacency is used as it stands.
+    """
+    if isinstance(d, ChainGraph):
+        comp = d.adjacency
+    else:
+        comp = chain_comparability(p, _as_decomposition(p, d))
+    k = len(comp)
     return [[(1 if i == j else int(comp[i, j])) for j in range(k)] for i in range(k)]
 
 
@@ -185,6 +238,10 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for j in range(k):
                     oi[j] += ait * bt[j]
     return out
+
+
+def _copy(a: list[list[int]]) -> list[list[int]]:
+    return [row[:] for row in a]
 
 
 def _mat_add(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -271,11 +328,11 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
     whatever the two sides evaluate to.
     """
     d = cut.decomposition
-    whole = d_matrix(p, d, "whole")
+    frame = cut.frame
     lower = d_matrix(p, d, "lower", cut)
     upper = d_matrix(p, d, "upper", cut)
-    j = j_matrix(p, d)
-    lhs = _mat_mul(whole, j)
+    j = frame.j
+    lhs = frame.lhs
     lower_j = _mat_mul(lower, j)
     upper_j = _mat_mul(upper, j)
     rhs = _mat_sub(_mat_add(lower_j, upper_j), _mat_mul(lower_j, upper_j))
@@ -287,15 +344,15 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
         heights=cut.heights,
         proper=is_proper(cut),
         admissible=is_admissible(cut),
-        d_whole=whole,
+        d_whole=_copy(frame.d_whole),
         d_lower=lower,
         d_upper=upper,
-        j=j,
-        lhs=lhs,
+        j=_copy(j),
+        lhs=_copy(lhs),
         rhs=rhs,
         equal=diff == 0,
         max_abs_discrepancy=diff,
-        j_determinant=integer_determinant(j),
+        j_determinant=frame.j_determinant,
     )
     if not report.admissible:
         report.findings.append(

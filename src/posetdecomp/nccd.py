@@ -329,9 +329,17 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
     stacked) with exactly one wrap relation; a falsification raises
     CheckFailure since it would contradict the theory this implements.
     """
-    d = mhcd(p) if d is None else _as_decomposition(p, d)
-    if d != mhcd(p):
-        raise ValueError("wrap order is only defined on the minimal homogeneous decomposition")
+    if d is None:
+        d = mhcd(p)
+    else:
+        d = _as_decomposition(p, d)
+        if d != mhcd(p):
+            raise ValueError("wrap order is only defined on the minimal homogeneous decomposition")
+    return _verified_wrap_order(p, d)
+
+
+def _verified_wrap_order(p: Poset, d: ChainDecomposition) -> WrapOrder:
+    """`wrap_order` on a decomposition the caller knows to be the MHCD."""
     w = WrapOrder(d, *_wrap_matrices(p, d))
     rel = w.relation
     comp = chain_comparability(p, d)
@@ -379,7 +387,7 @@ def _interleaving_blocks(p: Poset, chain_a: tuple[int, ...], chain_b: tuple[int,
 
 
 def canonical_chain_order(
-    p: Poset, d: ChainDecomposition | None = None
+    p: Poset, d: ChainDecomposition | None = None, *, wrap: WrapOrder | None = None
 ) -> tuple[tuple[int, ...], list]:
     """A linear extension of the wrap order by successive refinement.
 
@@ -389,9 +397,11 @@ def canonical_chain_order(
     wrapped by exactly one marker (case 2, grouped right before that marker);
     groups are then refined recursively.  Classification anomalies raise
     CheckFailure; the constructed order is verified to extend the wrap order.
+    A caller that holds the verified wrap order of the MHCD passes it as
+    `wrap`, which then stands in for `d`.
     """
-    d = mhcd(p) if d is None else _as_decomposition(p, d)
-    w = wrap_order(p, d)
+    w = wrap_order(p, d) if wrap is None else wrap
+    d = w.decomposition
     rel = w.relation
     findings: list = []
     names = d.chains_as_labels()
@@ -582,7 +592,7 @@ def _construction(p: Poset) -> tuple[ChainDecomposition, tuple[int, ...], list, 
     attachment tree.  e is not yet checked to be a linear extension.
     """
     d = mhcd(p)
-    order, findings = canonical_chain_order(p, d)
+    order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, d))
     walk: list = []
     _preorder(attachment_tree(p, d, order), walk)
     return d, order, findings, chain_concatenation(p, d, order), tuple(reversed(walk))

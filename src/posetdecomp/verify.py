@@ -21,7 +21,7 @@ from .chains import (
     is_chain_decomposition,
     minimum_chain_decomposition,
 )
-from .cut import enumerate_admissible_cuts, verify_cut_identity
+from .cut import CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
 from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
@@ -44,7 +44,6 @@ from .poset import (
     enumerate_posets,
     is_linear_extension,
     mobius_matrix,
-    signed_chain_count_matrix,
 )
 
 DEFAULT_CHECKS = (
@@ -147,15 +146,18 @@ def check_cut(p: Poset, seed: int = 0) -> dict:
 
     The second part compares the signed chain-count matrix against the Mobius
     matrix computed by its defining recursion; the two must agree entrywise.
+    Both parts share one CutFrame, so the whole-poset counts and the chain
+    comparability are computed once.
     """
-    d = mhcd(p)
-    admissible = enumerate_admissible_cuts(p, d)
+    frame = CutFrame(p, mhcd(p))
+    admissible = enumerate_admissible_cuts(p, frame.decomposition, frame)
     failures = []
     for cut in admissible:
         rep = verify_cut_identity(p, cut)
         if not rep.equal:
             failures.append(rep.to_dict())
-    hall = signed_chain_count_matrix(p) == mobius_matrix(p)
+    mobius = mobius_matrix(p)
+    hall = frame.counts == mobius
     passed = not failures and hall
     out = {
         "name": "cut",
@@ -168,10 +170,7 @@ def check_cut(p: Poset, seed: int = 0) -> dict:
     if failures:
         out["witness"] = failures[0]
     elif not hall:
-        out["witness"] = {
-            "signed_counts": signed_chain_count_matrix(p),
-            "mobius": mobius_matrix(p),
-        }
+        out["witness"] = {"signed_counts": frame.counts, "mobius": mobius}
     return out
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from posetdecomp import (
+    ChainDecomposition,
     NotHomogeneousError,
     Poset,
     d_matrix,
@@ -20,8 +21,12 @@ from posetdecomp import (
     signed_chain_count_matrix,
     verify_cut_identity,
 )
-from posetdecomp.generate import boolean_lattice, chain, wrap_forest
+from posetdecomp import cut as cut_module
+from posetdecomp import hcd, poset, verify
+from posetdecomp.generate import boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.poset import enumerate_posets
+
+import oracles
 
 
 def theta():
@@ -183,3 +188,76 @@ def test_signed_counts_equal_mobius_n6_sample():
     # the exhaustive n <= 6 sweep lives in the acceptance suite; spot-check here
     for p in enumerate_posets(4):
         assert signed_chain_count_matrix(p) == mobius_matrix(p)
+
+
+def test_signed_counts_match_power_sum_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(20, seed=s) for s in range(50)]
+    posets += [random_poset(14, 0.3, seed=s) for s in range(50)]
+    for p in posets:
+        assert signed_chain_count_matrix(p) == oracles.power_sum_signed_counts(p.lt)
+
+
+def test_signed_counts_exact_past_int64():
+    # the chain's binomial power entries exceed 2**63, so this runs on
+    # Python integers; the Mobius recursion is the independent check.  (int64
+    # would wrap here, and wrapping is exact modulo 2**64, so only a final
+    # count beyond 2**63 could tell the two dtypes apart.)
+    p = chain(70)
+    counts = signed_chain_count_matrix(p)
+    assert counts == mobius_matrix(p)
+    assert all(type(v) is int for row in counts for v in row)
+
+
+def test_identity_reports_match_per_cut_oracle():
+    for n in range(12, 21):
+        for seed in range(10):
+            p = wrap_forest(n, seed=seed)
+            d = mhcd(p)
+            expected = oracles.cut_identity_reports(p, d.chains)
+            cuts = enumerate_admissible_cuts(p, d)
+            assert [c.heights for c in cuts] == list(expected)
+            for cut in cuts:
+                assert verify_cut_identity(p, cut).to_dict() == expected[cut.heights]
+
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_check_cut_builds_one_frame(monkeypatch):
+    comparability = _count_calls(monkeypatch, "chain_comparability", [hcd, cut_module, verify])
+    counts = _count_calls(monkeypatch, "signed_chain_count_matrix", [poset, cut_module, verify])
+    posets = [theta(), chain(4), boolean_lattice(2)]
+    posets += [wrap_forest(n, seed=s) for n in (10, 16) for s in range(5)]
+    for p in posets:
+        comparability.clear()
+        counts.clear()
+        out = verify.check_cut(p)
+        assert out["passed"]
+        assert len(comparability) == 1
+        assert len(counts) == 2 * out["details"]["admissible_cuts"] + 1
+
+
+def test_not_homogeneous_raised_only_with_a_proper_cut():
+    p = theta()
+    # chains (u1 w1 w2 u2) and (x1 x2): x1 meets u1 but not w1, and both
+    # chains can be cut
+    mixed = ChainDecomposition.from_parts(p, [["u1", "w1", "w2", "u2"], ["x1", "x2"]])
+    with pytest.raises(NotHomogeneousError):
+        next(enumerate_proper_cuts(p, mixed))
+    with pytest.raises(NotHomogeneousError):
+        enumerate_admissible_cuts(p, mixed)
+    # the same mix with x1 and x2 as points: no proper cut, so nothing to raise
+    pointed = ChainDecomposition.from_parts(p, [["u1", "w1", "w2", "u2"], ["x1"], ["x2"]])
+    assert list(enumerate_proper_cuts(p, pointed)) == []
+    assert enumerate_admissible_cuts(p, pointed) == []

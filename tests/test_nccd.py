@@ -378,6 +378,24 @@ def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_check_bounds_above_scan_cap_computes_mhcd_once(monkeypatch):
+    calls = []
+    real = nccd.mhcd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # the pipeline builds the MHCD and hands its wrap order down, so the
+    # wrap order never recomputes the MHCD just to compare against it
+    monkeypatch.setattr(nccd, "mhcd", counted)
+    monkeypatch.setattr(verify, "mhcd", counted)
+    for p in [random_poset(9, seed=s) for s in range(4)] + [wrap_forest(20, seed=s) for s in range(4)]:
+        calls.clear()
+        assert verify.check_bounds(p)["passed"]
+        assert len(calls) == 1
+
+
 def test_report_serializes_to_plain_json_types():
     import json
 
