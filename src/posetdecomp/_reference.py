@@ -1,14 +1,14 @@
-"""Pure-Python permutation-scan kernels.
+"""The permutation-scan kernels, as bitset walks in pure Python.
 
-`min_descents`, a width-bounded bitset branch and bound, is the only
-implementation of its kernel on every backend; `permutations_avoiding` is
-the pure twin of the compiled enumerator, with the same output.
-
-Both kernels walk the permutation tree of 0..n-1 and prune any prefix that
-already realizes the forbidden pattern: appending v at position i3 completes a
-pattern exactly when some earlier pair i1 < i2 has perm[i1] below v and v
-below perm[i2] under the supplied comparison matrix, so checking only the
-freshly appended element is complete.
+`min_descents` is a width-bounded branch and bound; `permutations_avoiding`
+lists every avoider.  Both walk the permutation tree of 0..n-1 over bitmasks
+built by `_masks`, and prune a prefix as soon as it forces the forbidden
+pattern: a node carries its unused set and `above`, the elements
+pattern-above some prefix element, and v is not appended when an unused
+element lies in `above` and pattern-below v.  That element must come
+later, where it would be the "2" of a pattern whose "1" is in the prefix and
+whose "3" is v; conversely every pattern occurrence is caught when its "3" is
+appended, so no avoider is lost.
 
 `pattern` and `lt` are row-major n*n 0/1 bytes; pattern[x*n+y] means x is
 pattern-below y (the strict order itself for plain pattern avoidance, or
@@ -21,16 +21,25 @@ the final position, so a nonempty permutation has between 1 and n descents.
 from __future__ import annotations
 
 
+def _masks(matrix: bytes, n: int) -> tuple[list[int], list[int]]:
+    """Rows and columns of a 0/1 matrix as bitmasks: bit y of up[x] and bit
+    x of down[y] are set when matrix[x*n+y] is."""
+    up = [0] * n
+    down = [0] * n
+    for x in range(n):
+        row = x * n
+        for y in range(n):
+            if matrix[row + y]:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+    return up, down
+
+
 def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
 
-    Bitset branch and bound over prefixes.  A node holds the unused set, the
-    last element, and `above`, the elements pattern-above some prefix
-    element.  Appending v forbids every element of `above` pattern-below v
-    (v would be the "3" of a pattern whose "2" comes later), then adds v's
-    pattern-up set to `above`.  A forbidden element can never be appended,
-    so a node that forbids an unused element is dead and the forbidden set
-    itself is never stored.
+    Bitset branch and bound over prefixes; a node also holds its last
+    element and its descent count so far.
 
     The bound is the Dilworth width w(S) of the unused set S, taken in the
     comparability graph of the transitive closure of lt, so it holds for any
@@ -45,17 +54,8 @@ def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
         return 0
     if len(pattern) != n * n or len(lt) != n * n:
         raise ValueError("matrix size mismatch")
-    up = [0] * n
-    down = [0] * n
-    succ = [0] * n
-    for x in range(n):
-        row = x * n
-        for y in range(n):
-            if pattern[row + y]:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
-            if lt[row + y]:
-                succ[x] |= 1 << y
+    up, down = _masks(pattern, n)
+    succ = _masks(lt, n)[0]
     reach = succ[:]
     for k in range(n):
         for x in range(n):
@@ -113,38 +113,34 @@ def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
 
 
 def permutations_avoiding(pattern: bytes, n: int) -> list[tuple[int, ...]]:
-    """All pattern-avoiding permutations of 0..n-1, in lexicographic order."""
+    """All pattern-avoiding permutations of 0..n-1, in lexicographic order.
+
+    Candidates are tried lowest bit first, so avoiders come out in order.  A
+    node with one unused element left completes without a check: with
+    nothing after it, the last element is the "3" of no pattern.
+    """
     if n == 0:
         return [()]
     if len(pattern) != n * n:
         raise ValueError("matrix size mismatch")
+    if n == 1:
+        return [(0,)]
+    up, down = _masks(pattern, n)
     out: list[tuple[int, ...]] = []
-    perm = [0] * n
-    used = [False] * n
 
-    def scan(depth: int) -> None:
-        if depth == n:
-            out.append(tuple(perm))
-            return
-        for v in range(n):
-            if used[v]:
+    def walk(prefix: tuple[int, ...], unused: int, above: int) -> None:
+        group = unused
+        while group:
+            low = group & -group
+            group ^= low
+            rest = unused ^ low
+            v = low.bit_length() - 1
+            if down[v] & above & rest:
                 continue
-            seen_small = False
-            bad = False
-            vrow = v * n
-            for j in range(depth):
-                pj = perm[j]
-                if seen_small and pattern[vrow + pj]:
-                    bad = True
-                    break
-                if pattern[pj * n + v]:
-                    seen_small = True
-            if bad:
-                continue
-            perm[depth] = v
-            used[v] = True
-            scan(depth + 1)
-            used[v] = False
+            if rest & (rest - 1):
+                walk(prefix + (v,), rest, above | up[v])
+            else:
+                out.append(prefix + (v, rest.bit_length() - 1))
 
-    scan(0)
+    walk((), (1 << n) - 1, 0)
     return out

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .chains import _dilworth
-from .cut import CutFrame, enumerate_admissible_cuts, verify_cut_identity
+from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
 from .generate import FAMILIES, make_family
 from .hcd import acyclic_orientation, chain_graph, mhcd, verify_embedding
@@ -36,7 +36,8 @@ def _read_poset(path: str) -> Poset:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    # compact: with indent, json falls back to its pure-Python encoder
+    print(json.dumps(doc, sort_keys=True))
 
 
 # -- analyze --------------------------------------------------------------------
@@ -67,7 +68,8 @@ def _section_mhcd(p: Poset, unsafe: bool) -> dict:
 
 def _section_cut_check(p: Poset, unsafe: bool) -> dict:
     frame = CutFrame(p, mhcd(p))
-    cuts = enumerate_admissible_cuts(p, frame.decomposition, frame)
+    cap = None if unsafe else CUT_ENUMERATION_CAP
+    cuts = enumerate_admissible_cuts(p, frame.decomposition, frame, cap=cap)
     reports = [verify_cut_identity(p, c) for c in cuts]
     return {
         "admissible_cuts": len(cuts),

@@ -23,14 +23,20 @@ the identity verbatim.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .chains import ChainDecomposition
+from .errors import ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_comparability
 from .poset import Poset, signed_chain_count_matrix
+
+# Proper cuts (the product of chain length - 1 over the chains) that a capped
+# enumeration may walk; wrap_forest(200) has about 6.5e15.
+CUT_ENUMERATION_CAP = 10_000
 
 
 class CutFrame:
@@ -150,22 +156,31 @@ def is_admissible(cut: Cut) -> bool:
     return True
 
 
-def enumerate_proper_cuts(p: Poset, d, frame: CutFrame | None = None) -> Iterator[Cut]:
+def enumerate_proper_cuts(
+    p: Poset, d, frame: CutFrame | None = None, cap: int | None = None
+) -> Iterator[Cut]:
     """All proper cuts of the decomposition (empty when some chain is a point).
 
     Every cut shares `frame`, or one frame built at the first proper cut, so
     a decomposition without proper cuts is never checked for homogeneity.
+    With `cap`, a decomposition with more than `cap` proper cuts raises
+    ScopeExceededError before the first cut.
     """
     d = _as_decomposition(p, d) if frame is None else frame.decomposition
     ranges = [range(1, len(chain)) for chain in d.chains]
+    total = math.prod(map(len, ranges))
+    if cap is not None and total > cap:
+        raise ScopeExceededError(f"cut enumeration capped at {cap} proper cuts (got {total})")
     for heights in itertools.product(*ranges):
         if frame is None:
             frame = CutFrame(p, d)
         yield Cut(p, d, heights, frame)
 
 
-def enumerate_admissible_cuts(p: Poset, d, frame: CutFrame | None = None) -> list[Cut]:
-    return [cut for cut in enumerate_proper_cuts(p, d, frame) if is_admissible(cut)]
+def enumerate_admissible_cuts(
+    p: Poset, d, frame: CutFrame | None = None, cap: int | None = None
+) -> list[Cut]:
+    return [cut for cut in enumerate_proper_cuts(p, d, frame, cap) if is_admissible(cut)]
 
 
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:

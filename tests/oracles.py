@@ -307,6 +307,46 @@ def scan_min_descents(pattern: bytes, lt: bytes, n: int) -> int:
     return best
 
 
+# The library's permutations_avoiding before its bitset walk, kept verbatim:
+# each appended element is tested against the whole prefix.
+def scan_avoiders(pattern: bytes, n: int) -> list:
+    """All pattern-avoiding permutations of 0..n-1, in lexicographic order."""
+    if n == 0:
+        return [()]
+    if len(pattern) != n * n:
+        raise ValueError("matrix size mismatch")
+    out = []
+    perm = [0] * n
+    used = [False] * n
+
+    def scan(depth: int) -> None:
+        if depth == n:
+            out.append(tuple(perm))
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            seen_small = False
+            bad = False
+            vrow = v * n
+            for j in range(depth):
+                pj = perm[j]
+                if seen_small and pattern[vrow + pj]:
+                    bad = True
+                    break
+                if pattern[pj * n + v]:
+                    seen_small = True
+            if bad:
+                continue
+            perm[depth] = v
+            used[v] = True
+            scan(depth + 1)
+            used[v] = False
+
+    scan(0)
+    return out
+
+
 def tree_text(node) -> str:
     """Recursive nested-parentheses rendering of a plane tree, root as `*`."""
     name = "*" if node.label is None else str(node.label)

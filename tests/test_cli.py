@@ -63,7 +63,7 @@ def test_analyze_json_round_trips(tmp_path):
     out = run_cli("analyze", str(target), "--json")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out.stdout
+    assert json.dumps(doc, sort_keys=True) + "\n" == out.stdout
     assert doc["ok"] is True
     assert set(doc["sections"]) == {
         "dilworth",
@@ -109,6 +109,21 @@ def test_exit_code_3_on_scope_cap():
     assert "--unsafe-scope" in out.stderr
 
 
+def test_cut_check_exits_3_above_cut_cap():
+    # about 6.5e15 proper cuts: without the cap the section would never end
+    gen = run_cli("generate", "wrapforest", "--n", "200")
+    out = subprocess.run(
+        CLI + ["analyze", "-", "--cut-check"],
+        capture_output=True,
+        text=True,
+        input=gen.stdout,
+        timeout=60,
+    )
+    assert out.returncode == 3
+    assert "--unsafe-scope" in out.stderr
+    assert "cut enumeration" in out.stderr
+
+
 def test_unsafe_scope_lifts_cap():
     gen = run_cli("generate", "chain", "--n", "11")
     out = run_cli("analyze", "-", "--inequalities", "--unsafe-scope", stdin=gen.stdout)
@@ -128,7 +143,7 @@ def test_verify_random_json():
     doc = json.loads(out.stdout)
     assert doc["ok"] is True
     assert doc["posets"] == 5
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out.stdout
+    assert json.dumps(doc, sort_keys=True) + "\n" == out.stdout
 
 
 def test_verify_wrapforest_family():

@@ -6,6 +6,7 @@ from posetdecomp import (
     ChainDecomposition,
     NotHomogeneousError,
     Poset,
+    ScopeExceededError,
     d_matrix,
     enumerate_admissible_cuts,
     enumerate_proper_cuts,
@@ -261,3 +262,16 @@ def test_not_homogeneous_raised_only_with_a_proper_cut():
     pointed = ChainDecomposition.from_parts(p, [["u1", "w1", "w2", "u2"], ["x1"], ["x2"]])
     assert list(enumerate_proper_cuts(p, pointed)) == []
     assert enumerate_admissible_cuts(p, pointed) == []
+
+
+def test_cut_cap_counts_proper_cuts():
+    # the cap bounds the proper cuts walked, not the admissible ones found
+    for s in range(5):
+        p = wrap_forest(16, seed=s)
+        d = mhcd(p)
+        proper = len(list(enumerate_proper_cuts(p, d)))
+        assert proper > 0
+        full = [c.heights for c in enumerate_admissible_cuts(p, d)]
+        assert [c.heights for c in enumerate_admissible_cuts(p, d, cap=proper)] == full
+        with pytest.raises(ScopeExceededError):
+            enumerate_admissible_cuts(p, d, cap=proper - 1)

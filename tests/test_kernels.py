@@ -1,10 +1,7 @@
-"""The permutation kernels: the descent search against its oracle, and the
-compiled and pure avoider enumerators against each other."""
+"""The permutation kernels: the descent search and the avoider walk, each
+against the scan it replaced."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -14,13 +11,6 @@ from posetdecomp.nccd import derived_extension
 from posetdecomp.poset import enumerate_posets
 
 import oracles
-
-try:
-    from posetdecomp import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
 
 
 def test_reference_trivial_sizes():
@@ -55,6 +45,8 @@ def _assert_min_descents_match(p):
 
 def test_min_descents_is_one_kernel():
     assert kernels.min_descents is _reference.min_descents
+    assert kernels.permutations_avoiding is _reference.permutations_avoiding
+    assert kernels.BACKEND == "pure"
 
 
 def test_min_descents_rejects_size_mismatch():
@@ -94,42 +86,39 @@ def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
         assert kernels.min_descents(pattern, lt, n) == oracles.scan_min_descents(pattern, lt, n)
 
 
-@needs_compiled
-def test_compiled_matches_reference_exhaustive():
-    for n in range(5):
+def _assert_avoiders_match(pattern, n):
+    assert kernels.permutations_avoiding(pattern, n) == oracles.scan_avoiders(pattern, n)
+
+
+def test_permutations_avoiding_rejects_size_mismatch():
+    with pytest.raises(ValueError):
+        kernels.permutations_avoiding(b"\x00", 2)
+    with pytest.raises(ValueError):
+        kernels.permutations_avoiding(bytes(5), 2)
+
+
+def test_permutations_avoiding_matches_scan_oracle_exhaustive():
+    for n in range(6):
         for p in enumerate_posets(n):
-            assert _fast.min_descents(p.lt_bytes, p.lt_bytes, p.n) == _reference.min_descents(
-                p.lt_bytes, p.lt_bytes, p.n
-            )
-            assert _fast.permutations_avoiding(p.lt_bytes, p.n) == _reference.permutations_avoiding(
-                p.lt_bytes, p.n
-            )
+            _assert_avoiders_match(p.lt_bytes, p.n)
+            _assert_avoiders_match(_extension_pattern(p, derived_extension(p)), p.n)
 
 
-@needs_compiled
-def test_compiled_matches_reference_families():
+def test_permutations_avoiding_matches_scan_oracle_families():
     cases = [antichain(7), chain(8), two_chain_fan(3), *(random_poset(8, seed=s) for s in range(6))]
     for p in cases:
-        assert _fast.min_descents(p.lt_bytes, p.lt_bytes, p.n) == _reference.min_descents(
-            p.lt_bytes, p.lt_bytes, p.n
-        )
-        assert _fast.permutations_avoiding(p.lt_bytes, p.n) == _reference.permutations_avoiding(
-            p.lt_bytes, p.n
-        )
+        _assert_avoiders_match(p.lt_bytes, p.n)
 
 
-@needs_compiled
-def test_compiled_rejects_oversized_input():
-    n = 17
-    blob = bytes(n * n)
-    with pytest.raises(ValueError):
-        _fast.min_descents(blob, blob, n)
-
-
-@needs_compiled
-def test_compiled_rejects_short_buffer():
-    with pytest.raises(ValueError):
-        _fast.min_descents(b"\x00", b"\x00", 2)
+def test_permutations_avoiding_matches_scan_oracle_on_arbitrary_relations():
+    # the walk needs no order: a diagonal bit or a cycle in pattern changes
+    # which triples are patterns, not how they are found
+    rng = random.Random(20232)
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        pattern = bytes(int(rng.random() < density) for _ in range(n * n))
+        _assert_avoiders_match(pattern, n)
 
 
 def test_extension_relative_pattern_buffer():
@@ -142,32 +131,3 @@ def test_extension_relative_pattern_buffer():
     pattern = (rank[:, None] < rank[None, :]).astype(np.uint8).tobytes()
     avoiders = kernels.permutations_avoiding(pattern, 5)
     assert len(avoiders) == oracles.catalan_closed_form(5)
-
-
-def _selector_env(value: str) -> tuple[str, int]:
-    env = dict(os.environ, POSET_DECOMP_KERNEL=value)
-    out = subprocess.run(
-        [sys.executable, "-c", "import posetdecomp.kernels as k; print(k.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return out.stdout.strip(), out.returncode
-
-
-def test_env_selector_pure():
-    backend, code = _selector_env("pure")
-    assert code == 0
-    assert backend == "pure"
-
-
-@needs_compiled
-def test_env_selector_compiled():
-    backend, code = _selector_env("compiled")
-    assert code == 0
-    assert backend == "compiled"
-
-
-def test_env_selector_rejects_unknown():
-    _, code = _selector_env("turbo")
-    assert code != 0
