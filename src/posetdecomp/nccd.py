@@ -485,7 +485,7 @@ def descent_optimal_permutation(p: Poset) -> tuple:
     yields exactly one descent per chain and avoids 132; violations raise
     CheckFailure because they would refute the construction.
     """
-    d, _, _, pi, _ = _construction(p)
+    d, _, _, pi, _ = _construction(p, mhcd(p))
     if not is_132_avoiding(p, pi):
         raise CheckFailure("chain concatenation contains a 132 pattern", witness=pi)
     prof = descent_profile(p, pi)
@@ -583,15 +583,16 @@ def _preorder(node: TreeNode, out: list) -> None:
         stack.extend(reversed(node.children))
 
 
-def _construction(p: Poset) -> tuple[ChainDecomposition, tuple[int, ...], list, tuple, tuple]:
-    """The constructive witnesses of the bound chain, built once.
+def _construction(
+    p: Poset, d: ChainDecomposition
+) -> tuple[ChainDecomposition, tuple[int, ...], list, tuple, tuple]:
+    """The constructive witnesses of the bound chain on d, which must be mhcd(p).
 
     Returns (d, order, findings, pi, e): the minimal homogeneous
     decomposition, its canonical chain order with that order's findings, the
     chain concatenation along the order, and the reversed preorder of the
     attachment tree.  e is not yet checked to be a linear extension.
     """
-    d = mhcd(p)
     order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, d))
     walk: list = []
     _preorder(attachment_tree(p, d, order), walk)
@@ -600,7 +601,7 @@ def _construction(p: Poset) -> tuple[ChainDecomposition, tuple[int, ...], list, 
 
 def derived_extension(p: Poset) -> tuple:
     """Reverse preorder of the attachment tree; verified linear extension."""
-    e = _construction(p)[4]
+    e = _construction(p, mhcd(p))[4]
     if not is_linear_extension(p, e):
         raise CheckFailure("derived order is not a linear extension", witness=e)
     return e
@@ -615,9 +616,9 @@ class ChainBoundsReport:
 
     n: int
     min_chains: int
-    min_noncrossing: int
-    min_descents: int
-    min_descents_ext: int
+    min_noncrossing: int | None
+    min_descents: int | None
+    min_descents_ext: int | None
     min_homogeneous: int
     extension: tuple
     permutation: tuple
@@ -660,37 +661,48 @@ def verify_chain_bounds(
     the chain can be strict), never asserted.
     """
     min_chains = minimum_chain_decomposition(p).k
-    min_nc, nc_witness = minimum_noncrossing_decomposition(p, cap=nc_cap)
-    d, _, findings, pi, e = _construction(p)
+    noncrossing = minimum_noncrossing_decomposition(p, cap=nc_cap)
+    if scan_cap is not None and p.n > scan_cap:
+        raise ScopeExceededError(f"descent scan capped at n <= {scan_cap} (got n = {p.n})")
+    return _chain_bounds(p, min_chains, noncrossing, _construction(p, mhcd(p)), True)
+
+
+def _chain_bounds(
+    p: Poset, min_chains: int, noncrossing: tuple | None, construction: tuple, scans: bool
+) -> ChainBoundsReport:
+    """`verify_chain_bounds` on the minima and witnesses its caller holds.
+
+    `noncrossing` is the (size, witness) pair, or None when out of scope.
+    Without `scans` the descent minima stay None and the noncrossing minimum
+    is bounded by the homogeneous count directly; `scans` needs `noncrossing`.
+    """
+    d, _, findings, pi, e = construction
+    linear = is_linear_extension(p, e)
     checks = {
-        "extension-is-linear": is_linear_extension(p, e),
+        "extension-is-linear": linear,
         "witness-has-min-descents": descent_profile(p, pi).count == d.k,
         "witness-avoids-132": is_132_avoiding(p, pi),
+        "witness-avoids-132-in-extension": linear and is_132_avoiding_in_extension(p, pi, e),
     }
-    checks["witness-avoids-132-in-extension"] = (
-        checks["extension-is-linear"] and is_132_avoiding_in_extension(p, pi, e)
-    )
-    scan = min_descents_over_avoiders(p, cap=scan_cap)
-    scan_ext = (
-        min_descents_over_extension_avoiders(p, e, cap=scan_cap)
-        if checks["extension-is-linear"]
-        else -1
-    )
-    checks["chains-le-noncrossing"] = min_chains <= min_nc
-    checks["noncrossing-le-descents"] = min_nc <= scan
-    checks["descents-le-descents-ext"] = scan <= scan_ext
-    checks["descents-ext-le-homogeneous"] = scan_ext <= d.k
-    findings.append(
-        {
-            "kind": "inequality-strictness",
-            "strict": {
-                "chains-lt-noncrossing": min_chains < min_nc,
-                "noncrossing-lt-descents": min_nc < scan,
-                "descents-lt-descents-ext": scan < scan_ext,
-                "descents-ext-lt-homogeneous": scan_ext < d.k,
-            },
+    min_nc, nc_witness = noncrossing or (None, None)
+    if noncrossing:
+        checks["chains-le-noncrossing"] = min_chains <= min_nc
+    scan = scan_ext = None
+    if scans:
+        scan = min_descents_over_avoiders(p, cap=None)
+        scan_ext = min_descents_over_extension_avoiders(p, e, cap=None) if linear else -1
+        checks["noncrossing-le-descents"] = min_nc <= scan
+        checks["descents-le-descents-ext"] = scan <= scan_ext
+        checks["descents-ext-le-homogeneous"] = scan_ext <= d.k
+        strict = {
+            "chains-lt-noncrossing": min_chains < min_nc,
+            "noncrossing-lt-descents": min_nc < scan,
+            "descents-lt-descents-ext": scan < scan_ext,
+            "descents-ext-lt-homogeneous": scan_ext < d.k,
         }
-    )
+        findings = [*findings, {"kind": "inequality-strictness", "strict": strict}]
+    elif noncrossing:
+        checks["noncrossing-le-homogeneous"] = min_nc <= d.k
     return ChainBoundsReport(
         n=p.n,
         min_chains=min_chains,
@@ -700,7 +712,7 @@ def verify_chain_bounds(
         min_homogeneous=d.k,
         extension=e,
         permutation=pi,
-        noncrossing_witness=nc_witness.to_lines(),
+        noncrossing_witness=nc_witness.to_lines() if noncrossing else [],
         checks=checks,
-        findings=findings,
+        findings=list(findings),
     )

@@ -1,50 +1,42 @@
 """Check suites over single posets and families, used by the command line.
 
 Each check returns a JSON-ready dict with a name, a passed flag, details, and
-optional findings; a theorem falsification carries a witness.  Suites run the
-checks over exhaustively enumerated small posets or seeded random families,
-optionally across a process pool.
+optional findings; a theorem falsification carries a witness.  The checks on
+one poset share one `Analysis`, which builds each artifact they have in
+common (Dilworth pair, MHCD, cut frame, constructive pipeline, noncrossing
+minimum, brute-force decompositions) once.  Suites run the checks, one poset
+after another, over exhaustively enumerated small posets or seeded random
+families.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from functools import cached_property
 
 from .chains import (
+    ChainDecomposition,
     _dilworth,
     enumerate_chain_decompositions,
     is_antichain,
     is_chain,
     is_chain_decomposition,
-    minimum_chain_decomposition,
 )
-from .cut import CutFrame, enumerate_admissible_cuts, verify_cut_identity
+from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
 from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
 from .nccd import (
     DESCENT_SCAN_CAP,
     NONCROSSING_CAP,
+    _chain_bounds,
     _construction,
     all_132_avoiding,
     ascending_runs_decomposition,
     count_noncrossing_decompositions,
     descent_profile,
-    is_132_avoiding,
-    is_132_avoiding_in_extension,
     minimum_noncrossing_decomposition,
-    verify_chain_bounds,
 )
-from .poset import (
-    POSET_ENUMERATION_CAP,
-    Poset,
-    enumerate_posets,
-    is_linear_extension,
-    mobius_matrix,
-)
+from .poset import POSET_ENUMERATION_CAP, Poset, enumerate_posets, mobius_matrix
 
 DEFAULT_CHECKS = (
     "dilworth",
@@ -73,9 +65,48 @@ def _chain_set(d) -> frozenset:
     return frozenset(d.chains)
 
 
-def check_dilworth(p: Poset, seed: int = 0) -> dict:
+class Analysis:
+    """The artifacts the checks on one poset share, each built on first use.
+
+    An artifact whose construction raises is not kept, so every check that
+    reads it fails with the same error.  The checks never take a verdict from
+    the artifact they test: merge replays, homogeneity tests and brute-force
+    minima stay inside them, and `decompositions` is their shared oracle.
+    """
+
+    def __init__(self, p: Poset) -> None:
+        self.p = p
+
+    @cached_property
+    def dilworth(self) -> tuple[ChainDecomposition, tuple]:
+        return _dilworth(self.p)
+
+    @cached_property
+    def mhcd(self) -> ChainDecomposition:
+        return mhcd(self.p)
+
+    @cached_property
+    def frame(self) -> CutFrame:
+        return CutFrame(self.p, self.mhcd)
+
+    @cached_property
+    def construction(self) -> tuple:
+        return _construction(self.p, self.mhcd)
+
+    @cached_property
+    def noncrossing(self) -> tuple[int, ChainDecomposition]:
+        return minimum_noncrossing_decomposition(self.p)
+
+    @cached_property
+    def decompositions(self) -> list[ChainDecomposition]:
+        """Every chain decomposition; out of scope above BRUTE_FORCE_CAP."""
+        return list(enumerate_chain_decompositions(self.p, cap=BRUTE_FORCE_CAP))
+
+
+def check_dilworth(an: Analysis, seed: int = 0) -> dict:
     """Minimum decomposition size equals the maximum antichain size."""
-    d, a = _dilworth(p)
+    p = an.p
+    d, a = an.dilworth
     details: dict = {"chains": d.k, "antichain": len(a)}
     passed = (
         d.k == len(a)
@@ -83,10 +114,7 @@ def check_dilworth(p: Poset, seed: int = 0) -> dict:
         and is_antichain(p, a)
     )
     if p.n <= BRUTE_FORCE_CAP:
-        brute = min(
-            (dec.k for dec in enumerate_chain_decompositions(p, cap=BRUTE_FORCE_CAP)),
-            default=0,
-        )
+        brute = min((dec.k for dec in an.decompositions), default=0)
         details["brute_force_minimum"] = brute
         passed = passed and d.k == brute
     out = {"name": "dilworth", "passed": passed, "details": details}
@@ -95,9 +123,10 @@ def check_dilworth(p: Poset, seed: int = 0) -> dict:
     return out
 
 
-def check_homogeneous(p: Poset, seed: int = 0, shuffles: int = 8) -> dict:
+def check_homogeneous(an: Analysis, seed: int = 0, shuffles: int = 8) -> dict:
     """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint."""
-    d = mhcd(p)
+    p = an.p
+    d = an.mhcd
     details: dict = {"k": d.k}
     passed = is_chain_decomposition(p, d) and is_homogeneous(p, d)
     confluent = all(
@@ -107,11 +136,7 @@ def check_homogeneous(p: Poset, seed: int = 0, shuffles: int = 8) -> dict:
     details["confluent"] = confluent
     passed = passed and confluent
     if p.n <= BRUTE_FORCE_CAP:
-        homogeneous = [
-            dec
-            for dec in enumerate_chain_decompositions(p, cap=BRUTE_FORCE_CAP)
-            if is_homogeneous(p, dec)
-        ]
+        homogeneous = [dec for dec in an.decompositions if is_homogeneous(p, dec)]
         least = min((dec.k for dec in homogeneous), default=0)
         minimal = [dec for dec in homogeneous if dec.k == least]
         details["enumerated_minimum"] = least
@@ -128,9 +153,9 @@ def check_homogeneous(p: Poset, seed: int = 0, shuffles: int = 8) -> dict:
     return out
 
 
-def check_deletion(p: Poset, seed: int = 0) -> dict:
+def check_deletion(an: Analysis, seed: int = 0) -> dict:
     """One-point deletion bounds for every element."""
-    rep = deletion_bounds(p)
+    rep = deletion_bounds(an.p)
     out = {
         "name": "deletion",
         "passed": rep.ok,
@@ -141,16 +166,20 @@ def check_deletion(p: Poset, seed: int = 0) -> dict:
     return out
 
 
-def check_cut(p: Poset, seed: int = 0) -> dict:
+def check_cut(an: Analysis, seed: int = 0) -> dict:
     """Cut identity on every admissible cut, plus the signed-count cross-check.
 
     The second part compares the signed chain-count matrix against the Mobius
     matrix computed by its defining recursion; the two must agree entrywise.
-    Both parts share one CutFrame, so the whole-poset counts and the chain
-    comparability are computed once.
+    Both parts share the analysis' CutFrame, so the whole-poset counts and
+    the chain comparability are computed once.  More than
+    CUT_ENUMERATION_CAP proper cuts raise ScopeExceededError.
     """
-    frame = CutFrame(p, mhcd(p))
-    admissible = enumerate_admissible_cuts(p, frame.decomposition, frame)
+    p = an.p
+    frame = an.frame
+    admissible = enumerate_admissible_cuts(
+        p, frame.decomposition, frame, cap=CUT_ENUMERATION_CAP
+    )
     failures = []
     for cut in admissible:
         rep = verify_cut_identity(p, cut)
@@ -174,9 +203,9 @@ def check_cut(p: Poset, seed: int = 0) -> dict:
     return out
 
 
-def check_embedding(p: Poset, seed: int = 0) -> dict:
+def check_embedding(an: Analysis, seed: int = 0) -> dict:
     """Automorphisms embed into the oriented chain graph's symmetries."""
-    rep = verify_embedding(p, seed=seed)
+    rep = verify_embedding(an.p, seed=seed)
     out = {
         "name": "embedding",
         "passed": rep.ok,
@@ -192,53 +221,32 @@ def check_embedding(p: Poset, seed: int = 0) -> dict:
     return out
 
 
-def check_bounds(p: Poset, seed: int = 0) -> dict:
-    """The five-minimum inequality chain, or its pipeline half for larger n."""
-    if p.n <= DESCENT_SCAN_CAP:
-        rep = verify_chain_bounds(p)
-        out = {
-            "name": "bounds",
-            "passed": rep.ok,
-            "details": {
-                "min_chains": rep.min_chains,
-                "min_noncrossing": rep.min_noncrossing,
-                "min_descents": rep.min_descents,
-                "min_descents_ext": rep.min_descents_ext,
-                "min_homogeneous": rep.min_homogeneous,
-            },
-            "findings": list(rep.findings),
-        }
-        if not rep.ok:
-            out["witness"] = {name: ok for name, ok in rep.checks.items() if not ok}
-        return out
-    # permutation scans are exponential; above the cap check the constructive
-    # pipeline only
-    d, _, findings, pi, e = _construction(p)
-    if not is_linear_extension(p, e):
-        raise CheckFailure("derived order is not a linear extension", witness=e)
-    checks = {
-        "witness-has-min-descents": descent_profile(p, pi).count == d.k,
-        "witness-avoids-132": is_132_avoiding(p, pi),
-        "witness-avoids-132-in-extension": is_132_avoiding_in_extension(p, pi, e),
-    }
-    if p.n <= NONCROSSING_CAP:
-        nc, _ = minimum_noncrossing_decomposition(p)
-        checks["chains-le-noncrossing"] = minimum_chain_decomposition(p).k <= nc
-        checks["noncrossing-le-homogeneous"] = nc <= d.k
-    passed = all(checks.values())
-    out = {
-        "name": "bounds",
-        "passed": passed,
-        "details": {"k": d.k, "scans": "skipped"},
-        "findings": findings,
-    }
-    if not passed:
-        out["witness"] = {name: ok for name, ok in checks.items() if not ok}
+def check_bounds(an: Analysis, seed: int = 0) -> dict:
+    """The five-minimum inequality chain; above the scan cap, without the scans."""
+    p = an.p
+    scans = p.n <= DESCENT_SCAN_CAP
+    rep = _chain_bounds(
+        p,
+        an.dilworth[0].k,
+        an.noncrossing if p.n <= NONCROSSING_CAP else None,
+        an.construction,
+        scans,
+    )
+    if scans:
+        minima = ("chains", "noncrossing", "descents", "descents_ext", "homogeneous")
+        details = {f"min_{name}": getattr(rep, f"min_{name}") for name in minima}
+    else:
+        # the permutation scans are exponential
+        details = {"k": rep.min_homogeneous, "scans": "skipped"}
+    out = {"name": "bounds", "passed": rep.ok, "details": details, "findings": rep.findings}
+    if not rep.ok:
+        out["witness"] = {name: ok for name, ok in rep.checks.items() if not ok}
     return out
 
 
-def check_segments(p: Poset, seed: int = 0) -> dict:
+def check_segments(an: Analysis, seed: int = 0) -> dict:
     """Every 132-avoiding permutation's runs form a noncrossing decomposition."""
+    p = an.p
     if p.n > SEGMENT_SWEEP_CAP:
         return {
             "name": "segments",
@@ -259,15 +267,16 @@ def check_segments(p: Poset, seed: int = 0) -> dict:
     return {"name": "segments", "passed": True, "details": {"permutations": swept}}
 
 
-def check_noncrossing_trivial(p: Poset, seed: int = 0) -> dict:
+def check_noncrossing_trivial(an: Analysis, seed: int = 0) -> dict:
     """A single noncrossing chain suffices exactly for total orders."""
+    p = an.p
     if p.n > NONCROSSING_CAP:
         return {
             "name": "noncrossing-trivial",
             "passed": True,
             "details": {"skipped": f"n > {NONCROSSING_CAP}"},
         }
-    nc, _ = minimum_noncrossing_decomposition(p)
+    nc, _ = an.noncrossing
     total = is_chain(p, p.labels)
     passed = (nc <= 1) == total if p.n else nc == 0
     out = {
@@ -296,15 +305,16 @@ def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
     A CheckFailure, an InternalInconsistencyError, a ScopeExceededError or a
     RecursionError inside a check fails that check with the error text, and
     the returned record names the poset, so a sweep keeps its witness and
-    runs on.  Any other exception propagates.
+    runs on.  Any other exception propagates.  The checks share one Analysis.
     """
+    an = Analysis(p)
     checks = []
     findings = []
     for name in which:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
         try:
-            result = _CHECKS[name](p, seed=seed)
+            result = _CHECKS[name](an, seed=seed)
         except CheckFailure as exc:
             result = {
                 "name": name,
@@ -349,35 +359,6 @@ def check_catalan_counts(limit: int = 8) -> dict:
     return out
 
 
-def _threads() -> int:
-    """Worker count from POSET_DECOMP_THREADS, at least 1, at most the CPU count."""
-    raw = os.environ.get("POSET_DECOMP_THREADS", "1")
-    try:
-        wanted = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
-
-
-def _check_worker(payload) -> dict:
-    labels, packed, n, which, seed = payload
-    lt = np.frombuffer(packed, dtype=np.uint8).reshape(n, n).astype(bool)
-    return run_poset_checks(Poset(labels, lt), which=which, seed=seed)
-
-
-def _run_many(posets, which, seed: int) -> list[dict]:
-    posets = list(posets)
-    threads = _threads()
-    if threads == 1 or len(posets) < 4:
-        return [run_poset_checks(p, which=which, seed=seed) for p in posets]
-    payloads = [
-        (p.labels, p.lt.astype(np.uint8).tobytes(), p.n, tuple(which), seed)
-        for p in posets
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_check_worker, payloads, chunksize=8))
-
-
 def _aggregate_findings(results: list[dict]) -> list[dict]:
     counts: dict[str, dict] = {}
     for res in results:
@@ -415,8 +396,11 @@ def verify_exhaustive(
         raise ScopeExceededError(
             f"exhaustive sweep capped at nmax <= {cap} (got nmax = {nmax})"
         )
-    posets = [p for n in range(nmax + 1) for p in enumerate_posets(n, cap=None)]
-    results = _run_many(posets, which, seed)
+    results = [
+        run_poset_checks(p, which=which, seed=seed)
+        for n in range(nmax + 1)
+        for p in enumerate_posets(n, cap=None)
+    ]
     extra = [check_catalan_counts()]
     summary = _summarize("exhaustive", results, extra)
     summary["nmax"] = nmax
@@ -433,12 +417,12 @@ def verify_random(
 ) -> dict:
     """Run the checks on seeded random posets (uniform-ish or wrap forests)."""
     if family == "random":
-        posets = [random_poset(n, density=density, seed=seed + i) for i in range(count)]
+        posets = (random_poset(n, density=density, seed=seed + i) for i in range(count))
     elif family == "wrapforest":
-        posets = [wrap_forest(n, seed=seed + i) for i in range(count)]
+        posets = (wrap_forest(n, seed=seed + i) for i in range(count))
     else:
         raise ValueError(f"unknown family {family!r}")
-    results = _run_many(posets, which, seed)
+    results = [run_poset_checks(p, which=which, seed=seed) for p in posets]
     summary = _summarize("random", results, [])
     summary.update({"n": n, "count": count, "seed": seed, "family": family})
     return summary

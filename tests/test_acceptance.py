@@ -326,7 +326,6 @@ def test_criterion_9_cli_contract(monkeypatch, capsys, report):
         return j
 
     monkeypatch.setattr(posetdecomp.cut, "j_matrix", crooked)
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
     code = main(["verify", "exhaustive", "--nmax", "4"])
     captured = capsys.readouterr()
     mutated_ok = code == 1 and "witness" in captured.err

@@ -124,6 +124,26 @@ def test_cut_check_exits_3_above_cut_cap():
     assert "cut enumeration" in out.stderr
 
 
+def test_verify_cut_check_fails_above_cut_cap():
+    # the same cap in the sweep: a failed check naming the cap, not a hang
+    start = time.perf_counter()
+    out = subprocess.run(
+        CLI + ["verify", "random", "--family", "wrapforest", "--n", "200",
+               "--count", "1", "--checks", "cut", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 30
+    assert out.returncode == 1
+    (failure,) = json.loads(out.stdout)["failures"]
+    (cut,) = failure["checks"]
+    assert not cut["passed"]
+    assert cut["details"]["error"].startswith(
+        "ScopeExceededError: cut enumeration capped at 10000 proper cuts"
+    )
+
+
 def test_unsafe_scope_lifts_cap():
     gen = run_cli("generate", "chain", "--n", "11")
     out = run_cli("analyze", "-", "--inequalities", "--unsafe-scope", stdin=gen.stdout)
@@ -168,16 +188,6 @@ def test_analyze_1000_chain_in_process(tmp_path, capsys):
     assert doc["sections"]["dilworth"]["minimum_chains"] == 1
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(posetdecomp.verify.os, "cpu_count", lambda: 4)
-    for raw, expected in (("64", 4), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
-        monkeypatch.setenv("POSET_DECOMP_THREADS", raw)
-        assert posetdecomp.verify._threads() == expected, raw
-    monkeypatch.setattr(posetdecomp.verify.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "8")
-    assert posetdecomp.verify._threads() == 1
-
-
 def test_main_is_callable_in_process(capsys):
     code = main(["generate", "chain", "--n", "3"])
     assert code == 0
@@ -196,7 +206,6 @@ def test_mutated_operator_fails_with_witness(monkeypatch, capsys):
         return j
 
     monkeypatch.setattr(posetdecomp.cut, "j_matrix", crooked)
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
     code = main(["verify", "exhaustive", "--nmax", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -214,7 +223,6 @@ def test_mutated_orientation_fails(monkeypatch, capsys):
         return tuple(sigma)
 
     monkeypatch.setattr(posetdecomp.hcd, "induced_chain_permutation", crooked)
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
     code = main(["verify", "exhaustive", "--nmax", "3"])
     captured = capsys.readouterr()
     assert code == 1
@@ -231,8 +239,7 @@ def test_verify_exhaustive_honors_enumeration_cap(capsys):
         posetdecomp.verify.verify_exhaustive(3, which=("dilworth",), cap=2)
 
 
-def test_verify_exhaustive_unsafe_scope_flag(monkeypatch):
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
+def test_verify_exhaustive_unsafe_scope_flag():
     summary = posetdecomp.verify.verify_exhaustive(3, which=("dilworth",), cap=None)
     assert summary["ok"] and summary["posets"] == 1 + 1 + 3 + 19
     assert main(["verify", "exhaustive", "--nmax", "3", "--checks", "dilworth", "--unsafe-scope"]) == 0
@@ -245,13 +252,12 @@ def test_verify_exhaustive_unsafe_scope_flag(monkeypatch):
 def test_sweep_survives_check_errors(monkeypatch, error):
     # an error inside one check fails that check for that poset; the sweep
     # finishes and keeps the poset as its witness
-    def boom(p, seed=0):
-        if p.n == 3:
+    def boom(an, seed=0):
+        if an.p.n == 3:
             raise error
         return {"name": "cut", "passed": True, "details": {}}
 
     monkeypatch.setitem(posetdecomp.verify._CHECKS, "cut", boom)
-    monkeypatch.setenv("POSET_DECOMP_THREADS", "1")
     summary = posetdecomp.verify.verify_exhaustive(3, which=("dilworth", "cut"))
     assert summary["posets"] == 24
     assert not summary["ok"]

@@ -243,7 +243,7 @@ def test_check_cut_builds_one_frame(monkeypatch):
     for p in posets:
         comparability.clear()
         counts.clear()
-        out = verify.check_cut(p)
+        out = verify.check_cut(verify.Analysis(p))
         assert out["passed"]
         assert len(comparability) == 1
         assert len(counts) == 2 * out["details"]["admissible_cuts"] + 1

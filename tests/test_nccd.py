@@ -372,7 +372,7 @@ def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
     cases += [(wrap_forest(20, seed=s), k) for s, k in enumerate((6, 5, 6, 8))]
     for p, k in cases:
         calls.clear()
-        out = verify.check_bounds(p)
+        out = verify.check_bounds(verify.Analysis(p))
         assert out["passed"]
         assert out["details"] == {"k": k, "scans": "skipped"}
         assert len(calls) == 1
@@ -392,7 +392,7 @@ def test_check_bounds_above_scan_cap_computes_mhcd_once(monkeypatch):
     monkeypatch.setattr(verify, "mhcd", counted)
     for p in [random_poset(9, seed=s) for s in range(4)] + [wrap_forest(20, seed=s) for s in range(4)]:
         calls.clear()
-        assert verify.check_bounds(p)["passed"]
+        assert verify.check_bounds(verify.Analysis(p))["passed"]
         assert len(calls) == 1
 
 

@@ -1,0 +1,124 @@
+"""The per-poset analysis behind the check battery: shared artifacts built once."""
+
+import sys
+
+import pytest
+
+from posetdecomp import verify
+from posetdecomp.chains import ChainDecomposition
+from posetdecomp.errors import InternalInconsistencyError
+from posetdecomp.generate import random_poset, wrap_forest
+from posetdecomp.poset import enumerate_posets
+
+MODULES = [m for name, m in sorted(sys.modules.items()) if name.startswith("posetdecomp.")]
+
+
+def _rebind(monkeypatch, module, name, replacement):
+    """Replace module.name at every posetdecomp module that binds it."""
+    original = getattr(module, name)
+    for mod in MODULES:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def _count(monkeypatch, module, name, calls: list):
+    """Record the first argument of every call to module.name."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    _rebind(monkeypatch, module, name, counted)
+
+
+def _sweep_posets():
+    posets = [p for n in range(5) for p in enumerate_posets(n)]
+    posets += [random_poset(8, seed=s) for s in range(10)]
+    posets += [random_poset(10, 0.15, seed=s) for s in range(4)]
+    posets += [wrap_forest(20, seed=s) for s in range(4)]
+    return posets
+
+
+def test_battery_builds_each_artifact_once(monkeypatch):
+    from posetdecomp import chains, hcd, nccd
+
+    calls = {name: [] for name in ("noncrossing", "enumerate", "matching", "mhcd", "construction")}
+    _count(monkeypatch, nccd, "minimum_noncrossing_decomposition", calls["noncrossing"])
+    _count(monkeypatch, chains, "enumerate_chain_decompositions", calls["enumerate"])
+    _count(monkeypatch, chains, "_hopcroft_karp", calls["matching"])
+    _count(monkeypatch, hcd, "mhcd", calls["mhcd"])
+    _count(monkeypatch, nccd, "_construction", calls["construction"])
+    for p in _sweep_posets():
+        for seen in calls.values():
+            seen.clear()
+        assert verify.run_poset_checks(p)["ok"]
+        assert len(calls["noncrossing"]) == (1 if p.n <= 10 else 0)
+        assert len(calls["enumerate"]) == (1 if p.n <= 6 else 0)
+        assert len(calls["matching"]) == (2 if 1 <= p.n <= 10 else 1)
+        # the analysis, the deletion check and the embedding check
+        assert sum(q is p for q in calls["mhcd"]) == 3
+        assert len(calls["construction"]) == 1
+
+
+def _failed(record) -> dict:
+    return {c["name"]: c["details"].get("error") for c in record["checks"] if not c["passed"]}
+
+
+def _raising(name, calls):
+    def boom(p, *args, **kwargs):
+        calls.append(p)
+        raise InternalInconsistencyError(f"{name} broke")
+
+    return boom
+
+
+def test_raising_construction_fails_only_bounds(monkeypatch):
+    from posetdecomp import nccd
+
+    _rebind(monkeypatch, nccd, "_construction", _raising("construction", []))
+    for p in [random_poset(6, seed=s) for s in range(3)] + [wrap_forest(12, seed=0)]:
+        record = verify.run_poset_checks(p)
+        assert _failed(record) == {"bounds": "InternalInconsistencyError: construction broke"}
+
+
+def test_raising_noncrossing_minimum_fails_its_two_readers(monkeypatch):
+    from posetdecomp import nccd
+
+    calls = []
+    _rebind(monkeypatch, nccd, "minimum_noncrossing_decomposition", _raising("noncrossing", calls))
+    for p in [random_poset(6, seed=s) for s in range(3)] + [random_poset(9, seed=0)]:
+        calls.clear()
+        record = verify.run_poset_checks(p)
+        error = "InternalInconsistencyError: noncrossing broke"
+        assert _failed(record) == {"bounds": error, "noncrossing-trivial": error}
+        # nothing was kept, so the second reader built it again
+        assert len(calls) == 2
+
+
+def test_split_chain_mutant_fails_dilworth(monkeypatch):
+    real = verify._dilworth
+
+    def split(p):
+        d, antichain = real(p)
+        parts = [list(c) for c in d.chains]
+        for i, c in enumerate(parts):
+            if len(c) >= 2:
+                parts[i : i + 1] = [c[:1], c[1:]]
+                break
+        return ChainDecomposition._from_index_parts(p, parts), antichain
+
+    monkeypatch.setattr(verify, "_dilworth", split)
+    posets = [p for n in range(5) for p in enumerate_posets(n)]
+    posets += [random_poset(8, seed=s) for s in range(5)] + [wrap_forest(20, seed=0)]
+    for p in posets:
+        (check,) = verify.run_poset_checks(p, which=("dilworth",))["checks"]
+        # a poset has a chain of two elements exactly when it is no antichain
+        assert check["passed"] == (not p.lt.any())
+
+
+def test_decompositions_out_of_scope_above_brute_force_cap():
+    from posetdecomp.errors import ScopeExceededError
+
+    with pytest.raises(ScopeExceededError):
+        verify.Analysis(random_poset(verify.BRUTE_FORCE_CAP + 1, seed=0)).decompositions
