@@ -15,7 +15,6 @@ shuffled merge orders as an independent cross-check.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -29,10 +28,10 @@ from .errors import (
     ScatteringError,
     ScopeExceededError,
 )
-from .poset import Poset, _order_search, automorphisms
+from .poset import Poset, automorphism_group
 
 GRAPH_AUTOMORPHISM_CAP = 10
-HOM_PAIR_CAP = 250_000
+HOM_WORDS = 16
 
 
 def _as_decomposition(p: Poset, parts) -> ChainDecomposition:
@@ -265,15 +264,15 @@ def graph_automorphisms(
 ) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations of a boolean matrix.
 
-    Works for directed and undirected matrices alike; brute force with
-    signature pruning, capped at `cap` vertices.
+    Works for directed and undirected matrices alike; listed in lexicographic
+    order from the group's strong generators, capped at `cap` vertices.
     """
     k = mat.shape[0]
     if cap is not None and k > cap:
         raise ScopeExceededError(
             f"graph automorphism search capped at {cap} vertices (got {k})"
         )
-    return _order_search(np.asarray(mat, dtype=bool), np.asarray(mat, dtype=bool), find_all=True)
+    return automorphism_group(mat).elements()
 
 
 # -- the embedding report ------------------------------------------------------
@@ -281,7 +280,11 @@ def graph_automorphisms(
 
 @dataclass
 class EmbeddingReport:
-    """Outcome of checking Aut(P) against the oriented chain graph's symmetries."""
+    """Outcome of checking Aut(P) against the oriented chain graph's symmetries.
+
+    `hom_pairs_checked` counts the products on which the homomorphism was
+    checked: the identity, the ordered generator pairs and the random words.
+    """
 
     n: int
     k: int
@@ -321,7 +324,6 @@ class EmbeddingReport:
 def verify_embedding(
     p: Poset,
     auto_cap: int | None = None,
-    hom_pair_cap: int = HOM_PAIR_CAP,
     seed: int = 0,
 ) -> EmbeddingReport:
     """Check that g -> induced chain permutation embeds Aut(P).
@@ -330,17 +332,46 @@ def verify_embedding(
     permutation that fixes the oriented chain graph, (b) distinct
     automorphisms induce distinct permutations, (c) the map is a group
     homomorphism.  Being onto the oriented graph's symmetries is recorded as a
-    finding, never asserted.
+    finding, never asserted.  Refuses n > auto_cap when a cap is given.
     """
-    autos = automorphisms(p, cap=auto_cap)
-    d = mhcd(p)
+    if auto_cap is not None and p.n > auto_cap:
+        raise ScopeExceededError(
+            f"automorphism search capped at n <= {auto_cap} (got n = {p.n})"
+        )
+    return _embedding(p, mhcd(p), seed)
+
+
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The permutation a after b."""
+    return tuple(a[x] for x in b)
+
+
+def _kernel_order(p: Poset, d: ChainDecomposition) -> int:
+    """Order of the group of automorphisms that map every chain of d to itself."""
+    return automorphism_group(p.lt, d.chain_of).order
+
+
+def _embedding(p: Poset, d: ChainDecomposition, seed: int) -> EmbeddingReport:
+    """The embedding check of `verify_embedding` on the given MHCD, from generators.
+
+    (a) Each strong generator of Aut(P) induces a length-preserving chain
+    permutation that fixes the oriented chain graph; the automorphisms that
+    do form a subgroup, so this settles the whole group.  (b) The
+    automorphisms that map every chain to itself form a group of order 1.
+    (c) The induced map respects the identity, every ordered pair of
+    generators and HOM_WORDS seeded product-replacement words (Celler et al.
+    1995).  Onto is exact: |Aut(P)| against the order of the length-coloured
+    oriented chain graph's group.
+    """
+    group = automorphism_group(p.lt)
     gr = acyclic_orientation(p, d)
+    lengths = [len(c) for c in d.chains]
     report = EmbeddingReport(
         n=p.n,
         k=d.k,
-        aut_poset_order=len(autos),
-        aut_oriented_order=0,
-        aut_unoriented_order=0,
+        aut_poset_order=group.order,
+        aut_oriented_order=automorphism_group(gr.oriented, lengths).order,
+        aut_unoriented_order=automorphism_group(gr.adjacency, lengths).order,
         well_defined=True,
         injective=True,
         homomorphism=True,
@@ -348,21 +379,8 @@ def verify_embedding(
         hom_pairs_checked=0,
     )
 
-    oriented_autos = {
-        sigma
-        for sigma in graph_automorphisms(gr.oriented, cap=None)
-        if preserves_length_classes(d, sigma)
-    }
-    unoriented_autos = {
-        sigma
-        for sigma in graph_automorphisms(gr.adjacency, cap=None)
-        if preserves_length_classes(d, sigma)
-    }
-    report.aut_oriented_order = len(oriented_autos)
-    report.aut_unoriented_order = len(unoriented_autos)
-
     induced: list[tuple[int, ...]] = []
-    for g in autos:
+    for g in group.generators:
         try:
             sigma = induced_chain_permutation(p, d, g)
         except ScatteringError as exc:
@@ -373,7 +391,7 @@ def verify_embedding(
             report.well_defined = False
             report.witness = {"automorphism": g, "induced": sigma, "error": "length class broken"}
             return report
-        if sigma not in oriented_autos:
+        if not np.array_equal(gr.oriented[np.ix_(sigma, sigma)], gr.oriented):
             report.well_defined = False
             report.witness = {
                 "automorphism": g,
@@ -383,34 +401,31 @@ def verify_embedding(
             return report
         induced.append(sigma)
 
-    if len(set(induced)) != len(induced):
+    kernel = _kernel_order(p, d)
+    if kernel != 1:
         report.injective = False
-        dupes = {}
-        for g, sigma in zip(autos, induced):
-            if sigma in dupes:
-                report.witness = {"automorphisms": [dupes[sigma], g], "induced": sigma}
-                break
-            dupes[sigma] = g
+        report.witness = {"kernel_order": kernel}
 
-    m = len(autos)
-    if m * m <= hom_pair_cap:
-        checked = m * m
-        pairs = itertools.product(range(m), repeat=2)
-    else:
-        checked = hom_pair_cap
+    # (product, expected image): the identity, the generator pairs, then words
+    products = [(tuple(range(p.n)), tuple(range(d.k)))]
+    gens = list(zip(group.generators, induced))
+    products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
+    if gens:
         rng = random.Random(seed)
-        pairs = ((rng.randrange(m), rng.randrange(m)) for _ in range(checked))
-        report.findings.append({"kind": "hom-pairs-sampled", "checked": checked, "total": m * m})
-    for a, b in pairs:
-        composite = tuple(autos[a][autos[b][x]] for x in range(p.n))
-        expected = tuple(induced[a][induced[b][i]] for i in range(d.k))
-        if induced_chain_permutation(p, d, composite) != expected:
+        state = gens * (1 if len(gens) > 1 else 2)
+        for _ in range(HOM_WORDS):
+            i, j = rng.sample(range(len(state)), 2)
+            (a, sa), (b, sb) = state[i], state[j]
+            state[i] = (_compose(a, b), _compose(sa, sb))
+            products.append(state[i])
+    for g, expected in products:
+        report.hom_pairs_checked += 1
+        if induced_chain_permutation(p, d, g) != expected:
             report.homomorphism = False
-            report.witness = {"pair": (autos[a], autos[b])}
+            report.witness = {"product": g, "expected": expected}
             break
-    report.hom_pairs_checked = checked
 
-    report.onto_oriented = len(set(induced)) == len(oriented_autos)
+    report.onto_oriented = report.aut_poset_order == report.aut_oriented_order
     report.findings.append({"kind": "embedding-onto", "onto": report.onto_oriented})
     return report
 
@@ -440,7 +455,11 @@ def deletion_bounds(p: Poset, element=None) -> DeletionBoundReport:
     Deleting z can at most halve (minus the round) the chain count and can
     never increase it: k(P minus z) <= k(P) <= 2 k(P minus z) + 1.
     """
-    k = min_homogeneous(p)
+    return _deletion_bounds(p, min_homogeneous(p), element)
+
+
+def _deletion_bounds(p: Poset, k: int, element=None) -> DeletionBoundReport:
+    """The deletion check of `deletion_bounds`, given k, the MHCD's chain count."""
     targets = [element] if element is not None else list(p.labels)
     entries = []
     for z in targets:

@@ -15,11 +15,14 @@ occur for any poset this package can hold.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._reference import _masks
 from .errors import (
     CycleError,
     ScopeExceededError,
@@ -341,12 +344,27 @@ def count_linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) ->
 
 
 # -- automorphisms and isomorphism ------------------------------------------
+#
+# One backtracking search serves every symmetry question: it looks for one
+# map from relation matrix a to relation matrix b that keeps vertex colours
+# and both directions of every relation, extending a given partial map.  Each
+# element keeps a bitmask of the images still open to it; mapping i to j
+# leaves an element u only the images that relate to j as u relates to i
+# (forward checking), and j itself leaves every other domain, so every
+# partial map is injective.  The search branches on the open element with
+# the fewest images.  The group of a matrix is then found by base and strong
+# generators (Sims 1970): for base points b_1, b_2, ..., one witness per new
+# point of the orbit of b_i under the pointwise stabilizer of b_1..b_{i-1},
+# and |G| is the product of the orbit sizes.
 
 
-def _refined_signatures(lt: np.ndarray) -> list:
-    """Invariant per element, stable under automorphism, used for pruning."""
+def _refined_signatures(lt: np.ndarray, colors: Sequence | None = None) -> list:
+    """Invariant per element, stable under colour-preserving automorphism, used for pruning."""
     n = lt.shape[0]
-    sig: list = [(int(lt[:, i].sum()), int(lt[i, :].sum())) for i in range(n)]
+    colors = [0] * n if colors is None else colors
+    sig: list = [
+        (colors[i], bool(lt[i, i]), int(lt[:, i].sum()), int(lt[i, :].sum())) for i in range(n)
+    ]
     for _ in range(2):
         codes = {s: r for r, s in enumerate(sorted(set(sig)))}
         enc = [codes[s] for s in sig]
@@ -361,59 +379,170 @@ def _refined_signatures(lt: np.ndarray) -> list:
     return sig
 
 
-def _order_search(
-    lt_a: np.ndarray, lt_b: np.ndarray, find_all: bool
-) -> list[tuple[int, ...]]:
-    """Backtracking search for order isomorphisms lt_a -> lt_b."""
-    n = lt_a.shape[0]
-    if lt_b.shape[0] != n:
-        return []
-    sig_a = _refined_signatures(lt_a)
-    sig_b = _refined_signatures(lt_b)
-    if sorted(sig_a) != sorted(sig_b):
-        return []
-    candidates = [
-        [j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)
-    ]
-    image = [-1] * n
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
+def _domains(sig_a: list, sig_b: list) -> list[int]:
+    """For each element of a, the mask of the elements of b with its signature."""
+    masks: dict = {}
+    for j, s in enumerate(sig_b):
+        masks[s] = masks.get(s, 0) | 1 << j
+    return [masks.get(s, 0) for s in sig_a]
 
-    def place(i: int) -> bool:
-        if i == n:
-            found.append(tuple(image))
-            return not find_all
-        for j in candidates[i]:
-            if used[j]:
+
+def _fixing(gens: Sequence[tuple[int, ...]], points: Sequence[int]) -> list[tuple[int, ...]]:
+    """The permutations in gens that fix every one of the points."""
+    return [g for g in gens if all(g[c] == c for c in points)]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _place(rows: tuple, dom: list[int], free: int, i: int, j: int) -> tuple | None:
+    """Domains after mapping i to j, or None when some element is left no image."""
+    up_a, down_a, up_b, down_b = rows
+    dom = dom.copy()
+    dom[i] = 1 << j
+    free &= ~(1 << i)
+    ua, da = up_a[i], down_a[i]
+    ub, db, other = up_b[j], down_b[j], ~(1 << j)
+    for u in _bits(free):
+        bit = 1 << u
+        m = dom[u] & other & (ub if ua & bit else ~ub) & (db if da & bit else ~db)
+        if not m:
+            return None
+        dom[u] = m
+    return dom, free
+
+
+def _extend(rows: tuple, dom: list[int], free: int) -> tuple[int, ...] | None:
+    """One map that gives every free element an image in its domain, or None.
+
+    Depth-first with an explicit stack of (domains, free set, element,
+    untried images); images are tried in increasing order.
+    """
+    def frame(dom: list[int], free: int) -> tuple:
+        u = min(_bits(free), key=lambda v: dom[v].bit_count())
+        return dom, free, u, dom[u]
+
+    if not free:
+        return tuple(d.bit_length() - 1 for d in dom)
+    stack = [frame(dom, free)]
+    while stack:
+        dom, free, u, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            continue
+        low = untried & -untried
+        stack[-1] = (dom, free, u, untried ^ low)
+        placed = _place(rows, dom, free, u, low.bit_length() - 1)
+        if placed is None:
+            continue
+        if not placed[1]:
+            return tuple(d.bit_length() - 1 for d in placed[0])
+        stack.append(frame(*placed))
+    return None
+
+
+def _witness(rows: tuple, dom: list[int], free: int, b: int, x: int) -> tuple[int, ...] | None:
+    """One automorphism that maps b to x and respects the placements in `dom`."""
+    placed = _place(rows, dom, free, b, x)
+    return None if placed is None else _extend(rows, *placed)
+
+
+def _transversal(b: int, gens: Sequence[tuple[int, ...]], n: int) -> dict[int, tuple[int, ...]]:
+    """The orbit of b under the group that gens generate, each point with one
+    group element that maps b to it."""
+    reps = {b: tuple(range(n))}
+    queue = [b]
+    for x in queue:
+        t = reps[x]
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                reps[y] = tuple(s[z] for z in t)
+                queue.append(y)
+    return reps
+
+
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """A permutation group on 0..n-1 by base, strong generators and basic orbit sizes.
+
+    The generators that fix base[:i] pointwise generate the pointwise
+    stabilizer of base[:i], and orbit_sizes[i] is the length of base[i]'s
+    orbit under it, so the order is their exact product.
+    """
+
+    n: int
+    base: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    orbit_sizes: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.orbit_sizes)
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element once, in lexicographic order: products of the basic transversals."""
+        elements = [tuple(range(self.n))]
+        for i in reversed(range(len(self.base))):
+            level = _fixing(self.generators, self.base[:i])
+            reps = _transversal(self.base[i], level, self.n).values()
+            elements = [tuple(t[x] for x in h) for t in reps for h in elements]
+        return sorted(elements)
+
+
+def automorphism_group(lt: np.ndarray, colors: Sequence | None = None) -> AutomorphismGroup:
+    """The colour-preserving automorphisms of a boolean relation matrix.
+
+    Base points are taken in index order, skipping every point that the
+    stabilizer of the earlier ones must fix (its domain is itself alone).
+    For each image of b_i its domain allows and the orbit does not yet hold,
+    one witness search that fixes b_1..b_{i-1}; orbits use only the
+    generators that fix every earlier base point.
+    """
+    lt = np.asarray(lt, dtype=bool)
+    n = lt.shape[0]
+    up, down = _masks(lt.astype(np.uint8).tobytes(), n)
+    rows = (up, down, up, down)
+    sig = _refined_signatures(lt, colors)
+    dom = _domains(sig, sig)
+    free = (1 << n) - 1
+    base: list[int] = []
+    gens: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    for b in range(n):
+        if dom[b] == 1 << b:
+            continue
+        level = _fixing(gens, base)
+        orbit = _transversal(b, level, n)
+        for x in _bits(dom[b]):
+            if x in orbit:
                 continue
-            ok = True
-            for k in range(i):
-                if lt_a[i, k] != lt_b[j, image[k]] or lt_a[k, i] != lt_b[image[k], j]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if place(i + 1):
-                    return True
-                used[j] = False
-                image[i] = -1
-        return False
-
-    place(0)
-    return found
+            g = _witness(rows, dom, free, b, x)
+            if g is not None:
+                gens.append(g)
+                level.append(g)
+                orbit = _transversal(b, level, n)
+        base.append(b)
+        sizes.append(len(orbit))
+        dom, free = _place(rows, dom, free, b, b)
+    return AutomorphismGroup(n, tuple(base), tuple(gens), tuple(sizes))
 
 
 def automorphisms(p: Poset, cap: int | None = AUTOMORPHISM_CAP) -> list[tuple[int, ...]]:
     """All order automorphisms as index tuples sigma (element i maps to sigma[i]).
 
-    Plain backtracking with signature pruning; refuses n > cap.
+    Listed in lexicographic order from the group's strong generators; refuses n > cap.
     """
     if cap is not None and p.n > cap:
         raise ScopeExceededError(
             f"automorphism search capped at n <= {cap} (got n = {p.n})"
         )
-    return _order_search(p.lt, p.lt, find_all=True)
+    return automorphism_group(p.lt).elements()
 
 
 def isomorphic(p: Poset, q: Poset, cap: int | None = AUTOMORPHISM_CAP) -> bool:
@@ -424,7 +553,11 @@ def isomorphic(p: Poset, q: Poset, cap: int | None = AUTOMORPHISM_CAP) -> bool:
         raise ScopeExceededError(
             f"isomorphism search capped at n <= {cap} (got n = {p.n})"
         )
-    return bool(_order_search(p.lt, q.lt, find_all=False))
+    sig_p, sig_q = _refined_signatures(p.lt), _refined_signatures(q.lt)
+    if sorted(sig_p) != sorted(sig_q):
+        return False
+    rows = (*_masks(p.lt_bytes, p.n), *_masks(q.lt_bytes, q.n))
+    return _extend(rows, _domains(sig_p, sig_q), (1 << p.n) - 1) is not None
 
 
 # -- exhaustive enumeration of labeled posets --------------------------------

@@ -24,7 +24,7 @@ from .chains import (
 from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
-from .hcd import deletion_bounds, is_homogeneous, merge_fixpoint, mhcd, verify_embedding
+from .hcd import _deletion_bounds, _embedding, is_homogeneous, merge_fixpoint, mhcd
 from .nccd import (
     DESCENT_SCAN_CAP,
     NONCROSSING_CAP,
@@ -155,7 +155,7 @@ def check_homogeneous(an: Analysis, seed: int = 0, shuffles: int = 8) -> dict:
 
 def check_deletion(an: Analysis, seed: int = 0) -> dict:
     """One-point deletion bounds for every element."""
-    rep = deletion_bounds(an.p)
+    rep = _deletion_bounds(an.p, an.mhcd.k)
     out = {
         "name": "deletion",
         "passed": rep.ok,
@@ -205,7 +205,7 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
 
 def check_embedding(an: Analysis, seed: int = 0) -> dict:
     """Automorphisms embed into the oriented chain graph's symmetries."""
-    rep = verify_embedding(an.p, seed=seed)
+    rep = _embedding(an.p, an.mhcd, seed)
     out = {
         "name": "embedding",
         "passed": rep.ok,

@@ -541,3 +541,121 @@ def all_relations_poset_count(n: int) -> int:
         if transitive:
             count += 1
     return count
+
+
+# -- automorphism groups by listing them (the search the library used before
+# it moved to base and strong generators) ---------------------------------------
+
+
+def _refined_signatures(lt: np.ndarray) -> list:
+    """Invariant per element, stable under automorphism, used for pruning."""
+    n = lt.shape[0]
+    sig: list = [(int(lt[:, i].sum()), int(lt[i, :].sum())) for i in range(n)]
+    for _ in range(2):
+        codes = {s: r for r, s in enumerate(sorted(set(sig)))}
+        enc = [codes[s] for s in sig]
+        sig = [
+            (
+                enc[i],
+                tuple(sorted(enc[j] for j in range(n) if lt[j, i])),
+                tuple(sorted(enc[j] for j in range(n) if lt[i, j])),
+            )
+            for i in range(n)
+        ]
+    return sig
+
+
+def _order_search(
+    lt_a: np.ndarray, lt_b: np.ndarray, find_all: bool
+) -> list[tuple[int, ...]]:
+    """Backtracking search for order isomorphisms lt_a -> lt_b."""
+    n = lt_a.shape[0]
+    if lt_b.shape[0] != n:
+        return []
+    sig_a = _refined_signatures(lt_a)
+    sig_b = _refined_signatures(lt_b)
+    if sorted(sig_a) != sorted(sig_b):
+        return []
+    candidates = [
+        [j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)
+    ]
+    image = [-1] * n
+    used = [False] * n
+    found: list[tuple[int, ...]] = []
+
+    def place(i: int) -> bool:
+        if i == n:
+            found.append(tuple(image))
+            return not find_all
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            ok = True
+            for k in range(i):
+                if lt_a[i, k] != lt_b[j, image[k]] or lt_a[k, i] != lt_b[image[k], j]:
+                    ok = False
+                    break
+            if ok:
+                image[i] = j
+                used[j] = True
+                if place(i + 1):
+                    return True
+                used[j] = False
+                image[i] = -1
+        return False
+
+    place(0)
+    return found
+
+
+def brute_embedding(p, pair_cap: int = 250_000) -> dict:
+    """Embedding verdicts and group orders by listing every group.
+
+    Lists Aut(P) and both chain graphs' symmetries with `_order_search`,
+    takes the MHCD from `merge_fixpoint`, and checks the induced chain map
+    on every automorphism and on every ordered pair of them (up to
+    `pair_cap` pairs, else the first `pair_cap` in order).
+    """
+    autos = _order_search(p.lt, p.lt, find_all=True)
+    chains = sorted(merge_fixpoint(p), key=lambda c: c[0])
+    k = len(chains)
+    owner = {x: ci for ci, c in enumerate(chains) for x in c}
+    adjacency = np.zeros((k, k), dtype=bool)
+    oriented = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            if i != j and comparable(p, chains[i][0], chains[j][0]):
+                adjacency[i, j] = True
+                oriented[i, j] = bool(p.lt[chains[i][0], chains[j][0]])
+    lengths = [len(c) for c in chains]
+
+    def graph_group(mat):
+        return {
+            s for s in _order_search(mat, mat, find_all=True)
+            if all(lengths[s[i]] == lengths[i] for i in range(k))
+        }
+
+    oriented_group = graph_group(oriented)
+    out = {
+        "aut_poset_order": len(autos),
+        "aut_oriented_order": len(oriented_group),
+        "aut_unoriented_order": len(graph_group(adjacency)),
+    }
+
+    def induced(g):
+        images = [{owner[g[x]] for x in c} for c in chains]
+        if any(len(t) != 1 for t in images):
+            return None
+        return tuple(t.pop() for t in images)
+
+    sigmas = [induced(g) for g in autos]
+    out["well_defined"] = all(s is not None and s in oriented_group for s in sigmas)
+    out["injective"] = len(set(sigmas)) == len(sigmas)
+    pairs = itertools.islice(itertools.product(range(len(autos)), repeat=2), pair_cap)
+    out["homomorphism"] = out["well_defined"] and all(
+        induced(tuple(autos[a][autos[b][x]] for x in range(p.n)))
+        == tuple(sigmas[a][sigmas[b][i]] for i in range(k))
+        for a, b in pairs
+    )
+    out["onto_oriented"] = len(set(sigmas)) == len(oriented_group)
+    return out

@@ -215,10 +215,15 @@ def test_criterion_5_automorphism_embedding(posets_by_size, report):
             ok, detail = False, ("random", i, rep.witness)
             break
     if ok:
+        # wrap_forest(20, 174) has nine interchangeable 2-element chains
+        big = verify_embedding(wrap_forest(20, seed=174))
         anchors = (
             verify_embedding(antichain(4)).aut_poset_order == 24
             and verify_embedding(antichain(5)).aut_poset_order == 120
             and verify_embedding(chain(7)).aut_poset_order == 1
+            and verify_embedding(antichain(8)).aut_poset_order == 40_320
+            and big.aut_poset_order == 362_880
+            and big.ok
         )
         if not anchors:
             ok, detail = False, ("anchors",)

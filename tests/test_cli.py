@@ -144,6 +144,19 @@ def test_verify_cut_check_fails_above_cut_cap():
     )
 
 
+def test_verify_embedding_large_group_exits_0():
+    # |Aut| = 9! = 362,880: listing the group ran out of time or memory
+    out = subprocess.run(
+        CLI + ["verify", "random", "--family", "wrapforest", "--n", "20", "--seed", "174",
+               "--count", "1", "--checks", "embedding"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "all checks passed" in out.stdout
+
+
 def test_unsafe_scope_lifts_cap():
     gen = run_cli("generate", "chain", "--n", "11")
     out = run_cli("analyze", "-", "--inequalities", "--unsafe-scope", stdin=gen.stdout)

@@ -30,8 +30,9 @@ from posetdecomp.generate import (
     two_chain_fan,
     wrap_forest,
 )
-from posetdecomp.hcd import _as_decomposition
-from posetdecomp.poset import automorphisms, enumerate_posets
+from posetdecomp.chains import ChainDecomposition
+from posetdecomp.hcd import HOM_WORDS, _as_decomposition, _embedding
+from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
 
 import oracles
 
@@ -200,14 +201,25 @@ def test_embedding_random():
         assert rep.ok
 
 
-def test_embedding_hom_pairs_exhaustive_or_sampled():
-    p = antichain(4)  # |Aut| = 24, so 576 pairs
-    full = verify_embedding(p, hom_pair_cap=576)
-    assert full.hom_pairs_checked == 576
-    assert not any(f["kind"] == "hom-pairs-sampled" for f in full.findings)
-    sampled = verify_embedding(p, hom_pair_cap=100, seed=3)
-    assert sampled.ok and sampled.hom_pairs_checked == 100
-    assert {"kind": "hom-pairs-sampled", "checked": 100, "total": 576} in sampled.findings
+def test_embedding_hom_products_pairs_and_words():
+    # the identity, every ordered pair of strong generators, then HOM_WORDS words
+    p = antichain(4)
+    gens = automorphism_group(p.lt).generators
+    rep = verify_embedding(p, seed=3)
+    assert rep.ok and rep.aut_poset_order == 24
+    assert rep.hom_pairs_checked == 1 + len(gens) ** 2 + HOM_WORDS
+    assert rep.findings == [{"kind": "embedding-onto", "onto": True}]
+    # a rigid poset has no generators: the identity alone
+    assert verify_embedding(chain(3)).hom_pairs_checked == 1
+
+
+def test_embedding_injective_fails_on_non_chain_block():
+    # every chain decomposition has a trivial kernel; a block of two
+    # incomparable elements lets the swap map it to itself
+    p = antichain(2)
+    rep = _embedding(p, ChainDecomposition(p, ((0, 1),)), 0)
+    assert rep.well_defined and rep.homomorphism
+    assert not rep.injective and rep.witness == {"kernel_order": 2}
 
 
 def test_deletion_bounds_exhaustive():

@@ -56,8 +56,8 @@ def test_battery_builds_each_artifact_once(monkeypatch):
         assert len(calls["noncrossing"]) == (1 if p.n <= 10 else 0)
         assert len(calls["enumerate"]) == (1 if p.n <= 6 else 0)
         assert len(calls["matching"]) == (2 if 1 <= p.n <= 10 else 1)
-        # the analysis, the deletion check and the embedding check
-        assert sum(q is p for q in calls["mhcd"]) == 3
+        # the analysis alone; the deletion and embedding checks read its MHCD
+        assert sum(q is p for q in calls["mhcd"]) == 1
         assert len(calls["construction"]) == 1
 
 
