@@ -9,8 +9,9 @@ order.  That fixpoint, the minimal homogeneous chain decomposition (MHCD), is
 the partition into true-twin classes of the comparability graph: elements
 with the same closed neighbourhood (comparable to each other and to the same
 other elements).  `mhcd` groups the rows of `lt | lt.T | I` in O(n^2);
-`merge_fixpoint` keeps the merge loop, which the verifier replays under
-shuffled merge orders as an independent cross-check.
+`merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
+chain, and the verifier replays it under shuffled merge orders as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._reference import _masks
 from .chains import ChainDecomposition
 from .errors import (
     InternalInconsistencyError,
@@ -28,7 +30,7 @@ from .errors import (
     ScatteringError,
     ScopeExceededError,
 )
-from .poset import Poset, automorphism_group
+from .poset import Poset, _bits, automorphism_group
 
 GRAPH_AUTOMORPHISM_CAP = 10
 HOM_WORDS = 16
@@ -90,45 +92,32 @@ def mhcd(p: Poset) -> ChainDecomposition:
 
 
 def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposition:
-    """Greedy merging to the fixpoint, in O(n^4): the MHCD by its definition.
+    """Greedy merging to the fixpoint: the MHCD by its definition.
 
     Starts from singletons and merges comparable chain pairs with identical
-    comparability profiles until none remains.  `shuffle_seed` randomizes
-    which applicable merge fires first; the fixpoint is the same either way.
+    comparability profiles until none remains: each round lists the merges
+    (i, j), i < j, and fires the first or, with `shuffle_seed`, a seeded draw;
+    the fixpoint is the same either way.  Chain i (named by its least index)
+    keeps its comparability bitmask comp[i] over chains when j merges in.
     """
-    n = p.n
-    chains: list[list[int]] = [[i] for i in range(n)]
-    comp = [[bool(p.lt[i, j] or p.lt[j, i]) for j in range(n)] for i in range(n)]
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    up, down = _masks(p.lt_bytes, p.n)
+    comp = [u | d for u, d in zip(up, down)]
+    chains = [[i] for i in range(p.n)]
+    alive = (1 << p.n) - 1
+    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
     while True:
-        candidates = []
-        k = len(chains)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not comp[i][j]:
-                    continue
-                if all(comp[i][t] == comp[j][t] for t in range(k) if t != i and t != j):
-                    candidates.append((i, j))
-                    if rng is None:
-                        break
-            if candidates and rng is None:
-                break
+        candidates = [
+            (i, j)
+            for i in _bits(alive)
+            for j in _bits(comp[i] & alive & -(2 << i))
+            if not (comp[i] ^ comp[j]) & alive & ~(1 << i | 1 << j)
+        ]
         if not candidates:
             break
-        i, j = candidates[0] if rng is None else rng.choice(candidates)
-        chains[i] = chains[i] + chains[j]
-        del chains[j]
-        row = [comp[i][t] for t in range(k) if t != j]
-        comp = [
-            [comp[a][b] for b in range(k) if b != j]
-            for a in range(k)
-            if a != j
-        ]
-        pos = i if i < j else i - 1
-        comp[pos] = row[:pos] + [False] + row[pos + 1:]
-        for t in range(len(comp)):
-            comp[t][pos] = comp[pos][t]
-    return ChainDecomposition._from_index_parts(p, chains)
+        i, j = rng.choice(candidates) if rng else candidates[0]
+        chains[i] += chains[j]
+        alive ^= 1 << j
+    return ChainDecomposition._from_index_parts(p, [chains[i] for i in _bits(alive)])
 
 
 def min_homogeneous(p: Poset) -> int:

@@ -1,8 +1,10 @@
 """Noncrossing decompositions, pattern-avoiding permutations and plane trees.
 
-Two chains cross when one contains a, b and the other c, d with a < c < b < d;
-decompositions without such a configuration sit between arbitrary chain
-decompositions and homogeneous ones in the minimum-size ordering:
+Two chains cross when one contains a, b and the other c, d with a < c < b < d,
+which one test on the bit rows of the order finds: some element of the other
+chain lies strictly between a and b, and another above b.  Decompositions
+without a crossing sit between arbitrary chain decompositions and
+homogeneous ones in the minimum-size ordering:
 
     min chains <= min noncrossing <= min descents over 132-avoiders
                <= min descents over extension-relative avoiders
@@ -22,6 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._reference import _masks
 from .chains import ChainDecomposition, minimum_chain_decomposition, width
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .hcd import _as_decomposition, chain_comparability, mhcd
@@ -35,26 +38,31 @@ DESCENT_SCAN_CAP = 8
 # -- crossing predicate and exhaustive minimum --------------------------------
 
 
+def _crossing(up: list[int], down: list[int], chains) -> tuple | None:
+    """The first crossing (a, c, b, d) of ascending index chains, on bit rows.
+
+    Some element of chain B lies strictly between a < b of chain A and
+    another above b; a crossing at a, b is one at A's lowest element and b.
+    """
+    masks = [sum(1 << x for x in chain) for chain in chains]
+    for ci, chain_a in enumerate(chains):
+        a = chain_a[0]
+        for cj, mask_b in enumerate(masks):
+            if cj == ci or not mask_b & up[a]:
+                continue
+            for b in chain_a[1:]:
+                if mask_b & up[a] & down[b] and mask_b & up[b]:
+                    c = next(x for x in chains[cj] if (up[a] & down[b]) >> x & 1)
+                    d = next(x for x in chains[cj] if up[b] >> x & 1)
+                    return a, c, b, d
+    return None
+
+
 def crossing_witness(p: Poset, parts) -> tuple | None:
     """A crossing quadruple (a, c, b, d) as labels, or None when noncrossing."""
     d = _as_decomposition(p, parts)
-    for ci, chain_a in enumerate(d.chains):
-        for cj, chain_b in enumerate(d.chains):
-            if ci == cj:
-                continue
-            for apos in range(len(chain_a)):
-                a = chain_a[apos]
-                for bpos in range(apos + 1, len(chain_a)):
-                    b = chain_a[bpos]
-                    c = next(
-                        (x for x in chain_b if p.lt[a, x] and p.lt[x, b]), None
-                    )
-                    if c is None:
-                        continue
-                    top = next((x for x in chain_b if p.lt[b, x]), None)
-                    if top is not None:
-                        return tuple(p.labels[x] for x in (a, c, b, top))
-    return None
+    found = _crossing(*_masks(p.lt_bytes, p.n), d.chains)
+    return None if found is None else tuple(p.labels[x] for x in found)
 
 
 def is_noncrossing(p: Poset, parts) -> bool:
@@ -62,25 +70,20 @@ def is_noncrossing(p: Poset, parts) -> bool:
     return crossing_witness(p, parts) is None
 
 
-def _creates_crossing(p: Poset, chains: list[list[int]], j: int, v: int) -> bool:
+def _creates_crossing(up: list[int], down: list[int], chains: list, j: int, v: int) -> bool:
     """Does appending v to chain j complete a crossing?
 
     Elements are placed in linear-extension order, so v can only ever play the
     topmost role of a crossing; checking that one role keeps the search exact.
+    As in `_crossing`, the other chain's lowest element stands for every a.
     """
-    cj = chains[j]
-    for i, ci in enumerate(chains):
-        if i == j:
-            continue
-        for bpos in range(1, len(ci)):
-            b = ci[bpos]
-            if not p.lt[b, v]:
-                continue
-            for apos in range(bpos):
-                a = ci[apos]
-                if any(p.lt[a, c] and p.lt[c, b] for c in cj):
-                    return True
-    return False
+    mask_j = sum(1 << c for c in chains[j])
+    return any(
+        down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]
+        for i, ci in enumerate(chains)
+        if i != j
+        for b in ci[1:]
+    )
 
 
 def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
@@ -93,6 +96,7 @@ def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
     read at every step, so the caller may lower it between yields.
     """
     order = sorted(range(p.n), key=p.pred_counts.__getitem__)
+    up, down = _masks(p.lt_bytes, p.n)
     chains: list[list[int]] = []
 
     def place(pos: int) -> Iterator[list[list[int]]]:
@@ -103,7 +107,7 @@ def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
             return
         v = order[pos]
         for j, chain in enumerate(chains):
-            if p.lt[chain[-1], v] and not _creates_crossing(p, chains, j, v):
+            if p.lt[chain[-1], v] and not _creates_crossing(up, down, chains, j, v):
                 chain.append(v)
                 yield from place(pos + 1)
                 chain.pop()
@@ -160,36 +164,47 @@ def _perm_indices(p: Poset, perm: Sequence) -> list[int]:
     return idxs
 
 
-def _has_pattern(below: np.ndarray, idxs: Sequence[int]) -> bool:
-    # scanning each position as the pattern's final element keeps this O(n^2)
-    for i3, v in enumerate(idxs):
-        seen_small = False
-        for j in range(i3):
-            pj = idxs[j]
-            if seen_small and below[v, pj]:
-                return True
-            if below[pj, v]:
-                seen_small = True
-    return False
+def _avoider_runs(up: list[int], down: list[int], perm: Sequence[int]) -> list | None:
+    """An index permutation split once at its descents, or None on a 132 pattern.
+
+    `up` and `down` are the bit rows of the order.  As in the avoider scan, a
+    pattern is caught at its largest element x: an element still to come
+    lies below x and above an earlier one.
+    """
+    rest = (1 << len(perm)) - 1
+    above = 0
+    runs: list[list[int]] = []
+    for x in perm:
+        rest ^= 1 << x
+        if down[x] & above & rest:
+            return None
+        above |= up[x]
+        if runs and up[runs[-1][-1]] >> x & 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return runs
 
 
 def is_132_avoiding(p: Poset, perm: Sequence) -> bool:
     """No positions i1 < i2 < i3 with perm[i1] < perm[i3] < perm[i2] in p."""
-    return not _has_pattern(p.lt, _perm_indices(p, perm))
+    return _avoider_runs(*_masks(p.lt_bytes, p.n), _perm_indices(p, perm)) is not None
 
 
-def _extension_rank_matrix(p: Poset, e: Sequence) -> np.ndarray:
+def _extension_pattern(p: Poset, e: Sequence) -> bytes:
+    """Row-major 0/1 bytes of "earlier in the linear extension e"."""
     if not is_linear_extension(p, e):
         raise ValueError("reference order must be a linear extension")
     rank = np.empty(p.n, dtype=np.int64)
     for pos, x in enumerate(e):
         rank[p.idx(x)] = pos
-    return rank[:, None] < rank[None, :]
+    return (rank[:, None] < rank[None, :]).astype(np.uint8).tobytes()
 
 
 def is_132_avoiding_in_extension(p: Poset, perm: Sequence, e: Sequence) -> bool:
     """132 avoidance with "below" read off positions in the extension e."""
-    return not _has_pattern(_extension_rank_matrix(p, e), _perm_indices(p, perm))
+    rows = _masks(_extension_pattern(p, e), p.n)
+    return _avoider_runs(*rows, _perm_indices(p, perm)) is not None
 
 
 def all_132_avoiding(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> list[tuple]:
@@ -242,17 +257,10 @@ def ascending_runs_decomposition(p: Poset, perm: Sequence) -> ChainDecomposition
     is noncrossing with exactly one chain per descent (a failure of that
     property would be a counterexample and raises CheckFailure).
     """
-    if not is_132_avoiding(p, perm):
+    runs = _avoider_runs(*_masks(p.lt_bytes, p.n), _perm_indices(p, perm))
+    if runs is None:
         raise ValueError("permutation must avoid the 132 pattern")
-    prof = descent_profile(p, perm)
-    parts = []
-    start = 0
-    for pos in prof.positions:
-        parts.append(list(prof.permutation[start:pos]))
-        start = pos
-    d = ChainDecomposition.from_parts(p, parts)
-    if d.k != prof.count:
-        raise InternalInconsistencyError("run count differs from descent count")
+    d = ChainDecomposition._from_index_parts(p, runs)
     witness = crossing_witness(p, d)
     if witness is not None:
         raise CheckFailure(
@@ -278,8 +286,7 @@ def min_descents_over_extension_avoiders(
         raise ScopeExceededError(
             f"descent scan capped at n <= {cap} (got n = {p.n})"
         )
-    pattern = _extension_rank_matrix(p, e).astype(np.uint8).tobytes()
-    return min_descents(pattern, p.lt_bytes, p.n)
+    return min_descents(_extension_pattern(p, e), p.lt_bytes, p.n)
 
 
 # -- the wrap order over minimal homogeneous chains -----------------------------

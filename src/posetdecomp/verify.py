@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._reference import _masks
 from .chains import (
     ChainDecomposition,
     _dilworth,
@@ -22,18 +23,18 @@ from .chains import (
     is_chain_decomposition,
 )
 from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
-from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
+from .errors import CheckFailure, PosetError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
 from .hcd import _deletion_bounds, _embedding, is_homogeneous, merge_fixpoint, mhcd
+from .kernels import permutations_avoiding
 from .nccd import (
     DESCENT_SCAN_CAP,
     NONCROSSING_CAP,
+    _avoider_runs,
     _chain_bounds,
     _construction,
-    all_132_avoiding,
-    ascending_runs_decomposition,
+    _crossing,
     count_noncrossing_decompositions,
-    descent_profile,
     minimum_noncrossing_decomposition,
 )
 from .poset import POSET_ENUMERATION_CAP, Poset, enumerate_posets, mobius_matrix
@@ -50,6 +51,7 @@ DEFAULT_CHECKS = (
 )
 
 BRUTE_FORCE_CAP = 6
+MERGE_SHUFFLES = 8
 SEGMENT_SWEEP_CAP = 6
 
 
@@ -59,10 +61,6 @@ def catalan_numbers(count: int) -> list[int]:
     for n in range(count):
         cat.append(sum(cat[i] * cat[n - i] for i in range(n + 1)))
     return cat
-
-
-def _chain_set(d) -> frozenset:
-    return frozenset(d.chains)
 
 
 class Analysis:
@@ -123,30 +121,20 @@ def check_dilworth(an: Analysis, seed: int = 0) -> dict:
     return out
 
 
-def check_homogeneous(an: Analysis, seed: int = 0, shuffles: int = 8) -> dict:
+def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint."""
     p = an.p
     d = an.mhcd
-    details: dict = {"k": d.k}
-    passed = is_chain_decomposition(p, d) and is_homogeneous(p, d)
-    confluent = all(
-        _chain_set(merge_fixpoint(p, shuffle_seed=seed + s)) == _chain_set(d)
-        for s in range(shuffles)
-    )
-    details["confluent"] = confluent
-    passed = passed and confluent
+    confluent = all(merge_fixpoint(p, seed + s) == d for s in range(MERGE_SHUFFLES))
+    details: dict = {"k": d.k, "confluent": confluent}
+    passed = is_chain_decomposition(p, d) and is_homogeneous(p, d) and confluent
     if p.n <= BRUTE_FORCE_CAP:
         homogeneous = [dec for dec in an.decompositions if is_homogeneous(p, dec)]
         least = min((dec.k for dec in homogeneous), default=0)
         minimal = [dec for dec in homogeneous if dec.k == least]
         details["enumerated_minimum"] = least
         details["minimal_count"] = len(minimal)
-        passed = (
-            passed
-            and d.k == least
-            and len(minimal) == 1
-            and _chain_set(minimal[0]) == _chain_set(d)
-        )
+        passed = passed and d.k == least and len(minimal) == 1 and minimal[0] == d
     out = {"name": "homogeneous", "passed": passed, "details": details}
     if not passed:
         out["witness"] = {"decomposition": d.to_lines()}
@@ -245,7 +233,12 @@ def check_bounds(an: Analysis, seed: int = 0) -> dict:
 
 
 def check_segments(an: Analysis, seed: int = 0) -> dict:
-    """Every 132-avoiding permutation's runs form a noncrossing decomposition."""
+    """Every 132-avoiding permutation's runs form a noncrossing decomposition.
+
+    Each permutation of the avoider scan is split once at its descents, one
+    run per descent; the first one with a 132 pattern, a run that is not a
+    chain or two runs that cross is the witness.
+    """
     p = an.p
     if p.n > SEGMENT_SWEEP_CAP:
         return {
@@ -253,18 +246,27 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
             "passed": True,
             "details": {"permutations": 0, "skipped": f"n > {SEGMENT_SWEEP_CAP}"},
         }
-    swept = 0
-    for perm in all_132_avoiding(p):
-        dec = ascending_runs_decomposition(p, perm)
-        if dec.k != descent_profile(p, perm).count:
-            return {
-                "name": "segments",
-                "passed": False,
-                "details": {"permutations": swept},
-                "witness": {"permutation": [str(x) for x in perm]},
-            }
-        swept += 1
-    return {"name": "segments", "passed": True, "details": {"permutations": swept}}
+    up, down = _masks(p.lt_bytes, p.n)
+    perms = permutations_avoiding(p.lt_bytes, p.n)
+    for swept, perm in enumerate(perms):
+        runs = _avoider_runs(up, down, perm)
+        if runs is None:
+            fault = "not 132-avoiding"
+        elif not all(
+            up[a] >> b & 1 for run in runs for i, a in enumerate(run) for b in run[i + 1:]
+        ):
+            fault = "an ascending run is not a chain"
+        elif _crossing(up, down, runs) is not None:
+            fault = "ascending runs cross"
+        else:
+            continue
+        return {
+            "name": "segments",
+            "passed": False,
+            "details": {"permutations": swept, "error": fault},
+            "witness": {"permutation": [str(p.labels[x]) for x in perm]},
+        }
+    return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
 
 
 def check_noncrossing_trivial(an: Analysis, seed: int = 0) -> dict:
@@ -302,7 +304,7 @@ _CHECKS = {
 def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
     """Run the named checks on one poset; failures become failed checks.
 
-    A CheckFailure, an InternalInconsistencyError, a ScopeExceededError or a
+    A CheckFailure, any other PosetError (a cap, an invalid artifact) or a
     RecursionError inside a check fails that check with the error text, and
     the returned record names the poset, so a sweep keeps its witness and
     runs on.  Any other exception propagates.  The checks share one Analysis.
@@ -322,7 +324,7 @@ def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
                 "details": {"error": str(exc)},
                 "witness": repr(exc.witness),
             }
-        except (InternalInconsistencyError, ScopeExceededError, RecursionError) as exc:
+        except (PosetError, RecursionError) as exc:
             # the poset itself is the witness; the sweep goes on
             result = {
                 "name": name,

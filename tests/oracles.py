@@ -129,6 +129,31 @@ def noncrossing_partition(p, partition) -> bool:
     return True
 
 
+def crossing_witness(p, d):
+    """The library's first crossing scan, kept verbatim as the witness oracle.
+
+    Takes a ChainDecomposition; returns the first crossing quadruple
+    (a, c, b, d) as labels, in the scan's order, or None.
+    """
+    for ci, chain_a in enumerate(d.chains):
+        for cj, chain_b in enumerate(d.chains):
+            if ci == cj:
+                continue
+            for apos in range(len(chain_a)):
+                a = chain_a[apos]
+                for bpos in range(apos + 1, len(chain_a)):
+                    b = chain_a[bpos]
+                    c = next(
+                        (x for x in chain_b if p.lt[a, x] and p.lt[x, b]), None
+                    )
+                    if c is None:
+                        continue
+                    top = next((x for x in chain_b if p.lt[b, x]), None)
+                    if top is not None:
+                        return tuple(p.labels[x] for x in (a, c, b, top))
+    return None
+
+
 def brute_min_noncrossing(p) -> int:
     return min(
         (len(part) for part in chain_partitions(p) if noncrossing_partition(p, part)),

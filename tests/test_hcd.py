@@ -106,6 +106,15 @@ def test_library_merge_fixpoint_equals_twin_classes():
             assert merge_fixpoint(p, shuffle_seed=s) == d
 
 
+def test_library_merge_fixpoint_matches_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [random_poset(9, 0.3, seed=s) for s in range(60)]
+    posets += [wrap_forest(20, seed=s) for s in range(40)]
+    for p in posets:
+        for s in [None, *range(8)]:
+            assert frozenset(merge_fixpoint(p, s).chains) == oracles.merge_fixpoint(p, s)
+
+
 def test_min_homogeneous_values():
     assert min_homogeneous(antichain(7)) == 7
     assert min_homogeneous(chain(7)) == 1

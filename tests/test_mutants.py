@@ -1,4 +1,4 @@
-"""Seeded defects in the symmetry code, and the check or test that kills each.
+"""Seeded defects, and the check or test that kills each.
 
 Each entry of MUTANTS monkeypatches one library function with a plausible
 bug and names what must catch it; the killer runs on a family fixed before
@@ -6,11 +6,14 @@ the run (every poset with n <= 4 and a few wrap forests).  The killer must
 pass on the library as it is and fail under the defect.
 """
 
+import itertools
+import random
+
 import pytest
 
 from posetdecomp import hcd, poset, verify
 from posetdecomp.chains import ChainDecomposition
-from posetdecomp.generate import antichain, wrap_forest
+from posetdecomp.generate import antichain, random_poset, wrap_forest
 
 import oracles
 
@@ -53,6 +56,53 @@ def reversed_images(monkeypatch):
     monkeypatch.setattr(hcd, "induced_chain_permutation", mutant)
 
 
+def mhcd_merges_first_two(monkeypatch):
+    """The analysis' `mhcd` merges its first two chains."""
+    real = verify.mhcd
+
+    def mutant(p):
+        parts = [list(c) for c in real(p).chains]
+        if len(parts) >= 2:
+            parts[:2] = [parts[0] + parts[1]]
+        return ChainDecomposition._from_index_parts(p, parts)
+
+    monkeypatch.setattr(verify, "mhcd", mutant)
+
+
+def merge_any_comparable(monkeypatch):
+    """`merge_fixpoint` drops the profile test and merges any comparable pair."""
+
+    def mutant(p, shuffle_seed=None):
+        chains = [[x] for x in range(p.n)]
+        rng = random.Random(shuffle_seed)
+        while True:
+            pairs = [
+                (i, j)
+                for i, j in itertools.combinations(range(len(chains)), 2)
+                if all(p.lt[a, b] or p.lt[b, a] for a in chains[i] for b in chains[j])
+            ]
+            if not pairs:
+                return ChainDecomposition._from_index_parts(p, chains)
+            i, j = rng.choice(pairs)
+            chains[i] += chains.pop(j)
+
+    monkeypatch.setattr(verify, "merge_fixpoint", mutant)
+
+
+def crossing_without_top(monkeypatch):
+    """The crossing scan drops the b < d condition: B inside (a, b) suffices."""
+
+    def mutant(up, down, chains):
+        masks = [sum(1 << x for x in chain) for chain in chains]
+        for ci, chain_a in enumerate(chains):
+            for cj, mask_b in enumerate(masks):
+                if cj != ci and any(mask_b & up[chain_a[0]] & down[b] for b in chain_a[1:]):
+                    return chain_a[0], cj
+        return None
+
+    monkeypatch.setattr(verify, "_crossing", mutant)
+
+
 def orders_differ_from_listing_oracle() -> bool:
     """test_automorphisms.test_group_matches_listing_oracle."""
     return any(
@@ -68,17 +118,23 @@ def injective_check_passes_non_chain_block() -> bool:
     return hcd._embedding(p, ChainDecomposition(p, ((0, 1),)), 0).injective
 
 
-def embedding_check_fails() -> bool:
-    """The battery's embedding check (verify.check_embedding)."""
-    return any(
-        not verify.run_poset_checks(p, which=("embedding",))["ok"] for p in FAMILY
-    )
+def check_fails(name: str):
+    """A killer: the battery's check `name` fails on some poset of FAMILY."""
+
+    def killed() -> bool:
+        return any(not verify.run_poset_checks(p, which=(name,))["ok"] for p in FAMILY)
+
+    killed.__doc__ = f"The battery's {name} check."
+    return killed
 
 
 MUTANTS = {
     "first-witness-only": (first_witness_only, orders_differ_from_listing_oracle),
     "kernel-order-one": (kernel_order_one, injective_check_passes_non_chain_block),
-    "reversed-images": (reversed_images, embedding_check_fails),
+    "reversed-images": (reversed_images, check_fails("embedding")),
+    "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
+    "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
+    "crossing-without-top": (crossing_without_top, check_fails("segments")),
 }
 
 
@@ -88,3 +144,15 @@ def test_mutant_is_killed(monkeypatch, name):
     assert not killed()
     mutate(monkeypatch)
     assert killed(), f"{name} survives {killed.__doc__}"
+
+
+def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
+    mhcd_merges_first_two(monkeypatch)
+    cases = [
+        (wrap_forest(20, seed=0), "InvalidDecompositionError"),
+        (random_poset(6, seed=1), "NotHomogeneousError"),
+    ]
+    for p, error in cases:
+        record = verify.run_poset_checks(p)
+        errors = [c["details"].get("error", "") for c in record["checks"] if not c["passed"]]
+        assert errors and any(e.startswith(error) for e in errors)

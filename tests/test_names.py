@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import posetdecomp
+from posetdecomp import verify
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +29,13 @@ def test_traced_functions_exist():
     assert missing == []
     for module in spans.MODULES:
         importlib.import_module(f"posetdecomp.{module}")
+
+
+def test_checks_take_analysis_and_seed():
+    # the benchmark's span wrapper calls every check as check(an, seed=seed)
+    for name, check in verify._CHECKS.items():
+        params = inspect.signature(check).parameters.values()
+        assert [(q.name, q.default) for q in params] == [
+            ("an", inspect.Parameter.empty),
+            ("seed", 0),
+        ], name

@@ -34,6 +34,7 @@ from posetdecomp import (
     wrap_relation,
 )
 from posetdecomp import nccd, verify
+from posetdecomp.chains import enumerate_chain_decompositions
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.nccd import _preorder
 from posetdecomp.poset import enumerate_posets
@@ -62,6 +63,18 @@ def test_crossing_witness_on_interleaved_chains():
     assert w == ("1", "2", "3", "4")
     assert not is_noncrossing(p, parts)
     assert is_noncrossing(p, [["1", "2"], ["3", "4"]])
+
+
+def test_crossing_witness_matches_scan_oracle():
+    for n in range(6):
+        for p in enumerate_posets(n):
+            for d in enumerate_chain_decompositions(p):
+                assert crossing_witness(p, d) == oracles.crossing_witness(p, d)
+    for s in range(200):
+        p = random_poset(8, 0.3, seed=s)
+        _, d = minimum_noncrossing_decomposition(p)
+        assert crossing_witness(p, d) is None
+        assert oracles.crossing_witness(p, d) is None
 
 
 def test_noncrossing_matches_oracle():

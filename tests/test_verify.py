@@ -7,7 +7,7 @@ import pytest
 from posetdecomp import verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
-from posetdecomp.generate import random_poset, wrap_forest
+from posetdecomp.generate import chain, random_poset, wrap_forest
 from posetdecomp.poset import enumerate_posets
 
 MODULES = [m for name, m in sorted(sys.modules.items()) if name.startswith("posetdecomp.")]
@@ -115,6 +115,18 @@ def test_split_chain_mutant_fails_dilworth(monkeypatch):
         (check,) = verify.run_poset_checks(p, which=("dilworth",))["checks"]
         # a poset has a chain of two elements exactly when it is no antichain
         assert check["passed"] == (not p.lt.any())
+
+
+def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
+    real = verify.permutations_avoiding
+    # chain(3) has five avoiders; (0, 2, 1) is the pattern itself
+    monkeypatch.setattr(
+        verify, "permutations_avoiding", lambda pattern, n: real(pattern, n) + [(0, 2, 1)]
+    )
+    (check,) = verify.run_poset_checks(chain(3), which=("segments",))["checks"]
+    assert not check["passed"]
+    assert check["details"] == {"permutations": 5, "error": "not 132-avoiding"}
+    assert check["witness"] == {"permutation": ["1", "3", "2"]}
 
 
 def test_decompositions_out_of_scope_above_brute_force_cap():
