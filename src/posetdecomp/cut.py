@@ -10,14 +10,15 @@ exact integer identity:
 
 Everything on the left-hand side depends on the decomposition only, not on
 the cut: a `CutFrame` computes the chain comparability (which certifies
-homogeneity), J, the whole-poset signed counts, D_whole, D_whole J and det J
-once, and every cut of that decomposition carries it.  Per cut only D_low and
-D_up are computed, from the induced sub-posets of the two sides.
+homogeneity), the k x n chain membership M, J, the whole-poset signed counts
+S, D_whole = M S M^T, D_whole J and det J once, and every cut of that
+decomposition carries it.  Per cut only D_low and D_up are computed, each
+from the signed counts of the strict order's submatrix on its side.
 
 The signed counts are exact (numpy int64 up to 64 elements, Python integers
-above; see `signed_chain_count_matrix`), and every matrix here holds Python
-integers, so there is no overflow to worry about; reports carry both sides of
-the identity verbatim.
+above; see `poset._signed_counts`), and the aggregation by M and every k x k
+product run on Python integers (dtype object), so nothing can overflow;
+reports carry both sides of the identity verbatim.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .chains import ChainDecomposition
 from .errors import ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_comparability
-from .poset import Poset, signed_chain_count_matrix
+from .poset import Poset, _signed_counts
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
@@ -43,9 +46,9 @@ class CutFrame:
     """The cut-independent half of the cut identity for one decomposition.
 
     Building a frame computes the chain comparability, which certifies that
-    the decomposition is homogeneous (NotHomogeneousError otherwise).  J, the
-    whole-poset signed counts, D_whole, D_whole J and det J are computed on
-    first use and then shared by every cut of the decomposition.
+    the decomposition is homogeneous (NotHomogeneousError otherwise).  M, J,
+    the whole-poset signed counts, D_whole, D_whole J and det J are computed
+    on first use and then shared by every cut of the decomposition.
     """
 
     def __init__(self, p: Poset, d) -> None:
@@ -54,25 +57,30 @@ class CutFrame:
         self.graph = ChainGraph(self.decomposition, chain_comparability(p, self.decomposition))
 
     @cached_property
-    def j(self) -> list[list[int]]:
-        return j_matrix(self.poset, self.graph)
+    def members(self) -> np.ndarray:
+        return _membership(self.decomposition)
 
     @cached_property
-    def counts(self) -> list[list[int]]:
+    def j(self) -> np.ndarray:
+        k = self.decomposition.k
+        return np.array(j_matrix(self.poset, self.graph), dtype=object).reshape(k, k)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
         """Signed chain counts of the whole poset."""
-        return signed_chain_count_matrix(self.poset)
+        return _signed_counts(self.poset.lt)
 
     @cached_property
-    def d_whole(self) -> list[list[int]]:
-        return _chain_sums(self.counts, self.decomposition.chains)
+    def d_whole(self) -> np.ndarray:
+        return _aggregate(self.members, self.counts)
 
     @cached_property
-    def lhs(self) -> list[list[int]]:
-        return _mat_mul(self.d_whole, self.j)
+    def lhs(self) -> np.ndarray:
+        return self.d_whole @ self.j
 
     @cached_property
     def j_determinant(self) -> int:
-        return integer_determinant(self.j)
+        return integer_determinant(self.j.tolist())
 
 
 @dataclass(frozen=True)
@@ -206,25 +214,27 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     """
     d = _as_decomposition(p, d)
     if scope == "whole":
-        return _chain_sums(signed_chain_count_matrix(p), d.chains)
+        return _aggregate(_membership(d), _signed_counts(p.lt)).tolist()
     if scope not in ("lower", "upper"):
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
         raise ValueError(f"scope {scope!r} needs a cut")
     parts = cut.lower_parts if scope == "lower" else cut.upper_parts
     keep = [x for part in parts for x in part]
-    sub = p.induced([p.labels[x] for x in keep])
-    # renumber each part into the sub-poset, which lists the parts in turn
-    starts = list(itertools.accumulate((len(part) for part in parts), initial=0))
-    local = [range(a, b) for a, b in zip(starts, starts[1:])]
-    return _chain_sums(signed_chain_count_matrix(sub), local)
+    members = cut.frame.members[:, keep]
+    return _aggregate(members, _signed_counts(p.lt[np.ix_(keep, keep)])).tolist()
 
 
-def _chain_sums(counts: list[list[int]], parts) -> list[list[int]]:
-    """Entry (i, j): the sum of counts[x][y] over x in parts[i], y in parts[j]."""
-    n = len(counts)
-    rows = [[sum(counts[x][y] for x in part) for y in range(n)] for part in parts]
-    return [[sum(row[y] for y in part) for part in parts] for row in rows]
+def _membership(d: ChainDecomposition) -> np.ndarray:
+    """k x n chain membership M: entry (i, x) is 1 iff x lies on chain i."""
+    members = np.zeros((d.k, d.poset.n), dtype=object)
+    members[d.chain_of, np.arange(d.poset.n)] = 1
+    return members
+
+
+def _aggregate(members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """M S M^T: entry (i, j) sums counts[x, y] over x on chain i, y on chain j."""
+    return members @ counts @ members.T
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:
@@ -239,32 +249,6 @@ def j_matrix(p: Poset, d) -> list[list[int]]:
         comp = chain_comparability(p, _as_decomposition(p, d))
     k = len(comp)
     return [[(1 if i == j else int(comp[i, j])) for j in range(k)] for i in range(k)]
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    k = len(a)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        ai, oi = a[i], out[i]
-        for t in range(k):
-            ait = ai[t]
-            if ait:
-                bt = b[t]
-                for j in range(k):
-                    oi[j] += ait * bt[j]
-    return out
-
-
-def _copy(a: list[list[int]]) -> list[list[int]]:
-    return [row[:] for row in a]
-
-
-def _mat_add(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -344,27 +328,22 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
     """
     d = cut.decomposition
     frame = cut.frame
-    lower = d_matrix(p, d, "lower", cut)
-    upper = d_matrix(p, d, "upper", cut)
-    j = frame.j
-    lhs = frame.lhs
-    lower_j = _mat_mul(lower, j)
-    upper_j = _mat_mul(upper, j)
-    rhs = _mat_sub(_mat_add(lower_j, upper_j), _mat_mul(lower_j, upper_j))
-    diff = max(
-        (abs(a - b) for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb)),
-        default=0,
-    )
+    d_lower = d_matrix(p, d, "lower", cut)
+    d_upper = d_matrix(p, d, "upper", cut)
+    lower_j = np.array(d_lower, dtype=object).reshape(frame.j.shape) @ frame.j
+    upper_j = np.array(d_upper, dtype=object).reshape(frame.j.shape) @ frame.j
+    rhs = lower_j + upper_j - lower_j @ upper_j
+    diff = max(map(abs, (frame.lhs - rhs).flat), default=0)
     report = CutIdentityReport(
         heights=cut.heights,
         proper=is_proper(cut),
         admissible=is_admissible(cut),
-        d_whole=_copy(frame.d_whole),
-        d_lower=lower,
-        d_upper=upper,
-        j=_copy(j),
-        lhs=_copy(lhs),
-        rhs=rhs,
+        d_whole=frame.d_whole.tolist(),
+        d_lower=d_lower,
+        d_upper=d_upper,
+        j=frame.j.tolist(),
+        lhs=frame.lhs.tolist(),
+        rhs=rhs.tolist(),
         equal=diff == 0,
         max_abs_discrepancy=diff,
         j_determinant=frame.j_determinant,

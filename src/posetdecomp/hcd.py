@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._reference import _masks
 from .chains import ChainDecomposition
 from .errors import (
     InternalInconsistencyError,
@@ -100,7 +99,7 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
     the fixpoint is the same either way.  Chain i (named by its least index)
     keeps its comparability bitmask comp[i] over chains when j merges in.
     """
-    up, down = _masks(p.lt_bytes, p.n)
+    up, down = p.rows
     comp = [u | d for u, d in zip(up, down)]
     chains = [[i] for i in range(p.n)]
     alive = (1 << p.n) - 1

@@ -61,7 +61,7 @@ def _crossing(up: list[int], down: list[int], chains) -> tuple | None:
 def crossing_witness(p: Poset, parts) -> tuple | None:
     """A crossing quadruple (a, c, b, d) as labels, or None when noncrossing."""
     d = _as_decomposition(p, parts)
-    found = _crossing(*_masks(p.lt_bytes, p.n), d.chains)
+    found = _crossing(*p.rows, d.chains)
     return None if found is None else tuple(p.labels[x] for x in found)
 
 
@@ -96,7 +96,7 @@ def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
     read at every step, so the caller may lower it between yields.
     """
     order = sorted(range(p.n), key=p.pred_counts.__getitem__)
-    up, down = _masks(p.lt_bytes, p.n)
+    up, down = p.rows
     chains: list[list[int]] = []
 
     def place(pos: int) -> Iterator[list[list[int]]]:
@@ -188,7 +188,7 @@ def _avoider_runs(up: list[int], down: list[int], perm: Sequence[int]) -> list |
 
 def is_132_avoiding(p: Poset, perm: Sequence) -> bool:
     """No positions i1 < i2 < i3 with perm[i1] < perm[i3] < perm[i2] in p."""
-    return _avoider_runs(*_masks(p.lt_bytes, p.n), _perm_indices(p, perm)) is not None
+    return _avoider_runs(*p.rows, _perm_indices(p, perm)) is not None
 
 
 def _extension_pattern(p: Poset, e: Sequence) -> bytes:
@@ -257,7 +257,7 @@ def ascending_runs_decomposition(p: Poset, perm: Sequence) -> ChainDecomposition
     is noncrossing with exactly one chain per descent (a failure of that
     property would be a counterexample and raises CheckFailure).
     """
-    runs = _avoider_runs(*_masks(p.lt_bytes, p.n), _perm_indices(p, perm))
+    runs = _avoider_runs(*p.rows, _perm_indices(p, perm))
     if runs is None:
         raise ValueError("permutation must avoid the 132 pattern")
     d = ChainDecomposition._from_index_parts(p, runs)

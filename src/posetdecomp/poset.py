@@ -125,6 +125,12 @@ class Poset:
         """Number of elements below each element, by index."""
         return tuple(np.count_nonzero(self.lt, axis=0).tolist())
 
+    @cached_property
+    def rows(self) -> tuple[list[int], list[int]]:
+        """The order as bitmasks (up, down): bit y of up[x] and bit x of
+        down[y] are set when x < y.  Shared by every caller, so read-only."""
+        return _masks(self.lt_bytes, self.n)
+
     @property
     def lt_bytes(self) -> bytes:
         """Row-major 0/1 bytes of the strict order, for the scan kernels."""
@@ -221,9 +227,19 @@ def signed_chain_count_matrix(p: Poset) -> list[list[int]]:
     """Matrix of signed counts of strictly increasing chains x to y.
 
     Entry (x, y) sums (-1)^s over all chains x = z_0 < z_1 < ... < z_s = y;
-    the single length-0 chain contributes +1 on the diagonal.  Computed as the
-    alternating sum of powers of the strict adjacency matrix (the power A^s
-    counts s-step chains), with numpy matrix products.
+    the single length-0 chain contributes +1 on the diagonal.  The lists of
+    `_signed_counts(p.lt)`, so every entry is a Python integer.
+    """
+    return _signed_counts(p.lt).tolist()
+
+
+def _signed_counts(lt: np.ndarray) -> np.ndarray:
+    """Signed chain counts of a strict order matrix, as an exact numpy array.
+
+    Computed as the alternating sum of powers of the strict adjacency matrix
+    (the power A^s counts s-step chains), with numpy matrix products.  Any
+    principal submatrix of a strict order is itself one, so a sub-order's
+    counts come straight from `lt[np.ix_(keep, keep)]`.
 
     Every intermediate value is exact: an entry of a power, a partial sum of
     one of its dot products, and a partial sum of the alternating series each
@@ -231,8 +247,8 @@ def signed_chain_count_matrix(p: Poset) -> list[list[int]]:
     per subset of the points strictly between).  So int64 holds them for
     n <= 64; above that the products run on Python integers (dtype object).
     """
-    n = p.n
-    adj = p.lt.astype(np.int64 if n <= 64 else object)
+    n = len(lt)
+    adj = lt.astype(np.int64 if n <= 64 else object)
     total = np.eye(n, dtype=adj.dtype)
     power = total
     sign = 1
@@ -242,7 +258,7 @@ def signed_chain_count_matrix(p: Poset) -> list[list[int]]:
             break
         sign = -sign
         total += sign * power
-    return total.tolist()
+    return total
 
 
 def signed_chain_count(p: Poset, x, y) -> int:
@@ -556,7 +572,7 @@ def isomorphic(p: Poset, q: Poset, cap: int | None = AUTOMORPHISM_CAP) -> bool:
     sig_p, sig_q = _refined_signatures(p.lt), _refined_signatures(q.lt)
     if sorted(sig_p) != sorted(sig_q):
         return False
-    rows = (*_masks(p.lt_bytes, p.n), *_masks(q.lt_bytes, q.n))
+    rows = (*p.rows, *q.rows)
     return _extend(rows, _domains(sig_p, sig_q), (1 << p.n) - 1) is not None
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._reference import _masks
 from .chains import (
     ChainDecomposition,
     _dilworth,
@@ -173,8 +172,9 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
         rep = verify_cut_identity(p, cut)
         if not rep.equal:
             failures.append(rep.to_dict())
+    counts = frame.counts.tolist()
     mobius = mobius_matrix(p)
-    hall = frame.counts == mobius
+    hall = counts == mobius
     passed = not failures and hall
     out = {
         "name": "cut",
@@ -187,7 +187,7 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     if failures:
         out["witness"] = failures[0]
     elif not hall:
-        out["witness"] = {"signed_counts": frame.counts, "mobius": mobius}
+        out["witness"] = {"signed_counts": counts, "mobius": mobius}
     return out
 
 
@@ -246,7 +246,7 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
             "passed": True,
             "details": {"permutations": 0, "skipped": f"n > {SEGMENT_SWEEP_CAP}"},
         }
-    up, down = _masks(p.lt_bytes, p.n)
+    up, down = p.rows
     perms = permutations_avoiding(p.lt_bytes, p.n)
     for swept, perm in enumerate(perms):
         runs = _avoider_runs(up, down, perm)

@@ -235,18 +235,63 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
+def _check_cut_family():
+    posets = [theta(), chain(4), boolean_lattice(2)]
+    return posets + [wrap_forest(n, seed=s) for n in (10, 16) for s in range(5)]
+
+
 def test_check_cut_builds_one_frame(monkeypatch):
     comparability = _count_calls(monkeypatch, "chain_comparability", [hcd, cut_module, verify])
-    counts = _count_calls(monkeypatch, "signed_chain_count_matrix", [poset, cut_module, verify])
-    posets = [theta(), chain(4), boolean_lattice(2)]
-    posets += [wrap_forest(n, seed=s) for n in (10, 16) for s in range(5)]
-    for p in posets:
+    counts = _count_calls(monkeypatch, "_signed_counts", [poset, cut_module, verify])
+    for p in _check_cut_family():
         comparability.clear()
         counts.clear()
         out = verify.check_cut(verify.Analysis(p))
         assert out["passed"]
         assert len(comparability) == 1
         assert len(counts) == 2 * out["details"]["admissible_cuts"] + 1
+
+
+def test_check_cut_builds_no_poset(monkeypatch):
+    # the cut sides are submatrices of the strict order, never validated posets
+    analyses = [verify.Analysis(p) for p in _check_cut_family()]
+    for an in analyses:
+        an.frame  # the MHCD and its frame are the analysis', built before the check
+    built = []
+    real = Poset.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counted)
+    outs = [verify.check_cut(an) for an in analyses]
+    assert all(out["passed"] for out in outs)
+    assert sum(out["details"]["admissible_cuts"] for out in outs) > 100
+    assert built == []
+
+
+def test_identity_reports_match_oracle_past_int64():
+    # a 70-chain wrapping two 3-chains in its gap c65 < c66: the whole poset
+    # and the lower side of each of its 4 admissible cuts (68 to 70 elements)
+    # have more than 64 elements, so their signed counts run on Python integers
+    outer = [f"c{i}" for i in range(70)]
+    covers = list(zip(outer, outer[1:]))
+    inner = []
+    for name in "xy":
+        kids = [f"{name}{i}" for i in range(3)]
+        inner += kids
+        covers += [("c65", kids[0]), *zip(kids, kids[1:]), (kids[-1], "c66")]
+    p = Poset.from_cover_relations(outer + inner, covers)
+    d = mhcd(p)
+    expected = oracles.cut_identity_reports(p, d.chains)
+    cuts = enumerate_admissible_cuts(p, d)
+    assert [c.heights for c in cuts] == list(expected) == [
+        (66, 1, 1), (66, 1, 2), (66, 2, 1), (66, 2, 2)
+    ]
+    for cut in cuts:
+        assert sum(map(len, cut.lower_parts)) > 64
+        assert verify_cut_identity(p, cut).to_dict() == expected[cut.heights]
 
 
 def test_not_homogeneous_raised_only_with_a_proper_cut():

@@ -9,8 +9,10 @@ pass on the library as it is and fail under the defect.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from posetdecomp import cut as cut_module
 from posetdecomp import hcd, poset, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, random_poset, wrap_forest
@@ -103,6 +105,54 @@ def crossing_without_top(monkeypatch):
     monkeypatch.setattr(verify, "_crossing", mutant)
 
 
+def unsigned_side_counts(monkeypatch):
+    """The side counts drop the alternating sign: they count the chains."""
+    real = cut_module.d_matrix
+
+    def chain_counts(lt):
+        adj = lt.astype(np.int64 if len(lt) <= 64 else object)
+        total = power = np.eye(len(lt), dtype=adj.dtype)
+        for _ in range(len(lt) - 1):
+            power = power @ adj
+            total = total + power
+        return total
+
+    def mutant(p, d, scope="whole", cut=None):
+        with monkeypatch.context() as m:
+            if scope != "whole":
+                m.setattr(cut_module, "_signed_counts", chain_counts)
+            return real(p, d, scope, cut)
+
+    monkeypatch.setattr(cut_module, "d_matrix", mutant)
+
+
+def upper_over_lower_parts(monkeypatch):
+    """The upper side is aggregated over the lower parts."""
+    real = cut_module.d_matrix
+
+    def mutant(p, d, scope="whole", cut=None):
+        return real(p, d, "lower" if scope == "upper" else scope, cut)
+
+    monkeypatch.setattr(cut_module, "d_matrix", mutant)
+
+
+def admissible_by_comparability(monkeypatch):
+    """`is_admissible` tests comparability (lt | lt.T) in place of lt."""
+
+    def mutant(cut):
+        lt = cut.poset.lt | cut.poset.lt.T
+        comp = cut.frame.graph.adjacency
+        k = cut.decomposition.k
+        return cut_module.is_proper(cut) and all(
+            lt[cut.lower_parts[i][-1], cut.upper_parts[j][0]]
+            for i in range(k)
+            for j in range(k)
+            if i != j and comp[i, j]
+        )
+
+    monkeypatch.setattr(cut_module, "is_admissible", mutant)
+
+
 def orders_differ_from_listing_oracle() -> bool:
     """test_automorphisms.test_group_matches_listing_oracle."""
     return any(
@@ -135,6 +185,9 @@ MUTANTS = {
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
+    "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
+    "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
+    "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
 }
 
 

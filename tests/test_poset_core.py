@@ -19,7 +19,8 @@ from posetdecomp import (
     signed_chain_count_matrix,
     transitive_closure,
 )
-from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset
+from posetdecomp._reference import _masks
+from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.poset import automorphisms, isomorphic
 
 import oracles
@@ -247,3 +248,11 @@ def test_enumerated_posets_are_valid_and_distinct():
         key = p.lt_bytes
         assert key not in seen
         seen.add(key)
+
+
+def test_cached_rows_match_masks():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(20, seed=s) for s in range(10)]
+    for p in posets:
+        assert p.rows == _masks(p.lt_bytes, p.n)
+        assert p.rows is p.rows
