@@ -8,6 +8,10 @@ Three subcommands:
 
 Exit codes: 0 success, 1 a checked statement failed (witness printed),
 2 malformed input, 3 a scope cap was hit (lift with --unsafe-scope).
+
+`analyze` builds one `verify.Analysis` of the poset, the one the check
+battery uses, and every section and the DOT output read their artifacts from
+it; the sections apply the size caps themselves.
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ import argparse
 import json
 import sys
 
-from .chains import _dilworth
-from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
+from .cut import CUT_ENUMERATION_CAP, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
 from .generate import FAMILIES, make_family
-from .hcd import acyclic_orientation, chain_graph, mhcd, verify_embedding
-from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, verify_chain_bounds
+from .hcd import ChainGraph, _embedding
+from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
 from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
 from .textio import dumps, load, loads
-from .verify import DEFAULT_CHECKS, verify_exhaustive, verify_random
+from .verify import DEFAULT_CHECKS, Analysis, verify_exhaustive, verify_random
 
 SECTIONS = ("dilworth", "mhcd", "cut-check", "embedding", "inequalities")
 
@@ -43,8 +46,14 @@ def _emit_json(doc: dict) -> None:
 # -- analyze --------------------------------------------------------------------
 
 
-def _section_dilworth(p: Poset, unsafe: bool) -> dict:
-    d, a = _dilworth(p)
+def _refuse_above(what: str, cap: int, n: int, unsafe: bool) -> None:
+    """Raise ScopeExceededError for n > cap unless --unsafe-scope lifts the cap."""
+    if not unsafe and n > cap:
+        raise ScopeExceededError(f"{what} capped at n <= {cap} (got n = {n})")
+
+
+def _section_dilworth(an: Analysis, unsafe: bool) -> dict:
+    d, a = an.dilworth
     return {
         "minimum_chains": d.k,
         "maximum_antichain": len(a),
@@ -54,9 +63,9 @@ def _section_dilworth(p: Poset, unsafe: bool) -> dict:
     }
 
 
-def _section_mhcd(p: Poset, unsafe: bool) -> dict:
-    d = mhcd(p)
-    gr = acyclic_orientation(p, d)
+def _section_mhcd(an: Analysis, unsafe: bool) -> dict:
+    gr = an.graph
+    d = gr.decomposition
     names = [list(map(str, c)) for c in d.chains_as_labels()]
     edges = [[names[i], names[j]] for i, j in gr.edges()]
     return {
@@ -66,11 +75,11 @@ def _section_mhcd(p: Poset, unsafe: bool) -> dict:
     }
 
 
-def _section_cut_check(p: Poset, unsafe: bool) -> dict:
-    frame = CutFrame(p, mhcd(p))
+def _section_cut_check(an: Analysis, unsafe: bool) -> dict:
+    frame = an.frame
     cap = None if unsafe else CUT_ENUMERATION_CAP
-    cuts = enumerate_admissible_cuts(p, frame.decomposition, frame, cap=cap)
-    reports = [verify_cut_identity(p, c) for c in cuts]
+    cuts = enumerate_admissible_cuts(an.p, frame.decomposition, frame, cap=cap)
+    reports = [verify_cut_identity(an.p, c) for c in cuts]
     return {
         "admissible_cuts": len(cuts),
         "identity_holds": all(r.equal for r in reports),
@@ -79,14 +88,16 @@ def _section_cut_check(p: Poset, unsafe: bool) -> dict:
     }
 
 
-def _section_embedding(p: Poset, unsafe: bool) -> dict:
-    cap = None if unsafe else AUTOMORPHISM_CAP
-    return verify_embedding(p, auto_cap=cap).to_dict()
+def _section_embedding(an: Analysis, unsafe: bool) -> dict:
+    _refuse_above("automorphism search", AUTOMORPHISM_CAP, an.p.n, unsafe)
+    return _embedding(an.p, an.graph, 0).to_dict()
 
 
-def _section_inequalities(p: Poset, unsafe: bool) -> dict:
-    nc_cap, scan_cap = (None, None) if unsafe else (NONCROSSING_CAP, DESCENT_SCAN_CAP)
-    return verify_chain_bounds(p, nc_cap=nc_cap, scan_cap=scan_cap).to_dict()
+def _section_inequalities(an: Analysis, unsafe: bool) -> dict:
+    p = an.p
+    _refuse_above("noncrossing minimum", NONCROSSING_CAP, p.n, unsafe)
+    _refuse_above("descent scan", DESCENT_SCAN_CAP, p.n, unsafe)
+    return _chain_bounds(p, an.dilworth[0].k, an.noncrossing, an.construction, True).to_dict()
 
 
 _SECTIONS = {
@@ -155,14 +166,14 @@ def _print_analysis(doc: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    p = _read_poset(args.file)
+    an = Analysis(_read_poset(args.file))
     wanted = [name for name in SECTIONS if getattr(args, name.replace("-", "_"))]
     if args.all or not wanted:
         wanted = list(SECTIONS)
     sections: dict = {}
     findings: list = []
     for name in wanted:
-        sections[name] = _SECTIONS[name](p, args.unsafe_scope)
+        sections[name] = _SECTIONS[name](an, args.unsafe_scope)
         for f in sections[name].pop("findings", []):
             findings.append({"section": name, **(f if isinstance(f, dict) else {"kind": str(f)})})
     ok = all(
@@ -170,13 +181,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for sec in sections.values()
         for flag in ("equal", "identity_holds", "ok")
     )
-    doc = {"n": p.n, "sections": sections, "findings": findings, "ok": ok}
+    doc = {"n": an.p.n, "sections": sections, "findings": findings, "ok": ok}
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            d = mhcd(p)
-            fh.write(chain_graph(p, d).to_dot("chains"))
+            gr = an.graph
+            fh.write(ChainGraph(gr.decomposition, gr.adjacency).to_dot("chains"))
             fh.write("\n")
-            fh.write(acyclic_orientation(p, d).to_dot("oriented"))
+            fh.write(gr.to_dot("oriented"))
             fh.write("\n")
     if args.json:
         _emit_json(doc)
@@ -217,6 +228,10 @@ def _print_verify(summary: dict) -> None:
         print("findings:")
         for f in summary["findings"]:
             print(f"  {f['kind']}: {f['count']} occurrences")
+    for name, count in summary["skipped"].items():
+        if count:
+            # a size cap skipped the check, or its scans, on these posets
+            print(f"skipped {name}: {count} of {summary['posets']} posets")
     if summary["failures"]:
         first = summary["failures"][0]
         print(f"FAILURES: {len(summary['failures'])} posets", file=sys.stderr)

@@ -9,11 +9,11 @@ exact integer identity:
     D J = D_low J + D_up J - D_low J D_up J,    J = I + adjacency(G).
 
 Everything on the left-hand side depends on the decomposition only, not on
-the cut: a `CutFrame` computes the chain comparability (which certifies
-homogeneity), the k x n chain membership M, J, the whole-poset signed counts
-S, D_whole = M S M^T, D_whole J and det J once, and every cut of that
-decomposition carries it.  Per cut only D_low and D_up are computed, each
-from the signed counts of the strict order's submatrix on its side.
+the cut: a `CutFrame` holds the chain graph (whose comparability certifies
+homogeneity) and computes the k x n chain membership M, J, the whole-poset
+signed counts S, D_whole = M S M^T, D_whole J and det J once, and every cut
+of that decomposition carries it.  Per cut only D_low and D_up are computed,
+each from the signed counts of the strict order's submatrix on its side.
 
 The signed counts are exact (numpy int64 up to 64 elements, Python integers
 above; see `poset._signed_counts`), and the aggregation by M and every k x k
@@ -34,7 +34,7 @@ import numpy as np
 
 from .chains import ChainDecomposition
 from .errors import ScopeExceededError
-from .hcd import ChainGraph, _as_decomposition, chain_comparability
+from .hcd import ChainGraph, _as_decomposition, chain_comparability, chain_graph
 from .poset import Poset, _signed_counts
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
@@ -45,16 +45,18 @@ CUT_ENUMERATION_CAP = 10_000
 class CutFrame:
     """The cut-independent half of the cut identity for one decomposition.
 
-    Building a frame computes the chain comparability, which certifies that
-    the decomposition is homogeneous (NotHomogeneousError otherwise).  M, J,
-    the whole-poset signed counts, D_whole, D_whole J and det J are computed
-    on first use and then shared by every cut of the decomposition.
+    `d` is a homogeneous decomposition or its ChainGraph.  Building a frame
+    from a decomposition computes the chain comparability, which certifies
+    that it is homogeneous (NotHomogeneousError otherwise); a graph carries
+    its comparability already.  M, J, the whole-poset signed counts, D_whole,
+    D_whole J and det J are computed on first use and then shared by every
+    cut of the decomposition.
     """
 
     def __init__(self, p: Poset, d) -> None:
         self.poset = p
-        self.decomposition = _as_decomposition(p, d)
-        self.graph = ChainGraph(self.decomposition, chain_comparability(p, self.decomposition))
+        self.graph = d if isinstance(d, ChainGraph) else chain_graph(p, d)
+        self.decomposition = self.graph.decomposition
 
     @cached_property
     def members(self) -> np.ndarray:

@@ -44,21 +44,32 @@ def _as_decomposition(p: Poset, parts) -> ChainDecomposition:
 def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
     """k x k matrix: chains are comparable iff every cross pair is comparable.
 
-    Raises NotHomogeneousError on a pair with both comparable and incomparable
-    cross pairs, so a returned matrix certifies homogeneity.
+    On the bit rows of p: chain i reaches the elements comparable to all of
+    its elements (`inside`, the AND of their closed rows) or to some of them
+    (`reach`, the OR).  Chain j is comparable to i when it lies in inside[i]
+    and incomparable when it misses reach[i].  Anything else raises
+    NotHomogeneousError, at the first such pair i < j, so a returned matrix
+    certifies homogeneity.
     """
+    up, down = p.rows
     k = d.k
+    masks, inside, reach = [], [], []
+    for chain in d.chains:
+        mask, every, some = 0, -1, 0
+        for x in chain:
+            closed = up[x] | down[x] | 1 << x
+            mask |= 1 << x
+            every &= closed
+            some |= closed
+        masks.append(mask)
+        inside.append(every)
+        reach.append(some)
     comp = np.zeros((k, k), dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):
-            pairs = [
-                bool(p.lt[x, y] or p.lt[y, x])
-                for x in d.chains[i]
-                for y in d.chains[j]
-            ]
-            if all(pairs):
+            if not masks[j] & ~inside[i]:
                 comp[i, j] = comp[j, i] = True
-            elif any(pairs):
+            elif masks[j] & reach[i]:
                 raise NotHomogeneousError(
                     f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
                     "mix comparable and incomparable pairs"
@@ -83,11 +94,20 @@ def mhcd(p: Poset) -> ChainDecomposition:
     class is a chain, since an element's row marks itself and so every
     element of its class.
     """
-    closed = p.lt | p.lt.T | np.eye(p.n, dtype=bool)
+    return ChainDecomposition._from_index_parts(p, _twin_classes(_closed(p)))
+
+
+def _closed(p: Poset) -> np.ndarray:
+    """The comparability matrix `lt | lt.T | I`."""
+    return p.lt | p.lt.T | np.eye(p.n, dtype=bool)
+
+
+def _twin_classes(closed: np.ndarray) -> list[list[int]]:
+    """The indices grouped by equal rows of `closed`, in order of first index."""
     classes: dict[bytes, list[int]] = {}
     for i, row in enumerate(np.packbits(closed, axis=1)):
         classes.setdefault(row.tobytes(), []).append(i)
-    return ChainDecomposition._from_index_parts(p, list(classes.values()))
+    return list(classes.values())
 
 
 def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposition:
@@ -145,10 +165,9 @@ class ChainGraph:
         return self.decomposition.k
 
     def edges(self) -> list[tuple[int, int]]:
-        mat = self.adjacency if self.oriented is None else self.oriented
-        if self.oriented is None:
-            return [(i, j) for i in range(self.k) for j in range(i + 1, self.k) if mat[i, j]]
-        return [(i, j) for i in range(self.k) for j in range(self.k) if mat[i, j]]
+        """The oriented edges, or each undirected edge once as (i, j), i < j."""
+        mat = np.triu(self.adjacency, 1) if self.oriented is None else self.oriented
+        return [(i, j) for i, j in np.argwhere(mat).tolist()]
 
     def to_dot(self, name: str = "chains") -> str:
         labels = self.decomposition.chains_as_labels()
@@ -168,48 +187,44 @@ class ChainGraph:
 
 
 def chain_graph(p: Poset, d: ChainDecomposition | None = None) -> ChainGraph:
-    """Undirected comparability graph of a homogeneous decomposition."""
+    """Undirected comparability graph of a homogeneous decomposition (the MHCD by default)."""
     d = mhcd(p) if d is None else _as_decomposition(p, d)
     return ChainGraph(d, chain_comparability(p, d))
 
 
 def acyclic_orientation(p: Poset, d: ChainDecomposition | None = None) -> ChainGraph:
-    """Orient every edge from the chain with the smaller minimum element."""
-    d = mhcd(p) if d is None else _as_decomposition(p, d)
-    comp = chain_comparability(p, d)
-    k = d.k
-    oriented = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not comp[i, j]:
-                continue
-            mi, mj = d.chains[i][0], d.chains[j][0]
-            if p.lt[mi, mj]:
-                oriented[i, j] = True
-            elif p.lt[mj, mi]:
-                oriented[j, i] = True
-            else:
-                raise InternalInconsistencyError(
-                    "comparable chains with incomparable minima cannot occur in a "
-                    "homogeneous decomposition"
-                )
+    """Orient every edge from the chain with the smaller minimum element.
+
+    The comparability of the decomposition (the MHCD by default) is computed
+    once; the orientation is that matrix masked by the order of the minima.
+    """
+    graph = chain_graph(p, d)
+    comp = graph.adjacency
+    lo = [c[0] for c in graph.decomposition.chains]
+    below = p.lt[np.ix_(lo, lo)]
+    if (comp & ~(below | below.T)).any():
+        raise InternalInconsistencyError(
+            "comparable chains with incomparable minima cannot occur in a "
+            "homogeneous decomposition"
+        )
+    oriented = comp & below
     if _has_directed_cycle(oriented):
         raise InternalInconsistencyError("minimum-based orientation produced a cycle")
-    return ChainGraph(d, comp, oriented)
+    return ChainGraph(graph.decomposition, comp, oriented)
 
 
 def _has_directed_cycle(mat: np.ndarray) -> bool:
     k = mat.shape[0]
-    indeg = [int(mat[:, j].sum()) for j in range(k)]
+    indeg = mat.sum(axis=0).tolist()
     stack = [j for j in range(k) if indeg[j] == 0]
     seen = 0
     while stack:
         v = stack.pop()
         seen += 1
-        for w in np.flatnonzero(mat[v]):
+        for w in np.flatnonzero(mat[v]).tolist():
             indeg[w] -= 1
             if indeg[w] == 0:
-                stack.append(int(w))
+                stack.append(w)
     return seen != k
 
 
@@ -309,24 +324,17 @@ class EmbeddingReport:
         }
 
 
-def verify_embedding(
-    p: Poset,
-    auto_cap: int | None = None,
-    seed: int = 0,
-) -> EmbeddingReport:
+def verify_embedding(p: Poset, seed: int = 0) -> EmbeddingReport:
     """Check that g -> induced chain permutation embeds Aut(P).
 
     Verifies (a) every automorphism induces a well-defined length-preserving
     permutation that fixes the oriented chain graph, (b) distinct
     automorphisms induce distinct permutations, (c) the map is a group
     homomorphism.  Being onto the oriented graph's symmetries is recorded as a
-    finding, never asserted.  Refuses n > auto_cap when a cap is given.
+    finding, never asserted.  No size cap: the command line applies
+    AUTOMORPHISM_CAP itself.
     """
-    if auto_cap is not None and p.n > auto_cap:
-        raise ScopeExceededError(
-            f"automorphism search capped at n <= {auto_cap} (got n = {p.n})"
-        )
-    return _embedding(p, mhcd(p), seed)
+    return _embedding(p, acyclic_orientation(p), seed)
 
 
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -339,8 +347,8 @@ def _kernel_order(p: Poset, d: ChainDecomposition) -> int:
     return automorphism_group(p.lt, d.chain_of).order
 
 
-def _embedding(p: Poset, d: ChainDecomposition, seed: int) -> EmbeddingReport:
-    """The embedding check of `verify_embedding` on the given MHCD, from generators.
+def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
+    """The embedding check of `verify_embedding` on the MHCD's oriented graph.
 
     (a) Each strong generator of Aut(P) induces a length-preserving chain
     permutation that fixes the oriented chain graph; the automorphisms that
@@ -352,7 +360,7 @@ def _embedding(p: Poset, d: ChainDecomposition, seed: int) -> EmbeddingReport:
     oriented chain graph's group.
     """
     group = automorphism_group(p.lt)
-    gr = acyclic_orientation(p, d)
+    d = gr.decomposition
     lengths = [len(c) for c in d.chains]
     report = EmbeddingReport(
         n=p.n,
@@ -447,14 +455,20 @@ def deletion_bounds(p: Poset, element=None) -> DeletionBoundReport:
 
 
 def _deletion_bounds(p: Poset, k: int, element=None) -> DeletionBoundReport:
-    """The deletion check of `deletion_bounds`, given k, the MHCD's chain count."""
-    targets = [element] if element is not None else list(p.labels)
+    """The deletion check of `deletion_bounds`, given k, the MHCD's chain count.
+
+    k(P minus z) is the number of twin classes of the comparability matrix
+    with row and column z removed, so no sub-poset is built.
+    """
+    closed = _closed(p)
+    targets = [p.idx(element)] if element is not None else range(p.n)
     entries = []
     for z in targets:
-        kz = min_homogeneous(p.without(z))
+        keep = np.arange(p.n) != z
+        kz = len(_twin_classes(closed[np.ix_(keep, keep)]))
         entries.append(
             {
-                "element": str(z),
+                "element": str(p.labels[z]),
                 "k_without": kz,
                 "lower_ok": kz <= k,
                 "upper_ok": k <= 2 * kz + 1,

@@ -27,7 +27,7 @@ import numpy as np
 from ._reference import _masks
 from .chains import ChainDecomposition, minimum_chain_decomposition, width
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
-from .hcd import _as_decomposition, chain_comparability, mhcd
+from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
 from .kernels import min_descents, permutations_avoiding
 from .poset import Poset, is_linear_extension, transitive_closure
 
@@ -131,7 +131,11 @@ def minimum_noncrossing_decomposition(
         raise ScopeExceededError(
             f"noncrossing minimum capped at n <= {cap} (got n = {p.n})"
         )
-    lower_bound = width(p) if p.n else 0
+    return _noncrossing_minimum(p, width(p) if p.n else 0)
+
+
+def _noncrossing_minimum(p: Poset, lower_bound: int) -> tuple[int, ChainDecomposition]:
+    """`minimum_noncrossing_decomposition` without a cap, given the width of p."""
     limit = [p.n + 1]
     best = None
     for chains in _noncrossing_walk(p, limit):
@@ -342,14 +346,15 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
         d = _as_decomposition(p, d)
         if d != mhcd(p):
             raise ValueError("wrap order is only defined on the minimal homogeneous decomposition")
-    return _verified_wrap_order(p, d)
+    return _verified_wrap_order(p, chain_graph(p, d))
 
 
-def _verified_wrap_order(p: Poset, d: ChainDecomposition) -> WrapOrder:
-    """`wrap_order` on a decomposition the caller knows to be the MHCD."""
+def _verified_wrap_order(p: Poset, graph: ChainGraph) -> WrapOrder:
+    """`wrap_order` on the chain graph of a decomposition the caller knows to be the MHCD."""
+    d = graph.decomposition
     w = WrapOrder(d, *_wrap_matrices(p, d))
     rel = w.relation
-    comp = chain_comparability(p, d)
+    comp = graph.adjacency
     names = d.chains_as_labels()
     both = rel & rel.T
     if both.any():
@@ -492,7 +497,7 @@ def descent_optimal_permutation(p: Poset) -> tuple:
     yields exactly one descent per chain and avoids 132; violations raise
     CheckFailure because they would refute the construction.
     """
-    d, _, _, pi, _ = _construction(p, mhcd(p))
+    d, _, _, pi, _ = _construction(p, chain_graph(p))
     if not is_132_avoiding(p, pi):
         raise CheckFailure("chain concatenation contains a 132 pattern", witness=pi)
     prof = descent_profile(p, pi)
@@ -591,16 +596,17 @@ def _preorder(node: TreeNode, out: list) -> None:
 
 
 def _construction(
-    p: Poset, d: ChainDecomposition
+    p: Poset, graph: ChainGraph
 ) -> tuple[ChainDecomposition, tuple[int, ...], list, tuple, tuple]:
-    """The constructive witnesses of the bound chain on d, which must be mhcd(p).
+    """The constructive witnesses of the bound chain on the chain graph of mhcd(p).
 
     Returns (d, order, findings, pi, e): the minimal homogeneous
     decomposition, its canonical chain order with that order's findings, the
     chain concatenation along the order, and the reversed preorder of the
     attachment tree.  e is not yet checked to be a linear extension.
     """
-    order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, d))
+    d = graph.decomposition
+    order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, graph))
     walk: list = []
     _preorder(attachment_tree(p, d, order), walk)
     return d, order, findings, chain_concatenation(p, d, order), tuple(reversed(walk))
@@ -608,7 +614,7 @@ def _construction(
 
 def derived_extension(p: Poset) -> tuple:
     """Reverse preorder of the attachment tree; verified linear extension."""
-    e = _construction(p, mhcd(p))[4]
+    e = _construction(p, chain_graph(p))[4]
     if not is_linear_extension(p, e):
         raise CheckFailure("derived order is not a linear extension", witness=e)
     return e
@@ -654,24 +660,23 @@ class ChainBoundsReport:
         }
 
 
-def verify_chain_bounds(
-    p: Poset,
-    nc_cap: int | None = NONCROSSING_CAP,
-    scan_cap: int | None = DESCENT_SCAN_CAP,
-) -> ChainBoundsReport:
+def verify_chain_bounds(p: Poset) -> ChainBoundsReport:
     """Compute all five minima and check the full inequality chain.
 
     Also validates the constructive side: the canonical concatenation has
     exactly one descent per minimal homogeneous chain and avoids 132 both
     plainly and relative to the derived extension.  Strictness of each
     inequality is recorded as a finding (input to the open question of where
-    the chain can be strict), never asserted.
+    the chain can be strict), never asserted.  Refuses n > NONCROSSING_CAP
+    and then n > DESCENT_SCAN_CAP.
     """
     min_chains = minimum_chain_decomposition(p).k
-    noncrossing = minimum_noncrossing_decomposition(p, cap=nc_cap)
-    if scan_cap is not None and p.n > scan_cap:
-        raise ScopeExceededError(f"descent scan capped at n <= {scan_cap} (got n = {p.n})")
-    return _chain_bounds(p, min_chains, noncrossing, _construction(p, mhcd(p)), True)
+    noncrossing = minimum_noncrossing_decomposition(p)
+    if p.n > DESCENT_SCAN_CAP:
+        raise ScopeExceededError(
+            f"descent scan capped at n <= {DESCENT_SCAN_CAP} (got n = {p.n})"
+        )
+    return _chain_bounds(p, min_chains, noncrossing, _construction(p, chain_graph(p)), True)
 
 
 def _chain_bounds(

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._reference import _masks
 from .errors import (
     CycleError,
     ScopeExceededError,
@@ -44,6 +43,14 @@ def _two_step(rel: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(rel, dtype=np.float32)
     return (f @ f) > 0
+
+
+def _bitrows(mat: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as integers: bit y of row x is mat[x, y]."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    width = packed.shape[1] or 1  # an empty matrix has no rows to slice
+    blob = packed.tobytes()
+    return [int.from_bytes(blob[i:i + width], "little") for i in range(0, len(blob), width)]
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
@@ -129,7 +136,7 @@ class Poset:
     def rows(self) -> tuple[list[int], list[int]]:
         """The order as bitmasks (up, down): bit y of up[x] and bit x of
         down[y] are set when x < y.  Shared by every caller, so read-only."""
-        return _masks(self.lt_bytes, self.n)
+        return _bitrows(self.lt), _bitrows(self.lt.T)
 
     @property
     def lt_bytes(self) -> bytes:
@@ -522,7 +529,7 @@ def automorphism_group(lt: np.ndarray, colors: Sequence | None = None) -> Automo
     """
     lt = np.asarray(lt, dtype=bool)
     n = lt.shape[0]
-    up, down = _masks(lt.astype(np.uint8).tobytes(), n)
+    up, down = _bitrows(lt), _bitrows(lt.T)
     rows = (up, down, up, down)
     sig = _refined_signatures(lt, colors)
     dom = _domains(sig, sig)

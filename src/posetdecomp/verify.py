@@ -3,10 +3,12 @@
 Each check returns a JSON-ready dict with a name, a passed flag, details, and
 optional findings; a theorem falsification carries a witness.  The checks on
 one poset share one `Analysis`, which builds each artifact they have in
-common (Dilworth pair, MHCD, cut frame, constructive pipeline, noncrossing
-minimum, brute-force decompositions) once.  Suites run the checks, one poset
-after another, over exhaustively enumerated small posets or seeded random
-families.
+common (Dilworth pair, MHCD, its oriented chain graph, cut frame,
+constructive pipeline, noncrossing minimum, brute-force decompositions)
+once; `posetdecomp analyze` reads its sections from one `Analysis` too.
+Suites run the checks, one poset after another, over exhaustively enumerated
+small posets or seeded random families, and count per check the posets on
+which a size cap skipped it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,15 @@ from .chains import (
 from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
 from .errors import CheckFailure, PosetError, ScopeExceededError
 from .generate import chain, random_poset, wrap_forest
-from .hcd import _deletion_bounds, _embedding, is_homogeneous, merge_fixpoint, mhcd
+from .hcd import (
+    ChainGraph,
+    _deletion_bounds,
+    _embedding,
+    acyclic_orientation,
+    is_homogeneous,
+    merge_fixpoint,
+    mhcd,
+)
 from .kernels import permutations_avoiding
 from .nccd import (
     DESCENT_SCAN_CAP,
@@ -33,8 +43,8 @@ from .nccd import (
     _chain_bounds,
     _construction,
     _crossing,
+    _noncrossing_minimum,
     count_noncrossing_decompositions,
-    minimum_noncrossing_decomposition,
 )
 from .poset import POSET_ENUMERATION_CAP, Poset, enumerate_posets, mobius_matrix
 
@@ -69,6 +79,7 @@ class Analysis:
     reads it fails with the same error.  The checks never take a verdict from
     the artifact they test: merge replays, homogeneity tests and brute-force
     minima stay inside them, and `decompositions` is their shared oracle.
+    Size caps are the readers' to apply: `noncrossing` has none.
     """
 
     def __init__(self, p: Poset) -> None:
@@ -83,16 +94,22 @@ class Analysis:
         return mhcd(self.p)
 
     @cached_property
+    def graph(self) -> ChainGraph:
+        """The MHCD's chain graph, oriented by chain minima."""
+        return acyclic_orientation(self.p, self.mhcd)
+
+    @cached_property
     def frame(self) -> CutFrame:
-        return CutFrame(self.p, self.mhcd)
+        return CutFrame(self.p, self.graph)
 
     @cached_property
     def construction(self) -> tuple:
-        return _construction(self.p, self.mhcd)
+        return _construction(self.p, self.graph)
 
     @cached_property
     def noncrossing(self) -> tuple[int, ChainDecomposition]:
-        return minimum_noncrossing_decomposition(self.p)
+        """The noncrossing minimum, bounded below by the Dilworth pair's width."""
+        return _noncrossing_minimum(self.p, len(self.dilworth[1]))
 
     @cached_property
     def decompositions(self) -> list[ChainDecomposition]:
@@ -193,7 +210,7 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
 
 def check_embedding(an: Analysis, seed: int = 0) -> dict:
     """Automorphisms embed into the oriented chain graph's symmetries."""
-    rep = _embedding(an.p, an.mhcd, seed)
+    rep = _embedding(an.p, an.graph, seed)
     out = {
         "name": "embedding",
         "passed": rep.ok,
@@ -371,9 +388,20 @@ def _aggregate_findings(results: list[dict]) -> list[dict]:
     return sorted(counts.values(), key=lambda s: s["kind"])
 
 
+def _skipped(check: dict) -> bool:
+    """True when a check skipped its work, or part of it, at a fixed size cap."""
+    details = check["details"]
+    return "skipped" in details or details.get("scans") == "skipped"
+
+
 def _summarize(mode: str, results: list[dict], extra_checks: list[dict]) -> dict:
+    """The sweep's verdict, its failures and findings, and per check the posets it skipped."""
     failures = [r for r in results if not r["ok"]]
     ok = not failures and all(c["passed"] for c in extra_checks)
+    skipped: dict[str, int] = {}
+    for res in results:
+        for check in res["checks"]:
+            skipped[check["name"]] = skipped.get(check["name"], 0) + _skipped(check)
     return {
         "mode": mode,
         "posets": len(results),
@@ -381,6 +409,7 @@ def _summarize(mode: str, results: list[dict], extra_checks: list[dict]) -> dict
         "failures": failures,
         "global_checks": extra_checks,
         "findings": _aggregate_findings(results),
+        "skipped": skipped,
     }
 
 

@@ -63,6 +63,25 @@ def brute_minimal_homogeneous(p):
     ]
 
 
+def chain_comparability(p, chains):
+    """The chain comparability of a decomposition by a loop over element pairs.
+
+    Returns (comp, mixed): the k x k comparability matrix, and the first pair
+    (i, j), i < j, whose cross pairs mix comparable and incomparable ones
+    (None when homogeneous).  The matrix is complete only when mixed is None.
+    """
+    k = len(chains)
+    comp = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            pairs = [comparable(p, x, y) for x in chains[i] for y in chains[j]]
+            if all(pairs):
+                comp[i, j] = comp[j, i] = True
+            elif any(pairs):
+                return comp, (i, j)
+    return comp, None
+
+
 def merge_fixpoint(p, shuffle_seed=None):
     """Greedy chain merging from singletons until no pair is mergeable.
 

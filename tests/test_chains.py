@@ -156,5 +156,5 @@ def test_dilworth_check_and_section_match_once(monkeypatch):
     monkeypatch.setattr(chains, "_hopcroft_karp", counted)
     p = random_poset(9, seed=3)
     assert verify.check_dilworth(verify.Analysis(p))["passed"]
-    assert cli._section_dilworth(p, False)["equal"]
+    assert cli._section_dilworth(verify.Analysis(p), False)["equal"]
     assert calls == [9, 9]

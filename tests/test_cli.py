@@ -12,7 +12,7 @@ import posetdecomp.hcd
 import posetdecomp.verify
 from posetdecomp.cli import main
 from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
-from posetdecomp.generate import chain, two_chain_fan
+from posetdecomp.generate import chain, two_chain_fan, wrap_forest
 from posetdecomp.textio import dumps
 
 CLI = [sys.executable, "-m", "posetdecomp.cli"]
@@ -155,6 +155,60 @@ def test_verify_embedding_large_group_exits_0():
     )
     assert out.returncode == 0, out.stderr
     assert "all checks passed" in out.stdout
+
+
+def test_verify_reports_skipped_checks(capsys):
+    # at n = 20 the size caps skip segments, noncrossing-trivial and the
+    # bounds scans on every poset; the records themselves do not change
+    args = ["verify", "random", "--family", "wrapforest", "--n", "20", "--count", "2"]
+    assert main(args + ["--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["skipped"] == {
+        "dilworth": 0, "homogeneous": 0, "deletion": 0, "cut": 0, "embedding": 0,
+        "bounds": 2, "segments": 2, "noncrossing-trivial": 2,
+    }
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if line.startswith("skipped")]
+    assert skipped == [
+        "skipped bounds: 2 of 2 posets",
+        "skipped segments: 2 of 2 posets",
+        "skipped noncrossing-trivial: 2 of 2 posets",
+    ]
+    assert lines[-1] == "all checks passed"
+
+
+def _count_everywhere(monkeypatch, module, name) -> list:
+    """Record each call of module.name through every posetdecomp module that binds it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("posetdecomp") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_analyze_builds_each_artifact_once(monkeypatch, tmp_path, capsys):
+    from posetdecomp import chains, hcd
+
+    target = tmp_path / "p.txt"
+    target.write_text(dumps(wrap_forest(8, seed=1)))
+    traced = [
+        (chains, "_dilworth"),
+        (hcd, "mhcd"),
+        (hcd, "chain_comparability"),
+        (hcd, "acyclic_orientation"),
+    ]
+    calls = {name: _count_everywhere(monkeypatch, module, name) for module, name in traced}
+    assert main(["analyze", str(target), "--all", "--dot", str(tmp_path / "g.dot")]) == 0
+    assert {name: len(seen) for name, seen in calls.items()} == {name: 1 for _, name in traced}
+    doc = (tmp_path / "g.dot").read_text()
+    assert doc.startswith("graph chains {") and "digraph oriented {" in doc
 
 
 def test_unsafe_scope_lifts_cap():

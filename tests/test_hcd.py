@@ -30,7 +30,7 @@ from posetdecomp.generate import (
     two_chain_fan,
     wrap_forest,
 )
-from posetdecomp.chains import ChainDecomposition
+from posetdecomp.chains import ChainDecomposition, enumerate_chain_decompositions
 from posetdecomp.hcd import HOM_WORDS, _as_decomposition, _embedding
 from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
 
@@ -59,6 +59,36 @@ def test_chain_comparability_raises_on_mixed_pair():
     d = minimum_chain_decomposition(p)
     with pytest.raises(NotHomogeneousError):
         chain_comparability(p, d)
+
+
+def _comparability_agrees(p, d):
+    expected, mixed = oracles.chain_comparability(p, d.chains)
+    if mixed is None:
+        assert np.array_equal(chain_comparability(p, d), expected)
+        return
+    names = d.chains_as_labels()
+    message = f"chains {names[mixed[0]]} and {names[mixed[1]]} mix"
+    with pytest.raises(NotHomogeneousError) as exc:
+        chain_comparability(p, d)
+    assert str(exc.value).startswith(message)
+
+
+def test_chain_comparability_matches_loop_oracle_exhaustive():
+    # every chain decomposition of every poset with n <= 5, homogeneous or not
+    mixed = 0
+    for n in range(6):
+        for p in enumerate_posets(n):
+            for d in enumerate_chain_decompositions(p):
+                _comparability_agrees(p, d)
+                mixed += not is_homogeneous(p, d)
+    assert mixed > 1000
+
+
+def test_chain_comparability_matches_loop_oracle_on_wrap_forests():
+    for n in range(12, 31):
+        for seed in range(10):
+            p = wrap_forest(n, seed=seed)
+            _comparability_agrees(p, mhcd(p))
 
 
 def test_mhcd_known_cases():
@@ -226,7 +256,7 @@ def test_embedding_injective_fails_on_non_chain_block():
     # every chain decomposition has a trivial kernel; a block of two
     # incomparable elements lets the swap map it to itself
     p = antichain(2)
-    rep = _embedding(p, ChainDecomposition(p, ((0, 1),)), 0)
+    rep = _embedding(p, acyclic_orientation(p, ChainDecomposition(p, ((0, 1),))), 0)
     assert rep.well_defined and rep.homomorphism
     assert not rep.injective and rep.witness == {"kernel_order": 2}
 
@@ -236,6 +266,16 @@ def test_deletion_bounds_exhaustive():
         for p in enumerate_posets(n, cap=5):
             rep = deletion_bounds(p)
             assert rep.ok
+
+
+def test_deletion_counts_match_sub_poset_mhcd():
+    # the twin classes of the comparability matrix without z, against the
+    # MHCD of the validated sub-poset
+    posets = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(20, seed=s) for s in range(10)]
+    for p in posets:
+        counts = [e["k_without"] for e in deletion_bounds(p).entries]
+        assert counts == [mhcd(p.without(z)).k for z in p.labels]
 
 
 def test_deletion_bounds_fan_sharpness():

@@ -91,6 +91,24 @@ def merge_any_comparable(monkeypatch):
     monkeypatch.setattr(verify, "merge_fixpoint", mutant)
 
 
+def mixed_pair_comparable(monkeypatch):
+    """`chain_comparability` keeps only the OR test: a mixed chain pair counts as comparable."""
+
+    def mutant(p, d):
+        up, down = p.rows
+        reach = [0] * d.k
+        for i, chain in enumerate(d.chains):
+            for x in chain:
+                reach[i] |= up[x] | down[x]
+        comp = np.zeros((d.k, d.k), dtype=bool)
+        for i in range(d.k):
+            for j, chain in enumerate(d.chains):
+                comp[i, j] = i != j and any(reach[i] >> y & 1 for y in chain)
+        return comp
+
+    monkeypatch.setattr(hcd, "chain_comparability", mutant)
+
+
 def crossing_without_top(monkeypatch):
     """The crossing scan drops the b < d condition: B inside (a, b) suffices."""
 
@@ -165,7 +183,8 @@ def orders_differ_from_listing_oracle() -> bool:
 def injective_check_passes_non_chain_block() -> bool:
     """test_hcd.test_embedding_injective_fails_on_non_chain_block."""
     p = antichain(2)
-    return hcd._embedding(p, ChainDecomposition(p, ((0, 1),)), 0).injective
+    graph = hcd.acyclic_orientation(p, ChainDecomposition(p, ((0, 1),)))
+    return hcd._embedding(p, graph, 0).injective
 
 
 def check_fails(name: str):
@@ -184,6 +203,7 @@ MUTANTS = {
     "reversed-images": (reversed_images, check_fails("embedding")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
+    "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),

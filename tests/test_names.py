@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import posetdecomp
-from posetdecomp import verify
+from posetdecomp import cli, verify
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +39,13 @@ def test_checks_take_analysis_and_seed():
             ("an", inspect.Parameter.empty),
             ("seed", 0),
         ], name
+
+
+def test_sections_take_two_positional_arguments():
+    # the benchmark's span wrapper calls every analyze section as fn(an, unsafe)
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, section in cli._SECTIONS.items():
+        params = inspect.signature(section).parameters.values()
+        assert [(q.kind in positional, q.default) for q in params] == [
+            (True, inspect.Parameter.empty),
+        ] * 2, name

@@ -44,7 +44,7 @@ def test_battery_builds_each_artifact_once(monkeypatch):
     from posetdecomp import chains, hcd, nccd
 
     calls = {name: [] for name in ("noncrossing", "enumerate", "matching", "mhcd", "construction")}
-    _count(monkeypatch, nccd, "minimum_noncrossing_decomposition", calls["noncrossing"])
+    _count(monkeypatch, nccd, "_noncrossing_minimum", calls["noncrossing"])
     _count(monkeypatch, chains, "enumerate_chain_decompositions", calls["enumerate"])
     _count(monkeypatch, chains, "_hopcroft_karp", calls["matching"])
     _count(monkeypatch, hcd, "mhcd", calls["mhcd"])
@@ -55,10 +55,24 @@ def test_battery_builds_each_artifact_once(monkeypatch):
         assert verify.run_poset_checks(p)["ok"]
         assert len(calls["noncrossing"]) == (1 if p.n <= 10 else 0)
         assert len(calls["enumerate"]) == (1 if p.n <= 6 else 0)
-        assert len(calls["matching"]) == (2 if 1 <= p.n <= 10 else 1)
+        # one matching: the noncrossing search takes its width from the Dilworth pair
+        assert len(calls["matching"]) == 1
         # the analysis alone; the deletion and embedding checks read its MHCD
         assert sum(q is p for q in calls["mhcd"]) == 1
         assert len(calls["construction"]) == 1
+
+
+def test_battery_builds_the_chain_graph_once(monkeypatch):
+    from posetdecomp import hcd
+
+    comparability, mhcd = [], []
+    _count(monkeypatch, hcd, "chain_comparability", comparability)
+    _count(monkeypatch, hcd, "mhcd", mhcd)
+    assert verify.run_poset_checks(wrap_forest(20, seed=0))["ok"]
+    # the analysis' graph, and the homogeneous check's own test of the MHCD;
+    # the deletion check builds no sub-poset and so no further MHCD
+    assert len(comparability) == 2
+    assert len(mhcd) == 1
 
 
 def _failed(record) -> dict:
@@ -86,7 +100,7 @@ def test_raising_noncrossing_minimum_fails_its_two_readers(monkeypatch):
     from posetdecomp import nccd
 
     calls = []
-    _rebind(monkeypatch, nccd, "minimum_noncrossing_decomposition", _raising("noncrossing", calls))
+    _rebind(monkeypatch, nccd, "_noncrossing_minimum", _raising("noncrossing", calls))
     for p in [random_poset(6, seed=s) for s in range(3)] + [random_poset(9, seed=0)]:
         calls.clear()
         record = verify.run_poset_checks(p)
