@@ -26,24 +26,32 @@ from .poset import Poset
 DECOMPOSITION_ENUMERATION_CAP = 10
 
 
+def _related(p: Poset, elems: Iterable) -> tuple[list[int], int, list[int]]:
+    """(the indices of elems, their bit mask, per index the bits of the mask
+    it is strictly related to), read off the bit rows of p.
+
+    A repeated element is never related to itself, since lt is irreflexive.
+    """
+    idxs = [p.idx(x) for x in elems]
+    up, down = p.rows
+    mask = 0
+    for i in idxs:
+        mask |= 1 << i
+    return idxs, mask, [(up[i] | down[i]) & mask for i in idxs]
+
+
 def is_chain(p: Poset, elems: Iterable) -> bool:
     """True iff the given elements are pairwise comparable."""
-    idxs = [p.idx(x) for x in elems]
-    return all(
-        p.lt[a, b] or p.lt[b, a]
-        for i, a in enumerate(idxs)
-        for b in idxs[i + 1:]
+    idxs, mask, related = _related(p, elems)
+    return mask.bit_count() == len(idxs) and all(
+        r == mask ^ 1 << i for i, r in zip(idxs, related)
     )
 
 
 def is_antichain(p: Poset, elems: Iterable) -> bool:
     """True iff the given elements are pairwise incomparable."""
-    idxs = [p.idx(x) for x in elems]
-    return not any(
-        p.lt[a, b] or p.lt[b, a]
-        for i, a in enumerate(idxs)
-        for b in idxs[i + 1:]
-    )
+    _, _, related = _related(p, elems)
+    return not any(related)
 
 
 @dataclass(frozen=True)

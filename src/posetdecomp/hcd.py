@@ -49,10 +49,13 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
     (`reach`, the OR).  Chain j is comparable to i when it lies in inside[i]
     and incomparable when it misses reach[i].  Anything else raises
     NotHomogeneousError, at the first such pair i < j, so a returned matrix
-    certifies homogeneity.
+    certifies homogeneity.  A chain that misses reach[i] is incomparable, so
+    chain i visits only the later chains that meet it, read off the high bits
+    of reach[i] and sorted, so the first mixed pair raises.
     """
     up, down = p.rows
     k = d.k
+    chain_of = d.chain_of
     masks, inside, reach = [], [], []
     for chain in d.chains:
         mask, every, some = 0, -1, 0
@@ -65,9 +68,19 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
         inside.append(every)
         reach.append(some)
     comp = np.zeros((k, k), dtype=bool)
+    seen = 0  # the elements of chains 0..i
     for i in range(k):
-        for j in range(i + 1, k):
-            if not masks[j] & ~inside[i]:
+        seen |= masks[i]
+        rest = reach[i] & ~seen
+        later = []
+        while rest:
+            j = chain_of[rest.bit_length() - 1]
+            later.append(j)
+            rest &= ~masks[j]
+        later.sort()
+        outside = ~inside[i]
+        for j in later:
+            if not masks[j] & outside:
                 comp[i, j] = comp[j, i] = True
             elif masks[j] & reach[i]:
                 raise NotHomogeneousError(

@@ -5,11 +5,13 @@ operation works on dense indices 0..n-1 internally.  The matrix `lt` holds the
 full strict order (transitively closed), which makes comparability and
 interval queries O(1) at the price of O(n^2) memory.
 
-Closure, the transitivity check and the Hasse diagram all rest on one
-two-step reachability product, computed as a float32 BLAS matrix product of
-0/1 matrices.  It is exact: every entry is a count of at most n two-step
-paths, and float32 represents every integer below 2**24, so no rounding can
-occur for any poset this package can hold.
+Loading from cover relations closes the relation on bit rows during the
+search for a directed cycle, one depth-first pass.  The transitivity check,
+the Hasse diagram and the public `transitive_closure` rest on one two-step
+reachability product, computed as a float32 BLAS matrix product of 0/1
+matrices.  It is exact: every entry is a count of at most n two-step paths,
+and float32 represents every integer below 2**24, so no rounding can occur
+for any poset this package can hold.
 """
 
 from __future__ import annotations
@@ -108,10 +110,10 @@ class Poset:
             if y not in index:
                 raise UnknownElementError(y)
             rel[index[x], index[y]] = True
-        cycle = _find_cycle(rel)
+        cycle, closed = _close_acyclic(rel)
         if cycle is not None:
             raise CycleError([labels[i] for i in cycle])
-        return cls(labels, transitive_closure(rel))
+        return cls(labels, closed)
 
     @property
     def n(self) -> int:
@@ -196,16 +198,20 @@ class Poset:
         return f"Poset(n={self.n}, covers={len(self.covers())})"
 
 
-def _find_cycle(rel: np.ndarray) -> list[int] | None:
-    """Witness cycle (as an index list) in a directed relation, else None.
+def _close_acyclic(rel: np.ndarray) -> tuple[list[int] | None, np.ndarray | None]:
+    """(witness cycle, None) for a relation with a directed cycle, else (None, closure).
 
     Depth-first search from each unvisited index in turn, successors in
     index order, with an explicit stack; the witness is the stretch of the
-    current path from the first back edge's target to its end.
+    current path from the first back edge's target to its end.  Without a
+    cycle every successor of a node has finished when the node does, so
+    the node's reach row is the OR of reach[w] | 1 << w over its successors
+    w, one bit row per node, unpacked into the boolean closure at the end.
     """
     n = rel.shape[0]
     succ = [np.flatnonzero(row).tolist() for row in rel]
     color = [0] * n  # 0 unvisited, 1 on the path, 2 done
+    reach = [0] * n
     for root in range(n):
         if color[root]:
             continue
@@ -215,16 +221,25 @@ def _find_cycle(rel: np.ndarray) -> list[int] | None:
         while pending:
             for w in pending[-1]:
                 if color[w] == 1:
-                    return path[path.index(w):]
+                    return path[path.index(w):], None
                 if color[w] == 0:
                     color[w] = 1
                     path.append(w)
                     pending.append(iter(succ[w]))
                     break
             else:
-                color[path.pop()] = 2
+                v = path.pop()
+                color[v] = 2
                 pending.pop()
-    return None
+                row = 0
+                for w in succ[v]:
+                    row |= reach[w] | 1 << w
+                reach[v] = row
+    width = (n + 7) // 8
+    blob = b"".join(row.to_bytes(width, "little") for row in reach)
+    packed = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+    closed = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+    return None, closed
 
 
 # -- signed chain counts and the Mobius function ---------------------------

@@ -125,6 +125,59 @@ def closure_by_squaring(rel):
         closed = grown
 
 
+def find_cycle(rel):
+    """The library's cycle search before it also closed the relation, kept
+    verbatim as the witness oracle.
+
+    Witness cycle (as an index list) in a directed relation, else None.
+    Depth-first search from each unvisited index in turn, successors in
+    index order, with an explicit stack; the witness is the stretch of the
+    current path from the first back edge's target to its end.
+    """
+    n = rel.shape[0]
+    succ = [np.flatnonzero(row).tolist() for row in rel]
+    color = [0] * n  # 0 unvisited, 1 on the path, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
+    return None
+
+
+def is_chain_by_pairs(p, elems) -> bool:
+    """The library's pair loop before it read the bit rows, kept as the oracle."""
+    idxs = [p.idx(x) for x in elems]
+    return all(
+        p.lt[a, b] or p.lt[b, a]
+        for i, a in enumerate(idxs)
+        for b in idxs[i + 1:]
+    )
+
+
+def is_antichain_by_pairs(p, elems) -> bool:
+    """The library's pair loop before it read the bit rows, kept as the oracle."""
+    idxs = [p.idx(x) for x in elems]
+    return not any(
+        p.lt[a, b] or p.lt[b, a]
+        for i, a in enumerate(idxs)
+        for b in idxs[i + 1:]
+    )
+
+
 def max_antichain_size(p) -> int:
     best = 0
     for r in range(p.n, 0, -1):

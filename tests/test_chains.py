@@ -1,5 +1,7 @@
 """Chain decompositions, Dilworth minimum, maximum antichains."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from posetdecomp import (
     ChainDecomposition,
     InvalidDecompositionError,
     Poset,
+    UnknownElementError,
     decomposition_from_lines,
     enumerate_chain_decompositions,
     is_antichain,
@@ -28,6 +31,37 @@ def test_is_chain_and_antichain():
     assert not is_chain(p, ["{1}", "{2}"])
     assert is_antichain(p, ["{1}", "{2}"])
     assert not is_antichain(p, ["{}", "{1}"])
+
+
+def test_chain_and_antichain_tests_match_pair_oracles():
+    # random subsets of every poset with n <= 5, some with repeated elements
+    rng = random.Random(21)
+    for n in range(6):
+        for p in enumerate_posets(n):
+            subsets = [[], list(p.labels)]
+            for _ in range(6):
+                subsets.append(rng.sample(p.labels, rng.randint(0, n)))
+                if n:
+                    subsets.append(rng.choices(p.labels, k=rng.randint(1, n + 2)))
+            for elems in subsets:
+                assert is_chain(p, elems) == oracles.is_chain_by_pairs(p, elems)
+                assert is_antichain(p, elems) == oracles.is_antichain_by_pairs(p, elems)
+
+
+def test_repeated_element_is_not_comparable_to_itself():
+    p = chain(3)
+    assert not is_chain(p, ["1", "1"])
+    assert is_antichain(p, ["2", "2"])
+    assert not is_antichain(p, ["1", "2", "1"])
+    assert is_chain(p, ["2"]) and is_antichain(p, ["2"])
+
+
+def test_chain_and_antichain_tests_reject_unknown_elements():
+    p = chain(3)
+    with pytest.raises(UnknownElementError):
+        is_chain(p, ["1", "z"])
+    with pytest.raises(UnknownElementError):
+        is_antichain(p, ["z"])
 
 
 def test_from_parts_sorts_into_poset_order():

@@ -91,6 +91,20 @@ def test_chain_comparability_matches_loop_oracle_on_wrap_forests():
             _comparability_agrees(p, mhcd(p))
 
 
+def test_chain_comparability_matches_loop_oracle_on_sparse_posets():
+    # the Dilworth decompositions of sparse orders give mixed pairs, which
+    # must raise at the first pair i < j whatever order the chains are met in
+    mixed = 0
+    for seed in range(20):
+        p = random_poset(40, density=0.03, seed=seed)
+        for d in (mhcd(p), minimum_chain_decomposition(p)):
+            _comparability_agrees(p, d)
+            mixed += not is_homogeneous(p, d)
+    assert mixed > 5
+    p = antichain(300)
+    _comparability_agrees(p, mhcd(p))
+
+
 def test_mhcd_known_cases():
     assert mhcd(chain(5)).k == 1
     assert mhcd(antichain(5)).k == 5

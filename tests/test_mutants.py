@@ -6,6 +6,7 @@ the run (every poset with n <= 4 and a few wrap forests).  The killer must
 pass on the library as it is and fail under the defect.
 """
 
+import inspect
 import itertools
 import random
 
@@ -171,6 +172,20 @@ def admissible_by_comparability(monkeypatch):
     monkeypatch.setattr(cut_module, "is_admissible", mutant)
 
 
+def closure_skips_successor_bit(monkeypatch):
+    """Each finishing node ORs its successors' reach rows but not the successors themselves."""
+    source = inspect.getsource(poset._close_acyclic)
+    assert source.count("row |= reach[w] | 1 << w") == 1
+    namespace = dict(vars(poset))
+    exec(source.replace("row |= reach[w] | 1 << w", "row |= reach[w]"), namespace)
+    monkeypatch.setattr(poset, "_close_acyclic", namespace["_close_acyclic"])
+
+
+def round_trip_through_covers_differs() -> bool:
+    """Rebuilding each poset of FAMILY from its Hasse diagram."""
+    return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
+
+
 def orders_differ_from_listing_oracle() -> bool:
     """test_automorphisms.test_group_matches_listing_oracle."""
     return any(
@@ -208,6 +223,7 @@ MUTANTS = {
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
+    "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
 }
 
 

@@ -130,6 +130,76 @@ def test_2000_cycle_witness_is_a_directed_cycle():
     assert len(set(cycle)) == len(cycle) == n
     related = set(covers)
     assert all((x, y) in related for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+    rel = np.zeros((n, n), dtype=bool)
+    rel[np.arange(n), (np.arange(n) + 1) % n] = True
+    assert cycle == [labels[i] for i in oracles.find_cycle(rel)]
+
+
+def _random_relation(rng, n, density):
+    return np.array(
+        [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
+    ).reshape(n, n)
+
+
+def _relation_pairs(rel, labels):
+    return [(labels[i], labels[j]) for i, j in zip(*np.nonzero(rel))]
+
+
+def test_load_closure_matches_squaring_oracle():
+    # acyclic relations: a random upper triangle, relabeled by a random
+    # permutation so that the search meets its nodes out of index order
+    rng = random.Random(12)
+    for trial in range(200):
+        n = rng.randint(0, 60)
+        density = (0.02, 0.05, 0.1, 0.3, 0.6)[trial % 5]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rel = np.triu(_random_relation(rng, n, density), 1)[np.ix_(perm, perm)]
+        labels = [f"e{i}" for i in range(n)]
+        p = Poset.from_cover_relations(labels, _relation_pairs(rel, labels))
+        assert np.array_equal(p.lt, oracles.closure_by_squaring(rel))
+
+
+def test_cycle_witness_matches_oracle():
+    rng = random.Random(13)
+    for trial in range(200):
+        n = rng.randint(1, 60)
+        rel = _random_relation(rng, n, (0.01, 0.03, 0.1, 0.3)[trial % 4])
+        ring = rng.sample(range(n), rng.randint(1, min(n, 6)))
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            rel[x, y] = True  # at least one cycle, a loop when the ring has one node
+        labels = [f"e{i}" for i in range(n)]
+        want = oracles.find_cycle(rel)
+        assert want is not None
+        with pytest.raises(CycleError) as exc:
+            Poset.from_cover_relations(labels, _relation_pairs(rel, labels))
+        assert exc.value.cycle == [labels[i] for i in want]
+
+
+def test_from_cover_relations_of_scrambled_2000_chain():
+    n = 2000
+    rng = random.Random(14)
+    path = [f"x{i}" for i in range(n)]
+    rng.shuffle(path)
+    covers = list(zip(path, path[1:]))
+    rng.shuffle(covers)
+    labels = sorted(path)
+    p = Poset.from_cover_relations(labels, covers)
+    pos = np.empty(n, dtype=int)
+    pos[[p.idx(x) for x in path]] = np.arange(n)
+    assert np.array_equal(p.lt, pos[:, None] < pos[None, :])
+
+
+def test_from_cover_relations_of_zero_and_one_element():
+    empty = Poset.from_cover_relations([], [])
+    assert empty.n == 0 and empty.lt.shape == (0, 0)
+    single = Poset.from_cover_relations(["a"], [])
+    assert single.n == 1 and not single.lt.any()
+    assert empty == Poset([], np.zeros((0, 0), dtype=bool))
+    assert single == Poset(["a"], np.zeros((1, 1), dtype=bool))
+    with pytest.raises(CycleError) as exc:
+        Poset.from_cover_relations(["a"], [("a", "a")])
+    assert exc.value.cycle == ["a"]
 
 
 def test_covers_of_diamond():
