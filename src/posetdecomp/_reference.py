@@ -1,41 +1,27 @@
 """The permutation-scan kernels, as bitset walks in pure Python.
 
 `min_descents` is a width-bounded branch and bound; `permutations_avoiding`
-lists every avoider.  Both walk the permutation tree of 0..n-1 over bitmasks
-built by `_masks`, and prune a prefix as soon as it forces the forbidden
-pattern: a node carries its unused set and `above`, the elements
-pattern-above some prefix element, and v is not appended when an unused
-element lies in `above` and pattern-below v.  That element must come
-later, where it would be the "2" of a pattern whose "1" is in the prefix and
-whose "3" is v; conversely every pattern occurrence is caught when its "3" is
-appended, so no avoider is lost.
+lists every avoider.  Both walk the permutation tree of 0..n-1 over bit rows
+and prune a prefix as soon as it forces the forbidden pattern: a node carries
+its unused set and `above`, the elements pattern-above some prefix element,
+and v is not appended when an unused element lies in `above` and
+pattern-below v.  That element must come later, where it would be the "2" of
+a pattern whose "1" is in the prefix and whose "3" is v; conversely every
+pattern occurrence is caught when its "3" is appended, so no avoider is lost.
 
-`pattern` and `lt` are row-major n*n 0/1 bytes; pattern[x*n+y] means x is
-pattern-below y (the strict order itself for plain pattern avoidance, or
-"earlier in a reference extension" for the extension-relative variant), and lt
-is always the strict order, used for descent counting.  An adjacency that is
-not a strict ascent counts as a descent, and one extra descent is charged at
-the final position, so a nonempty permutation has between 1 and n descents.
+The rows are laid out as `Poset.rows`, with n = len(up): bit y of up[x] and
+bit x of down[y] mean x is pattern-below y (the strict order itself for plain
+pattern avoidance, or "earlier in a reference extension" for the
+extension-relative variant), and bit y of lt[x] means x < y in the strict
+order, used for descent counting.  An adjacency that is not a strict ascent
+counts as a descent, and one extra descent is charged at the final position,
+so a nonempty permutation has between 1 and n descents.
 """
 
 from __future__ import annotations
 
 
-def _masks(matrix: bytes, n: int) -> tuple[list[int], list[int]]:
-    """Rows and columns of a 0/1 matrix as bitmasks: bit y of up[x] and bit
-    x of down[y] are set when matrix[x*n+y] is."""
-    up = [0] * n
-    down = [0] * n
-    for x in range(n):
-        row = x * n
-        for y in range(n):
-            if matrix[row + y]:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
-    return up, down
-
-
-def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
+def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
 
     Bitset branch and bound over prefixes; a node also holds its last
@@ -50,13 +36,12 @@ def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
     as soon as the incumbent reaches it.  Ascents are tried before descents
     so that good incumbents come early.
     """
+    n = len(up)
+    if len(down) != n or len(lt) != n:
+        raise ValueError("row count mismatch")
     if n == 0:
         return 0
-    if len(pattern) != n * n or len(lt) != n * n:
-        raise ValueError("matrix size mismatch")
-    up, down = _masks(pattern, n)
-    succ = _masks(lt, n)[0]
-    reach = succ[:]
+    reach = list(lt)
     for k in range(n):
         for x in range(n):
             if reach[x] >> k & 1:
@@ -107,25 +92,25 @@ def min_descents(pattern: bytes, lt: bytes, n: int) -> int:
                     return
 
     # the first element ascends from a virtual start below everything
-    succ.append(full)
+    succ = [*lt, full]
     scan(full, n, 0, 0)
     return best
 
 
-def permutations_avoiding(pattern: bytes, n: int) -> list[tuple[int, ...]]:
+def permutations_avoiding(up: list[int], down: list[int]) -> list[tuple[int, ...]]:
     """All pattern-avoiding permutations of 0..n-1, in lexicographic order.
 
     Candidates are tried lowest bit first, so avoiders come out in order.  A
     node with one unused element left completes without a check: with
     nothing after it, the last element is the "3" of no pattern.
     """
+    n = len(up)
+    if len(down) != n:
+        raise ValueError("row count mismatch")
     if n == 0:
         return [()]
-    if len(pattern) != n * n:
-        raise ValueError("matrix size mismatch")
     if n == 1:
         return [(0,)]
-    up, down = _masks(pattern, n)
     out: list[tuple[int, ...]] = []
 
     def walk(prefix: tuple[int, ...], unused: int, above: int) -> None:

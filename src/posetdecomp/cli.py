@@ -271,6 +271,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _size(text: str) -> int:
+    """A size option: an integer >= 0, or a usage error (exit 2)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {n})")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetdecomp",
@@ -295,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a poset from a named family")
     gen.add_argument("family", choices=FAMILIES)
-    gen.add_argument("--n", type=int, required=True, help="size parameter")
+    gen.add_argument("--n", type=_size, required=True, help="size parameter")
     gen.add_argument("--density", type=float, default=0.3, help="relation density (random family)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
@@ -318,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vex.set_defaults(func=_cmd_verify)
 
     vr = vsub.add_parser("random", help="seeded random posets")
-    vr.add_argument("--n", type=int, default=8)
+    vr.add_argument("--n", type=_size, default=8)
     vr.add_argument("--count", type=int, default=50)
     vr.add_argument("--seed", type=int, default=0)
     vr.add_argument("--density", type=float, default=0.3)

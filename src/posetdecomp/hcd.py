@@ -8,7 +8,7 @@ applies is unique, so greedy merging from singletons reaches it in any merge
 order.  That fixpoint, the minimal homogeneous chain decomposition (MHCD), is
 the partition into true-twin classes of the comparability graph: elements
 with the same closed neighbourhood (comparable to each other and to the same
-other elements).  `mhcd` groups the rows of `lt | lt.T | I` in O(n^2);
+other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
 `merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
 chain, and the verifier replays it under shuffled merge orders as an
 independent cross-check.
@@ -103,23 +103,23 @@ def is_homogeneous(p: Poset, parts) -> bool:
 def mhcd(p: Poset) -> ChainDecomposition:
     """The minimal homogeneous chain decomposition: the true-twin classes.
 
-    Two elements share a class iff their rows of `lt | lt.T | I` agree; each
-    class is a chain, since an element's row marks itself and so every
+    Two elements share a class iff their closed comparability rows agree;
+    each class is a chain, since an element's row marks itself and so every
     element of its class.
     """
     return ChainDecomposition._from_index_parts(p, _twin_classes(_closed(p)))
 
 
-def _closed(p: Poset) -> np.ndarray:
-    """The comparability matrix `lt | lt.T | I`."""
-    return p.lt | p.lt.T | np.eye(p.n, dtype=bool)
+def _closed(p: Poset) -> list[int]:
+    """The closed comparability bit rows `up | down | 1 << i` of p."""
+    return [u | d | 1 << i for i, (u, d) in enumerate(zip(*p.rows))]
 
 
-def _twin_classes(closed: np.ndarray) -> list[list[int]]:
-    """The indices grouped by equal rows of `closed`, in order of first index."""
-    classes: dict[bytes, list[int]] = {}
-    for i, row in enumerate(np.packbits(closed, axis=1)):
-        classes.setdefault(row.tobytes(), []).append(i)
+def _twin_classes(rows: list[int]) -> list[list[int]]:
+    """The indices grouped by equal bit rows, in order of first index."""
+    classes: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        classes.setdefault(row, []).append(i)
     return list(classes.values())
 
 
@@ -470,15 +470,14 @@ def deletion_bounds(p: Poset, element=None) -> DeletionBoundReport:
 def _deletion_bounds(p: Poset, k: int, element=None) -> DeletionBoundReport:
     """The deletion check of `deletion_bounds`, given k, the MHCD's chain count.
 
-    k(P minus z) is the number of twin classes of the comparability matrix
-    with row and column z removed, so no sub-poset is built.
+    k(P minus z) is the number of distinct closed rows of the elements other
+    than z, each with bit z cleared, so no sub-poset is built.
     """
     closed = _closed(p)
     targets = [p.idx(element)] if element is not None else range(p.n)
     entries = []
     for z in targets:
-        keep = np.arange(p.n) != z
-        kz = len(_twin_classes(closed[np.ix_(keep, keep)]))
+        kz = len({row & ~(1 << z) for i, row in enumerate(closed) if i != z})
         entries.append(
             {
                 "element": str(p.labels[z]),

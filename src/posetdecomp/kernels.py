@@ -8,8 +8,8 @@ homogeneous chain count or the noncrossing minimum, because
 a seed would assume the inequalities it tests.
 
 `permutations_avoiding` is the bitset walk of `_reference` that lists every
-pattern avoider in lexicographic order.  `BACKEND` names the implementation
-("pure": both kernels are plain Python).
+pattern avoider in lexicographic order.  Both read `Poset.rows`.  `BACKEND`
+names the implementation ("pure": both kernels are plain Python).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._reference import _masks
 from .chains import ChainDecomposition, minimum_chain_decomposition, width
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
@@ -195,19 +194,28 @@ def is_132_avoiding(p: Poset, perm: Sequence) -> bool:
     return _avoider_runs(*p.rows, _perm_indices(p, perm)) is not None
 
 
-def _extension_pattern(p: Poset, e: Sequence) -> bytes:
-    """Row-major 0/1 bytes of "earlier in the linear extension e"."""
-    if not is_linear_extension(p, e):
-        raise ValueError("reference order must be a linear extension")
-    rank = np.empty(p.n, dtype=np.int64)
-    for pos, x in enumerate(e):
-        rank[p.idx(x)] = pos
-    return (rank[:, None] < rank[None, :]).astype(np.uint8).tobytes()
+def _extension_rows(p: Poset, e: Sequence) -> tuple[list[int], list[int]] | None:
+    """The bit rows (up, down) of "earlier in e", or None unless e is a linear
+    extension of p: one pass that fails on a repeat or on an element placed
+    while one below it is not."""
+    below = p.rows[1]
+    full = (1 << p.n) - 1
+    up, down = [0] * p.n, [0] * p.n
+    placed = 0
+    for x in [p.idx(y) for y in e]:
+        if placed >> x & 1 or below[x] & ~placed:
+            return None
+        down[x] = placed
+        placed |= 1 << x
+        up[x] = full ^ placed
+    return (up, down) if placed == full else None
 
 
 def is_132_avoiding_in_extension(p: Poset, perm: Sequence, e: Sequence) -> bool:
     """132 avoidance with "below" read off positions in the extension e."""
-    rows = _masks(_extension_pattern(p, e), p.n)
+    rows = _extension_rows(p, e)
+    if rows is None:
+        raise ValueError("reference order must be a linear extension")
     return _avoider_runs(*rows, _perm_indices(p, perm)) is not None
 
 
@@ -219,7 +227,7 @@ def all_132_avoiding(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> list[tuple
         )
     return [
         tuple(p.labels[i] for i in perm)
-        for perm in permutations_avoiding(p.lt_bytes, p.n)
+        for perm in permutations_avoiding(*p.rows)
     ]
 
 
@@ -279,7 +287,7 @@ def min_descents_over_avoiders(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> 
         raise ScopeExceededError(
             f"descent scan capped at n <= {cap} (got n = {p.n})"
         )
-    return min_descents(p.lt_bytes, p.lt_bytes, p.n)
+    return min_descents(*p.rows, p.rows[0])
 
 
 def min_descents_over_extension_avoiders(
@@ -290,7 +298,10 @@ def min_descents_over_extension_avoiders(
         raise ScopeExceededError(
             f"descent scan capped at n <= {cap} (got n = {p.n})"
         )
-    return min_descents(_extension_pattern(p, e), p.lt_bytes, p.n)
+    rows = _extension_rows(p, e)
+    if rows is None:
+        raise ValueError("reference order must be a linear extension")
+    return min_descents(*rows, p.rows[0])
 
 
 # -- the wrap order over minimal homogeneous chains -----------------------------
@@ -689,20 +700,22 @@ def _chain_bounds(
     is bounded by the homogeneous count directly; `scans` needs `noncrossing`.
     """
     d, _, findings, pi, e = construction
-    linear = is_linear_extension(p, e)
+    ext = _extension_rows(p, e)
+    perm = _perm_indices(p, pi)
     checks = {
-        "extension-is-linear": linear,
+        "extension-is-linear": ext is not None,
         "witness-has-min-descents": descent_profile(p, pi).count == d.k,
-        "witness-avoids-132": is_132_avoiding(p, pi),
-        "witness-avoids-132-in-extension": linear and is_132_avoiding_in_extension(p, pi, e),
+        "witness-avoids-132": _avoider_runs(*p.rows, perm) is not None,
+        "witness-avoids-132-in-extension": ext is not None
+        and _avoider_runs(*ext, perm) is not None,
     }
     min_nc, nc_witness = noncrossing or (None, None)
     if noncrossing:
         checks["chains-le-noncrossing"] = min_chains <= min_nc
     scan = scan_ext = None
     if scans:
-        scan = min_descents_over_avoiders(p, cap=None)
-        scan_ext = min_descents_over_extension_avoiders(p, e, cap=None) if linear else -1
+        scan = min_descents(*p.rows, p.rows[0])
+        scan_ext = -1 if ext is None else min_descents(*ext, p.rows[0])
         checks["noncrossing-le-descents"] = min_nc <= scan
         checks["descents-le-descents-ext"] = scan <= scan_ext
         checks["descents-ext-le-homogeneous"] = scan_ext <= d.k

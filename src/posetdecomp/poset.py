@@ -3,7 +3,8 @@
 Element labels are opaque (hashable) values kept in input order; every
 operation works on dense indices 0..n-1 internally.  The matrix `lt` holds the
 full strict order (transitively closed), which makes comparability and
-interval queries O(1) at the price of O(n^2) memory.
+interval queries O(1) at the price of O(n^2) memory.  The one packed form of
+the order is `Poset.rows`, bit rows built by `_bitrows` and read everywhere.
 
 Loading from cover relations closes the relation on bit rows during the
 search for a directed cycle, one depth-first pass.  The transitivity check,
@@ -87,7 +88,6 @@ class Poset:
         self.labels = labels
         self.lt = lt
         self._index = {x: i for i, x in enumerate(labels)}
-        self._lt_bytes: bytes | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -139,13 +139,6 @@ class Poset:
         """The order as bitmasks (up, down): bit y of up[x] and bit x of
         down[y] are set when x < y.  Shared by every caller, so read-only."""
         return _bitrows(self.lt), _bitrows(self.lt.T)
-
-    @property
-    def lt_bytes(self) -> bytes:
-        """Row-major 0/1 bytes of the strict order, for the scan kernels."""
-        if self._lt_bytes is None:
-            self._lt_bytes = self.lt.astype(np.uint8).tobytes()
-        return self._lt_bytes
 
     # -- queries -----------------------------------------------------------
 

@@ -264,7 +264,7 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
             "details": {"permutations": 0, "skipped": f"n > {SEGMENT_SWEEP_CAP}"},
         }
     up, down = p.rows
-    perms = permutations_avoiding(p.lt_bytes, p.n)
+    perms = permutations_avoiding(up, down)
     for swept, perm in enumerate(perms):
         runs = _avoider_runs(up, down, perm)
         if runs is None:

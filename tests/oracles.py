@@ -15,6 +15,18 @@ def comparable(p, a, b) -> bool:
     return bool(p.lt[a, b]) or bool(p.lt[b, a])
 
 
+def bit_rows(p) -> tuple[list[int], list[int]]:
+    """(up, down): bit y of up[x] and bit x of down[y] set when x < y, cell by cell."""
+    up = [0] * p.n
+    down = [0] * p.n
+    for x in range(p.n):
+        for y in range(p.n):
+            if p.lt[x, y]:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+    return up, down
+
+
 def set_partitions(items):
     """All partitions of a list, as lists of lists (restricted growth strings)."""
     items = list(items)

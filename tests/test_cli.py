@@ -12,7 +12,7 @@ import posetdecomp.hcd
 import posetdecomp.verify
 from posetdecomp.cli import main
 from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
-from posetdecomp.generate import chain, two_chain_fan, wrap_forest
+from posetdecomp.generate import FAMILIES, chain, two_chain_fan, wrap_forest
 from posetdecomp.textio import dumps
 
 CLI = [sys.executable, "-m", "posetdecomp.cli"]
@@ -39,6 +39,16 @@ def test_generate_all_families():
         out = run_cli("generate", family, "--n", "3", "--seed", "1")
         assert out.returncode == 0, family
         assert out.stdout.startswith("# poset")
+
+
+@pytest.mark.parametrize(
+    "command", [("generate", family) for family in FAMILIES] + [("verify", "random")]
+)
+def test_negative_size_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "-2"])
+    assert exc.value.code == 2
+    assert "must be >= 0 (got -2)" in capsys.readouterr().err
 
 
 def test_generate_to_file(tmp_path):

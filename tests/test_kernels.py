@@ -1,46 +1,66 @@
 """The permutation kernels: the descent search and the avoider walk, each
-against the scan it replaced."""
+against the scan it replaced.
+
+Each case is built once as a boolean matrix: the kernels read its bit rows,
+the verbatim scans its row-major 0/1 bytes."""
 
 import random
 
+import numpy as np
 import pytest
 
 from posetdecomp import _reference, kernels
 from posetdecomp.generate import antichain, chain, random_poset, two_chain_fan
 from posetdecomp.nccd import derived_extension
-from posetdecomp.poset import enumerate_posets
+from posetdecomp.poset import _bitrows, enumerate_posets
 
 import oracles
 
 
+def _rows(m):
+    """The (up, down) bit rows of a boolean matrix, as `Poset.rows` holds them."""
+    return _bitrows(m), _bitrows(m.T)
+
+
+def _bytes(m) -> bytes:
+    return m.astype(np.uint8).tobytes()
+
+
+def _random_matrix(rng, n, density):
+    """An n x n relation drawn row-major, each cell present with `density`."""
+    return np.array([rng.random() < density for _ in range(n * n)], dtype=bool).reshape(n, n)
+
+
 def test_reference_trivial_sizes():
-    assert _reference.min_descents(b"", b"", 0) == 0
-    assert _reference.permutations_avoiding(b"", 0) == [()]
-    assert _reference.min_descents(b"\x00", b"\x00", 1) == 1
+    assert _reference.min_descents([], [], []) == 0
+    assert _reference.permutations_avoiding([], []) == [()]
+    assert _reference.min_descents([0], [0], [0]) == 1
+    assert _reference.permutations_avoiding([0], [0]) == [(0,)]
 
 
 def test_reference_matches_naive_oracle():
     for n in range(5):
         for p in enumerate_posets(n):
-            got = _reference.min_descents(p.lt_bytes, p.lt_bytes, p.n)
-            assert got == oracles.naive_min_descents(p)
-            assert _reference.permutations_avoiding(p.lt_bytes, p.n) == sorted(
-                oracles.naive_avoiders(p)
-            )
+            assert _reference.min_descents(*p.rows, p.rows[0]) == oracles.naive_min_descents(p)
+            assert _reference.permutations_avoiding(*p.rows) == sorted(oracles.naive_avoiders(p))
 
 
-def _extension_pattern(p, e) -> bytes:
-    """pattern[x*n+y] = 1 when x comes before y in the linear extension e."""
+def _extension_matrix(p, e):
+    """m[x, y] when x comes before y in the linear extension e."""
     rank = {label: i for i, label in enumerate(e)}
-    r = [rank[label] for label in p.labels]
-    return bytes(int(r[x] < r[y]) for x in range(p.n) for y in range(p.n))
+    r = np.array([rank[label] for label in p.labels], dtype=np.int64)
+    return r[:, None] < r[None, :]
 
 
-def _assert_min_descents_match(p):
-    for pattern in (p.lt_bytes, _extension_pattern(p, derived_extension(p))):
-        assert kernels.min_descents(pattern, p.lt_bytes, p.n) == oracles.scan_min_descents(
-            pattern, p.lt_bytes, p.n
-        )
+def _assert_min_descents_match(pattern, lt):
+    assert kernels.min_descents(*_rows(pattern), _bitrows(lt)) == oracles.scan_min_descents(
+        _bytes(pattern), _bytes(lt), len(lt)
+    )
+
+
+def _assert_poset_min_descents_match(p):
+    for pattern in (p.lt, _extension_matrix(p, derived_extension(p))):
+        _assert_min_descents_match(pattern, p.lt)
 
 
 def test_min_descents_is_one_kernel():
@@ -51,28 +71,28 @@ def test_min_descents_is_one_kernel():
 
 def test_min_descents_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        kernels.min_descents(b"\x00", b"\x00", 2)
+        kernels.min_descents([0], [0], [0, 0])
     with pytest.raises(ValueError):
-        kernels.min_descents(bytes(4), bytes(3), 2)
+        kernels.min_descents([0, 0], [0], [0, 0])
 
 
 def test_min_descents_matches_scan_oracle_exhaustive():
     for n in range(6):
         for p in enumerate_posets(n):
-            _assert_min_descents_match(p)
+            _assert_poset_min_descents_match(p)
 
 
 def test_min_descents_matches_scan_oracle_random_n8():
     for s in range(200):
-        _assert_min_descents_match(random_poset(8, density=0.3, seed=s))
+        _assert_poset_min_descents_match(random_poset(8, density=0.3, seed=s))
 
 
 def test_min_descents_matches_scan_oracle_large():
     # the oracle takes about a second on antichain(9) and on each of these
     # random posets; the width bound settles them in microseconds
-    _assert_min_descents_match(antichain(9))
+    _assert_poset_min_descents_match(antichain(9))
     for s in range(4):
-        _assert_min_descents_match(random_poset(10, density=0.15, seed=s))
+        _assert_poset_min_descents_match(random_poset(10, density=0.15, seed=s))
 
 
 def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
@@ -81,33 +101,34 @@ def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
     for _ in range(1500):
         n = rng.randint(1, 6)
         dp, dl = rng.random(), rng.random()
-        pattern = bytes(int(rng.random() < dp) for _ in range(n * n))
-        lt = bytes(int(rng.random() < dl) for _ in range(n * n))
-        assert kernels.min_descents(pattern, lt, n) == oracles.scan_min_descents(pattern, lt, n)
+        pattern = _random_matrix(rng, n, dp)
+        _assert_min_descents_match(pattern, _random_matrix(rng, n, dl))
 
 
-def _assert_avoiders_match(pattern, n):
-    assert kernels.permutations_avoiding(pattern, n) == oracles.scan_avoiders(pattern, n)
+def _assert_avoiders_match(pattern):
+    assert kernels.permutations_avoiding(*_rows(pattern)) == oracles.scan_avoiders(
+        _bytes(pattern), len(pattern)
+    )
 
 
 def test_permutations_avoiding_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        kernels.permutations_avoiding(b"\x00", 2)
+        kernels.permutations_avoiding([0], [0, 0])
     with pytest.raises(ValueError):
-        kernels.permutations_avoiding(bytes(5), 2)
+        kernels.permutations_avoiding([0, 0], [])
 
 
 def test_permutations_avoiding_matches_scan_oracle_exhaustive():
     for n in range(6):
         for p in enumerate_posets(n):
-            _assert_avoiders_match(p.lt_bytes, p.n)
-            _assert_avoiders_match(_extension_pattern(p, derived_extension(p)), p.n)
+            _assert_avoiders_match(p.lt)
+            _assert_avoiders_match(_extension_matrix(p, derived_extension(p)))
 
 
 def test_permutations_avoiding_matches_scan_oracle_families():
     cases = [antichain(7), chain(8), two_chain_fan(3), *(random_poset(8, seed=s) for s in range(6))]
     for p in cases:
-        _assert_avoiders_match(p.lt_bytes, p.n)
+        _assert_avoiders_match(p.lt)
 
 
 def test_permutations_avoiding_matches_scan_oracle_on_arbitrary_relations():
@@ -116,18 +137,12 @@ def test_permutations_avoiding_matches_scan_oracle_on_arbitrary_relations():
     rng = random.Random(20232)
     for _ in range(1500):
         n = rng.randint(1, 6)
-        density = rng.random()
-        pattern = bytes(int(rng.random() < density) for _ in range(n * n))
-        _assert_avoiders_match(pattern, n)
+        _assert_avoiders_match(_random_matrix(rng, n, rng.random()))
 
 
 def test_extension_relative_pattern_buffer():
-    # pattern and order matrices may differ; the antichain under a listing
-    # order has avoiders counted by the Catalan numbers
+    # pattern and order may differ; the antichain under a listing order has
+    # avoiders counted by the Catalan numbers
     p = antichain(5)
-    import numpy as np
-
-    rank = np.arange(5)
-    pattern = (rank[:, None] < rank[None, :]).astype(np.uint8).tobytes()
-    avoiders = kernels.permutations_avoiding(pattern, 5)
+    avoiders = kernels.permutations_avoiding(*_rows(_extension_matrix(p, p.labels)))
     assert len(avoiders) == oracles.catalan_closed_form(5)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
-from posetdecomp import hcd, poset, verify
+from posetdecomp import hcd, nccd, poset, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, random_poset, wrap_forest
 
@@ -181,6 +181,27 @@ def closure_skips_successor_bit(monkeypatch):
     monkeypatch.setattr(poset, "_close_acyclic", namespace["_close_acyclic"])
 
 
+def extension_rows_reversed(monkeypatch):
+    """`_extension_rows` returns (down, up): "earlier in e" read as "later"."""
+    real = nccd._extension_rows
+
+    def mutant(p, e):
+        rows = real(p, e)
+        return None if rows is None else rows[::-1]
+
+    monkeypatch.setattr(nccd, "_extension_rows", mutant)
+
+
+def deletion_keeps_column_z(monkeypatch):
+    """The deletion counts compare the closed rows without clearing bit z."""
+    source = inspect.getsource(hcd._deletion_bounds)
+    assert source.count("row & ~(1 << z)") == 1
+    namespace = dict(vars(hcd))
+    exec(source.replace("row & ~(1 << z)", "row"), namespace)
+    monkeypatch.setattr(hcd, "_deletion_bounds", namespace["_deletion_bounds"])
+    monkeypatch.setattr(verify, "_deletion_bounds", namespace["_deletion_bounds"])
+
+
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
@@ -191,6 +212,15 @@ def orders_differ_from_listing_oracle() -> bool:
     return any(
         poset.automorphism_group(p.lt).order
         != len(oracles._order_search(p.lt, p.lt, find_all=True))
+        for p in FAMILY
+    )
+
+
+def deletion_counts_differ_from_sub_posets() -> bool:
+    """test_hcd.test_deletion_counts_match_sub_poset_mhcd, on FAMILY."""
+    return any(
+        [e["k_without"] for e in hcd.deletion_bounds(p).entries]
+        != [hcd.mhcd(p.without(z)).k for z in p.labels]
         for p in FAMILY
     )
 
@@ -224,6 +254,8 @@ MUTANTS = {
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
+    "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
+    "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
 }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from posetdecomp import (
@@ -36,8 +37,8 @@ from posetdecomp import (
 from posetdecomp import nccd, verify
 from posetdecomp.chains import enumerate_chain_decompositions
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
-from posetdecomp.nccd import _preorder
-from posetdecomp.poset import enumerate_posets
+from posetdecomp.nccd import _extension_rows, _preorder
+from posetdecomp.poset import _bitrows, enumerate_posets
 
 import oracles
 
@@ -147,8 +148,55 @@ def test_extension_relative_132():
 
 def test_extension_must_be_linear_extension():
     p = chain(3)
-    with pytest.raises(ValueError):
-        is_132_avoiding_in_extension(p, ("1", "2", "3"), ("2", "1", "3"))
+    for e in (("2", "1", "3"), ("1", "2"), ("1", "2", "2")):
+        with pytest.raises(ValueError):
+            is_132_avoiding_in_extension(p, ("1", "2", "3"), e)
+        with pytest.raises(ValueError):
+            min_descents_over_extension_avoiders(p, e)
+
+
+def _rank_rows(p, e):
+    """The bit rows of the rank matrix of e: m[x, y] when x comes before y."""
+    rank = {label: i for i, label in enumerate(e)}
+    r = [rank[label] for label in p.labels]
+    m = np.array([r[x] < r[y] for x in range(p.n) for y in range(p.n)], dtype=bool)
+    m = m.reshape(p.n, p.n)
+    return _bitrows(m), _bitrows(m.T)
+
+
+def _random_linear_extension(p, rng):
+    """A seeded linear extension: a random minimal element of the rest, repeatedly."""
+    rest = set(range(p.n))
+    out = []
+    while rest:
+        x = rng.choice(sorted(i for i in rest if not any(p.lt[j, i] for j in rest)))
+        rest.remove(x)
+        out.append(p.labels[x])
+    return tuple(out)
+
+
+def test_extension_rows_match_rank_matrix():
+    cases = [(p, derived_extension(p)) for n in range(6) for p in enumerate_posets(n)]
+    rng = random.Random(13)
+    for s in range(40):
+        p = random_poset(rng.randint(1, 12), density=rng.random(), seed=s)
+        cases += [(p, _random_linear_extension(p, rng)) for _ in range(3)]
+    for p, e in cases:
+        assert _extension_rows(p, e) == _rank_rows(p, e)
+
+
+def test_extension_rows_none_exactly_off_linear_extensions():
+    rng = random.Random(14)
+    for s in range(60):
+        p = random_poset(rng.randint(1, 7), density=rng.random(), seed=s)
+        for _ in range(10):
+            e = list(p.labels)
+            rng.shuffle(e)
+            if rng.random() < 0.2:
+                e[rng.randrange(p.n)] = e[0]
+            if rng.random() < 0.2:
+                e.pop()
+            assert (_extension_rows(p, e) is None) == (not is_linear_extension(p, e))
 
 
 def test_descent_profile_positions():

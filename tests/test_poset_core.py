@@ -19,7 +19,6 @@ from posetdecomp import (
     signed_chain_count_matrix,
     transitive_closure,
 )
-from posetdecomp._reference import _masks
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.poset import automorphisms, isomorphic
 
@@ -315,7 +314,7 @@ def test_enumerate_posets_matches_relation_filter_oracle():
 def test_enumerated_posets_are_valid_and_distinct():
     seen = set()
     for p in enumerate_posets(3):
-        key = p.lt_bytes
+        key = p.lt.tobytes()
         assert key not in seen
         seen.add(key)
 
@@ -324,5 +323,5 @@ def test_cached_rows_match_masks():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += [wrap_forest(20, seed=s) for s in range(10)]
     for p in posets:
-        assert p.rows == _masks(p.lt_bytes, p.n)
+        assert p.rows == oracles.bit_rows(p)
         assert p.rows is p.rows

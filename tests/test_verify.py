@@ -135,7 +135,7 @@ def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
     real = verify.permutations_avoiding
     # chain(3) has five avoiders; (0, 2, 1) is the pattern itself
     monkeypatch.setattr(
-        verify, "permutations_avoiding", lambda pattern, n: real(pattern, n) + [(0, 2, 1)]
+        verify, "permutations_avoiding", lambda up, down: real(up, down) + [(0, 2, 1)]
     )
     (check,) = verify.run_poset_checks(chain(3), which=("segments",))["checks"]
     assert not check["passed"]
