@@ -28,7 +28,7 @@ from .chains import ChainDecomposition, minimum_chain_decomposition, width
 from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
 from .kernels import min_descents, permutations_avoiding
-from .poset import Poset, is_linear_extension, transitive_closure
+from .poset import Poset, _extension_rows, is_linear_extension, transitive_closure
 
 NONCROSSING_CAP = 10
 DESCENT_SCAN_CAP = 8
@@ -192,23 +192,6 @@ def _avoider_runs(up: list[int], down: list[int], perm: Sequence[int]) -> list |
 def is_132_avoiding(p: Poset, perm: Sequence) -> bool:
     """No positions i1 < i2 < i3 with perm[i1] < perm[i3] < perm[i2] in p."""
     return _avoider_runs(*p.rows, _perm_indices(p, perm)) is not None
-
-
-def _extension_rows(p: Poset, e: Sequence) -> tuple[list[int], list[int]] | None:
-    """The bit rows (up, down) of "earlier in e", or None unless e is a linear
-    extension of p: one pass that fails on a repeat or on an element placed
-    while one below it is not."""
-    below = p.rows[1]
-    full = (1 << p.n) - 1
-    up, down = [0] * p.n, [0] * p.n
-    placed = 0
-    for x in [p.idx(y) for y in e]:
-        if placed >> x & 1 or below[x] & ~placed:
-            return None
-        down[x] = placed
-        placed |= 1 << x
-        up[x] = full ^ placed
-    return (up, down) if placed == full else None
 
 
 def is_132_avoiding_in_extension(p: Poset, perm: Sequence, e: Sequence) -> bool:
@@ -701,20 +684,19 @@ def _chain_bounds(
     """
     d, _, findings, pi, e = construction
     ext = _extension_rows(p, e)
-    perm = _perm_indices(p, pi)
     checks = {
         "extension-is-linear": ext is not None,
         "witness-has-min-descents": descent_profile(p, pi).count == d.k,
-        "witness-avoids-132": _avoider_runs(*p.rows, perm) is not None,
+        "witness-avoids-132": is_132_avoiding(p, pi),
         "witness-avoids-132-in-extension": ext is not None
-        and _avoider_runs(*ext, perm) is not None,
+        and _avoider_runs(*ext, _perm_indices(p, pi)) is not None,
     }
     min_nc, nc_witness = noncrossing or (None, None)
     if noncrossing:
         checks["chains-le-noncrossing"] = min_chains <= min_nc
     scan = scan_ext = None
     if scans:
-        scan = min_descents(*p.rows, p.rows[0])
+        scan = min_descents_over_avoiders(p, cap=None)
         scan_ext = -1 if ext is None else min_descents(*ext, p.rows[0])
         checks["noncrossing-le-descents"] = min_nc <= scan
         checks["descents-le-descents-ext"] = scan <= scan_ext

@@ -358,16 +358,26 @@ def _linear_extensions_iter(p: Poset) -> Iterator[tuple]:
         start = i + 1
 
 
+def _extension_rows(p: Poset, seq: Sequence) -> tuple[list[int], list[int]] | None:
+    """The bit rows (up, down) of "earlier in seq", or None unless seq is a
+    linear extension of p: one pass that fails on a repeat or on an element
+    placed while one below it is not."""
+    below = p.rows[1]
+    full = (1 << p.n) - 1
+    up, down = [0] * p.n, [0] * p.n
+    placed = 0
+    for x in [p.idx(y) for y in seq]:
+        if placed >> x & 1 or below[x] & ~placed:
+            return None
+        down[x] = placed
+        placed |= 1 << x
+        up[x] = full ^ placed
+    return (up, down) if placed == full else None
+
+
 def is_linear_extension(p: Poset, seq: Sequence) -> bool:
     """True iff seq lists every element once and never places y before x < y."""
-    idxs = [p.idx(x) for x in seq]
-    if len(idxs) != p.n or len(set(idxs)) != p.n:
-        return False
-    for a, i in enumerate(idxs):
-        for j in idxs[a + 1:]:
-            if p.lt[j, i]:
-                return False
-    return True
+    return _extension_rows(p, seq) is not None
 
 
 def count_linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> int:

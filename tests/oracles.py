@@ -15,16 +15,25 @@ def comparable(p, a, b) -> bool:
     return bool(p.lt[a, b]) or bool(p.lt[b, a])
 
 
-def bit_rows(p) -> tuple[list[int], list[int]]:
-    """(up, down): bit y of up[x] and bit x of down[y] set when x < y, cell by cell."""
-    up = [0] * p.n
-    down = [0] * p.n
-    for x in range(p.n):
-        for y in range(p.n):
-            if p.lt[x, y]:
+def bit_rows(m) -> tuple[list[int], list[int]]:
+    """(up, down) of a square 0/1 matrix: bit y of up[x] and bit x of down[y]
+    set when m[x, y], cell by cell."""
+    n = len(m)
+    up = [0] * n
+    down = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if m[x, y]:
                 up[x] |= 1 << y
                 down[y] |= 1 << x
     return up, down
+
+
+def extension_matrix(p, e):
+    """m[x, y] when x comes before y in the sequence e: its rank matrix."""
+    rank = {label: i for i, label in enumerate(e)}
+    r = np.array([rank[label] for label in p.labels], dtype=np.int64)
+    return r[:, None] < r[None, :]
 
 
 def set_partitions(items):

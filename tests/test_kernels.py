@@ -12,14 +12,9 @@ import pytest
 from posetdecomp import _reference, kernels
 from posetdecomp.generate import antichain, chain, random_poset, two_chain_fan
 from posetdecomp.nccd import derived_extension
-from posetdecomp.poset import _bitrows, enumerate_posets
+from posetdecomp.poset import enumerate_posets
 
 import oracles
-
-
-def _rows(m):
-    """The (up, down) bit rows of a boolean matrix, as `Poset.rows` holds them."""
-    return _bitrows(m), _bitrows(m.T)
 
 
 def _bytes(m) -> bytes:
@@ -45,21 +40,14 @@ def test_reference_matches_naive_oracle():
             assert _reference.permutations_avoiding(*p.rows) == sorted(oracles.naive_avoiders(p))
 
 
-def _extension_matrix(p, e):
-    """m[x, y] when x comes before y in the linear extension e."""
-    rank = {label: i for i, label in enumerate(e)}
-    r = np.array([rank[label] for label in p.labels], dtype=np.int64)
-    return r[:, None] < r[None, :]
-
-
 def _assert_min_descents_match(pattern, lt):
-    assert kernels.min_descents(*_rows(pattern), _bitrows(lt)) == oracles.scan_min_descents(
+    assert kernels.min_descents(*oracles.bit_rows(pattern), oracles.bit_rows(lt)[0]) == oracles.scan_min_descents(
         _bytes(pattern), _bytes(lt), len(lt)
     )
 
 
 def _assert_poset_min_descents_match(p):
-    for pattern in (p.lt, _extension_matrix(p, derived_extension(p))):
+    for pattern in (p.lt, oracles.extension_matrix(p, derived_extension(p))):
         _assert_min_descents_match(pattern, p.lt)
 
 
@@ -106,7 +94,7 @@ def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
 
 
 def _assert_avoiders_match(pattern):
-    assert kernels.permutations_avoiding(*_rows(pattern)) == oracles.scan_avoiders(
+    assert kernels.permutations_avoiding(*oracles.bit_rows(pattern)) == oracles.scan_avoiders(
         _bytes(pattern), len(pattern)
     )
 
@@ -122,7 +110,7 @@ def test_permutations_avoiding_matches_scan_oracle_exhaustive():
     for n in range(6):
         for p in enumerate_posets(n):
             _assert_avoiders_match(p.lt)
-            _assert_avoiders_match(_extension_matrix(p, derived_extension(p)))
+            _assert_avoiders_match(oracles.extension_matrix(p, derived_extension(p)))
 
 
 def test_permutations_avoiding_matches_scan_oracle_families():
@@ -144,5 +132,5 @@ def test_extension_relative_pattern_buffer():
     # pattern and order may differ; the antichain under a listing order has
     # avoiders counted by the Catalan numbers
     p = antichain(5)
-    avoiders = kernels.permutations_avoiding(*_rows(_extension_matrix(p, p.labels)))
+    avoiders = kernels.permutations_avoiding(*oracles.bit_rows(oracles.extension_matrix(p, p.labels)))
     assert len(avoiders) == oracles.catalan_closed_form(5)

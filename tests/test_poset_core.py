@@ -288,6 +288,24 @@ def test_is_linear_extension_rejects_swap():
     assert not is_linear_extension(p, ("2", "1", "3"))
 
 
+def test_is_linear_extension_matches_filter_oracle():
+    # shuffled orders, some with a repeat, some one short and some one long
+    rng = random.Random(14)
+    for s in range(60):
+        p = random_poset(rng.randint(1, 7), density=rng.random(), seed=s)
+        exts = set(oracles.linear_extensions_by_filter(p))
+        for _ in range(10):
+            e = list(p.labels)
+            rng.shuffle(e)
+            if rng.random() < 0.2:
+                e[rng.randrange(p.n)] = e[0]
+            if rng.random() < 0.2:
+                e.pop()
+            if rng.random() < 0.2:
+                e.append(rng.choice(p.labels))
+            assert is_linear_extension(p, e) == (tuple(map(p.labels.index, e)) in exts)
+
+
 def test_automorphisms_diamond_and_chain():
     assert len(automorphisms(diamond())) == 2
     assert len(automorphisms(chain(6))) == 1
@@ -323,5 +341,5 @@ def test_cached_rows_match_masks():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += [wrap_forest(20, seed=s) for s in range(10)]
     for p in posets:
-        assert p.rows == oracles.bit_rows(p)
+        assert p.rows == oracles.bit_rows(p.lt)
         assert p.rows is p.rows
