@@ -18,10 +18,10 @@ import numpy as np
 from .errors import (
     InternalInconsistencyError,
     InvalidDecompositionError,
-    ScopeExceededError,
     UnknownElementError,
+    refuse_above,
 )
-from .poset import Poset
+from .poset import Poset, _topological_order
 
 DECOMPOSITION_ENUMERATION_CAP = 10
 
@@ -300,11 +300,8 @@ def enumerate_chain_decompositions(
     Elements are placed in linear-extension order, so a chain only ever grows
     past its current maximum.
     """
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"decomposition enumeration capped at n <= {cap} (got n = {p.n})"
-        )
-    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
+    refuse_above("decomposition enumeration", cap, p.n)
+    order = _topological_order(p)
     chains: list[list[int]] = []
 
     def place(pos: int) -> Iterator[ChainDecomposition]:

@@ -21,7 +21,7 @@ import json
 import sys
 
 from .cut import CUT_ENUMERATION_CAP, enumerate_admissible_cuts, verify_cut_identity
-from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError
+from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError, refuse_above
 from .generate import FAMILIES, make_family
 from .hcd import ChainGraph, _embedding
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
@@ -44,12 +44,6 @@ def _emit_json(doc: dict) -> None:
 
 
 # -- analyze --------------------------------------------------------------------
-
-
-def _refuse_above(what: str, cap: int, n: int, unsafe: bool) -> None:
-    """Raise ScopeExceededError for n > cap unless --unsafe-scope lifts the cap."""
-    if not unsafe and n > cap:
-        raise ScopeExceededError(f"{what} capped at n <= {cap} (got n = {n})")
 
 
 def _section_dilworth(an: Analysis, unsafe: bool) -> dict:
@@ -89,14 +83,14 @@ def _section_cut_check(an: Analysis, unsafe: bool) -> dict:
 
 
 def _section_embedding(an: Analysis, unsafe: bool) -> dict:
-    _refuse_above("automorphism search", AUTOMORPHISM_CAP, an.p.n, unsafe)
+    refuse_above("automorphism search", None if unsafe else AUTOMORPHISM_CAP, an.p.n)
     return _embedding(an.p, an.graph, 0).to_dict()
 
 
 def _section_inequalities(an: Analysis, unsafe: bool) -> dict:
     p = an.p
-    _refuse_above("noncrossing minimum", NONCROSSING_CAP, p.n, unsafe)
-    _refuse_above("descent scan", DESCENT_SCAN_CAP, p.n, unsafe)
+    refuse_above("noncrossing minimum", None if unsafe else NONCROSSING_CAP, p.n)
+    refuse_above("descent scan", None if unsafe else DESCENT_SCAN_CAP, p.n)
     return _chain_bounds(p, an.dilworth[0].k, an.noncrossing, an.construction, True).to_dict()
 
 
@@ -313,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="mode", required=True)
 
     vex = vsub.add_parser("exhaustive", help="every labeled poset up to a size")
-    vex.add_argument("--nmax", type=int, default=4)
+    vex.add_argument("--nmax", type=_size, default=4)
     vex.add_argument("--seed", type=int, default=0)
     vex.add_argument("--checks", help="comma-separated check names (default: all)")
     vex.add_argument("--json", action="store_true")
@@ -327,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vr = vsub.add_parser("random", help="seeded random posets")
     vr.add_argument("--n", type=_size, default=8)
-    vr.add_argument("--count", type=int, default=50)
+    vr.add_argument("--count", type=_size, default=50)
     vr.add_argument("--seed", type=int, default=0)
     vr.add_argument("--density", type=float, default=0.3)
     vr.add_argument("--family", choices=("random", "wrapforest"), default="random")

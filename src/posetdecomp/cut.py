@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -303,22 +303,8 @@ class CutIdentityReport:
         return self.equal or not self.admissible
 
     def to_dict(self) -> dict:
-        return {
-            "heights": list(self.heights),
-            "proper": self.proper,
-            "admissible": self.admissible,
-            "d_whole": self.d_whole,
-            "d_lower": self.d_lower,
-            "d_upper": self.d_upper,
-            "j": self.j,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-            "max_abs_discrepancy": self.max_abs_discrepancy,
-            "j_determinant": self.j_determinant,
-            "ok": self.ok,
-            "findings": list(self.findings),
-        }
+        # heights stay a list, as the cut oracles compare lists
+        return {**asdict(self), "heights": list(self.heights), "ok": self.ok}
 
 
 def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one size-cap refusal.
 
 The CLI maps these onto exit codes: FormatError and CycleError mean the input
 file was bad (exit 2), ScopeExceededError means a size cap refused the work
 (exit 3), CheckFailure means a verified statement actually failed on a
 concrete witness (exit 1).
+
+Every size cap refuses through `refuse_above`, so a cap means the same thing
+everywhere: the size is compared with the cap, cap=None lifts it, and the
+refusal is a ScopeExceededError whose message names the work, the cap and the
+size.  The cut enumeration cap bounds a product of chain lengths, not a size,
+and raises its own message.
 """
 
 
@@ -37,6 +43,12 @@ class ScatteringError(PosetError, ValueError):
 
 class ScopeExceededError(PosetError, ValueError):
     """Input larger than a brute-force cap; pass cap=None (CLI: --unsafe-scope) to force."""
+
+
+def refuse_above(what: str, cap: int | None, got: int, unit: str = "n") -> None:
+    """Raise ScopeExceededError when got > cap; cap=None lifts the cap."""
+    if cap is not None and got > cap:
+        raise ScopeExceededError(f"{what} capped at {unit} <= {cap} (got {unit} = {got})")
 
 
 class InternalInconsistencyError(PosetError, RuntimeError):

@@ -17,7 +17,7 @@ independent cross-check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistencyError,
     NotHomogeneousError,
     ScatteringError,
-    ScopeExceededError,
+    refuse_above,
 )
 from .poset import Poset, _bits, automorphism_group
 
@@ -220,25 +220,8 @@ def acyclic_orientation(p: Poset, d: ChainDecomposition | None = None) -> ChainG
             "comparable chains with incomparable minima cannot occur in a "
             "homogeneous decomposition"
         )
-    oriented = comp & below
-    if _has_directed_cycle(oriented):
-        raise InternalInconsistencyError("minimum-based orientation produced a cycle")
-    return ChainGraph(graph.decomposition, comp, oriented)
-
-
-def _has_directed_cycle(mat: np.ndarray) -> bool:
-    k = mat.shape[0]
-    indeg = mat.sum(axis=0).tolist()
-    stack = [j for j in range(k) if indeg[j] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for w in np.flatnonzero(mat[v]).tolist():
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen != k
+    # a sub-relation of the strict order on the minima, so never cyclic
+    return ChainGraph(graph.decomposition, comp, comp & below)
 
 
 # -- length classes and induced permutations ----------------------------------
@@ -283,11 +266,7 @@ def graph_automorphisms(
     Works for directed and undirected matrices alike; listed in lexicographic
     order from the group's strong generators, capped at `cap` vertices.
     """
-    k = mat.shape[0]
-    if cap is not None and k > cap:
-        raise ScopeExceededError(
-            f"graph automorphism search capped at {cap} vertices (got {k})"
-        )
+    refuse_above("graph automorphism search", cap, mat.shape[0], unit="k")
     return automorphism_group(mat).elements()
 
 
@@ -320,21 +299,7 @@ class EmbeddingReport:
         return self.well_defined and self.injective and self.homomorphism
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "aut_poset_order": self.aut_poset_order,
-            "aut_oriented_order": self.aut_oriented_order,
-            "aut_unoriented_order": self.aut_unoriented_order,
-            "well_defined": self.well_defined,
-            "injective": self.injective,
-            "homomorphism": self.homomorphism,
-            "onto_oriented": self.onto_oriented,
-            "hom_pairs_checked": self.hom_pairs_checked,
-            "ok": self.ok,
-            "witness": self.witness,
-            "findings": list(self.findings),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_embedding(p: Poset, seed: int = 0) -> EmbeddingReport:
@@ -455,7 +420,7 @@ class DeletionBoundReport:
         return all(e["lower_ok"] and e["upper_ok"] for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "ok": self.ok, "entries": self.entries}
+        return {**asdict(self), "ok": self.ok}
 
 
 def deletion_bounds(p: Poset, element=None) -> DeletionBoundReport:

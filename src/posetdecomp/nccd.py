@@ -19,16 +19,22 @@ plane tree built by leftmost attachment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainDecomposition, minimum_chain_decomposition, width
-from .errors import CheckFailure, InternalInconsistencyError, ScopeExceededError
+from .chains import ChainDecomposition, _dilworth, width
+from .errors import CheckFailure, InternalInconsistencyError, refuse_above
 from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
 from .kernels import min_descents, permutations_avoiding
-from .poset import Poset, _extension_rows, is_linear_extension, transitive_closure
+from .poset import (
+    Poset,
+    _extension_rows,
+    _topological_order,
+    is_linear_extension,
+    transitive_closure,
+)
 
 NONCROSSING_CAP = 10
 DESCENT_SCAN_CAP = 8
@@ -94,7 +100,7 @@ def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
     the live chain lists, so a caller keeping one must copy it.  The limit is
     read at every step, so the caller may lower it between yields.
     """
-    order = sorted(range(p.n), key=p.pred_counts.__getitem__)
+    order = _topological_order(p)
     up, down = p.rows
     chains: list[list[int]] = []
 
@@ -126,10 +132,7 @@ def minimum_noncrossing_decomposition(
     Prunes on crossings, on the incumbent size, and bottoms out at the
     Dilworth lower bound.  Returns (size, witness decomposition).
     """
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"noncrossing minimum capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("noncrossing minimum", cap, p.n)
     return _noncrossing_minimum(p, width(p) if p.n else 0)
 
 
@@ -149,10 +152,7 @@ def _noncrossing_minimum(p: Poset, lower_bound: int) -> tuple[int, ChainDecompos
 
 def count_noncrossing_decompositions(p: Poset, cap: int | None = NONCROSSING_CAP) -> int:
     """Number of noncrossing decompositions, by exhaustive pruned search."""
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"noncrossing count capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("noncrossing count", cap, p.n)
     # no decomposition has more than n chains, so the limit never prunes
     return sum(1 for _ in _noncrossing_walk(p, [p.n + 1]))
 
@@ -204,10 +204,7 @@ def is_132_avoiding_in_extension(p: Poset, perm: Sequence, e: Sequence) -> bool:
 
 def all_132_avoiding(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> list[tuple]:
     """Every 132-avoiding permutation as a label tuple, lexicographic by index."""
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"permutation sweep capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("permutation sweep", cap, p.n)
     return [
         tuple(p.labels[i] for i in perm)
         for perm in permutations_avoiding(*p.rows)
@@ -266,10 +263,7 @@ def ascending_runs_decomposition(p: Poset, perm: Sequence) -> ChainDecomposition
 
 def min_descents_over_avoiders(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> int:
     """Minimum descent count over all 132-avoiding permutations."""
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"descent scan capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("descent scan", cap, p.n)
     return min_descents(*p.rows, p.rows[0])
 
 
@@ -277,10 +271,7 @@ def min_descents_over_extension_avoiders(
     p: Poset, e: Sequence, cap: int | None = DESCENT_SCAN_CAP
 ) -> int:
     """Minimum descent count over permutations avoiding 132 relative to e."""
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"descent scan capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("descent scan", cap, p.n)
     rows = _extension_rows(p, e)
     if rows is None:
         raise ValueError("reference order must be a linear extension")
@@ -639,18 +630,10 @@ class ChainBoundsReport:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "min_chains": self.min_chains,
-            "min_noncrossing": self.min_noncrossing,
-            "min_descents": self.min_descents,
-            "min_descents_ext": self.min_descents_ext,
-            "min_homogeneous": self.min_homogeneous,
+            **asdict(self),
             "extension": [str(x) for x in self.extension],
             "permutation": [str(x) for x in self.permutation],
-            "noncrossing_witness": list(self.noncrossing_witness),
-            "checks": dict(self.checks),
             "ok": self.ok,
-            "findings": list(self.findings),
         }
 
 
@@ -664,13 +647,11 @@ def verify_chain_bounds(p: Poset) -> ChainBoundsReport:
     the chain can be strict), never asserted.  Refuses n > NONCROSSING_CAP
     and then n > DESCENT_SCAN_CAP.
     """
-    min_chains = minimum_chain_decomposition(p).k
-    noncrossing = minimum_noncrossing_decomposition(p)
-    if p.n > DESCENT_SCAN_CAP:
-        raise ScopeExceededError(
-            f"descent scan capped at n <= {DESCENT_SCAN_CAP} (got n = {p.n})"
-        )
-    return _chain_bounds(p, min_chains, noncrossing, _construction(p, chain_graph(p)), True)
+    refuse_above("noncrossing minimum", NONCROSSING_CAP, p.n)
+    refuse_above("descent scan", DESCENT_SCAN_CAP, p.n)
+    d, antichain = _dilworth(p)
+    noncrossing = _noncrossing_minimum(p, len(antichain))
+    return _chain_bounds(p, d.k, noncrossing, _construction(p, chain_graph(p)), True)
 
 
 def _chain_bounds(

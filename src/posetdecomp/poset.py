@@ -25,11 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CycleError,
-    ScopeExceededError,
-    UnknownElementError,
-)
+from .errors import CycleError, UnknownElementError, refuse_above
 
 LINEAR_EXTENSION_CAP = 10
 AUTOMORPHISM_CAP = 9
@@ -321,10 +317,7 @@ def linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> Itera
 
     Refuses n > cap up front; pass cap=None to lift the guard.
     """
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"linear extension enumeration capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("linear extension enumeration", cap, p.n)
     return _linear_extensions_iter(p)
 
 
@@ -579,10 +572,7 @@ def automorphisms(p: Poset, cap: int | None = AUTOMORPHISM_CAP) -> list[tuple[in
 
     Listed in lexicographic order from the group's strong generators; refuses n > cap.
     """
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"automorphism search capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("automorphism search", cap, p.n)
     return automorphism_group(p.lt).elements()
 
 
@@ -590,10 +580,7 @@ def isomorphic(p: Poset, q: Poset, cap: int | None = AUTOMORPHISM_CAP) -> bool:
     """True iff some bijection of labels carries one strict order to the other."""
     if p.n != q.n:
         return False
-    if cap is not None and p.n > cap:
-        raise ScopeExceededError(
-            f"isomorphism search capped at n <= {cap} (got n = {p.n})"
-        )
+    refuse_above("isomorphism search", cap, p.n)
     sig_p, sig_q = _refined_signatures(p.lt), _refined_signatures(q.lt)
     if sorted(sig_p) != sorted(sig_q):
         return False
@@ -611,10 +598,7 @@ def enumerate_posets(n: int, cap: int | None = POSET_ENUMERATION_CAP) -> Iterato
     orientation assignments failing transitivity are filtered out.  The counts
     1, 1, 3, 19, 219, 4231 for n = 0..5 pin the enumeration down in the tests.
     """
-    if cap is not None and n > cap:
-        raise ScopeExceededError(
-            f"labeled poset enumeration capped at n <= {cap} (got n = {n})"
-        )
+    refuse_above("labeled poset enumeration", cap, n)
     labels = tuple(str(i) for i in range(n))
     pairs = list(itertools.combinations(range(n), 2))
     for choice in itertools.product((0, 1, 2), repeat=len(pairs)):

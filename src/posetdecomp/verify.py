@@ -24,7 +24,7 @@ from .chains import (
     is_chain_decomposition,
 )
 from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
-from .errors import CheckFailure, PosetError, ScopeExceededError
+from .errors import CheckFailure, PosetError, refuse_above
 from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
@@ -177,7 +177,7 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     matrix computed by its defining recursion; the two must agree entrywise.
     Both parts share the analysis' CutFrame, so the whole-poset counts and
     the chain comparability are computed once.  More than
-    CUT_ENUMERATION_CAP proper cuts raise ScopeExceededError.
+    CUT_ENUMERATION_CAP proper cuts are refused with ScopeExceededError.
     """
     p = an.p
     frame = an.frame
@@ -423,10 +423,7 @@ def verify_exhaustive(
 
     Refuses nmax > cap before enumerating anything; cap=None lifts the guard.
     """
-    if cap is not None and nmax > cap:
-        raise ScopeExceededError(
-            f"exhaustive sweep capped at nmax <= {cap} (got nmax = {nmax})"
-        )
+    refuse_above("exhaustive sweep", cap, nmax, unit="nmax")
     results = [
         run_poset_checks(p, which=which, seed=seed)
         for n in range(nmax + 1)

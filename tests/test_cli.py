@@ -42,11 +42,14 @@ def test_generate_all_families():
 
 
 @pytest.mark.parametrize(
-    "command", [("generate", family) for family in FAMILIES] + [("verify", "random")]
+    "command",
+    [("generate", family, "--n") for family in FAMILIES]
+    + [("verify", "random", "--n"), ("verify", "exhaustive", "--nmax"), ("verify", "random", "--count")],
 )
 def test_negative_size_is_a_usage_error(command, capsys):
+    # a negative sweep size would otherwise run over no posets and pass
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--n", "-2"])
+        main([*command, "-2"])
     assert exc.value.code == 2
     assert "must be >= 0 (got -2)" in capsys.readouterr().err
 

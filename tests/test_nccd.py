@@ -392,6 +392,22 @@ def test_chain_bounds_random():
         assert rep.ok
 
 
+def test_chain_bounds_match_once(monkeypatch):
+    # one Dilworth matching serves the chain minimum and the noncrossing bound
+    from posetdecomp import chains
+
+    calls = []
+    real = chains._hopcroft_karp
+
+    def counted(succ, n):
+        calls.append(n)
+        return real(succ, n)
+
+    monkeypatch.setattr(chains, "_hopcroft_karp", counted)
+    assert verify_chain_bounds(random_poset(8, seed=3)).ok
+    assert calls == [8]
+
+
 def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
     calls = []
     real = nccd.canonical_chain_order
