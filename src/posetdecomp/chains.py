@@ -3,7 +3,11 @@
 The Dilworth bound is computed by maximum matching in the split bipartite
 graph (left copy x, right copy y, edge iff x < y): chains follow matched
 edges, the minimum count is n - |matching|, and the complement of the Koenig
-vertex cover recovers a maximum antichain of the same size.
+vertex cover recovers a maximum antichain of the same size.  The matching
+(Hopcroft-Karp) and the Koenig cover run on the bit rows `Poset.rows`: each
+BFS expands a right vertex once through a mask of those already seen, and the
+depth-first searches read their candidate edges off per-layer masks of right
+vertices, so no adjacency list is built.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import (
     InternalInconsistencyError,
@@ -169,82 +171,112 @@ def is_chain_decomposition(p: Poset, parts) -> bool:
 # -- Dilworth bound ----------------------------------------------------------
 
 
-def _hopcroft_karp(succ: list[list[int]], n: int) -> tuple[list[int], list[int]]:
-    """Maximum matching of the split graph; left/right partner arrays (-1 free)."""
+def _hopcroft_karp(up: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Maximum matching of the split graph on the bit rows `up` (bit y of
+    up[x] is the edge x -> y); left/right partner arrays (-1 free).
+
+    Each phase's BFS expands every right vertex once, through a mask of the
+    ones already seen.  The BFS also fills layer[d], the matched right
+    vertices whose owner sits at distance d, so the depth-first searches pick
+    their next edge as the lowest bit of up[x] & (free_r | layer[dist[x] + 1])
+    instead of testing every edge.  Edges are still tried in increasing y, so
+    the matching is the one the edge-by-edge formulation finds.
+    """
     match_l = [-1] * n
     match_r = [-1] * n
+    free_r = (1 << n) - 1
     inf = n + 1
     while True:
         dist = [0 if match_l[x] == -1 else inf for x in range(n)]
+        layer = [0] * (n + 1)
         queue = deque(x for x in range(n) if match_l[x] == -1)
-        reachable_free = False
+        seen = 0
         while queue:
             x = queue.popleft()
-            for y in succ[x]:
-                owner = match_r[y]
-                if owner == -1:
-                    reachable_free = True
-                elif dist[owner] == inf:
-                    dist[owner] = dist[x] + 1
-                    queue.append(owner)
-        if not reachable_free:
-            return match_l, match_r
+            new = up[x] & ~seen
+            seen |= new
+            owned = new & ~free_r
+            layer[dist[x] + 1] |= owned
+            while owned:
+                low = owned & -owned
+                owned ^= low
+                owner = match_r[low.bit_length() - 1]
+                dist[owner] = dist[x] + 1
+                queue.append(owner)
+        if not seen & free_r:
+            break
         for x in range(n):
             if match_l[x] == -1:
-                _augment(x, succ, match_l, match_r, dist, inf)
+                y = _augment(x, up, match_l, match_r, dist, layer, free_r, inf)
+                if y != -1:
+                    free_r &= ~(1 << y)
+    return match_l, match_r
 
 
 def _augment(
     root: int,
-    succ: list[list[int]],
+    up: list[int],
     match_l: list[int],
     match_r: list[int],
     dist: list[int],
+    layer: list[int],
+    free_r: int,
     inf: int,
-) -> bool:
-    """One augmenting path from a free left vertex along the BFS layers.
+) -> int:
+    """One augmenting path from a free left vertex along the BFS layers; the
+    free right vertex it ends at, or -1.
 
     Depth-first with an explicit stack: `path` holds the left vertices of the
-    alternating path and `via[i]` the right vertex joining path[i] to
-    path[i + 1].  A dead-end left vertex gets distance `inf`, as in the
-    recursive formulation, so later searches of this phase skip it.
+    alternating path, so path[i] sits at distance i, and the right vertex
+    joining path[i] to path[i + 1] is match_l[path[i + 1]].  `lo` is the
+    lowest right vertex not yet tried at the top of the path.  A dead-end
+    left vertex gets distance `inf`, as in the recursive formulation, and
+    leaves its layer, so later searches of this phase skip it.
     """
     path = [root]
-    via: list[int] = []
-    pending = [iter(succ[root])]
+    lo = 0
     while path:
         x = path[-1]
-        for y in pending[-1]:
-            owner = match_r[y]
-            if owner == -1:
-                via.append(y)
-                for a, b in zip(path, via):
-                    match_l[a] = b
-                    match_r[b] = a
-                return True
-            if dist[owner] == dist[x] + 1:
-                via.append(y)
-                path.append(owner)
-                pending.append(iter(succ[owner]))
-                break
-        else:
-            dist[x] = inf
+        d = len(path)
+        cand = (up[x] & (free_r | layer[d])) >> lo
+        if not cand:
             path.pop()
-            pending.pop()
-            if via:
-                via.pop()
-    return False
+            if path:
+                # x leaves its layer; its parent resumes after x's right vertex
+                layer[dist[x]] &= ~(1 << match_l[x])
+                lo = match_l[x] + 1
+            dist[x] = inf
+            continue
+        y = lo + (cand & -cand).bit_length() - 1
+        owner = match_r[y]
+        if owner != -1:
+            path.append(owner)
+            lo = 0
+            continue
+        # flip the path: each right vertex moves to its new owner's layer
+        end = y
+        for i in range(len(path) - 1, -1, -1):
+            a = path[i]
+            prev = match_l[a]
+            match_l[a] = y
+            match_r[y] = a
+            layer[i + 1] &= ~(1 << y)
+            layer[i] |= 1 << y
+            y = prev
+        return end
+    return -1
 
 
 def _dilworth(p: Poset) -> tuple[ChainDecomposition, tuple]:
     """A minimum chain decomposition and a maximum antichain from one matching.
 
     The chains follow matched edges; the antichain, as labels, is the
-    complement of the Koenig vertex cover.
+    complement of the Koenig vertex cover: Z_L and Z_R are the left and
+    right vertices reachable from the free left ones by alternating paths.
     """
     n = p.n
-    succ = [np.flatnonzero(row).tolist() for row in p.lt]
-    match_l, match_r = _hopcroft_karp(succ, n)
+    up = p.rows[0]
+    match_l, match_r = _hopcroft_karp(up, n)
     chains = []
     for start in range(n):
         if match_r[start] != -1:
@@ -254,19 +286,22 @@ def _dilworth(p: Poset) -> tuple[ChainDecomposition, tuple]:
             chain.append(match_l[chain[-1]])
         chains.append(chain)
     in_zl = [match_l[x] == -1 for x in range(n)]
-    in_zr = [False] * n
+    zr = 0
     queue = deque(x for x in range(n) if in_zl[x])
     while queue:
         x = queue.popleft()
-        for y in succ[x]:
-            if match_l[x] == y or in_zr[y]:
-                continue
-            in_zr[y] = True
-            owner = match_r[y]
+        new = up[x] & ~zr
+        if match_l[x] != -1:
+            new &= ~(1 << match_l[x])
+        zr |= new
+        while new:
+            low = new & -new
+            new ^= low
+            owner = match_r[low.bit_length() - 1]
             if owner != -1 and not in_zl[owner]:
                 in_zl[owner] = True
                 queue.append(owner)
-    antichain = [p.labels[x] for x in range(n) if in_zl[x] and not in_zr[x]]
+    antichain = [p.labels[x] for x in range(n) if in_zl[x] and not zr >> x & 1]
     matched = sum(1 for x in range(n) if match_l[x] != -1)
     if len(antichain) != n - matched or not is_antichain(p, antichain):
         raise InternalInconsistencyError("cover complement is not a maximum antichain")

@@ -237,6 +237,8 @@ def _print_verify(summary: dict) -> None:
                 print(f"  failed check: {check['name']}", file=sys.stderr)
                 if "witness" in check:
                     print(f"  witness: {json.dumps(check['witness'], sort_keys=True)}", file=sys.stderr)
+    elif summary["posets"] == 0:
+        print("no posets checked")
     else:
         print("all checks passed")
 

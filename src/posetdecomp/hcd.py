@@ -67,7 +67,7 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
         masks.append(mask)
         inside.append(every)
         reach.append(some)
-    comp = np.zeros((k, k), dtype=bool)
+    ii, jj = [], []  # the comparable pairs i < j
     seen = 0  # the elements of chains 0..i
     for i in range(k):
         seen |= masks[i]
@@ -81,12 +81,16 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
         outside = ~inside[i]
         for j in later:
             if not masks[j] & outside:
-                comp[i, j] = comp[j, i] = True
+                ii.append(i)
+                jj.append(j)
             elif masks[j] & reach[i]:
                 raise NotHomogeneousError(
                     f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
                     "mix comparable and incomparable pairs"
                 )
+    comp = np.zeros((k, k), dtype=bool)
+    comp[ii, jj] = True
+    comp |= comp.T
     return comp
 
 

@@ -7,6 +7,7 @@ over indices so test expectations never share code paths with the library.
 import itertools
 import math
 import random
+from collections import deque
 
 import numpy as np
 
@@ -209,6 +210,109 @@ def max_antichain_size(p) -> int:
                 best = r
                 break
     return best
+
+
+# -- Dilworth matching on successor lists (the matching the library used
+# before it moved to bit rows) ---------------------------------------------
+
+
+def _hopcroft_karp(succ: list[list[int]], n: int) -> tuple[list[int], list[int]]:
+    """Maximum matching of the split graph; left/right partner arrays (-1 free)."""
+    match_l = [-1] * n
+    match_r = [-1] * n
+    inf = n + 1
+    while True:
+        dist = [0 if match_l[x] == -1 else inf for x in range(n)]
+        queue = deque(x for x in range(n) if match_l[x] == -1)
+        reachable_free = False
+        while queue:
+            x = queue.popleft()
+            for y in succ[x]:
+                owner = match_r[y]
+                if owner == -1:
+                    reachable_free = True
+                elif dist[owner] == inf:
+                    dist[owner] = dist[x] + 1
+                    queue.append(owner)
+        if not reachable_free:
+            return match_l, match_r
+        for x in range(n):
+            if match_l[x] == -1:
+                _augment(x, succ, match_l, match_r, dist, inf)
+
+
+def _augment(
+    root: int,
+    succ: list[list[int]],
+    match_l: list[int],
+    match_r: list[int],
+    dist: list[int],
+    inf: int,
+) -> bool:
+    """One augmenting path from a free left vertex along the BFS layers.
+
+    Depth-first with an explicit stack: `path` holds the left vertices of the
+    alternating path and `via[i]` the right vertex joining path[i] to
+    path[i + 1].  A dead-end left vertex gets distance `inf`, as in the
+    recursive formulation, so later searches of this phase skip it.
+    """
+    path = [root]
+    via: list[int] = []
+    pending = [iter(succ[root])]
+    while path:
+        x = path[-1]
+        for y in pending[-1]:
+            owner = match_r[y]
+            if owner == -1:
+                via.append(y)
+                for a, b in zip(path, via):
+                    match_l[a] = b
+                    match_r[b] = a
+                return True
+            if dist[owner] == dist[x] + 1:
+                via.append(y)
+                path.append(owner)
+                pending.append(iter(succ[owner]))
+                break
+        else:
+            dist[x] = inf
+            path.pop()
+            pending.pop()
+            if via:
+                via.pop()
+    return False
+
+
+def dilworth_by_lists(p) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """(chains, antichain) as the list-based `_dilworth` built them: the
+    chains of matched edges sorted by first element, and the complement of
+    the Koenig cover as labels."""
+    n = p.n
+    succ = [np.flatnonzero(row).tolist() for row in p.lt]
+    match_l, match_r = _hopcroft_karp(succ, n)
+    chains = []
+    for start in range(n):
+        if match_r[start] != -1:
+            continue
+        chain = [start]
+        while match_l[chain[-1]] != -1:
+            chain.append(match_l[chain[-1]])
+        chains.append(tuple(chain))
+    in_zl = [match_l[x] == -1 for x in range(n)]
+    in_zr = [False] * n
+    queue = deque(x for x in range(n) if in_zl[x])
+    while queue:
+        x = queue.popleft()
+        for y in succ[x]:
+            if match_l[x] == y or in_zr[y]:
+                continue
+            in_zr[y] = True
+            owner = match_r[y]
+            if owner != -1 and not in_zl[owner]:
+                in_zl[owner] = True
+                queue.append(owner)
+    antichain = tuple(p.labels[x] for x in range(n) if in_zl[x] and not in_zr[x])
+    return tuple(sorted(chains)), antichain
 
 
 def noncrossing_partition(p, partition) -> bool:

@@ -19,7 +19,15 @@ from posetdecomp import (
     minimum_chain_decomposition,
     width,
 )
-from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, two_chain_fan
+from posetdecomp import chains as chains_module
+from posetdecomp.generate import (
+    antichain,
+    boolean_lattice,
+    chain,
+    random_poset,
+    two_chain_fan,
+    wrap_forest,
+)
 from posetdecomp.poset import enumerate_posets
 
 import oracles
@@ -177,15 +185,35 @@ def test_matching_with_long_augmenting_path():
     assert minimum_chain_decomposition(p).k == m + 1
 
 
+def _matching_populations():
+    yield from (p for n in range(6) for p in enumerate_posets(n))
+    for density in (0.02, 0.05, 0.1, 0.2, 0.35, 0.5):
+        for seed in range(8):
+            yield random_poset(8 + 13 * (seed % 5), density=density, seed=seed)
+    yield from (wrap_forest(n, seed=s) for n in (12, 20, 30) for s in range(10))
+    yield chain(300)
+    yield antichain(300)
+
+
+def test_bit_row_matching_is_the_list_matching():
+    # the bit-row search tries edges in the same order, so it must return
+    # the very matching, decomposition and antichain of the list-based one
+    for p in _matching_populations():
+        succ = [np.flatnonzero(row).tolist() for row in p.lt]
+        assert chains_module._hopcroft_karp(p.rows[0], p.n) == oracles._hopcroft_karp(succ, p.n)
+        d, a = chains_module._dilworth(p)
+        assert (d.chains, a) == oracles.dilworth_by_lists(p)
+
+
 def test_dilworth_check_and_section_match_once(monkeypatch):
     from posetdecomp import chains, cli, verify
 
     calls = []
     real = chains._hopcroft_karp
 
-    def counted(succ, n):
+    def counted(up, n):
         calls.append(n)
-        return real(succ, n)
+        return real(up, n)
 
     monkeypatch.setattr(chains, "_hopcroft_karp", counted)
     p = random_poset(9, seed=3)

@@ -54,6 +54,18 @@ def test_negative_size_is_a_usage_error(command, capsys):
     assert "must be >= 0 (got -2)" in capsys.readouterr().err
 
 
+def test_empty_sweep_says_nothing_was_checked(capsys):
+    # --count 0 is legal and exits 0, but must not claim that checks passed
+    args = ["verify", "random", "--n", "3", "--count", "0"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "no posets checked"
+    assert "all checks passed" not in out
+    assert main(args + ["--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["posets"] == 0 and summary["ok"]
+
+
 def test_generate_to_file(tmp_path):
     target = tmp_path / "p.txt"
     out = run_cli("generate", "fan", "--n", "2", "--out", str(target))

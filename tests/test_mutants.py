@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
-from posetdecomp import hcd, nccd, poset, verify
+from posetdecomp import chains, hcd, nccd, poset, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, random_poset, wrap_forest
 
@@ -202,6 +202,24 @@ def deletion_keeps_column_z(monkeypatch):
     monkeypatch.setattr(verify, "_deletion_bounds", namespace["_deletion_bounds"])
 
 
+def matching_one_phase(monkeypatch):
+    """`_hopcroft_karp` stops after its first phase: the greedy matching."""
+    source = inspect.getsource(chains._hopcroft_karp)
+    assert source.count("while True:") == 1
+    namespace = dict(vars(chains))
+    exec(source.replace("while True:", "for _phase in range(1):"), namespace)
+    monkeypatch.setattr(chains, "_hopcroft_karp", namespace["_hopcroft_karp"])
+
+
+def antichain_keeps_right_cover(monkeypatch):
+    """The antichain is Z_L: the right cover Z_R is not removed."""
+    source = inspect.getsource(chains._dilworth)
+    assert source.count("if in_zl[x] and not zr >> x & 1]") == 1
+    namespace = dict(vars(chains))
+    exec(source.replace("if in_zl[x] and not zr >> x & 1]", "if in_zl[x]]"), namespace)
+    monkeypatch.setattr(verify, "_dilworth", namespace["_dilworth"])
+
+
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
@@ -256,6 +274,8 @@ MUTANTS = {
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
     "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
+    "matching-one-phase": (matching_one_phase, check_fails("dilworth")),
+    "antichain-keeps-right-cover": (antichain_keeps_right_cover, check_fails("dilworth")),
 }
 
 

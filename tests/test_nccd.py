@@ -399,9 +399,9 @@ def test_chain_bounds_match_once(monkeypatch):
     calls = []
     real = chains._hopcroft_karp
 
-    def counted(succ, n):
+    def counted(up, n):
         calls.append(n)
-        return real(succ, n)
+        return real(up, n)
 
     monkeypatch.setattr(chains, "_hopcroft_karp", counted)
     assert verify_chain_bounds(random_poset(8, seed=3)).ok
