@@ -15,9 +15,10 @@ For every workload in WORKLOADS, pair i of PAIRS runs `perfbench/run.py
 in odd ones, so slow drift of the machine lands on both sides alike.  Then
 each input in ANALYZE_INPUTS is timed the same way as one `posetdecomp
 analyze --dilworth --mhcd --json` process, on one input file that the base
-side's `generate` wrote.  The JSON holds the machine, both revisions, the
-exact commands, every run, and per metric each side's median and quartiles
-and the number of pairs in which head beat base (ties count for neither).
+side's `generate` wrote, for its wall time and peak RSS.  The JSON holds the
+machine, both revisions, the exact commands, every run, and per metric each
+side's median and quartiles and the number of pairs in which head beat base
+(ties count for neither).
 The perfbench commands run in each side's export; the analyze and generate
 commands run in the directory that holds both exports, base/ and head/, and
 the input files.
@@ -37,7 +38,7 @@ import time
 
 PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
-ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000))
+ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -86,20 +87,26 @@ def perfbench(root: str, workload: str, seed: int) -> dict:
     return {"command": ["python3", *cmd[1:]], "exit": proc.returncode, "wall_s": wall, **result}
 
 
-def cli(root: str, args: list[str], cwd: str) -> tuple[list[str], subprocess.CompletedProcess]:
-    """Run `posetdecomp ARGS` from the export at root, in cwd."""
+def cli(root: str, args: list[str], cwd: str) -> tuple[list[str], int, float]:
+    """Run `posetdecomp ARGS` from the export at root, in cwd: the command,
+    its exit status and its peak RSS in MB, read from this one child's
+    resource usage (wait4)."""
     cmd = [sys.executable, "-m", "posetdecomp.cli", *args]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
-    return [f"PYTHONPATH={os.path.relpath(root, cwd)}/src", "python3", *cmd[1:]], proc
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL) as child:
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    cmd = [f"PYTHONPATH={os.path.relpath(root, cwd)}/src", "python3", *cmd[1:]]
+    return cmd, child.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KB on Linux
 
 
 def analyze(root: str, name: str, cwd: str) -> dict:
     start = time.perf_counter()
-    cmd, proc = cli(root, ["analyze", name, *ANALYZE_ARGS], cwd)
+    cmd, code, rss = cli(root, ["analyze", name, *ANALYZE_ARGS], cwd)
     wall = time.perf_counter() - start
-    return {"command": cmd, "exit": proc.returncode,
-            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    return {"command": cmd, "exit": code,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -161,8 +168,9 @@ def main() -> int:
         files = {}
         for family, n in ANALYZE_INPUTS:
             name = f"{family}{n}.txt"
-            cmd, proc = cli(roots["base"], ["generate", family, "--n", str(n), "--out", name], scratch)
-            proc.check_returncode()
+            cmd, code, _ = cli(roots["base"], ["generate", family, "--n", str(n), "--out", name], scratch)
+            if code:
+                raise subprocess.CalledProcessError(code, cmd)
             files[name] = cmd
         results: dict[str, dict] = {}
         for name in [*WORKLOADS, *files]:

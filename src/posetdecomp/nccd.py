@@ -30,6 +30,8 @@ from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
 from .kernels import min_descents, permutations_avoiding
 from .poset import (
     Poset,
+    _bitrows,
+    _cover_rows,
     _extension_rows,
     _topological_order,
     is_linear_extension,
@@ -345,7 +347,7 @@ def _verified_wrap_order(p: Poset, graph: ChainGraph) -> WrapOrder:
     if both.any():
         i, j = map(int, np.argwhere(both)[0])
         raise CheckFailure("wrap relation is not antisymmetric", witness=(names[i], names[j]))
-    if not np.array_equal(transitive_closure(rel), rel):
+    if _cover_rows(*_bitrows(rel)) is None:
         missing = np.argwhere(transitive_closure(rel) & ~rel)
         i, j = map(int, missing[0])
         raise CheckFailure("wrap relation is not transitive", witness=(names[i], names[j]))

@@ -7,12 +7,19 @@ interval queries O(1) at the price of O(n^2) memory.  The one packed form of
 the order is `Poset.rows`, bit rows built by `_bitrows` and read everywhere.
 
 Loading from cover relations closes the relation on bit rows during the
-search for a directed cycle, one depth-first pass.  The transitivity check,
-the Hasse diagram and the public `transitive_closure` rest on one two-step
-reachability product, computed as a float32 BLAS matrix product of 0/1
-matrices.  It is exact: every entry is a count of at most n two-step paths,
-and float32 represents every integer below 2**24, so no rounding can occur
-for any poset this package can hold.
+search for a directed cycle, one depth-first pass.  Validation and the Hasse
+diagram are one walk on the bit rows, `_cover_rows`: for each x it tests the
+up row of one successor y per step and ORs it into the set x has reached,
+until every successor of x is either such a y or reached; the successors
+never reached are x's covers.  It is exact in any label order for an
+irreflexive relation.  Each z above x is either a tested y or lies in the
+row of some tested y, whose row then lies inside x's and misses y itself,
+so it is strictly smaller than x's; by induction on the size of the row,
+every row of the relation that passes is closed.  The public
+`transitive_closure` squares by float32 BLAS matrix products of 0/1
+matrices.  They are exact: every entry is a count of at most n two-step
+paths, and float32 represents every integer below 2**24, so no rounding can
+occur for any poset this package can hold.
 """
 
 from __future__ import annotations
@@ -32,31 +39,66 @@ AUTOMORPHISM_CAP = 9
 POSET_ENUMERATION_CAP = 5
 
 
-def _two_step(rel: np.ndarray) -> np.ndarray:
-    """Pairs (i, j) joined by a path i -> k -> j of two steps in `rel`.
+def _bitrows(mat: np.ndarray) -> tuple[list[int], list[int]]:
+    """The bit rows (up, down) of a square boolean matrix: bit y of up[x] and
+    bit x of down[y] are set when mat[x, y].
 
-    One float32 BLAS product of the 0/1 matrix with itself.  Entry (i, j) of
-    the product counts the middle points k, so it is an integer of at most
-    n; float32 holds every integer below 2**24 exactly, and every partial
-    sum is such an integer, so the result is exact for n < 2**24.
+    One packing call on the matrix stacked over its transpose; stacking also
+    copies the transpose to row-major order, which packs several times faster
+    than the transposed view at n in the hundreds.
     """
-    f = np.asarray(rel, dtype=np.float32)
-    return (f @ f) > 0
+    n = len(mat)
+    packed = np.packbits(np.concatenate((mat, mat.T)), axis=1, bitorder="little")
+    # one bytes object per row, through a void dtype as wide as a row
+    rows = packed.view(f"V{packed.shape[1] or 1}").ravel().tolist()
+    rows = list(map(int.from_bytes, rows, itertools.repeat("little")))
+    return rows[:n], rows[n:]
 
 
-def _bitrows(mat: np.ndarray) -> list[int]:
-    """The rows of a boolean matrix as integers: bit y of row x is mat[x, y]."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    width = packed.shape[1] or 1  # an empty matrix has no rows to slice
-    blob = packed.tobytes()
-    return [int.from_bytes(blob[i:i + width], "little") for i in range(0, len(blob), width)]
+def _cover_rows(up: list[int], down: list[int]) -> list[int] | None:
+    """The covers of each x as a bit row, or None unless the irreflexive
+    relation with bit rows (up, down) is transitively closed.
+
+    For each x, until every successor is reached or tested: take the lowest
+    successor left, step down to the highest successor left below it while
+    one is (`seen` ends the descent on a cycle), require that element's up
+    row to lie inside x's, and OR it into `reached`.  The successors never
+    reached are the covers; see the module docstring for why this is exact.
+    """
+    covers = []
+    for row in up:
+        reached = 0
+        left = row
+        while left:
+            y = (left & -left).bit_length() - 1
+            below = down[y] & left
+            if below:
+                seen = 1 << y
+                while below:
+                    y = below.bit_length() - 1
+                    seen |= 1 << y
+                    below = down[y] & left & ~seen
+            if up[y] & ~row:
+                return None
+            reached |= up[y]
+            left &= ~(reached | 1 << y)
+        covers.append(row & ~reached)
+    return covers
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Boolean transitive closure by repeated squaring."""
+    """Boolean transitive closure by repeated squaring.
+
+    Each square is one float32 BLAS product of the 0/1 matrix with itself.
+    Entry (i, j) of the product counts the middle points k of the paths
+    i -> k -> j, so it is an integer of at most n; float32 holds every
+    integer below 2**24 exactly, and every partial sum is such an integer, so
+    the result is exact for n < 2**24.
+    """
     closed = np.asarray(rel, dtype=bool)
     while True:
-        grown = closed | _two_step(closed)
+        f = closed.astype(np.float32)
+        grown = closed | ((f @ f) > 0)
         if np.array_equal(grown, closed):
             return grown
         closed = grown
@@ -73,16 +115,24 @@ class Poset:
         lt = np.asarray(lt, dtype=bool)
         if lt.shape != (n, n):
             raise ValueError(f"matrix shape {lt.shape} does not match {n} elements")
-        if lt.diagonal().any():
+        up, down = _bitrows(lt)
+        if any(row >> x & 1 for x, row in enumerate(up)):
             raise ValueError("strict order cannot be reflexive")
-        if (lt & lt.T).any():
-            raise ValueError("strict order cannot be symmetric on any pair")
-        if (~lt & _two_step(lt)).any():
+        covers = _cover_rows(up, down)
+        if covers is None:
+            # x < y < x would make an irreflexive transitive relation
+            # reflexive, so a symmetric pair fails the walk too
+            if any(u & d for u, d in zip(up, down)):
+                raise ValueError("strict order cannot be symmetric on any pair")
             raise ValueError("relation is not transitively closed")
         lt = lt.copy()
         lt.setflags(write=False)
         self.labels = labels
         self.lt = lt
+        # The order as bitmasks (up, down): bit y of up[x] and bit x of
+        # down[y] are set when x < y.  Shared by every caller, so read-only.
+        self.rows = (up, down)
+        self._covers = covers
         self._index = {x: i for i, x in enumerate(labels)}
 
     # -- construction ------------------------------------------------------
@@ -130,12 +180,6 @@ class Poset:
         """Number of elements below each element, by index."""
         return tuple(np.count_nonzero(self.lt, axis=0).tolist())
 
-    @cached_property
-    def rows(self) -> tuple[list[int], list[int]]:
-        """The order as bitmasks (up, down): bit y of up[x] and bit x of
-        down[y] are set when x < y.  Shared by every caller, so read-only."""
-        return _bitrows(self.lt), _bitrows(self.lt.T)
-
     # -- queries -----------------------------------------------------------
 
     def less(self, x, y) -> bool:
@@ -150,9 +194,10 @@ class Poset:
         return i == j or bool(self.lt[i, j]) or bool(self.lt[j, i])
 
     def covers(self) -> list[tuple]:
-        """Hasse diagram pairs (x, y), in element input order."""
-        hasse = self.lt & ~_two_step(self.lt)
-        return [(self.labels[i], self.labels[j]) for i, j in zip(*np.nonzero(hasse))]
+        """Hasse diagram pairs (x, y), in element input order: the cover rows
+        that validation found, read lowest x first and lowest y first."""
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, row in enumerate(self._covers) for j in _bits(row)]
 
     def induced(self, keep: Iterable) -> "Poset":
         """Sub-poset on a subset of labels, in the order given."""
@@ -198,7 +243,10 @@ def _close_acyclic(rel: np.ndarray) -> tuple[list[int] | None, np.ndarray | None
     w, one bit row per node, unpacked into the boolean closure at the end.
     """
     n = rel.shape[0]
-    succ = [np.flatnonzero(row).tolist() for row in rel]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    flat = np.flatnonzero(rel)
+    for x, w in zip((flat // n).tolist(), (flat % n).tolist()):
+        succ[x].append(w)  # row-major, so each list is in index order
     color = [0] * n  # 0 unvisited, 1 on the path, 2 done
     reach = [0] * n
     for root in range(n):
@@ -540,7 +588,7 @@ def automorphism_group(lt: np.ndarray, colors: Sequence | None = None) -> Automo
     """
     lt = np.asarray(lt, dtype=bool)
     n = lt.shape[0]
-    up, down = _bitrows(lt), _bitrows(lt.T)
+    up, down = _bitrows(lt)
     rows = (up, down, up, down)
     sig = _refined_signatures(lt, colors)
     dom = _domains(sig, sig)

@@ -147,6 +147,61 @@ def closure_by_squaring(rel):
         closed = grown
 
 
+def _two_step(rel):
+    f = np.asarray(rel, dtype=np.float32)
+    return (f @ f) > 0
+
+
+def transitive_by_product(lt) -> bool:
+    """The dense transitivity check: no two-step path i -> k -> j misses lt[i, j].
+
+    One float32 product of the 0/1 matrix with itself; its entries count at
+    most n middle points, so they are exact for n < 2**24.
+    """
+    lt = np.asarray(lt, dtype=bool)
+    return not (~lt & _two_step(lt)).any()
+
+
+def covers_by_product(p) -> list:
+    """Hasse diagram pairs: the strict pairs with no two-step path, row-major."""
+    hasse = p.lt & ~_two_step(p.lt)
+    return [(p.labels[i], p.labels[j]) for i, j in zip(*np.nonzero(hasse))]
+
+
+def near_orders(seed: int, count: int, nmax: int = 12):
+    """Irreflexive antisymmetric relations on at most nmax points, transitive or not.
+
+    Cycles through three kinds: a closed order (the closure of a random
+    acyclic relation, in scrambled labels) with one pair flipped; a random
+    orientation of a random set of pairs; and a closed order or random
+    orientation with a directed 3-cycle laid over it.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, nmax)
+        density = rng.choice((0.1, 0.2, 0.3, 0.5))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if i % 3 == 1 or (i % 3 == 2 and rng.random() < 0.5):
+            rel = np.zeros((n, n), dtype=bool)
+            for a, b in itertools.combinations(range(n), 2):
+                if rng.random() < density:
+                    rel[(a, b) if rng.random() < 0.5 else (b, a)] = True
+        else:
+            upper = np.triu(np.array([[rng.random() < density for _ in range(n)] for _ in range(n)]), 1)
+            rel = closure_by_squaring(upper)[np.ix_(perm, perm)]
+        if i % 3 == 0:
+            pairs = np.argwhere(rel)
+            if len(pairs):
+                a, b = pairs[rng.randrange(len(pairs))]
+                rel[a, b], rel[b, a] = False, True
+        elif i % 3 == 2:
+            a, b, c = rng.sample(range(n), 3)
+            for x, y in ((a, b), (b, c), (c, a)):
+                rel[x, y], rel[y, x] = True, False
+        yield rel
+
+
 def find_cycle(rel):
     """The library's cycle search before it also closed the relation, kept
     verbatim as the witness oracle.

@@ -22,6 +22,7 @@ import oracles
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
+NEAR_ORDERS = list(oracles.near_orders(seed=6, count=600))
 
 
 def first_witness_only(monkeypatch):
@@ -181,6 +182,24 @@ def closure_skips_successor_bit(monkeypatch):
     monkeypatch.setattr(poset, "_close_acyclic", namespace["_close_acyclic"])
 
 
+def walk_skips_containment(monkeypatch):
+    """The cover walk drops its containment test: no row is checked against x's."""
+    source = inspect.getsource(poset._cover_rows)
+    assert source.count("if up[y] & ~row:") == 1
+    namespace = dict(vars(poset))
+    exec(source.replace("if up[y] & ~row:", "if False:"), namespace)
+    monkeypatch.setattr(poset, "_cover_rows", namespace["_cover_rows"])
+
+
+def covers_keep_reached(monkeypatch):
+    """The cover walk returns each whole row: every successor counts as a cover."""
+    source = inspect.getsource(poset._cover_rows)
+    assert source.count("covers.append(row & ~reached)") == 1
+    namespace = dict(vars(poset))
+    exec(source.replace("covers.append(row & ~reached)", "covers.append(row)"), namespace)
+    monkeypatch.setattr(poset, "_cover_rows", namespace["_cover_rows"])
+
+
 def extension_rows_reversed(monkeypatch):
     """`_extension_rows` returns (down, up): "earlier in e" read as "later"."""
     real = nccd._extension_rows
@@ -223,6 +242,23 @@ def antichain_keeps_right_cover(monkeypatch):
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
+
+
+def walk_differs_from_product_oracles() -> bool:
+    """test_poset_core's cover-walk agreement tests, on FAMILY and NEAR_ORDERS."""
+    for p in FAMILY:
+        if poset.Poset(p.labels, p.lt).covers() != oracles.covers_by_product(p):
+            return True
+    for lt in NEAR_ORDERS:
+        try:
+            q = poset.Poset(range(len(lt)), lt)
+        except ValueError:
+            q = None
+        if (q is not None) != oracles.transitive_by_product(lt):
+            return True
+        if q is not None and q.covers() != oracles.covers_by_product(q):
+            return True
+    return False
 
 
 def orders_differ_from_listing_oracle() -> bool:
@@ -272,6 +308,8 @@ MUTANTS = {
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
+    "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
+    "covers-keep-reached": (covers_keep_reached, walk_differs_from_product_oracles),
     "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
     "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
     "matching-one-phase": (matching_one_phase, check_fails("dilworth")),

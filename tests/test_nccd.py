@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from posetdecomp import (
@@ -455,3 +456,21 @@ def test_report_serializes_to_plain_json_types():
     rep = verify_chain_bounds(diamond())
     blob = json.dumps(rep.to_dict(), sort_keys=True)
     assert "min_homogeneous" in blob
+
+
+def test_intransitive_wrap_relation_fails_with_first_missing_pair(monkeypatch):
+    # the cover walk only decides; the witness is the first pair, row-major,
+    # that the closure of the relation adds
+    p = wrap_forest(20, seed=0)
+    d = mhcd(p)
+    names = d.chains_as_labels()
+    assert d.k >= 3
+    for arcs in (((0, 1), (1, 2)), ((0, 1), (1, 2), (2, 0))):
+        rel = np.zeros((d.k, d.k), dtype=bool)
+        for i, j in arcs:
+            rel[i, j] = True
+        monkeypatch.setattr(nccd, "_wrap_matrices", lambda p, d, rel=rel: (rel, rel & False))
+        i, j = np.argwhere(oracles.closure_by_squaring(rel) & ~rel)[0]
+        with pytest.raises(CheckFailure, match="^wrap relation is not transitive") as exc:
+            wrap_order(p)
+        assert exc.value.witness == (names[i], names[j])

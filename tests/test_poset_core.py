@@ -55,15 +55,64 @@ def test_cycle_rejected_with_witness():
 def test_init_rejects_intransitive_matrix():
     lt = np.zeros((3, 3), dtype=bool)
     lt[0, 1] = lt[1, 2] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^relation is not transitively closed$"):
         Poset("abc", lt)
 
 
 def test_init_rejects_symmetric_pair():
     lt = np.zeros((2, 2), dtype=bool)
     lt[0, 1] = lt[1, 0] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strict order cannot be symmetric on any pair$"):
         Poset("ab", lt)
+
+
+def test_init_rejects_reflexive_matrix():
+    lt = np.zeros((3, 3), dtype=bool)
+    lt[0, 1] = lt[2, 2] = True
+    with pytest.raises(ValueError, match="^strict order cannot be reflexive$"):
+        Poset("abc", lt)
+
+
+def test_init_rejects_antisymmetric_3_cycle():
+    # a < b < c < a passes the reflexive and symmetric checks; the cover
+    # walk must neither accept it nor loop on it
+    lt = np.zeros((4, 4), dtype=bool)
+    lt[0, 1] = lt[1, 2] = lt[2, 0] = True
+    lt[3, :3] = True
+    with pytest.raises(ValueError, match="^relation is not transitively closed$"):
+        Poset("abcd", lt)
+
+
+def _walk_agrees_with_product(lt, labels=None) -> bool:
+    """The constructor accepts lt iff the dense check does, with the same covers."""
+    try:
+        p = Poset(labels or [f"e{i}" for i in range(len(lt))], lt)
+    except ValueError as exc:
+        return str(exc) == "relation is not transitively closed" and not oracles.transitive_by_product(lt)
+    return oracles.transitive_by_product(lt) and p.covers() == oracles.covers_by_product(p)
+
+
+def test_cover_walk_matches_product_oracles_on_near_orders():
+    relations = list(oracles.near_orders(seed=16, count=2400))
+    assert sum(map(oracles.transitive_by_product, relations)) > 500
+    for lt in relations:
+        assert _walk_agrees_with_product(lt), lt.astype(int)
+
+
+def test_cover_walk_matches_product_oracles_on_large_orders():
+    n = 1000
+    reverse = list(range(n))[::-1]
+    shuffled = list(range(n))
+    random.Random(3).shuffle(shuffled)
+    for p in (chain(n), wrap_forest(n), antichain(n)):
+        for order in (range(n), reverse, shuffled):
+            q = p.induced([p.labels[i] for i in order])
+            assert _walk_agrees_with_product(q.lt, q.labels)
+    gapped = chain(n).lt.copy()
+    gapped[0, n - 1] = False
+    gapped = gapped[np.ix_(reverse, reverse)]
+    assert not oracles.transitive_by_product(gapped)
+    assert _walk_agrees_with_product(gapped)
 
 
 def test_matrix_is_read_only():
