@@ -15,13 +15,14 @@ For every workload in WORKLOADS, pair i of PAIRS runs `perfbench/run.py
 in odd ones, so slow drift of the machine lands on both sides alike.  Then
 each input in ANALYZE_INPUTS is timed the same way as one `posetdecomp
 analyze --dilworth --mhcd --json` process, on one input file that the base
-side's `generate` wrote, for its wall time and peak RSS.  The JSON holds the
+side's `generate` wrote, and each command in VERIFY_INPUTS as one
+`posetdecomp` process, for its wall time and peak RSS.  The JSON holds the
 machine, both revisions, the exact commands, every run, and per metric each
 side's median and quartiles and the number of pairs in which head beat base
 (ties count for neither).
-The perfbench commands run in each side's export; the analyze and generate
-commands run in the directory that holds both exports, base/ and head/, and
-the input files.
+The perfbench commands run in each side's export; the other commands run
+in the directory that holds both exports, base/ and head/, and the input
+files.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
 ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
+# the enumeration at n = 6 under the battery's cheapest check
+VERIFY_INPUTS = {
+    "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
+                           "--checks", "deletion"],
+}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -100,9 +106,9 @@ def cli(root: str, args: list[str], cwd: str) -> tuple[list[str], int, float]:
     return cmd, child.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KB on Linux
 
 
-def analyze(root: str, name: str, cwd: str) -> dict:
+def timed(root: str, args: list[str], cwd: str) -> dict:
     start = time.perf_counter()
-    cmd, code, rss = cli(root, ["analyze", name, *ANALYZE_ARGS], cwd)
+    cmd, code, rss = cli(root, args, cwd)
     wall = time.perf_counter() - start
     return {"command": cmd, "exit": code,
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
@@ -173,13 +179,15 @@ def main() -> int:
                 raise subprocess.CalledProcessError(code, cmd)
             files[name] = cmd
         results: dict[str, dict] = {}
-        for name in [*WORKLOADS, *files]:
+        for name in [*WORKLOADS, *files, *VERIFY_INPUTS]:
             runs = []
             for pair in range(PAIRS):
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 for side in order:
                     if name in files:
-                        run = analyze(roots[side], name, scratch)
+                        run = timed(roots[side], ["analyze", name, *ANALYZE_ARGS], scratch)
+                    elif name in VERIFY_INPUTS:
+                        run = timed(roots[side], VERIFY_INPUTS[name], scratch)
                     else:
                         run = perfbench(roots[side], name, pair + 1)
                     runs.append({"pair": pair, "side": side, **run})

@@ -316,8 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vex.add_argument(
         "--unsafe-scope",
         action="store_true",
-        help=f"allow --nmax above {POSET_ENUMERATION_CAP} (3^(n(n-1)/2) relation "
-        "assignments per size; nmax = 7 would take hours)",
+        help=f"allow --nmax above {POSET_ENUMERATION_CAP} (130,023 labeled posets at "
+        "n = 6 and 6,129,859 at n = 7, each through the battery; nmax = 7 would "
+        "take hours)",
     )
     vex.set_defaults(func=_cmd_verify)
 

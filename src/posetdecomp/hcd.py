@@ -29,7 +29,7 @@ from .errors import (
     ScatteringError,
     refuse_above,
 )
-from .poset import Poset, _bits, automorphism_group
+from .poset import Poset, _bitrows, _bits, automorphism_group
 
 GRAPH_AUTOMORPHISM_CAP = 10
 HOM_WORDS = 16
@@ -271,7 +271,7 @@ def graph_automorphisms(
     order from the group's strong generators, capped at `cap` vertices.
     """
     refuse_above("graph automorphism search", cap, mat.shape[0], unit="k")
-    return automorphism_group(mat).elements()
+    return automorphism_group(_bitrows(mat)).elements()
 
 
 # -- the embedding report ------------------------------------------------------
@@ -326,7 +326,7 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _kernel_order(p: Poset, d: ChainDecomposition) -> int:
     """Order of the group of automorphisms that map every chain of d to itself."""
-    return automorphism_group(p.lt, d.chain_of).order
+    return automorphism_group(p.rows, d.chain_of).order
 
 
 def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
@@ -341,15 +341,15 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
     1995).  Onto is exact: |Aut(P)| against the order of the length-coloured
     oriented chain graph's group.
     """
-    group = automorphism_group(p.lt)
+    group = automorphism_group(p.rows)
     d = gr.decomposition
     lengths = [len(c) for c in d.chains]
     report = EmbeddingReport(
         n=p.n,
         k=d.k,
         aut_poset_order=group.order,
-        aut_oriented_order=automorphism_group(gr.oriented, lengths).order,
-        aut_unoriented_order=automorphism_group(gr.adjacency, lengths).order,
+        aut_oriented_order=automorphism_group(_bitrows(gr.oriented), lengths).order,
+        aut_unoriented_order=automorphism_group(_bitrows(gr.adjacency), lengths).order,
         well_defined=True,
         injective=True,
         homomorphism=True,

@@ -14,6 +14,7 @@ which a size cap skipped it.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterable
 
 from .chains import (
     ChainDecomposition,
@@ -378,37 +379,38 @@ def check_catalan_counts(limit: int = 8) -> dict:
     return out
 
 
-def _aggregate_findings(results: list[dict]) -> list[dict]:
-    counts: dict[str, dict] = {}
-    for res in results:
-        for f in res.get("findings", []):
-            kind = f.get("kind", f.get("check", "unknown"))
-            slot = counts.setdefault(kind, {"kind": kind, "count": 0, "example": f})
-            slot["count"] += 1
-    return sorted(counts.values(), key=lambda s: s["kind"])
-
-
 def _skipped(check: dict) -> bool:
     """True when a check skipped its work, or part of it, at a fixed size cap."""
     details = check["details"]
     return "skipped" in details or details.get("scans") == "skipped"
 
 
-def _summarize(mode: str, results: list[dict], extra_checks: list[dict]) -> dict:
-    """The sweep's verdict, its failures and findings, and per check the posets it skipped."""
-    failures = [r for r in results if not r["ok"]]
-    ok = not failures and all(c["passed"] for c in extra_checks)
+def _sweep(mode: str, records: Iterable[dict], extra_checks: list[dict]) -> dict:
+    """The sweep's verdict, its failures and findings, and per check the
+    posets it skipped, folded in one record at a time: a passing record is
+    dropped once counted, and each finding kind keeps a count and its first
+    example."""
+    posets = 0
+    failures = []
+    findings: dict[str, dict] = {}
     skipped: dict[str, int] = {}
-    for res in results:
+    for res in records:
+        posets += 1
+        if not res["ok"]:
+            failures.append(res)
+        for f in res["findings"]:
+            kind = f.get("kind", f.get("check", "unknown"))
+            slot = findings.setdefault(kind, {"kind": kind, "count": 0, "example": f})
+            slot["count"] += 1
         for check in res["checks"]:
             skipped[check["name"]] = skipped.get(check["name"], 0) + _skipped(check)
     return {
         "mode": mode,
-        "posets": len(results),
-        "ok": ok,
+        "posets": posets,
+        "ok": not failures and all(c["passed"] for c in extra_checks),
         "failures": failures,
         "global_checks": extra_checks,
-        "findings": _aggregate_findings(results),
+        "findings": sorted(findings.values(), key=lambda s: s["kind"]),
         "skipped": skipped,
     }
 
@@ -424,13 +426,12 @@ def verify_exhaustive(
     Refuses nmax > cap before enumerating anything; cap=None lifts the guard.
     """
     refuse_above("exhaustive sweep", cap, nmax, unit="nmax")
-    results = [
+    records = (
         run_poset_checks(p, which=which, seed=seed)
         for n in range(nmax + 1)
         for p in enumerate_posets(n, cap=None)
-    ]
-    extra = [check_catalan_counts()]
-    summary = _summarize("exhaustive", results, extra)
+    )
+    summary = _sweep("exhaustive", records, [check_catalan_counts()])
     summary["nmax"] = nmax
     return summary
 
@@ -450,7 +451,7 @@ def verify_random(
         posets = (wrap_forest(n, seed=seed + i) for i in range(count))
     else:
         raise ValueError(f"unknown family {family!r}")
-    results = [run_poset_checks(p, which=which, seed=seed) for p in posets]
-    summary = _summarize("random", results, [])
+    records = (run_poset_checks(p, which=which, seed=seed) for p in posets)
+    summary = _sweep("random", records, [])
     summary.update({"n": n, "count": count, "seed": seed, "family": family})
     return summary

@@ -936,3 +936,36 @@ def brute_embedding(p, pair_cap: int = 250_000) -> dict:
     )
     out["onto_oriented"] = len(set(sigmas)) == len(oriented_group)
     return out
+
+
+# -- labeled posets by filtering every pair orientation (the enumeration the
+# library used before it grew each order from one on a point fewer)
+
+
+def poset_rows_by_product(n: int):
+    """The up rows of every strict order on 0..n-1: each unordered pair in
+    `combinations` order gets one of {incomparable, i<j, j<i}, and the
+    assignments of the product that fail transitivity are dropped."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [0] * n
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        if _bitrows_transitive(rows):
+            yield rows
+
+
+def _bitrows_transitive(rows: list[int]) -> bool:
+    for i, row in enumerate(rows):
+        acc = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            acc |= rows[low.bit_length() - 1]
+            rest ^= low
+        if acc & ~row:
+            return False
+    return True

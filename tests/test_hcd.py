@@ -257,7 +257,7 @@ def test_embedding_random():
 def test_embedding_hom_products_pairs_and_words():
     # the identity, every ordered pair of strong generators, then HOM_WORDS words
     p = antichain(4)
-    gens = automorphism_group(p.lt).generators
+    gens = automorphism_group(p.rows).generators
     rep = verify_embedding(p, seed=3)
     assert rep.ok and rep.aut_poset_order == 24
     assert rep.hom_pairs_checked == 1 + len(gens) ** 2 + HOM_WORDS

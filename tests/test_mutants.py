@@ -239,6 +239,36 @@ def antichain_keeps_right_cover(monkeypatch):
     monkeypatch.setattr(verify, "_dilworth", namespace["_dilworth"])
 
 
+def orders_choice_swapped(monkeypatch):
+    """The enumerator takes point 0's relations in the order unrelated, below, above."""
+    source = inspect.getsource(poset._order_rows)
+    assert source.count("itertools.product((0, 1, 2), repeat=n - 1)") == 1
+    namespace = dict(vars(poset))
+    exec(source.replace("product((0, 1, 2)", "product((0, 2, 1)"), namespace)
+    monkeypatch.setattr(poset, "_order_rows", namespace["_order_rows"])
+
+
+def orders_skip_up_closure(monkeypatch):
+    """The enumerator drops its test that the elements above point 0 are up-closed."""
+    source = inspect.getsource(poset._order_rows)
+    assert source.count("all(up[j] | a == a for j in above) and ") == 1
+    namespace = dict(vars(poset))
+    exec(source.replace("all(up[j] | a == a for j in above) and ", ""), namespace)
+    monkeypatch.setattr(poset, "_order_rows", namespace["_order_rows"])
+
+
+def orders_differ_from_product_oracle() -> bool:
+    """test_poset_core's exact-sequence test, for n <= 4."""
+    for n in range(5):
+        try:
+            got = [p.rows[0] for p in poset.enumerate_posets(n)]
+        except ValueError:  # a relation that is not an order
+            return True
+        if got != list(oracles.poset_rows_by_product(n)):
+            return True
+    return False
+
+
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
@@ -264,7 +294,7 @@ def walk_differs_from_product_oracles() -> bool:
 def orders_differ_from_listing_oracle() -> bool:
     """test_automorphisms.test_group_matches_listing_oracle."""
     return any(
-        poset.automorphism_group(p.lt).order
+        poset.automorphism_group(p.rows).order
         != len(oracles._order_search(p.lt, p.lt, find_all=True))
         for p in FAMILY
     )
@@ -314,6 +344,8 @@ MUTANTS = {
     "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
     "matching-one-phase": (matching_one_phase, check_fails("dilworth")),
     "antichain-keeps-right-cover": (antichain_keeps_right_cover, check_fails("dilworth")),
+    "orders-choice-swapped": (orders_choice_swapped, orders_differ_from_product_oracle),
+    "orders-skip-up-closure": (orders_skip_up_closure, orders_differ_from_product_oracle),
 }
 
 

@@ -1,5 +1,6 @@
 """Poset construction, validation, Mobius machinery, and enumeration."""
 
+import itertools
 import random
 
 import numpy as np
@@ -368,9 +369,29 @@ def test_isomorphic_relabeled():
 
 
 def test_enumerate_posets_counts():
-    # labeled poset counts for n = 0..4
-    got = [sum(1 for _ in enumerate_posets(n, cap=4)) for n in range(5)]
-    assert got == [1, 1, 3, 19, 219]
+    # labeled poset counts for n = 0..6
+    got = [sum(1 for _ in enumerate_posets(n, cap=6)) for n in range(7)]
+    assert got == [1, 1, 3, 19, 219, 4231, 130_023]
+
+
+def test_enumerate_posets_is_the_product_oracle_sequence():
+    for n in range(6):
+        got = [p.rows[0] for p in enumerate_posets(n)]
+        assert got == list(oracles.poset_rows_by_product(n))
+
+
+def test_enumerate_six_posets_in_product_order():
+    # Every yielded order builds, and its product key (per pair in
+    # combinations order: 0, 1 for i < j, 2 for j < i) strictly increases.
+    # With the count of 130,023 labeled orders, that makes the sequence the
+    # product oracle's, without running its 3^15 candidates.
+    pairs = list(itertools.combinations(range(6), 2))
+    keys = []
+    for p in enumerate_posets(6, cap=6):
+        up = p.rows[0]
+        keys.append(tuple(1 if up[i] >> j & 1 else 2 if up[j] >> i & 1 else 0 for i, j in pairs))
+    assert len(keys) == 130_023
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_posets_matches_relation_filter_oracle():

@@ -1,6 +1,7 @@
 """The per-poset analysis behind the check battery: shared artifacts built once."""
 
 import sys
+import weakref
 
 import pytest
 
@@ -148,3 +149,31 @@ def test_decompositions_out_of_scope_above_brute_force_cap():
 
     with pytest.raises(ScopeExceededError):
         verify.Analysis(random_poset(verify.BRUTE_FORCE_CAP + 1, seed=0)).decompositions
+
+
+def test_sweeps_hold_only_the_failing_records(monkeypatch):
+    class Record(dict):
+        """A sweep record that a weak reference can watch."""
+
+    refs: list = []
+    extra: list[int] = []
+
+    def record(p, which=verify.DEFAULT_CHECKS, seed=0):
+        live = [rec for rec in (r() for r in refs) if rec is not None]
+        # the live records beyond the failures so far
+        extra.append(sum(1 for rec in live if rec["ok"]))
+        rec = Record(poset={"n": p.n}, checks=[], ok=len(refs) % 4 != 0, findings=[])
+        refs.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(verify, "run_poset_checks", record)
+    sweeps = [
+        (lambda: verify.verify_exhaustive(4), 243, 61),
+        (lambda: verify.verify_random(6, 40, family="wrapforest"), 40, 10),
+    ]
+    for sweep, posets, failures in sweeps:
+        refs.clear()
+        extra.clear()
+        summary = sweep()
+        assert summary["posets"] == posets and len(summary["failures"]) == failures
+        assert max(extra) <= 1
