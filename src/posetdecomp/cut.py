@@ -12,13 +12,30 @@ Everything on the left-hand side depends on the decomposition only, not on
 the cut: a `CutFrame` holds the chain graph (whose comparability certifies
 homogeneity) and computes the k x n chain membership M, J, the whole-poset
 signed counts S, D_whole = M S M^T, D_whole J and det J once, and every cut
-of that decomposition carries it.  Per cut only D_low and D_up are computed,
-each from the signed counts of the strict order's submatrix on its side.
+of that decomposition carries it.
 
-The signed counts are exact (numpy int64 up to 64 elements, Python integers
-above; see `poset._signed_counts`), and the aggregation by M and every k x k
-product run on Python integers (dtype object), so nothing can overflow;
-reports carry both sides of the identity verbatim.
+Every cut goes through one kernel, `_cut_kernel`, which takes C cuts as a
+(C, k) array of heights.  Admissibility is one fancy index of the strict
+order at (top of lower part i, bottom of upper part j) over the chain graph's
+edges (i, j).  Each side's counts come from that side's own strict order, for
+both sides of all C cuts at once: with `inside` the side's 0/1 mask,
+V_0 = M * inside and V_{s+1} = (V_s @ lt) * inside, so row i of V_s counts
+the s-step chains of the side that start on chain i, and
+D_side = (sum_s (-1)^s V_s) M^T.  Each power is one (2 C k, n) @ (n, n)
+product; the identity is then checked with stacked k x k products.  Cuts
+reach the kernel in blocks of at most `_BLOCK` = 256, so a work array holds
+at most 2 * 256 * k * n entries.
+
+Arithmetic is exact.  Every entry of a power V_s, of a partial sum of the
+series or of D_side counts distinct nonempty chains of the poset (or bounds
+a signed sum of such counts), so its absolute value is at most 2**n - 1: the
+series runs on int64 for n <= 63 and on Python integers (dtype object)
+above.  With m the largest absolute entry of D_whole, D_low and D_up in a
+block, every entry of D J, D_side J, their product and the right-hand side
+is at most k**3 * m * (m + 2) in absolute value (J is 0/1), so the k x k
+products run on int64 when that is below 2**63, which the kernel checks on
+the computed matrices, and on Python integers otherwise.  Reports carry
+both sides of the identity verbatim, as Python integers.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +58,14 @@ from .poset import Poset, _signed_counts
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
 CUT_ENUMERATION_CAP = 10_000
 
+# Cuts per call of `_cut_kernel` from the enumerations.
+_BLOCK = 256
+
+
+def _exact_dtype(n: int):
+    """int64 while 2**n - 1, the bound on every side-series entry, fits it."""
+    return np.int64 if n <= 63 else object
+
 
 class CutFrame:
     """The cut-independent half of the cut identity for one decomposition.
@@ -50,7 +75,7 @@ class CutFrame:
     that it is homogeneous (NotHomogeneousError otherwise); a graph carries
     its comparability already.  M, J, the whole-poset signed counts, D_whole,
     D_whole J and det J are computed on first use and then shared by every
-    cut of the decomposition.
+    cut of the decomposition, as is the layout `_cut_kernel` reads.
     """
 
     def __init__(self, p: Poset, d) -> None:
@@ -65,7 +90,7 @@ class CutFrame:
     @cached_property
     def j(self) -> np.ndarray:
         k = self.decomposition.k
-        return np.array(j_matrix(self.poset, self.graph), dtype=object).reshape(k, k)
+        return np.array(j_matrix(self.poset, self.graph), dtype=np.int64).reshape(k, k)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -74,15 +99,33 @@ class CutFrame:
 
     @cached_property
     def d_whole(self) -> np.ndarray:
-        return _aggregate(self.members, self.counts)
+        return self.members @ self.counts @ self.members.T
 
     @cached_property
     def lhs(self) -> np.ndarray:
-        return self.d_whole @ self.j
+        return self.d_whole.astype(object) @ self.j
 
     @cached_property
     def j_determinant(self) -> int:
         return integer_determinant(self.j.tolist())
+
+    @cached_property
+    def layout(self) -> tuple:
+        """What `_cut_kernel` indexes: the elements chain after chain plus one
+        pad (so that a chain's height h - 1 and h index its top lower and
+        bottom upper element), each chain's offset and size, each element's
+        chain and position on it, the chain graph's edges (i, j) in both
+        directions, and the strict order in the series' dtype."""
+        d = self.decomposition
+        sizes = np.array([len(c) for c in d.chains], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        flat = np.array([x for c in d.chains for x in c] + [0], dtype=np.int64)
+        chain_of = np.array(d.chain_of, dtype=np.int64)
+        position = np.empty(d.poset.n, dtype=np.int64)
+        position[flat[:-1]] = np.arange(d.poset.n) - np.repeat(offsets, sizes)
+        edges = np.nonzero(self.graph.adjacency)
+        strict = self.poset.lt.astype(_exact_dtype(d.poset.n))
+        return flat, offsets, sizes, chain_of, position, edges, strict
 
 
 @dataclass(frozen=True)
@@ -126,6 +169,11 @@ class Cut:
             "upper": [[str(self.poset.labels[x]) for x in part] for part in self.upper_parts],
         }
 
+    def _evaluate(self, sides: bool = True) -> _CutBatch:
+        """This one cut through `_cut_kernel`."""
+        heights = np.array(self.heights, dtype=np.int64).reshape(1, self.decomposition.k)
+        return _cut_kernel(self.frame, heights, sides)
+
 
 def make_cut(p: Poset, d, heights: Sequence[int]) -> Cut:
     """Validate heights against a homogeneous decomposition and build the cut."""
@@ -150,20 +198,106 @@ def is_proper(cut: Cut) -> bool:
 
 def is_admissible(cut: Cut) -> bool:
     """Proper, and lower parts sit below upper parts across comparable chains."""
-    if not is_proper(cut):
-        return False
-    p = cut.poset
-    comp = cut.frame.graph.adjacency
-    k = cut.decomposition.k
-    for i in range(k):
-        top_low = cut.lower_parts[i][-1]
-        for j in range(k):
-            if i == j or not comp[i, j]:
-                continue
-            bottom_up = cut.upper_parts[j][0]
-            if not p.lt[top_low, bottom_up]:
-                return False
-    return True
+    return bool(cut._evaluate(sides=False).admissible[0])
+
+
+# -- the kernel -----------------------------------------------------------------
+
+
+class _CutBatch(NamedTuple):
+    """`_cut_kernel`'s verdicts and matrices, one row per cut."""
+
+    admissible: np.ndarray  # (C,) bool
+    d_lower: np.ndarray | None = None  # (C, k, k)
+    d_upper: np.ndarray | None = None  # (C, k, k)
+    rhs: np.ndarray | None = None  # (C, k, k)
+    equal: np.ndarray | None = None  # (C,) bool: rhs equals the frame's lhs
+
+
+def _cut_kernel(frame: CutFrame, heights: np.ndarray, sides: bool = True) -> _CutBatch:
+    """Admissibility and, with `sides`, both sides of the identity for C cuts at once.
+
+    `heights` is a (C, k) integer array of heights in range for the frame's
+    chains; improper cuts are evaluated too, and reported inadmissible.  See
+    the module docstring for the series and the dtype bounds.
+    """
+    flat, offsets, sizes, chain_of, position, (i, j), adj = frame.layout
+    c, k = heights.shape
+    n = len(position)
+    at = heights + offsets  # each chain's bottom upper element in `flat`
+    lt = frame.poset.lt
+    proper = ((heights > 0) & (heights < sizes)).all(axis=1)
+    admissible = proper & lt[flat[at[:, i] - 1], flat[at[:, j]]].all(axis=1)
+    if not sides:
+        return _CutBatch(admissible)
+    low = position < heights[:, chain_of]  # (C, n): x lies in the lower part
+    inside = np.stack((low, ~low), axis=1)[:, :, None, :]
+    inside = np.broadcast_to(inside, (c, 2, k, n)).reshape(2 * c * k, n)
+    power = np.tile(frame.members, (2 * c, 1)) * inside
+    total = np.zeros_like(power)
+    sign = 1
+    while power.any():
+        total += sign * power
+        power = (power @ adj) * inside
+        sign = -sign
+    d_sides = (total @ frame.members.T).reshape(c, 2, k, k)
+    m = max(_abs_max(d_sides), _abs_max(frame.d_whole))
+    dtype = np.int64 if k**3 * m * (m + 2) < 2**63 else object
+    d_sides = d_sides.astype(dtype, copy=False)
+    j_mat = frame.j.astype(dtype)
+    lower_j = d_sides[:, 0] @ j_mat
+    upper_j = d_sides[:, 1] @ j_mat
+    rhs = lower_j + upper_j - lower_j @ upper_j
+    equal = (rhs == frame.lhs.astype(dtype)).all(axis=(1, 2))
+    return _CutBatch(admissible, d_sides[:, 0], d_sides[:, 1], rhs, equal)
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _proper_blocks(
+    p: Poset, d, frame: CutFrame | None, cap: int | None
+) -> Iterator[tuple[CutFrame, np.ndarray]]:
+    """The proper cuts' heights in `itertools.product` order, as (C, k)
+    arrays of at most _BLOCK rows, each with the decomposition's frame.
+
+    The frame is `frame`, or one built at the first proper cut, so a
+    decomposition without proper cuts is never checked for homogeneity.
+    With `cap`, more than `cap` proper cuts raise ScopeExceededError before
+    the first block.
+    """
+    d = _as_decomposition(p, d) if frame is None else frame.decomposition
+    ranges = [range(1, len(chain)) for chain in d.chains]
+    total = math.prod(map(len, ranges))
+    if cap is not None and total > cap:
+        raise ScopeExceededError(f"cut enumeration capped at {cap} proper cuts (got {total})")
+    product = itertools.product(*ranges)
+    while block := list(itertools.islice(product, _BLOCK)):
+        if frame is None:
+            frame = CutFrame(p, d)
+        yield frame, np.array(block, dtype=np.int64).reshape(len(block), d.k)
+
+
+def _admissible_blocks(
+    p: Poset, d, frame: CutFrame | None, cap: int | None
+) -> Iterator[tuple[CutFrame, np.ndarray]]:
+    """`_proper_blocks` with only the admissible rows kept, empty blocks dropped."""
+    for frame, block in _proper_blocks(p, d, frame, cap):
+        block = block[_cut_kernel(frame, block, sides=False).admissible]
+        if len(block):
+            yield frame, block
+
+
+def _admissible_identities(frame: CutFrame, cap: int | None) -> Iterator[tuple[list, list]]:
+    """The cut identity on every admissible cut of the frame's decomposition.
+
+    Yields, block by block in enumeration order, the cuts' heights and
+    whether the identity holds on each, as lists.  More than `cap` proper
+    cuts raise ScopeExceededError before the first block.
+    """
+    for _, block in _admissible_blocks(frame.poset, None, frame, cap):
+        yield block.tolist(), _cut_kernel(frame, block).equal.tolist()
 
 
 def enumerate_proper_cuts(
@@ -176,21 +310,19 @@ def enumerate_proper_cuts(
     With `cap`, a decomposition with more than `cap` proper cuts raises
     ScopeExceededError before the first cut.
     """
-    d = _as_decomposition(p, d) if frame is None else frame.decomposition
-    ranges = [range(1, len(chain)) for chain in d.chains]
-    total = math.prod(map(len, ranges))
-    if cap is not None and total > cap:
-        raise ScopeExceededError(f"cut enumeration capped at {cap} proper cuts (got {total})")
-    for heights in itertools.product(*ranges):
-        if frame is None:
-            frame = CutFrame(p, d)
-        yield Cut(p, d, heights, frame)
+    for f, block in _proper_blocks(p, d, frame, cap):
+        for heights in block.tolist():
+            yield Cut(p, f.decomposition, tuple(heights), f)
 
 
 def enumerate_admissible_cuts(
     p: Poset, d, frame: CutFrame | None = None, cap: int | None = None
 ) -> list[Cut]:
-    return [cut for cut in enumerate_proper_cuts(p, d, frame, cap) if is_admissible(cut)]
+    return [
+        Cut(p, f.decomposition, tuple(heights), f)
+        for f, block in _admissible_blocks(p, d, frame, cap)
+        for heights in block.tolist()
+    ]
 
 
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
@@ -216,27 +348,21 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     """
     d = _as_decomposition(p, d)
     if scope == "whole":
-        return _aggregate(_membership(d), _signed_counts(p.lt)).tolist()
+        members = _membership(d)
+        return (members @ _signed_counts(p.lt) @ members.T).tolist()
     if scope not in ("lower", "upper"):
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
         raise ValueError(f"scope {scope!r} needs a cut")
-    parts = cut.lower_parts if scope == "lower" else cut.upper_parts
-    keep = [x for part in parts for x in part]
-    members = cut.frame.members[:, keep]
-    return _aggregate(members, _signed_counts(p.lt[np.ix_(keep, keep)])).tolist()
+    batch = cut._evaluate()
+    return (batch.d_lower if scope == "lower" else batch.d_upper)[0].tolist()
 
 
 def _membership(d: ChainDecomposition) -> np.ndarray:
     """k x n chain membership M: entry (i, x) is 1 iff x lies on chain i."""
-    members = np.zeros((d.k, d.poset.n), dtype=object)
+    members = np.zeros((d.k, d.poset.n), dtype=_exact_dtype(d.poset.n))
     members[d.chain_of, np.arange(d.poset.n)] = 1
     return members
-
-
-def _aggregate(members: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """M S M^T: entry (i, j) sums counts[x, y] over x on chain i, y on chain j."""
-    return members @ counts @ members.T
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:
@@ -314,24 +440,20 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
     inadmissible ones the report flags the unmet hypothesis and records
     whatever the two sides evaluate to.
     """
-    d = cut.decomposition
     frame = cut.frame
-    d_lower = d_matrix(p, d, "lower", cut)
-    d_upper = d_matrix(p, d, "upper", cut)
-    lower_j = np.array(d_lower, dtype=object).reshape(frame.j.shape) @ frame.j
-    upper_j = np.array(d_upper, dtype=object).reshape(frame.j.shape) @ frame.j
-    rhs = lower_j + upper_j - lower_j @ upper_j
-    diff = max(map(abs, (frame.lhs - rhs).flat), default=0)
+    batch = cut._evaluate()
+    lhs, rhs = frame.lhs.tolist(), batch.rhs[0].tolist()
+    diff = max((abs(a - b) for row_l, row_r in zip(lhs, rhs) for a, b in zip(row_l, row_r)), default=0)
     report = CutIdentityReport(
         heights=cut.heights,
         proper=is_proper(cut),
-        admissible=is_admissible(cut),
+        admissible=bool(batch.admissible[0]),
         d_whole=frame.d_whole.tolist(),
-        d_lower=d_lower,
-        d_upper=d_upper,
+        d_lower=batch.d_lower[0].tolist(),
+        d_upper=batch.d_upper[0].tolist(),
         j=frame.j.tolist(),
-        lhs=frame.lhs.tolist(),
-        rhs=rhs.tolist(),
+        lhs=lhs,
+        rhs=rhs,
         equal=diff == 0,
         max_abs_discrepancy=diff,
         j_determinant=frame.j_determinant,

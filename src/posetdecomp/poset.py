@@ -331,20 +331,24 @@ def signed_chain_count(p: Poset, x, y) -> int:
 
 
 def mobius_matrix(p: Poset) -> list[list[int]]:
-    """Mobius function of the poset as a dense integer matrix."""
-    n = p.n
-    mu = [[0] * n for _ in range(n)]
-    # process targets in linear-extension order so mu(x, z) is ready for z < y
+    """Mobius function of the poset as a dense integer matrix.
+
+    By its defining recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
+    over x <= z < y, with y taken in a linear extension so that every
+    mu(x, z) is ready.  The elements z are the bits of
+    (up[x] | 1 << x) & down[y] on the bit rows.
+    """
+    up, down = p.rows
     order = _topological_order(p)
-    for x in range(n):
-        mu[x][x] = 1
+    mu = []
+    for x in range(p.n):
+        row = [0] * p.n
+        row[x] = 1
+        at_least_x = up[x] | 1 << x
         for y in order:
-            if p.lt[x, y]:
-                acc = 0
-                for z in range(n):
-                    if (z == x or p.lt[x, z]) and p.lt[z, y]:
-                        acc += mu[x][z]
-                mu[x][y] = -acc
+            if up[x] >> y & 1:
+                row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
+        mu.append(row)
     return mu
 
 

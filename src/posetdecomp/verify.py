@@ -24,7 +24,13 @@ from .chains import (
     is_chain,
     is_chain_decomposition,
 )
-from .cut import CUT_ENUMERATION_CAP, CutFrame, enumerate_admissible_cuts, verify_cut_identity
+from .cut import (
+    CUT_ENUMERATION_CAP,
+    Cut,
+    CutFrame,
+    _admissible_identities,
+    verify_cut_identity,
+)
 from .errors import CheckFailure, PosetError, refuse_above
 from .generate import chain, random_poset, wrap_forest
 from .hcd import (
@@ -177,33 +183,33 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     The second part compares the signed chain-count matrix against the Mobius
     matrix computed by its defining recursion; the two must agree entrywise.
     Both parts share the analysis' CutFrame, so the whole-poset counts and
-    the chain comparability are computed once.  More than
-    CUT_ENUMERATION_CAP proper cuts are refused with ScopeExceededError.
+    the chain comparability are computed once.  The cuts are checked in
+    blocks by the cut kernel; only the first failing cut gets a full
+    report, which is the witness.  More than CUT_ENUMERATION_CAP proper cuts
+    are refused with ScopeExceededError.
     """
     p = an.p
     frame = an.frame
-    admissible = enumerate_admissible_cuts(
-        p, frame.decomposition, frame, cap=CUT_ENUMERATION_CAP
-    )
-    failures = []
-    for cut in admissible:
-        rep = verify_cut_identity(p, cut)
-        if not rep.equal:
-            failures.append(rep.to_dict())
+    admissible = 0
+    failure = None
+    for heights, equal in _admissible_identities(frame, CUT_ENUMERATION_CAP):
+        if failure is None and not all(equal):
+            cut = Cut(p, frame.decomposition, tuple(heights[equal.index(False)]), frame)
+            failure = verify_cut_identity(p, cut).to_dict()
+        admissible += len(heights)
     counts = frame.counts.tolist()
     mobius = mobius_matrix(p)
     hall = counts == mobius
-    passed = not failures and hall
     out = {
         "name": "cut",
-        "passed": passed,
+        "passed": failure is None and hall,
         "details": {
-            "admissible_cuts": len(admissible),
+            "admissible_cuts": admissible,
             "signed_counts_match_mobius": hall,
         },
     }
-    if failures:
-        out["witness"] = failures[0]
+    if failure is not None:
+        out["witness"] = failure
     elif not hall:
         out["witness"] = {"signed_counts": counts, "mobius": mobius}
     return out

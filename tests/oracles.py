@@ -791,6 +791,65 @@ def cut_identity_reports(p, chains) -> dict:
     return out
 
 
+def side_counts_by_submatrix(p, chains, heights, scope) -> list:
+    """One side's chain-aggregated signed counts, from the power sum on the
+    strict order's submatrix over that side (`np.ix_`), per cut.
+
+    `chains` are ascending index tuples and `heights` one height per chain;
+    `scope` is "lower" or "upper".  The power sum runs on int64 up to 64
+    elements (its entries are at most 2**(n-2)) and on Python integers above.
+    """
+    parts = [c[:h] if scope == "lower" else c[h:] for c, h in zip(chains, heights)]
+    keep = [x for part in parts for x in part]
+    sub = p.lt[np.ix_(keep, keep)]
+    adj = sub.astype(np.int64 if len(keep) <= 64 else object)
+    counts = power = np.eye(len(keep), dtype=adj.dtype)
+    sign = 1
+    for _ in range(len(keep) - 1):
+        power = power @ adj
+        if not power.any():
+            break
+        sign = -sign
+        counts = counts + sign * power
+    members = np.zeros((len(chains), len(keep)), dtype=object)
+    col = 0
+    for i, part in enumerate(parts):
+        members[i, col:col + len(part)] = 1
+        col += len(part)
+    return (members @ counts @ members.T).tolist()
+
+
+def admissible_by_loop(p, chains, comp, heights) -> bool:
+    """Proper, and the top of every lower part lies below the bottom of the
+    upper part of every chain comparable to it (`comp`), pair by pair."""
+    if not all(0 < h < len(c) for c, h in zip(chains, heights)):
+        return False
+    k = len(chains)
+    for i in range(k):
+        top_low = chains[i][heights[i] - 1]
+        for j in range(k):
+            if i != j and comp[i, j] and not p.lt[top_low, chains[j][heights[j]]]:
+                return False
+    return True
+
+
+def mobius_by_loop(p) -> list:
+    """Mobius matrix by its recursion, every z tested against x and y in `lt`."""
+    n = p.n
+    mu = [[0] * n for _ in range(n)]
+    order = sorted(range(n), key=lambda y: int(p.lt[:, y].sum()))
+    for x in range(n):
+        mu[x][x] = 1
+        for y in order:
+            if p.lt[x, y]:
+                acc = 0
+                for z in range(n):
+                    if (z == x or p.lt[x, z]) and p.lt[z, y]:
+                        acc += mu[x][z]
+                mu[x][y] = -acc
+    return mu
+
+
 def catalan_closed_form(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 

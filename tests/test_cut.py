@@ -1,5 +1,6 @@
 """Cuts of homogeneous decompositions and the signed-count matrix identity."""
 
+import numpy as np
 import pytest
 
 from posetdecomp import (
@@ -211,15 +212,80 @@ def test_signed_counts_exact_past_int64():
 
 
 def test_identity_reports_match_per_cut_oracle():
-    for n in range(12, 21):
-        for seed in range(10):
-            p = wrap_forest(n, seed=seed)
-            d = mhcd(p)
-            expected = oracles.cut_identity_reports(p, d.chains)
-            cuts = enumerate_admissible_cuts(p, d)
-            assert [c.heights for c in cuts] == list(expected)
-            for cut in cuts:
-                assert verify_cut_identity(p, cut).to_dict() == expected[cut.heights]
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(10)]
+    for p in posets:
+        d = mhcd(p)
+        expected = oracles.cut_identity_reports(p, d.chains)
+        proper = list(enumerate_proper_cuts(p, d))
+        comp = proper[0].frame.graph.adjacency if proper else None
+        assert [is_admissible(c) for c in proper] == [
+            oracles.admissible_by_loop(p, d.chains, comp, c.heights) for c in proper
+        ]
+        cuts = enumerate_admissible_cuts(p, d)
+        assert [c.heights for c in cuts] == list(expected)
+        for cut in cuts:
+            report = verify_cut_identity(p, cut).to_dict()
+            assert report == expected[cut.heights]
+            for scope in ("lower", "upper"):
+                assert report[f"d_{scope}"] == oracles.side_counts_by_submatrix(
+                    p, d.chains, cut.heights, scope
+                )
+
+
+def test_batched_pass_matches_oracle_across_blocks():
+    # 1,536 admissible cuts: the pass spans several kernel blocks, and one
+    # kernel call on all of them stacks more cuts than a block holds
+    p = wrap_forest(28, seed=6)
+    frame = cut_module.CutFrame(p, mhcd(p))
+    expected = oracles.cut_identity_reports(p, frame.decomposition.chains)
+    assert len(expected) > 2 * cut_module._BLOCK
+    blocks = list(cut_module._admissible_identities(frame, None))
+    assert len(blocks) > 2
+    assert [tuple(h) for heights, _ in blocks for h in heights] == list(expected)
+    assert [e for _, equal in blocks for e in equal] == [r["equal"] for r in expected.values()]
+    batch = cut_module._cut_kernel(frame, np.array(list(expected)))
+    assert batch.admissible.all()
+    for row, report in enumerate(expected.values()):
+        assert batch.d_lower[row].tolist() == report["d_lower"]
+        assert batch.d_upper[row].tolist() == report["d_upper"]
+        assert batch.rhs[row].tolist() == report["rhs"]
+
+
+def test_check_cut_witness_is_first_failing_cut(monkeypatch):
+    # a kernel whose right-hand side is off by one on every cut with the last
+    # cut's first height: the witness is the report on the first such cut,
+    # which lies past the first block
+    real = cut_module._cut_kernel
+    p = wrap_forest(28, seed=6)
+    an = verify.Analysis(p)
+    heights = list(oracles.cut_identity_reports(p, an.frame.decomposition.chains))
+    top = heights[-1][0]
+    first = next(h for h in heights if h[0] == top)
+    assert heights.index(first) > cut_module._BLOCK
+
+    def skewed(frame, block, sides=True):
+        batch = real(frame, block, sides)
+        if not sides:
+            return batch
+        off = (block[:, 0] == top)[:, None, None]
+        return batch._replace(rhs=batch.rhs + off, equal=batch.equal & ~off[:, 0, 0])
+
+    monkeypatch.setattr(cut_module, "_cut_kernel", skewed)
+    out = verify.check_cut(an)
+    assert not out["passed"]
+    assert out["details"]["admissible_cuts"] == len(heights)
+    assert out["witness"]["heights"] == list(first)
+    assert out["witness"]["equal"] is False
+    assert out["witness"]["max_abs_discrepancy"] == 1
+
+
+def test_mobius_matches_loop_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(3)]
+    for p in posets + [chain(70)]:
+        assert mobius_matrix(p) == oracles.mobius_by_loop(p)
+    assert all(type(v) is int for row in mobius_matrix(chain(70)) for v in row)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -249,7 +315,7 @@ def test_check_cut_builds_one_frame(monkeypatch):
         out = verify.check_cut(verify.Analysis(p))
         assert out["passed"]
         assert len(comparability) == 1
-        assert len(counts) == 2 * out["details"]["admissible_cuts"] + 1
+        assert len(counts) == 1
 
 
 def test_check_cut_builds_no_poset(monkeypatch):

@@ -25,6 +25,18 @@ FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
 NEAR_ORDERS = list(oracles.near_orders(seed=6, count=600))
 
 
+def _rewrite(monkeypatch, module, name, old, new, into=None):
+    """Replace `old` by `new` in the source of module.name, which must hold it
+    once, and bind the recompiled function under that name in each module of
+    `into` (module itself by default)."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    for target in into or (module,):
+        monkeypatch.setattr(target, name, namespace[name])
+
+
 def first_witness_only(monkeypatch):
     """The engine keeps only the first witness at each base point."""
     real = poset._witness
@@ -127,77 +139,40 @@ def crossing_without_top(monkeypatch):
 
 def unsigned_side_counts(monkeypatch):
     """The side counts drop the alternating sign: they count the chains."""
-    real = cut_module.d_matrix
-
-    def chain_counts(lt):
-        adj = lt.astype(np.int64 if len(lt) <= 64 else object)
-        total = power = np.eye(len(lt), dtype=adj.dtype)
-        for _ in range(len(lt) - 1):
-            power = power @ adj
-            total = total + power
-        return total
-
-    def mutant(p, d, scope="whole", cut=None):
-        with monkeypatch.context() as m:
-            if scope != "whole":
-                m.setattr(cut_module, "_signed_counts", chain_counts)
-            return real(p, d, scope, cut)
-
-    monkeypatch.setattr(cut_module, "d_matrix", mutant)
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "sign = -sign", "sign = 1")
 
 
 def upper_over_lower_parts(monkeypatch):
     """The upper side is aggregated over the lower parts."""
-    real = cut_module.d_matrix
-
-    def mutant(p, d, scope="whole", cut=None):
-        return real(p, d, "lower" if scope == "upper" else scope, cut)
-
-    monkeypatch.setattr(cut_module, "d_matrix", mutant)
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "np.stack((low, ~low)", "np.stack((low, low)")
 
 
 def admissible_by_comparability(monkeypatch):
-    """`is_admissible` tests comparability (lt | lt.T) in place of lt."""
+    """Admissibility tests comparability (lt | lt.T) in place of lt."""
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "lt = frame.poset.lt\n",
+             "lt = frame.poset.lt | frame.poset.lt.T\n")
 
-    def mutant(cut):
-        lt = cut.poset.lt | cut.poset.lt.T
-        comp = cut.frame.graph.adjacency
-        k = cut.decomposition.k
-        return cut_module.is_proper(cut) and all(
-            lt[cut.lower_parts[i][-1], cut.upper_parts[j][0]]
-            for i in range(k)
-            for j in range(k)
-            if i != j and comp[i, j]
-        )
 
-    monkeypatch.setattr(cut_module, "is_admissible", mutant)
+def side_series_drops_last_power(monkeypatch):
+    """The side series stops before its last nonzero power."""
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "while power.any():",
+             "while ((power @ adj) * inside).any():")
 
 
 def closure_skips_successor_bit(monkeypatch):
     """Each finishing node ORs its successors' reach rows but not the successors themselves."""
-    source = inspect.getsource(poset._close_acyclic)
-    assert source.count("row |= reach[w] | 1 << w") == 1
-    namespace = dict(vars(poset))
-    exec(source.replace("row |= reach[w] | 1 << w", "row |= reach[w]"), namespace)
-    monkeypatch.setattr(poset, "_close_acyclic", namespace["_close_acyclic"])
+    _rewrite(monkeypatch, poset, "_close_acyclic", "row |= reach[w] | 1 << w", "row |= reach[w]")
 
 
 def walk_skips_containment(monkeypatch):
     """The cover walk drops its containment test: no row is checked against x's."""
-    source = inspect.getsource(poset._cover_rows)
-    assert source.count("if up[y] & ~row:") == 1
-    namespace = dict(vars(poset))
-    exec(source.replace("if up[y] & ~row:", "if False:"), namespace)
-    monkeypatch.setattr(poset, "_cover_rows", namespace["_cover_rows"])
+    _rewrite(monkeypatch, poset, "_cover_rows", "if up[y] & ~row:", "if False:")
 
 
 def covers_keep_reached(monkeypatch):
     """The cover walk returns each whole row: every successor counts as a cover."""
-    source = inspect.getsource(poset._cover_rows)
-    assert source.count("covers.append(row & ~reached)") == 1
-    namespace = dict(vars(poset))
-    exec(source.replace("covers.append(row & ~reached)", "covers.append(row)"), namespace)
-    monkeypatch.setattr(poset, "_cover_rows", namespace["_cover_rows"])
+    _rewrite(monkeypatch, poset, "_cover_rows", "covers.append(row & ~reached)",
+             "covers.append(row)")
 
 
 def extension_rows_reversed(monkeypatch):
@@ -213,48 +188,29 @@ def extension_rows_reversed(monkeypatch):
 
 def deletion_keeps_column_z(monkeypatch):
     """The deletion counts compare the closed rows without clearing bit z."""
-    source = inspect.getsource(hcd._deletion_bounds)
-    assert source.count("row & ~(1 << z)") == 1
-    namespace = dict(vars(hcd))
-    exec(source.replace("row & ~(1 << z)", "row"), namespace)
-    monkeypatch.setattr(hcd, "_deletion_bounds", namespace["_deletion_bounds"])
-    monkeypatch.setattr(verify, "_deletion_bounds", namespace["_deletion_bounds"])
+    _rewrite(monkeypatch, hcd, "_deletion_bounds", "row & ~(1 << z)", "row", into=(hcd, verify))
 
 
 def matching_one_phase(monkeypatch):
     """`_hopcroft_karp` stops after its first phase: the greedy matching."""
-    source = inspect.getsource(chains._hopcroft_karp)
-    assert source.count("while True:") == 1
-    namespace = dict(vars(chains))
-    exec(source.replace("while True:", "for _phase in range(1):"), namespace)
-    monkeypatch.setattr(chains, "_hopcroft_karp", namespace["_hopcroft_karp"])
+    _rewrite(monkeypatch, chains, "_hopcroft_karp", "while True:", "for _phase in range(1):")
 
 
 def antichain_keeps_right_cover(monkeypatch):
     """The antichain is Z_L: the right cover Z_R is not removed."""
-    source = inspect.getsource(chains._dilworth)
-    assert source.count("if in_zl[x] and not zr >> x & 1]") == 1
-    namespace = dict(vars(chains))
-    exec(source.replace("if in_zl[x] and not zr >> x & 1]", "if in_zl[x]]"), namespace)
-    monkeypatch.setattr(verify, "_dilworth", namespace["_dilworth"])
+    _rewrite(monkeypatch, chains, "_dilworth", "if in_zl[x] and not zr >> x & 1]",
+             "if in_zl[x]]", into=(verify,))
 
 
 def orders_choice_swapped(monkeypatch):
     """The enumerator takes point 0's relations in the order unrelated, below, above."""
-    source = inspect.getsource(poset._order_rows)
-    assert source.count("itertools.product((0, 1, 2), repeat=n - 1)") == 1
-    namespace = dict(vars(poset))
-    exec(source.replace("product((0, 1, 2)", "product((0, 2, 1)"), namespace)
-    monkeypatch.setattr(poset, "_order_rows", namespace["_order_rows"])
+    _rewrite(monkeypatch, poset, "_order_rows", "itertools.product((0, 1, 2), repeat=n - 1)",
+             "itertools.product((0, 2, 1), repeat=n - 1)")
 
 
 def orders_skip_up_closure(monkeypatch):
     """The enumerator drops its test that the elements above point 0 are up-closed."""
-    source = inspect.getsource(poset._order_rows)
-    assert source.count("all(up[j] | a == a for j in above) and ") == 1
-    namespace = dict(vars(poset))
-    exec(source.replace("all(up[j] | a == a for j in above) and ", ""), namespace)
-    monkeypatch.setattr(poset, "_order_rows", namespace["_order_rows"])
+    _rewrite(monkeypatch, poset, "_order_rows", "all(up[j] | a == a for j in above) and ", "")
 
 
 def orders_differ_from_product_oracle() -> bool:
@@ -337,6 +293,7 @@ MUTANTS = {
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
+    "side-series-drops-last-power": (side_series_drops_last_power, check_fails("cut")),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
     "covers-keep-reached": (covers_keep_reached, walk_differs_from_product_oracles),
