@@ -41,13 +41,17 @@ PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
 ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
-# the enumeration at n = 6 under the battery's cheapest check, and the cut
-# check alone on wrap forests of 30 elements
+# the enumeration at n = 6 under the battery's cheapest check, the cut check
+# alone on wrap forests of 30 elements, and the homogeneous check (its merge
+# replays) alone on wrap forests of 40
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
     "verify-wrapforest-n30-cut": ["verify", "random", "--family", "wrapforest", "--n", "30",
                                   "--count", "50", "--checks", "cut"],
+    "verify-wrapforest-n40-homogeneous": ["verify", "random", "--family", "wrapforest",
+                                          "--n", "40", "--count", "50",
+                                          "--checks", "homogeneous"],
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -429,8 +429,9 @@ class CutIdentityReport:
         return self.equal or not self.admissible
 
     def to_dict(self) -> dict:
-        # heights stay a list, as the cut oracles compare lists
-        return {**asdict(self), "heights": list(self.heights), "ok": self.ok}
+        # shallow: each report is built fresh, so its matrices need no deep
+        # copy; heights stay a list, as the cut oracles compare lists
+        return {**vars(self), "heights": list(self.heights), "ok": self.ok}
 
 
 def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:

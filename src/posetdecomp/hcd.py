@@ -11,14 +11,20 @@ with the same closed neighbourhood (comparable to each other and to the same
 other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
 `merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
 chain, and the verifier replays it under shuffled merge orders as an
-independent cross-check.
+independent cross-check.  The replays of one poset share one pair table:
+each comparable pair's row difference is computed once, and a pair that is
+not yet a merge waits on one alive bit of that difference (the watched
+literals of Chaff, Moskewicz et al., DAC 2001, with one watch per pair), so a
+merge looks again only at the pairs that watched the chain it removed.  The candidate
+list stays the rescan's, in order, so a seed draws the same merges.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,17 +50,43 @@ def _as_decomposition(p: Poset, parts) -> ChainDecomposition:
 def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
     """k x k matrix: chains are comparable iff every cross pair is comparable.
 
+    Raises NotHomogeneousError at the first chain pair i < j that mixes
+    comparable and incomparable cross pairs, so a returned matrix certifies
+    homogeneity.
+    """
+    ii, jj, mixed = _comparable_pairs(p, d)
+    if mixed is not None:
+        i, j = mixed
+        raise NotHomogeneousError(
+            f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
+            "mix comparable and incomparable pairs"
+        )
+    comp = np.zeros((d.k, d.k), dtype=bool)
+    comp[ii, jj] = True
+    comp |= comp.T
+    return comp
+
+
+def is_homogeneous(p: Poset, parts) -> bool:
+    """True iff the (valid) decomposition is homogeneous; invalid input raises."""
+    return _comparable_pairs(p, _as_decomposition(p, parts))[2] is None
+
+
+def _comparable_pairs(
+    p: Poset, d: ChainDecomposition
+) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """(ii, jj, mixed): the comparable chain pairs ii[t] < jj[t], and the first
+    pair i < j that mixes comparable and incomparable cross pairs, or None.
+
     On the bit rows of p: chain i reaches the elements comparable to all of
     its elements (`inside`, the AND of their closed rows) or to some of them
     (`reach`, the OR).  Chain j is comparable to i when it lies in inside[i]
-    and incomparable when it misses reach[i].  Anything else raises
-    NotHomogeneousError, at the first such pair i < j, so a returned matrix
-    certifies homogeneity.  A chain that misses reach[i] is incomparable, so
-    chain i visits only the later chains that meet it, read off the high bits
-    of reach[i] and sorted, so the first mixed pair raises.
+    and incomparable when it misses reach[i]; anything else is mixed.  A chain
+    that misses reach[i] is incomparable, so chain i visits only the later
+    chains that meet it, read off the high bits of reach[i] and sorted, so
+    the first mixed pair is found first.
     """
     up, down = p.rows
-    k = d.k
     chain_of = d.chain_of
     masks, inside, reach = [], [], []
     for chain in d.chains:
@@ -67,9 +99,9 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
         masks.append(mask)
         inside.append(every)
         reach.append(some)
-    ii, jj = [], []  # the comparable pairs i < j
+    ii, jj = [], []
     seen = 0  # the elements of chains 0..i
-    for i in range(k):
+    for i in range(d.k):
         seen |= masks[i]
         rest = reach[i] & ~seen
         later = []
@@ -84,24 +116,8 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
                 ii.append(i)
                 jj.append(j)
             elif masks[j] & reach[i]:
-                raise NotHomogeneousError(
-                    f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
-                    "mix comparable and incomparable pairs"
-                )
-    comp = np.zeros((k, k), dtype=bool)
-    comp[ii, jj] = True
-    comp |= comp.T
-    return comp
-
-
-def is_homogeneous(p: Poset, parts) -> bool:
-    """True iff the (valid) decomposition is homogeneous; invalid input raises."""
-    d = _as_decomposition(p, parts)
-    try:
-        chain_comparability(p, d)
-    except NotHomogeneousError:
-        return False
-    return True
+                return ii, jj, (i, j)
+    return ii, jj, None
 
 
 def mhcd(p: Poset) -> ChainDecomposition:
@@ -131,29 +147,84 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
     """Greedy merging to the fixpoint: the MHCD by its definition.
 
     Starts from singletons and merges comparable chain pairs with identical
-    comparability profiles until none remains: each round lists the merges
-    (i, j), i < j, and fires the first or, with `shuffle_seed`, a seeded draw;
-    the fixpoint is the same either way.  Chain i (named by its least index)
-    keeps its comparability bitmask comp[i] over chains when j merges in.
+    comparability profiles until none remains: each round fires the first of
+    the merges (i, j), i < j, in that order or, with `shuffle_seed`, a seeded
+    `rng.choice` among them; the fixpoint is the same either way.  Chain i
+    (named by its least index) keeps element i's comparability row when j
+    merges in, so the merges are read off one pair table (see `_merge_table`)
+    and the candidate list each round is the one a full rescan would list,
+    in the same order: a seed draws the same merges.
+    """
+    return next(_merge_replays(p, (shuffle_seed,)))
+
+
+def _merge_replays(p: Poset, seeds: Iterable[int | None]) -> Iterator[ChainDecomposition]:
+    """The merge fixpoint under each seed of `seeds`, all from one pair table."""
+    table = _merge_table(p)
+    for seed in seeds:
+        chains = [[i] for i in range(p.n)]
+        for i, j in _replay(p.n, *table, seed):
+            chains[i] += chains[j]
+            chains[j] = []
+        yield ChainDecomposition._from_index_parts(p, [c for c in chains if c])
+
+
+def _merge_table(p: Poset) -> tuple[list[tuple[int, int]], list[list[tuple[int, int, int]]]]:
+    """(ready, watch): the seed-independent start of every merge replay.
+
+    With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, differs
+    on the elements diff = (comp[i] ^ comp[j]) & ~(bit i | bit j), and it is a
+    merge as soon as no alive element lies in diff.  Rows never change and
+    the alive set only shrinks, so a merge stays one until i or j merges
+    away.  `ready` lists the pairs with diff 0 in (i, j) order; every other
+    pair (diff, i, j) waits in watch[b] for b, the highest bit of its diff.
     """
     up, down = p.rows
     comp = [u | d for u, d in zip(up, down)]
-    chains = [[i] for i in range(p.n)]
-    alive = (1 << p.n) - 1
-    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
-    while True:
-        candidates = [
-            (i, j)
-            for i in _bits(alive)
-            for j in _bits(comp[i] & alive & -(2 << i))
-            if not (comp[i] ^ comp[j]) & alive & ~(1 << i | 1 << j)
-        ]
-        if not candidates:
-            break
+    ready = []
+    watch = [[] for _ in range(p.n)]
+    for i in range(p.n):
+        for j in _bits(comp[i] & -(2 << i)):
+            diff = (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
+            if diff:
+                watch[diff.bit_length() - 1].append((diff, i, j))
+            else:
+                ready.append((i, j))
+    return ready, watch
+
+
+def _replay(
+    n: int,
+    ready: list[tuple[int, int]],
+    watch: list[list[tuple[int, int, int]]],
+    seed: int | None,
+) -> list[tuple[int, int]]:
+    """The merges (i, j), in firing order, of one merge loop under `seed`, run
+    from the table of `_merge_table`, which it leaves intact.
+
+    After each merge (i, j) the candidates lose the pairs that hold j, and
+    only the pairs watched on bit j are looked at again: each with both ends
+    alive is either filed under the highest alive bit of its diff or, when
+    none is left, inserted into the candidates in (i, j) order.
+    """
+    rng = None if seed is None else random.Random(seed)
+    candidates = list(ready)
+    waiting = [list(w) for w in watch]
+    alive = (1 << n) - 1
+    merges = []
+    while candidates:
         i, j = rng.choice(candidates) if rng else candidates[0]
-        chains[i] += chains[j]
+        merges.append((i, j))
         alive ^= 1 << j
-    return ChainDecomposition._from_index_parts(p, [chains[i] for i in _bits(alive)])
+        candidates = [c for c in candidates if j not in c]
+        for diff, a, b in waiting[j]:
+            if alive >> a & alive >> b & 1:
+                rest = diff & alive
+                if rest:
+                    waiting[rest.bit_length() - 1].append((diff, a, b))
+                else:
+                    insort(candidates, (a, b))
+    return merges
 
 
 def min_homogeneous(p: Poset) -> int:

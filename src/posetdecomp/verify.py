@@ -37,9 +37,9 @@ from .hcd import (
     ChainGraph,
     _deletion_bounds,
     _embedding,
+    _merge_replays,
     acyclic_orientation,
     is_homogeneous,
-    merge_fixpoint,
     mhcd,
 )
 from .kernels import permutations_avoiding
@@ -148,7 +148,8 @@ def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint."""
     p = an.p
     d = an.mhcd
-    confluent = all(merge_fixpoint(p, seed + s) == d for s in range(MERGE_SHUFFLES))
+    replays = _merge_replays(p, range(seed, seed + MERGE_SHUFFLES))
+    confluent = all(fixpoint == d for fixpoint in replays)
     details: dict = {"k": d.k, "confluent": confluent}
     passed = is_chain_decomposition(p, d) and is_homogeneous(p, d) and confluent
     if p.n <= BRUTE_FORCE_CAP:

@@ -137,6 +137,38 @@ def merge_fixpoint(p, shuffle_seed=None):
     )
 
 
+def merge_sequence_by_rescan(p, shuffle_seed=None):
+    """The merges (i, j) of the library's greedy loop, by a rescan per round.
+
+    On the bit rows, comp[x] = up[x] | down[x]; chain i is named by its least
+    index and keeps comp[i] when j merges in.  Each round lists every alive
+    comparable pair (i, j), i < j, whose rows agree off i and j on the alive
+    elements, in (i, j) order, and fires the first or, with a seed, a
+    `rng.choice` among them.
+    """
+    up, down = p.rows
+    comp = [u | d for u, d in zip(up, down)]
+    alive = (1 << p.n) - 1
+    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
+
+    def bits(mask):
+        return [x for x in range(p.n) if mask >> x & 1]
+
+    merges = []
+    while True:
+        candidates = [
+            (i, j)
+            for i in bits(alive)
+            for j in bits(comp[i] & alive & -(2 << i))
+            if not (comp[i] ^ comp[j]) & alive & ~(1 << i | 1 << j)
+        ]
+        if not candidates:
+            return merges
+        i, j = rng.choice(candidates) if rng else candidates[0]
+        merges.append((i, j))
+        alive ^= 1 << j
+
+
 def closure_by_squaring(rel):
     """Transitive closure by repeated int64 squaring of the relation matrix."""
     closed = np.asarray(rel).astype(np.int64)

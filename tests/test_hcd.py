@@ -31,7 +31,7 @@ from posetdecomp.generate import (
     wrap_forest,
 )
 from posetdecomp.chains import ChainDecomposition, enumerate_chain_decompositions
-from posetdecomp.hcd import HOM_WORDS, _as_decomposition, _embedding
+from posetdecomp.hcd import HOM_WORDS, _as_decomposition, _embedding, _merge_table, _replay
 from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
 
 import oracles
@@ -157,6 +157,18 @@ def test_library_merge_fixpoint_matches_oracle():
     for p in posets:
         for s in [None, *range(8)]:
             assert frozenset(merge_fixpoint(p, s).chains) == oracles.merge_fixpoint(p, s)
+
+
+def test_merge_sequences_match_rescan_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [random_poset(9, 0.3, seed=s) for s in range(60)]
+    posets += [random_poset(14, 0.15, seed=s) for s in range(50)]
+    posets += [wrap_forest(20, seed=s) for s in range(40)]
+    posets += [wrap_forest(40, seed=s) for s in range(10)]
+    for p in posets:
+        table = _merge_table(p)
+        for s in [None, *range(8)]:
+            assert _replay(p.n, *table, s) == oracles.merge_sequence_by_rescan(p, s)
 
 
 def test_min_homogeneous_values():

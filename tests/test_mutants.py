@@ -86,7 +86,7 @@ def mhcd_merges_first_two(monkeypatch):
 
 
 def merge_any_comparable(monkeypatch):
-    """`merge_fixpoint` drops the profile test and merges any comparable pair."""
+    """The merge replays drop the profile test and merge any comparable pair."""
 
     def mutant(p, shuffle_seed=None):
         chains = [[x] for x in range(p.n)]
@@ -102,11 +102,21 @@ def merge_any_comparable(monkeypatch):
             i, j = rng.choice(pairs)
             chains[i] += chains.pop(j)
 
-    monkeypatch.setattr(verify, "merge_fixpoint", mutant)
+    monkeypatch.setattr(verify, "_merge_replays", lambda p, seeds: (mutant(p, s) for s in seeds))
+
+
+def replay_promotes_untested(monkeypatch):
+    """A pair is promoted when its watched bit dies, without re-testing diff & alive."""
+    _rewrite(monkeypatch, hcd, "_replay", "if rest:", "if False:")
+
+
+def replay_drops_second_only(monkeypatch):
+    """After a merge (i, j), only the candidates whose second element is j are dropped."""
+    _rewrite(monkeypatch, hcd, "_replay", "if j not in c]", "if c[1] != j]")
 
 
 def mixed_pair_comparable(monkeypatch):
-    """`chain_comparability` keeps only the OR test: a mixed chain pair counts as comparable."""
+    """`_comparable_pairs` keeps only the OR test: a mixed chain pair counts as comparable."""
 
     def mutant(p, d):
         up, down = p.rows
@@ -118,9 +128,10 @@ def mixed_pair_comparable(monkeypatch):
         for i in range(d.k):
             for j, chain in enumerate(d.chains):
                 comp[i, j] = i != j and any(reach[i] >> y & 1 for y in chain)
-        return comp
+        ii, jj = np.nonzero(np.triu(comp))
+        return ii.tolist(), jj.tolist(), None
 
-    monkeypatch.setattr(hcd, "chain_comparability", mutant)
+    monkeypatch.setattr(hcd, "_comparable_pairs", mutant)
 
 
 def crossing_without_top(monkeypatch):
@@ -288,6 +299,8 @@ MUTANTS = {
     "reversed-images": (reversed_images, check_fails("embedding")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
+    "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),
+    "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),

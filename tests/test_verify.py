@@ -67,7 +67,8 @@ def test_battery_builds_the_chain_graph_once(monkeypatch):
     from posetdecomp import hcd
 
     comparability, mhcd = [], []
-    _count(monkeypatch, hcd, "chain_comparability", comparability)
+    # the one core that chain_comparability and is_homogeneous share
+    _count(monkeypatch, hcd, "_comparable_pairs", comparability)
     _count(monkeypatch, hcd, "mhcd", mhcd)
     assert verify.run_poset_checks(wrap_forest(20, seed=0))["ok"]
     # the analysis' graph, and the homogeneous check's own test of the MHCD;
