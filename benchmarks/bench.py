@@ -42,8 +42,9 @@ WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
 ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the cut check
-# alone on wrap forests of 30 elements, and the homogeneous check (its merge
-# replays) alone on wrap forests of 40
+# alone on wrap forests of 30 elements, the homogeneous check (its merge
+# replays) alone on wrap forests of 40, and the bounds check (the constructive
+# pipeline at about 300 chains) alone on wrap forests of 1000
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
@@ -52,6 +53,8 @@ VERIFY_INPUTS = {
     "verify-wrapforest-n40-homogeneous": ["verify", "random", "--family", "wrapforest",
                                           "--n", "40", "--count", "50",
                                           "--checks", "homogeneous"],
+    "verify-wrapforest-n1000-bounds": ["verify", "random", "--family", "wrapforest",
+                                       "--n", "1000", "--count", "5", "--checks", "bounds"],
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

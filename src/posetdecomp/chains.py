@@ -87,6 +87,7 @@ class ChainDecomposition:
         # a chain listed by predecessor count ascends, and a part is a chain
         # iff that listing relates every element to the next one
         preds = p.pred_counts
+        up, down = p.rows
         seen: set[int] = set()
         total = 0
         sorted_chains = []
@@ -96,12 +97,12 @@ class ChainDecomposition:
             total += len(part)
             seen.update(part)
             ordered = sorted(part, key=preds.__getitem__)
-            if not all(p.lt[a, b] for a, b in zip(ordered, ordered[1:])):
+            if not all(up[a] >> b & 1 for a, b in zip(ordered, ordered[1:])):
                 a, b = next(
                     (a, b)
                     for a_pos, a in enumerate(part)
                     for b in part[a_pos + 1:]
-                    if not (p.lt[a, b] or p.lt[b, a])
+                    if not (up[a] | down[a]) >> b & 1
                 )
                 raise InvalidDecompositionError(
                     f"elements {p.labels[a]!r} and {p.labels[b]!r} share a part "
@@ -345,7 +346,7 @@ def enumerate_chain_decompositions(
             return
         v = order[pos]
         for chain in chains:
-            if p.lt[chain[-1], v]:
+            if p.rows[0][chain[-1]] >> v & 1:
                 chain.append(v)
                 yield from place(pos + 1)
                 chain.pop()

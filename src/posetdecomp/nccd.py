@@ -14,23 +14,28 @@ The last three quantities come from permutation scans and from a constructive
 pipeline: order the minimal homogeneous chains by successive refinement around
 maximal chains of the wrap order, concatenate them into a permutation with
 exactly one descent per chain, and read a reference linear extension off a
-plane tree built by leftmost attachment.
+plane tree built by leftmost attachment.  Each stage is one pass on bit rows:
+two comparable chains interleave in one block iff one lies in a single gap of
+the other (the gap rule), and the tree's leftmost path is a prefix of its
+preorder (the prefix rule), so the extension is read off without a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .chains import ChainDecomposition, _dilworth, width
 from .errors import CheckFailure, InternalInconsistencyError, refuse_above
-from .hcd import ChainGraph, _as_decomposition, chain_graph, mhcd
+from .hcd import ChainGraph, _as_decomposition, chain_graph
 from .kernels import min_descents, permutations_avoiding
 from .poset import (
     Poset,
     _bitrows,
+    _bits,
     _cover_rows,
     _extension_rows,
     _topological_order,
@@ -114,7 +119,7 @@ def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
             return
         v = order[pos]
         for j, chain in enumerate(chains):
-            if p.lt[chain[-1], v] and not _creates_crossing(up, down, chains, j, v):
+            if up[chain[-1]] >> v & 1 and not _creates_crossing(up, down, chains, j, v):
                 chain.append(v)
                 yield from place(pos + 1)
                 chain.pop()
@@ -300,6 +305,14 @@ class WrapOrder:
     def relation(self) -> np.ndarray:
         return self.wrapped | self.above
 
+    @cached_property
+    def rows(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Bit rows of wrapped, above, the relation and its transpose."""
+        wrapped, wrapped_t = _bitrows(self.wrapped)
+        above, above_t = _bitrows(self.above)
+        up = [a | b for a, b in zip(wrapped, above)]
+        return wrapped, above, up, [a | b for a, b in zip(wrapped_t, above_t)]
+
 
 def _wrap_matrices(p: Poset, d: ChainDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """The `wrapped` and `above` matrices of WrapOrder, with False diagonals."""
@@ -308,7 +321,8 @@ def _wrap_matrices(p: Poset, d: ChainDecomposition) -> tuple[np.ndarray, np.ndar
     # between[j, y]: y lies strictly between the ends of chain j
     between = p.lt[lo] & p.lt[:, hi].T
     member = np.arange(d.k)[:, None] == np.array(d.chain_of, dtype=np.intp)
-    wrapped = member @ between.T
+    # counts of chain i's elements inside chain j: at most n < 2**24, so exact in float32
+    wrapped = member.astype(np.float32) @ between.astype(np.float32).T > 0
     np.fill_diagonal(wrapped, False)
     return wrapped, p.lt[np.ix_(hi, lo)].T
 
@@ -319,7 +333,7 @@ def wrap_relation(p: Poset, d) -> np.ndarray:
     return wrapped | above
 
 
-def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
+def wrap_order(p: Poset) -> WrapOrder:
     """Verified wrap order on the minimal homogeneous decomposition.
 
     Checks antisymmetry, transitivity, and that every comparable chain pair
@@ -327,66 +341,54 @@ def wrap_order(p: Poset, d: ChainDecomposition | None = None) -> WrapOrder:
     stacked) with exactly one wrap relation; a falsification raises
     CheckFailure since it would contradict the theory this implements.
     """
-    if d is None:
-        d = mhcd(p)
-    else:
-        d = _as_decomposition(p, d)
-        if d != mhcd(p):
-            raise ValueError("wrap order is only defined on the minimal homogeneous decomposition")
-    return _verified_wrap_order(p, chain_graph(p, d))
+    return _verified_wrap_order(p, chain_graph(p))
 
 
 def _verified_wrap_order(p: Poset, graph: ChainGraph) -> WrapOrder:
-    """`wrap_order` on the chain graph of a decomposition the caller knows to be the MHCD."""
+    """`wrap_order` on the chain graph of a decomposition the caller knows to be the MHCD.
+
+    By the gap rule, comparable chains i and j interleave in one block iff no
+    element of j lies below i's top but not below i's bottom, or vice versa.
+    """
     d = graph.decomposition
     w = WrapOrder(d, *_wrap_matrices(p, d))
     rel = w.relation
-    comp = graph.adjacency
     names = d.chains_as_labels()
     both = rel & rel.T
     if both.any():
         i, j = map(int, np.argwhere(both)[0])
         raise CheckFailure("wrap relation is not antisymmetric", witness=(names[i], names[j]))
-    if _cover_rows(*_bitrows(rel)) is None:
+    _, _, up, down = w.rows
+    if _cover_rows(up, down) is None:
         missing = np.argwhere(transitive_closure(rel) & ~rel)
         i, j = map(int, missing[0])
         raise CheckFailure("wrap relation is not transitive", witness=(names[i], names[j]))
-    for i in range(d.k):
-        for j in range(i + 1, d.k):
-            if not comp[i, j]:
-                continue
-            blocks = _interleaving_blocks(p, d.chains[i], d.chains[j])
-            if blocks > 3:
-                raise CheckFailure(
-                    "comparable chains interleave in more than one block",
-                    witness=(names[i], names[j]),
-                )
-            if bool(rel[i, j]) == bool(rel[j, i]):
-                raise CheckFailure(
-                    "comparable chains carry no wrap relation",
-                    witness=(names[i], names[j]),
-                )
+    below = p.rows[1]
+    masks = [sum(1 << x for x in chain) for chain in d.chains]
+    # the elements below a chain's top but not below its bottom
+    spread = [below[c[0]] ^ below[c[-1]] for c in d.chains]
+    ii, jj = np.nonzero(graph.adjacency)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if j < i:
+            continue
+        if spread[i] & masks[j] and spread[j] & masks[i]:
+            raise CheckFailure(
+                "comparable chains interleave in more than one block",
+                witness=(names[i], names[j]),
+            )
+        if up[i] >> j & 1 == up[j] >> i & 1:
+            raise CheckFailure(
+                "comparable chains carry no wrap relation",
+                witness=(names[i], names[j]),
+            )
     return w
-
-
-def _interleaving_blocks(p: Poset, chain_a: tuple[int, ...], chain_b: tuple[int, ...]) -> int:
-    """Alternation blocks in the merged total order of two comparable chains."""
-    # comparable chains of a homogeneous decomposition form one chain, which
-    # the predecessor counts in p list in order
-    union = [(x, 0) for x in chain_a] + [(x, 1) for x in chain_b]
-    union.sort(key=lambda pair: p.pred_counts[pair[0]])
-    blocks = 1
-    for (_, side), (_, prev_side) in zip(union[1:], union):
-        if side != prev_side:
-            blocks += 1
-    return blocks
 
 
 # -- canonical chain order (successive refinement) -------------------------------
 
 
 def canonical_chain_order(
-    p: Poset, d: ChainDecomposition | None = None, *, wrap: WrapOrder | None = None
+    p: Poset, *, wrap: WrapOrder | None = None
 ) -> tuple[tuple[int, ...], list]:
     """A linear extension of the wrap order by successive refinement.
 
@@ -394,48 +396,50 @@ def canonical_chain_order(
     other chain either lies entirely above some marker (case 1, deferred to
     the next round, whose markers land in front of everything so far) or is
     wrapped by exactly one marker (case 2, grouped right before that marker);
-    groups are then refined recursively.  Classification anomalies raise
+    groups are then refined in turn from a stack, with markers read off the
+    relation's bit rows under a mask of the working set.  Anomalies raise
     CheckFailure; the constructed order is verified to extend the wrap order.
-    A caller that holds the verified wrap order of the MHCD passes it as
-    `wrap`, which then stands in for `d`.
+    A caller that holds the verified wrap order of the MHCD passes it as `wrap`.
     """
-    w = wrap_order(p, d) if wrap is None else wrap
+    w = wrap_order(p) if wrap is None else wrap
     d = w.decomposition
-    rel = w.relation
+    wrapped, above, up, down = w.rows
     findings: list = []
     names = d.chains_as_labels()
-
-    def arrange(members: list[int]) -> list[int]:
-        if len(members) <= 1:
-            return list(members)
-        rounds: list[list[tuple[list[int], int]]] = []
-        working = sorted(members)
+    order: list[int] = []
+    # each entry is a group to refine; a marker waits as a group of one
+    todo = [list(range(d.k))]
+    while todo:
+        working = todo.pop()
+        if len(working) <= 1:
+            order.extend(working)
+            continue
         while working:
-            markers = [
-                m for m in working if not any(rel[m, u] for u in working if u != m)
-            ]
+            live = sum(1 << c for c in working)
+            markers = [m for m in working if not up[m] & live & ~(1 << m)]
+            marked = sum(1 << m for m in markers)
             groups: dict[int, list[int]] = {m: [] for m in markers}
             case_deferred: list[int] = []
-            case_grouped: list[int] = []
+            grouped = 0
             for c in working:
                 if c in groups:
                     continue
-                wrapping = [m for m in markers if w.wrapped[c, m]]
-                above = [m for m in markers if w.above[c, m]]
-                if len(wrapping) > 1:
+                wrapping = wrapped[c] & marked
+                over = above[c] & marked
+                if wrapping & wrapping - 1:
                     raise CheckFailure(
                         "chain wrapped by two maximal chains",
-                        witness=(names[c], [names[m] for m in wrapping]),
+                        witness=(names[c], [names[m] for m in _bits(wrapping)]),
                     )
-                if wrapping and above:
+                if wrapping and over:
                     raise CheckFailure(
                         "chain classified both as wrapped and as above a maximal chain",
-                        witness=(names[c], names[wrapping[0]], names[above[0]]),
+                        witness=(names[c], names[next(_bits(wrapping))], names[next(_bits(over))]),
                     )
                 if wrapping:
-                    groups[wrapping[0]].append(c)
-                    case_grouped.append(c)
-                elif above:
+                    groups[wrapping.bit_length() - 1].append(c)
+                    grouped |= 1 << c
+                elif over:
                     case_deferred.append(c)
                 else:
                     raise CheckFailure(
@@ -443,32 +447,27 @@ def canonical_chain_order(
                         witness=names[c],
                     )
             for c1 in case_deferred:
-                for c2 in case_grouped:
-                    if (rel[c1, c2] or rel[c2, c1]) and not w.above[c1, c2]:
-                        findings.append(
-                            {
-                                "kind": "deferred-vs-grouped-order",
-                                "deferred": list(names[c1]),
-                                "grouped": list(names[c2]),
-                            }
-                        )
-            rounds.append([(groups[m], m) for m in markers])
-            working = sorted(case_deferred)
-        out: list[int] = []
-        for round_items in reversed(rounds):
-            for group, marker in round_items:
-                out.extend(arrange(group))
-                out.append(marker)
-        return out
-
-    order = arrange(list(range(d.k)))
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if rel[order[b], order[a]]:
-                raise CheckFailure(
-                    "constructed order does not extend the wrap order",
-                    witness=(names[order[a]], names[order[b]]),
-                )
+                for c2 in _bits((up[c1] | down[c1]) & grouped & ~above[c1]):
+                    findings.append(
+                        {
+                            "kind": "deferred-vs-grouped-order",
+                            "deferred": list(names[c1]),
+                            "grouped": list(names[c2]),
+                        }
+                    )
+            # later rounds pop first; each group pops right before its marker
+            for m in reversed(markers):
+                todo += ([m], groups[m])
+            working = case_deferred
+    placed = 0
+    for a, c in enumerate(order):
+        placed |= 1 << c
+        if down[c] & ~placed:
+            later = next(b for b in order[a + 1:] if down[c] >> b & 1)
+            raise CheckFailure(
+                "constructed order does not extend the wrap order",
+                witness=(names[c], names[later]),
+            )
     return tuple(order), findings
 
 
@@ -535,51 +534,45 @@ def tree_to_text(root: TreeNode) -> str:
     return "".join(parts)
 
 
+def _leftmost_attachment(
+    p: Poset, d: ChainDecomposition, order: Sequence[int]
+) -> tuple[list[int], list[int | None]]:
+    """(preorder, attachment vertex of each chain or None for the root) of
+    the attachment tree.  Its leftmost path is a prefix of the preorder that
+    descends in p, so the path vertices above a chain's top are its first i,
+    and the chain goes in reversed at i, below pre[i - 1], ending the path."""
+    up = p.rows[0]
+    pre: list[int] = []
+    anchor: list[int | None] = [None] * d.k
+    path = 0
+    for ci in reversed(order):
+        chain = d.chains[ci]
+        keep = up[chain[-1]] & path
+        i = keep.bit_count()
+        anchor[ci] = pre[i - 1] if i else None
+        pre[i:i] = reversed(chain)
+        path = keep | sum(1 << x for x in chain)
+    return pre, anchor
+
+
 def attachment_tree(p: Poset, d: ChainDecomposition, order: Sequence[int]) -> TreeNode:
     """Plane tree built by leftmost attachment of the ordered chains.
 
     The last chain hangs off the root reversed (largest element on top); each
     earlier chain, processed in reverse order, attaches below the lowest
     vertex on the leftmost path that exceeds the chain's maximum (the root
-    when none does), becoming the new leftmost branch.
+    when none does), becoming the new leftmost branch.  By the prefix rule,
+    `_leftmost_attachment` finds each such vertex without a tree.
     """
-    root = TreeNode(None)
-    ordered = [d.chains[ci] for ci in order]
-    if not ordered:
-        return root
-
-    def attach(parent: TreeNode, chain: tuple[int, ...]) -> None:
-        node = parent
-        for x in reversed(chain):
-            child = TreeNode(p.labels[x])
+    _, anchor = _leftmost_attachment(p, d, order)
+    nodes: dict = {None: TreeNode(None)}
+    for ci in reversed(order):
+        node = nodes[anchor[ci]]
+        for x in reversed(d.chains[ci]):
+            child = nodes[x] = TreeNode(p.labels[x])
             node.children.insert(0, child)
             node = child
-
-    attach(root, ordered[-1])
-    for chain in reversed(ordered[:-1]):
-        top = chain[-1]
-        path = []
-        node = root
-        while node.children:
-            node = node.children[0]
-            path.append(node)
-        target = root
-        for cand in reversed(path):
-            if p.lt[top, p.idx(cand.label)]:
-                target = cand
-                break
-        attach(target, chain)
-    return root
-
-
-def _preorder(node: TreeNode, out: list) -> None:
-    """Append the labels below node (node first, children left to right)."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node.label is not None:
-            out.append(node.label)
-        stack.extend(reversed(node.children))
+    return nodes[None]
 
 
 def _construction(
@@ -594,9 +587,9 @@ def _construction(
     """
     d = graph.decomposition
     order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, graph))
-    walk: list = []
-    _preorder(attachment_tree(p, d, order), walk)
-    return d, order, findings, chain_concatenation(p, d, order), tuple(reversed(walk))
+    pre, _ = _leftmost_attachment(p, d, order)
+    e = tuple(p.labels[x] for x in reversed(pre))
+    return d, order, findings, chain_concatenation(p, d, order), e
 
 
 def derived_extension(p: Poset) -> tuple:

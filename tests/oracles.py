@@ -544,6 +544,123 @@ def wrap_matrices(p, chains):
     return wrapped, above
 
 
+class Refuted(AssertionError):
+    """An oracle's failed check, worded as the library words a CheckFailure."""
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(f"{message} (witness: {witness!r})")
+
+
+def interleaving_blocks(p, chain_a, chain_b) -> int:
+    """Alternation blocks in the merged order of two comparable chains, whose
+    union is one chain, listed in order by sorting on predecessor counts."""
+    preds = p.lt.sum(axis=0)
+    union = [(x, 0) for x in chain_a] + [(x, 1) for x in chain_b]
+    union.sort(key=lambda pair: preds[pair[0]])
+    return 1 + sum(side != prev for (_, side), (_, prev) in zip(union[1:], union))
+
+
+def check_wrap_order_by_blocks(p, chains, comp, wrapped, above) -> None:
+    """The wrap order's checks in order, raising Refuted at the first failure:
+    antisymmetry and transitivity (each at its first pair, row-major), then
+    for each comparable pair i < j the block count and the single relation."""
+    k = len(chains)
+    names = [tuple(p.labels[x] for x in chain) for chain in chains]
+    rel = np.array([[wrapped[i][j] or above[i][j] for j in range(k)] for i in range(k)], dtype=bool)
+    for i, j in itertools.product(range(k), repeat=2):
+        if rel[i, j] and rel[j, i]:
+            raise Refuted("wrap relation is not antisymmetric", (names[i], names[j]))
+    missing = np.argwhere(closure_by_squaring(rel) & ~rel)
+    if len(missing):
+        i, j = missing[0]
+        raise Refuted("wrap relation is not transitive", (names[i], names[j]))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not comp[i][j]:
+                continue
+            if interleaving_blocks(p, chains[i], chains[j]) > 3:
+                raise Refuted(
+                    "comparable chains interleave in more than one block", (names[i], names[j])
+                )
+            if rel[i, j] == rel[j, i]:
+                raise Refuted("comparable chains carry no wrap relation", (names[i], names[j]))
+
+
+def canonical_order_by_recursion(names, wrapped, above):
+    """(order, findings) of the canonical chain order, raising Refuted.
+
+    Each group of chains is arranged by one recursive call: the maximal
+    chains of the working set are its markers, each other chain is wrapped
+    by one marker (grouped before it) or lies above one (deferred to the next
+    round, emitted in front), and groups recurse.  Markers are found by
+    testing each chain against every other chain of the working set.
+    """
+    k = len(names)
+    rel = [[wrapped[i][j] or above[i][j] for j in range(k)] for i in range(k)]
+    findings = []
+
+    def arrange(members):
+        if len(members) <= 1:
+            return list(members)
+        rounds = []
+        working = sorted(members)
+        while working:
+            markers = [m for m in working if not any(rel[m][u] for u in working if u != m)]
+            groups = {m: [] for m in markers}
+            deferred, grouped = [], []
+            for c in working:
+                if c in groups:
+                    continue
+                wrapping = [m for m in markers if wrapped[c][m]]
+                over = [m for m in markers if above[c][m]]
+                if len(wrapping) > 1:
+                    raise Refuted(
+                        "chain wrapped by two maximal chains",
+                        (names[c], [names[m] for m in wrapping]),
+                    )
+                if wrapping and over:
+                    raise Refuted(
+                        "chain classified both as wrapped and as above a maximal chain",
+                        (names[c], names[wrapping[0]], names[over[0]]),
+                    )
+                if wrapping:
+                    groups[wrapping[0]].append(c)
+                    grouped.append(c)
+                elif over:
+                    deferred.append(c)
+                else:
+                    raise Refuted("chain not below any maximal chain of its round", names[c])
+            for c1 in deferred:
+                for c2 in grouped:
+                    if (rel[c1][c2] or rel[c2][c1]) and not above[c1][c2]:
+                        findings.append(
+                            {
+                                "kind": "deferred-vs-grouped-order",
+                                "deferred": list(names[c1]),
+                                "grouped": list(names[c2]),
+                            }
+                        )
+            rounds.append([(groups[m], m) for m in markers])
+            working = sorted(deferred)
+        out = []
+        for round_items in reversed(rounds):
+            for group, marker in round_items:
+                out.extend(arrange(group))
+                out.append(marker)
+        return out
+
+    order = arrange(list(range(k)))
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            if rel[order[b]][order[a]]:
+                raise Refuted(
+                    "constructed order does not extend the wrap order",
+                    (names[order[a]], names[order[b]]),
+                )
+    return tuple(order), findings
+
+
 def naive_avoiders(p):
     """All 132-avoiding index permutations via the cubic scan."""
     out = []
@@ -669,6 +786,55 @@ def preorder_labels(node) -> list:
     out = [] if node.label is None else [node.label]
     for child in node.children:
         out.extend(preorder_labels(child))
+    return out
+
+
+class Node:
+    """A plane tree node with a label (None at the root) and ordered children."""
+
+    def __init__(self, label):
+        self.label = label
+        self.children = []
+
+
+def attachment_tree_by_walk(p, chains, order):
+    """The attachment tree, each vertex found by walking the tree.
+
+    The last chain of the order hangs off the root reversed; each earlier
+    one, in reverse order, hangs reversed as the first child of the deepest
+    vertex on the leftmost path (walked down through first children) that
+    lies above the chain's top, or of the root when none does.
+    """
+    root = Node(None)
+    for ci in reversed(order):
+        chain = chains[ci]
+        path = []
+        node = root
+        while node.children:
+            node = node.children[0]
+            path.append(node)
+        target = root
+        for cand in reversed(path):
+            if p.lt[chain[-1], p.idx(cand.label)]:
+                target = cand
+                break
+        for x in reversed(chain):
+            child = Node(p.labels[x])
+            target.children.insert(0, child)
+            target = child
+    return root
+
+
+def preorder_by_stack(node) -> list:
+    """Preorder of a plane tree's labels by an explicit stack, the unlabeled
+    root skipped."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.label is not None:
+            out.append(node.label)
+        stack.extend(reversed(node.children))
     return out
 
 

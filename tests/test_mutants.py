@@ -197,6 +197,24 @@ def extension_rows_reversed(monkeypatch):
     monkeypatch.setattr(nccd, "_extension_rows", mutant)
 
 
+def attach_below_shallowest(monkeypatch):
+    """Each chain hangs below the shallowest path vertex above its top, not the deepest."""
+    _rewrite(monkeypatch, nccd, "_leftmost_attachment", "keep = up[chain[-1]] & path\n",
+             "keep = up[chain[-1]] & path & 1 << pre[0] if pre else 0\n")
+
+
+def marker_before_group(monkeypatch):
+    """The canonical order emits each marker before its group instead of after it."""
+    _rewrite(monkeypatch, nccd, "canonical_chain_order", "todo += ([m], groups[m])",
+             "todo += (groups[m], [m])")
+
+
+def markers_against_all_chains(monkeypatch):
+    """Markers are the chains maximal among all chains, not among the working set."""
+    _rewrite(monkeypatch, nccd, "canonical_chain_order", "not up[m] & live & ~(1 << m)",
+             "not up[m] & ~(1 << m)")
+
+
 def deletion_keeps_column_z(monkeypatch):
     """The deletion counts compare the closed rows without clearing bit z."""
     _rewrite(monkeypatch, hcd, "_deletion_bounds", "row & ~(1 << z)", "row", into=(hcd, verify))
@@ -311,6 +329,9 @@ MUTANTS = {
     "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
     "covers-keep-reached": (covers_keep_reached, walk_differs_from_product_oracles),
     "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
+    "attach-below-shallowest": (attach_below_shallowest, check_fails("bounds")),
+    "marker-before-group": (marker_before_group, check_fails("bounds")),
+    "markers-against-all-chains": (markers_against_all_chains, check_fails("bounds")),
     "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
     "matching-one-phase": (matching_one_phase, check_fails("dilworth")),
     "antichain-keeps-right-cover": (antichain_keeps_right_cover, check_fails("dilworth")),
