@@ -39,7 +39,7 @@ import time
 
 PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
-ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000))
+ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000), ("wrapforest", 16000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the cut check
 # alone on wrap forests of 30 elements, the homogeneous check (its merge

@@ -5,35 +5,28 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
-from .poset import Poset, transitive_closure
+from .poset import Poset, _close_acyclic
 
 
 def chain(n: int) -> Poset:
     """Total order 1 < 2 < ... < n."""
-    labels = [str(i) for i in range(1, n + 1)]
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        lt[i, i + 1:] = True
-    return Poset(labels, lt)
+    labels = tuple(str(i) for i in range(1, n + 1))
+    up = [((1 << n) - 1) >> (i + 1) << (i + 1) for i in range(n)]
+    return Poset._from_rows(labels, up, [(1 << i) - 1 for i in range(n)])
 
 
 def antichain(n: int) -> Poset:
     """n mutually incomparable elements."""
-    labels = [str(i) for i in range(1, n + 1)]
-    return Poset(labels, np.zeros((n, n), dtype=bool))
+    return Poset._from_rows(tuple(str(i) for i in range(1, n + 1)), [0] * n, [0] * n)
 
 
 def boolean_lattice(k: int) -> Poset:
     """Subsets of {1..k} ordered by inclusion; boolean_lattice(2) is the diamond."""
-    masks = list(range(1 << k))
-    labels = ["{" + ",".join(str(b + 1) for b in range(k) if m >> b & 1) + "}" for m in masks]
-    n = len(masks)
-    lt = np.zeros((n, n), dtype=bool)
-    for i, j in itertools.permutations(range(n), 2):
-        lt[i, j] = (masks[i] & masks[j]) == masks[i] and masks[i] != masks[j]
-    return Poset(labels, lt)
+    n = 1 << k
+    labels = ["{" + ",".join(str(b + 1) for b in range(k) if m >> b & 1) + "}" for m in range(n)]
+    up = [sum(1 << y for y in range(n) if y & x == x != y) for x in range(n)]
+    down = [sum(1 << x for x in range(n) if y & x == x != y) for y in range(n)]
+    return Poset._from_rows(tuple(labels), up, down)
 
 
 def two_chain_fan(k: int) -> Poset:
@@ -57,13 +50,13 @@ def random_poset(n: int, density: float = 0.3, seed: int = 0) -> Poset:
     Deterministic for a given (n, density, seed).
     """
     rng = random.Random(seed)
-    rel = np.zeros((n, n), dtype=bool)
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                rel[i, j] = True
-    labels = [f"x{i}" for i in range(n)]
-    return Poset(labels, transitive_closure(rel))
+                succ[i].append(j)
+    _, rows = _close_acyclic(succ)
+    return Poset._from_rows(tuple(f"x{i}" for i in range(n)), *rows)
 
 
 def wrap_forest(n: int, seed: int = 0) -> Poset:

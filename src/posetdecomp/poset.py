@@ -1,25 +1,27 @@
-"""Finite posets stored as dense boolean strict-order matrices.
+"""Finite posets stored as the bit rows of their strict order.
 
 Element labels are opaque (hashable) values kept in input order; every
-operation works on dense indices 0..n-1 internally.  The matrix `lt` holds the
-full strict order (transitively closed), which makes comparability and
-interval queries O(1) at the price of O(n^2) memory.  The one packed form of
-the order is `Poset.rows`, bit rows built by `_bitrows` and read everywhere.
-
-Loading from cover relations closes the relation on bit rows during the
-search for a directed cycle, one depth-first pass.  Validation and the Hasse
-diagram are one walk on the bit rows, `_cover_rows`: for each x it tests the
-up row of one successor y per step and ORs it into the set x has reached,
-until every successor of x is either such a y or reached; the successors
-never reached are x's covers.  It is exact in any label order for an
-irreflexive relation.  Each z above x is either a tested y or lies in the
-row of some tested y, whose row then lies inside x's and misses y itself,
-so it is strictly smaller than x's; by induction on the size of the row,
-every row of the relation that passes is closed.  The public
-`transitive_closure` squares by float32 BLAS matrix products of 0/1
-matrices.  They are exact: every entry is a count of at most n two-step
-paths, and float32 represents every integer below 2**24, so no rounding can
-occur for any poset this package can hold.
+operation works on dense indices 0..n-1 internally.  A `Poset` holds its
+closed strict order once, as the bit rows `rows = (up, down)`: bit y of
+up[x] and bit x of down[y] are set when x < y.  Every caller shares them, so
+they are read-only.  Dense work reads `lt`, the n x n boolean matrix
+unpacked from the up rows on its first read.
+`Poset(labels, lt)` validates a matrix; every constructor that proves its
+order on the way calls the trusted `Poset._from_rows` instead.  Loading from
+cover relations closes the relation on bit rows during the search for a
+directed cycle, one depth-first pass.  Validation and the Hasse diagram are
+one walk on the bit rows, `_cover_rows`: for each x it tests the up row of
+one successor y per step and ORs it into the set x has reached, until every
+successor of x is either such a y or reached; the successors never reached
+are x's covers.  It is exact in any label order for an irreflexive
+relation.  Each z above x is either a tested y or lies in the row of some
+tested y, whose row then lies inside x's and misses y itself, so it is
+strictly smaller than x's; by induction on the size of the row, every row
+of the relation that passes is closed.  The public `transitive_closure`
+squares by float32 BLAS matrix products of 0/1 matrices.  They are exact:
+every entry is a count of at most n two-step paths, and float32 represents
+every integer below 2**24, so no rounding can occur for any poset this
+package can hold.
 """
 
 from __future__ import annotations
@@ -118,22 +120,22 @@ class Poset:
         up, down = _bitrows(lt)
         if any(row >> x & 1 for x, row in enumerate(up)):
             raise ValueError("strict order cannot be reflexive")
-        covers = _cover_rows(up, down)
-        if covers is None:
+        if _cover_rows(up, down) is None:
             # x < y < x would make an irreflexive transitive relation
             # reflexive, so a symmetric pair fails the walk too
             if any(u & d for u, d in zip(up, down)):
                 raise ValueError("strict order cannot be symmetric on any pair")
             raise ValueError("relation is not transitively closed")
-        lt = lt.copy()
-        lt.setflags(write=False)
         self.labels = labels
-        self.lt = lt
-        # The order as bitmasks (up, down): bit y of up[x] and bit x of
-        # down[y] are set when x < y.  Shared by every caller, so read-only.
         self.rows = (up, down)
-        self._covers = covers
-        self._index = {x: i for i, x in enumerate(labels)}
+
+    @classmethod
+    def _from_rows(cls, labels: tuple, up: list[int], down: list[int]) -> "Poset":
+        """The poset on distinct labels whose proved order has bit rows (up, down): no checks."""
+        p = cls.__new__(cls)
+        p.labels = labels
+        p.rows = (up, down)
+        return p
 
     # -- construction ------------------------------------------------------
 
@@ -148,18 +150,32 @@ class Poset:
         index = {x: i for i, x in enumerate(labels)}
         if len(index) != len(labels):
             raise ValueError("duplicate element labels")
-        n = len(labels)
-        rel = np.zeros((n, n), dtype=bool)
+        succ: list[list[int]] = [[] for _ in labels]
         for x, y in covers:
             if x not in index:
                 raise UnknownElementError(x)
             if y not in index:
                 raise UnknownElementError(y)
-            rel[index[x], index[y]] = True
-        cycle, closed = _close_acyclic(rel)
+            succ[index[x]].append(index[y])
+        cycle, rows = _close_acyclic([sorted(set(ws)) for ws in succ])
         if cycle is not None:
             raise CycleError([labels[i] for i in cycle])
-        return cls(labels, closed)
+        return cls._from_rows(labels, *rows)
+
+    @cached_property
+    def lt(self) -> np.ndarray:
+        """The strict order as a read-only boolean matrix, unpacked from the up rows."""
+        lt = _unpack_rows(self.rows[0], self.n)
+        lt.setflags(write=False)
+        return lt
+
+    @cached_property
+    def _covers(self) -> list[int]:
+        return _cover_rows(*self.rows)  # a valid order passes the walk
+
+    @cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.labels)}
 
     @property
     def n(self) -> int:
@@ -178,20 +194,20 @@ class Poset:
     @cached_property
     def pred_counts(self) -> tuple[int, ...]:
         """Number of elements below each element, by index."""
-        return tuple(np.count_nonzero(self.lt, axis=0).tolist())
+        return tuple(row.bit_count() for row in self.rows[1])
 
     # -- queries -----------------------------------------------------------
 
     def less(self, x, y) -> bool:
-        return bool(self.lt[self.idx(x), self.idx(y)])
+        return bool(self.rows[0][self.idx(x)] >> self.idx(y) & 1)
 
     def leq(self, x, y) -> bool:
         i, j = self.idx(x), self.idx(y)
-        return i == j or bool(self.lt[i, j])
+        return i == j or bool(self.rows[0][i] >> j & 1)
 
     def comparable(self, x, y) -> bool:
         i, j = self.idx(x), self.idx(y)
-        return i == j or bool(self.lt[i, j]) or bool(self.lt[j, i])
+        return i == j or bool((self.rows[0][i] | self.rows[1][i]) >> j & 1)
 
     def covers(self) -> list[tuple]:
         """Hasse diagram pairs (x, y), in element input order: the cover rows
@@ -204,8 +220,8 @@ class Poset:
         idxs = [self.idx(x) for x in keep]
         if len(set(idxs)) != len(idxs):
             raise ValueError("duplicate element in subset")
-        sub = self.lt[np.ix_(idxs, idxs)]
-        return Poset([self.labels[i] for i in idxs], sub)
+        sub = _bitrows(self.lt[np.ix_(idxs, idxs)])
+        return Poset._from_rows(tuple(self.labels[i] for i in idxs), *sub)
 
     def without(self, x) -> "Poset":
         """Sub-poset after deleting one element."""
@@ -213,42 +229,42 @@ class Poset:
         return self.induced([lab for j, lab in enumerate(self.labels) if j != i])
 
     def minimal_elements(self) -> list:
-        return [self.labels[i] for i in range(self.n) if not self.lt[:, i].any()]
+        return [x for x, row in zip(self.labels, self.rows[1]) if not row]
 
     def maximal_elements(self) -> list:
-        return [self.labels[i] for i in range(self.n) if not self.lt[i, :].any()]
+        return [x for x, row in zip(self.labels, self.rows[0]) if not row]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poset)
             and self.labels == other.labels
-            and np.array_equal(self.lt, other.lt)
+            and self.rows[0] == other.rows[0]
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.lt.tobytes()))
+        return hash((self.labels, tuple(self.rows[0])))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={len(self.covers())})"
 
 
-def _close_acyclic(rel: np.ndarray) -> tuple[list[int] | None, np.ndarray | None]:
-    """(witness cycle, None) for a relation with a directed cycle, else (None, closure).
+def _close_acyclic(succ: list[list[int]]) -> tuple[list[int] | None, tuple | None]:
+    """(witness cycle, None) if the successor lists succ, each in increasing
+    index order without repeats, have a directed cycle, else (None, rows).
 
     Depth-first search from each unvisited index in turn, successors in
     index order, with an explicit stack; the witness is the stretch of the
     current path from the first back edge's target to its end.  Without a
-    cycle every successor of a node has finished when the node does, so
-    the node's reach row is the OR of reach[w] | 1 << w over its successors
-    w, one bit row per node, unpacked into the boolean closure at the end.
+    cycle a node finishes after its successors w, and its up row is the OR
+    of up[w] | 1 << w over those not yet in the row.  The tested w include
+    every cover, so ORing down[v] | 1 << v into the down row of each tested
+    w of v, in reverse finishing order, gives every down row.
     """
-    n = rel.shape[0]
-    succ: list[list[int]] = [[] for _ in range(n)]
-    flat = np.flatnonzero(rel)
-    for x, w in zip((flat // n).tolist(), (flat % n).tolist()):
-        succ[x].append(w)  # row-major, so each list is in index order
+    n = len(succ)
     color = [0] * n  # 0 unvisited, 1 on the path, 2 done
     reach = [0] * n
+    tested: list[list[int]] = [[] for _ in range(n)]
+    finished = []
     for root in range(n):
         if color[root]:
             continue
@@ -270,17 +286,23 @@ def _close_acyclic(rel: np.ndarray) -> tuple[list[int] | None, np.ndarray | None
                 pending.pop()
                 row = 0
                 for w in succ[v]:
-                    row |= reach[w] | 1 << w
+                    if not row >> w & 1:
+                        row |= reach[w] | 1 << w
+                        tested[v].append(w)
                 reach[v] = row
-    return None, _unpack_rows(reach)
+                finished.append(v)
+    down = [0] * n
+    for v in reversed(finished):
+        for w in tested[v]:
+            down[w] |= down[v] | 1 << v
+    return None, (reach, down)
 
 
-def _unpack_rows(rows: list[int]) -> np.ndarray:
-    """The square boolean matrix whose row x has bit y of rows[x] at column y."""
-    n = len(rows)
+def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """The boolean matrix with one row per bit row: bit y of rows[x] at column y < n."""
     width = (n + 7) // 8
     blob = b"".join(row.to_bytes(width, "little") for row in rows)
-    packed = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+    packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -357,7 +379,7 @@ def mobius(p: Poset, x, y) -> int:
     i, j = p.idx(x), p.idx(y)
     if i == j:
         return 1
-    if not p.lt[i, j]:
+    if not p.rows[0][i] >> j & 1:
         return 0
     return mobius_matrix(p)[i][j]
 
@@ -380,31 +402,27 @@ def linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> Itera
 
 def _linear_extensions_iter(p: Poset) -> Iterator[tuple]:
     # depth-first over prefixes, lowest free index first, with an explicit
-    # prefix stack so that long chains cost no recursion
-    n = p.n
-    preds = list(p.pred_counts)
-    succs = [np.flatnonzero(p.lt[i]).tolist() for i in range(n)]
+    # prefix stack so that long chains cost no recursion; an element is free
+    # when it is unplaced and everything below it is placed
+    down = p.rows[1]
+    unplaced = (1 << p.n) - 1
     out: list[int] = []
     start = 0  # the lowest index still to try at the current depth
     while True:
-        if len(out) == n:
+        if not unplaced:
             yield tuple(p.labels[i] for i in out)
             i = None
         else:
-            i = next((j for j in range(start, n) if preds[j] == 0), None)
+            i = next((j for j in _bits(unplaced >> start << start) if not down[j] & unplaced), None)
         if i is not None:
-            preds[i] = -1
-            for j in succs[i]:
-                preds[j] -= 1
+            unplaced ^= 1 << i
             out.append(i)
             start = 0
             continue
         if not out:
             return
         i = out.pop()
-        for j in succs[i]:
-            preds[j] += 1
-        preds[i] = 0
+        unplaced |= 1 << i
         start = i + 1
 
 
@@ -666,12 +684,12 @@ def enumerate_posets(n: int, cap: int | None = POSET_ENUMERATION_CAP) -> Iterato
     """
     refuse_above("labeled poset enumeration", cap, n)
     labels = tuple(str(i) for i in range(n))
-    for up in _order_rows(n):
-        yield Poset(labels, _unpack_rows(up))
+    for up, down in _order_rows(n):
+        yield Poset._from_rows(labels, up, down)
 
 
-def _order_rows(n: int) -> Iterator[list[int]]:
-    """The up rows of every strict order on 0..n-1, in `enumerate_posets` order.
+def _order_rows(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The bit rows (up, down) of every strict order on 0..n-1, in `enumerate_posets` order.
 
     Each is an order Q on 1..n-1 with A, the elements above 0, up-closed in
     Q, B, the elements below 0, down-closed, and every element of B below
@@ -680,16 +698,12 @@ def _order_rows(n: int) -> Iterator[list[int]]:
     of the orders on n - 1 points are held.
     """
     if n == 0:
-        yield []
+        yield [], []
         return
-    smaller = []
-    for q in _order_rows(n - 1):
-        up = [0] + [row << 1 for row in q]
-        down = [0] * n
-        for x, row in enumerate(up):
-            for y in _bits(row):
-                down[y] |= 1 << x
-        smaller.append((up, down))
+    smaller = [
+        ([0] + [row << 1 for row in up], [0] + [row << 1 for row in down])
+        for up, down in _order_rows(n - 1)
+    ]
     # choice j - 1 relates 0 and j: 0 unrelated, 1 for 0 < j, 2 for j < 0
     for choice in itertools.product((0, 1, 2), repeat=n - 1):
         above = [j for j, c in enumerate(choice, 1) if c == 1]
@@ -700,8 +714,10 @@ def _order_rows(n: int) -> Iterator[list[int]]:
             if all(up[j] | a == a for j in above) and all(
                 down[j] | b == b and up[j] & a == a for j in below
             ):
-                rows = up.copy()
-                rows[0] = a
+                new_up, new_down = up.copy(), down.copy()
+                new_up[0], new_down[0] = a, b
                 for j in below:
-                    rows[j] |= 1
-                yield rows
+                    new_up[j] |= 1
+                for j in above:
+                    new_down[j] |= 1
+                yield new_up, new_down

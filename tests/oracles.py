@@ -267,6 +267,86 @@ def find_cycle(rel):
     return None
 
 
+# -- loading through a dense relation matrix (the path the library took
+# before a poset stored only the bit rows of its order)
+
+
+def close_acyclic_by_matrix(rel):
+    """(witness cycle, None) for a relation matrix with a directed cycle, else
+    (None, closure), kept verbatim from the library's matrix-reading search.
+
+    Depth-first search from each unvisited index in turn, successors in
+    index order, with an explicit stack; a finished node's reach row is the
+    OR of reach[w] | 1 << w over its successors w, and the rows are unpacked
+    into the boolean closure at the end.
+    """
+    n = rel.shape[0]
+    succ = [[] for _ in range(n)]
+    flat = np.flatnonzero(rel)
+    for x, w in zip((flat // n).tolist(), (flat % n).tolist()):
+        succ[x].append(w)  # row-major, so each list is in index order
+    color = [0] * n  # 0 unvisited, 1 on the path, 2 done
+    reach = [0] * n
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):], None
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                v = path.pop()
+                color[v] = 2
+                pending.pop()
+                row = 0
+                for w in succ[v]:
+                    row |= reach[w] | 1 << w
+                reach[v] = row
+    width = (n + 7) // 8
+    blob = b"".join(row.to_bytes(width, "little") for row in reach)
+    packed = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+    return None, np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def closure_of_pairs(labels, pairs):
+    """The strict-order matrix that loading the acyclic pairs (x, y), x < y,
+    gave: a dense relation closed by `close_acyclic_by_matrix`."""
+    index = {x: i for i, x in enumerate(labels)}
+    rel = np.zeros((len(labels), len(labels)), dtype=bool)
+    for x, y in pairs:
+        rel[index[x], index[y]] = True
+    cycle, closed = close_acyclic_by_matrix(rel)
+    assert cycle is None
+    return closed
+
+
+def random_order_matrix(n, density, seed):
+    """The matrix of `generate.random_poset(n, density, seed)`: the squaring
+    closure of the same random upper-triangular relation."""
+    rng = random.Random(seed)
+    rel = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rel[i, j] = True
+    return closure_by_squaring(rel)
+
+
+def matrix_of_rows(rows):
+    """m[x, y] when bit y of rows[x] is set, cell by cell."""
+    n = len(rows)
+    return np.array([[bool(rows[x] >> y & 1) for y in range(n)] for x in range(n)],
+                    dtype=bool).reshape(n, n)
+
+
 def is_chain_by_pairs(p, elems) -> bool:
     """The library's pair loop before it read the bit rows, kept as the oracle."""
     idxs = [p.idx(x) for x in elems]

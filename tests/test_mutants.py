@@ -175,6 +175,12 @@ def closure_skips_successor_bit(monkeypatch):
     _rewrite(monkeypatch, poset, "_close_acyclic", "row |= reach[w] | 1 << w", "row |= reach[w]")
 
 
+def down_pass_drops_own_bit(monkeypatch):
+    """The loading search's down pass passes each node's down row on without the node's own bit."""
+    _rewrite(monkeypatch, poset, "_close_acyclic", "down[w] |= down[v] | 1 << v",
+             "down[w] |= down[v]")
+
+
 def walk_skips_containment(monkeypatch):
     """The cover walk drops its containment test: no row is checked against x's."""
     _rewrite(monkeypatch, poset, "_cover_rows", "if up[y] & ~row:", "if False:")
@@ -242,6 +248,11 @@ def orders_skip_up_closure(monkeypatch):
     _rewrite(monkeypatch, poset, "_order_rows", "all(up[j] | a == a for j in above) and ", "")
 
 
+def orders_skip_down_bit(monkeypatch):
+    """The enumerator leaves bit 0 out of the down rows of the elements above point 0."""
+    _rewrite(monkeypatch, poset, "_order_rows", "new_down[j] |= 1", "new_down[j] |= 0")
+
+
 def orders_differ_from_product_oracle() -> bool:
     """test_poset_core's exact-sequence test, for n <= 4."""
     for n in range(5):
@@ -257,6 +268,14 @@ def orders_differ_from_product_oracle() -> bool:
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
+
+
+def rows_differ_from_matrix() -> bool:
+    """test_poset_core's rows-first invariant, on every poset with n <= 4 and
+    on FAMILY loaded again from its covers."""
+    posets = [p for n in range(5) for p in poset.enumerate_posets(n)]
+    posets += [poset.Poset.from_cover_relations(p.labels, p.covers()) for p in FAMILY]
+    return any(p.rows != poset._bitrows(p.lt) for p in posets)
 
 
 def walk_differs_from_product_oracles() -> bool:
@@ -326,6 +345,7 @@ MUTANTS = {
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "side-series-drops-last-power": (side_series_drops_last_power, check_fails("cut")),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
+    "down-pass-drops-own-bit": (down_pass_drops_own_bit, rows_differ_from_matrix),
     "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
     "covers-keep-reached": (covers_keep_reached, walk_differs_from_product_oracles),
     "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
@@ -337,6 +357,7 @@ MUTANTS = {
     "antichain-keeps-right-cover": (antichain_keeps_right_cover, check_fails("dilworth")),
     "orders-choice-swapped": (orders_choice_swapped, orders_differ_from_product_oracle),
     "orders-skip-up-closure": (orders_skip_up_closure, orders_differ_from_product_oracle),
+    "orders-skip-down-bit": (orders_skip_down_bit, rows_differ_from_matrix),
 }
 
 

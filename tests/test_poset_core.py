@@ -20,8 +20,18 @@ from posetdecomp import (
     signed_chain_count_matrix,
     transitive_closure,
 )
-from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
-from posetdecomp.poset import automorphisms, isomorphic
+from posetdecomp import textio
+from posetdecomp.generate import (
+    FAMILIES,
+    antichain,
+    boolean_lattice,
+    chain,
+    make_family,
+    random_poset,
+    wrap_forest,
+)
+from posetdecomp.poset import _bitrows, automorphisms, isomorphic
+from posetdecomp.verify import Analysis
 
 import oracles
 
@@ -117,9 +127,50 @@ def test_cover_walk_matches_product_oracles_on_large_orders():
 
 
 def test_matrix_is_read_only():
-    p = chain(3)
-    with pytest.raises(ValueError):
-        p.lt[0, 1] = False
+    loaded = textio.loads("elements: a b c\na < b\nb < c\n")
+    for p in (chain(3), loaded, list(enumerate_posets(3))[-1], Poset("ab", [[0, 1], [0, 0]])):
+        with pytest.raises(ValueError):
+            p.lt[0, 1] = False
+
+
+def _assert_rows_first(p, want):
+    """p's lazily built matrix is the oracle's matrix, which the validating
+    constructor accepts, and p's stored rows are the rows of that matrix."""
+    Poset(p.labels, want)
+    assert np.array_equal(p.lt, want)
+    assert p.rows == _bitrows(p.lt)
+
+
+def test_generated_rows_match_matrix_oracles(monkeypatch):
+    # the pairs wrap_forest loads are captured, then loaded again through a
+    # dense matrix; random_poset's matrix is the squaring closure of its draw
+    loads = []
+    real = Poset.from_cover_relations.__func__
+
+    def spy(cls, labels, covers):
+        loads.append((labels, list(covers)))
+        return real(cls, labels, loads[-1][1])
+
+    monkeypatch.setattr(Poset, "from_cover_relations", classmethod(spy))
+    for seed in range(20):
+        for n in range(8, 41):
+            want = oracles.random_order_matrix(n, 0.3, seed)
+            _assert_rows_first(random_poset(n, 0.3, seed), want)
+        for n in range(20, 61):
+            p = wrap_forest(n, seed)
+            _assert_rows_first(p, oracles.closure_of_pairs(*loads.pop()))
+
+
+def test_no_matrix_until_lt_is_read():
+    posets = [textio.loads(textio.dumps(wrap_forest(60, seed=s))) for s in range(3)]
+    posets += enumerate_posets(4)
+    posets += [make_family(name, n, seed=1) for name in FAMILIES for n in (1, 5)]
+    for p in posets:
+        assert "lt" not in p.__dict__
+        Analysis(p).graph
+        assert "lt" not in p.__dict__
+    posets[0].lt
+    assert "lt" in posets[0].__dict__
 
 
 def test_transitive_closure_long_path():
@@ -237,6 +288,7 @@ def test_from_cover_relations_of_scrambled_2000_chain():
     pos = np.empty(n, dtype=int)
     pos[[p.idx(x) for x in path]] = np.arange(n)
     assert np.array_equal(p.lt, pos[:, None] < pos[None, :])
+    _assert_rows_first(p, oracles.closure_of_pairs(labels, covers))
 
 
 def test_from_cover_relations_of_zero_and_one_element():
@@ -408,8 +460,10 @@ def test_enumerated_posets_are_valid_and_distinct():
 
 
 def test_cached_rows_match_masks():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [wrap_forest(20, seed=s) for s in range(10)]
-    for p in posets:
+    for n in range(6):
+        for p, up in zip(enumerate_posets(n), oracles.poset_rows_by_product(n), strict=True):
+            _assert_rows_first(p, oracles.matrix_of_rows(up))
+            assert p.rows == oracles.bit_rows(p.lt)
+    for p in [wrap_forest(20, seed=s) for s in range(10)]:
         assert p.rows == oracles.bit_rows(p.lt)
         assert p.rows is p.rows
