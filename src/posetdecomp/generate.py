@@ -10,23 +10,21 @@ from .poset import Poset, _close_acyclic
 
 def chain(n: int) -> Poset:
     """Total order 1 < 2 < ... < n."""
-    labels = tuple(str(i) for i in range(1, n + 1))
-    up = [((1 << n) - 1) >> (i + 1) << (i + 1) for i in range(n)]
-    return Poset._from_rows(labels, up, [(1 << i) - 1 for i in range(n)])
+    labels = [str(i) for i in range(1, n + 1)]
+    return Poset.from_cover_relations(labels, zip(labels, labels[1:]))
 
 
 def antichain(n: int) -> Poset:
     """n mutually incomparable elements."""
-    return Poset._from_rows(tuple(str(i) for i in range(1, n + 1)), [0] * n, [0] * n)
+    return Poset.from_cover_relations([str(i) for i in range(1, n + 1)], [])
 
 
 def boolean_lattice(k: int) -> Poset:
     """Subsets of {1..k} ordered by inclusion; boolean_lattice(2) is the diamond."""
-    n = 1 << k
-    labels = ["{" + ",".join(str(b + 1) for b in range(k) if m >> b & 1) + "}" for m in range(n)]
-    up = [sum(1 << y for y in range(n) if y & x == x != y) for x in range(n)]
-    down = [sum(1 << x for x in range(n) if y & x == x != y) for y in range(n)]
-    return Poset._from_rows(tuple(labels), up, down)
+    masks = range(1 << k)
+    labels = ["{" + ",".join(str(b + 1) for b in range(k) if m >> b & 1) + "}" for m in masks]
+    covers = [(labels[m], labels[m | 1 << b]) for m in masks for b in range(k) if not m >> b & 1]
+    return Poset.from_cover_relations(labels, covers)
 
 
 def two_chain_fan(k: int) -> Poset:
@@ -50,11 +48,7 @@ def random_poset(n: int, density: float = 0.3, seed: int = 0) -> Poset:
     Deterministic for a given (n, density, seed).
     """
     rng = random.Random(seed)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                succ[i].append(j)
+    succ = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
     _, rows = _close_acyclic(succ)
     return Poset._from_rows(tuple(f"x{i}" for i in range(n)), *rows)
 

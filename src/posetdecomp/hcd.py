@@ -291,9 +291,8 @@ def acyclic_orientation(p: Poset, d: ChainDecomposition | None = None) -> ChainG
     comp = graph.adjacency
     lo = [c[0] for c in graph.decomposition.chains]
     below = np.empty((len(lo), len(lo)), dtype=bool)
-    for start in range(0, len(lo), 1024):
-        block = [p.rows[0][x] for x in lo[start:start + 1024]]
-        below[start:start + len(block)] = _unpack_rows(block, p.n)[:, lo]
+    for s in range(0, len(lo), 1024):
+        below[s:s + 1024] = _unpack_rows([p.rows[0][x] for x in lo[s:s + 1024]], p.n)[:, lo]
     if (comp & ~(below | below.T)).any():
         raise InternalInconsistencyError(
             "comparable chains with incomparable minima cannot occur in a "

@@ -241,8 +241,9 @@ def descent_profile(p: Poset, perm: Sequence) -> DescentProfile:
     nonempty permutation has at least one.
     """
     idxs = _perm_indices(p, perm)
-    up = p.rows[0]
-    positions = [i for i in range(1, p.n) if not up[idxs[i - 1]] >> idxs[i] & 1]
+    positions = [
+        i for i in range(1, p.n) if not p.rows[0][idxs[i - 1]] >> idxs[i] & 1
+    ]
     if p.n:
         positions.append(p.n)
     return DescentProfile(tuple(perm), tuple(positions))

@@ -2,26 +2,22 @@
 
 Element labels are opaque (hashable) values kept in input order; every
 operation works on dense indices 0..n-1 internally.  A `Poset` holds its
-closed strict order once, as the bit rows `rows = (up, down)`: bit y of
-up[x] and bit x of down[y] are set when x < y.  Every caller shares them, so
-they are read-only.  Dense work reads `lt`, the n x n boolean matrix
-unpacked from the up rows on its first read.
-`Poset(labels, lt)` validates a matrix; every constructor that proves its
-order on the way calls the trusted `Poset._from_rows` instead.  Loading from
-cover relations closes the relation on bit rows during the search for a
-directed cycle, one depth-first pass.  Validation and the Hasse diagram are
-one walk on the bit rows, `_cover_rows`: for each x it tests the up row of
-one successor y per step and ORs it into the set x has reached, until every
-successor of x is either such a y or reached; the successors never reached
-are x's covers.  It is exact in any label order for an irreflexive
-relation.  Each z above x is either a tested y or lies in the row of some
-tested y, whose row then lies inside x's and misses y itself, so it is
-strictly smaller than x's; by induction on the size of the row, every row
-of the relation that passes is closed.  The public `transitive_closure`
-squares by float32 BLAS matrix products of 0/1 matrices.  They are exact:
-every entry is a count of at most n two-step paths, and float32 represents
-every integer below 2**24, so no rounding can occur for any poset this
-package can hold.
+closed strict order once, as the shared, read-only bit rows
+`rows = (up, down)`: bit y of up[x] and bit x of down[y] are set when x < y.
+Dense work reads `lt`, the n x n boolean matrix unpacked from the up rows on
+its first read.  `Poset(labels, lt)` validates a matrix; every constructor
+that proves its order on the way calls the trusted `Poset._from_rows`.
+
+Loading from cover relations closes the relation on bit rows during the
+search for a directed cycle, one depth-first pass.  Validation and the Hasse
+diagram are one walk on the bit rows, `_cover_rows`: for each x it tests the
+up row of one successor y per step and ORs it into the set x has reached,
+until every successor of x is either such a y or reached; the successors
+never reached are x's covers.  It is exact in any label order for an
+irreflexive relation.  Each z above x is either a tested y or lies in the
+row of some tested y, whose row then lies inside x's and misses y itself,
+so it is strictly smaller than x's; by induction on the size of the row,
+every row of the relation that passes is closed.
 """
 
 from __future__ import annotations
@@ -120,7 +116,8 @@ class Poset:
         up, down = _bitrows(lt)
         if any(row >> x & 1 for x, row in enumerate(up)):
             raise ValueError("strict order cannot be reflexive")
-        if _cover_rows(up, down) is None:
+        covers = _cover_rows(up, down)
+        if covers is None:
             # x < y < x would make an irreflexive transitive relation
             # reflexive, so a symmetric pair fails the walk too
             if any(u & d for u, d in zip(up, down)):
@@ -128,6 +125,7 @@ class Poset:
             raise ValueError("relation is not transitively closed")
         self.labels = labels
         self.rows = (up, down)
+        self._covers = covers
 
     @classmethod
     def _from_rows(cls, labels: tuple, up: list[int], down: list[int]) -> "Poset":
@@ -150,14 +148,13 @@ class Poset:
         index = {x: i for i, x in enumerate(labels)}
         if len(index) != len(labels):
             raise ValueError("duplicate element labels")
-        succ: list[list[int]] = [[] for _ in labels]
-        for x, y in covers:
-            if x not in index:
-                raise UnknownElementError(x)
-            if y not in index:
-                raise UnknownElementError(y)
-            succ[index[x]].append(index[y])
-        cycle, rows = _close_acyclic([sorted(set(ws)) for ws in succ])
+        succ: list[set[int]] = [set() for _ in labels]
+        try:
+            for x, y in covers:
+                succ[index[x]].add(index[y])
+        except KeyError as unknown:
+            raise UnknownElementError(unknown.args[0]) from None
+        cycle, rows = _close_acyclic([sorted(ws) for ws in succ])
         if cycle is not None:
             raise CycleError([labels[i] for i in cycle])
         return cls._from_rows(labels, *rows)
@@ -249,16 +246,15 @@ class Poset:
 
 
 def _close_acyclic(succ: list[list[int]]) -> tuple[list[int] | None, tuple | None]:
-    """(witness cycle, None) if the successor lists succ, each in increasing
-    index order without repeats, have a directed cycle, else (None, rows).
+    """(witness cycle, None) if the successor lists have a cycle, else (None, (up, down)).
 
-    Depth-first search from each unvisited index in turn, successors in
-    index order, with an explicit stack; the witness is the stretch of the
-    current path from the first back edge's target to its end.  Without a
-    cycle a node finishes after its successors w, and its up row is the OR
-    of up[w] | 1 << w over those not yet in the row.  The tested w include
-    every cover, so ORing down[v] | 1 << v into the down row of each tested
-    w of v, in reverse finishing order, gives every down row.
+    Depth-first search from each unvisited index in turn over succ, whose
+    lists are increasing, with an explicit stack; the witness is the stretch
+    of the current path from the first back edge's target to its end.
+    Without a cycle a node finishes after its successors w, and its up row is
+    the OR of up[w] | 1 << w over those not yet in the row.  The tested w
+    include every cover, so ORing down[v] | 1 << v into the down row of each
+    tested w of v, in reverse finishing order, gives every down row.
     """
     n = len(succ)
     color = [0] * n  # 0 unvisited, 1 on the path, 2 done

@@ -142,8 +142,15 @@ def _assert_rows_first(p, want):
 
 
 def test_generated_rows_match_matrix_oracles(monkeypatch):
-    # the pairs wrap_forest loads are captured, then loaded again through a
+    # chains, antichains and boolean lattices against their matrices; the
+    # pairs wrap_forest loads are captured, then loaded again through a
     # dense matrix; random_poset's matrix is the squaring closure of its draw
+    for n in range(9):
+        _assert_rows_first(chain(n), np.triu(np.ones((n, n), dtype=bool), 1))
+        _assert_rows_first(antichain(n), np.zeros((n, n), dtype=bool))
+    for k in range(6):
+        m = np.arange(1 << k)[:, None]
+        _assert_rows_first(boolean_lattice(k), (m & m.T == m) & (m != m.T))
     loads = []
     real = Poset.from_cover_relations.__func__
 
@@ -433,13 +440,15 @@ def test_enumerate_posets_is_the_product_oracle_sequence():
 
 
 def test_enumerate_six_posets_in_product_order():
-    # Every yielded order builds, and its product key (per pair in
-    # combinations order: 0, 1 for i < j, 2 for j < i) strictly increases.
-    # With the count of 130,023 labeled orders, that makes the sequence the
-    # product oracle's, without running its 3^15 candidates.
+    # Every yielded order passes the validating constructor with the same
+    # rows, and its product key (per pair in combinations order: 0, 1 for
+    # i < j, 2 for j < i) strictly increases.  With the count of 130,023
+    # labeled orders, that makes the sequence the product oracle's, without
+    # running its 3^15 candidates.
     pairs = list(itertools.combinations(range(6), 2))
     keys = []
     for p in enumerate_posets(6, cap=6):
+        assert Poset(p.labels, p.lt).rows == p.rows
         up = p.rows[0]
         keys.append(tuple(1 if up[i] >> j & 1 else 2 if up[j] >> i & 1 else 0 for i, j in pairs))
     assert len(keys) == 130_023
