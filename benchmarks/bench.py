@@ -44,7 +44,8 @@ ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the cut check
 # alone on wrap forests of 30 elements, the homogeneous check (its merge
 # replays) alone on wrap forests of 40, and the bounds check (the constructive
-# pipeline at about 300 chains) alone on wrap forests of 1000
+# pipeline) alone on wrap forests of 1000 (about 300 chains) and of 16000
+# (about 4,900 chains)
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
@@ -55,6 +56,8 @@ VERIFY_INPUTS = {
                                           "--checks", "homogeneous"],
     "verify-wrapforest-n1000-bounds": ["verify", "random", "--family", "wrapforest",
                                        "--n", "1000", "--count", "5", "--checks", "bounds"],
+    "verify-wrapforest-n16000-bounds": ["verify", "random", "--family", "wrapforest",
+                                        "--n", "16000", "--count", "1", "--checks", "bounds"],
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

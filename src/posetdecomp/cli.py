@@ -182,7 +182,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             gr = an.graph
-            fh.write(ChainGraph(gr.decomposition, gr.adjacency).to_dot("chains"))
+            fh.write(ChainGraph(gr.decomposition, gr.rows).to_dot("chains"))
             fh.write("\n")
             fh.write(gr.to_dot("oriented"))
             fh.write("\n")

@@ -16,14 +16,16 @@ each comparable pair's row difference is computed once, and a pair that is
 not yet a merge waits on one alive bit of that difference (the watched
 literals of Chaff, Moskewicz et al., DAC 2001, with one watch per pair), so a
 merge looks again only at the pairs that watched the chain it removed.  The candidate
-list stays the rescan's, in order, so a seed draws the same merges.
+list stays the rescan's, in order, so a seed draws the same merges.  The walk
+that certifies homogeneity also yields the oriented chain graph as bit rows.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,17 +56,7 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
     comparable and incomparable cross pairs, so a returned matrix certifies
     homogeneity.
     """
-    ii, jj, mixed = _comparable_pairs(p, d)
-    if mixed is not None:
-        i, j = mixed
-        raise NotHomogeneousError(
-            f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
-            "mix comparable and incomparable pairs"
-        )
-    comp = np.zeros((d.k, d.k), dtype=bool)
-    comp[ii, jj] = True
-    comp |= comp.T
-    return comp
+    return chain_graph(p, d).adjacency
 
 
 def is_homogeneous(p: Poset, parts) -> bool:
@@ -75,16 +67,16 @@ def is_homogeneous(p: Poset, parts) -> bool:
 def _comparable_pairs(
     p: Poset, d: ChainDecomposition
 ) -> tuple[list[int], list[int], tuple[int, int] | None]:
-    """(ii, jj, mixed): the comparable chain pairs ii[t] < jj[t], and the first
-    pair i < j that mixes comparable and incomparable cross pairs, or None.
+    """(out, into, mixed): the rows of ChainGraph, and the first pair i < j
+    that mixes comparable and incomparable cross pairs, or None.
 
     On the bit rows of p: chain i reaches the elements comparable to all of
     its elements (`inside`, the AND of their closed rows) or to some of them
     (`reach`, the OR).  Chain j is comparable to i when it lies in inside[i]
     and incomparable when it misses reach[i]; anything else is mixed.  A chain
     that misses reach[i] is incomparable, so chain i visits only the later
-    chains that meet it, read off the high bits of reach[i] and sorted, so
-    the first mixed pair is found first.
+    chains that meet it, read off the high bits of reach[i].  The minima of
+    comparable chains are comparable, and their order directs the pair.
     """
     up, down = p.rows
     chain_of = d.chain_of
@@ -99,25 +91,34 @@ def _comparable_pairs(
         masks.append(mask)
         inside.append(every)
         reach.append(some)
-    ii, jj = [], []
+    bit = [1 << i for i in range(d.k)]
+    low = [1 << c[0] for c in d.chains]
+    out, into = [0] * d.k, [0] * d.k
     seen = 0  # the elements of chains 0..i
-    for i in range(d.k):
+    for i, chain in enumerate(d.chains):
         seen |= masks[i]
         rest = reach[i] & ~seen
-        later = []
+        above, below = up[chain[0]], down[chain[0]]
+        mixed = []
         while rest:
             j = chain_of[rest.bit_length() - 1]
-            later.append(j)
-            rest &= ~masks[j]
-        later.sort()
-        outside = ~inside[i]
-        for j in later:
-            if not masks[j] & outside:
-                ii.append(i)
-                jj.append(j)
-            elif masks[j] & reach[i]:
-                return ii, jj, (i, j)
-    return ii, jj, None
+            rest ^= rest & masks[j]
+            if masks[j] & inside[i] != masks[j]:
+                mixed.append(j)
+            elif above & low[j]:
+                out[i] |= bit[j]
+                into[j] |= bit[i]
+            elif below & low[j]:
+                out[j] |= bit[i]
+                into[i] |= bit[j]
+            else:
+                raise InternalInconsistencyError(
+                    "comparable chains with incomparable minima cannot occur in a "
+                    "homogeneous decomposition"
+                )
+        if mixed:
+            return out, into, (i, min(mixed))
+    return out, into, None
 
 
 def mhcd(p: Poset) -> ChainDecomposition:
@@ -239,23 +240,30 @@ def min_homogeneous(p: Poset) -> int:
 class ChainGraph:
     """Graph on the chains of a homogeneous decomposition.
 
-    `adjacency` joins comparable chain pairs; `oriented`, when present, points
-    each edge from the chain with the smaller minimum to the other one, which
-    is acyclic because edges ascend in the poset order of chain minima.
+    `rows` is (out, into): bit j of out[i] and bit i of into[j] point each
+    comparable pair from the chain with the smaller minimum, so the edges
+    ascend in the order of chain minima; undirected, they are `adjacency`.
     """
 
     decomposition: ChainDecomposition
-    adjacency: np.ndarray
-    oriented: np.ndarray | None = None
+    rows: tuple[list[int], list[int]]
+    directed: bool = False
 
     @property
     def k(self) -> int:
         return self.decomposition.k
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The comparable chain pairs as a read-only symmetric boolean matrix."""
+        return _unpack_rows([a | b for a, b in zip(*self.rows)], self.k)
+
     def edges(self) -> list[tuple[int, int]]:
         """The oriented edges, or each undirected edge once as (i, j), i < j."""
-        mat = np.triu(self.adjacency, 1) if self.oriented is None else self.oriented
-        return [(i, j) for i, j in np.argwhere(mat).tolist()]
+        out, into = self.rows
+        if not self.directed:
+            out = [(a | b) & -(2 << i) for i, (a, b) in enumerate(zip(out, into))]
+        return [(i, j) for i, row in enumerate(out) for j in _bits(row)]
 
     def to_dot(self, name: str = "chains") -> str:
         labels = self.decomposition.chains_as_labels()
@@ -265,9 +273,8 @@ class ChainGraph:
             text = text.replace("\\", "\\\\").replace('"', '\\"')
             return f'  c{i} [label="{text}"];'
 
-        directed = self.oriented is not None
-        head = ("digraph" if directed else "graph") + f" {name} {{"
-        arrow = "->" if directed else "--"
+        head = ("digraph" if self.directed else "graph") + f" {name} {{"
+        arrow = "->" if self.directed else "--"
         lines = [head] + [node(i) for i in range(self.k)]
         lines += [f"  c{i} {arrow} c{j};" for i, j in self.edges()]
         lines.append("}")
@@ -277,29 +284,23 @@ class ChainGraph:
 def chain_graph(p: Poset, d: ChainDecomposition | None = None) -> ChainGraph:
     """Undirected comparability graph of a homogeneous decomposition (the MHCD by default)."""
     d = mhcd(p) if d is None else _as_decomposition(p, d)
-    return ChainGraph(d, chain_comparability(p, d))
+    out, into, mixed = _comparable_pairs(p, d)
+    if mixed is not None:
+        i, j = mixed
+        raise NotHomogeneousError(
+            f"chains {d.chains_as_labels()[i]} and {d.chains_as_labels()[j]} "
+            "mix comparable and incomparable pairs"
+        )
+    return ChainGraph(d, (out, into))
 
 
 def acyclic_orientation(p: Poset, d: ChainDecomposition | None = None) -> ChainGraph:
     """Orient every edge from the chain with the smaller minimum element.
 
-    The comparability of the decomposition (the MHCD by default) is computed
-    once; the orientation is that matrix masked by the order of the minima,
-    read off 1024 of their up rows at a time.
+    The chain graph of the decomposition (the MHCD by default) points each
+    pair that way already: a sub-relation of the strict order on the minima.
     """
-    graph = chain_graph(p, d)
-    comp = graph.adjacency
-    lo = [c[0] for c in graph.decomposition.chains]
-    below = np.empty((len(lo), len(lo)), dtype=bool)
-    for s in range(0, len(lo), 1024):
-        below[s:s + 1024] = _unpack_rows([p.rows[0][x] for x in lo[s:s + 1024]], p.n)[:, lo]
-    if (comp & ~(below | below.T)).any():
-        raise InternalInconsistencyError(
-            "comparable chains with incomparable minima cannot occur in a "
-            "homogeneous decomposition"
-        )
-    # a sub-relation of the strict order on the minima, so never cyclic
-    return ChainGraph(graph.decomposition, comp, comp & below)
+    return replace(chain_graph(p, d), directed=True)
 
 
 # -- length classes and induced permutations ----------------------------------
@@ -417,13 +418,15 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
     """
     group = automorphism_group(p.rows)
     d = gr.decomposition
+    comp = [a | b for a, b in zip(*gr.rows)]
+    edges = set(gr.edges())
     lengths = [len(c) for c in d.chains]
     report = EmbeddingReport(
         n=p.n,
         k=d.k,
         aut_poset_order=group.order,
-        aut_oriented_order=automorphism_group(_bitrows(gr.oriented), lengths).order,
-        aut_unoriented_order=automorphism_group(_bitrows(gr.adjacency), lengths).order,
+        aut_oriented_order=automorphism_group(gr.rows, lengths).order,
+        aut_unoriented_order=automorphism_group((comp, comp), lengths).order,
         well_defined=True,
         injective=True,
         homomorphism=True,
@@ -443,7 +446,7 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
             report.well_defined = False
             report.witness = {"automorphism": g, "induced": sigma, "error": "length class broken"}
             return report
-        if not np.array_equal(gr.oriented[np.ix_(sigma, sigma)], gr.oriented):
+        if {(sigma[i], sigma[j]) for i, j in edges} != edges:
             report.well_defined = False
             report.witness = {
                 "automorphism": g,

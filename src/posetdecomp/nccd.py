@@ -14,16 +14,15 @@ The last three quantities come from permutation scans and from a constructive
 pipeline: order the minimal homogeneous chains by successive refinement around
 maximal chains of the wrap order, concatenate them into a permutation with
 exactly one descent per chain, and read a reference linear extension off a
-plane tree built by leftmost attachment.  Each stage is one pass on bit rows:
-two comparable chains interleave in one block iff one lies in a single gap of
-the other (the gap rule), and the tree's leftmost path is a prefix of its
-preorder (the prefix rule), so the extension is read off without a tree.
+plane tree built by leftmost attachment.  Each stage, the wrap order too, is
+one pass on bit rows: comparable chains interleave in one block iff one lies
+in a single gap of the other (the gap rule), and the tree's leftmost path is
+a prefix of its preorder (the prefix rule), so no tree is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,11 +33,11 @@ from .hcd import ChainGraph, _as_decomposition, chain_graph
 from .kernels import min_descents, permutations_avoiding
 from .poset import (
     Poset,
-    _bitrows,
     _bits,
     _cover_rows,
     _extension_rows,
     _topological_order,
+    _unpack_rows,
     is_linear_extension,
     transitive_closure,
 )
@@ -292,45 +291,42 @@ def min_descents_over_extension_avoiders(
 class WrapOrder:
     """Strict order on the chains of the minimal homogeneous decomposition.
 
-    Chain i sits below chain j when j wraps around i (`wrapped[i, j]`: some
-    x < y < z with x, z in j and y in i) or when i lies entirely above j
-    (`above[i, j]`).
+    Chain i sits below chain j when j wraps around i (some x < y < z with x,
+    z in j and y in i) or when i lies entirely above j.  `rows` holds the bit
+    rows of both relations (bit j of row i), their union and its transpose.
     """
 
     decomposition: ChainDecomposition
-    wrapped: np.ndarray
-    above: np.ndarray
-
-    @property
-    def relation(self) -> np.ndarray:
-        return self.wrapped | self.above
-
-    @cached_property
-    def rows(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Bit rows of wrapped, above, the relation and its transpose."""
-        wrapped, wrapped_t = _bitrows(self.wrapped)
-        above, above_t = _bitrows(self.above)
-        up = [a | b for a, b in zip(wrapped, above)]
-        return wrapped, above, up, [a | b for a, b in zip(wrapped_t, above_t)]
+    rows: tuple[list[int], list[int], list[int], list[int]]
 
 
-def _wrap_matrices(p: Poset, d: ChainDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The `wrapped` and `above` matrices of WrapOrder, with False diagonals."""
-    lo = np.array([c[0] for c in d.chains], dtype=np.intp)
-    hi = np.array([c[-1] for c in d.chains], dtype=np.intp)
-    # between[j, y]: y lies strictly between the ends of chain j
-    between = p.lt[lo] & p.lt[:, hi].T
-    member = np.arange(d.k)[:, None] == np.array(d.chain_of, dtype=np.intp)
-    # counts of chain i's elements inside chain j: at most n < 2**24, so exact in float32
-    wrapped = member.astype(np.float32) @ between.astype(np.float32).T > 0
-    np.fill_diagonal(wrapped, False)
-    return wrapped, p.lt[np.ix_(hi, lo)].T
+def _wrap_rows(p: Poset, d: ChainDecomposition) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The rows of WrapOrder on the chains of d: chain j wraps the chains that
+    meet `up[lo_j] & down[hi_j]` outside chain j and lies below the chains
+    whose minimum is in `up[hi_j]`; column j of the relation collects both."""
+    up, down = p.rows
+    chain_of = d.chain_of
+    masks = [sum(1 << x for x in chain) for chain in d.chains]
+    minima = sum(1 << chain[0] for chain in d.chains)
+    bit = [1 << i for i in range(d.k)]
+    wrapped, above, columns = [0] * d.k, [0] * d.k, [0] * d.k
+    for j, chain in enumerate(d.chains):
+        rest = up[chain[0]] & down[chain[-1]] & ~masks[j]
+        while rest:
+            i = chain_of[rest.bit_length() - 1]
+            wrapped[i] |= bit[j]
+            columns[j] |= bit[i]
+            rest ^= rest & masks[i]  # each chain once
+        for x in _bits(up[chain[-1]] & minima):
+            above[chain_of[x]] |= bit[j]
+            columns[j] |= bit[chain_of[x]]
+    return wrapped, above, [a | b for a, b in zip(wrapped, above)], columns
 
 
 def wrap_relation(p: Poset, d) -> np.ndarray:
     """The raw wrap relation on any homogeneous decomposition's chains."""
-    wrapped, above = _wrap_matrices(p, _as_decomposition(p, d))
-    return wrapped | above
+    d = _as_decomposition(p, d)
+    return _unpack_rows(_wrap_rows(p, d)[2], d.k)
 
 
 def wrap_order(p: Poset) -> WrapOrder:
@@ -351,36 +347,35 @@ def _verified_wrap_order(p: Poset, graph: ChainGraph) -> WrapOrder:
     element of j lies below i's top but not below i's bottom, or vice versa.
     """
     d = graph.decomposition
-    w = WrapOrder(d, *_wrap_matrices(p, d))
-    rel = w.relation
-    names = d.chains_as_labels()
-    both = rel & rel.T
-    if both.any():
-        i, j = map(int, np.argwhere(both)[0])
-        raise CheckFailure("wrap relation is not antisymmetric", witness=(names[i], names[j]))
+    w = WrapOrder(d, _wrap_rows(p, d))
     _, _, up, down = w.rows
+    names = d.chains_as_labels()
+    for i, both in enumerate(a & b for a, b in zip(up, down)):
+        if both:
+            j = next(_bits(both))
+            raise CheckFailure("wrap relation is not antisymmetric", witness=(names[i], names[j]))
     if _cover_rows(up, down) is None:
-        missing = np.argwhere(transitive_closure(rel) & ~rel)
-        i, j = map(int, missing[0])
+        rel = _unpack_rows(up, d.k)
+        i, j = map(int, np.argwhere(transitive_closure(rel) & ~rel)[0])
         raise CheckFailure("wrap relation is not transitive", witness=(names[i], names[j]))
     below = p.rows[1]
     masks = [sum(1 << x for x in chain) for chain in d.chains]
     # the elements below a chain's top but not below its bottom
     spread = [below[c[0]] ^ below[c[-1]] for c in d.chains]
-    ii, jj = np.nonzero(graph.adjacency)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if j < i:
-            continue
-        if spread[i] & masks[j] and spread[j] & masks[i]:
-            raise CheckFailure(
-                "comparable chains interleave in more than one block",
-                witness=(names[i], names[j]),
-            )
-        if up[i] >> j & 1 == up[j] >> i & 1:
-            raise CheckFailure(
-                "comparable chains carry no wrap relation",
-                witness=(names[i], names[j]),
-            )
+    for i, (a, b) in enumerate(zip(*graph.rows)):
+        single = up[i] ^ down[i]  # the chains j with exactly one of i -> j, j -> i
+        rest = (a | b) & -(2 << i)  # the comparable chains j > i, lowest first
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            if spread[i] & masks[j] and spread[j] & masks[i]:
+                fault = "comparable chains interleave in more than one block"
+            elif not single & low:
+                fault = "comparable chains carry no wrap relation"
+            else:
+                continue
+            raise CheckFailure(fault, witness=(names[i], names[j]))
     return w
 
 

@@ -162,9 +162,7 @@ class Poset:
     @cached_property
     def lt(self) -> np.ndarray:
         """The strict order as a read-only boolean matrix, unpacked from the up rows."""
-        lt = _unpack_rows(self.rows[0], self.n)
-        lt.setflags(write=False)
-        return lt
+        return _unpack_rows(self.rows[0], self.n)
 
     @cached_property
     def _covers(self) -> list[int]:
@@ -295,11 +293,13 @@ def _close_acyclic(succ: list[list[int]]) -> tuple[list[int] | None, tuple | Non
 
 
 def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
-    """The boolean matrix with one row per bit row: bit y of rows[x] at column y < n."""
+    """The read-only boolean matrix with one row per bit row: bit y of rows[x] at column y < n."""
     width = (n + 7) // 8
     blob = b"".join(row.to_bytes(width, "little") for row in rows)
     packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+    mat = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+    mat.setflags(write=False)
+    return mat
 
 
 # -- signed chain counts and the Mobius function ---------------------------

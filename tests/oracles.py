@@ -624,6 +624,32 @@ def wrap_matrices(p, chains):
     return wrapped, above
 
 
+def wrap_matrices_by_product(p, chains):
+    """(wrapped, above) as boolean matrices, dense over p.lt: the
+    chain-by-element membership times the elements strictly between each
+    chain's ends, as one float32 product (the library's construction before
+    it built bit rows; counts stay below 2**24, so exact)."""
+    lo = np.array([c[0] for c in chains], dtype=np.intp)
+    hi = np.array([c[-1] for c in chains], dtype=np.intp)
+    between = p.lt[lo] & p.lt[:, hi].T
+    member = np.zeros((len(chains), p.n), dtype=np.float32)
+    for i, chain in enumerate(chains):
+        member[i, list(chain)] = 1
+    wrapped = member @ between.astype(np.float32).T > 0
+    np.fill_diagonal(wrapped, False)
+    return wrapped, p.lt[np.ix_(hi, lo)].T
+
+
+def orientation_by_minima(p, chains, comp):
+    """The oriented chain graph as a matrix: the comparability matrix comp
+    masked by the strict order of the chain minima, read off p.lt; comparable
+    chains with incomparable minima fail."""
+    lo = [c[0] for c in chains]
+    below = p.lt[np.ix_(lo, lo)]
+    assert not (comp & ~(below | below.T)).any()
+    return comp & below
+
+
 class Refuted(AssertionError):
     """An oracle's failed check, worded as the library words a CheckFailure."""
 

@@ -226,7 +226,7 @@ def test_analyze_builds_each_artifact_once(monkeypatch, tmp_path, capsys):
     traced = [
         (chains, "_dilworth"),
         (hcd, "mhcd"),
-        (hcd, "chain_comparability"),
+        (hcd, "_comparable_pairs"),
         (hcd, "acyclic_orientation"),
     ]
     calls = {name: _count_everywhere(monkeypatch, module, name) for module, name in traced}

@@ -307,7 +307,7 @@ def _check_cut_family():
 
 
 def test_check_cut_builds_one_frame(monkeypatch):
-    comparability = _count_calls(monkeypatch, "chain_comparability", [hcd, cut_module, verify])
+    comparability = _count_calls(monkeypatch, "_comparable_pairs", [hcd])
     counts = _count_calls(monkeypatch, "_signed_counts", [poset, cut_module, verify])
     for p in _check_cut_family():
         comparability.clear()

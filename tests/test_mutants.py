@@ -10,7 +10,6 @@ import inspect
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
@@ -117,21 +116,23 @@ def replay_drops_second_only(monkeypatch):
 
 def mixed_pair_comparable(monkeypatch):
     """`_comparable_pairs` keeps only the OR test: a mixed chain pair counts as comparable."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "if masks[j] & inside[i] != masks[j]:", "if False:")
 
-    def mutant(p, d):
-        up, down = p.rows
-        reach = [0] * d.k
-        for i, chain in enumerate(d.chains):
-            for x in chain:
-                reach[i] |= up[x] | down[x]
-        comp = np.zeros((d.k, d.k), dtype=bool)
-        for i in range(d.k):
-            for j, chain in enumerate(d.chains):
-                comp[i, j] = i != j and any(reach[i] >> y & 1 for y in chain)
-        ii, jj = np.nonzero(np.triu(comp))
-        return ii.tolist(), jj.tolist(), None
 
-    monkeypatch.setattr(hcd, "_comparable_pairs", mutant)
+def orient_by_index(monkeypatch):
+    """Every comparable chain pair points from the chain of lower index."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "if above & low[j]:", "if True:")
+
+
+def orient_reversed(monkeypatch):
+    """Every comparable chain pair points from the chain with the larger minimum."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "above, below = up[chain[0]], down[chain[0]]",
+             "below, above = up[chain[0]], down[chain[0]]")
+
+
+def wrap_keeps_own_chain(monkeypatch):
+    """A chain's wrapped column keeps its own elements: the own-chain mask is dropped."""
+    _rewrite(monkeypatch, nccd, "_wrap_rows", "down[chain[-1]] & ~masks[j]", "down[chain[-1]]")
 
 
 def crossing_without_top(monkeypatch):
@@ -320,6 +321,16 @@ def injective_check_passes_non_chain_block() -> bool:
     return hcd._embedding(p, graph, 0).injective
 
 
+def orientation_differs_from_oracle() -> bool:
+    """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on FAMILY."""
+    for p in FAMILY:
+        g = hcd.acyclic_orientation(p)
+        comp, _ = oracles.chain_comparability(p, g.decomposition.chains)
+        if g.rows != oracles.bit_rows(oracles.orientation_by_minima(p, g.decomposition.chains, comp)):
+            return True
+    return False
+
+
 def check_fails(name: str):
     """A killer: the battery's check `name` fails on some poset of FAMILY."""
 
@@ -339,6 +350,10 @@ MUTANTS = {
     "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),
     "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
+    "orient-by-index": (orient_by_index, check_fails("embedding")),
+    # the battery cannot see this one: a reversed acyclic orientation has the same symmetries
+    "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
+    "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),

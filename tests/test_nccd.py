@@ -37,7 +37,7 @@ from posetdecomp import (
 from posetdecomp import hcd, nccd, verify
 from posetdecomp.chains import enumerate_chain_decompositions
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
-from posetdecomp.poset import _extension_rows, enumerate_posets
+from posetdecomp.poset import _bitrows, _extension_rows, enumerate_posets
 
 import oracles
 
@@ -255,11 +255,37 @@ def test_wrap_matrices_match_loop_oracle():
     for p in posets:
         w = wrap_order(p)
         wrapped, above = oracles.wrap_matrices(p, w.decomposition.chains)
-        assert w.wrapped.tolist() == wrapped
-        assert w.above.tolist() == above
+        assert oracles.matrix_of_rows(w.rows[0]).tolist() == wrapped
+        assert oracles.matrix_of_rows(w.rows[1]).tolist() == above
         union = [[a or b for a, b in zip(ra, rb)] for ra, rb in zip(wrapped, above)]
-        assert w.relation.tolist() == union
+        assert oracles.matrix_of_rows(w.rows[2]).tolist() == union
         assert wrap_relation(p, w.decomposition).tolist() == union
+
+
+def _chain_layer_family():
+    yield from (p for n in range(6) for p in enumerate_posets(n, cap=5))
+    yield from (random_poset(n, seed=s) for n in range(8, 41) for s in range(10))
+    yield from (wrap_forest(n, seed=s) for n in range(20, 201, 20) for s in range(10))
+    yield nest(50)
+
+
+def test_chain_layer_rows_match_dense_oracles():
+    # the graph's rows, its adjacency and its orientation against the loop
+    # comparability and the minima matrix; the wrap rows against the product
+    for p in _chain_layer_family():
+        g = hcd.acyclic_orientation(p)
+        d = g.decomposition
+        comp, mixed = oracles.chain_comparability(p, d.chains)
+        assert mixed is None
+        oriented = oracles.orientation_by_minima(p, d.chains, comp)
+        assert g.rows == oracles.bit_rows(oriented)
+        assert g.adjacency.tolist() == comp.tolist()
+        assert g.edges() == [tuple(e) for e in np.argwhere(oriented).tolist()]
+        wrapped, above = oracles.wrap_matrices_by_product(p, d.chains)
+        rows = nccd._wrap_rows(p, d)
+        assert rows[0] == oracles.bit_rows(wrapped)[0]
+        assert rows[1] == oracles.bit_rows(above)[0]
+        assert rows[2:] == oracles.bit_rows(wrapped | above)
 
 
 def test_canonical_order_diamond_frozen():
@@ -478,11 +504,17 @@ def test_intransitive_wrap_relation_fails_with_first_missing_pair(monkeypatch):
         rel = np.zeros((d.k, d.k), dtype=bool)
         for i, j in arcs:
             rel[i, j] = True
-        monkeypatch.setattr(nccd, "_wrap_matrices", lambda p, d, rel=rel: (rel, rel & False))
+        rows = _relation_rows(rel, rel & False)
+        monkeypatch.setattr(nccd, "_wrap_rows", lambda p, d, rows=rows: rows)
         i, j = np.argwhere(oracles.closure_by_squaring(rel) & ~rel)[0]
         with pytest.raises(CheckFailure, match="^wrap relation is not transitive") as exc:
             wrap_order(p)
         assert exc.value.witness == (names[i], names[j])
+
+
+def _relation_rows(wrapped, above):
+    """The rows of a WrapOrder with the matrices wrapped and above, by `_bitrows`."""
+    return _bitrows(wrapped)[0], _bitrows(above)[0], *_bitrows(wrapped | above)
 
 
 # -- the pipeline against its recursive oracles ---------------------------------------
@@ -562,7 +594,7 @@ def test_wrap_failures_match_block_oracle(monkeypatch):
     for s in range(60):
         p = random_poset(9, 0.3, seed=s)
         graph = hcd.chain_graph(p)
-        true = nccd._wrap_matrices(p, graph.decomposition)
+        true = oracles.wrap_matrices_by_product(p, graph.decomposition.chains)
         cases += [(p, graph, rel) for rel in _relation_variants(graph, *true, rng)]
     # no two chains of an antichain are comparable, so every strict order
     # passes the wrap order's checks and reaches the canonical order
@@ -576,12 +608,13 @@ def test_wrap_failures_match_block_oracle(monkeypatch):
                 if hcd.is_homogeneous(p, d):
                     graph = hcd.chain_graph(p, d)
                     total = np.triu(np.ones((d.k, d.k), dtype=bool), 1)
-                    cases.append((p, graph, nccd._wrap_matrices(p, d)))
+                    cases.append((p, graph, oracles.wrap_matrices_by_product(p, d.chains)))
                     cases.append((p, graph, (total, total & False)))
     kinds = set()
     for p, graph, (wrapped, above) in cases:
         d = graph.decomposition
-        monkeypatch.setattr(nccd, "_wrap_matrices", lambda p, d: (wrapped.copy(), above.copy()))
+        rows = _relation_rows(wrapped, above)
+        monkeypatch.setattr(nccd, "_wrap_rows", lambda p, d: rows)
 
         def library():
             w = nccd._verified_wrap_order(p, graph)

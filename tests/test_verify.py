@@ -77,6 +77,29 @@ def test_battery_builds_the_chain_graph_once(monkeypatch):
     assert len(mhcd) == 1
 
 
+def test_chain_layer_checks_build_no_order_matrix(monkeypatch, tmp_path, capsys):
+    # the bounds, homogeneous, embedding and deletion checks and the mhcd
+    # section read the order's bit rows only, so p.lt is never unpacked
+    from posetdecomp import cli
+    from posetdecomp.textio import dumps
+
+    checks = (verify.check_bounds, verify.check_homogeneous, verify.check_embedding,
+              verify.check_deletion)
+    for p in [random_poset(8, 0.3, seed=3), wrap_forest(20, seed=0), wrap_forest(20, seed=5)]:
+        an = verify.Analysis(p)
+        assert all(check(an)["passed"] for check in checks)
+        assert "lt" not in p.__dict__
+    big = wrap_forest(400, seed=1)
+    assert verify.check_bounds(verify.Analysis(big))["passed"]
+    assert "lt" not in big.__dict__
+    target = tmp_path / "p.txt"
+    target.write_text(dumps(big))
+    analyses = []
+    monkeypatch.setattr(cli, "Analysis", lambda p: analyses.append(verify.Analysis(p)) or analyses[-1])
+    assert cli.main(["analyze", str(target), "--dilworth", "--mhcd", "--json"]) == 0
+    assert "lt" not in analyses[0].p.__dict__
+
+
 def _failed(record) -> dict:
     return {c["name"]: c["details"].get("error") for c in record["checks"] if not c["passed"]}
 
