@@ -20,6 +20,8 @@ so a nonempty permutation has between 1 and n descents.
 
 from __future__ import annotations
 
+from .poset import _closure_rows
+
 
 def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
@@ -41,11 +43,7 @@ def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
         raise ValueError("row count mismatch")
     if n == 0:
         return 0
-    reach = list(lt)
-    for k in range(n):
-        for x in range(n):
-            if reach[x] >> k & 1:
-                reach[x] |= reach[k]
+    reach = _closure_rows(lt)
     comparable = reach[:]
     for x in range(n):
         for y in range(n):

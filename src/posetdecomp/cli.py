@@ -173,12 +173,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         sections[name] = _SECTIONS[name](an, args.unsafe_scope)
         for f in sections[name].pop("findings", []):
             findings.append({"section": name, **(f if isinstance(f, dict) else {"kind": str(f)})})
-    ok = all(
-        sec.get(flag, True)
-        for sec in sections.values()
-        for flag in ("equal", "identity_holds", "ok")
-    )
-    doc = {"n": an.p.n, "sections": sections, "findings": findings, "ok": ok}
+    failed = [name for name, sec in sections.items() if not all(
+        sec.get(flag, True) for flag in ("equal", "identity_holds", "ok"))]
+    doc = {"n": an.p.n, "sections": sections, "findings": findings, "ok": not failed}
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             gr = an.graph
@@ -190,10 +187,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _emit_json(doc)
     else:
         _print_analysis(doc)
-    if not ok:
-        bad = [name for name, sec in sections.items() if not all(
-            sec.get(flag, True) for flag in ("equal", "identity_holds", "ok"))]
-        print(f"failed sections: {', '.join(bad)}", file=sys.stderr)
+    if failed:
+        print(f"failed sections: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 

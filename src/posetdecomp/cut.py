@@ -14,17 +14,19 @@ homogeneity) and computes the k x n chain membership M, J, the whole-poset
 signed counts S, D_whole = M S M^T, D_whole J and det J once, and every cut
 of that decomposition carries it.
 
-Every cut goes through one kernel, `_cut_kernel`, which takes C cuts as a
-(C, k) array of heights.  Admissibility is one fancy index of the strict
-order at (top of lower part i, bottom of upper part j) over the chain graph's
-edges (i, j).  Each side's counts come from that side's own strict order, for
-both sides of all C cuts at once: with `inside` the side's 0/1 mask,
+Cuts travel as (C, k) arrays of heights, in blocks of at most `_BLOCK` =
+256 from one generator, `_proper_heights`.  Every entry point answers two
+questions of a block, each with one function.  `_admissible` is the cut
+proper, plus one fancy index of the strict order at (top of lower part i,
+bottom of upper part j) over the chain graph's edges (i, j).  `_cut_kernel`
+computes both sides of the identity.  Each side's counts come from that
+side's own strict order, for both sides of all C cuts at once: with `inside`
+the side's 0/1 mask, `poset._alternating_series` sums (-1)^s V_s with
 V_0 = M * inside and V_{s+1} = (V_s @ lt) * inside, so row i of V_s counts
 the s-step chains of the side that start on chain i, and
 D_side = (sum_s (-1)^s V_s) M^T.  Each power is one (2 C k, n) @ (n, n)
-product; the identity is then checked with stacked k x k products.  Cuts
-reach the kernel in blocks of at most `_BLOCK` = 256, so a work array holds
-at most 2 * 256 * k * n entries.
+product, so a work array holds at most 2 * 256 * k * n entries; the identity
+is then checked with stacked k x k products.
 
 Arithmetic is exact.  Every entry of a power V_s, of a partial sum of the
 series or of D_side counts distinct nonempty chains of the poset (or bounds
@@ -51,14 +53,14 @@ import numpy as np
 
 from .chains import ChainDecomposition
 from .errors import ScopeExceededError
-from .hcd import ChainGraph, _as_decomposition, chain_comparability, chain_graph
-from .poset import Poset, _signed_counts
+from .hcd import ChainGraph, _as_decomposition, chain_graph
+from .poset import Poset, _alternating_series, _signed_counts
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
 CUT_ENUMERATION_CAP = 10_000
 
-# Cuts per call of `_cut_kernel` from the enumerations.
+# Cuts per block of `_proper_heights`.
 _BLOCK = 256
 
 
@@ -75,7 +77,8 @@ class CutFrame:
     that it is homogeneous (NotHomogeneousError otherwise); a graph carries
     its comparability already.  M, J, the whole-poset signed counts, D_whole,
     D_whole J and det J are computed on first use and then shared by every
-    cut of the decomposition, as is the layout `_cut_kernel` reads.
+    cut of the decomposition, as is the layout `_admissible` and
+    `_cut_kernel` read.
     """
 
     def __init__(self, p: Poset, d) -> None:
@@ -89,8 +92,9 @@ class CutFrame:
 
     @cached_property
     def j(self) -> np.ndarray:
+        """J = I + adjacency(G)."""
         k = self.decomposition.k
-        return np.array(j_matrix(self.poset, self.graph), dtype=np.int64).reshape(k, k)
+        return np.eye(k, dtype=np.int64) + self.graph.adjacency
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -111,11 +115,12 @@ class CutFrame:
 
     @cached_property
     def layout(self) -> tuple:
-        """What `_cut_kernel` indexes: the elements chain after chain plus one
-        pad (so that a chain's height h - 1 and h index its top lower and
-        bottom upper element), each chain's offset and size, each element's
-        chain and position on it, the chain graph's edges (i, j) in both
-        directions, and the strict order in the series' dtype."""
+        """What `_admissible` and `_cut_kernel` index: the elements chain
+        after chain plus one pad (so that a chain's height h - 1 and h index
+        its top lower and bottom upper element), each chain's offset and
+        size, each element's chain and position on it, the chain graph's
+        edges (i, j) in both directions, and the strict order in the series'
+        dtype."""
         d = self.decomposition
         sizes = np.array([len(c) for c in d.chains], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
@@ -169,10 +174,9 @@ class Cut:
             "upper": [[str(self.poset.labels[x]) for x in part] for part in self.upper_parts],
         }
 
-    def _evaluate(self, sides: bool = True) -> _CutBatch:
-        """This one cut through `_cut_kernel`."""
-        heights = np.array(self.heights, dtype=np.int64).reshape(1, self.decomposition.k)
-        return _cut_kernel(self.frame, heights, sides)
+    def _block(self) -> np.ndarray:
+        """This one cut's heights as a (1, k) block."""
+        return np.array(self.heights, dtype=np.int64).reshape(1, self.decomposition.k)
 
 
 def make_cut(p: Poset, d, heights: Sequence[int]) -> Cut:
@@ -198,48 +202,45 @@ def is_proper(cut: Cut) -> bool:
 
 def is_admissible(cut: Cut) -> bool:
     """Proper, and lower parts sit below upper parts across comparable chains."""
-    return bool(cut._evaluate(sides=False).admissible[0])
+    return bool(_admissible(cut.frame, cut._block())[0])
 
 
 # -- the kernel -----------------------------------------------------------------
 
 
-class _CutBatch(NamedTuple):
-    """`_cut_kernel`'s verdicts and matrices, one row per cut."""
-
-    admissible: np.ndarray  # (C,) bool
-    d_lower: np.ndarray | None = None  # (C, k, k)
-    d_upper: np.ndarray | None = None  # (C, k, k)
-    rhs: np.ndarray | None = None  # (C, k, k)
-    equal: np.ndarray | None = None  # (C,) bool: rhs equals the frame's lhs
-
-
-def _cut_kernel(frame: CutFrame, heights: np.ndarray, sides: bool = True) -> _CutBatch:
-    """Admissibility and, with `sides`, both sides of the identity for C cuts at once.
-
-    `heights` is a (C, k) integer array of heights in range for the frame's
-    chains; improper cuts are evaluated too, and reported inadmissible.  See
-    the module docstring for the series and the dtype bounds.
-    """
-    flat, offsets, sizes, chain_of, position, (i, j), adj = frame.layout
-    c, k = heights.shape
-    n = len(position)
+def _admissible(frame: CutFrame, heights: np.ndarray) -> np.ndarray:
+    """(C,) bool: which of the C cuts in `heights`, a (C, k) array of heights
+    in range for the frame's chains, are admissible."""
+    flat, offsets, sizes, _, _, (i, j), _ = frame.layout
     at = heights + offsets  # each chain's bottom upper element in `flat`
     lt = frame.poset.lt
     proper = ((heights > 0) & (heights < sizes)).all(axis=1)
-    admissible = proper & lt[flat[at[:, i] - 1], flat[at[:, j]]].all(axis=1)
-    if not sides:
-        return _CutBatch(admissible)
+    return proper & lt[flat[at[:, i] - 1], flat[at[:, j]]].all(axis=1)
+
+
+class _CutBatch(NamedTuple):
+    """`_cut_kernel`'s verdicts and matrices, one row per cut."""
+
+    d_lower: np.ndarray  # (C, k, k)
+    d_upper: np.ndarray  # (C, k, k)
+    rhs: np.ndarray  # (C, k, k)
+    equal: np.ndarray  # (C,) bool: rhs equals the frame's lhs
+
+
+def _cut_kernel(frame: CutFrame, heights: np.ndarray) -> _CutBatch:
+    """Both sides of the identity for the C cuts in `heights` at once.
+
+    `heights` is a (C, k) integer array of heights in range for the frame's
+    chains; improper and inadmissible cuts are evaluated too.  See the module
+    docstring for the series and the dtype bounds.
+    """
+    _, _, _, chain_of, position, _, strict = frame.layout
+    c, k = heights.shape
+    n = len(position)
     low = position < heights[:, chain_of]  # (C, n): x lies in the lower part
     inside = np.stack((low, ~low), axis=1)[:, :, None, :]
     inside = np.broadcast_to(inside, (c, 2, k, n)).reshape(2 * c * k, n)
-    power = np.tile(frame.members, (2 * c, 1)) * inside
-    total = np.zeros_like(power)
-    sign = 1
-    while power.any():
-        total += sign * power
-        power = (power @ adj) * inside
-        sign = -sign
+    total = _alternating_series(np.tile(frame.members, (2 * c, 1)) * inside, strict, inside)
     d_sides = (total @ frame.members.T).reshape(c, 2, k, k)
     m = max(_abs_max(d_sides), _abs_max(frame.d_whole))
     dtype = np.int64 if k**3 * m * (m + 2) < 2**63 else object
@@ -249,80 +250,73 @@ def _cut_kernel(frame: CutFrame, heights: np.ndarray, sides: bool = True) -> _Cu
     upper_j = d_sides[:, 1] @ j_mat
     rhs = lower_j + upper_j - lower_j @ upper_j
     equal = (rhs == frame.lhs.astype(dtype)).all(axis=(1, 2))
-    return _CutBatch(admissible, d_sides[:, 0], d_sides[:, 1], rhs, equal)
+    return _CutBatch(d_sides[:, 0], d_sides[:, 1], rhs, equal)
 
 
 def _abs_max(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def _proper_blocks(
-    p: Poset, d, frame: CutFrame | None, cap: int | None
-) -> Iterator[tuple[CutFrame, np.ndarray]]:
+def _proper_heights(d: ChainDecomposition, cap: int | None) -> Iterator[np.ndarray]:
     """The proper cuts' heights in `itertools.product` order, as (C, k)
-    arrays of at most _BLOCK rows, each with the decomposition's frame.
+    arrays of at most _BLOCK rows.
 
-    The frame is `frame`, or one built at the first proper cut, so a
-    decomposition without proper cuts is never checked for homogeneity.
     With `cap`, more than `cap` proper cuts raise ScopeExceededError before
     the first block.
     """
-    d = _as_decomposition(p, d) if frame is None else frame.decomposition
     ranges = [range(1, len(chain)) for chain in d.chains]
     total = math.prod(map(len, ranges))
     if cap is not None and total > cap:
         raise ScopeExceededError(f"cut enumeration capped at {cap} proper cuts (got {total})")
     product = itertools.product(*ranges)
     while block := list(itertools.islice(product, _BLOCK)):
-        if frame is None:
-            frame = CutFrame(p, d)
-        yield frame, np.array(block, dtype=np.int64).reshape(len(block), d.k)
-
-
-def _admissible_blocks(
-    p: Poset, d, frame: CutFrame | None, cap: int | None
-) -> Iterator[tuple[CutFrame, np.ndarray]]:
-    """`_proper_blocks` with only the admissible rows kept, empty blocks dropped."""
-    for frame, block in _proper_blocks(p, d, frame, cap):
-        block = block[_cut_kernel(frame, block, sides=False).admissible]
-        if len(block):
-            yield frame, block
+        yield np.array(block, dtype=np.int64).reshape(len(block), d.k)
 
 
 def _admissible_identities(frame: CutFrame, cap: int | None) -> Iterator[tuple[list, list]]:
     """The cut identity on every admissible cut of the frame's decomposition.
 
     Yields, block by block in enumeration order, the cuts' heights and
-    whether the identity holds on each, as lists.  More than `cap` proper
-    cuts raise ScopeExceededError before the first block.
+    whether the identity holds on each, as lists; blocks without an
+    admissible cut are skipped.  More than `cap` proper cuts raise
+    ScopeExceededError before the first block.
     """
-    for _, block in _admissible_blocks(frame.poset, None, frame, cap):
-        yield block.tolist(), _cut_kernel(frame, block).equal.tolist()
+    for block in _proper_heights(frame.decomposition, cap):
+        block = block[_admissible(frame, block)]
+        if len(block):
+            yield block.tolist(), _cut_kernel(frame, block).equal.tolist()
 
 
-def enumerate_proper_cuts(
-    p: Poset, d, frame: CutFrame | None = None, cap: int | None = None
-) -> Iterator[Cut]:
+def enumerate_proper_cuts(p: Poset, d, cap: int | None = None) -> Iterator[Cut]:
     """All proper cuts of the decomposition (empty when some chain is a point).
 
-    Every cut shares `frame`, or one frame built at the first proper cut, so
-    a decomposition without proper cuts is never checked for homogeneity.
+    Every cut shares one frame, built at the first proper cut, so a
+    decomposition without proper cuts is never checked for homogeneity.
     With `cap`, a decomposition with more than `cap` proper cuts raises
     ScopeExceededError before the first cut.
     """
-    for f, block in _proper_blocks(p, d, frame, cap):
+    d = _as_decomposition(p, d)
+    frame = None
+    for block in _proper_heights(d, cap):
+        if frame is None:
+            frame = CutFrame(p, d)
         for heights in block.tolist():
-            yield Cut(p, f.decomposition, tuple(heights), f)
+            yield Cut(p, frame.decomposition, tuple(heights), frame)
 
 
-def enumerate_admissible_cuts(
-    p: Poset, d, frame: CutFrame | None = None, cap: int | None = None
-) -> list[Cut]:
-    return [
-        Cut(p, f.decomposition, tuple(heights), f)
-        for f, block in _admissible_blocks(p, d, frame, cap)
-        for heights in block.tolist()
-    ]
+def enumerate_admissible_cuts(p: Poset, d, cap: int | None = None) -> list[Cut]:
+    """The admissible cuts among `enumerate_proper_cuts(p, d, cap)`, in its order."""
+    d = _as_decomposition(p, d)
+    frame = None
+    cuts = []
+    for block in _proper_heights(d, cap):
+        if frame is None:
+            frame = CutFrame(p, d)
+        cuts += [
+            Cut(p, frame.decomposition, tuple(heights), frame)
+            for heights in block[_admissible(frame, block)].tolist()
+        ]
+    return cuts
 
 
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
@@ -354,7 +348,7 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
         raise ValueError(f"scope {scope!r} needs a cut")
-    batch = cut._evaluate()
+    batch = _cut_kernel(cut.frame, cut._block())
     return (batch.d_lower if scope == "lower" else batch.d_upper)[0].tolist()
 
 
@@ -366,17 +360,12 @@ def _membership(d: ChainDecomposition) -> np.ndarray:
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:
-    """Identity plus the adjacency matrix of the chain graph.
+    """Identity plus the adjacency matrix of the chain graph: the frame's J.
 
     `d` is a homogeneous decomposition, whose chain comparability is computed
     here, or its ChainGraph, whose adjacency is used as it stands.
     """
-    if isinstance(d, ChainGraph):
-        comp = d.adjacency
-    else:
-        comp = chain_comparability(p, _as_decomposition(p, d))
-    k = len(comp)
-    return [[(1 if i == j else int(comp[i, j])) for j in range(k)] for i in range(k)]
+    return CutFrame(p, d).j.tolist()
 
 
 def integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -441,14 +430,14 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
     inadmissible ones the report flags the unmet hypothesis and records
     whatever the two sides evaluate to.
     """
-    frame = cut.frame
-    batch = cut._evaluate()
+    frame, block = cut.frame, cut._block()
+    batch = _cut_kernel(frame, block)
     lhs, rhs = frame.lhs.tolist(), batch.rhs[0].tolist()
     diff = max((abs(a - b) for row_l, row_r in zip(lhs, rhs) for a, b in zip(row_l, row_r)), default=0)
     report = CutIdentityReport(
         heights=cut.heights,
         proper=is_proper(cut),
-        admissible=bool(batch.admissible[0]),
+        admissible=bool(_admissible(frame, block)[0]),
         d_whole=frame.d_whole.tolist(),
         d_lower=batch.d_lower[0].tolist(),
         d_upper=batch.d_upper[0].tolist(),

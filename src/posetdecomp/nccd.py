@@ -34,12 +34,12 @@ from .kernels import min_descents, permutations_avoiding
 from .poset import (
     Poset,
     _bits,
+    _closure_rows,
     _cover_rows,
     _extension_rows,
     _topological_order,
     _unpack_rows,
     is_linear_extension,
-    transitive_closure,
 )
 
 NONCROSSING_CAP = 10
@@ -355,8 +355,9 @@ def _verified_wrap_order(p: Poset, graph: ChainGraph) -> WrapOrder:
             j = next(_bits(both))
             raise CheckFailure("wrap relation is not antisymmetric", witness=(names[i], names[j]))
     if _cover_rows(up, down) is None:
-        rel = _unpack_rows(up, d.k)
-        i, j = map(int, np.argwhere(transitive_closure(rel) & ~rel)[0])
+        closed = _closure_rows(up)
+        i = next(i for i, row in enumerate(up) if closed[i] & ~row)
+        j = next(_bits(closed[i] & ~up[i]))
         raise CheckFailure("wrap relation is not transitive", witness=(names[i], names[j]))
     below = p.rows[1]
     masks = [sum(1 << x for x in chain) for chain in d.chains]

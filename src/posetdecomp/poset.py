@@ -85,21 +85,21 @@ def _cover_rows(up: list[int], down: list[int]) -> list[int] | None:
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Boolean transitive closure by repeated squaring.
+    """Boolean transitive closure of any relation, as a fresh writable matrix."""
+    rel = np.asarray(rel, dtype=bool)
+    return _unpack_rows(_closure_rows(_bitrows(rel)[0]), len(rel)).copy()
 
-    Each square is one float32 BLAS product of the 0/1 matrix with itself.
-    Entry (i, j) of the product counts the middle points k of the paths
-    i -> k -> j, so it is an integer of at most n; float32 holds every
-    integer below 2**24 exactly, and every partial sum is such an integer, so
-    the result is exact for n < 2**24.
-    """
-    closed = np.asarray(rel, dtype=bool)
-    while True:
-        f = closed.astype(np.float32)
-        grown = closed | ((f @ f) > 0)
-        if np.array_equal(grown, closed):
-            return grown
-        closed = grown
+
+def _closure_rows(rows: Sequence[int]) -> list[int]:
+    """Warshall's algorithm on bit rows: bit y of the result's row x is set
+    when rows lead from x to y in one or more steps, cycles included."""
+    reach = list(rows)
+    for k in range(len(reach)):
+        bit, row = 1 << k, reach[k]
+        for x, r in enumerate(reach):
+            if r & bit:
+                reach[x] = r | row
+    return reach
 
 
 class Poset:
@@ -318,8 +318,8 @@ def signed_chain_count_matrix(p: Poset) -> list[list[int]]:
 def _signed_counts(lt: np.ndarray) -> np.ndarray:
     """Signed chain counts of a strict order matrix, as an exact numpy array.
 
-    Computed as the alternating sum of powers of the strict adjacency matrix
-    (the power A^s counts s-step chains), with numpy matrix products.  Any
+    The alternating sum of the powers of the strict adjacency matrix (the
+    power A^s counts s-step chains), by `_alternating_series` from I.  Any
     principal submatrix of a strict order is itself one, so a sub-order's
     counts come straight from `lt[np.ix_(keep, keep)]`.
 
@@ -331,15 +331,19 @@ def _signed_counts(lt: np.ndarray) -> np.ndarray:
     """
     n = len(lt)
     adj = lt.astype(np.int64 if n <= 64 else object)
-    total = np.eye(n, dtype=adj.dtype)
-    power = total
+    return _alternating_series(np.eye(n, dtype=adj.dtype), adj)
+
+
+def _alternating_series(power: np.ndarray, strict: np.ndarray, inside=1) -> np.ndarray:
+    """sum_s (-1)^s V_s with V_0 = power and V_{s+1} = (V_s @ strict) * inside,
+    up to the first zero power; `strict` is nilpotent, so one comes.  Each
+    power replaces the one before, so V_0 is not kept alive to the end."""
+    total = np.zeros_like(power)
     sign = 1
-    for _ in range(n - 1):
-        power = power @ adj
-        if not power.any():
-            break
-        sign = -sign
+    while power.any():
         total += sign * power
+        power = (power @ strict) * inside
+        sign = -sign
     return total
 
 

@@ -322,15 +322,15 @@ def test_criterion_9_cli_contract(monkeypatch, capsys, report):
     )
     clean_ok = proc.returncode == 0
 
-    real = posetdecomp.cut.j_matrix
+    real = posetdecomp.cut.CutFrame.j.func
 
-    def crooked(p, d):
-        j = real(p, d)
+    def crooked(frame):
+        j = real(frame)
         if len(j) >= 2:
-            j[0][1] = 1 - j[0][1]
+            j[0, 1] = 1 - j[0, 1]
         return j
 
-    monkeypatch.setattr(posetdecomp.cut, "j_matrix", crooked)
+    monkeypatch.setattr(posetdecomp.cut.CutFrame, "j", property(crooked))
     code = main(["verify", "exhaustive", "--nmax", "4"])
     captured = capsys.readouterr()
     mutated_ok = code == 1 and "witness" in captured.err

@@ -289,15 +289,15 @@ def test_main_is_callable_in_process(capsys):
 
 def test_mutated_operator_fails_with_witness(monkeypatch, capsys):
     # corrupt one comparability bit of J; the identity must catch it
-    real = posetdecomp.cut.j_matrix
+    real = posetdecomp.cut.CutFrame.j.func
 
-    def crooked(p, d):
-        j = real(p, d)
+    def crooked(frame):
+        j = real(frame)
         if len(j) >= 2:
-            j[0][1] = 1 - j[0][1]
+            j[0, 1] = 1 - j[0, 1]
         return j
 
-    monkeypatch.setattr(posetdecomp.cut, "j_matrix", crooked)
+    monkeypatch.setattr(posetdecomp.cut.CutFrame, "j", property(crooked))
     code = main(["verify", "exhaustive", "--nmax", "4"])
     captured = capsys.readouterr()
     assert code == 1

@@ -244,8 +244,9 @@ def test_batched_pass_matches_oracle_across_blocks():
     assert len(blocks) > 2
     assert [tuple(h) for heights, _ in blocks for h in heights] == list(expected)
     assert [e for _, equal in blocks for e in equal] == [r["equal"] for r in expected.values()]
-    batch = cut_module._cut_kernel(frame, np.array(list(expected)))
-    assert batch.admissible.all()
+    block = np.array(list(expected))
+    assert cut_module._admissible(frame, block).all()
+    batch = cut_module._cut_kernel(frame, block)
     for row, report in enumerate(expected.values()):
         assert batch.d_lower[row].tolist() == report["d_lower"]
         assert batch.d_upper[row].tolist() == report["d_upper"]
@@ -264,10 +265,8 @@ def test_check_cut_witness_is_first_failing_cut(monkeypatch):
     first = next(h for h in heights if h[0] == top)
     assert heights.index(first) > cut_module._BLOCK
 
-    def skewed(frame, block, sides=True):
-        batch = real(frame, block, sides)
-        if not sides:
-            return batch
+    def skewed(frame, block):
+        batch = real(frame, block)
         off = (block[:, 0] == top)[:, None, None]
         return batch._replace(rhs=batch.rhs + off, equal=batch.equal & ~off[:, 0, 0])
 
@@ -278,6 +277,26 @@ def test_check_cut_witness_is_first_failing_cut(monkeypatch):
     assert out["witness"]["heights"] == list(first)
     assert out["witness"]["equal"] is False
     assert out["witness"]["max_abs_discrepancy"] == 1
+
+
+def test_check_cut_evaluates_each_block_once(monkeypatch):
+    # admissibility once per block of proper cuts, the identity once per
+    # block with an admissible cut: no cut reaches the kernel twice
+    p = wrap_forest(28, seed=6)
+    an = verify.Analysis(p)
+    proper = [c.heights for c in enumerate_proper_cuts(p, an.frame.decomposition)]
+    admissible = set(oracles.cut_identity_reports(p, an.frame.decomposition.chains))
+    size = cut_module._BLOCK
+    blocks = [proper[i:i + size] for i in range(0, len(proper), size)]
+    filled = sum(not admissible.isdisjoint(block) for block in blocks)
+    assert len(blocks) >= filled > 2
+    kernel = _count_calls(monkeypatch, "_cut_kernel", [cut_module])
+    assert verify.check_cut(an)["passed"]
+    assert len(kernel) == filled
+    kernel.clear()
+    tested = _count_calls(monkeypatch, "_admissible", [cut_module])
+    assert verify.check_cut(an)["passed"]
+    assert (len(tested), len(kernel)) == (len(blocks), filled)
 
 
 def test_mobius_matches_loop_oracle():

@@ -10,6 +10,7 @@ import inspect
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
@@ -151,7 +152,8 @@ def crossing_without_top(monkeypatch):
 
 def unsigned_side_counts(monkeypatch):
     """The side counts drop the alternating sign: they count the chains."""
-    _rewrite(monkeypatch, cut_module, "_cut_kernel", "sign = -sign", "sign = 1")
+    _rewrite(monkeypatch, poset, "_alternating_series", "sign = -sign", "sign = 1",
+             into=(cut_module,))
 
 
 def upper_over_lower_parts(monkeypatch):
@@ -161,14 +163,26 @@ def upper_over_lower_parts(monkeypatch):
 
 def admissible_by_comparability(monkeypatch):
     """Admissibility tests comparability (lt | lt.T) in place of lt."""
-    _rewrite(monkeypatch, cut_module, "_cut_kernel", "lt = frame.poset.lt\n",
+    _rewrite(monkeypatch, cut_module, "_admissible", "lt = frame.poset.lt\n",
              "lt = frame.poset.lt | frame.poset.lt.T\n")
 
 
 def side_series_drops_last_power(monkeypatch):
     """The side series stops before its last nonzero power."""
-    _rewrite(monkeypatch, cut_module, "_cut_kernel", "while power.any():",
-             "while ((power @ adj) * inside).any():")
+    _rewrite(monkeypatch, poset, "_alternating_series", "while power.any():",
+             "while ((power @ strict) * inside).any():", into=(cut_module,))
+
+
+def j_without_identity(monkeypatch):
+    """The frame's J is the chain graph's adjacency alone: the identity is dropped."""
+    _rewrite(monkeypatch, cut_module, "CutFrame", "np.eye(k, dtype=np.int64) + ",
+             "np.zeros((k, k), dtype=np.int64) + ", into=(cut_module, verify))
+
+
+def closure_skips_last_pivot(monkeypatch):
+    """Warshall's closure on bit rows never pivots on the last element."""
+    _rewrite(monkeypatch, poset, "_closure_rows", "for k in range(len(reach)):",
+             "for k in range(len(reach) - 1):")
 
 
 def closure_skips_successor_bit(monkeypatch):
@@ -266,6 +280,22 @@ def orders_differ_from_product_oracle() -> bool:
     return False
 
 
+def closure_differs_from_squaring_oracle() -> bool:
+    """test_poset_core.test_transitive_closure_matches_squaring_oracle."""
+    rng = random.Random(5)
+    for trial in range(200):
+        n = rng.randint(0, 60)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3))
+        rel = np.array(
+            [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
+        ).reshape(n, n)
+        if trial % 2:
+            rel = np.triu(rel, 1)
+        if not np.array_equal(poset.transitive_closure(rel), oracles.closure_by_squaring(rel)):
+            return True
+    return False
+
+
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
@@ -359,6 +389,8 @@ MUTANTS = {
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "side-series-drops-last-power": (side_series_drops_last_power, check_fails("cut")),
+    "j-without-identity": (j_without_identity, check_fails("cut")),
+    "closure-skips-last-pivot": (closure_skips_last_pivot, closure_differs_from_squaring_oracle),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "down-pass-drops-own-bit": (down_pass_drops_own_bit, rows_differ_from_matrix),
     "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
