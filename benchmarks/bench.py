@@ -16,7 +16,9 @@ in odd ones, so slow drift of the machine lands on both sides alike.  Then
 each input in ANALYZE_INPUTS is timed the same way as one `posetdecomp
 analyze --dilworth --mhcd --json` process, on one input file that the base
 side's `generate` wrote, and each command in VERIFY_INPUTS as one
-`posetdecomp` process, for its wall time and peak RSS.  The JSON holds the
+`posetdecomp` process, for its wall time and peak RSS, under the BLAS
+thread settings perfbench gives its children (one thread), so that no BLAS
+thread pool sets a record's time or peak RSS.  The JSON holds the
 machine, both revisions, the exact commands, every run, and per metric each
 side's median and quartiles and the number of pairs in which head beat base
 (ties count for neither).
@@ -59,6 +61,8 @@ VERIFY_INPUTS = {
     "verify-wrapforest-n16000-bounds": ["verify", "random", "--family", "wrapforest",
                                         "--n", "16000", "--count", "1", "--checks", "bounds"],
 }
+# perfbench/run.py's BLAS settings: one thread
+SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -107,15 +111,16 @@ def perfbench(root: str, workload: str, seed: int) -> dict:
 
 
 def cli(root: str, args: list[str], cwd: str) -> tuple[list[str], int, float]:
-    """Run `posetdecomp ARGS` from the export at root, in cwd: the command,
-    its exit status and its peak RSS in MB, read from this one child's
-    resource usage (wait4)."""
+    """Run `posetdecomp ARGS` from the export at root, in cwd, single-threaded:
+    the command, its exit status and its peak RSS in MB, read from this one
+    child's resource usage (wait4)."""
     cmd = [sys.executable, "-m", "posetdecomp.cli", *args]
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **SINGLE_THREADED)
     with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL) as child:
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
-    cmd = [f"PYTHONPATH={os.path.relpath(root, cwd)}/src", "python3", *cmd[1:]]
+    settings = [f"{name}={value}" for name, value in SINGLE_THREADED.items()]
+    cmd = [f"PYTHONPATH={os.path.relpath(root, cwd)}/src", *settings, "python3", *cmd[1:]]
     return cmd, child.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KB on Linux
 
 

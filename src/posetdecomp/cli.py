@@ -74,8 +74,8 @@ def _section_cut_check(an: Analysis, unsafe: bool) -> dict:
     cap = None if unsafe else CUT_ENUMERATION_CAP
     cuts = [
         {"heights": heights, "equal": equal}
-        for block in _admissible_identities(frame, cap)
-        for heights, equal in zip(*block)
+        for block, batch in _admissible_identities(frame, cap)
+        for heights, equal in zip(block, batch.equal.tolist())
     ]
     return {
         "admissible_cuts": len(cuts),

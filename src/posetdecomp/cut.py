@@ -29,15 +29,20 @@ product, so a work array holds at most 2 * 256 * k * n entries; the identity
 is then checked with stacked k x k products.
 
 Arithmetic is exact.  Every entry of a power V_s, of a partial sum of the
-series or of D_side counts distinct nonempty chains of the poset (or bounds
-a signed sum of such counts), so its absolute value is at most 2**n - 1: the
-series runs on int64 for n <= 63 and on Python integers (dtype object)
-above.  With m the largest absolute entry of D_whole, D_low and D_up in a
-block, every entry of D J, D_side J, their product and the right-hand side
-is at most k**3 * m * (m + 2) in absolute value (J is 0/1), so the k x k
-products run on int64 when that is below 2**63, which the kernel checks on
-the computed matrices, and on Python integers otherwise.  Reports carry
-both sides of the identity verbatim, as Python integers.
+series or of D_side, and every partial sum of one of their dot products in
+whatever order BLAS adds its terms, counts distinct nonempty chains of the
+poset (or is a signed sum of such counts), so its absolute value is at most
+2**n - 1.  `poset._exact_dtypes` maps such a bound to a dtype: the series
+runs on float64 BLAS for n <= 53, where every value is an integer below
+2**53 and so no sum, product or fused multiply-add rounds; on int64 for
+n <= 63; and on Python integers (dtype object) above.  With m the largest
+absolute entry of D_whole, D_low and D_up in a block, every entry of D J,
+D_side J, their product and the right-hand side, and every partial sum of
+those products, is at most k**3 * m * (m + 2) in absolute value (J is 0/1),
+so the k x k products take their dtype from that bound, which the kernel
+computes on the matrices it has.  Every matrix a float64 tier computes
+leaves the kernel as int64, so a batch holds int64 or Python integers only,
+and reports carry both sides of the identity verbatim, as Python integers.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .errors import ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_graph
-from .poset import Poset, _alternating_series, _signed_counts
+from .poset import Poset, _alternating_series, _exact_dtypes, _signed_counts
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
@@ -62,11 +67,6 @@ CUT_ENUMERATION_CAP = 10_000
 
 # Cuts per block of `_proper_heights`.
 _BLOCK = 256
-
-
-def _exact_dtype(n: int):
-    """int64 while 2**n - 1, the bound on every side-series entry, fits it."""
-    return np.int64 if n <= 63 else object
 
 
 class CutFrame:
@@ -119,8 +119,8 @@ class CutFrame:
         after chain plus one pad (so that a chain's height h - 1 and h index
         its top lower and bottom upper element), each chain's offset and
         size, each element's chain and position on it, the chain graph's
-        edges (i, j) in both directions, and the strict order in the series'
-        dtype."""
+        edges (i, j) in both directions, and the strict order in the dtype
+        the side series computes in."""
         d = self.decomposition
         sizes = np.array([len(c) for c in d.chains], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
@@ -129,7 +129,7 @@ class CutFrame:
         position = np.empty(d.poset.n, dtype=np.int64)
         position[flat[:-1]] = np.arange(d.poset.n) - np.repeat(offsets, sizes)
         edges = np.nonzero(self.graph.adjacency)
-        strict = self.poset.lt.astype(_exact_dtype(d.poset.n))
+        strict = self.poset.lt.astype(_exact_dtypes(2**d.poset.n - 1)[0])
         return flat, offsets, sizes, chain_of, position, edges, strict
 
 
@@ -240,17 +240,19 @@ def _cut_kernel(frame: CutFrame, heights: np.ndarray) -> _CutBatch:
     low = position < heights[:, chain_of]  # (C, n): x lies in the lower part
     inside = np.stack((low, ~low), axis=1)[:, :, None, :]
     inside = np.broadcast_to(inside, (c, 2, k, n)).reshape(2 * c * k, n)
-    total = _alternating_series(np.tile(frame.members, (2 * c, 1)) * inside, strict, inside)
-    d_sides = (total @ frame.members.T).reshape(c, 2, k, k)
+    members = frame.members.astype(strict.dtype, copy=False)
+    total = _alternating_series(np.tile(members, (2 * c, 1)) * inside, strict, inside)
+    d_sides = (total @ members.T).reshape(c, 2, k, k)
     m = max(_abs_max(d_sides), _abs_max(frame.d_whole))
-    dtype = np.int64 if k**3 * m * (m + 2) < 2**63 else object
-    d_sides = d_sides.astype(dtype, copy=False)
-    j_mat = frame.j.astype(dtype)
+    work, exact = _exact_dtypes(k**3 * m * (m + 2))
+    d_sides = d_sides.astype(work, copy=False)
+    j_mat = frame.j.astype(work)
     lower_j = d_sides[:, 0] @ j_mat
     upper_j = d_sides[:, 1] @ j_mat
     rhs = lower_j + upper_j - lower_j @ upper_j
-    equal = (rhs == frame.lhs.astype(dtype)).all(axis=(1, 2))
-    return _CutBatch(d_sides[:, 0], d_sides[:, 1], rhs, equal)
+    equal = (rhs == frame.lhs.astype(work)).all(axis=(1, 2))
+    d_sides = d_sides.astype(exact, copy=False)
+    return _CutBatch(d_sides[:, 0], d_sides[:, 1], rhs.astype(exact, copy=False), equal)
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -273,18 +275,18 @@ def _proper_heights(d: ChainDecomposition, cap: int | None) -> Iterator[np.ndarr
         yield np.array(block, dtype=np.int64).reshape(len(block), d.k)
 
 
-def _admissible_identities(frame: CutFrame, cap: int | None) -> Iterator[tuple[list, list]]:
+def _admissible_identities(frame: CutFrame, cap: int | None) -> Iterator[tuple[list, _CutBatch]]:
     """The cut identity on every admissible cut of the frame's decomposition.
 
-    Yields, block by block in enumeration order, the cuts' heights and
-    whether the identity holds on each, as lists; blocks without an
-    admissible cut are skipped.  More than `cap` proper cuts raise
-    ScopeExceededError before the first block.
+    Yields, block by block in enumeration order, the cuts' heights as a
+    list and the kernel's batch on them; blocks without an admissible cut
+    are skipped.  More than `cap` proper cuts raise ScopeExceededError
+    before the first block.
     """
     for block in _proper_heights(frame.decomposition, cap):
         block = block[_admissible(frame, block)]
         if len(block):
-            yield block.tolist(), _cut_kernel(frame, block).equal.tolist()
+            yield block.tolist(), _cut_kernel(frame, block)
 
 
 def enumerate_proper_cuts(p: Poset, d, cap: int | None = None) -> Iterator[Cut]:
@@ -354,7 +356,7 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
 
 def _membership(d: ChainDecomposition) -> np.ndarray:
     """k x n chain membership M: entry (i, x) is 1 iff x lies on chain i."""
-    members = np.zeros((d.k, d.poset.n), dtype=_exact_dtype(d.poset.n))
+    members = np.zeros((d.k, d.poset.n), dtype=_exact_dtypes(2**d.poset.n - 1)[1])
     members[d.chain_of, np.arange(d.poset.n)] = 1
     return members
 

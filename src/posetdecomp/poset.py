@@ -324,14 +324,35 @@ def _signed_counts(lt: np.ndarray) -> np.ndarray:
     counts come straight from `lt[np.ix_(keep, keep)]`.
 
     Every intermediate value is exact: an entry of a power, a partial sum of
-    one of its dot products, and a partial sum of the alternating series each
-    lie within the number of chains from x to y, at most 2**(n-2) (one chain
-    per subset of the points strictly between).  So int64 holds them for
-    n <= 64; above that the products run on Python integers (dtype object).
+    one of its dot products (added in whatever order BLAS adds them), and a
+    partial sum of the alternating series each count distinct chains from x
+    to y, or are a signed sum of such counts, so they lie within the number
+    of chains from x to y, at most 2**(n-2) (one chain per subset of the
+    points strictly between).  `_exact_dtypes` turns that bound into the
+    dtype: the series runs on float64 BLAS for n <= 54 and returns int64, on
+    int64 for n <= 64, and on Python integers (dtype object) above.
     """
     n = len(lt)
-    adj = lt.astype(np.int64 if n <= 64 else object)
-    return _alternating_series(np.eye(n, dtype=adj.dtype), adj)
+    work, exact = _exact_dtypes(2 ** (n - 2))
+    counts = _alternating_series(np.eye(n, dtype=work), lt.astype(work))
+    return counts.astype(exact, copy=False)
+
+
+def _exact_dtypes(bound) -> tuple:
+    """The dtype to compute in and the dtype to return, for integer matrix
+    arithmetic in which every entry and every partial sum of a dot product,
+    added in any order, is at most `bound` in absolute value.
+
+    float64 below 2**53: a double holds every integer of at most 53 bits
+    exactly, so no sum, product or fused multiply-add whose exact result is
+    such an integer rounds, and the products run on BLAS; the result
+    returns as int64.  Below 2**63, int64 (numpy has no BLAS path for it);
+    above, Python integers (dtype object).
+    """
+    if bound < 2**53:
+        return np.float64, np.int64
+    dtype = np.int64 if bound < 2**63 else object
+    return dtype, dtype
 
 
 def _alternating_series(power: np.ndarray, strict: np.ndarray, inside=1) -> np.ndarray:
@@ -360,16 +381,23 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
     mu(x, z) is ready.  The elements z are the bits of
     (up[x] | 1 << x) & down[y] on the bit rows.
     """
+    return _mobius(p, (1 << p.n) - 1)
+
+
+def _mobius(p: Poset, keep: int) -> list[list[int]]:
+    """`mobius_matrix` of the sub-order induced on the bits of `keep`, as an
+    n x n matrix that is 0 in every row and column outside them."""
     up, down = p.rows
-    order = _topological_order(p)
+    order = [y for y in _topological_order(p) if keep >> y & 1]
     mu = []
     for x in range(p.n):
         row = [0] * p.n
-        row[x] = 1
-        at_least_x = up[x] | 1 << x
-        for y in order:
-            if up[x] >> y & 1:
-                row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
+        if keep >> x & 1:
+            row[x] = 1
+            at_least_x = (up[x] | 1 << x) & keep
+            for y in order:
+                if up[x] >> y & 1:
+                    row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
         mu.append(row)
     return mu
 

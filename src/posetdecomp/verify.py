@@ -28,6 +28,7 @@ from .cut import (
     CUT_ENUMERATION_CAP,
     Cut,
     CutFrame,
+    _CutBatch,
     _admissible_identities,
     verify_cut_identity,
 )
@@ -53,7 +54,14 @@ from .nccd import (
     _noncrossing_minimum,
     count_noncrossing_decompositions,
 )
-from .poset import POSET_ENUMERATION_CAP, Poset, enumerate_posets, mobius_matrix
+from .poset import (
+    POSET_ENUMERATION_CAP,
+    Poset,
+    _bits,
+    _mobius,
+    enumerate_posets,
+    mobius_matrix,
+)
 
 DEFAULT_CHECKS = (
     "dilworth",
@@ -179,21 +187,27 @@ def check_deletion(an: Analysis, seed: int = 0) -> dict:
 
 
 def check_cut(an: Analysis, seed: int = 0) -> dict:
-    """Cut identity on every admissible cut, plus the signed-count cross-check.
+    """Cut identity on every admissible cut, plus two signed-count cross-checks.
 
-    The second part compares the signed chain-count matrix against the Mobius
-    matrix computed by its defining recursion; the two must agree entrywise.
-    Both parts share the analysis' CutFrame, so the whole-poset counts and
-    the chain comparability are computed once.  The cuts are checked in
-    blocks by the cut kernel; only the first failing cut gets a full
-    report, which is the witness.  More than CUT_ENUMERATION_CAP proper cuts
-    are refused with ScopeExceededError.
+    The cross-checks compare the power series against the Mobius recursion,
+    which shares no code with it: the whole poset's signed chain-count matrix
+    against its Mobius matrix, and on the first admissible cut each side's
+    chain-aggregated counts, as the cut kernel computed them, against that
+    side's own Mobius recursion (`_side_mismatch`).  Each pair must agree
+    entrywise.  All parts share the analysis' CutFrame, so the whole-poset
+    counts and the chain comparability are computed once.  The cuts are
+    checked in blocks by the cut kernel; only the first failing cut gets a
+    full report, which is the witness.  More than CUT_ENUMERATION_CAP proper
+    cuts are refused with ScopeExceededError.
     """
     p = an.p
     frame = an.frame
     admissible = 0
-    failure = None
-    for heights, equal in _admissible_identities(frame, CUT_ENUMERATION_CAP):
+    failure = sides = None
+    for heights, batch in _admissible_identities(frame, CUT_ENUMERATION_CAP):
+        if not admissible:  # the first admissible cut
+            sides = _side_mismatch(frame, heights[0], batch)
+        equal = batch.equal.tolist()
         if failure is None and not all(equal):
             cut = Cut(p, frame.decomposition, tuple(heights[equal.index(False)]), frame)
             failure = verify_cut_identity(p, cut).to_dict()
@@ -203,7 +217,7 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     hall = counts == mobius
     out = {
         "name": "cut",
-        "passed": failure is None and hall,
+        "passed": failure is None and sides is None and hall,
         "details": {
             "admissible_cuts": admissible,
             "signed_counts_match_mobius": hall,
@@ -211,9 +225,33 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     }
     if failure is not None:
         out["witness"] = failure
+    elif sides is not None:
+        out["witness"] = sides
     elif not hall:
         out["witness"] = {"signed_counts": counts, "mobius": mobius}
     return out
+
+
+def _side_mismatch(frame: CutFrame, heights: list[int], batch: _CutBatch) -> dict | None:
+    """The first side of the cut at `heights`, the batch's first row, whose
+    chain-aggregated counts differ from the side's Mobius recursion, as a
+    witness; None when both sides agree."""
+    p, d = frame.poset, frame.decomposition
+    up = p.rows[0]
+    lower = sum(1 << x for chain, h in zip(d.chains, heights) for x in chain[:h])
+    for side, keep, kernel in (
+        ("lower", lower, batch.d_lower[0]),
+        ("upper", ((1 << p.n) - 1) & ~lower, batch.d_upper[0]),
+    ):
+        mu = _mobius(p, keep)
+        mobius = [[0] * d.k for _ in range(d.k)]
+        for x in _bits(keep):
+            for y in _bits(keep & (up[x] | 1 << x)):
+                mobius[d.chain_of[x]][d.chain_of[y]] += mu[x][y]
+        kernel = kernel.tolist()
+        if kernel != mobius:
+            return {"heights": heights, "side": side, "kernel": kernel, "mobius": mobius}
+    return None
 
 
 def check_embedding(an: Analysis, seed: int = 0) -> dict:

@@ -211,6 +211,45 @@ def test_signed_counts_exact_past_int64():
     assert all(type(v) is int for row in counts for v in row)
 
 
+@pytest.mark.parametrize("n", [53, 54, 60, 63])
+def test_signed_counts_exact_across_float_tier(n):
+    # the whole-poset series runs on float64 BLAS up to n = 54 and on int64
+    # from n = 55; the chain's binomial power entries pass 2**53 by n = 60,
+    # where float64 would round them
+    p = chain(n)
+    counts = signed_chain_count_matrix(p)
+    assert counts == mobius_matrix(p) == oracles.power_sum_signed_counts(p.lt)
+    assert all(type(v) is int for row in counts for v in row)
+
+
+def test_side_series_float_tier_matches_int64(monkeypatch):
+    # on wrap forests of 40 to 53 elements the side series runs on float64;
+    # with every bound raised to the float tier's limit it runs on int64, and
+    # the batches must agree in value and dtype.  The random heights include
+    # improper and inadmissible cuts, which the kernel evaluates too.
+    rng = np.random.default_rng(3)
+    cases = []
+    for n in range(40, 54):
+        for s in range(3):
+            p = wrap_forest(n, seed=s)
+            d = mhcd(p)
+            sizes = np.array([len(c) for c in d.chains])
+            cases.append((p, d, rng.integers(0, sizes + 1, size=(64, d.k))))
+    floats = []
+    for p, d, heights in cases:
+        frame = cut_module.CutFrame(p, d)
+        assert frame.layout[-1].dtype == np.float64
+        floats.append(cut_module._cut_kernel(frame, heights))
+    real = cut_module._exact_dtypes
+    monkeypatch.setattr(cut_module, "_exact_dtypes", lambda bound: real(max(bound, 2**53)))
+    for (p, d, heights), batch in zip(cases, floats):
+        frame = cut_module.CutFrame(p, d)
+        assert frame.layout[-1].dtype == np.int64
+        for got, want in zip(batch, cut_module._cut_kernel(frame, heights)):
+            assert got.dtype == want.dtype != np.float64
+            assert np.array_equal(got, want)
+
+
 def test_identity_reports_match_per_cut_oracle():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(10)]
@@ -243,7 +282,9 @@ def test_batched_pass_matches_oracle_across_blocks():
     blocks = list(cut_module._admissible_identities(frame, None))
     assert len(blocks) > 2
     assert [tuple(h) for heights, _ in blocks for h in heights] == list(expected)
-    assert [e for _, equal in blocks for e in equal] == [r["equal"] for r in expected.values()]
+    assert [e for _, batch in blocks for e in batch.equal.tolist()] == [
+        r["equal"] for r in expected.values()
+    ]
     block = np.array(list(expected))
     assert cut_module._admissible(frame, block).all()
     batch = cut_module._cut_kernel(frame, block)
@@ -277,6 +318,36 @@ def test_check_cut_witness_is_first_failing_cut(monkeypatch):
     assert out["witness"]["heights"] == list(first)
     assert out["witness"]["equal"] is False
     assert out["witness"]["max_abs_discrepancy"] == 1
+
+
+def test_check_cut_compares_first_sides_with_mobius(monkeypatch):
+    # a kernel whose upper side is off by one in every entry while its
+    # verdicts stand: only the comparison with the side's Mobius recursion,
+    # made on the first admissible cut, can see it
+    real = cut_module._cut_kernel
+
+    def skewed(frame, block):
+        batch = real(frame, block)
+        return batch._replace(d_upper=batch.d_upper + 1)
+
+    an = verify.Analysis(theta())
+    assert verify.check_cut(an) == {
+        "name": "cut",
+        "passed": True,
+        "details": {"admissible_cuts": 1, "signed_counts_match_mobius": True},
+    }
+    monkeypatch.setattr(cut_module, "_cut_kernel", skewed)
+    assert verify.check_cut(an) == {
+        "name": "cut",
+        "passed": False,
+        "details": {"admissible_cuts": 1, "signed_counts_match_mobius": True},
+        "witness": {
+            "heights": [1, 1, 1],
+            "side": "upper",
+            "kernel": [[v + 1 for v in row] for row in THETA_D_UPPER],
+            "mobius": THETA_D_UPPER,
+        },
+    }
 
 
 def test_check_cut_evaluates_each_block_once(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from posetdecomp import cut as cut_module
 from posetdecomp import chains, hcd, nccd, poset, verify
 from posetdecomp.chains import ChainDecomposition
-from posetdecomp.generate import antichain, random_poset, wrap_forest
+from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
 import oracles
 
@@ -171,6 +171,19 @@ def side_series_drops_last_power(monkeypatch):
     """The side series stops before its last nonzero power."""
     _rewrite(monkeypatch, poset, "_alternating_series", "while power.any():",
              "while ((power @ strict) * inside).any():", into=(cut_module,))
+
+
+def side_series_keeps_v0(monkeypatch):
+    """The side series keeps V_0 but drops its last nonzero power of order >= 1."""
+    _rewrite(monkeypatch, poset, "_alternating_series", "total += sign * power\n",
+             "total += sign * power * (not total.any() or ((power @ strict) * inside).any())\n",
+             into=(cut_module,))
+
+
+def float_tier_past_53(monkeypatch):
+    """The float64 tier reaches every bound below 2**63, where a double rounds."""
+    _rewrite(monkeypatch, poset, "_exact_dtypes", "if bound < 2**53:", "if bound < 2**63:",
+             into=(poset, cut_module))
 
 
 def j_without_identity(monkeypatch):
@@ -361,6 +374,14 @@ def orientation_differs_from_oracle() -> bool:
     return False
 
 
+def float_tier_differs_from_mobius() -> bool:
+    """test_cut.test_signed_counts_exact_across_float_tier, against the Mobius recursion."""
+    return any(
+        poset.signed_chain_count_matrix(p) != poset.mobius_matrix(p)
+        for p in map(chain, (53, 54, 60, 63))
+    )
+
+
 def check_fails(name: str):
     """A killer: the battery's check `name` fails on some poset of FAMILY."""
 
@@ -389,6 +410,8 @@ MUTANTS = {
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "side-series-drops-last-power": (side_series_drops_last_power, check_fails("cut")),
+    "side-series-keeps-v0": (side_series_keeps_v0, check_fails("cut")),
+    "float-tier-past-53": (float_tier_past_53, float_tier_differs_from_mobius),
     "j-without-identity": (j_without_identity, check_fails("cut")),
     "closure-skips-last-pivot": (closure_skips_last_pivot, closure_differs_from_squaring_oracle),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
