@@ -47,7 +47,8 @@ ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # alone on wrap forests of 30 elements, the homogeneous check (its merge
 # replays) alone on wrap forests of 40, and the bounds check (the constructive
 # pipeline) alone on wrap forests of 1000 (about 300 chains) and of 16000
-# (about 4,900 chains)
+# (about 4,900 chains), and the embedding check (the symmetry search) alone on
+# wrap forests of 200
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
@@ -60,6 +61,8 @@ VERIFY_INPUTS = {
                                        "--n", "1000", "--count", "5", "--checks", "bounds"],
     "verify-wrapforest-n16000-bounds": ["verify", "random", "--family", "wrapforest",
                                         "--n", "16000", "--count", "1", "--checks", "bounds"],
+    "verify-wrapforest-n200-embedding": ["verify", "random", "--family", "wrapforest",
+                                         "--n", "200", "--count", "5", "--checks", "embedding"],
 }
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

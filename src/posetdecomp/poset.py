@@ -488,34 +488,23 @@ def count_linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) ->
 # given partial map.  Each element keeps a bitmask of the images still open to
 # it; mapping i to j leaves an element u only the images that relate to j as u
 # relates to i (forward checking), and j itself leaves every other domain, so
-# every partial map is injective.  The search branches on the open element
-# with the fewest images.  The group of a relation is then found by base and
+# every partial map is injective.  Domains start from a per-element invariant
+# (colour, loop bit, down and up counts), and the search branches on the
+# lowest open element.  The group of a relation is then found by base and
 # strong generators (Sims 1970): for base points b_1, b_2, ..., one witness
 # per new point of the orbit of b_i under the pointwise stabilizer of
 # b_1..b_{i-1}, and |G| is the product of the orbit sizes.
 
 
-def _refined_signatures(rows: tuple, colors: Sequence | None = None) -> list:
-    """Invariant per element, stable under colour-preserving automorphism, used for pruning."""
+def _signatures(rows: tuple, colors: Sequence | None = None) -> list:
+    """Invariant per element, stable under colour-preserving automorphism, used for pruning:
+    its colour, its loop bit and its down and up counts."""
     up, down = rows
-    n = len(up)
-    colors = [0] * n if colors is None else colors
-    sig: list = [
+    colors = [0] * len(up) if colors is None else colors
+    return [
         (colors[i], bool(up[i] >> i & 1), down[i].bit_count(), up[i].bit_count())
-        for i in range(n)
+        for i in range(len(up))
     ]
-    for _ in range(2):
-        codes = {s: r for r, s in enumerate(sorted(set(sig)))}
-        enc = [codes[s] for s in sig]
-        sig = [
-            (
-                enc[i],
-                tuple(sorted(enc[j] for j in _bits(down[i]))),
-                tuple(sorted(enc[j] for j in _bits(up[i]))),
-            )
-            for i in range(n)
-        ]
-    return sig
 
 
 def _domains(sig_a: list, sig_b: list) -> list[int]:
@@ -560,10 +549,11 @@ def _extend(rows: tuple, dom: list[int], free: int) -> tuple[int, ...] | None:
     """One map that gives every free element an image in its domain, or None.
 
     Depth-first with an explicit stack of (domains, free set, element,
-    untried images); images are tried in increasing order.
+    untried images), branching on the lowest free element; images are tried
+    in increasing order.
     """
     def frame(dom: list[int], free: int) -> tuple:
-        u = min(_bits(free), key=lambda v: dom[v].bit_count())
+        u = (free & -free).bit_length() - 1
         return dom, free, u, dom[u]
 
     if not free:
@@ -646,7 +636,7 @@ def automorphism_group(rows: tuple, colors: Sequence | None = None) -> Automorph
     """
     up, down = rows
     n = len(up)
-    sig = _refined_signatures(rows, colors)
+    sig = _signatures(rows, colors)
     rows = (up, down, up, down)
     dom = _domains(sig, sig)
     free = (1 << n) - 1
@@ -686,7 +676,7 @@ def isomorphic(p: Poset, q: Poset, cap: int | None = AUTOMORPHISM_CAP) -> bool:
     if p.n != q.n:
         return False
     refuse_above("isomorphism search", cap, p.n)
-    sig_p, sig_q = _refined_signatures(p.rows), _refined_signatures(q.rows)
+    sig_p, sig_q = _signatures(p.rows), _signatures(q.rows)
     if sorted(sig_p) != sorted(sig_q):
         return False
     rows = (*p.rows, *q.rows)

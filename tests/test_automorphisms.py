@@ -76,6 +76,26 @@ def _one_cover_removed(p, rng):
     return Poset(p.labels, lt)
 
 
+# every pair of non-isomorphic n = 6 posets whose sorted (down count, up count)
+# signatures agree, as cover pairs (no such pair exists at n <= 5): the search,
+# not its starting domains, must tell them apart
+SAME_DEGREES = (
+    ([(0, 5), (1, 5), (4, 2), (4, 3)], [(0, 5), (1, 4), (2, 3), (2, 5)]),
+    ([(0, 5), (1, 5), (2, 3), (2, 5), (3, 4)], [(0, 5), (1, 4), (2, 3), (2, 4), (3, 5)]),
+    ([(0, 5), (1, 4), (1, 5), (2, 3), (2, 4)], [(0, 5), (1, 3), (1, 4), (2, 3), (2, 4)]),
+    ([(0, 5), (1, 5), (2, 3), (4, 1), (4, 2)], [(0, 5), (1, 3), (2, 3), (4, 1), (4, 2), (4, 5)]),
+    ([(2, 3), (3, 4), (5, 0), (5, 1), (5, 4)], [(1, 4), (2, 3), (2, 4), (5, 0), (5, 1)]),
+    ([(1, 4), (2, 3), (3, 4), (5, 0), (5, 1)], [(1, 3), (2, 3), (4, 1), (4, 2), (5, 0), (5, 3)]),
+    ([(0, 4), (1, 2), (1, 4), (2, 3), (2, 5), (4, 5)],
+     [(0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (3, 5)]),
+)
+
+
+def _degrees(p):
+    up, down = p.rows
+    return sorted((d.bit_count(), u.bit_count()) for u, d in zip(up, down))
+
+
 def test_isomorphic_matches_oracle():
     # relabeled pairs are isomorphic; removing one cover from each side of a
     # relabeled pair gives equal relation counts, isomorphic or not
@@ -91,3 +111,8 @@ def test_isomorphic_matches_oracle():
             assert isomorphic(a, b) == expected
             verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+    for covers_a, covers_b in SAME_DEGREES:
+        a, b = (Poset.from_cover_relations(range(6), c) for c in (covers_a, covers_b))
+        assert _degrees(a) == _degrees(b)
+        assert not oracles._order_search(a.lt, b.lt, find_all=False)
+        assert not isomorphic(a, b)

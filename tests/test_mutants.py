@@ -53,6 +53,11 @@ def first_witness_only(monkeypatch):
     monkeypatch.setattr(poset, "_witness", mutant)
 
 
+def signature_not_invariant(monkeypatch):
+    """The search's element invariant tells even indices from odd ones."""
+    _rewrite(monkeypatch, poset, "_signatures", "up[i].bit_count())", "up[i].bit_count(), i & 1)")
+
+
 def kernel_order_one(monkeypatch):
     """The kernel-order step returns 1 without searching."""
     monkeypatch.setattr(hcd, "_kernel_order", lambda p, d: 1)
@@ -148,6 +153,12 @@ def crossing_without_top(monkeypatch):
         return None
 
     monkeypatch.setattr(verify, "_crossing", mutant)
+
+
+def run_extends_above_first(monkeypatch):
+    """An element joins the current run when it lies above the run's first element."""
+    _rewrite(monkeypatch, nccd, "_avoider_runs", "up[runs[-1][-1]] >> x & 1",
+             "up[runs[-1][0]] >> x & 1", into=(verify,))
 
 
 def unsigned_side_counts(monkeypatch):
@@ -394,6 +405,7 @@ def check_fails(name: str):
 
 MUTANTS = {
     "first-witness-only": (first_witness_only, orders_differ_from_listing_oracle),
+    "signature-not-invariant": (signature_not_invariant, orders_differ_from_listing_oracle),
     "kernel-order-one": (kernel_order_one, injective_check_passes_non_chain_block),
     "reversed-images": (reversed_images, check_fails("embedding")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
@@ -406,6 +418,7 @@ MUTANTS = {
     "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
+    "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
