@@ -43,15 +43,17 @@ PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
 ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000), ("wrapforest", 16000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
-# the enumeration at n = 6 under the battery's cheapest check, the cut check
-# alone on wrap forests of 30 elements, the homogeneous check (its merge
-# replays) alone on wrap forests of 40, and the bounds check (the constructive
-# pipeline) alone on wrap forests of 1000 (about 300 chains) and of 16000
-# (about 4,900 chains), and the embedding check (the symmetry search) alone on
-# wrap forests of 200
+# the enumeration at n = 6 under the battery's cheapest check, the segments
+# check (the avoider walk and its prefix replay) alone on every n <= 5 poset,
+# the cut check alone on wrap forests of 30 elements, the homogeneous check
+# (its merge replays) alone on wrap forests of 40, and the bounds check (the
+# constructive pipeline) alone on wrap forests of 1000 (about 300 chains) and
+# of 16000 (about 4,900 chains), and the embedding check (the symmetry search)
+# alone on wrap forests of 200
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
+    "verify-n5-segments": ["verify", "exhaustive", "--nmax", "5", "--checks", "segments"],
     "verify-wrapforest-n30-cut": ["verify", "random", "--family", "wrapforest", "--n", "30",
                                   "--count", "50", "--checks", "cut"],
     "verify-wrapforest-n40-homogeneous": ["verify", "random", "--family", "wrapforest",

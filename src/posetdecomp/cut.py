@@ -48,7 +48,6 @@ and reports carry both sides of the identity verbatim, as Python integers.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -264,12 +263,19 @@ def _proper_heights(d: ChainDecomposition, cap: int | None) -> Iterator[np.ndarr
     arrays of at most _BLOCK rows.
 
     With `cap`, more than `cap` proper cuts raise ScopeExceededError before
-    the first block.
+    the first block.  The count is multiplied out only until it passes the
+    cap, so the refusal never formats a number the size of the product.
     """
     ranges = [range(1, len(chain)) for chain in d.chains]
-    total = math.prod(map(len, ranges))
-    if cap is not None and total > cap:
-        raise ScopeExceededError(f"cut enumeration capped at {cap} proper cuts (got {total})")
+    # a chain of one element leaves no proper cut at all
+    if cap is not None and all(ranges):
+        total = 1
+        for r in ranges:
+            total *= len(r)
+            if total > cap:
+                raise ScopeExceededError(
+                    f"cut enumeration capped at {cap} proper cuts (got more than {cap})"
+                )
     product = itertools.product(*ranges)
     while block := list(itertools.islice(product, _BLOCK)):
         yield np.array(block, dtype=np.int64).reshape(len(block), d.k)

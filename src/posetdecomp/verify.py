@@ -32,7 +32,7 @@ from .cut import (
     _admissible_identities,
     verify_cut_identity,
 )
-from .errors import CheckFailure, PosetError, refuse_above
+from .errors import CheckFailure, InternalInconsistencyError, PosetError, refuse_above
 from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
@@ -52,6 +52,7 @@ from .nccd import (
     _construction,
     _crossing,
     _noncrossing_minimum,
+    _segment_fault,
     count_noncrossing_decompositions,
 )
 from .poset import (
@@ -298,9 +299,12 @@ def check_bounds(an: Analysis, seed: int = 0) -> dict:
 def check_segments(an: Analysis, seed: int = 0) -> dict:
     """Every 132-avoiding permutation's runs form a noncrossing decomposition.
 
-    Each permutation of the avoider scan is split once at its descents, one
-    run per descent; the first one with a 132 pattern, a run that is not a
-    chain or two runs that cross is the witness.
+    `nccd._segment_fault` replays the avoider scan's list as a prefix tree,
+    testing only each permutation's new suffix: every new element for a 132
+    pattern, for keeping its run a chain and for a crossing with the closed
+    runs.  The first permutation it flags is the witness.  It is split once
+    at its descents and classified on its own: a 132 pattern, a run that is
+    not a chain, or two runs that cross.
     """
     p = an.p
     if p.n > SEGMENT_SWEEP_CAP:
@@ -311,24 +315,28 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
         }
     up, down = p.rows
     perms = permutations_avoiding(up, down)
-    for swept, perm in enumerate(perms):
-        runs = _avoider_runs(up, down, perm)
-        if runs is None:
-            fault = "not 132-avoiding"
-        # the order is transitive, so a run is a chain iff each step goes up
-        elif not all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:])):
-            fault = "an ascending run is not a chain"
-        elif _crossing(up, down, runs) is not None:
-            fault = "ascending runs cross"
-        else:
-            continue
-        return {
-            "name": "segments",
-            "passed": False,
-            "details": {"permutations": swept, "error": fault},
-            "witness": {"permutation": [str(p.labels[x]) for x in perm]},
-        }
-    return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
+    swept = _segment_fault(up, down, perms)
+    if swept is None:
+        return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
+    perm = perms[swept]
+    runs = _avoider_runs(up, down, perm)
+    if runs is None:
+        fault = "not 132-avoiding"
+    # the order is transitive, so a run is a chain iff each step goes up
+    elif not all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:])):
+        fault = "an ascending run is not a chain"
+    elif _crossing(up, down, runs) is not None:
+        fault = "ascending runs cross"
+    else:
+        raise InternalInconsistencyError(
+            f"the prefix replay flags permutation {swept}, whose runs pass on their own"
+        )
+    return {
+        "name": "segments",
+        "passed": False,
+        "details": {"permutations": swept, "error": fault},
+        "witness": {"permutation": [str(p.labels[x]) for x in perm]},
+    }
 
 
 def check_noncrossing_trivial(an: Analysis, seed: int = 0) -> dict:

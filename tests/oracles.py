@@ -767,6 +767,61 @@ def canonical_order_by_recursion(names, wrapped, above):
     return tuple(order), findings
 
 
+# The battery's segments check before it replayed the avoider list as a
+# prefix tree, kept verbatim apart from its dependencies: the run split and
+# the crossing scan on bit rows are copied here.
+def avoider_runs(up, down, perm):
+    """An index permutation split at its descents, or None on a 132 pattern."""
+    rest = (1 << len(perm)) - 1
+    above = 0
+    runs = []
+    for x in perm:
+        rest ^= 1 << x
+        if down[x] & above & rest:
+            return None
+        above |= up[x]
+        if runs and up[runs[-1][-1]] >> x & 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return runs
+
+
+def runs_cross(up, down, chains) -> bool:
+    """Some element of chain B lies strictly between a < b of chain A and
+    another above b, with a the lowest element of A."""
+    masks = [sum(1 << x for x in chain) for chain in chains]
+    return any(
+        mask_b & up[chain_a[0]] & down[b] and mask_b & up[b]
+        for ci, chain_a in enumerate(chains)
+        for cj, mask_b in enumerate(masks)
+        if cj != ci
+        for b in chain_a[1:]
+    )
+
+
+def segments_record(p, perms) -> dict:
+    """The segments check's record on p, one permutation of perms at a time."""
+    up, down = p.rows
+    for swept, perm in enumerate(perms):
+        runs = avoider_runs(up, down, perm)
+        if runs is None:
+            fault = "not 132-avoiding"
+        elif not all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:])):
+            fault = "an ascending run is not a chain"
+        elif runs_cross(up, down, runs):
+            fault = "ascending runs cross"
+        else:
+            continue
+        return {
+            "name": "segments",
+            "passed": False,
+            "details": {"permutations": swept, "error": fault},
+            "witness": {"permutation": [str(p.labels[x]) for x in perm]},
+        }
+    return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
+
+
 def naive_avoiders(p):
     """All 132-avoiding index permutations via the cubic scan."""
     out = []

@@ -1,5 +1,7 @@
 """Cuts of homogeneous decompositions and the signed-count matrix identity."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,20 @@ def test_not_homogeneous_raised_only_with_a_proper_cut():
     pointed = ChainDecomposition.from_parts(p, [["u1", "w1", "w2", "u2"], ["x1"], ["x2"]])
     assert list(enumerate_proper_cuts(p, pointed)) == []
     assert enumerate_admissible_cuts(p, pointed) == []
+
+
+def test_cut_cap_refusal_never_formats_the_product():
+    # 2**2500 proper cuts has 753 digits, past the lowered int-to-str limit
+    labels = list(range(7500))
+    p = Poset.from_cover_relations(labels, [(x, x + 1) for x in labels if x % 3 != 2])
+    chains = [labels[i : i + 3] for i in range(0, 7500, 3)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ScopeExceededError, match=r"\(got more than 10\)$"):
+            enumerate_admissible_cuts(p, chains, cap=10)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cut_cap_counts_proper_cuts():

@@ -142,23 +142,28 @@ def wrap_keeps_own_chain(monkeypatch):
 
 
 def crossing_without_top(monkeypatch):
-    """The crossing scan drops the b < d condition: B inside (a, b) suffices."""
-
-    def mutant(up, down, chains):
-        masks = [sum(1 << x for x in chain) for chain in chains]
-        for ci, chain_a in enumerate(chains):
-            for cj, mask_b in enumerate(masks):
-                if cj != ci and any(mask_b & up[chain_a[0]] & down[b] for b in chain_a[1:]):
-                    return chain_a[0], cj
-        return None
-
-    monkeypatch.setattr(verify, "_crossing", mutant)
+    """The replay's crossing test drops the b < d condition: a closed run
+    inside (low, v) suffices."""
+    _rewrite(monkeypatch, nccd, "_segment_fault", "mask & between and mask & ux",
+             "mask & between", into=(verify,))
 
 
 def run_extends_above_first(monkeypatch):
     """An element joins the current run when it lies above the run's first element."""
-    _rewrite(monkeypatch, nccd, "_avoider_runs", "up[runs[-1][-1]] >> x & 1",
-             "up[runs[-1][0]] >> x & 1", into=(verify,))
+    _rewrite(monkeypatch, nccd, "_segment_fault", "reach = ux", "reach = up[low]",
+             into=(verify,))
+
+
+def replay_one_level_deep(monkeypatch):
+    """The replay files each frame one level early, so it restores the frame
+    one element past the common prefix."""
+    _rewrite(monkeypatch, nccd, "_segment_fault", "frames[i + 1] = (", "frames[i] = (",
+             into=(verify,))
+
+
+def walk_joins_incomparable(monkeypatch):
+    """The noncrossing walk appends an element to a chain whose top it does not lie above."""
+    _rewrite(monkeypatch, nccd, "_noncrossing_walk", "up[chain[-1]] >> v & 1 and not", "not")
 
 
 def unsigned_side_counts(monkeypatch):
@@ -419,6 +424,8 @@ MUTANTS = {
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
+    "replay-one-level-deep": (replay_one_level_deep, check_fails("segments")),
+    "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),

@@ -1,5 +1,7 @@
 """The per-poset analysis behind the check battery: shared artifacts built once."""
 
+import itertools
+import random
 import sys
 import weakref
 
@@ -10,6 +12,8 @@ from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
 from posetdecomp.generate import chain, random_poset, wrap_forest
 from posetdecomp.poset import enumerate_posets
+
+import oracles
 
 MODULES = [m for name, m in sorted(sys.modules.items()) if name.startswith("posetdecomp.")]
 
@@ -166,6 +170,27 @@ def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
     assert not check["passed"]
     assert check["details"] == {"permutations": 5, "error": "not 132-avoiding"}
     assert check["witness"] == {"permutation": ["1", "3", "2"]}
+
+
+def test_segments_replay_matches_per_permutation_oracle(monkeypatch):
+    real = verify.permutations_avoiding
+
+    def record(p):
+        (check,) = verify.run_poset_checks(p, which=("segments",))["checks"]
+        return check
+
+    for p in (p for n in range(6) for p in enumerate_posets(n)):
+        assert record(p) == oracles.segments_record(p, real(*p.rows))
+    # lists the walk never yields: every permutation, in order and shuffled,
+    # and every permutation twice in a row
+    rng = random.Random(26)
+    for p in (p for n in range(5) for p in enumerate_posets(n)):
+        every = list(itertools.permutations(range(p.n)))
+        shuffled = rng.sample(every, len(every))
+        doubled = [perm for perm in every for _ in range(2)]
+        for perms in (every, shuffled, doubled):
+            monkeypatch.setattr(verify, "permutations_avoiding", lambda up, down: perms)
+            assert record(p) == oracles.segments_record(p, perms)
 
 
 def test_decompositions_out_of_scope_above_brute_force_cap():
