@@ -23,7 +23,7 @@ from .errors import (
     UnknownElementError,
     refuse_above,
 )
-from .poset import Poset, _topological_order
+from .poset import Poset, _bits, _topological_order
 
 DECOMPOSITION_ENUMERATION_CAP = 10
 
@@ -113,6 +113,11 @@ class ChainDecomposition:
             raise InvalidDecompositionError("parts do not partition the ground set")
         sorted_chains.sort(key=lambda c: c[0])
         return cls(p, tuple(sorted_chains))
+
+    @classmethod
+    def _from_masks(cls, p: Poset, masks: Iterable[int]) -> "ChainDecomposition":
+        """Validate and canonicalize a family of index bit masks."""
+        return cls._from_index_parts(p, [list(_bits(mask)) for mask in masks])
 
     @property
     def k(self) -> int:
@@ -331,27 +336,57 @@ def enumerate_chain_decompositions(
     p: Poset,
     cap: int | None = DECOMPOSITION_ENUMERATION_CAP,
 ) -> Iterator[ChainDecomposition]:
-    """Every partition of the poset into chains, exactly once.
+    """Every partition of the poset into chains, exactly once, in the order
+    of `_partition_walk`."""
+    walk = _partition_walk(p, cap)
+    return (ChainDecomposition._from_masks(p, masks) for masks, _ in walk)
 
-    Elements are placed in linear-extension order, so a chain only ever grows
-    past its current maximum.
+
+def _partition_walk(p: Poset, cap: int | None) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """(masks, homogeneous) for every partition of the poset into chains.
+
+    Elements are placed in `_topological_order`, so a chain only ever grows
+    past its top: element v joins each chain whose top lies below it, in the
+    order the chains were opened, and then opens a chain of its own.  The
+    chains are bit masks, listed in the order they were opened.
+
+    Homogeneity is decided on the way down, on the comparability rows
+    comp[x] = up[x] | down[x]: a cross pair is tested when its later element
+    v is placed.  A new chain {v} must meet every chain in none or all of its
+    elements.  When v joins chain c, it must meet every other chain as c's
+    top does: in a partition not yet mixed, the top meets each other chain
+    in none or all of its elements, so this holds iff v does too and the
+    answer keeps c's status towards that chain.  A mixed partition stays
+    mixed down the recursion.
     """
     refuse_above("decomposition enumeration", cap, p.n)
     order = _topological_order(p)
-    chains: list[list[int]] = []
+    up, down = p.rows
+    comp = [u | d for u, d in zip(up, down)]
+    n = p.n
+    tops: list[int] = []
+    masks: list[int] = []
 
-    def place(pos: int) -> Iterator[ChainDecomposition]:
-        if pos == len(order):
-            yield ChainDecomposition._from_index_parts(p, [c[:] for c in chains])
+    def place(pos: int, placed: int, mixed: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
+        if pos == n:
+            yield tuple(masks), not mixed
             return
         v = order[pos]
-        for chain in chains:
-            if p.rows[0][chain[-1]] >> v & 1:
-                chain.append(v)
-                yield from place(pos + 1)
-                chain.pop()
-        chains.append([v])
-        yield from place(pos + 1)
-        chains.pop()
+        bit = 1 << v
+        row = comp[v] & placed
+        for c, top in enumerate(tops):
+            if up[top] & bit:
+                mask = masks[c]
+                tops[c], masks[c] = v, mask | bit
+                yield from place(
+                    pos + 1, placed | bit, mixed or (row ^ comp[top]) & placed & ~mask != 0
+                )
+                tops[c], masks[c] = top, mask
+        opened = mixed or any(row & mask not in (0, mask) for mask in masks)
+        tops.append(v)
+        masks.append(bit)
+        yield from place(pos + 1, placed | bit, opened)
+        tops.pop()
+        masks.pop()
 
-    return place(0)
+    return place(0, 0, False)

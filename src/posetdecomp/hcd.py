@@ -156,18 +156,19 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
     and the candidate list each round is the one a full rescan would list,
     in the same order: a seed draws the same merges.
     """
-    return next(_merge_replays(p, (shuffle_seed,)))
+    return ChainDecomposition._from_masks(p, next(_merge_replays(p, (shuffle_seed,))))
 
 
-def _merge_replays(p: Poset, seeds: Iterable[int | None]) -> Iterator[ChainDecomposition]:
-    """The merge fixpoint under each seed of `seeds`, all from one pair table."""
+def _merge_replays(p: Poset, seeds: Iterable[int | None]) -> Iterator[tuple[int, ...]]:
+    """The merge fixpoint under each seed of `seeds`, all from one pair table,
+    as the sorted tuple of its chains' bit masks."""
     table = _merge_table(p)
     for seed in seeds:
-        chains = [[i] for i in range(p.n)]
+        masks = [1 << i for i in range(p.n)]
         for i, j in _replay(p.n, *table, seed):
-            chains[i] += chains[j]
-            chains[j] = []
-        yield ChainDecomposition._from_index_parts(p, [c for c in chains if c])
+            masks[i] |= masks[j]
+            masks[j] = 0
+        yield tuple(sorted(mask for mask in masks if mask))
 
 
 def _merge_table(p: Poset) -> tuple[list[tuple[int, int]], list[list[tuple[int, int, int]]]]:
@@ -208,8 +209,9 @@ def _replay(
     alive is either filed under the highest alive bit of its diff or, when
     none is left, inserted into the candidates in (i, j) order.
     """
-    rng = None if seed is None else random.Random(seed)
     candidates = list(ready)
+    # no candidate at the start means no merge at all, and no draw
+    rng = None if seed is None or not candidates else random.Random(seed)
     waiting = [list(w) for w in watch]
     alive = (1 << n) - 1
     merges = []

@@ -6,6 +6,8 @@ one poset share one `Analysis`, which builds each artifact they have in
 common (Dilworth pair, MHCD, its oriented chain graph, cut frame,
 constructive pipeline, noncrossing minimum, brute-force decompositions)
 once; `posetdecomp analyze` reads its sections from one `Analysis` too.
+The brute force is one walk over the chain partitions on bit masks, with a
+homogeneity test of its own.
 Suites run the checks, one poset after another, over exhaustively enumerated
 small posets or seeded random families, and count per check the posets on
 which a size cap skipped it.
@@ -19,7 +21,7 @@ from typing import Iterable
 from .chains import (
     ChainDecomposition,
     _dilworth,
-    enumerate_chain_decompositions,
+    _partition_walk,
     is_antichain,
     is_chain,
     is_chain_decomposition,
@@ -94,7 +96,9 @@ class Analysis:
     An artifact whose construction raises is not kept, so every check that
     reads it fails with the same error.  The checks never take a verdict from
     the artifact they test: merge replays, homogeneity tests and brute-force
-    minima stay inside them, and `decompositions` is their shared oracle.
+    minima stay inside them, and `decompositions` is their shared oracle, a
+    walk on chain masks that tests homogeneity without the library's
+    `is_homogeneous`.
     Size caps are the readers' to apply: `noncrossing` has none.
     """
 
@@ -128,9 +132,11 @@ class Analysis:
         return _noncrossing_minimum(self.p, len(self.dilworth[1]))
 
     @cached_property
-    def decompositions(self) -> list[ChainDecomposition]:
-        """Every chain decomposition; out of scope above BRUTE_FORCE_CAP."""
-        return list(enumerate_chain_decompositions(self.p, cap=BRUTE_FORCE_CAP))
+    def decompositions(self) -> list[tuple[tuple[int, ...], bool]]:
+        """(chain masks, homogeneous) for every chain decomposition, from the
+        partition walk with its own homogeneity test; out of scope above
+        BRUTE_FORCE_CAP."""
+        return list(_partition_walk(self.p, cap=BRUTE_FORCE_CAP))
 
 
 def check_dilworth(an: Analysis, seed: int = 0) -> dict:
@@ -144,7 +150,7 @@ def check_dilworth(an: Analysis, seed: int = 0) -> dict:
         and is_antichain(p, a)
     )
     if p.n <= BRUTE_FORCE_CAP:
-        brute = min((dec.k for dec in an.decompositions), default=0)
+        brute = min((len(masks) for masks, _ in an.decompositions), default=0)
         details["brute_force_minimum"] = brute
         passed = passed and d.k == brute
     out = {"name": "dilworth", "passed": passed, "details": details}
@@ -154,20 +160,35 @@ def check_dilworth(an: Analysis, seed: int = 0) -> dict:
 
 
 def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
-    """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint."""
+    """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint.
+
+    The merge replays and the brute force compare chain masks, each as a
+    sorted tuple.  Below BRUTE_FORCE_CAP the least homogeneous partitions of
+    the partition walk must be the MHCD alone, and the library's
+    `is_homogeneous` must reject the walk's first mixed partition.
+    """
     p = an.p
     d = an.mhcd
+    target = tuple(sorted(sum(1 << x for x in chain) for chain in d.chains))
     replays = _merge_replays(p, range(seed, seed + MERGE_SHUFFLES))
-    confluent = all(fixpoint == d for fixpoint in replays)
+    confluent = all(fixpoint == target for fixpoint in replays)
     details: dict = {"k": d.k, "confluent": confluent}
     passed = is_chain_decomposition(p, d) and is_homogeneous(p, d) and confluent
     if p.n <= BRUTE_FORCE_CAP:
-        homogeneous = [dec for dec in an.decompositions if is_homogeneous(p, dec)]
-        least = min((dec.k for dec in homogeneous), default=0)
-        minimal = [dec for dec in homogeneous if dec.k == least]
+        homogeneous = [masks for masks, hom in an.decompositions if hom]
+        least = min(map(len, homogeneous), default=0)
+        minimal = [masks for masks in homogeneous if len(masks) == least]
         details["enumerated_minimum"] = least
         details["minimal_count"] = len(minimal)
-        passed = passed and d.k == least and len(minimal) == 1 and minimal[0] == d
+        passed = (
+            passed and d.k == least and len(minimal) == 1
+            and tuple(sorted(minimal[0])) == target
+        )
+        mixed = next((masks for masks, hom in an.decompositions if not hom), None)
+        if mixed is not None:
+            # the library's own test must reject a partition the walk calls mixed
+            rejected = not is_homogeneous(p, ChainDecomposition._from_masks(p, mixed))
+            passed = passed and rejected
     out = {"name": "homogeneous", "passed": passed, "details": details}
     if not passed:
         out["witness"] = {"decomposition": d.to_lines()}

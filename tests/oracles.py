@@ -64,6 +64,35 @@ def chain_partitions(p):
             ]
 
 
+def chain_partitions_by_placement(p):
+    """The library's chain-partition enumeration before it ran on bit masks,
+    kept as the order oracle.
+
+    Elements are placed in order of predecessor count (ties by index); each
+    joins every chain whose top lies below it, in the order the chains were
+    opened, and then opens a chain of its own.  Yields every partition as a
+    list of ascending index lists, in opening order.
+    """
+    order = sorted(range(p.n), key=lambda x: int(p.lt[:, x].sum()))
+    chains = []
+
+    def place(pos):
+        if pos == len(order):
+            yield [chain[:] for chain in chains]
+            return
+        v = order[pos]
+        for chain in chains:
+            if p.lt[chain[-1], v]:
+                chain.append(v)
+                yield from place(pos + 1)
+                chain.pop()
+        chains.append([v])
+        yield from place(pos + 1)
+        chains.pop()
+
+    yield from place(0)
+
+
 def brute_min_chain_partition(p) -> int:
     return min((len(part) for part in chain_partitions(p)), default=0)
 

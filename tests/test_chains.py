@@ -164,6 +164,27 @@ def test_enumerate_decompositions_yields_each_once():
     assert len(keys) == 15
 
 
+def test_partition_walk_is_the_object_enumeration():
+    # the same partitions, chains in the same opening order, in the same
+    # order, and per partition the verdict of the library's is_homogeneous
+    from posetdecomp.hcd import is_homogeneous
+
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [p for i, p in enumerate(enumerate_posets(6, cap=None)) if i % 65 == 0]
+    mixed = 0
+    for p in posets:
+        walk = list(chains_module._partition_walk(p, cap=6))
+        old = list(oracles.chain_partitions_by_placement(p))
+        assert [masks for masks, _ in walk] == [
+            tuple(sum(1 << x for x in chain) for chain in parts) for parts in old
+        ]
+        for (_, homogeneous), parts in zip(walk, old):
+            d = ChainDecomposition._from_index_parts(p, parts)
+            assert homogeneous == is_homogeneous(p, d)
+            mixed += not homogeneous
+    assert len(posets) == 4474 + 2001 and mixed > 100_000
+
+
 def test_empty_poset():
     for p in enumerate_posets(0):
         assert minimum_chain_decomposition(p).k == 0

@@ -8,6 +8,7 @@ pass on the library as it is and fail under the defect.
 
 import inspect
 import itertools
+import linecache
 import random
 
 import numpy as np
@@ -25,16 +26,42 @@ FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
 NEAR_ORDERS = list(oracles.near_orders(seed=6, count=600))
 
 
-def _rewrite(monkeypatch, module, name, old, new, into=None):
-    """Replace `old` by `new` in the source of module.name, which must hold it
-    once, and bind the recompiled function under that name in each module of
-    `into` (module itself by default)."""
+def _segment_cases() -> list:
+    """Every permutation of every poset with n <= 4, and 12 seeded
+    permutations of each of 150 seeded posets with n = 5."""
+    rng = random.Random(27)
+    cases = [(p, perm) for p in FAMILY if p.n <= 4 for perm in itertools.permutations(range(p.n))]
+    cases += [
+        (p, tuple(rng.sample(range(5), 5)))
+        for p in rng.sample(list(poset.enumerate_posets(5)), 150)
+        for _ in range(12)
+    ]
+    return cases
+
+
+SEGMENT_CASES = _segment_cases()
+
+
+def _rewritten(module, name, old, new):
+    """module.name recompiled with `old`, which its source must hold once,
+    replaced by `new`.  The new source is registered with linecache, so a
+    rewritten function can be rewritten again."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
+    source = source.replace(old, new)
+    filename = f"<rewritten {module.__name__}.{name} {hash(source):x}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _rewrite(monkeypatch, module, name, old, new, into=None):
+    """Bind `_rewritten(module, name, old, new)` under that name in each
+    module of `into` (module itself by default)."""
+    fn = _rewritten(module, name, old, new)
     for target in into or (module,):
-        monkeypatch.setattr(target, name, namespace[name])
+        monkeypatch.setattr(target, name, fn)
 
 
 def first_witness_only(monkeypatch):
@@ -103,7 +130,7 @@ def merge_any_comparable(monkeypatch):
                 if all(p.lt[a, b] or p.lt[b, a] for a in chains[i] for b in chains[j])
             ]
             if not pairs:
-                return ChainDecomposition._from_index_parts(p, chains)
+                return tuple(sorted(sum(1 << x for x in chain) for chain in chains))
             i, j = rng.choice(pairs)
             chains[i] += chains.pop(j)
 
@@ -123,6 +150,20 @@ def replay_drops_second_only(monkeypatch):
 def mixed_pair_comparable(monkeypatch):
     """`_comparable_pairs` keeps only the OR test: a mixed chain pair counts as comparable."""
     _rewrite(monkeypatch, hcd, "_comparable_pairs", "if masks[j] & inside[i] != masks[j]:", "if False:")
+
+
+def partition_joins_incomparable(monkeypatch):
+    """The partition walk lets an element join a chain whose top is not below it."""
+    _rewrite(monkeypatch, chains, "_partition_walk", "if up[top] & bit:", "if True:",
+             into=(chains, verify))
+
+
+def partition_skips_pair_status(monkeypatch):
+    """The partition walk tests only a joining element's own uniformity
+    towards the other chains, not that it keeps its chain's status."""
+    _rewrite(monkeypatch, chains, "_partition_walk", "(row ^ comp[top]) & placed & ~mask != 0",
+             "any(row & m not in (0, m) for i, m in enumerate(masks) if i != c)",
+             into=(chains, verify))
 
 
 def orient_by_index(monkeypatch):
@@ -159,6 +200,20 @@ def replay_one_level_deep(monkeypatch):
     one element past the common prefix."""
     _rewrite(monkeypatch, nccd, "_segment_fault", "frames[i + 1] = (", "frames[i] = (",
              into=(verify,))
+
+
+def segment_skips_role_b(monkeypatch):
+    """The replay drops its role-b test: an element extending the current run
+    is never checked against a closed run with elements between and above."""
+    _rewrite(monkeypatch, nccd, "_segment_fault", "if mask & between and mask & ux:",
+             "if False:", into=(nccd, verify))
+
+
+def segment_skips_role_d(monkeypatch):
+    """The replay drops its role-d test: an element extending the current run
+    may lie above a closed run's b with a current-run element between."""
+    _rewrite(monkeypatch, nccd, "_segment_fault", " or forbidden >> x & 1", "",
+             into=(nccd, verify))
 
 
 def walk_joins_incomparable(monkeypatch):
@@ -390,6 +445,23 @@ def orientation_differs_from_oracle() -> bool:
     return False
 
 
+def segment_replay_differs_from_runs() -> bool:
+    """The prefix replay without its 132 test, one permutation per call, on
+    SEGMENT_CASES, against the consecutive-pair runs of `_avoider_runs`
+    (without its 132 test either), their chain test and `_crossing`."""
+    test = "if down[x] & above & rest:"
+    fault = _rewritten(nccd, "_segment_fault", test, "if False:")
+    split = _rewritten(nccd, "_avoider_runs", test, "if False:")
+    for p, perm in SEGMENT_CASES:
+        up, down = p.rows
+        runs = split(up, down, perm)
+        chained = all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:]))
+        expected = not chained or nccd._crossing(up, down, runs) is not None
+        if (fault(up, down, [perm]) is not None) != expected:
+            return True
+    return False
+
+
 def float_tier_differs_from_mobius() -> bool:
     """test_cut.test_signed_counts_exact_across_float_tier, against the Mobius recursion."""
     return any(
@@ -418,6 +490,8 @@ MUTANTS = {
     "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),
     "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
+    "partition-joins-incomparable": (partition_joins_incomparable, check_fails("dilworth")),
+    "partition-skips-pair-status": (partition_skips_pair_status, check_fails("homogeneous")),
     "orient-by-index": (orient_by_index, check_fails("embedding")),
     # the battery cannot see this one: a reversed acyclic orientation has the same symmetries
     "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
@@ -425,6 +499,10 @@ MUTANTS = {
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
     "replay-one-level-deep": (replay_one_level_deep, check_fails("segments")),
+    # the replay's own 132 re-test flags every avoider list these two break,
+    # so the battery cannot see them
+    "segment-skips-role-b": (segment_skips_role_b, segment_replay_differs_from_runs),
+    "segment-skips-role-d": (segment_skips_role_d, segment_replay_differs_from_runs),
     "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
@@ -469,3 +547,12 @@ def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
         record = verify.run_poset_checks(p)
         errors = [c["details"].get("error", "") for c in record["checks"] if not c["passed"]]
         assert errors and any(e.startswith(error) for e in errors)
+
+
+def test_segment_replay_tests_both_crossing_roles():
+    # in the chain 0 < 1 < 2 < 3, the runs of (1, 3, 0, 2) cross when 2 joins
+    # the current run as b, and those of (0, 2, 1, 3) when 3 joins it as d
+    up, down = chain(4).rows
+    fault = _rewritten(nccd, "_segment_fault", "if down[x] & above & rest:", "if False:")
+    assert fault(up, down, [(1, 3, 0, 2)]) == fault(up, down, [(0, 2, 1, 3)]) == 0
+    assert not segment_replay_differs_from_runs()

@@ -50,7 +50,7 @@ def test_battery_builds_each_artifact_once(monkeypatch):
 
     calls = {name: [] for name in ("noncrossing", "enumerate", "matching", "mhcd", "construction")}
     _count(monkeypatch, nccd, "_noncrossing_minimum", calls["noncrossing"])
-    _count(monkeypatch, chains, "enumerate_chain_decompositions", calls["enumerate"])
+    _count(monkeypatch, chains, "_partition_walk", calls["enumerate"])
     _count(monkeypatch, chains, "_hopcroft_karp", calls["matching"])
     _count(monkeypatch, hcd, "mhcd", calls["mhcd"])
     _count(monkeypatch, nccd, "_construction", calls["construction"])
