@@ -10,9 +10,10 @@ exact integer identity:
 
 Everything on the left-hand side depends on the decomposition only, not on
 the cut: a `CutFrame` holds the chain graph (whose comparability certifies
-homogeneity) and computes the k x n chain membership M, J, the whole-poset
-signed counts S, D_whole = M S M^T, D_whole J and det J once, and every cut
-of that decomposition carries it.
+homogeneity) and computes the k x n chain membership M, J, the Mobius matrix
+mu (by P. Hall's theorem, the signed chain counts), D_whole = M mu M^T (one
+pass of `_chain_sums` over the pairs x <= y), D_whole J and det J once, and
+every cut of that decomposition carries it.
 
 Cuts travel as (C, k) arrays of heights, in blocks of at most `_BLOCK` =
 256 from one generator, `_proper_heights`.  Every entry point answers two
@@ -35,7 +36,8 @@ poset (or is a signed sum of such counts), so its absolute value is at most
 2**n - 1.  `poset._exact_dtypes` maps such a bound to a dtype: the series
 runs on float64 BLAS for n <= 53, where every value is an integer below
 2**53 and so no sum, product or fused multiply-add rounds; on int64 for
-n <= 63; and on Python integers (dtype object) above.  With m the largest
+n <= 63; and on Python integers (dtype object) above; D_whole, summed in
+Python integers, takes that bound's integer dtype.  With m the largest
 absolute entry of D_whole, D_low and D_up in a block, every entry of D J,
 D_side J, their product and the right-hand side, and every partial sum of
 those products, is at most k**3 * m * (m + 2) in absolute value (J is 0/1),
@@ -58,7 +60,7 @@ import numpy as np
 from .chains import ChainDecomposition
 from .errors import ScopeExceededError
 from .hcd import ChainGraph, _as_decomposition, chain_graph
-from .poset import Poset, _alternating_series, _exact_dtypes, _signed_counts
+from .poset import Poset, _alternating_series, _bits, _exact_dtypes, mobius_matrix
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
@@ -74,9 +76,9 @@ class CutFrame:
     `d` is a homogeneous decomposition or its ChainGraph.  Building a frame
     from a decomposition computes the chain comparability, which certifies
     that it is homogeneous (NotHomogeneousError otherwise); a graph carries
-    its comparability already.  M, J, the whole-poset signed counts, D_whole,
-    D_whole J and det J are computed on first use and then shared by every
-    cut of the decomposition, as is the layout `_admissible` and
+    its comparability already.  M, J, the Mobius matrix, D_whole (its chain
+    sums), D_whole J and det J are computed on first use and then shared by
+    every cut of the decomposition, as is the layout `_admissible` and
     `_cut_kernel` read.
     """
 
@@ -87,7 +89,11 @@ class CutFrame:
 
     @cached_property
     def members(self) -> np.ndarray:
-        return _membership(self.decomposition)
+        """k x n chain membership M: entry (i, x) is 1 iff x lies on chain i."""
+        d = self.decomposition
+        members = np.zeros((d.k, d.poset.n), dtype=np.int64)
+        members[d.chain_of, np.arange(d.poset.n)] = 1
+        return members
 
     @cached_property
     def j(self) -> np.ndarray:
@@ -96,13 +102,13 @@ class CutFrame:
         return np.eye(k, dtype=np.int64) + self.graph.adjacency
 
     @cached_property
-    def counts(self) -> np.ndarray:
-        """Signed chain counts of the whole poset."""
-        return _signed_counts(self.poset.lt)
+    def mobius(self) -> list[list[int]]:
+        """The poset's Mobius matrix: its signed chain counts."""
+        return mobius_matrix(self.poset)
 
     @cached_property
     def d_whole(self) -> np.ndarray:
-        return self.members @ self.counts @ self.members.T
+        return _chain_sums(self.decomposition, self.mobius, (1 << self.poset.n) - 1)
 
     @cached_property
     def lhs(self) -> np.ndarray:
@@ -350,8 +356,7 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     """
     d = _as_decomposition(p, d)
     if scope == "whole":
-        members = _membership(d)
-        return (members @ _signed_counts(p.lt) @ members.T).tolist()
+        return _chain_sums(d, mobius_matrix(p), (1 << p.n) - 1).tolist()
     if scope not in ("lower", "upper"):
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
@@ -360,11 +365,16 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     return (batch.d_lower if scope == "lower" else batch.d_upper)[0].tolist()
 
 
-def _membership(d: ChainDecomposition) -> np.ndarray:
-    """k x n chain membership M: entry (i, x) is 1 iff x lies on chain i."""
-    members = np.zeros((d.k, d.poset.n), dtype=_exact_dtypes(2**d.poset.n - 1)[1])
-    members[d.chain_of, np.arange(d.poset.n)] = 1
-    return members
+def _chain_sums(d: ChainDecomposition, mu: list[list[int]], keep: int) -> np.ndarray:
+    """k x k: entry (i, j) sums mu[x][y] over the pairs x <= y in the bits of
+    `keep` with x on chain i and y on chain j."""
+    up = d.poset.rows[0]
+    sums = [[0] * d.k for _ in range(d.k)]
+    for x in _bits(keep):
+        row, out = mu[x], sums[d.chain_of[x]]
+        for y in _bits(keep & (up[x] | 1 << x)):
+            out[d.chain_of[y]] += row[y]
+    return np.array(sums, dtype=_exact_dtypes(2**d.poset.n - 1)[1]).reshape(d.k, d.k)
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:

@@ -510,18 +510,14 @@ def deletion_bounds(p: Poset, element=None) -> DeletionBoundReport:
     """Check the one-point-deletion bounds on the homogeneous chain count.
 
     Deleting z can at most halve (minus the round) the chain count and can
-    never increase it: k(P minus z) <= k(P) <= 2 k(P minus z) + 1.
-    """
-    return _deletion_bounds(p, min_homogeneous(p), element)
-
-
-def _deletion_bounds(p: Poset, k: int, element=None) -> DeletionBoundReport:
-    """The deletion check of `deletion_bounds`, given k, the MHCD's chain count.
-
-    k(P minus z) is the number of distinct closed rows of the elements other
-    than z, each with bit z cleared, so no sub-poset is built.
+    never increase it: k(P minus z) <= k(P) <= 2 k(P minus z) + 1.  The MHCD
+    is the twin classes of the closed rows, so k(P) is the number of
+    distinct closed rows, and k(P minus z) the number of distinct closed
+    rows of the elements other than z, each with bit z cleared: no
+    sub-poset is built.
     """
     closed = _closed(p)
+    k = len(set(closed))
     targets = [p.idx(element)] if element is not None else range(p.n)
     entries = []
     for z in targets:

@@ -319,9 +319,9 @@ def _signed_counts(lt: np.ndarray) -> np.ndarray:
     """Signed chain counts of a strict order matrix, as an exact numpy array.
 
     The alternating sum of the powers of the strict adjacency matrix (the
-    power A^s counts s-step chains), by `_alternating_series` from I.  Any
-    principal submatrix of a strict order is itself one, so a sub-order's
-    counts come straight from `lt[np.ix_(keep, keep)]`.
+    power A^s counts s-step chains), by `_alternating_series` from I.  The
+    cut check runs it once per poset, as the independent side of its
+    comparison with `mobius_matrix`.
 
     Every intermediate value is exact: an entry of a power, a partial sum of
     one of its dot products (added in whatever order BLAS adds them), and a
@@ -379,25 +379,19 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
     By its defining recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
     over x <= z < y, with y taken in a linear extension so that every
     mu(x, z) is ready.  The elements z are the bits of
-    (up[x] | 1 << x) & down[y] on the bit rows.
+    (up[x] | 1 << x) & down[y] on the bit rows.  By P. Hall's theorem this
+    is the signed chain-count matrix, computed another way.
     """
-    return _mobius(p, (1 << p.n) - 1)
-
-
-def _mobius(p: Poset, keep: int) -> list[list[int]]:
-    """`mobius_matrix` of the sub-order induced on the bits of `keep`, as an
-    n x n matrix that is 0 in every row and column outside them."""
     up, down = p.rows
-    order = [y for y in _topological_order(p) if keep >> y & 1]
+    order = _topological_order(p)
     mu = []
     for x in range(p.n):
         row = [0] * p.n
-        if keep >> x & 1:
-            row[x] = 1
-            at_least_x = (up[x] | 1 << x) & keep
-            for y in order:
-                if up[x] >> y & 1:
-                    row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
+        row[x] = 1
+        at_least_x = up[x] | 1 << x
+        for y in order:
+            if up[x] >> y & 1:
+                row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
         mu.append(row)
     return mu
 

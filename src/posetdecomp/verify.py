@@ -32,16 +32,17 @@ from .cut import (
     CutFrame,
     _CutBatch,
     _admissible_identities,
+    _chain_sums,
     verify_cut_identity,
 )
 from .errors import CheckFailure, InternalInconsistencyError, PosetError, refuse_above
 from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
-    _deletion_bounds,
     _embedding,
     _merge_replays,
     acyclic_orientation,
+    deletion_bounds,
     is_homogeneous,
     mhcd,
 )
@@ -60,10 +61,8 @@ from .nccd import (
 from .poset import (
     POSET_ENUMERATION_CAP,
     Poset,
-    _bits,
-    _mobius,
     enumerate_posets,
-    mobius_matrix,
+    signed_chain_count_matrix,
 )
 
 DEFAULT_CHECKS = (
@@ -197,7 +196,7 @@ def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
 
 def check_deletion(an: Analysis, seed: int = 0) -> dict:
     """One-point deletion bounds for every element."""
-    rep = _deletion_bounds(an.p, an.mhcd.k)
+    rep = deletion_bounds(an.p)
     out = {
         "name": "deletion",
         "passed": rep.ok,
@@ -211,13 +210,13 @@ def check_deletion(an: Analysis, seed: int = 0) -> dict:
 def check_cut(an: Analysis, seed: int = 0) -> dict:
     """Cut identity on every admissible cut, plus two signed-count cross-checks.
 
-    The cross-checks compare the power series against the Mobius recursion,
-    which shares no code with it: the whole poset's signed chain-count matrix
-    against its Mobius matrix, and on the first admissible cut each side's
-    chain-aggregated counts, as the cut kernel computed them, against that
-    side's own Mobius recursion (`_side_mismatch`).  Each pair must agree
-    entrywise.  All parts share the analysis' CutFrame, so the whole-poset
-    counts and the chain comparability are computed once.  The cuts are
+    The cross-checks compare the power series against the frame's Mobius
+    matrix, which shares no code with it: the whole poset's signed
+    chain-count matrix against that matrix, and on the first admissible cut
+    each side's counts, as the cut kernel's series computed them, against
+    the matrix summed over that side (`_side_mismatch`).  All parts share
+    the analysis' CutFrame, so the Mobius matrix (which D_whole sums too)
+    and the chain comparability are computed once.  The cuts are
     checked in blocks by the cut kernel; only the first failing cut gets a
     full report, which is the witness.  More than CUT_ENUMERATION_CAP proper
     cuts are refused with ScopeExceededError.
@@ -234,8 +233,8 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
             cut = Cut(p, frame.decomposition, tuple(heights[equal.index(False)]), frame)
             failure = verify_cut_identity(p, cut).to_dict()
         admissible += len(heights)
-    counts = frame.counts.tolist()
-    mobius = mobius_matrix(p)
+    counts = signed_chain_count_matrix(p)
+    mobius = frame.mobius
     hall = counts == mobius
     out = {
         "name": "cut",
@@ -256,20 +255,17 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
 
 def _side_mismatch(frame: CutFrame, heights: list[int], batch: _CutBatch) -> dict | None:
     """The first side of the cut at `heights`, the batch's first row, whose
-    chain-aggregated counts differ from the side's Mobius recursion, as a
-    witness; None when both sides agree."""
-    p, d = frame.poset, frame.decomposition
-    up = p.rows[0]
+    counts differ from the frame's Mobius matrix summed over that side, as a
+    witness; None when both sides agree.  The sides of an admissible cut are
+    a down-set and an up-set, which hold every interval between their
+    points, so mu restricted to a side is the side's own (Rota 1964)."""
+    d = frame.decomposition
     lower = sum(1 << x for chain, h in zip(d.chains, heights) for x in chain[:h])
     for side, keep, kernel in (
         ("lower", lower, batch.d_lower[0]),
-        ("upper", ((1 << p.n) - 1) & ~lower, batch.d_upper[0]),
+        ("upper", ((1 << frame.poset.n) - 1) & ~lower, batch.d_upper[0]),
     ):
-        mu = _mobius(p, keep)
-        mobius = [[0] * d.k for _ in range(d.k)]
-        for x in _bits(keep):
-            for y in _bits(keep & (up[x] | 1 << x)):
-                mobius[d.chain_of[x]][d.chain_of[y]] += mu[x][y]
+        mobius = _chain_sums(d, frame.mobius, keep).tolist()
         kernel = kernel.tolist()
         if kernel != mobius:
             return {"heights": heights, "side": side, "kernel": kernel, "mobius": mobius}

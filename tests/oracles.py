@@ -1238,6 +1238,33 @@ def mobius_by_loop(p) -> list:
     return mu
 
 
+# -- the Mobius function of a sub-order by its own recursion (the cut check
+#    ran it on both sides of the first admissible cut before it read them off
+#    the whole poset's Mobius matrix)
+
+
+def sub_order_mobius(p, keep: int) -> list:
+    """`mobius_matrix` of the sub-order induced on the bits of `keep`, as an
+    n x n matrix that is 0 in every row and column outside them."""
+    up, down = p.rows
+    order = [y for y in sorted(range(p.n), key=p.pred_counts.__getitem__) if keep >> y & 1]
+    mu = []
+    for x in range(p.n):
+        row = [0] * p.n
+        if keep >> x & 1:
+            row[x] = 1
+            at_least_x = (up[x] | 1 << x) & keep
+            for y in order:
+                if up[x] >> y & 1:
+                    row[y] = -sum(row[z] for z in _set_bits(at_least_x & down[y]))
+        mu.append(row)
+    return mu
+
+
+def _set_bits(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def catalan_closed_form(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 

@@ -324,8 +324,8 @@ def test_check_cut_witness_is_first_failing_cut(monkeypatch):
 
 def test_check_cut_compares_first_sides_with_mobius(monkeypatch):
     # a kernel whose upper side is off by one in every entry while its
-    # verdicts stand: only the comparison with the side's Mobius recursion,
-    # made on the first admissible cut, can see it
+    # verdicts stand: only the comparison with the Mobius matrix summed over
+    # the side, made on the first admissible cut, can see it
     real = cut_module._cut_kernel
 
     def skewed(frame, block):
@@ -380,6 +380,46 @@ def test_mobius_matches_loop_oracle():
     assert all(type(v) is int for row in mobius_matrix(chain(70)) for v in row)
 
 
+def _frame_family():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [random_poset(8, 0.3, seed=s) for s in range(400)]
+    return posets + [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(10)]
+
+
+def test_side_mobius_is_the_restricted_mobius():
+    # an admissible cut's lower side is a down-set and its upper side an
+    # up-set, so each side's own Mobius recursion is the poset's Mobius
+    # matrix restricted to the side: the lemma the cut check's side
+    # comparison relies on
+    cuts = 0
+    for p in _frame_family():
+        mu = mobius_matrix(p)
+        for cut in enumerate_admissible_cuts(p, mhcd(p)):
+            lower = sum(1 << x for part in cut.lower_parts for x in part)
+            for keep in (lower, ((1 << p.n) - 1) & ~lower):
+                inside = [keep >> x & 1 for x in range(p.n)]
+                restricted = [
+                    [v if inside[x] and inside[y] else 0 for y, v in enumerate(row)]
+                    for x, row in enumerate(mu)
+                ]
+                assert oracles.sub_order_mobius(p, keep) == restricted
+            cuts += 1
+    assert cuts == 10_975
+
+
+def test_d_whole_is_the_membership_product():
+    # D_whole sums the Mobius matrix over chain pairs; M S M^T sums the
+    # power series' signed counts.  chain(70) and wrap_forest(64) reach the
+    # Python-integer tier, wrap_forest(56..63) the int64 one
+    posets = _frame_family() + [chain(70)] + [wrap_forest(n, seed=0) for n in range(56, 65)]
+    for p in posets:
+        frame = cut_module.CutFrame(p, mhcd(p))
+        members = frame.members.astype(object)
+        counts = np.array(signed_chain_count_matrix(p), dtype=object)
+        assert frame.d_whole.tolist() == (members @ counts @ members.T).tolist()
+        assert frame.d_whole.dtype == (object if p.n > 63 else np.int64)
+
+
 def _count_calls(monkeypatch, name, modules):
     calls = []
     real = getattr(modules[0], name)
@@ -399,14 +439,19 @@ def _check_cut_family():
 
 
 def test_check_cut_builds_one_frame(monkeypatch):
+    # one Mobius recursion per poset, read by D_whole and by both
+    # cross-checks, and one power series, the Hall comparison's other side
     comparability = _count_calls(monkeypatch, "_comparable_pairs", [hcd])
-    counts = _count_calls(monkeypatch, "_signed_counts", [poset, cut_module, verify])
+    mobius = _count_calls(monkeypatch, "mobius_matrix", [poset, cut_module])
+    counts = _count_calls(monkeypatch, "_signed_counts", [poset])
     for p in _check_cut_family():
         comparability.clear()
+        mobius.clear()
         counts.clear()
         out = verify.check_cut(verify.Analysis(p))
         assert out["passed"]
         assert len(comparability) == 1
+        assert len(mobius) == 1
         assert len(counts) == 1
 
 

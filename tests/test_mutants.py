@@ -263,6 +263,24 @@ def j_without_identity(monkeypatch):
              "np.zeros((k, k), dtype=np.int64) + ", into=(cut_module, verify))
 
 
+def mobius_without_sign(monkeypatch):
+    """The Mobius recursion drops its sign: mu(x, y) sums mu(x, z) over x <= z < y."""
+    _rewrite(monkeypatch, poset, "mobius_matrix", "row[y] = -sum(", "row[y] = sum(",
+             into=(poset, cut_module))
+
+
+def mobius_unordered(monkeypatch):
+    """The Mobius recursion takes y in index order, not in a linear extension."""
+    _rewrite(monkeypatch, poset, "mobius_matrix", "order = _topological_order(p)",
+             "order = list(range(p.n))", into=(poset, cut_module))
+
+
+def chain_sums_skip_diagonal(monkeypatch):
+    """The chain sums of the Mobius matrix skip the pairs x = y."""
+    _rewrite(monkeypatch, cut_module, "_chain_sums", "keep & (up[x] | 1 << x)", "keep & up[x]",
+             into=(cut_module, verify))
+
+
 def closure_skips_last_pivot(monkeypatch):
     """Warshall's closure on bit rows never pivots on the last element."""
     _rewrite(monkeypatch, poset, "_closure_rows", "for k in range(len(reach)):",
@@ -322,7 +340,7 @@ def markers_against_all_chains(monkeypatch):
 
 def deletion_keeps_column_z(monkeypatch):
     """The deletion counts compare the closed rows without clearing bit z."""
-    _rewrite(monkeypatch, hcd, "_deletion_bounds", "row & ~(1 << z)", "row", into=(hcd, verify))
+    _rewrite(monkeypatch, hcd, "deletion_bounds", "row & ~(1 << z)", "row", into=(hcd, verify))
 
 
 def matching_one_phase(monkeypatch):
@@ -511,6 +529,9 @@ MUTANTS = {
     "side-series-keeps-v0": (side_series_keeps_v0, check_fails("cut")),
     "float-tier-past-53": (float_tier_past_53, float_tier_differs_from_mobius),
     "j-without-identity": (j_without_identity, check_fails("cut")),
+    "mobius-without-sign": (mobius_without_sign, check_fails("cut")),
+    "mobius-unordered": (mobius_unordered, check_fails("cut")),
+    "chain-sums-skip-diagonal": (chain_sums_skip_diagonal, check_fails("cut")),
     "closure-skips-last-pivot": (closure_skips_last_pivot, closure_differs_from_squaring_oracle),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "down-pass-drops-own-bit": (down_pass_drops_own_bit, rows_differ_from_matrix),

@@ -62,7 +62,8 @@ def test_battery_builds_each_artifact_once(monkeypatch):
         assert len(calls["enumerate"]) == (1 if p.n <= 6 else 0)
         # one matching: the noncrossing search takes its width from the Dilworth pair
         assert len(calls["matching"]) == 1
-        # the analysis alone; the deletion and embedding checks read its MHCD
+        # the analysis alone: the embedding check reads its MHCD, and the
+        # deletion check counts the distinct closed rows
         assert sum(q is p for q in calls["mhcd"]) == 1
         assert len(calls["construction"]) == 1
 
