@@ -15,13 +15,13 @@ For every workload in WORKLOADS, pair i of PAIRS runs `perfbench/run.py
 in odd ones, so slow drift of the machine lands on both sides alike.  Then
 each input in ANALYZE_INPUTS is timed the same way as one `posetdecomp
 analyze --dilworth --mhcd --json` process, on one input file that the base
-side's `generate` wrote, and each command in VERIFY_INPUTS as one
-`posetdecomp` process, for its wall time and peak RSS, under the BLAS
-thread settings perfbench gives its children (one thread), so that no BLAS
-thread pool sets a record's time or peak RSS.  The JSON holds the
-machine, both revisions, the exact commands, every run, and per metric each
-side's median and quartiles and the number of pairs in which head beat base
-(ties count for neither).
+side's `generate` wrote at its default density and seed, and each command
+in VERIFY_INPUTS as one `posetdecomp` process, for its wall time and peak
+RSS, under the BLAS thread settings perfbench gives its children (one
+thread), so that no BLAS thread pool sets a record's time or peak RSS.  The
+JSON holds the machine, both revisions, the exact commands, every run, and
+per metric each side's median and quartiles and the number of pairs in
+which head beat base (ties count for neither).
 The perfbench commands run in each side's export; the other commands run
 in the directory that holds both exports, base/ and head/, and the input
 files.
@@ -41,7 +41,11 @@ import time
 
 PAIRS = 10
 WORKLOADS = ("exhaustive-n5", "random-n8", "wrapforest-n20", "analyze-large")
-ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000), ("wrapforest", 16000))
+# the sparse scale inputs, and dense random posets at generate's defaults
+# (density 0.3, seed 0): n = 300 is perfbench's rnd300, whose analyze output
+# is mostly the 40,529 oriented MHCD edges, and n = 1000 writes 10 MB of them
+ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000), ("wrapforest", 16000),
+                  ("random", 300), ("random", 1000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the segments
 # check (the avoider walk and its prefix replay) alone on every n <= 5 poset,

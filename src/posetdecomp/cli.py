@@ -25,7 +25,7 @@ from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError, r
 from .generate import FAMILIES, make_family
 from .hcd import ChainGraph, _embedding
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
-from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
+from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset, _bits
 from .textio import dumps, load, loads
 from .verify import DEFAULT_CHECKS, Analysis, verify_exhaustive, verify_random
 
@@ -39,8 +39,11 @@ def _read_poset(path: str) -> Poset:
 
 
 def _emit_json(doc: dict) -> None:
-    # compact: with indent, json falls back to its pure-Python encoder
-    print(json.dumps(doc, sort_keys=True))
+    # compact, since with indent json falls back to its pure-Python encoder;
+    # every document is a tree built afresh, so the C encoder is spared its
+    # circular-reference bookkeeping (one id per container) and writes the
+    # same bytes
+    print(json.dumps(doc, sort_keys=True, check_circular=False))
 
 
 # -- analyze --------------------------------------------------------------------
@@ -61,7 +64,8 @@ def _section_mhcd(an: Analysis, unsafe: bool) -> dict:
     gr = an.graph
     d = gr.decomposition
     names = [list(map(str, c)) for c in d.chains_as_labels()]
-    edges = [[names[i], names[j]] for i, j in gr.edges()]
+    # straight off the oriented out rows, in the order of gr.edges()
+    edges = [[names[i], names[j]] for i, row in enumerate(gr.rows[0]) for j in _bits(row)]
     return {
         "k": d.k,
         "decomposition": d.to_lines(),
@@ -124,8 +128,11 @@ def _print_analysis(doc: dict) -> None:
         print(f"minimal homogeneous decomposition: k = {sec['k']}")
         for line in sec["decomposition"]:
             print(f"  {line}")
-        for src, dst in sec["oriented_edges"]:
-            print(f"  edge: <{','.join(src)}> -> <{','.join(dst)}>")
+        if sec["oriented_edges"]:
+            # one write for what can be tens of thousands of lines
+            print("\n".join(
+                f"  edge: <{','.join(src)}> -> <{','.join(dst)}>" for src, dst in sec["oriented_edges"]
+            ))
     if "cut-check" in s:
         sec = s["cut-check"]
         holds = "holds on all" if sec["identity_holds"] else "FAILS"

@@ -42,7 +42,8 @@ absolute entry of D_whole, D_low and D_up in a block, every entry of D J,
 D_side J, their product and the right-hand side, and every partial sum of
 those products, is at most k**3 * m * (m + 2) in absolute value (J is 0/1),
 so the k x k products take their dtype from that bound, which the kernel
-computes on the matrices it has.  Every matrix a float64 tier computes
+computes on the matrices it has; the frame's D_whole J alone needs only
+k * m, D_whole's own largest entry.  Every matrix a float64 tier computes
 leaves the kernel as int64, so a batch holds int64 or Python integers only,
 and reports carry both sides of the identity verbatim, as Python integers.
 """
@@ -112,7 +113,10 @@ class CutFrame:
 
     @cached_property
     def lhs(self) -> np.ndarray:
-        return self.d_whole.astype(object) @ self.j
+        """D_whole J.  J is 0/1, so every entry and every partial sum of the
+        product is at most k times D_whole's largest |entry|."""
+        work, exact = _exact_dtypes(self.decomposition.k * _abs_max(self.d_whole))
+        return (self.d_whole.astype(work) @ self.j.astype(work)).astype(exact, copy=False)
 
     @cached_property
     def j_determinant(self) -> int:

@@ -679,6 +679,27 @@ def orientation_by_minima(p, chains, comp):
     return comp & below
 
 
+
+def oriented_edges_by_pairs(p, chains):
+    """The oriented chain graph as label pairs, from p.lt and the chains
+    alone: chains a and b form an edge when every cross pair is comparable,
+    pointing from the one whose minimum lies below the other's; listed by
+    source chain, then by target chain, in the order of `chains`."""
+
+    def minimum(c):
+        return next(x for x in c if not any(p.lt[y, x] for y in c))
+
+    names = [[str(p.labels[x]) for x in c] for c in chains]
+    return [
+        [names[i], names[j]]
+        for i, a in enumerate(chains)
+        for j, b in enumerate(chains)
+        if i != j
+        and all(comparable(p, x, y) for x in a for y in b)
+        and p.lt[minimum(a), minimum(b)]
+    ]
+
+
 class Refuted(AssertionError):
     """An oracle's failed check, worded as the library words a CheckFailure."""
 

@@ -7,13 +7,18 @@ import time
 
 import pytest
 
+import posetdecomp.cli
 import posetdecomp.cut
 import posetdecomp.hcd
 import posetdecomp.verify
-from posetdecomp.cli import main
+from posetdecomp.cli import _print_analysis, _section_mhcd, main
 from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
-from posetdecomp.generate import FAMILIES, chain, two_chain_fan, wrap_forest
+from posetdecomp.generate import FAMILIES, chain, random_poset, two_chain_fan, wrap_forest
+from posetdecomp.poset import enumerate_posets
 from posetdecomp.textio import dumps
+from posetdecomp.verify import Analysis
+
+import oracles
 
 CLI = [sys.executable, "-m", "posetdecomp.cli"]
 
@@ -278,6 +283,64 @@ def test_analyze_1000_chain_in_process(tmp_path, capsys):
     assert code == 0
     assert doc["sections"]["mhcd"]["k"] == 1
     assert doc["sections"]["dilworth"]["minimum_chains"] == 1
+
+
+def test_mhcd_section_edges_match_pair_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [random_poset(8, 0.3, seed=s) for s in range(50)]
+    posets += [wrap_forest(20, seed=s) for s in range(50)]
+    posets.append(random_poset(60, 0.3))
+    edges = 0
+    for p in posets:
+        an = Analysis(p)
+        got = _section_mhcd(an, False)["oriented_edges"]
+        assert got == oracles.oriented_edges_by_pairs(p, an.mhcd.chains)
+        edges += len(got)
+    assert edges > 0
+
+
+def _analyze_json(make):
+    """argv for `analyze --dilworth --mhcd --json` on make(), written under tmp_path."""
+
+    def argv(tmp_path):
+        target = tmp_path / "p.txt"
+        target.write_text(dumps(make()))
+        return ["analyze", str(target), "--dilworth", "--mhcd", "--json"]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _analyze_json(lambda: random_poset(300, 0.3)),
+        _analyze_json(lambda: wrap_forest(600)),
+        _analyze_json(lambda: chain(1000)),
+        lambda tmp_path: ["verify", "random", "--n", "8", "--count", "20", "--json"],
+    ],
+    ids=["rnd300", "wf600", "chain1000", "verify-random-n8"],
+)
+def test_json_output_is_plain_sorted_dumps(monkeypatch, tmp_path, capsys, argv):
+    # the encoder runs without its circular-reference check: same bytes
+    docs = []
+    real = posetdecomp.cli._emit_json
+    monkeypatch.setattr(posetdecomp.cli, "_emit_json", lambda doc: (docs.append(doc), real(doc)))
+    assert main(argv(tmp_path)) == 0
+    assert capsys.readouterr().out == json.dumps(docs[0], sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("p", [random_poset(8, 0.3, seed=3), chain(4)], ids=["edges", "no-edges"])
+def test_text_analysis_prints_one_line_per_edge(capsys, p):
+    an = Analysis(p)
+    doc = {"n": p.n, "sections": {"mhcd": _section_mhcd(an, False)}, "findings": []}
+    _print_analysis(doc)
+    lines = capsys.readouterr().out.split("\n")
+    edges = doc["sections"]["mhcd"]["oriented_edges"]
+    assert lines[-1] == "" and "" not in lines[:-1]
+    assert [line for line in lines if line.startswith("  edge: ")] == [
+        f"  edge: <{','.join(src)}> -> <{','.join(dst)}>" for src, dst in edges
+    ]
+    assert bool(edges) == (p.n == 8)
 
 
 def test_main_is_callable_in_process(capsys):

@@ -380,6 +380,17 @@ def test_mobius_matches_loop_oracle():
     assert all(type(v) is int for row in mobius_matrix(chain(70)) for v in row)
 
 
+def test_lhs_is_the_exact_object_product():
+    # D_whole J in the dtype its bound allows, k times D_whole's largest entry
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    for p in posets + [wrap_forest(600, seed=0)]:
+        frame = verify.Analysis(p).frame
+        assert frame.lhs.dtype == np.int64
+        assert frame.lhs.tolist() == (frame.d_whole.astype(object) @ frame.j).tolist()
+    # at n = 600 the whole-poset counts' bound is past 2**63, the product's is not
+    assert frame.d_whole.dtype == object
+
+
 def _frame_family():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += [random_poset(8, 0.3, seed=s) for s in range(400)]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
-from posetdecomp import chains, hcd, nccd, poset, verify
+from posetdecomp import chains, cli, hcd, nccd, poset, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
@@ -175,6 +175,11 @@ def orient_reversed(monkeypatch):
     """Every comparable chain pair points from the chain with the larger minimum."""
     _rewrite(monkeypatch, hcd, "_comparable_pairs", "above, below = up[chain[0]], down[chain[0]]",
              "below, above = up[chain[0]], down[chain[0]]")
+
+
+def section_reads_into_rows(monkeypatch):
+    """The MHCD section lists its edges off the into rows instead of the out rows."""
+    _rewrite(monkeypatch, cli, "_section_mhcd", "gr.rows[0]", "gr.rows[1]")
 
 
 def wrap_keeps_own_chain(monkeypatch):
@@ -463,6 +468,15 @@ def orientation_differs_from_oracle() -> bool:
     return False
 
 
+def mhcd_section_differs_from_pair_oracle() -> bool:
+    """test_cli.test_mhcd_section_edges_match_pair_oracle, on FAMILY."""
+    for p in FAMILY:
+        an = verify.Analysis(p)
+        if cli._section_mhcd(an, False)["oriented_edges"] != oracles.oriented_edges_by_pairs(p, an.mhcd.chains):
+            return True
+    return False
+
+
 def segment_replay_differs_from_runs() -> bool:
     """The prefix replay without its 132 test, one permutation per call, on
     SEGMENT_CASES, against the consecutive-pair runs of `_avoider_runs`
@@ -513,6 +527,8 @@ MUTANTS = {
     "orient-by-index": (orient_by_index, check_fails("embedding")),
     # the battery cannot see this one: a reversed acyclic orientation has the same symmetries
     "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
+    # the battery never reads the section, only the graph it lists
+    "section-reads-into-rows": (section_reads_into_rows, mhcd_section_differs_from_pair_oracle),
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
