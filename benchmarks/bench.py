@@ -48,7 +48,7 @@ ANALYZE_INPUTS = (("chain", 2000), ("antichain", 2000), ("wrapforest", 8000), ("
                   ("random", 300), ("random", 1000))
 ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the segments
-# check (the avoider walk and its prefix replay) alone on every n <= 5 poset,
+# check (its one walk of the avoider tree) alone on every n <= 5 poset,
 # the dilworth and homogeneous checks (the brute-force partition walk and
 # the merge replays) alone on every n <= 5 poset,
 # the cut check alone on wrap forests of 30 elements, the homogeneous check

@@ -18,6 +18,12 @@ plane tree built by leftmost attachment.  Each stage, the wrap order too, is
 one pass on bit rows: comparable chains interleave in one block iff one lies
 in a single gap of the other (the gap rule), and the tree's leftmost path is
 a prefix of its preorder (the prefix rule), so no tree is built.
+
+The middle inequalities rest on one lemma: the ascending runs of every
+132-avoiding permutation form a noncrossing decomposition.  The segments
+check tests it with one depth-first walk of the avoider tree that carries
+the run and crossing state down to each child, so every prefix is processed
+once and no avoider list is built.
 """
 
 from __future__ import annotations
@@ -195,67 +201,77 @@ def _avoider_runs(up: list[int], down: list[int], perm: Sequence[int]) -> list |
     return runs
 
 
-def _segment_fault(up: list[int], down: list[int], perms: Sequence[Sequence[int]]) -> int | None:
-    """The index of the first permutation in perms with a 132 pattern or
-    crossing ascending runs, or None.
+def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
+    """Walk the 132-avoider tree once, testing each node's runs for a crossing.
 
-    The list is read as a prefix tree.  Frame i is the state after the first
-    i elements: the unused and `above` masks of `_avoider_runs`, the up row
-    of the current run's top (`reach`), the run's lowest element and mask,
-    the forbidden mask, and the closed runs as (lowest element, mask) pairs.
-    Each permutation restores the frame at its common prefix with the one
-    before and processes only the rest.  Each new element is tested for a
-    132 pattern as in `_avoider_runs`, and one that extends the current run
-    must lie above all of it.  Only the current run grows, and its new
-    element v is its top, so a new crossing has v as b (a closed run has an
-    element between the run's lowest element and v, and another above v) or
-    as d (v is forbidden: it lies above some b of a closed run with a
-    current-run element between that run's lowest element and b).
+    Returns (count, flagged).  Unflagged, count is the number of avoiders.
+    Flagged, count is the number of avoiders before the first node whose new
+    element leaves its run no chain or completes a crossing; the first
+    avoider through that node is the one at that index in
+    `permutations_avoiding`'s list, since the walk tries candidates lowest
+    bit first and prunes them by the same 132 test.  Every node the prune
+    keeps lies on an avoider: completing its prefix with the unused elements
+    in a linear extension's order adds no 132 pattern.
+
+    A node passes down the `above` mask of the 132 test, the up row of the
+    current run's top (`reach`), the run's lowest element and mask, the
+    forbidden mask, and the closed runs as (lowest element, mask) pairs.
+    A new element that extends the current run must lie above all of it.
+    Only the current run grows, and its new element v is its top, so a new
+    crossing has v as b (a closed run has an element between the run's
+    lowest element and v, and another above v) or as d (v is forbidden: it
+    lies above some b of a closed run with a current-run element between
+    that run's lowest element and b).
     """
     n = len(up)
+    if n == 0:
+        return 1, False  # the empty permutation
     # ups[mask]: the union of up[b] over the elements b of mask
     ups = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         ups[mask] = ups[mask ^ low] | up[low.bit_length() - 1]
-    frames = [((1 << n) - 1, 0, 0, -1, 0, 0, ())] * (n + 1)
-    prev: Sequence[int] = ()
-    for at, perm in enumerate(perms):
-        depth = 0
-        for x, y in zip(prev, perm):
-            if x != y:
-                break
-            depth += 1
-        rest, above, reach, low, run, forbidden, closed = frames[depth]
-        for i in range(depth, n):
-            x = perm[i]
-            rest ^= 1 << x
+    count = 0
+
+    def walk(unused: int, above: int, reach: int, low: int, run: int, forbidden: int,
+             closed: tuple) -> bool:
+        nonlocal count
+        group = unused
+        while group:
+            bit = group & -group
+            group ^= bit
+            rest = unused ^ bit
+            x = bit.bit_length() - 1
             if down[x] & above & rest:
-                return at
+                continue
             ux = up[x]
-            above |= ux
-            if reach >> x & 1:
+            if reach & bit:
                 # the run stays a chain: x lies above all of it
                 if run & ~down[x] or forbidden >> x & 1:
-                    return at
+                    return True
                 between = up[low] & down[x]
+                grown = forbidden
                 for c, mask in closed:
                     if mask & between and mask & ux:
-                        return at
-                    if up[c] >> x & 1:
-                        forbidden |= ups[mask & ux]
-                run |= 1 << x
-            else:
-                if run:
-                    closed += ((low, run),)
-                low, run, forbidden = x, 1 << x, 0
-                for c, mask in closed:
-                    if up[c] >> x & 1:
-                        forbidden |= ups[mask & ux]
-            reach = ux
-            frames[i + 1] = (rest, above, reach, low, run, forbidden, closed)
-        prev = perm
-    return None
+                        return True
+                    if up[c] & bit:
+                        grown |= ups[mask & ux]
+                head, joined, shut = low, run | bit, closed
+            elif rest:
+                # x opens a run; a leaf passes no state down
+                head, joined, grown = x, bit, 0
+                shut = closed + ((low, run),) if run else closed
+                for c, mask in shut:
+                    if up[c] & bit:
+                        grown |= ups[mask & ux]
+            if not rest:
+                count += 1
+            elif walk(rest, above | ux, ux, head, joined, grown, shut):
+                return True
+        return False
+
+    flagged = walk((1 << n) - 1, 0, 0, -1, 0, 0, ())
+    return count, flagged
 
 
 def is_132_avoiding(p: Poset, perm: Sequence) -> bool:

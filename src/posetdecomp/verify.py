@@ -55,7 +55,7 @@ from .nccd import (
     _construction,
     _crossing,
     _noncrossing_minimum,
-    _segment_fault,
+    _segment_walk,
     count_noncrossing_decompositions,
 )
 from .poset import (
@@ -316,12 +316,13 @@ def check_bounds(an: Analysis, seed: int = 0) -> dict:
 def check_segments(an: Analysis, seed: int = 0) -> dict:
     """Every 132-avoiding permutation's runs form a noncrossing decomposition.
 
-    `nccd._segment_fault` replays the avoider scan's list as a prefix tree,
-    testing only each permutation's new suffix: every new element for a 132
-    pattern, for keeping its run a chain and for a crossing with the closed
-    runs.  The first permutation it flags is the witness.  It is split once
-    at its descents and classified on its own: a 132 pattern, a run that is
-    not a chain, or two runs that cross.
+    `nccd._segment_walk` walks the avoider tree once, pruning by the kernel's
+    132 test, and tests each node's new element for keeping its run a chain
+    and for a crossing with the closed runs; it returns the avoider count.
+    Only when it flags a node is the avoider list built: the first avoider
+    through that node is the witness.  It is split once at its descents and
+    classified on its own: a 132 pattern, a run that is not a chain, or two
+    runs that cross.
     """
     p = an.p
     if p.n > SEGMENT_SWEEP_CAP:
@@ -331,11 +332,10 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
             "details": {"permutations": 0, "skipped": f"n > {SEGMENT_SWEEP_CAP}"},
         }
     up, down = p.rows
-    perms = permutations_avoiding(up, down)
-    swept = _segment_fault(up, down, perms)
-    if swept is None:
-        return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
-    perm = perms[swept]
+    count, flagged = _segment_walk(up, down)
+    if not flagged:
+        return {"name": "segments", "passed": True, "details": {"permutations": count}}
+    perm = permutations_avoiding(up, down)[count]
     runs = _avoider_runs(up, down, perm)
     if runs is None:
         fault = "not 132-avoiding"
@@ -346,12 +346,12 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
         fault = "ascending runs cross"
     else:
         raise InternalInconsistencyError(
-            f"the prefix replay flags permutation {swept}, whose runs pass on their own"
+            f"the avoider walk flags avoider {count}, whose runs pass on their own"
         )
     return {
         "name": "segments",
         "passed": False,
-        "details": {"permutations": swept, "error": fault},
+        "details": {"permutations": count, "error": fault},
         "witness": {"permutation": [str(p.labels[x]) for x in perm]},
     }
 

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 from collections import deque
+from typing import Sequence
 
 import numpy as np
 
@@ -870,6 +871,84 @@ def segments_record(p, perms) -> dict:
             "witness": {"permutation": [str(p.labels[x]) for x in perm]},
         }
     return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
+
+
+# The battery's segments check before it walked the avoider tree itself
+# (`nccd._segment_walk`), kept verbatim: the prefix replay of the avoider
+# list.
+def segment_fault(up: list[int], down: list[int], perms: Sequence[Sequence[int]]) -> int | None:
+    """The index of the first permutation in perms with a 132 pattern or
+    crossing ascending runs, or None.
+
+    The list is read as a prefix tree.  Frame i is the state after the first
+    i elements: the unused and `above` masks of `_avoider_runs`, the up row
+    of the current run's top (`reach`), the run's lowest element and mask,
+    the forbidden mask, and the closed runs as (lowest element, mask) pairs.
+    Each permutation restores the frame at its common prefix with the one
+    before and processes only the rest.  Each new element is tested for a
+    132 pattern as in `_avoider_runs`, and one that extends the current run
+    must lie above all of it.  Only the current run grows, and its new
+    element v is its top, so a new crossing has v as b (a closed run has an
+    element between the run's lowest element and v, and another above v) or
+    as d (v is forbidden: it lies above some b of a closed run with a
+    current-run element between that run's lowest element and b).
+    """
+    n = len(up)
+    # ups[mask]: the union of up[b] over the elements b of mask
+    ups = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        ups[mask] = ups[mask ^ low] | up[low.bit_length() - 1]
+    frames = [((1 << n) - 1, 0, 0, -1, 0, 0, ())] * (n + 1)
+    prev: Sequence[int] = ()
+    for at, perm in enumerate(perms):
+        depth = 0
+        for x, y in zip(prev, perm):
+            if x != y:
+                break
+            depth += 1
+        rest, above, reach, low, run, forbidden, closed = frames[depth]
+        for i in range(depth, n):
+            x = perm[i]
+            rest ^= 1 << x
+            if down[x] & above & rest:
+                return at
+            ux = up[x]
+            above |= ux
+            if reach >> x & 1:
+                # the run stays a chain: x lies above all of it
+                if run & ~down[x] or forbidden >> x & 1:
+                    return at
+                between = up[low] & down[x]
+                for c, mask in closed:
+                    if mask & between and mask & ux:
+                        return at
+                    if up[c] >> x & 1:
+                        forbidden |= ups[mask & ux]
+                run |= 1 << x
+            else:
+                if run:
+                    closed += ((low, run),)
+                low, run, forbidden = x, 1 << x, 0
+                for c, mask in closed:
+                    if up[c] >> x & 1:
+                        forbidden |= ups[mask & ux]
+            reach = ux
+            frames[i + 1] = (rest, above, reach, low, run, forbidden, closed)
+        prev = perm
+    return None
+
+
+def replay_record(p, perms) -> dict:
+    """The segments check's record on p as the prefix replay gave it: the
+    first permutation of perms it flags, classified on its own."""
+    at = segment_fault(*p.rows, perms)
+    if at is None:
+        return {"name": "segments", "passed": True, "details": {"permutations": len(perms)}}
+    record = segments_record(p, perms[at : at + 1])
+    assert not record["passed"], "the replay flags a permutation whose runs pass"
+    record["details"]["permutations"] = at
+    return record
 
 
 def naive_avoiders(p):

@@ -9,6 +9,7 @@ pass on the library as it is and fail under the defect.
 import inspect
 import itertools
 import linecache
+import math
 import random
 
 import numpy as np
@@ -188,37 +189,44 @@ def wrap_keeps_own_chain(monkeypatch):
 
 
 def crossing_without_top(monkeypatch):
-    """The replay's crossing test drops the b < d condition: a closed run
+    """The walk's crossing test drops the b < d condition: a closed run
     inside (low, v) suffices."""
-    _rewrite(monkeypatch, nccd, "_segment_fault", "mask & between and mask & ux",
+    _rewrite(monkeypatch, nccd, "_segment_walk", "mask & between and mask & ux",
              "mask & between", into=(verify,))
 
 
 def run_extends_above_first(monkeypatch):
     """An element joins the current run when it lies above the run's first element."""
-    _rewrite(monkeypatch, nccd, "_segment_fault", "reach = ux", "reach = up[low]",
+    _rewrite(monkeypatch, nccd, "_segment_walk", "above | ux, ux, head", "above | ux, up[head], head",
              into=(verify,))
 
 
-def replay_one_level_deep(monkeypatch):
-    """The replay files each frame one level early, so it restores the frame
-    one element past the common prefix."""
-    _rewrite(monkeypatch, nccd, "_segment_fault", "frames[i + 1] = (", "frames[i] = (",
-             into=(verify,))
+def child_keeps_parent_forbidden(monkeypatch):
+    """The walk passes a child its parent's forbidden mask instead of the
+    updated one."""
+    _rewrite(monkeypatch, nccd, "_segment_walk", "joined, grown, shut)", "joined, forbidden, shut)",
+             into=(nccd, verify))
 
 
 def segment_skips_role_b(monkeypatch):
-    """The replay drops its role-b test: an element extending the current run
+    """The walk drops its role-b test: an element extending the current run
     is never checked against a closed run with elements between and above."""
-    _rewrite(monkeypatch, nccd, "_segment_fault", "if mask & between and mask & ux:",
+    _rewrite(monkeypatch, nccd, "_segment_walk", "if mask & between and mask & ux:",
              "if False:", into=(nccd, verify))
 
 
 def segment_skips_role_d(monkeypatch):
-    """The replay drops its role-d test: an element extending the current run
+    """The walk drops its role-d test: an element extending the current run
     may lie above a closed run's b with a current-run element between."""
-    _rewrite(monkeypatch, nccd, "_segment_fault", " or forbidden >> x & 1", "",
+    _rewrite(monkeypatch, nccd, "_segment_walk", " or forbidden >> x & 1", "",
              into=(nccd, verify))
+
+
+def segment_prune_without_rest(monkeypatch):
+    """The walk's 132 prune drops `& rest`: a candidate is pruned when any
+    element, used or not, lies between it and an earlier one."""
+    _rewrite(monkeypatch, nccd, "_segment_walk", "if down[x] & above & rest:", "if down[x] & above:",
+             into=(verify,))
 
 
 def walk_joins_incomparable(monkeypatch):
@@ -477,21 +485,39 @@ def mhcd_section_differs_from_pair_oracle() -> bool:
     return False
 
 
-def segment_replay_differs_from_runs() -> bool:
-    """The prefix replay without its 132 test, one permutation per call, on
-    SEGMENT_CASES, against the consecutive-pair runs of `_avoider_runs`
-    (without its 132 test either), their chain test and `_crossing`."""
-    test = "if down[x] & above & rest:"
-    fault = _rewritten(nccd, "_segment_fault", test, "if False:")
-    split = _rewritten(nccd, "_avoider_runs", test, "if False:")
+def _path_walk():
+    """`nccd._segment_walk` with its 132 prune lifted and replaced by one
+    that keeps only the permutation `walk.__globals__["PATH"]`: it returns
+    (0, True) when that permutation's runs are flagged, else (1, False)."""
+    return _rewritten(nccd, "_segment_walk", "if down[x] & above & rest:",
+                      "if x != PATH[n - 1 - rest.bit_count()]:")
+
+
+def segment_walk_differs_from_runs() -> bool:
+    """The avoider walk without its 132 prune, along one permutation per
+    call, on SEGMENT_CASES, against the consecutive-pair runs of
+    `_avoider_runs` (without its 132 test), their chain test and `_crossing`."""
+    walk = _path_walk()
+    split = _rewritten(nccd, "_avoider_runs", "if down[x] & above & rest:", "if False:")
     for p, perm in SEGMENT_CASES:
         up, down = p.rows
         runs = split(up, down, perm)
         chained = all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:]))
         expected = not chained or nccd._crossing(up, down, runs) is not None
-        if (fault(up, down, [perm]) is not None) != expected:
+        walk.__globals__["PATH"] = perm
+        if walk(up, down)[1] != expected:
             return True
     return False
+
+
+def over_pruned_count_differs_from_catalan() -> bool:
+    """test_verify.test_segments_counts_avoiders_without_the_kernel's
+    Catalan pin: the segments check's avoider count on chain(n), n = 0..6."""
+    return any(
+        verify.run_poset_checks(chain(n), which=("segments",))["checks"][0]["details"]
+        != {"permutations": math.comb(2 * n, n) // (n + 1)}
+        for n in range(7)
+    )
 
 
 def float_tier_differs_from_mobius() -> bool:
@@ -532,11 +558,13 @@ MUTANTS = {
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
-    "replay-one-level-deep": (replay_one_level_deep, check_fails("segments")),
-    # the replay's own 132 re-test flags every avoider list these two break,
-    # so the battery cannot see them
-    "segment-skips-role-b": (segment_skips_role_b, segment_replay_differs_from_runs),
-    "segment-skips-role-d": (segment_skips_role_d, segment_replay_differs_from_runs),
+    # every crossing of ascending runs comes with a 132 pattern that the walk
+    # prunes, so the battery cannot see a missed crossing
+    "child-keeps-parent-forbidden": (child_keeps_parent_forbidden, segment_walk_differs_from_runs),
+    "segment-skips-role-b": (segment_skips_role_b, segment_walk_differs_from_runs),
+    "segment-skips-role-d": (segment_skips_role_d, segment_walk_differs_from_runs),
+    # nor a lost avoider: the check passes with a smaller count
+    "segment-prune-without-rest": (segment_prune_without_rest, over_pruned_count_differs_from_catalan),
     "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
@@ -586,10 +614,14 @@ def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
         assert errors and any(e.startswith(error) for e in errors)
 
 
-def test_segment_replay_tests_both_crossing_roles():
+def test_segment_walk_tests_both_crossing_roles():
     # in the chain 0 < 1 < 2 < 3, the runs of (1, 3, 0, 2) cross when 2 joins
     # the current run as b, and those of (0, 2, 1, 3) when 3 joins it as d
     up, down = chain(4).rows
-    fault = _rewritten(nccd, "_segment_fault", "if down[x] & above & rest:", "if False:")
-    assert fault(up, down, [(1, 3, 0, 2)]) == fault(up, down, [(0, 2, 1, 3)]) == 0
-    assert not segment_replay_differs_from_runs()
+    walk = _path_walk()
+    for perm in ((1, 3, 0, 2), (0, 2, 1, 3)):
+        walk.__globals__["PATH"] = perm
+        assert walk(up, down) == (0, True)
+    walk.__globals__["PATH"] = (0, 1, 2, 3)
+    assert walk(up, down) == (1, False)
+    assert not segment_walk_differs_from_runs()

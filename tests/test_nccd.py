@@ -34,7 +34,7 @@ from posetdecomp import (
     wrap_order,
     wrap_relation,
 )
-from posetdecomp import hcd, nccd, verify
+from posetdecomp import hcd, kernels, nccd, verify
 from posetdecomp.chains import enumerate_chain_decompositions
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.poset import _bitrows, _extension_rows, enumerate_posets
@@ -148,6 +148,22 @@ def test_132_predicate_matches_oracle():
             assert set(all_132_avoiding(p)) == naive
             for perm in itertools.permutations(p.labels):
                 assert is_132_avoiding(p, perm) == (perm in naive)
+
+
+def test_segment_walk_flags_what_the_prefix_replay_flags():
+    # a cover relation is acyclic but not transitive, so the runs of its
+    # avoiders can stop being chains or cross: the walk must flag the first
+    # avoider that the prefix replay flags, and count them all otherwise
+    flagged = 0
+    for p in (p for n in range(6) for p in enumerate_posets(n)):
+        lt = p.lt.astype(np.int64)
+        for m in (p.lt, p.lt & ~(lt @ lt).astype(bool)):
+            up, down = oracles.bit_rows(m)
+            perms = kernels.permutations_avoiding(up, down)
+            at = oracles.segment_fault(up, down, perms)
+            assert nccd._segment_walk(up, down) == ((len(perms), False) if at is None else (at, True))
+            flagged += at is not None
+    assert flagged
 
 
 def test_132_in_total_order_matches_classic_pattern():

@@ -1,7 +1,7 @@
 """The per-poset analysis behind the check battery: shared artifacts built once."""
 
 import itertools
-import random
+import math
 import sys
 import weakref
 
@@ -10,7 +10,7 @@ import pytest
 from posetdecomp import verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
-from posetdecomp.generate import chain, random_poset, wrap_forest
+from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 from posetdecomp.poset import enumerate_posets
 
 import oracles
@@ -161,37 +161,45 @@ def test_split_chain_mutant_fails_dilworth(monkeypatch):
         assert check["passed"] == (not p.lt.any())
 
 
+def _segments(p) -> dict:
+    (check,) = verify.run_poset_checks(p, which=("segments",))["checks"]
+    return check
+
+
 def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
-    real = verify.permutations_avoiding
-    # chain(3) has five avoiders; (0, 2, 1) is the pattern itself
-    monkeypatch.setattr(
-        verify, "permutations_avoiding", lambda up, down: real(up, down) + [(0, 2, 1)]
-    )
-    (check,) = verify.run_poset_checks(chain(3), which=("segments",))["checks"]
-    assert not check["passed"]
-    assert check["details"] == {"permutations": 5, "error": "not 132-avoiding"}
+    # the walk flags the node of avoider 2, and the list yields the pattern
+    # (0, 2, 1) there: the first avoider through a flagged node is the witness
+    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, True))
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1)]
+    monkeypatch.setattr(verify, "permutations_avoiding", lambda up, down: perms)
+    check = _segments(chain(3))
+    assert check == oracles.segments_record(chain(3), perms)
+    assert check["details"] == {"permutations": 2, "error": "not 132-avoiding"}
     assert check["witness"] == {"permutation": ["1", "3", "2"]}
 
 
-def test_segments_replay_matches_per_permutation_oracle(monkeypatch):
-    real = verify.permutations_avoiding
+def test_segments_raises_when_the_flagged_avoider_passes(monkeypatch):
+    # a flag whose witness passes on its own is the walk's fault, not the poset's
+    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, True))
+    with pytest.raises(InternalInconsistencyError, match="flags avoider 2"):
+        verify.check_segments(verify.Analysis(chain(3)))
 
-    def record(p):
-        (check,) = verify.run_poset_checks(p, which=("segments",))["checks"]
-        return check
 
-    for p in (p for n in range(6) for p in enumerate_posets(n)):
-        assert record(p) == oracles.segments_record(p, real(*p.rows))
-    # lists the walk never yields: every permutation, in order and shuffled,
-    # and every permutation twice in a row
-    rng = random.Random(26)
+def test_segments_counts_avoiders_without_the_kernel():
+    # Catalan numbers on chains (Simion & Schmidt 1985), n! on antichains
+    for n, catalan in enumerate((1, 1, 2, 5, 14, 42, 132)):
+        assert _segments(chain(n))["details"] == {"permutations": catalan}
+        assert _segments(antichain(n))["details"] == {"permutations": math.factorial(n)}
     for p in (p for n in range(5) for p in enumerate_posets(n)):
-        every = list(itertools.permutations(range(p.n)))
-        shuffled = rng.sample(every, len(every))
-        doubled = [perm for perm in every for _ in range(2)]
-        for perms in (every, shuffled, doubled):
-            monkeypatch.setattr(verify, "permutations_avoiding", lambda up, down: perms)
-            assert record(p) == oracles.segments_record(p, perms)
+        assert _segments(p)["details"] == {"permutations": len(oracles.naive_avoiders(p))}
+
+
+def test_segments_walk_matches_replay_and_per_permutation_oracles():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += itertools.islice(enumerate_posets(6, cap=None), 0, None, 65)
+    for p in posets:
+        perms = verify.permutations_avoiding(*p.rows)
+        assert _segments(p) == oracles.replay_record(p, perms) == oracles.segments_record(p, perms)
 
 
 def test_decompositions_out_of_scope_above_brute_force_cap():
