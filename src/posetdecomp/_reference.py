@@ -20,10 +20,14 @@ so a nonempty permutation has between 1 and n descents.
 
 from __future__ import annotations
 
-from .poset import _closure_rows
+from typing import Callable
+
+from .poset import _bits, _closure_rows
 
 
-def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
+def min_descents(
+    up: list[int], down: list[int], lt: list[int], width: Callable[[int], int] | None = None
+) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
 
     Bitset branch and bound over prefixes; a node also holds its last
@@ -37,32 +41,18 @@ def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
     permutation has fewer than w(everything) descents, and the search stops
     as soon as the incumbent reaches it.  Ascents are tried before descents
     so that good incumbents come early.
+
+    `width` is that memoised width, `antichain_widths(comparability_rows(lt))`
+    by default.  Scans that read the same lt can share one; the floor and
+    every bound are read off it, so a shared memo must be this lt's.
     """
     n = len(up)
     if len(down) != n or len(lt) != n:
         raise ValueError("row count mismatch")
     if n == 0:
         return 0
-    reach = _closure_rows(lt)
-    comparable = reach[:]
-    for x in range(n):
-        for y in range(n):
-            if reach[x] >> y & 1:
-                comparable[y] |= 1 << x
-
-    widths = {0: 0}
-
-    def width(s: int) -> int:
-        # the largest antichain in s either skips its lowest element x, or
-        # holds x and nothing comparable to x
-        w = widths.get(s)
-        if w is None:
-            low = s & -s
-            rest = s ^ low
-            w = max(width(rest), 1 + width(rest & ~comparable[low.bit_length() - 1]))
-            widths[s] = w
-        return w
-
+    if width is None:
+        width = antichain_widths(comparability_rows(lt))
     full = (1 << n) - 1
     floor = width(full)
     best = n + 1
@@ -93,6 +83,35 @@ def min_descents(up: list[int], down: list[int], lt: list[int]) -> int:
     succ = [*lt, full]
     scan(full, n, 0, 0)
     return best
+
+
+def comparability_rows(lt: list[int]) -> list[int]:
+    """The bit rows of the comparability graph of the transitive closure of lt."""
+    comparable = _closure_rows(lt)
+    for x, row in enumerate(comparable[:]):
+        for y in _bits(row):
+            comparable[y] |= 1 << x
+    return comparable
+
+
+def antichain_widths(comparable: list[int]) -> Callable[[int], int]:
+    """The width of a set of indices given as a bit mask: the size of its
+    largest antichain, that is of its largest set with no two members
+    adjacent in the graph of bit rows `comparable`, memoised over sets."""
+    widths = {0: 0}
+
+    def width(s: int) -> int:
+        # the largest antichain in s either skips its lowest element x, or
+        # holds x and nothing comparable to x
+        w = widths.get(s)
+        if w is None:
+            low = s & -s
+            rest = s ^ low
+            w = max(width(rest), 1 + width(rest & ~comparable[low.bit_length() - 1]))
+            widths[s] = w
+        return w
+
+    return width
 
 
 def permutations_avoiding(up: list[int], down: list[int]) -> list[tuple[int, ...]]:

@@ -164,11 +164,18 @@ def decomposition_from_lines(p: Poset, lines: Iterable[str]) -> ChainDecompositi
 
 
 def is_chain_decomposition(p: Poset, parts) -> bool:
-    """True iff the family partitions the ground set into chains."""
-    if isinstance(parts, ChainDecomposition):
-        parts = parts.chains_as_labels()
+    """True iff the family partitions the ground set into chains.
+
+    A ChainDecomposition of p itself is validated on its index chains; one of
+    another poset is read by its labels.
+    """
     try:
-        ChainDecomposition.from_parts(p, parts)
+        if isinstance(parts, ChainDecomposition) and parts.poset is p:
+            ChainDecomposition._from_index_parts(p, parts.chains)
+        else:
+            if isinstance(parts, ChainDecomposition):
+                parts = parts.chains_as_labels()
+            ChainDecomposition.from_parts(p, parts)
     except InvalidDecompositionError:
         return False
     return True

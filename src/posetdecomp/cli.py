@@ -23,7 +23,7 @@ import sys
 from .cut import CUT_ENUMERATION_CAP, _admissible_identities
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError, refuse_above
 from .generate import FAMILIES, make_family
-from .hcd import ChainGraph, _embedding
+from .hcd import ChainGraph, _embedding, _unoriented_order
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
 from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset, _bits
 from .textio import dumps, load, loads
@@ -91,7 +91,9 @@ def _section_cut_check(an: Analysis, unsafe: bool) -> dict:
 
 def _section_embedding(an: Analysis, unsafe: bool) -> dict:
     refuse_above("automorphism search", None if unsafe else AUTOMORPHISM_CAP, an.p.n)
-    return _embedding(an.p, an.graph, 0).to_dict()
+    report = _embedding(an.p, an.graph, 0)
+    report.aut_unoriented_order = _unoriented_order(an.graph)
+    return report.to_dict()
 
 
 def _section_inequalities(an: Analysis, unsafe: bool) -> dict:

@@ -320,21 +320,26 @@ def induced_chain_permutation(
 ) -> tuple[int, ...]:
     """Chain permutation induced by an element permutation g (index form).
 
-    Raises ScatteringError if g sends one chain into several chains.
+    On index lists: image[x] is the chain of g[x], sigma is image read off
+    the chain heads, and g sends every chain into one chain exactly when
+    image is sigma lifted through `chain_of`.  Raises ScatteringError if g
+    sends one chain into several chains.
     """
     if sorted(g) != list(range(p.n)):
         raise ValueError("g is not a permutation of the element indices")
     owner = d.chain_of
-    sigma = []
-    for ci, chain in enumerate(d.chains):
-        targets = {owner[g[x]] for x in chain}
-        if len(targets) != 1:
-            raise ScatteringError(
-                f"chain {d.chains_as_labels()[ci]} is scattered over chains "
-                f"{sorted(targets)}"
-            )
-        sigma.append(targets.pop())
-    if sorted(sigma) != list(range(d.k)):
+    chains = d.chains
+    image = [owner[y] for y in g]
+    sigma = [image[c[0]] for c in chains]
+    if [sigma[c] for c in owner] != image:
+        for ci, chain in enumerate(chains):
+            targets = {image[x] for x in chain}
+            if len(targets) != 1:
+                raise ScatteringError(
+                    f"chain {d.chains_as_labels()[ci]} is scattered over chains "
+                    f"{sorted(targets)}"
+                )
+    if len(set(sigma)) != len(chains):
         raise ScatteringError("induced chain map is not a bijection")
     return tuple(sigma)
 
@@ -360,13 +365,16 @@ class EmbeddingReport:
 
     `hom_pairs_checked` counts the products on which the homomorphism was
     checked: the identity, the ordered generator pairs and the random words.
+    `aut_unoriented_order`, the order of the length-coloured unoriented chain
+    graph's group, is None from `_embedding`, the battery's path, which does
+    not report it; `verify_embedding` and `analyze --embedding` fill it in.
     """
 
     n: int
     k: int
     aut_poset_order: int
     aut_oriented_order: int
-    aut_unoriented_order: int
+    aut_unoriented_order: int | None
     well_defined: bool
     injective: bool
     homomorphism: bool
@@ -390,15 +398,20 @@ def verify_embedding(p: Poset, seed: int = 0) -> EmbeddingReport:
     permutation that fixes the oriented chain graph, (b) distinct
     automorphisms induce distinct permutations, (c) the map is a group
     homomorphism.  Being onto the oriented graph's symmetries is recorded as a
-    finding, never asserted.  No size cap: the command line applies
+    finding, never asserted, and the unoriented chain graph's group order is
+    reported beside it.  No size cap: the command line applies
     AUTOMORPHISM_CAP itself.
     """
-    return _embedding(p, acyclic_orientation(p), seed)
+    graph = acyclic_orientation(p)
+    report = _embedding(p, graph, seed)
+    report.aut_unoriented_order = _unoriented_order(graph)
+    return report
 
 
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """The permutation a after b."""
-    return tuple(a[x] for x in b)
+def _unoriented_order(gr: ChainGraph) -> int:
+    """Order of the group of the length-coloured unoriented chain graph."""
+    comp = [a | b for a, b in zip(*gr.rows)]
+    return automorphism_group((comp, comp), [len(c) for c in gr.decomposition.chains]).order
 
 
 def _kernel_order(p: Poset, d: ChainDecomposition) -> int:
@@ -409,18 +422,21 @@ def _kernel_order(p: Poset, d: ChainDecomposition) -> int:
 def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
     """The embedding check of `verify_embedding` on the MHCD's oriented graph.
 
-    (a) Each strong generator of Aut(P) induces a length-preserving chain
-    permutation that fixes the oriented chain graph; the automorphisms that
-    do form a subgroup, so this settles the whole group.  (b) The
-    automorphisms that map every chain to itself form a group of order 1.
-    (c) The induced map respects the identity, every ordered pair of
-    generators and HOM_WORDS seeded product-replacement words (Celler et al.
-    1995).  Onto is exact: |Aut(P)| against the order of the length-coloured
-    oriented chain graph's group.
+    Runs the three searches the check reports: Aut(P), the length-coloured
+    oriented chain graph's group and the kernel; `aut_unoriented_order`
+    stays None.  (a) Each strong generator of Aut(P) induces a
+    length-preserving chain permutation that fixes the oriented chain graph;
+    the automorphisms that do form a subgroup, so this settles the whole
+    group.  (b) The automorphisms that map every chain to itself form a group
+    of order 1.  (c) The induced map respects the identity, every ordered
+    pair of generators and HOM_WORDS seeded product-replacement words
+    (Celler et al. 1995): each product is composed as an index list, on the
+    elements and on the chains, and `induced_chain_permutation` maps the
+    element product to compare with the chain product.  Onto is exact:
+    |Aut(P)| against the order of the oriented chain graph's group.
     """
     group = automorphism_group(p.rows)
     d = gr.decomposition
-    comp = [a | b for a, b in zip(*gr.rows)]
     edges = set(gr.edges())
     lengths = [len(c) for c in d.chains]
     report = EmbeddingReport(
@@ -428,7 +444,7 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
         k=d.k,
         aut_poset_order=group.order,
         aut_oriented_order=automorphism_group(gr.rows, lengths).order,
-        aut_unoriented_order=automorphism_group((comp, comp), lengths).order,
+        aut_unoriented_order=None,
         well_defined=True,
         injective=True,
         homomorphism=True,
@@ -463,28 +479,34 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
         report.injective = False
         report.witness = {"kernel_order": kernel}
 
-    # (product, expected image): the identity, the generator pairs, then words
-    products = [(tuple(range(p.n)), tuple(range(d.k)))]
-    gens = list(zip(group.generators, induced))
-    products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
+    for g, expected in _products(p.n, d.k, list(zip(group.generators, induced)), seed):
+        report.hom_pairs_checked += 1
+        if induced_chain_permutation(p, d, g) != tuple(expected):
+            report.homomorphism = False
+            report.witness = {"product": tuple(g), "expected": tuple(expected)}
+            break
+
+    report.onto_oriented = report.aut_poset_order == report.aut_oriented_order
+    report.findings.append({"kind": "embedding-onto", "onto": report.onto_oriented})
+    return report
+
+
+def _products(n: int, k: int, gens: list, seed: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(element product, chain product) as index lists, a after b read as
+    `[a[x] for x in b]`: the identity, every ordered pair of `gens`, then
+    HOM_WORDS seeded product-replacement words over them."""
+    yield list(range(n)), list(range(k))
+    for a, sa in gens:
+        for b, sb in gens:
+            yield [a[x] for x in b], [sa[i] for i in sb]
     if gens:
         rng = random.Random(seed)
         state = gens * (1 if len(gens) > 1 else 2)
         for _ in range(HOM_WORDS):
             i, j = rng.sample(range(len(state)), 2)
             (a, sa), (b, sb) = state[i], state[j]
-            state[i] = (_compose(a, b), _compose(sa, sb))
-            products.append(state[i])
-    for g, expected in products:
-        report.hom_pairs_checked += 1
-        if induced_chain_permutation(p, d, g) != expected:
-            report.homomorphism = False
-            report.witness = {"product": g, "expected": expected}
-            break
-
-    report.onto_oriented = report.aut_poset_order == report.aut_oriented_order
-    report.findings.append({"kind": "embedding-onto", "onto": report.onto_oriented})
-    return report
+            state[i] = ([a[x] for x in b], [sa[c] for c in sb])
+            yield state[i]
 
 
 # -- deletion bounds -----------------------------------------------------------

@@ -2,10 +2,13 @@
 
 `min_descents` is the width-bounded bitset branch and bound of `_reference`.
 Its only bound is the Dilworth width of the unused elements, which every
-ascending-run decomposition obeys.  It is not seeded from the minimal
-homogeneous chain count or the noncrossing minimum, because
+ascending-run decomposition obeys, and its floor is the width of everything,
+read off its own width memo.  It is not seeded from the minimal homogeneous
+chain count, the noncrossing minimum or the Dilworth decomposition, because
 `verify_chain_bounds` compares the scan against exactly those quantities and
-a seed would assume the inequalities it tests.
+a seed would assume the inequalities it tests.  Scans that read the same lt
+may share one memo, `antichain_widths` over the comparability rows of lt
+(`verify_chain_bounds` builds one for its two scans).
 
 `permutations_avoiding` is the bitset walk of `_reference` that lists every
 pattern avoider in lexicographic order.  Both read `Poset.rows`.  `BACKEND`
@@ -14,6 +17,6 @@ names the implementation ("pure": both kernels are plain Python).
 
 from __future__ import annotations
 
-from ._reference import min_descents, permutations_avoiding
+from ._reference import antichain_widths, min_descents, permutations_avoiding
 
 BACKEND = "pure"

@@ -36,7 +36,7 @@ import numpy as np
 from .chains import ChainDecomposition, _dilworth, width
 from .errors import CheckFailure, InternalInconsistencyError, refuse_above
 from .hcd import ChainGraph, _as_decomposition, chain_graph
-from .kernels import min_descents, permutations_avoiding
+from .kernels import antichain_widths, min_descents, permutations_avoiding
 from .poset import (
     Poset,
     _bits,
@@ -732,6 +732,8 @@ def _chain_bounds(
     `noncrossing` is the (size, witness) pair, or None when out of scope.
     Without `scans` the descent minima stay None and the noncrossing minimum
     is bounded by the homogeneous count directly; `scans` needs `noncrossing`.
+    The two scans, plain and relative to the derived extension, share one
+    width memo on the comparability rows of p.
     """
     d, _, findings, pi, e = construction
     ext = _extension_rows(p, e)
@@ -747,8 +749,11 @@ def _chain_bounds(
         checks["chains-le-noncrossing"] = min_chains <= min_nc
     scan = scan_ext = None
     if scans:
-        scan = min_descents_over_avoiders(p, cap=None)
-        scan_ext = -1 if ext is None else min_descents(*ext, p.rows[0])
+        # both scans read lt = up: one width memo serves them
+        up, down = p.rows
+        width = antichain_widths([u | v for u, v in zip(up, down)])
+        scan = min_descents(up, down, up, width)
+        scan_ext = -1 if ext is None else min_descents(*ext, up, width)
         checks["noncrossing-le-descents"] = min_nc <= scan
         checks["descents-le-descents-ext"] = scan <= scan_ext
         checks["descents-ext-le-homogeneous"] = scan_ext <= d.k

@@ -1512,6 +1512,117 @@ def brute_embedding(p, pair_cap: int = 250_000) -> dict:
     return out
 
 
+# -- the embedding check with per-product label maps (the check the library
+# ran before it dropped the unreported search and mapped on index lists) -------
+
+
+def induced_by_chain_sets(p, d, g) -> tuple:
+    """The chain permutation of g, one target set per chain; raises the
+    library's ScatteringError or ValueError with the library's messages."""
+    from posetdecomp.errors import ScatteringError
+
+    if sorted(g) != list(range(p.n)):
+        raise ValueError("g is not a permutation of the element indices")
+    owner = d.chain_of
+    sigma = []
+    for ci, chain in enumerate(d.chains):
+        targets = {owner[g[x]] for x in chain}
+        if len(targets) != 1:
+            raise ScatteringError(
+                f"chain {d.chains_as_labels()[ci]} is scattered over chains "
+                f"{sorted(targets)}"
+            )
+        sigma.append(targets.pop())
+    if sorted(sigma) != list(range(d.k)):
+        raise ScatteringError("induced chain map is not a bijection")
+    return tuple(sigma)
+
+
+def _compose(a, b) -> tuple:
+    """The permutation a after b."""
+    return tuple(a[x] for x in b)
+
+
+def embedding_by_label_maps(p, gr, seed: int):
+    """The library's EmbeddingReport for the oriented chain graph `gr`, with
+    all four symmetry searches (Aut(P), the oriented and the unoriented
+    length-coloured chain graphs, the kernel) and a fresh
+    `induced_by_chain_sets` map for every product of tuples.  The searches
+    are the library's `automorphism_group`; `brute_embedding` pins that."""
+    from posetdecomp.errors import ScatteringError
+    from posetdecomp.hcd import HOM_WORDS, EmbeddingReport
+    from posetdecomp.poset import automorphism_group
+
+    group = automorphism_group(p.rows)
+    d = gr.decomposition
+    comp = [a | b for a, b in zip(*gr.rows)]
+    edges = set(gr.edges())
+    lengths = [len(c) for c in d.chains]
+    report = EmbeddingReport(
+        n=p.n,
+        k=d.k,
+        aut_poset_order=group.order,
+        aut_oriented_order=automorphism_group(gr.rows, lengths).order,
+        aut_unoriented_order=automorphism_group((comp, comp), lengths).order,
+        well_defined=True,
+        injective=True,
+        homomorphism=True,
+        onto_oriented=False,
+        hom_pairs_checked=0,
+    )
+
+    induced = []
+    for g in group.generators:
+        try:
+            sigma = induced_by_chain_sets(p, d, g)
+        except ScatteringError as exc:
+            report.well_defined = False
+            report.witness = {"automorphism": g, "error": str(exc)}
+            return report
+        if sorted(sigma) != list(range(d.k)) or any(
+            len(d.chains[sigma[i]]) != len(d.chains[i]) for i in range(d.k)
+        ):
+            report.well_defined = False
+            report.witness = {"automorphism": g, "induced": sigma, "error": "length class broken"}
+            return report
+        if {(sigma[i], sigma[j]) for i, j in edges} != edges:
+            report.well_defined = False
+            report.witness = {
+                "automorphism": g,
+                "induced": sigma,
+                "error": "induced permutation does not fix the oriented chain graph",
+            }
+            return report
+        induced.append(sigma)
+
+    kernel = automorphism_group(p.rows, d.chain_of).order
+    if kernel != 1:
+        report.injective = False
+        report.witness = {"kernel_order": kernel}
+
+    products = [(tuple(range(p.n)), tuple(range(d.k)))]
+    gens = list(zip(group.generators, induced))
+    products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
+    if gens:
+        rng = random.Random(seed)
+        state = gens * (1 if len(gens) > 1 else 2)
+        for _ in range(HOM_WORDS):
+            i, j = rng.sample(range(len(state)), 2)
+            (a, sa), (b, sb) = state[i], state[j]
+            state[i] = (_compose(a, b), _compose(sa, sb))
+            products.append(state[i])
+    for g, expected in products:
+        report.hom_pairs_checked += 1
+        if induced_by_chain_sets(p, d, g) != expected:
+            report.homomorphism = False
+            report.witness = {"product": g, "expected": expected}
+            break
+
+    report.onto_oriented = report.aut_poset_order == report.aut_oriented_order
+    report.findings.append({"kind": "embedding-onto", "onto": report.onto_oriented})
+    return report
+
+
 # -- labeled posets by filtering every pair orientation (the enumeration the
 # library used before it grew each order from one on a point fewer)
 

@@ -111,6 +111,48 @@ def test_is_chain_decomposition_accepts_object_and_parts():
     assert not is_chain_decomposition(p, [["1", "2"]])
 
 
+def _unchecked_families(p):
+    """Every set partition of the indices of p as an unvalidated
+    ChainDecomposition (chains or not), plus each with its first part
+    dropped and each with the first element repeated in the last part."""
+    for partition in oracles.set_partitions(range(p.n)):
+        parts = [tuple(part) for part in partition]
+        yield parts
+        yield parts[1:]
+        if parts:
+            yield parts[:-1] + [parts[-1] + (parts[0][0],)]
+
+
+def test_is_chain_decomposition_index_path_matches_label_path(monkeypatch):
+    families = [
+        (p, ChainDecomposition(p, tuple(parts)))
+        for n in range(5)
+        for p in enumerate_posets(n)
+        for parts in _unchecked_families(p)
+    ]
+    verdicts = [is_chain_decomposition(p, d.chains_as_labels()) for p, d in families]
+    assert any(verdicts) and not all(verdicts)
+
+    # a decomposition of p itself never goes through its labels
+    def no_labels(self):
+        raise AssertionError("label round trip")
+
+    monkeypatch.setattr(ChainDecomposition, "chains_as_labels", no_labels)
+    assert [is_chain_decomposition(p, d) for p, d in families] == verdicts
+
+
+def test_is_chain_decomposition_reads_another_posets_decomposition_by_label():
+    # q lists the same labels in another order: its chain on indices 0 and 1
+    # is {c < b}, which p does not relate, while p's indices 0 and 1 are a < b
+    p = Poset.from_cover_relations(["a", "b", "c"], [("a", "b")])
+    q = Poset.from_cover_relations(["c", "b", "a"], [("c", "b")])
+    d = ChainDecomposition.from_parts(q, [["c", "b"], ["a"]])
+    assert d.chains == ((0, 1), (2,))
+    assert is_chain_decomposition(q, d)
+    assert not is_chain_decomposition(p, d)
+    assert is_chain_decomposition(p, d) == is_chain_decomposition(p, d.chains_as_labels())
+
+
 def test_minimum_decomposition_known_sizes():
     assert minimum_chain_decomposition(chain(6)).k == 1
     assert minimum_chain_decomposition(antichain(5)).k == 5

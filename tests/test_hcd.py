@@ -1,6 +1,8 @@
 """Homogeneous decompositions, the chain graph, the automorphism embedding."""
 
 import math
+import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,8 +32,16 @@ from posetdecomp.generate import (
     two_chain_fan,
     wrap_forest,
 )
-from posetdecomp.chains import ChainDecomposition, enumerate_chain_decompositions
-from posetdecomp.hcd import HOM_WORDS, _as_decomposition, _embedding, _merge_table, _replay
+from posetdecomp.chains import ChainDecomposition, _partition_walk, enumerate_chain_decompositions
+from posetdecomp.hcd import (
+    HOM_WORDS,
+    _as_decomposition,
+    _embedding,
+    _merge_table,
+    _replay,
+    _unoriented_order,
+)
+from posetdecomp.errors import ScatteringError
 from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
 
 import oracles
@@ -284,6 +294,79 @@ def test_embedding_injective_fails_on_non_chain_block():
     rep = _embedding(p, acyclic_orientation(p, ChainDecomposition(p, ((0, 1),))), 0)
     assert rep.well_defined and rep.homomorphism
     assert not rep.injective and rep.witness == {"kernel_order": 2}
+
+
+def split_two_chains():
+    """Two disjoint 2-chains a < b and c < d, decomposed as {a < b}, {c}, {d}:
+    homogeneous, and the swap of the two chains scatters {a < b}."""
+    p = Poset.from_cover_relations("abcd", [("a", "b"), ("c", "d")])
+    return p, acyclic_orientation(p, ChainDecomposition.from_parts(p, [["a", "b"], ["c"], ["d"]]))
+
+
+def _homogeneous_graphs():
+    """The oriented chain graph of every homogeneous chain decomposition of
+    every poset with n <= 4, the MHCD's and every finer or other one: these
+    reach the scattering, length and graph witnesses."""
+    for p in (p for n in range(5) for p in enumerate_posets(n)):
+        for masks, homogeneous in _partition_walk(p, None):
+            if homogeneous:
+                yield p, acyclic_orientation(p, ChainDecomposition._from_masks(p, masks))
+
+
+EMBEDDING_CASES = {
+    "n<=5": lambda: ((p, acyclic_orientation(p)) for n in range(6) for p in enumerate_posets(n)),
+    "random8": lambda: ((p, acyclic_orientation(p)) for p in (random_poset(8, 0.3, seed=s) for s in range(400))),
+    "wrapforest20": lambda: ((p, acyclic_orientation(p)) for p in (wrap_forest(20, seed=s) for s in range(200))),
+    "homogeneous-n<=4": _homogeneous_graphs,
+    "non-chain-block": lambda: [
+        (antichain(2), acyclic_orientation(antichain(2), ChainDecomposition(antichain(2), ((0, 1),)))),
+        split_two_chains(),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", EMBEDDING_CASES)
+def test_embedding_matches_label_map_oracle(family):
+    # every field and every witness of the battery's path, with the
+    # unoriented order filled in as verify_embedding does, against the check
+    # with all four searches and a set per chain for every product
+    for seed, (p, graph) in enumerate(EMBEDDING_CASES[family]()):
+        rep = _embedding(p, graph, seed)
+        assert rep.aut_unoriented_order is None
+        rep.aut_unoriented_order = _unoriented_order(graph)
+        assert asdict(rep) == asdict(oracles.embedding_by_label_maps(p, graph, seed))
+
+
+def test_embedding_reports_the_scattered_chain():
+    p, graph = split_two_chains()
+    rep = _embedding(p, graph, 0)
+    assert not rep.well_defined
+    assert rep.witness == {
+        "automorphism": (2, 3, 0, 1),
+        "error": "chain ('a', 'b') is scattered over chains [1, 2]",
+    }
+
+
+def _induced_outcome(induced, p, d, g):
+    try:
+        return induced(p, d, g)
+    except (ScatteringError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_induced_map_matches_chain_set_oracle():
+    # images, scatterings, non-bijections and non-permutations, with their
+    # messages, on every chain decomposition of every poset with n <= 4 and
+    # seeded element maps that need not be automorphisms
+    rng = random.Random(31)
+    for p in (p for n in range(5) for p in enumerate_posets(n)):
+        maps = [tuple(rng.sample(range(p.n), p.n)) for _ in range(6)]
+        maps += [tuple(rng.randrange(p.n) for _ in range(p.n)), tuple(range(p.n - 1))]
+        for d in enumerate_chain_decompositions(p):
+            for g in maps:
+                assert _induced_outcome(induced_chain_permutation, p, d, g) == _induced_outcome(
+                    oracles.induced_by_chain_sets, p, d, g
+                )
 
 
 def test_deletion_bounds_exhaustive():

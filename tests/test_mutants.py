@@ -105,6 +105,19 @@ def reversed_images(monkeypatch):
     monkeypatch.setattr(hcd, "induced_chain_permutation", mutant)
 
 
+def induced_skips_scatter(monkeypatch):
+    """The induced map reads the chain heads only and never tests for a scattered chain."""
+    _rewrite(monkeypatch, hcd, "induced_chain_permutation",
+             "if [sigma[c] for c in owner] != image:", "if False:")
+
+
+def widths_from_up_only(monkeypatch):
+    """The descent scans' shared comparability is the up rows alone."""
+    _rewrite(monkeypatch, nccd, "_chain_bounds",
+             "antichain_widths([u | v for u, v in zip(up, down)])", "antichain_widths(list(up))",
+             into=(nccd, verify))
+
+
 def mhcd_merges_first_two(monkeypatch):
     """The analysis' `mhcd` merges its first two chains."""
     real = verify.mhcd
@@ -466,6 +479,15 @@ def injective_check_passes_non_chain_block() -> bool:
     return hcd._embedding(p, graph, 0).injective
 
 
+def scattered_chain_witness_differs() -> bool:
+    """test_hcd.test_embedding_reports_the_scattered_chain: on two disjoint
+    2-chains a < b and c < d, decomposed as {a < b}, {c}, {d}, the swap
+    scatters {a < b}; the witness must be the label-map oracle's."""
+    p = poset.Poset.from_cover_relations("abcd", [("a", "b"), ("c", "d")])
+    graph = hcd.acyclic_orientation(p, ChainDecomposition.from_parts(p, [["a", "b"], ["c"], ["d"]]))
+    return hcd._embedding(p, graph, 0).witness != oracles.embedding_by_label_maps(p, graph, 0).witness
+
+
 def orientation_differs_from_oracle() -> bool:
     """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on FAMILY."""
     for p in FAMILY:
@@ -543,6 +565,9 @@ MUTANTS = {
     "signature-not-invariant": (signature_not_invariant, orders_differ_from_listing_oracle),
     "kernel-order-one": (kernel_order_one, injective_check_passes_non_chain_block),
     "reversed-images": (reversed_images, check_fails("embedding")),
+    # a scattered chain that is also not a bijection: only the witness tells
+    "induced-skips-scatter": (induced_skips_scatter, scattered_chain_witness_differs),
+    "widths-from-up-only": (widths_from_up_only, check_fails("bounds")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
     "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),

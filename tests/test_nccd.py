@@ -460,6 +460,29 @@ def test_chain_bounds_match_once(monkeypatch):
     assert calls == [8]
 
 
+def test_chain_bounds_shared_width_memo_matches_scans_run_alone(monkeypatch):
+    # the two scans of one report share one comparability pass and one width
+    # memo; each must equal its public scan, which builds its own
+    calls = []
+    real = nccd.antichain_widths
+
+    def counted(comparable):
+        calls.append(comparable)
+        return real(comparable)
+
+    monkeypatch.setattr(nccd, "antichain_widths", counted)
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [random_poset(8, 0.3, seed=s) for s in range(400)]
+    posets += [random_poset(12, 0.2, seed=s) for s in range(5)]
+    for p in posets:
+        an = verify.Analysis(p)
+        calls.clear()
+        rep = nccd._chain_bounds(p, an.dilworth[0].k, an.noncrossing, an.construction, True)
+        assert len(calls) == 1
+        assert rep.min_descents == min_descents_over_avoiders(p, cap=None)
+        assert rep.min_descents_ext == min_descents_over_extension_avoiders(p, rep.extension, cap=None)
+
+
 def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
     calls = []
     real = nccd.canonical_chain_order
