@@ -163,19 +163,35 @@ def decomposition_from_lines(p: Poset, lines: Iterable[str]) -> ChainDecompositi
     return ChainDecomposition.from_parts(p, parts)
 
 
+def _as_decomposition(p: Poset, parts) -> ChainDecomposition:
+    """The decomposition of p that `parts` stands for: the one rule by which
+    every entry point of the chain layer reads its decomposition argument.
+
+    A ChainDecomposition of p, or of a poset equal to p, is used as it
+    stands.  Anything else, a family of label sets or a decomposition of
+    another poset, is read by its labels and validated, so an unknown label
+    or a part that is not a chain of p raises InvalidDecompositionError.
+    Chain indices that a caller passes in or reads off a result (orders,
+    chain permutations, matrix rows, cut heights) refer to the returned
+    decomposition.
+    """
+    if isinstance(parts, ChainDecomposition):
+        if parts.poset is p or parts.poset == p:
+            return parts
+        parts = parts.chains_as_labels()
+    return ChainDecomposition.from_parts(p, parts)
+
+
 def is_chain_decomposition(p: Poset, parts) -> bool:
     """True iff the family partitions the ground set into chains.
 
-    A ChainDecomposition of p itself is validated on its index chains; one of
-    another poset is read by its labels.
+    The family is read by `_as_decomposition`; a ChainDecomposition that it
+    uses as it stands is validated again on its index chains.
     """
     try:
-        if isinstance(parts, ChainDecomposition) and parts.poset is p:
-            ChainDecomposition._from_index_parts(p, parts.chains)
-        else:
-            if isinstance(parts, ChainDecomposition):
-                parts = parts.chains_as_labels()
-            ChainDecomposition.from_parts(p, parts)
+        d = _as_decomposition(p, parts)
+        if d is parts:
+            ChainDecomposition._from_index_parts(p, d.chains)
     except InvalidDecompositionError:
         return False
     return True

@@ -58,9 +58,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chains import ChainDecomposition
+from .chains import ChainDecomposition, _as_decomposition
 from .errors import ScopeExceededError
-from .hcd import ChainGraph, _as_decomposition, chain_graph
+from .hcd import ChainGraph, chain_graph
 from .poset import Poset, _alternating_series, _bits, _exact_dtypes, mobius_matrix
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
@@ -74,19 +74,24 @@ _BLOCK = 256
 class CutFrame:
     """The cut-independent half of the cut identity for one decomposition.
 
-    `d` is a homogeneous decomposition or its ChainGraph.  Building a frame
-    from a decomposition computes the chain comparability, which certifies
-    that it is homogeneous (NotHomogeneousError otherwise); a graph carries
-    its comparability already.  M, J, the Mobius matrix, D_whole (its chain
-    sums), D_whole J and det J are computed on first use and then shared by
-    every cut of the decomposition, as is the layout `_admissible` and
-    `_cut_kernel` read.
+    `d` is a homogeneous decomposition, read by `chains._as_decomposition`,
+    or its ChainGraph.  Building a frame from a decomposition computes the
+    chain comparability, which certifies that it is homogeneous
+    (NotHomogeneousError otherwise); a graph whose decomposition that rule
+    uses as it stands carries its comparability already, and a graph of
+    another poset is rebuilt on its decomposition.  M, J, the Mobius matrix,
+    D_whole (its chain sums), D_whole J and det J are computed on first use
+    and then shared by every cut of the decomposition, as is the layout
+    `_admissible` and `_cut_kernel` read.
     """
 
     def __init__(self, p: Poset, d) -> None:
         self.poset = p
-        self.graph = d if isinstance(d, ChainGraph) else chain_graph(p, d)
-        self.decomposition = self.graph.decomposition
+        graph = d if isinstance(d, ChainGraph) else chain_graph(p, d)
+        if _as_decomposition(p, graph.decomposition) is not graph.decomposition:
+            graph = chain_graph(p, graph.decomposition)
+        self.graph = graph
+        self.decomposition = graph.decomposition
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -356,7 +361,9 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     x in chain i and y in chain j.  Scopes "lower"/"upper" restrict both the
     endpoints and the intermediate elements to one side of the cut; chains
     with an empty side contribute zero rows and columns (an empty side has no
-    length-0 chains, so no diagonal unit appears).
+    length-0 chains, so no diagonal unit appears).  `d` is read by
+    `chains._as_decomposition`; a scoped `cut` must be a cut of p, or of an
+    equal poset, and of that decomposition (ValueError otherwise).
     """
     d = _as_decomposition(p, d)
     if scope == "whole":
@@ -365,8 +372,18 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
         raise ValueError(f"scope {scope!r} needs a cut")
+    _check_cut(p, cut, d)
     batch = _cut_kernel(cut.frame, cut._block())
     return (batch.d_lower if scope == "lower" else batch.d_upper)[0].tolist()
+
+
+def _check_cut(p: Poset, cut: Cut, d: ChainDecomposition | None = None) -> None:
+    """Raise ValueError unless `cut` is a cut of p, or of an equal poset,
+    and, given `d`, of that decomposition."""
+    if cut.poset is not p and cut.poset != p:
+        raise ValueError("the cut is of another poset")
+    if d is not None and cut.decomposition != d:
+        raise ValueError("the cut is of another decomposition")
 
 
 def _chain_sums(d: ChainDecomposition, mu: list[list[int]], keep: int) -> np.ndarray:
@@ -384,8 +401,10 @@ def _chain_sums(d: ChainDecomposition, mu: list[list[int]], keep: int) -> np.nda
 def j_matrix(p: Poset, d) -> list[list[int]]:
     """Identity plus the adjacency matrix of the chain graph: the frame's J.
 
-    `d` is a homogeneous decomposition, whose chain comparability is computed
-    here, or its ChainGraph, whose adjacency is used as it stands.
+    `d` is a homogeneous decomposition, read by `chains._as_decomposition`,
+    whose chain comparability is computed here, or its ChainGraph, whose
+    adjacency is used as it stands unless it is a graph of another poset
+    (see `CutFrame`).  Rows and columns follow the frame's decomposition.
     """
     return CutFrame(p, d).j.tolist()
 
@@ -450,8 +469,10 @@ def verify_cut_identity(p: Poset, cut: Cut) -> CutIdentityReport:
 
     The identity is only claimed for admissible cuts; for improper or
     inadmissible ones the report flags the unmet hypothesis and records
-    whatever the two sides evaluate to.
+    whatever the two sides evaluate to.  A cut of a poset other than p, or
+    one not equal to it, raises ValueError.
     """
+    _check_cut(p, cut)
     frame, block = cut.frame, cut._block()
     batch = _cut_kernel(frame, block)
     lhs, rhs = frame.lhs.tolist(), batch.rhs[0].tolist()

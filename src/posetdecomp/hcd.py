@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainDecomposition
+from .chains import ChainDecomposition, _as_decomposition
 from .errors import (
     InternalInconsistencyError,
     NotHomogeneousError,
@@ -41,12 +41,6 @@ from .poset import Poset, _bitrows, _bits, _unpack_rows, automorphism_group
 
 GRAPH_AUTOMORPHISM_CAP = 10
 HOM_WORDS = 16
-
-
-def _as_decomposition(p: Poset, parts) -> ChainDecomposition:
-    if isinstance(parts, ChainDecomposition):
-        return parts
-    return ChainDecomposition.from_parts(p, parts)
 
 
 def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
@@ -60,7 +54,13 @@ def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
 
 
 def is_homogeneous(p: Poset, parts) -> bool:
-    """True iff the (valid) decomposition is homogeneous; invalid input raises."""
+    """True iff the (valid) decomposition is homogeneous; invalid input raises.
+
+    `parts` is read by `chains._as_decomposition`: a decomposition of p, a
+    family of label sets or a decomposition of another poset, whose labels
+    must then form a chain decomposition of p (InvalidDecompositionError
+    otherwise).
+    """
     return _comparable_pairs(p, _as_decomposition(p, parts))[2] is None
 
 
@@ -315,16 +315,17 @@ def preserves_length_classes(d: ChainDecomposition, sigma: Sequence[int]) -> boo
     return all(len(d.chains[sigma[i]]) == len(d.chains[i]) for i in range(d.k))
 
 
-def induced_chain_permutation(
-    p: Poset, d: ChainDecomposition, g: Sequence[int]
-) -> tuple[int, ...]:
+def induced_chain_permutation(p: Poset, d, g: Sequence[int]) -> tuple[int, ...]:
     """Chain permutation induced by an element permutation g (index form).
 
-    On index lists: image[x] is the chain of g[x], sigma is image read off
-    the chain heads, and g sends every chain into one chain exactly when
-    image is sigma lifted through `chain_of`.  Raises ScatteringError if g
-    sends one chain into several chains.
+    `d` is read by `chains._as_decomposition`, and sigma indexes the chains
+    of the decomposition it returns.  On index lists: image[x] is the chain
+    of g[x], sigma is image read off the chain heads, and g sends every
+    chain into one chain exactly when image is sigma lifted through
+    `chain_of`.  Raises ScatteringError if g sends one chain into several
+    chains.
     """
+    d = _as_decomposition(p, d)
     if sorted(g) != list(range(p.n)):
         raise ValueError("g is not a permutation of the element indices")
     owner = d.chain_of

@@ -33,9 +33,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainDecomposition, _dilworth, width
+from .chains import ChainDecomposition, _as_decomposition, _dilworth, width
 from .errors import CheckFailure, InternalInconsistencyError, refuse_above
-from .hcd import ChainGraph, _as_decomposition, chain_graph
+from .hcd import ChainGraph, chain_graph
 from .kernels import antichain_widths, min_descents, permutations_avoiding
 from .poset import (
     Poset,
@@ -546,8 +546,13 @@ def canonical_chain_order(
     return tuple(order), findings
 
 
-def chain_concatenation(p: Poset, d: ChainDecomposition, order: Sequence[int]) -> tuple:
-    """Concatenate the chains (each ascending) in the given order, as labels."""
+def chain_concatenation(p: Poset, d, order: Sequence[int]) -> tuple:
+    """Concatenate the chains (each ascending) in the given order, as labels.
+
+    `d` is read by `chains._as_decomposition`, and `order` lists the chains
+    of the decomposition it returns.
+    """
+    d = _as_decomposition(p, d)
     return tuple(p.labels[x] for ci in order for x in d.chains[ci])
 
 
@@ -630,15 +635,18 @@ def _leftmost_attachment(
     return pre, anchor
 
 
-def attachment_tree(p: Poset, d: ChainDecomposition, order: Sequence[int]) -> TreeNode:
+def attachment_tree(p: Poset, d, order: Sequence[int]) -> TreeNode:
     """Plane tree built by leftmost attachment of the ordered chains.
 
-    The last chain hangs off the root reversed (largest element on top); each
-    earlier chain, processed in reverse order, attaches below the lowest
-    vertex on the leftmost path that exceeds the chain's maximum (the root
-    when none does), becoming the new leftmost branch.  By the prefix rule,
-    `_leftmost_attachment` finds each such vertex without a tree.
+    `d` is read by `chains._as_decomposition`, and `order` lists the chains
+    of the decomposition it returns.  The last chain hangs off the root
+    reversed (largest element on top); each earlier chain, processed in
+    reverse order, attaches below the lowest vertex on the leftmost path
+    that exceeds the chain's maximum (the root when none does), becoming the
+    new leftmost branch.  By the prefix rule, `_leftmost_attachment` finds
+    each such vertex without a tree.
     """
+    d = _as_decomposition(p, d)
     _, anchor = _leftmost_attachment(p, d, order)
     nodes: dict = {None: TreeNode(None)}
     for ci in reversed(order):

@@ -153,6 +153,30 @@ def test_is_chain_decomposition_reads_another_posets_decomposition_by_label():
     assert is_chain_decomposition(p, d) == is_chain_decomposition(p, d.chains_as_labels())
 
 
+def test_as_decomposition_is_one_rule_for_every_kind_of_argument():
+    p = wrap_forest(12, seed=3)
+    d = minimum_chain_decomposition(p)
+    # a decomposition of p, or of an equal poset, is used as it stands
+    assert chains_module._as_decomposition(p, d) is d
+    twin = minimum_chain_decomposition(Poset(p.labels, p.lt))
+    assert chains_module._as_decomposition(p, twin) is twin
+    # labels, and a decomposition of another poset, are read by their labels
+    from_labels = chains_module._as_decomposition(p, d.chains_as_labels())
+    assert from_labels == d and from_labels.poset is p
+    r = p.induced(p.labels[::-1])
+    from_r = chains_module._as_decomposition(p, minimum_chain_decomposition(r))
+    assert from_r.poset is p
+    assert sorted(map(sorted, from_r.chains_as_labels())) == sorted(
+        map(sorted, minimum_chain_decomposition(r).chains_as_labels())
+    )
+    # an unknown label, or a part that is not a chain of p, raises
+    with pytest.raises(InvalidDecompositionError, match="unknown element"):
+        chains_module._as_decomposition(p, minimum_chain_decomposition(chain(13)))
+    total = Poset.from_cover_relations(p.labels, zip(p.labels, p.labels[1:]))
+    with pytest.raises(InvalidDecompositionError, match="incomparable"):
+        chains_module._as_decomposition(p, minimum_chain_decomposition(total))
+
+
 def test_minimum_decomposition_known_sizes():
     assert minimum_chain_decomposition(chain(6)).k == 1
     assert minimum_chain_decomposition(antichain(5)).k == 5

@@ -7,6 +7,7 @@ import pytest
 
 from posetdecomp import (
     ChainDecomposition,
+    InvalidDecompositionError,
     NotHomogeneousError,
     Poset,
     ScopeExceededError,
@@ -75,6 +76,50 @@ def test_identity_frozen_values():
     assert rep.equal and rep.ok
     assert rep.max_abs_discrepancy == 0
     assert rep.j_determinant == -1
+
+
+def test_scoped_d_and_identity_refuse_a_cut_of_another_poset():
+    # wrap_forest(14, 5)'s MHCD has 3 chains and p's has 4: the cut's own
+    # 3 x 3 sides must not pass for p's
+    p = wrap_forest(12, seed=3)
+    q = wrap_forest(14, seed=5)
+    cut = enumerate_admissible_cuts(q, mhcd(q))[0]
+    for scope in ("lower", "upper"):
+        with pytest.raises(ValueError, match="another poset"):
+            d_matrix(p, mhcd(p), scope, cut)
+    with pytest.raises(ValueError, match="another poset"):
+        verify_cut_identity(p, cut)
+    # a cut of an equal but distinct poset object is one of p
+    twin = Poset(p.labels, p.lt)
+    cut = enumerate_admissible_cuts(twin, mhcd(twin))[0]
+    assert d_matrix(p, mhcd(p), "lower", cut) == d_matrix(twin, mhcd(twin), "lower", cut)
+    assert verify_cut_identity(p, cut).to_dict() == verify_cut_identity(twin, cut).to_dict()
+
+
+def test_scoped_d_refuses_a_cut_of_another_decomposition():
+    # the singletons are homogeneous too, and their cut is not one of the MHCD
+    p = theta()
+    points = ChainDecomposition.from_parts(p, [[x] for x in p.labels])
+    cut = make_cut(p, points, [1] * p.n)
+    with pytest.raises(ValueError, match="another decomposition"):
+        d_matrix(p, mhcd(p), "lower", cut)
+    assert d_matrix(p, [[x] for x in p.labels], "lower", cut) == d_matrix(p, points, "lower", cut)
+
+
+def test_frame_rebuilds_a_chain_graph_of_another_poset():
+    p = wrap_forest(12, seed=3)
+    own = cut_module.CutFrame(p, mhcd(p))
+    # the same labels listed in reverse order: other chain indices
+    graph = hcd.acyclic_orientation(p.induced(p.labels[::-1]))
+    frame = cut_module.CutFrame(p, graph)
+    assert frame.graph is not graph and frame.decomposition == own.decomposition
+    assert frame.j.tolist() == own.j.tolist()
+    assert frame.d_whole.tolist() == own.d_whole.tolist()
+    # a graph of an equal poset is used as it stands
+    twin = hcd.acyclic_orientation(Poset(p.labels, p.lt))
+    assert cut_module.CutFrame(p, twin).graph is twin
+    with pytest.raises(InvalidDecompositionError):
+        cut_module.CutFrame(p, hcd.acyclic_orientation(wrap_forest(12, seed=4)))
 
 
 def test_theta_admissible_cuts_unique():

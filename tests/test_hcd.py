@@ -32,10 +32,14 @@ from posetdecomp.generate import (
     two_chain_fan,
     wrap_forest,
 )
-from posetdecomp.chains import ChainDecomposition, _partition_walk, enumerate_chain_decompositions
+from posetdecomp.chains import (
+    ChainDecomposition,
+    _as_decomposition,
+    _partition_walk,
+    enumerate_chain_decompositions,
+)
 from posetdecomp.hcd import (
     HOM_WORDS,
-    _as_decomposition,
     _embedding,
     _merge_table,
     _replay,

@@ -11,16 +11,18 @@ import itertools
 import linecache
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
-from posetdecomp import chains, cli, hcd, nccd, poset, verify
+from posetdecomp import _reference, chains, cli, hcd, nccd, poset, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
 import oracles
+import test_boundary
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
@@ -57,12 +59,18 @@ def _rewritten(module, name, old, new):
     return namespace[name]
 
 
-def _rewrite(monkeypatch, module, name, old, new, into=None):
-    """Bind `_rewritten(module, name, old, new)` under that name in each
-    module of `into` (module itself by default)."""
+def _rewrite(monkeypatch, module, name, old, new):
+    """Bind `_rewritten(module, name, old, new)` at every attribute of a
+    posetdecomp module that holds the original, so a defect runs wherever
+    the original would: in its own module and in every module that imported
+    it by name."""
+    original = getattr(module, name)
     fn = _rewritten(module, name, old, new)
-    for target in into or (module,):
-        monkeypatch.setattr(target, name, fn)
+    for key, mod in list(sys.modules.items()):
+        if key == "posetdecomp" or key.startswith("posetdecomp."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, fn)
 
 
 def first_witness_only(monkeypatch):
@@ -114,8 +122,7 @@ def induced_skips_scatter(monkeypatch):
 def widths_from_up_only(monkeypatch):
     """The descent scans' shared comparability is the up rows alone."""
     _rewrite(monkeypatch, nccd, "_chain_bounds",
-             "antichain_widths([u | v for u, v in zip(up, down)])", "antichain_widths(list(up))",
-             into=(nccd, verify))
+             "antichain_widths([u | v for u, v in zip(up, down)])", "antichain_widths(list(up))")
 
 
 def mhcd_merges_first_two(monkeypatch):
@@ -168,16 +175,14 @@ def mixed_pair_comparable(monkeypatch):
 
 def partition_joins_incomparable(monkeypatch):
     """The partition walk lets an element join a chain whose top is not below it."""
-    _rewrite(monkeypatch, chains, "_partition_walk", "if up[top] & bit:", "if True:",
-             into=(chains, verify))
+    _rewrite(monkeypatch, chains, "_partition_walk", "if up[top] & bit:", "if True:")
 
 
 def partition_skips_pair_status(monkeypatch):
     """The partition walk tests only a joining element's own uniformity
     towards the other chains, not that it keeps its chain's status."""
     _rewrite(monkeypatch, chains, "_partition_walk", "(row ^ comp[top]) & placed & ~mask != 0",
-             "any(row & m not in (0, m) for i, m in enumerate(masks) if i != c)",
-             into=(chains, verify))
+             "any(row & m not in (0, m) for i, m in enumerate(masks) if i != c)")
 
 
 def orient_by_index(monkeypatch):
@@ -205,41 +210,73 @@ def crossing_without_top(monkeypatch):
     """The walk's crossing test drops the b < d condition: a closed run
     inside (low, v) suffices."""
     _rewrite(monkeypatch, nccd, "_segment_walk", "mask & between and mask & ux",
-             "mask & between", into=(verify,))
+             "mask & between")
 
 
 def run_extends_above_first(monkeypatch):
     """An element joins the current run when it lies above the run's first element."""
-    _rewrite(monkeypatch, nccd, "_segment_walk", "above | ux, ux, head", "above | ux, up[head], head",
-             into=(verify,))
+    _rewrite(monkeypatch, nccd, "_segment_walk", "above | ux, ux, head", "above | ux, up[head], head")
 
 
 def child_keeps_parent_forbidden(monkeypatch):
     """The walk passes a child its parent's forbidden mask instead of the
     updated one."""
-    _rewrite(monkeypatch, nccd, "_segment_walk", "joined, grown, shut)", "joined, forbidden, shut)",
-             into=(nccd, verify))
+    _rewrite(monkeypatch, nccd, "_segment_walk", "joined, grown, shut)", "joined, forbidden, shut)")
 
 
 def segment_skips_role_b(monkeypatch):
     """The walk drops its role-b test: an element extending the current run
     is never checked against a closed run with elements between and above."""
     _rewrite(monkeypatch, nccd, "_segment_walk", "if mask & between and mask & ux:",
-             "if False:", into=(nccd, verify))
+             "if False:")
 
 
 def segment_skips_role_d(monkeypatch):
     """The walk drops its role-d test: an element extending the current run
     may lie above a closed run's b with a current-run element between."""
-    _rewrite(monkeypatch, nccd, "_segment_walk", " or forbidden >> x & 1", "",
-             into=(nccd, verify))
+    _rewrite(monkeypatch, nccd, "_segment_walk", " or forbidden >> x & 1", "")
 
 
 def segment_prune_without_rest(monkeypatch):
     """The walk's 132 prune drops `& rest`: a candidate is pruned when any
     element, used or not, lies between it and an earlier one."""
-    _rewrite(monkeypatch, nccd, "_segment_walk", "if down[x] & above & rest:", "if down[x] & above:",
-             into=(verify,))
+    _rewrite(monkeypatch, nccd, "_segment_walk", "if down[x] & above & rest:", "if down[x] & above:")
+
+
+def descents_stop_above_floor(monkeypatch):
+    """The descent search stops once its incumbent reaches the width floor
+    plus one, so a permutation with floor descents can go unfound."""
+    _rewrite(monkeypatch, _reference, "min_descents", "floor = width(full)\n",
+             "floor = width(full) + 1\n")
+
+
+def crossing_test_skips_the_chain(monkeypatch):
+    """`_creates_crossing` drops its second condition: v completes a
+    crossing with any chain that has an element below it, whether chain j
+    meets the interval or not."""
+    _rewrite(monkeypatch, nccd, "_creates_crossing",
+             "down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]", "down[v] >> b & 1")
+
+
+def crossing_test_skips_the_top(monkeypatch):
+    """`_creates_crossing` drops its first condition: v completes a crossing
+    whenever chain j meets the interval above another chain's minimum and
+    below one of its elements, wherever v lies."""
+    _rewrite(monkeypatch, nccd, "_creates_crossing",
+             "down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]", "mask_j & up[ci[0]] & down[b]")
+
+
+def catalan_off_at_four(monkeypatch):
+    """The Catalan recurrence adds one at n = 4: 15 in place of 14."""
+    _rewrite(monkeypatch, verify, "catalan_numbers", "for i in range(n + 1)))",
+             "for i in range(n + 1)) + (n == 3))")
+
+
+def decomposition_by_index(monkeypatch):
+    """`_as_decomposition` uses every ChainDecomposition as it stands, even
+    one of another poset, whose chain indices mean other elements."""
+    _rewrite(monkeypatch, chains, "_as_decomposition", "if parts.poset is p or parts.poset == p:",
+             "if True:")
 
 
 def walk_joins_incomparable(monkeypatch):
@@ -249,8 +286,7 @@ def walk_joins_incomparable(monkeypatch):
 
 def unsigned_side_counts(monkeypatch):
     """The side counts drop the alternating sign: they count the chains."""
-    _rewrite(monkeypatch, poset, "_alternating_series", "sign = -sign", "sign = 1",
-             into=(cut_module,))
+    _rewrite(monkeypatch, poset, "_alternating_series", "sign = -sign", "sign = 1")
 
 
 def upper_over_lower_parts(monkeypatch):
@@ -267,44 +303,40 @@ def admissible_by_comparability(monkeypatch):
 def side_series_drops_last_power(monkeypatch):
     """The side series stops before its last nonzero power."""
     _rewrite(monkeypatch, poset, "_alternating_series", "while power.any():",
-             "while ((power @ strict) * inside).any():", into=(cut_module,))
+             "while ((power @ strict) * inside).any():")
 
 
 def side_series_keeps_v0(monkeypatch):
     """The side series keeps V_0 but drops its last nonzero power of order >= 1."""
     _rewrite(monkeypatch, poset, "_alternating_series", "total += sign * power\n",
-             "total += sign * power * (not total.any() or ((power @ strict) * inside).any())\n",
-             into=(cut_module,))
+             "total += sign * power * (not total.any() or ((power @ strict) * inside).any())\n")
 
 
 def float_tier_past_53(monkeypatch):
     """The float64 tier reaches every bound below 2**63, where a double rounds."""
-    _rewrite(monkeypatch, poset, "_exact_dtypes", "if bound < 2**53:", "if bound < 2**63:",
-             into=(poset, cut_module))
+    _rewrite(monkeypatch, poset, "_exact_dtypes", "if bound < 2**53:", "if bound < 2**63:")
 
 
 def j_without_identity(monkeypatch):
     """The frame's J is the chain graph's adjacency alone: the identity is dropped."""
     _rewrite(monkeypatch, cut_module, "CutFrame", "np.eye(k, dtype=np.int64) + ",
-             "np.zeros((k, k), dtype=np.int64) + ", into=(cut_module, verify))
+             "np.zeros((k, k), dtype=np.int64) + ")
 
 
 def mobius_without_sign(monkeypatch):
     """The Mobius recursion drops its sign: mu(x, y) sums mu(x, z) over x <= z < y."""
-    _rewrite(monkeypatch, poset, "mobius_matrix", "row[y] = -sum(", "row[y] = sum(",
-             into=(poset, cut_module))
+    _rewrite(monkeypatch, poset, "mobius_matrix", "row[y] = -sum(", "row[y] = sum(")
 
 
 def mobius_unordered(monkeypatch):
     """The Mobius recursion takes y in index order, not in a linear extension."""
     _rewrite(monkeypatch, poset, "mobius_matrix", "order = _topological_order(p)",
-             "order = list(range(p.n))", into=(poset, cut_module))
+             "order = list(range(p.n))")
 
 
 def chain_sums_skip_diagonal(monkeypatch):
     """The chain sums of the Mobius matrix skip the pairs x = y."""
-    _rewrite(monkeypatch, cut_module, "_chain_sums", "keep & (up[x] | 1 << x)", "keep & up[x]",
-             into=(cut_module, verify))
+    _rewrite(monkeypatch, cut_module, "_chain_sums", "keep & (up[x] | 1 << x)", "keep & up[x]")
 
 
 def closure_skips_last_pivot(monkeypatch):
@@ -366,7 +398,7 @@ def markers_against_all_chains(monkeypatch):
 
 def deletion_keeps_column_z(monkeypatch):
     """The deletion counts compare the closed rows without clearing bit z."""
-    _rewrite(monkeypatch, hcd, "deletion_bounds", "row & ~(1 << z)", "row", into=(hcd, verify))
+    _rewrite(monkeypatch, hcd, "deletion_bounds", "row & ~(1 << z)", "row")
 
 
 def matching_one_phase(monkeypatch):
@@ -377,7 +409,7 @@ def matching_one_phase(monkeypatch):
 def antichain_keeps_right_cover(monkeypatch):
     """The antichain is Z_L: the right cover Z_R is not removed."""
     _rewrite(monkeypatch, chains, "_dilworth", "if in_zl[x] and not zr >> x & 1]",
-             "if in_zl[x]]", into=(verify,))
+             "if in_zl[x]]")
 
 
 def orders_choice_swapped(monkeypatch):
@@ -550,6 +582,27 @@ def float_tier_differs_from_mobius() -> bool:
     )
 
 
+def catalan_check_fails() -> bool:
+    """The exhaustive sweep's Catalan check."""
+    return not verify.check_catalan_counts()["passed"]
+
+
+def noncrossing_count_differs_from_oracle() -> bool:
+    """test_nccd.test_count_noncrossing_matches_oracle, on every poset with n <= 4."""
+    return any(
+        nccd.count_noncrossing_decompositions(p) != oracles.count_noncrossing(p)
+        for p in FAMILY
+        if p.n <= 4
+    )
+
+
+def boundary_table_fails_in_every_module() -> bool:
+    """test_boundary's table on wrap_forest(12, 3): some entry point of each
+    module of the chain layer breaks the rule."""
+    faults = test_boundary.boundary_faults(wrap_forest(12, seed=3))
+    return {test_boundary.HOMES[name] for name, _ in faults} == set(test_boundary.HOMES.values())
+
+
 def check_fails(name: str):
     """A killer: the battery's check `name` fails on some poset of FAMILY."""
 
@@ -590,6 +643,13 @@ MUTANTS = {
     "segment-skips-role-d": (segment_skips_role_d, segment_walk_differs_from_runs),
     # nor a lost avoider: the check passes with a smaller count
     "segment-prune-without-rest": (segment_prune_without_rest, over_pruned_count_differs_from_catalan),
+    "descents-stop-above-floor": (descents_stop_above_floor, check_fails("bounds")),
+    # an over-eager crossing test blocks placements but keeps every minimum
+    # on FAMILY: only the counts tell
+    "crossing-test-skips-the-chain": (crossing_test_skips_the_chain, catalan_check_fails),
+    "crossing-test-skips-the-top": (crossing_test_skips_the_top, noncrossing_count_differs_from_oracle),
+    "catalan-off-at-four": (catalan_off_at_four, catalan_check_fails),
+    "decomposition-by-index": (decomposition_by_index, boundary_table_fails_in_every_module),
     "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),

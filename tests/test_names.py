@@ -8,6 +8,8 @@ from pathlib import Path
 import posetdecomp
 from posetdecomp import cli, verify
 
+import test_boundary
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -49,3 +51,20 @@ def test_sections_take_two_positional_arguments():
         assert [(q.kind in positional, q.default) for q in params] == [
             (True, inspect.Parameter.empty),
         ] * 2, name
+
+
+def test_decomposition_entry_points_are_in_the_boundary_table():
+    # a new callable that takes a poset p and a decomposition d or parts must
+    # read it by the one rule, and the boundary table is where that is tested
+    takers = []
+    for name in posetdecomp.__all__:
+        obj = getattr(posetdecomp, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # builtin exception classes
+            continue
+        if "p" in params and ("d" in params or "parts" in params):
+            takers.append(name)
+    assert takers and sorted(takers) == sorted(test_boundary.ENTRY_POINTS)
