@@ -251,15 +251,14 @@ def _print_verify(summary: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    which = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     if args.mode == "exhaustive":
         cap = None if args.unsafe_scope else POSET_ENUMERATION_CAP
-        summary = verify_exhaustive(args.nmax, which=which, seed=args.seed, cap=cap)
+        summary = verify_exhaustive(args.nmax, which=args.checks, seed=args.seed, cap=cap)
     else:
         summary = verify_random(
             args.n,
             args.count,
-            which=which,
+            which=args.checks,
             seed=args.seed,
             density=args.density,
             family=args.family,
@@ -280,6 +279,16 @@ def _size(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (got {n})")
     return n
+
+
+def _checks(text: str) -> tuple[str, ...]:
+    """A --checks option: comma-separated names of checks, or a usage error (exit 2)."""
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in DEFAULT_CHECKS:
+            what = f"unknown check {name!r}" if name else "empty check name"
+            raise argparse.ArgumentTypeError(f"{what} (valid: {', '.join(DEFAULT_CHECKS)})")
+    return names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,7 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vex = vsub.add_parser("exhaustive", help="every labeled poset up to a size")
     vex.add_argument("--nmax", type=_size, default=4)
     vex.add_argument("--seed", type=int, default=0)
-    vex.add_argument("--checks", help="comma-separated check names (default: all)")
+    vex.add_argument(
+        "--checks",
+        type=_checks,
+        default=DEFAULT_CHECKS,
+        help="comma-separated check names (default: all)",
+    )
     vex.add_argument("--json", action="store_true")
     vex.add_argument(
         "--unsafe-scope",
@@ -335,7 +349,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--seed", type=int, default=0)
     vr.add_argument("--density", type=float, default=0.3)
     vr.add_argument("--family", choices=("random", "wrapforest"), default="random")
-    vr.add_argument("--checks", help="comma-separated check names (default: all)")
+    vr.add_argument(
+        "--checks",
+        type=_checks,
+        default=DEFAULT_CHECKS,
+        help="comma-separated check names (default: all)",
+    )
     vr.add_argument("--json", action="store_true")
     vr.set_defaults(func=_cmd_verify)
 

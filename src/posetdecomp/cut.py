@@ -51,6 +51,7 @@ and reports carry both sides of the identity verbatim, as Python integers.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -194,10 +195,13 @@ class Cut:
 
 
 def make_cut(p: Poset, d, heights: Sequence[int]) -> Cut:
-    """Validate heights against a homogeneous decomposition and build the cut."""
+    """Validate heights against a homogeneous decomposition and build the cut.
+
+    Each height must be an integer (Python or numpy); 1.7 is a TypeError.
+    """
     frame = CutFrame(p, d)  # raises NotHomogeneousError when not homogeneous
     d = frame.decomposition
-    heights = tuple(int(h) for h in heights)
+    heights = tuple(operator.index(h) for h in heights)
     if len(heights) != d.k:
         raise ValueError(f"expected {d.k} heights, got {len(heights)}")
     for h, chain in zip(heights, d.chains):

@@ -23,7 +23,9 @@ The middle inequalities rest on one lemma: the ascending runs of every
 132-avoiding permutation form a noncrossing decomposition.  The segments
 check tests it with one depth-first walk of the avoider tree that carries
 the run and crossing state down to each child, so every prefix is processed
-once and no avoider list is built.
+once and no avoider list is built.  On a flag the walk returns its own
+witness, the first avoider through the flagged node, so a failure builds
+no avoider list either.
 """
 
 from __future__ import annotations
@@ -201,17 +203,20 @@ def _avoider_runs(up: list[int], down: list[int], perm: Sequence[int]) -> list |
     return runs
 
 
-def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
+def _segment_walk(up: list[int], down: list[int]) -> tuple[int, tuple | None]:
     """Walk the 132-avoider tree once, testing each node's runs for a crossing.
 
-    Returns (count, flagged).  Unflagged, count is the number of avoiders.
-    Flagged, count is the number of avoiders before the first node whose new
-    element leaves its run no chain or completes a crossing; the first
-    avoider through that node is the one at that index in
-    `permutations_avoiding`'s list, since the walk tries candidates lowest
-    bit first and prunes them by the same 132 test.  Every node the prune
-    keeps lies on an avoider: completing its prefix with the unused elements
-    in a linear extension's order adds no 132 pattern.
+    Returns (count, witness).  Unflagged, witness is None and count is the
+    number of avoiders.  Flagged, count is the number of avoiders before the
+    first node whose new element leaves its run no chain or completes a
+    crossing, and witness is the first avoider through that node, as an index
+    tuple: the node's prefix completed by the lowest candidate the 132 prune
+    keeps, step by step.  Every node the prune keeps lies on an avoider:
+    completing its prefix with the unused elements in a linear extension's
+    order adds no 132 pattern.  So the completion never dead-ends, and the
+    lowest kept candidate at each step gives the lexicographically first
+    avoider below the node, the one a walk that tries candidates lowest bit
+    first, as this one does, reaches first.
 
     A node passes down the `above` mask of the 132 test, the up row of the
     current run's top (`reach`), the run's lowest element and mask, the
@@ -225,7 +230,7 @@ def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
     """
     n = len(up)
     if n == 0:
-        return 1, False  # the empty permutation
+        return 1, None  # the empty permutation
     # ups[mask]: the union of up[b] over the elements b of mask
     ups = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -233,8 +238,18 @@ def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
         ups[mask] = ups[mask ^ low] | up[low.bit_length() - 1]
     count = 0
 
+    def first(unused: int, above: int) -> list[int]:
+        """The lowest candidate the 132 prune keeps, step by step."""
+        path = []
+        while unused:
+            x = next(x for x in _bits(unused) if not down[x] & above & unused & ~(1 << x))
+            path.append(x)
+            unused ^= 1 << x
+            above |= up[x]
+        return path
+
     def walk(unused: int, above: int, reach: int, low: int, run: int, forbidden: int,
-             closed: tuple) -> bool:
+             closed: tuple) -> tuple | None:
         nonlocal count
         group = unused
         while group:
@@ -248,12 +263,12 @@ def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
             if reach & bit:
                 # the run stays a chain: x lies above all of it
                 if run & ~down[x] or forbidden >> x & 1:
-                    return True
+                    return (x, *first(rest, above | ux))
                 between = up[low] & down[x]
                 grown = forbidden
                 for c, mask in closed:
                     if mask & between and mask & ux:
-                        return True
+                        return (x, *first(rest, above | ux))
                     if up[c] & bit:
                         grown |= ups[mask & ux]
                 head, joined, shut = low, run | bit, closed
@@ -266,12 +281,12 @@ def _segment_walk(up: list[int], down: list[int]) -> tuple[int, bool]:
                         grown |= ups[mask & ux]
             if not rest:
                 count += 1
-            elif walk(rest, above | ux, ux, head, joined, grown, shut):
-                return True
-        return False
+            elif found := walk(rest, above | ux, ux, head, joined, grown, shut):
+                return (x, *found)
+        return None
 
-    flagged = walk((1 << n) - 1, 0, 0, -1, 0, 0, ())
-    return count, flagged
+    witness = walk((1 << n) - 1, 0, 0, -1, 0, 0, ())
+    return count, witness
 
 
 def is_132_avoiding(p: Poset, perm: Sequence) -> bool:

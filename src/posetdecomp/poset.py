@@ -692,12 +692,14 @@ def enumerate_posets(n: int, cap: int | None = POSET_ENUMERATION_CAP) -> Iterato
     1..n-1 in `combinations` order, so looping over 0's relations outside
     and over the orders Q inside, each in its own order, keeps the product's
     order.  The counts 1, 1, 3, 19, 219, 4231, 130023 for n = 0..6 pin the
-    enumeration down in the tests.
+    enumeration down in the tests.  A negative n (ValueError) and an n above
+    the cap are refused at the call, before the first poset.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got {n})")
     refuse_above("labeled poset enumeration", cap, n)
     labels = tuple(str(i) for i in range(n))
-    for up, down in _order_rows(n):
-        yield Poset._from_rows(labels, up, down)
+    return (Poset._from_rows(labels, up, down) for up, down in _order_rows(n))
 
 
 def _order_rows(n: int) -> Iterator[tuple[list[int], list[int]]]:

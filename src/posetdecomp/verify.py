@@ -46,7 +46,6 @@ from .hcd import (
     is_homogeneous,
     mhcd,
 )
-from .kernels import permutations_avoiding
 from .nccd import (
     DESCENT_SCAN_CAP,
     NONCROSSING_CAP,
@@ -63,17 +62,6 @@ from .poset import (
     Poset,
     enumerate_posets,
     signed_chain_count_matrix,
-)
-
-DEFAULT_CHECKS = (
-    "dilworth",
-    "homogeneous",
-    "deletion",
-    "cut",
-    "embedding",
-    "bounds",
-    "segments",
-    "noncrossing-trivial",
 )
 
 BRUTE_FORCE_CAP = 6
@@ -318,11 +306,11 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
 
     `nccd._segment_walk` walks the avoider tree once, pruning by the kernel's
     132 test, and tests each node's new element for keeping its run a chain
-    and for a crossing with the closed runs; it returns the avoider count.
-    Only when it flags a node is the avoider list built: the first avoider
-    through that node is the witness.  It is split once at its descents and
-    classified on its own: a 132 pattern, a run that is not a chain, or two
-    runs that cross.
+    and for a crossing with the closed runs; it returns the avoider count
+    and, when it flags a node, the first avoider through that node as the
+    witness.  The witness is split once at its descents and classified on
+    its own: a 132 pattern, a run that is not a chain, or two runs that
+    cross.
     """
     p = an.p
     if p.n > SEGMENT_SWEEP_CAP:
@@ -332,10 +320,9 @@ def check_segments(an: Analysis, seed: int = 0) -> dict:
             "details": {"permutations": 0, "skipped": f"n > {SEGMENT_SWEEP_CAP}"},
         }
     up, down = p.rows
-    count, flagged = _segment_walk(up, down)
-    if not flagged:
+    count, perm = _segment_walk(up, down)
+    if perm is None:
         return {"name": "segments", "passed": True, "details": {"permutations": count}}
-    perm = permutations_avoiding(up, down)[count]
     runs = _avoider_runs(up, down, perm)
     if runs is None:
         fault = "not 132-avoiding"
@@ -386,6 +373,7 @@ _CHECKS = {
     "segments": check_segments,
     "noncrossing-trivial": check_noncrossing_trivial,
 }
+DEFAULT_CHECKS = tuple(_CHECKS)
 
 
 def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:

@@ -59,6 +59,35 @@ def test_negative_size_is_a_usage_error(command, capsys):
     assert "must be >= 0 (got -2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode", [("exhaustive", "--nmax", "3"), ("random", "--count", "0")], ids=["exhaustive", "random"]
+)
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        ("bogus", "unknown check 'bogus'"),
+        ("Dilworth", "unknown check 'Dilworth'"),
+        ("dilworth,,cut", "empty check name"),
+        ("", "empty check name"),
+    ],
+    ids=["unknown", "capitalised", "empty-name", "empty-list"],
+)
+def test_bad_check_name_is_a_usage_error(mode, checks, message, monkeypatch, capsys):
+    # refused while parsing, before a sweep builds any poset, even an empty one
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(posetdecomp.cli, "verify_exhaustive", sweep)
+    monkeypatch.setattr(posetdecomp.cli, "verify_random", sweep)
+    kind, option, size = mode
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", kind, option, size, "--checks", checks])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert ", ".join(posetdecomp.verify.DEFAULT_CHECKS) in err
+
+
 def test_empty_sweep_says_nothing_was_checked(capsys):
     # --count 0 is legal and exits 0, but must not claim that checks passed
     args = ["verify", "random", "--n", "3", "--count", "0"]

@@ -141,6 +141,15 @@ def test_cut_validation():
         make_cut(p, minimum_chain_decomposition(p), (1, 1))
 
 
+def test_cut_heights_must_be_integers():
+    # a height was truncated by int(): [1.7] * 4 made the cut (1, 1, 1, 1)
+    p = wrap_forest(12, seed=3)
+    d = mhcd(p)
+    with pytest.raises(TypeError):
+        make_cut(p, d, [1.7] * d.k)
+    assert make_cut(p, d, np.ones(d.k, dtype=np.int64)).heights == (1,) * d.k
+
+
 def test_proper_and_admissible_flags():
     p = theta()
     d = mhcd(p)

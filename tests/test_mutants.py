@@ -243,6 +243,13 @@ def segment_prune_without_rest(monkeypatch):
     _rewrite(monkeypatch, nccd, "_segment_walk", "if down[x] & above & rest:", "if down[x] & above:")
 
 
+def segment_witness_highest_candidate(monkeypatch):
+    """The walk completes a flagged node's prefix by the highest candidate
+    the 132 prune keeps instead of the lowest."""
+    _rewrite(monkeypatch, nccd, "_segment_walk", "for x in _bits(unused)",
+             "for x in reversed([*_bits(unused)])")
+
+
 def descents_stop_above_floor(monkeypatch):
     """The descent search stops once its incumbent reaches the width floor
     plus one, so a permutation with floor descents can go unfound."""
@@ -542,7 +549,8 @@ def mhcd_section_differs_from_pair_oracle() -> bool:
 def _path_walk():
     """`nccd._segment_walk` with its 132 prune lifted and replaced by one
     that keeps only the permutation `walk.__globals__["PATH"]`: it returns
-    (0, True) when that permutation's runs are flagged, else (1, False)."""
+    count 0 and a witness when that permutation's runs are flagged, else
+    (1, None)."""
     return _rewritten(nccd, "_segment_walk", "if down[x] & above & rest:",
                       "if x != PATH[n - 1 - rest.bit_count()]:")
 
@@ -559,8 +567,25 @@ def segment_walk_differs_from_runs() -> bool:
         chained = all(up[a] >> b & 1 for run in runs for a, b in zip(run, run[1:]))
         expected = not chained or nccd._crossing(up, down, runs) is not None
         walk.__globals__["PATH"] = perm
-        if walk(up, down)[1] != expected:
+        if (walk(up, down)[1] is not None) != expected:
             return True
+    return False
+
+
+def segment_witness_differs_from_first_avoider() -> bool:
+    """test_nccd.test_segment_walk_flags_what_the_prefix_replay_flags's
+    witness test, on the order and the cover relation of every poset with
+    n <= 5: a flagged walk's witness is the avoider at its count.  FAMILY
+    stops at n = 4, where a flagged node leaves at most one element to place:
+    a run fails at its third element at the earliest, and a crossing at the
+    fourth."""
+    for p in (p for n in range(6) for p in poset.enumerate_posets(n)):
+        lt = p.lt.astype(np.int64)
+        for m in (p.lt, p.lt & ~(lt @ lt).astype(bool)):
+            up, down = oracles.bit_rows(m)
+            count, witness = nccd._segment_walk(up, down)
+            if witness is not None and witness != _reference.permutations_avoiding(up, down)[count]:
+                return True
     return False
 
 
@@ -643,6 +668,8 @@ MUTANTS = {
     "segment-skips-role-d": (segment_skips_role_d, segment_walk_differs_from_runs),
     # nor a lost avoider: the check passes with a smaller count
     "segment-prune-without-rest": (segment_prune_without_rest, over_pruned_count_differs_from_catalan),
+    "segment-witness-highest-candidate": (
+        segment_witness_highest_candidate, segment_witness_differs_from_first_avoider),
     "descents-stop-above-floor": (descents_stop_above_floor, check_fails("bounds")),
     # an over-eager crossing test blocks placements but keeps every minimum
     # on FAMILY: only the counts tell
@@ -706,7 +733,7 @@ def test_segment_walk_tests_both_crossing_roles():
     walk = _path_walk()
     for perm in ((1, 3, 0, 2), (0, 2, 1, 3)):
         walk.__globals__["PATH"] = perm
-        assert walk(up, down) == (0, True)
+        assert walk(up, down) == (0, perm)
     walk.__globals__["PATH"] = (0, 1, 2, 3)
-    assert walk(up, down) == (1, False)
+    assert walk(up, down) == (1, None)
     assert not segment_walk_differs_from_runs()

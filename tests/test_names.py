@@ -10,7 +10,16 @@ from posetdecomp import cli, verify
 
 import test_boundary
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+
+def _load(path: Path, name: str):
+    """A benchmark module, loaded by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_exports_resolve():
@@ -20,9 +29,7 @@ def test_all_exports_resolve():
 def test_traced_functions_exist():
     # the benchmark's tracer rebinds each module.function by name and refuses
     # to start when one is gone
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load(SPANS, "perfbench_spans")
     missing = []
     for name in spans.TRACED:
         module, attr = name.split(".")
@@ -31,6 +38,13 @@ def test_traced_functions_exist():
     assert missing == []
     for module in spans.MODULES:
         importlib.import_module(f"posetdecomp.{module}")
+
+
+def test_benchmark_names_the_battery_checks():
+    # the benchmark builds its per-check metrics from its own list of names,
+    # so a renamed or added check would read 0 there and fail nowhere
+    run = _load(PERFBENCH / "run.py", "perfbench_run")
+    assert run.CHECKS == verify.DEFAULT_CHECKS
 
 
 def test_checks_take_analysis_and_seed():

@@ -153,7 +153,8 @@ def test_132_predicate_matches_oracle():
 def test_segment_walk_flags_what_the_prefix_replay_flags():
     # a cover relation is acyclic but not transitive, so the runs of its
     # avoiders can stop being chains or cross: the walk must flag the first
-    # avoider that the prefix replay flags, and count them all otherwise
+    # avoider that the prefix replay flags, return it as its witness, and
+    # count them all otherwise
     flagged = 0
     for p in (p for n in range(6) for p in enumerate_posets(n)):
         lt = p.lt.astype(np.int64)
@@ -161,7 +162,10 @@ def test_segment_walk_flags_what_the_prefix_replay_flags():
             up, down = oracles.bit_rows(m)
             perms = kernels.permutations_avoiding(up, down)
             at = oracles.segment_fault(up, down, perms)
-            assert nccd._segment_walk(up, down) == ((len(perms), False) if at is None else (at, True))
+            count, witness = nccd._segment_walk(up, down)
+            assert (count, witness is not None) == ((len(perms), False) if at is None else (at, True))
+            if at is not None:
+                assert witness == perms[at]
             flagged += at is not None
     assert flagged
 

@@ -460,6 +460,12 @@ def test_enumerate_posets_matches_relation_filter_oracle():
         assert sum(1 for _ in enumerate_posets(n)) == oracles.all_relations_poset_count(n)
 
 
+def test_enumerate_posets_refuses_a_negative_size():
+    # the recursion on n stops only at n == 0
+    with pytest.raises(ValueError, match="got -1"):
+        enumerate_posets(-1)
+
+
 def test_enumerated_posets_are_valid_and_distinct():
     seen = set()
     for p in enumerate_posets(3):

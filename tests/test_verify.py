@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from posetdecomp import verify
+from posetdecomp import kernels, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
@@ -167,11 +167,10 @@ def _segments(p) -> dict:
 
 
 def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
-    # the walk flags the node of avoider 2, and the list yields the pattern
-    # (0, 2, 1) there: the first avoider through a flagged node is the witness
-    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, True))
+    # the walk flags the node of avoider 2 and returns the pattern (0, 2, 1)
+    # as the first avoider through it: the witness is classified on its own
     perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1)]
-    monkeypatch.setattr(verify, "permutations_avoiding", lambda up, down: perms)
+    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, perms[2]))
     check = _segments(chain(3))
     assert check == oracles.segments_record(chain(3), perms)
     assert check["details"] == {"permutations": 2, "error": "not 132-avoiding"}
@@ -180,7 +179,7 @@ def test_segments_fails_on_a_yielded_132_pattern(monkeypatch):
 
 def test_segments_raises_when_the_flagged_avoider_passes(monkeypatch):
     # a flag whose witness passes on its own is the walk's fault, not the poset's
-    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, True))
+    monkeypatch.setattr(verify, "_segment_walk", lambda up, down: (2, (0, 1, 2)))
     with pytest.raises(InternalInconsistencyError, match="flags avoider 2"):
         verify.check_segments(verify.Analysis(chain(3)))
 
@@ -198,7 +197,7 @@ def test_segments_walk_matches_replay_and_per_permutation_oracles():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += itertools.islice(enumerate_posets(6, cap=None), 0, None, 65)
     for p in posets:
-        perms = verify.permutations_avoiding(*p.rows)
+        perms = kernels.permutations_avoiding(*p.rows)
         assert _segments(p) == oracles.replay_record(p, perms) == oracles.segments_record(p, perms)
 
 
