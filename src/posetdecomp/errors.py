@@ -45,6 +45,12 @@ class ScopeExceededError(PosetError, ValueError):
     """Input larger than a brute-force cap; pass cap=None (CLI: --unsafe-scope) to force."""
 
 
+def refuse_negative(name: str, size: int) -> None:
+    """Raise ValueError when a size is negative."""
+    if size < 0:
+        raise ValueError(f"{name} must be >= 0 (got {size})")
+
+
 def refuse_above(what: str, cap: int | None, got: int, unit: str = "n") -> None:
     """Raise ScopeExceededError when got > cap; cap=None lifts the cap."""
     if cap is not None and got > cap:

@@ -1,26 +1,33 @@
-"""Deterministic poset families used by the CLI, the tests and the verifier."""
+"""Deterministic poset families used by the CLI, the tests and the verifier.
+
+Every family refuses a negative size with ValueError.
+"""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+from .errors import refuse_negative
 from .poset import Poset, _close_acyclic
 
 
 def chain(n: int) -> Poset:
     """Total order 1 < 2 < ... < n."""
+    refuse_negative("n", n)
     labels = [str(i) for i in range(1, n + 1)]
     return Poset.from_cover_relations(labels, zip(labels, labels[1:]))
 
 
 def antichain(n: int) -> Poset:
     """n mutually incomparable elements."""
+    refuse_negative("n", n)
     return Poset.from_cover_relations([str(i) for i in range(1, n + 1)], [])
 
 
 def boolean_lattice(k: int) -> Poset:
     """Subsets of {1..k} ordered by inclusion; boolean_lattice(2) is the diamond."""
+    refuse_negative("k", k)
     masks = range(1 << k)
     labels = ["{" + ",".join(str(b + 1) for b in range(k) if m >> b & 1) + "}" for m in masks]
     covers = [(labels[m], labels[m | 1 << b]) for m in masks for b in range(k) if not m >> b & 1]
@@ -34,6 +41,7 @@ def two_chain_fan(k: int) -> Poset:
     pins each element into its own chain of the minimal homogeneous
     decomposition; deleting z lets the 2-chains reunite.
     """
+    refuse_negative("k", k)
     labels = [f"a{i}" for i in range(1, k + 1)] + [f"b{i}" for i in range(1, k + 1)] + ["z"]
     covers = []
     for i in range(1, k + 1):
@@ -47,6 +55,7 @@ def random_poset(n: int, density: float = 0.3, seed: int = 0) -> Poset:
 
     Deterministic for a given (n, density, seed).
     """
+    refuse_negative("n", n)
     rng = random.Random(seed)
     succ = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
     _, rows = _close_acyclic(succ)
@@ -63,6 +72,7 @@ def wrap_forest(n: int, seed: int = 0) -> Poset:
     chain pair is a strict wrap, so proper cuts that respect the wrap
     boundaries are admissible.
     """
+    refuse_negative("n", n)
     rng = random.Random(seed)
     counter = itertools.count()
     covers: list[tuple[str, str]] = []

@@ -18,15 +18,21 @@ literals of Chaff, Moskewicz et al., DAC 2001, with one watch per pair), so a
 merge looks again only at the pairs that watched the chain it removed.  The candidate
 list stays the rescan's, in order, so a seed draws the same merges.  The walk
 that certifies homogeneity also yields the oriented chain graph as bit rows.
+
+The seeded cross-checks (the merge replays and the product-replacement
+words of the embedding check) draw their indices from one integer stream
+(`_stream`): the seed is mixed once by the splitmix64 finalizer, and each
+draw is one 64-bit LCG step whose high bits, mod m, pick the index.  Its
+modulo bias cannot matter: every merge order reaches the same fixpoint and
+every word is a product of automorphisms, so any draw is a valid one.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from .poset import Poset, _bitrows, _bits, _unpack_rows, automorphism_group
 
 GRAPH_AUTOMORPHISM_CAP = 10
 HOM_WORDS = 16
+_MASK64 = (1 << 64) - 1
 
 
 def chain_comparability(p: Poset, d: ChainDecomposition) -> np.ndarray:
@@ -149,8 +156,9 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
 
     Starts from singletons and merges comparable chain pairs with identical
     comparability profiles until none remains: each round fires the first of
-    the merges (i, j), i < j, in that order or, with `shuffle_seed`, a seeded
-    `rng.choice` among them; the fixpoint is the same either way.  Chain i
+    the merges (i, j), i < j, in that order or, with `shuffle_seed`, the one
+    at the next index that `_stream(shuffle_seed)` draws; the fixpoint is the
+    same either way, since the MHCD is unique.  Chain i
     (named by its least index) keeps element i's comparability row when j
     merges in, so the merges are read off one pair table (see `_merge_table`)
     and the candidate list each round is the one a full rescan would list,
@@ -204,19 +212,20 @@ def _replay(
     """The merges (i, j), in firing order, of one merge loop under `seed`, run
     from the table of `_merge_table`, which it leaves intact.
 
-    After each merge (i, j) the candidates lose the pairs that hold j, and
-    only the pairs watched on bit j are looked at again: each with both ends
-    alive is either filed under the highest alive bit of its diff or, when
-    none is left, inserted into the candidates in (i, j) order.
+    Each round fires the candidate at the index `_stream(seed)` draws among
+    them or, with seed None, the first.  After each merge (i, j) the
+    candidates lose the pairs that hold j, and only the pairs watched on bit
+    j are looked at again: each with both ends alive is either filed under
+    the highest alive bit of its diff or, when none is left, inserted into
+    the candidates in (i, j) order.
     """
     candidates = list(ready)
-    # no candidate at the start means no merge at all, and no draw
-    rng = None if seed is None or not candidates else random.Random(seed)
+    draw = None if seed is None else _stream(seed)
     waiting = [list(w) for w in watch]
     alive = (1 << n) - 1
     merges = []
     while candidates:
-        i, j = rng.choice(candidates) if rng else candidates[0]
+        i, j = candidates[draw(len(candidates))] if draw else candidates[0]
         merges.append((i, j))
         alive ^= 1 << j
         candidates = [c for c in candidates if j not in c]
@@ -228,6 +237,27 @@ def _replay(
                 else:
                     insort(candidates, (a, b))
     return merges
+
+
+def _stream(seed: int) -> Callable[[int], int]:
+    """draw(m): the next index in range(m) of the integer draw stream of `seed`.
+
+    The seed is mixed once by the splitmix64 finalizer (Steele, Lea & Flood,
+    "Fast splittable pseudorandom number generators", OOPSLA 2014); each
+    draw is then one step of the 64-bit LCG of Knuth's MMIX, and its high 32
+    bits mod m are the index.  Any integer seeds it, a negative one too.
+    """
+    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    state = z ^ z >> 31
+
+    def draw(m: int) -> int:
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) & _MASK64
+        return (state >> 32) % m
+
+    return draw
 
 
 def min_homogeneous(p: Poset) -> int:
@@ -323,11 +353,17 @@ def induced_chain_permutation(p: Poset, d, g: Sequence[int]) -> tuple[int, ...]:
     of g[x], sigma is image read off the chain heads, and g sends every
     chain into one chain exactly when image is sigma lifted through
     `chain_of`.  Raises ScatteringError if g sends one chain into several
-    chains.
+    chains.  After reading d and testing g, the map is `_induced`.
     """
     d = _as_decomposition(p, d)
     if sorted(g) != list(range(p.n)):
         raise ValueError("g is not a permutation of the element indices")
+    return _induced(d, g)
+
+
+def _induced(d: ChainDecomposition, g: Sequence[int]) -> tuple[int, ...]:
+    """`induced_chain_permutation` without reading d or testing g: d is a
+    ChainDecomposition and g a permutation of its poset's indices."""
     owner = d.chain_of
     chains = d.chains
     image = [owner[y] for y in g]
@@ -365,7 +401,7 @@ class EmbeddingReport:
     """Outcome of checking Aut(P) against the oriented chain graph's symmetries.
 
     `hom_pairs_checked` counts the products on which the homomorphism was
-    checked: the identity, the ordered generator pairs and the random words.
+    checked: the identity, the ordered generator pairs and the seeded words.
     `aut_unoriented_order`, the order of the length-coloured unoriented chain
     graph's group, is None from `_embedding`, the battery's path, which does
     not report it; `verify_embedding` and `analyze --embedding` fill it in.
@@ -432,9 +468,11 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
     of order 1.  (c) The induced map respects the identity, every ordered
     pair of generators and HOM_WORDS seeded product-replacement words
     (Celler et al. 1995): each product is composed as an index list, on the
-    elements and on the chains, and `induced_chain_permutation` maps the
-    element product to compare with the chain product.  Onto is exact:
-    |Aut(P)| against the order of the oriented chain graph's group.
+    elements and on the chains, and `_induced`, the unvalidated core of
+    `induced_chain_permutation`, maps the element product (a product of
+    automorphisms, so a permutation) to compare with the chain product.
+    Onto is exact: |Aut(P)| against the order of the oriented chain graph's
+    group.
     """
     group = automorphism_group(p.rows)
     d = gr.decomposition
@@ -482,7 +520,7 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
 
     for g, expected in _products(p.n, d.k, list(zip(group.generators, induced)), seed):
         report.hom_pairs_checked += 1
-        if induced_chain_permutation(p, d, g) != tuple(expected):
+        if _induced(d, g) != tuple(expected):
             report.homomorphism = False
             report.witness = {"product": tuple(g), "expected": tuple(expected)}
             break
@@ -495,16 +533,22 @@ def _embedding(p: Poset, gr: ChainGraph, seed: int) -> EmbeddingReport:
 def _products(n: int, k: int, gens: list, seed: int) -> Iterator[tuple[list[int], list[int]]]:
     """(element product, chain product) as index lists, a after b read as
     `[a[x] for x in b]`: the identity, every ordered pair of `gens`, then
-    HOM_WORDS seeded product-replacement words over them."""
+    HOM_WORDS seeded product-replacement words over them.
+
+    Each word draws two distinct state slots from `_stream(seed)`: i among
+    all m, then j among the other m - 1 (a draw at or above i moves up by
+    one), and replaces slot i by the product of slot i after slot j."""
     yield list(range(n)), list(range(k))
     for a, sa in gens:
         for b, sb in gens:
             yield [a[x] for x in b], [sa[i] for i in sb]
     if gens:
-        rng = random.Random(seed)
+        draw = _stream(seed)
         state = gens * (1 if len(gens) > 1 else 2)
+        m = len(state)
         for _ in range(HOM_WORDS):
-            i, j = rng.sample(range(len(state)), 2)
+            i, j = draw(m), draw(m - 1)
+            j += j >= i
             (a, sa), (b, sb) = state[i], state[j]
             state[i] = ([a[x] for x in b], [sa[c] for c in sb])
             yield state[i]

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CycleError, UnknownElementError, refuse_above
+from .errors import CycleError, UnknownElementError, refuse_above, refuse_negative
 
 LINEAR_EXTENSION_CAP = 10
 AUTOMORPHISM_CAP = 9
@@ -695,8 +695,7 @@ def enumerate_posets(n: int, cap: int | None = POSET_ENUMERATION_CAP) -> Iterato
     enumeration down in the tests.  A negative n (ValueError) and an n above
     the cap are refused at the call, before the first poset.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0 (got {n})")
+    refuse_negative("n", n)
     refuse_above("labeled poset enumeration", cap, n)
     labels = tuple(str(i) for i in range(n))
     return (Poset._from_rows(labels, up, down) for up, down in _order_rows(n))

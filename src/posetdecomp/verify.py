@@ -35,7 +35,13 @@ from .cut import (
     _chain_sums,
     verify_cut_identity,
 )
-from .errors import CheckFailure, InternalInconsistencyError, PosetError, refuse_above
+from .errors import (
+    CheckFailure,
+    InternalInconsistencyError,
+    PosetError,
+    refuse_above,
+    refuse_negative,
+)
 from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
@@ -376,20 +382,29 @@ _CHECKS = {
 DEFAULT_CHECKS = tuple(_CHECKS)
 
 
+def _check_names(which: Iterable[str]) -> tuple[str, ...]:
+    """`which` as a tuple; a name that is not a check is a ValueError."""
+    which = tuple(which)
+    for name in which:
+        if name not in _CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+    return which
+
+
 def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
     """Run the named checks on one poset; failures become failed checks.
 
-    A CheckFailure, any other PosetError (a cap, an invalid artifact) or a
+    An unknown check name is a ValueError before any check runs.  A
+    CheckFailure, any other PosetError (a cap, an invalid artifact) or a
     RecursionError inside a check fails that check with the error text, and
     the returned record names the poset, so a sweep keeps its witness and
     runs on.  Any other exception propagates.  The checks share one Analysis.
     """
+    which = _check_names(which)
     an = Analysis(p)
     checks = []
     findings = []
     for name in which:
-        if name not in _CHECKS:
-            raise ValueError(f"unknown check {name!r}")
         try:
             result = _CHECKS[name](an, seed=seed)
         except CheckFailure as exc:
@@ -480,8 +495,11 @@ def verify_exhaustive(
 ) -> dict:
     """Run the checks on every labeled poset with at most nmax elements.
 
-    Refuses nmax > cap before enumerating anything; cap=None lifts the guard.
+    Refuses an unknown check name or a negative nmax (ValueError) and nmax >
+    cap before enumerating anything; cap=None lifts the guard.
     """
+    which = _check_names(which)
+    refuse_negative("nmax", nmax)
     refuse_above("exhaustive sweep", cap, nmax, unit="nmax")
     records = (
         run_poset_checks(p, which=which, seed=seed)
@@ -501,7 +519,14 @@ def verify_random(
     density: float = 0.3,
     family: str = "random",
 ) -> dict:
-    """Run the checks on seeded random posets (uniform-ish or wrap forests)."""
+    """Run the checks on seeded random posets (uniform-ish or wrap forests).
+
+    Refuses an unknown check name, a negative n or count and an unknown
+    family (ValueError) before building the first poset.
+    """
+    which = _check_names(which)
+    refuse_negative("n", n)
+    refuse_negative("count", count)
     if family == "random":
         posets = (random_poset(n, density=density, seed=seed + i) for i in range(count))
     elif family == "wrapforest":

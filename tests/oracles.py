@@ -173,13 +173,13 @@ def merge_sequence_by_rescan(p, shuffle_seed=None):
     On the bit rows, comp[x] = up[x] | down[x]; chain i is named by its least
     index and keeps comp[i] when j merges in.  Each round lists every alive
     comparable pair (i, j), i < j, whose rows agree off i and j on the alive
-    elements, in (i, j) order, and fires the first or, with a seed, a
-    `rng.choice` among them.
+    elements, in (i, j) order, and fires the first or, with a seed, the one
+    that the next state of `draw_states(shuffle_seed)` picks.
     """
     up, down = p.rows
     comp = [u | d for u, d in zip(up, down)]
     alive = (1 << p.n) - 1
-    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
+    states = None if shuffle_seed is None else draw_states(shuffle_seed)
 
     def bits(mask):
         return [x for x in range(p.n) if mask >> x & 1]
@@ -194,9 +194,28 @@ def merge_sequence_by_rescan(p, shuffle_seed=None):
         ]
         if not candidates:
             return merges
-        i, j = rng.choice(candidates) if rng else candidates[0]
+        i, j = candidates[pick(states, len(candidates))] if states else candidates[0]
         merges.append((i, j))
         alive ^= 1 << j
+
+
+def draw_states(seed):
+    """The 64-bit states of the library's seeded draw stream, one per draw:
+    splitmix64's finalizer (Steele, Lea & Flood 2014) mixes seed plus the
+    golden gamma once, and each draw then takes one step of Knuth's MMIX
+    linear congruential generator."""
+    z = (seed + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    state = z ^ (z >> 31)
+    while True:
+        state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+        yield state
+
+
+def pick(states, m):
+    """An index in range(m): the next state's high 32 bits, mod m."""
+    return (next(states) // 2**32) % m
 
 
 def closure_by_squaring(rel):
@@ -1543,6 +1562,28 @@ def _compose(a, b) -> tuple:
     return tuple(a[x] for x in b)
 
 
+def word_products(n: int, k: int, gens, seed: int) -> list[tuple[tuple, tuple]]:
+    """The (element, chain) products of the embedding's homomorphism test,
+    as tuples: the identity, every ordered pair of `gens`, then HOM_WORDS
+    product-replacement words.  Each word picks slot i of the state from the
+    draw stream of `seed`, then slot j among the other slots in order, and
+    replaces slot i by slot i after slot j."""
+    from posetdecomp.hcd import HOM_WORDS
+
+    products = [(tuple(range(n)), tuple(range(k)))]
+    products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
+    if gens:
+        states = draw_states(seed)
+        state = gens * (1 if len(gens) > 1 else 2)
+        for _ in range(HOM_WORDS):
+            i = pick(states, len(state))
+            j = [s for s in range(len(state)) if s != i][pick(states, len(state) - 1)]
+            (a, sa), (b, sb) = state[i], state[j]
+            state[i] = (_compose(a, b), _compose(sa, sb))
+            products.append(state[i])
+    return products
+
+
 def embedding_by_label_maps(p, gr, seed: int):
     """The library's EmbeddingReport for the oriented chain graph `gr`, with
     all four symmetry searches (Aut(P), the oriented and the unoriented
@@ -1550,7 +1591,7 @@ def embedding_by_label_maps(p, gr, seed: int):
     `induced_by_chain_sets` map for every product of tuples.  The searches
     are the library's `automorphism_group`; `brute_embedding` pins that."""
     from posetdecomp.errors import ScatteringError
-    from posetdecomp.hcd import HOM_WORDS, EmbeddingReport
+    from posetdecomp.hcd import EmbeddingReport
     from posetdecomp.poset import automorphism_group
 
     group = automorphism_group(p.rows)
@@ -1600,17 +1641,7 @@ def embedding_by_label_maps(p, gr, seed: int):
         report.injective = False
         report.witness = {"kernel_order": kernel}
 
-    products = [(tuple(range(p.n)), tuple(range(d.k)))]
-    gens = list(zip(group.generators, induced))
-    products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
-    if gens:
-        rng = random.Random(seed)
-        state = gens * (1 if len(gens) > 1 else 2)
-        for _ in range(HOM_WORDS):
-            i, j = rng.sample(range(len(state)), 2)
-            (a, sa), (b, sb) = state[i], state[j]
-            state[i] = (_compose(a, b), _compose(sa, sb))
-            products.append(state[i])
+    products = word_products(p.n, d.k, list(zip(group.generators, induced)), seed)
     for g, expected in products:
         report.hom_pairs_checked += 1
         if induced_by_chain_sets(p, d, g) != expected:

@@ -42,6 +42,7 @@ from posetdecomp.hcd import (
     HOM_WORDS,
     _embedding,
     _merge_table,
+    _products,
     _replay,
     _unoriented_order,
 )
@@ -185,6 +186,22 @@ def test_merge_sequences_match_rescan_oracle():
             assert _replay(p.n, *table, s) == oracles.merge_sequence_by_rescan(p, s)
 
 
+def test_seeded_replays_take_as_many_orders_as_before():
+    # the replays of seeds 0..7 differ from each other on as many posets as
+    # under random.Random(seed), so the stream shuffles the merges as widely
+    populations = {
+        1506: (p for n in range(6) for p in enumerate_posets(n)),
+        152: (random_poset(8, 0.3, seed=s) for s in range(400)),
+        200: (wrap_forest(20, seed=s) for s in range(200)),
+    }
+    for expected, posets in populations.items():
+        differ = 0
+        for p in posets:
+            table = _merge_table(p)
+            differ += len({tuple(_replay(p.n, *table, s)) for s in range(8)}) > 1
+        assert differ == expected
+
+
 def test_min_homogeneous_values():
     assert min_homogeneous(antichain(7)) == 7
     assert min_homogeneous(chain(7)) == 1
@@ -289,6 +306,18 @@ def test_embedding_hom_products_pairs_and_words():
     assert rep.findings == [{"kind": "embedding-onto", "onto": True}]
     # a rigid poset has no generators: the identity alone
     assert verify_embedding(chain(3)).hom_pairs_checked == 1
+
+
+def test_products_match_oracle_words():
+    # every product the homomorphism test maps, words included, against the
+    # oracle's own draws, on every poset with n <= 5 and seeded wrap forests
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(20, seed=s) for s in range(40)]
+    for seed, p in enumerate(posets):
+        d = mhcd(p)
+        gens = [(g, induced_chain_permutation(p, d, g)) for g in automorphism_group(p.rows).generators]
+        products = [(tuple(g), tuple(sigma)) for g, sigma in _products(p.n, d.k, gens, seed)]
+        assert products == oracles.word_products(p.n, d.k, gens, seed)
 
 
 def test_embedding_injective_fails_on_non_chain_block():

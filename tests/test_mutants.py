@@ -114,9 +114,13 @@ def reversed_images(monkeypatch):
 
 
 def induced_skips_scatter(monkeypatch):
-    """The induced map reads the chain heads only and never tests for a scattered chain."""
-    _rewrite(monkeypatch, hcd, "induced_chain_permutation",
-             "if [sigma[c] for c in owner] != image:", "if False:")
+    """The induced map's core reads the chain heads only and never tests for a scattered chain."""
+    _rewrite(monkeypatch, hcd, "_induced", "if [sigma[c] for c in owner] != image:", "if False:")
+
+
+def hom_word_same_slots(monkeypatch):
+    """Every product-replacement word draws the same two state slots."""
+    _rewrite(monkeypatch, hcd, "_products", "i, j = draw(m), draw(m - 1)", "i, j = 0, 0")
 
 
 def widths_from_up_only(monkeypatch):
@@ -166,6 +170,12 @@ def replay_promotes_untested(monkeypatch):
 def replay_drops_second_only(monkeypatch):
     """After a merge (i, j), only the candidates whose second element is j are dropped."""
     _rewrite(monkeypatch, hcd, "_replay", "if j not in c]", "if c[1] != j]")
+
+
+def replay_draw_always_first(monkeypatch):
+    """A seeded replay fires the first candidate, as an unseeded one does."""
+    _rewrite(monkeypatch, hcd, "_replay", "candidates[draw(len(candidates))] if draw else candidates[0]",
+             "candidates[0]")
 
 
 def mixed_pair_comparable(monkeypatch):
@@ -527,6 +537,28 @@ def scattered_chain_witness_differs() -> bool:
     return hcd._embedding(p, graph, 0).witness != oracles.embedding_by_label_maps(p, graph, 0).witness
 
 
+def replays_differ_from_rescan() -> bool:
+    """test_hcd.test_merge_sequences_match_rescan_oracle, on FAMILY."""
+    for p in FAMILY:
+        table = hcd._merge_table(p)
+        for s in [None, *range(8)]:
+            if hcd._replay(p.n, *table, s) != oracles.merge_sequence_by_rescan(p, s):
+                return True
+    return False
+
+
+def products_differ_from_oracle_words() -> bool:
+    """test_hcd.test_products_match_oracle_words, on FAMILY."""
+    for seed, p in enumerate(FAMILY):
+        d = hcd.mhcd(p)
+        generators = poset.automorphism_group(p.rows).generators
+        gens = [(g, hcd.induced_chain_permutation(p, d, g)) for g in generators]
+        products = [(tuple(g), tuple(sigma)) for g, sigma in hcd._products(p.n, d.k, gens, seed)]
+        if products != oracles.word_products(p.n, d.k, gens, seed):
+            return True
+    return False
+
+
 def orientation_differs_from_oracle() -> bool:
     """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on FAMILY."""
     for p in FAMILY:
@@ -645,11 +677,15 @@ MUTANTS = {
     "reversed-images": (reversed_images, check_fails("embedding")),
     # a scattered chain that is also not a bijection: only the witness tells
     "induced-skips-scatter": (induced_skips_scatter, scattered_chain_witness_differs),
+    # every word is a product of automorphisms: only the products tell
+    "hom-word-same-slots": (hom_word_same_slots, products_differ_from_oracle_words),
     "widths-from-up-only": (widths_from_up_only, check_fails("bounds")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
     "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),
     "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
+    # every merge order reaches the same fixpoint: only the merges tell
+    "replay-draw-always-first": (replay_draw_always_first, replays_differ_from_rescan),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
     "partition-joins-incomparable": (partition_joins_incomparable, check_fails("dilworth")),
     "partition-skips-pair-status": (partition_skips_pair_status, check_fails("homogeneous")),

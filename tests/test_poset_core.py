@@ -28,6 +28,7 @@ from posetdecomp.generate import (
     chain,
     make_family,
     random_poset,
+    two_chain_fan,
     wrap_forest,
 )
 from posetdecomp.poset import _bitrows, automorphisms, isomorphic
@@ -464,6 +465,16 @@ def test_enumerate_posets_refuses_a_negative_size():
     # the recursion on n stops only at n == 0
     with pytest.raises(ValueError, match="got -1"):
         enumerate_posets(-1)
+
+
+@pytest.mark.parametrize(
+    "family", [chain, antichain, boolean_lattice, two_chain_fan, random_poset, wrap_forest]
+)
+def test_generators_refuse_a_negative_size(family):
+    # a negative size must not pass for the empty poset
+    with pytest.raises(ValueError, match="must be >= 0 \\(got -3\\)"):
+        family(-3)
+    assert family(0).n == (1 if family in (boolean_lattice, two_chain_fan) else 0)
 
 
 def test_enumerated_posets_are_valid_and_distinct():

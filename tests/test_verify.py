@@ -208,6 +208,26 @@ def test_decompositions_out_of_scope_above_brute_force_cap():
         verify.Analysis(random_poset(verify.BRUTE_FORCE_CAP + 1, seed=0)).decompositions
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (lambda: verify.verify_random(3, 0, which=("bogus",)), "unknown check 'bogus'"),
+        (lambda: verify.verify_exhaustive(3, which=("dilworth", "Dilworth")), "unknown check 'Dilworth'"),
+        (lambda: verify.verify_exhaustive(-1), "nmax must be >= 0"),
+        (lambda: verify.verify_random(-3, 2), "n must be >= 0"),
+        (lambda: verify.verify_random(3, -2, family="wrapforest"), "count must be >= 0"),
+    ],
+)
+def test_sweeps_refuse_bad_arguments_before_the_first_poset(monkeypatch, sweep, message):
+    # each would otherwise sweep zero posets, or empty ones, and pass
+    def record(p, which=verify.DEFAULT_CHECKS, seed=0):
+        raise AssertionError("a poset was checked")
+
+    monkeypatch.setattr(verify, "run_poset_checks", record)
+    with pytest.raises(ValueError, match=message):
+        sweep()
+
+
 def test_sweeps_hold_only_the_failing_records(monkeypatch):
     class Record(dict):
         """A sweep record that a weak reference can watch."""
