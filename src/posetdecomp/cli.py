@@ -181,7 +181,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for name in wanted:
         sections[name] = _SECTIONS[name](an, args.unsafe_scope)
         for f in sections[name].pop("findings", []):
-            findings.append({"section": name, **(f if isinstance(f, dict) else {"kind": str(f)})})
+            findings.append({"section": name, **f})
     failed = [name for name, sec in sections.items() if not all(
         sec.get(flag, True) for flag in ("equal", "identity_holds", "ok"))]
     doc = {"n": an.p.n, "sections": sections, "findings": findings, "ok": not failed}
@@ -281,6 +281,14 @@ def _size(text: str) -> int:
     return n
 
 
+def _density(text: str) -> float:
+    """A --density option: a float in [0, 1], or a usage error (exit 2)."""
+    density = float(text)
+    if not 0 <= density <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1] (got {density})")
+    return density
+
+
 def _checks(text: str) -> tuple[str, ...]:
     """A --checks option: comma-separated names of checks, or a usage error (exit 2)."""
     names = tuple(text.split(","))
@@ -316,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit a poset from a named family")
     gen.add_argument("family", choices=FAMILIES)
     gen.add_argument("--n", type=_size, required=True, help="size parameter")
-    gen.add_argument("--density", type=float, default=0.3, help="relation density (random family)")
+    gen.add_argument("--density", type=_density, default=0.3, help="relation density (random family)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
     gen.set_defaults(func=_cmd_generate)
@@ -347,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--n", type=_size, default=8)
     vr.add_argument("--count", type=_size, default=50)
     vr.add_argument("--seed", type=int, default=0)
-    vr.add_argument("--density", type=float, default=0.3)
+    vr.add_argument("--density", type=_density, default=0.3)
     vr.add_argument("--family", choices=("random", "wrapforest"), default="random")
     vr.add_argument(
         "--checks",

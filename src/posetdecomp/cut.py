@@ -60,7 +60,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .chains import ChainDecomposition, _as_decomposition
-from .errors import ScopeExceededError
+from .errors import ScopeExceededError, refuse_negative
 from .hcd import ChainGraph, chain_graph
 from .poset import Poset, _alternating_series, _bits, _exact_dtypes, mobius_matrix
 
@@ -347,7 +347,11 @@ def enumerate_admissible_cuts(p: Poset, d, cap: int | None = None) -> list[Cut]:
 
 
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
-    """`count` admissible cuts drawn with replacement (empty if none exist)."""
+    """`count` admissible cuts drawn with replacement (empty if none exist).
+
+    Refuses a negative count (ValueError) before enumerating any cut.
+    """
+    refuse_negative("count", count)
     pool = enumerate_admissible_cuts(p, d)
     if not pool:
         return []

@@ -51,6 +51,12 @@ def refuse_negative(name: str, size: int) -> None:
         raise ValueError(f"{name} must be >= 0 (got {size})")
 
 
+def refuse_density(density: float) -> None:
+    """Raise ValueError unless 0 <= density <= 1 (NaN is refused too)."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must be in [0, 1] (got {density})")
+
+
 def refuse_above(what: str, cap: int | None, got: int, unit: str = "n") -> None:
     """Raise ScopeExceededError when got > cap; cap=None lifts the cap."""
     if cap is not None and got > cap:

@@ -1,6 +1,7 @@
 """Deterministic poset families used by the CLI, the tests and the verifier.
 
-Every family refuses a negative size with ValueError.
+Every family refuses a negative size with ValueError, and `random_poset` a
+density outside [0, 1].
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import refuse_negative
+from .errors import refuse_density, refuse_negative
 from .poset import Poset, _close_acyclic
 
 
@@ -53,9 +54,11 @@ def two_chain_fan(k: int) -> Poset:
 def random_poset(n: int, density: float = 0.3, seed: int = 0) -> Poset:
     """Random labeled poset: closure of a random upper-triangular relation.
 
-    Deterministic for a given (n, density, seed).
+    Deterministic for a given (n, density, seed).  Refuses a density outside
+    [0, 1], NaN included (ValueError).
     """
     refuse_negative("n", n)
+    refuse_density(density)
     rng = random.Random(seed)
     succ = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
     _, rows = _close_acyclic(succ)

@@ -11,13 +11,13 @@ with the same closed neighbourhood (comparable to each other and to the same
 other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
 `merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
 chain, and the verifier replays it under shuffled merge orders as an
-independent cross-check.  The replays of one poset share one pair table:
-each comparable pair's row difference is computed once, and a pair that is
-not yet a merge waits on one alive bit of that difference (the watched
-literals of Chaff, Moskewicz et al., DAC 2001, with one watch per pair), so a
-merge looks again only at the pairs that watched the chain it removed.  The candidate
-list stays the rescan's, in order, so a seed draws the same merges.  The walk
-that certifies homogeneity also yields the oriented chain graph as bit rows.
+independent cross-check.  A pair whose rows differ off the pair never
+becomes a merge: the least element of a differing element's twin class is
+never merged away, and it stays in the difference (the lemma of `_replay`).
+So the replays of one poset draw from one list of ready pairs, dropping
+those a merge removes; the candidate list stays the rescan's, in order, so
+a seed draws the same merges.  The walk that certifies homogeneity also
+yields the oriented chain graph as bit rows.
 
 The seeded cross-checks (the merge replays and the product-replacement
 words of the embedding check) draw their indices from one integer stream
@@ -29,7 +29,6 @@ every word is a product of automorphisms, so any draw is a valid one.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,9 +157,10 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
     comparability profiles until none remains: each round fires the first of
     the merges (i, j), i < j, in that order or, with `shuffle_seed`, the one
     at the next index that `_stream(shuffle_seed)` draws; the fixpoint is the
-    same either way, since the MHCD is unique.  Chain i
-    (named by its least index) keeps element i's comparability row when j
-    merges in, so the merges are read off one pair table (see `_merge_table`)
+    same either way, since the MHCD is unique.  Chain i (named by its least
+    index) keeps element i's comparability row when j merges in, and a pair
+    that is not a merge at the start never becomes one (see `_replay`), so
+    the merges are drawn from the start's pairs alone (see `_merge_table`)
     and the candidate list each round is the one a full rescan would list,
     in the same order: a seed draws the same merges.
     """
@@ -168,74 +168,61 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
 
 
 def _merge_replays(p: Poset, seeds: Iterable[int | None]) -> Iterator[tuple[int, ...]]:
-    """The merge fixpoint under each seed of `seeds`, all from one pair table,
-    as the sorted tuple of its chains' bit masks."""
-    table = _merge_table(p)
+    """The merge fixpoint under each seed of `seeds`, all from the one list of
+    ready pairs of `_merge_table`, as the sorted tuple of its chains' bit masks."""
+    ready = _merge_table(p)
     for seed in seeds:
         masks = [1 << i for i in range(p.n)]
-        for i, j in _replay(p.n, *table, seed):
+        for i, j in _replay(ready, seed):
             masks[i] |= masks[j]
             masks[j] = 0
         yield tuple(sorted(mask for mask in masks if mask))
 
 
-def _merge_table(p: Poset) -> tuple[list[tuple[int, int]], list[list[tuple[int, int, int]]]]:
-    """(ready, watch): the seed-independent start of every merge replay.
+def _merge_table(p: Poset) -> list[tuple[int, int]]:
+    """The ready pairs: the merges of the first round, in (i, j) order.
 
-    With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, differs
-    on the elements diff = (comp[i] ^ comp[j]) & ~(bit i | bit j), and it is a
-    merge as soon as no alive element lies in diff.  Rows never change and
-    the alive set only shrinks, so a merge stays one until i or j merges
-    away.  `ready` lists the pairs with diff 0 in (i, j) order; every other
-    pair (diff, i, j) waits in watch[b] for b, the highest bit of its diff.
+    With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, is
+    ready when its rows agree off the pair, (comp[i] ^ comp[j]) & ~(bit i |
+    bit j) == 0.  No other pair ever becomes a merge (see `_replay`), so
+    these are every merge any replay can fire.
     """
     up, down = p.rows
     comp = [u | d for u, d in zip(up, down)]
-    ready = []
-    watch = [[] for _ in range(p.n)]
-    for i in range(p.n):
-        for j in _bits(comp[i] & -(2 << i)):
-            diff = (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
-            if diff:
-                watch[diff.bit_length() - 1].append((diff, i, j))
-            else:
-                ready.append((i, j))
-    return ready, watch
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in _bits(comp[i] & -(2 << i))
+        if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
+    ]
 
 
-def _replay(
-    n: int,
-    ready: list[tuple[int, int]],
-    watch: list[list[tuple[int, int, int]]],
-    seed: int | None,
-) -> list[tuple[int, int]]:
+def _replay(ready: list[tuple[int, int]], seed: int | None) -> list[tuple[int, int]]:
     """The merges (i, j), in firing order, of one merge loop under `seed`, run
-    from the table of `_merge_table`, which it leaves intact.
+    from the ready pairs of `_merge_table`, which it leaves intact.
 
     Each round fires the candidate at the index `_stream(seed)` draws among
-    them or, with seed None, the first.  After each merge (i, j) the
-    candidates lose the pairs that hold j, and only the pairs watched on bit
-    j are looked at again: each with both ends alive is either filed under
-    the highest alive bit of its diff or, when none is left, inserted into
-    the candidates in (i, j) order.
+    them or, with seed None, the first, and after each merge (i, j) the
+    candidates lose the pairs that hold j.  No pair is ever added:
+
+    Lemma.  A comparable pair (a, b) whose rows differ off the pair at some
+    element c never becomes a merge.  Let r be the least element whose closed
+    row `up | down | 1 << x` equals c's.  A ready pair has equal closed rows,
+    and every merge (i, j), i < j, fires a ready pair and removes j, so no
+    merge removes the least element of a class: r stays alive.  r relates to
+    every other element as c does, so r lies in the pair's difference unless
+    r is a or b.  r = a would put c in a's closed row, and so b in c's row
+    (b is in a's row); but c relates to exactly one of a and b.  r = b fails
+    the same way.  So the pair's difference always holds an alive element,
+    and by induction only ready pairs ever fire.
     """
-    candidates = list(ready)
+    candidates = ready
     draw = None if seed is None else _stream(seed)
-    waiting = [list(w) for w in watch]
-    alive = (1 << n) - 1
     merges = []
     while candidates:
         i, j = candidates[draw(len(candidates))] if draw else candidates[0]
         merges.append((i, j))
-        alive ^= 1 << j
         candidates = [c for c in candidates if j not in c]
-        for diff, a, b in waiting[j]:
-            if alive >> a & alive >> b & 1:
-                rest = diff & alive
-                if rest:
-                    waiting[rest.bit_length() - 1].append((diff, a, b))
-                else:
-                    insort(candidates, (a, b))
     return merges
 
 

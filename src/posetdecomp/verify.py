@@ -40,6 +40,7 @@ from .errors import (
     InternalInconsistencyError,
     PosetError,
     refuse_above,
+    refuse_density,
     refuse_negative,
 )
 from .generate import chain, random_poset, wrap_forest
@@ -422,7 +423,7 @@ def run_poset_checks(p: Poset, which=DEFAULT_CHECKS, seed: int = 0) -> dict:
                 "details": {"error": f"{type(exc).__name__}: {exc}"},
             }
         for f in result.pop("findings", []):
-            findings.append({"check": name, **(f if isinstance(f, dict) else {"kind": str(f)})})
+            findings.append({"check": name, **f})
         checks.append(result)
     return {
         "poset": {
@@ -471,7 +472,7 @@ def _sweep(mode: str, records: Iterable[dict], extra_checks: list[dict]) -> dict
         if not res["ok"]:
             failures.append(res)
         for f in res["findings"]:
-            kind = f.get("kind", f.get("check", "unknown"))
+            kind = f["kind"]
             slot = findings.setdefault(kind, {"kind": kind, "count": 0, "example": f})
             slot["count"] += 1
         for check in res["checks"]:
@@ -521,13 +522,15 @@ def verify_random(
 ) -> dict:
     """Run the checks on seeded random posets (uniform-ish or wrap forests).
 
-    Refuses an unknown check name, a negative n or count and an unknown
-    family (ValueError) before building the first poset.
+    Refuses an unknown check name, a negative n or count, an unknown family
+    and, for the random family, a density outside [0, 1] (ValueError) before
+    building the first poset.
     """
     which = _check_names(which)
     refuse_negative("n", n)
     refuse_negative("count", count)
     if family == "random":
+        refuse_density(density)
         posets = (random_poset(n, density=density, seed=seed + i) for i in range(count))
     elif family == "wrapforest":
         posets = (wrap_forest(n, seed=seed + i) for i in range(count))

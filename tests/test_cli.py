@@ -59,6 +59,20 @@ def test_negative_size_is_a_usage_error(command, capsys):
     assert "must be >= 0 (got -2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("generate", "random", "--n", "4"), ("verify", "random", "--n", "4")])
+@pytest.mark.parametrize("density", ["-0.1", "1.5", "nan", "inf"])
+def test_density_outside_the_unit_interval_is_a_usage_error(command, density, monkeypatch, capsys):
+    # refused while parsing: --density inf swept random posets and reported ok
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(posetdecomp.cli, "verify_random", sweep)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--density", density])
+    assert exc.value.code == 2
+    assert "must be in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mode", [("exhaustive", "--nmax", "3"), ("random", "--count", "0")], ids=["exhaustive", "random"]
 )

@@ -141,6 +141,17 @@ def test_cut_validation():
         make_cut(p, minimum_chain_decomposition(p), (1, 1))
 
 
+def test_sample_refuses_a_negative_count(monkeypatch):
+    # a negative count sampled no cut and returned []
+    def enumerate_cuts(p, d):
+        raise AssertionError("cuts were enumerated")
+
+    monkeypatch.setattr(cut_module, "enumerate_admissible_cuts", enumerate_cuts)
+    p = theta()
+    with pytest.raises(ValueError, match="count must be >= 0 \\(got -2\\)"):
+        sample_admissible_cuts(p, mhcd(p), -2)
+
+
 def test_cut_heights_must_be_integers():
     # a height was truncated by int(): [1.7] * 4 made the cut (1, 1, 1, 1)
     p = wrap_forest(12, seed=3)

@@ -162,9 +162,11 @@ def merge_any_comparable(monkeypatch):
     monkeypatch.setattr(verify, "_merge_replays", lambda p, seeds: (mutant(p, s) for s in seeds))
 
 
-def replay_promotes_untested(monkeypatch):
-    """A pair is promoted when its watched bit dies, without re-testing diff & alive."""
-    _rewrite(monkeypatch, hcd, "_replay", "if rest:", "if False:")
+def ready_admits_one_difference(monkeypatch):
+    """`_merge_table` counts a comparable pair whose rows differ off the pair
+    in at most one element as ready."""
+    _rewrite(monkeypatch, hcd, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
+             "if ((comp[i] ^ comp[j]) & ~(1 << i | 1 << j)).bit_count() <= 1")
 
 
 def replay_drops_second_only(monkeypatch):
@@ -542,7 +544,7 @@ def replays_differ_from_rescan() -> bool:
     for p in FAMILY:
         table = hcd._merge_table(p)
         for s in [None, *range(8)]:
-            if hcd._replay(p.n, *table, s) != oracles.merge_sequence_by_rescan(p, s):
+            if hcd._replay(table, s) != oracles.merge_sequence_by_rescan(p, s):
                 return True
     return False
 
@@ -682,7 +684,7 @@ MUTANTS = {
     "widths-from-up-only": (widths_from_up_only, check_fails("bounds")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
-    "replay-promotes-untested": (replay_promotes_untested, check_fails("homogeneous")),
+    "ready-admits-one-difference": (ready_admits_one_difference, check_fails("homogeneous")),
     "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
     # every merge order reaches the same fixpoint: only the merges tell
     "replay-draw-always-first": (replay_draw_always_first, replays_differ_from_rescan),

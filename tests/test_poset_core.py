@@ -477,6 +477,18 @@ def test_generators_refuse_a_negative_size(family):
     assert family(0).n == (1 if family in (boolean_lattice, two_chain_fan) else 0)
 
 
+@pytest.mark.parametrize("density", [-0.1, 1.5, float("nan"), float("inf")])
+def test_random_poset_refuses_a_density_outside_the_unit_interval(density):
+    # a density above 1 drew a chain and nan an antichain, as if they were 1 and 0
+    with pytest.raises(ValueError, match="density must be in \\[0, 1\\]"):
+        random_poset(5, density=density)
+
+
+def test_random_poset_density_ends_give_an_antichain_and_a_chain():
+    assert random_poset(6, density=0).covers() == []
+    assert len(random_poset(6, density=1).covers()) == 5
+
+
 def test_enumerated_posets_are_valid_and_distinct():
     seen = set()
     for p in enumerate_posets(3):

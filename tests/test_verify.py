@@ -216,6 +216,10 @@ def test_decompositions_out_of_scope_above_brute_force_cap():
         (lambda: verify.verify_exhaustive(-1), "nmax must be >= 0"),
         (lambda: verify.verify_random(-3, 2), "n must be >= 0"),
         (lambda: verify.verify_random(3, -2, family="wrapforest"), "count must be >= 0"),
+        (lambda: verify.verify_random(3, 2, density=-0.1), "density must be in"),
+        (lambda: verify.verify_random(3, 2, density=1.5), "density must be in"),
+        (lambda: verify.verify_random(3, 2, density=float("nan")), "density must be in"),
+        (lambda: verify.verify_random(3, 2, density=float("inf")), "density must be in"),
     ],
 )
 def test_sweeps_refuse_bad_arguments_before_the_first_poset(monkeypatch, sweep, message):
