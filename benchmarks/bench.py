@@ -50,12 +50,12 @@ ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # the enumeration at n = 6 under the battery's cheapest check, the segments
 # check (its one walk of the avoider tree) alone on every n <= 5 poset,
 # the dilworth and homogeneous checks (the brute-force partition walk and
-# the merge replays) alone on every n <= 5 poset,
+# the clique test on the ready pairs) alone on every n <= 5 poset,
 # the cut check alone on wrap forests of 30 elements, the homogeneous check
-# (its merge replays) alone on wrap forests of 40, and the bounds check (the
-# constructive pipeline) alone on wrap forests of 1000 (about 300 chains) and
-# of 16000 (about 4,900 chains), and the embedding check (the symmetry search)
-# alone on wrap forests of 200
+# (its clique test on the ready pairs) alone on wrap forests of 40, and the
+# bounds check (the constructive pipeline) alone on wrap forests of 1000
+# (about 300 chains) and of 16000 (about 4,900 chains), and the embedding
+# check (the symmetry search) alone on wrap forests of 200
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],

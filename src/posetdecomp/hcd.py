@@ -10,28 +10,31 @@ the partition into true-twin classes of the comparability graph: elements
 with the same closed neighbourhood (comparable to each other and to the same
 other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
 `merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
-chain, and the verifier replays it under shuffled merge orders as an
-independent cross-check.  A pair whose rows differ off the pair never
-becomes a merge: the least element of a differing element's twin class is
-never merged away, and it stays in the difference (the lemma of `_replay`).
-So the replays of one poset draw from one list of ready pairs, dropping
-those a merge removes; the candidate list stays the rescan's, in order, so
-a seed draws the same merges.  The walk that certifies homogeneity also
-yields the oriented chain graph as bit rows.
+chain.  A pair whose rows differ off the pair never becomes a merge: the
+least element of a differing element's twin class is never merged away, and
+it stays in the difference (the lemma of `_replay`).  So a replay draws from
+the one list of ready pairs (`_merge_table`), dropping those a merge
+removes; the candidate list stays the rescan's, in order, so a seed draws
+the same merges.  A ready pair is a pair of twins, so the ready pairs form
+cliques and every merge order ends at their classes: the verifier's
+homogeneous check tests that the ready pairs form cliques whose classes are
+the MHCD's chains.  The walk that certifies homogeneity also yields the
+oriented chain graph as bit rows.
 
-The seeded cross-checks (the merge replays and the product-replacement
-words of the embedding check) draw their indices from one integer stream
-(`_stream`): the seed is mixed once by the splitmix64 finalizer, and each
-draw is one 64-bit LCG step whose high bits, mod m, pick the index.  Its
-modulo bias cannot matter: every merge order reaches the same fixpoint and
-every word is a product of automorphisms, so any draw is a valid one.
+The seeded draws (the shuffled merge orders of `merge_fixpoint` and the
+product-replacement words of the embedding check) draw their indices from
+one integer stream (`_stream`): the seed is mixed once by the splitmix64
+finalizer, and each draw is one 64-bit LCG step whose high bits, mod m,
+pick the index.  Its modulo bias cannot matter: every merge order reaches
+the same fixpoint and every word is a product of automorphisms, so any draw
+is a valid one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,21 +165,15 @@ def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposit
     that is not a merge at the start never becomes one (see `_replay`), so
     the merges are drawn from the start's pairs alone (see `_merge_table`)
     and the candidate list each round is the one a full rescan would list,
-    in the same order: a seed draws the same merges.
+    in the same order: a seed draws the same merges.  The battery's
+    homogeneous check neither runs this loop nor reads a seed: it tests the
+    ready pairs themselves (see `verify.check_homogeneous`).
     """
-    return ChainDecomposition._from_masks(p, next(_merge_replays(p, (shuffle_seed,))))
-
-
-def _merge_replays(p: Poset, seeds: Iterable[int | None]) -> Iterator[tuple[int, ...]]:
-    """The merge fixpoint under each seed of `seeds`, all from the one list of
-    ready pairs of `_merge_table`, as the sorted tuple of its chains' bit masks."""
-    ready = _merge_table(p)
-    for seed in seeds:
-        masks = [1 << i for i in range(p.n)]
-        for i, j in _replay(ready, seed):
-            masks[i] |= masks[j]
-            masks[j] = 0
-        yield tuple(sorted(mask for mask in masks if mask))
+    masks = [1 << i for i in range(p.n)]
+    for i, j in _replay(_merge_table(p), shuffle_seed):
+        masks[i] |= masks[j]
+        masks[j] = 0
+    return ChainDecomposition._from_masks(p, [mask for mask in masks if mask])
 
 
 def _merge_table(p: Poset) -> list[tuple[int, int]]:
@@ -185,7 +182,9 @@ def _merge_table(p: Poset) -> list[tuple[int, int]]:
     With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, is
     ready when its rows agree off the pair, (comp[i] ^ comp[j]) & ~(bit i |
     bit j) == 0.  No other pair ever becomes a merge (see `_replay`), so
-    these are every merge any replay can fire.
+    these are every merge any replay can fire.  The homogeneous check of
+    `verify` reads them, and nothing else of this module's merge code, as
+    its side independent of `mhcd`.
     """
     up, down = p.rows
     comp = [u | d for u, d in zip(up, down)]

@@ -691,7 +691,14 @@ def _construction(
 
 
 def derived_extension(p: Poset) -> tuple:
-    """Reverse preorder of the attachment tree; verified linear extension."""
+    """Reverse preorder of the attachment tree; verified linear extension.
+
+    The extension depends on the order in which p lists its elements, and
+    so does Min_d^e, which the bounds check takes over this extension: it
+    is not an isomorphism invariant.  With the covers 0 < 3, 1 < 2, 1 < 3,
+    the listing 0 1 2 3 gives (1, 0, 3, 2) and Min_d^e = 2, the listing
+    0 1 3 2 gives (1, 0, 2, 3) and Min_d^e = 3.
+    """
     e = _construction(p, chain_graph(p))[4]
     if not is_linear_extension(p, e):
         raise CheckFailure("derived order is not a linear extension", witness=e)

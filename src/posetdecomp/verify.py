@@ -7,7 +7,9 @@ common (Dilworth pair, MHCD, its oriented chain graph, cut frame,
 constructive pipeline, noncrossing minimum, brute-force decompositions)
 once; `posetdecomp analyze` reads its sections from one `Analysis` too.
 The brute force is one walk over the chain partitions on bit masks, with a
-homogeneity test of its own.
+homogeneity test of its own.  The homogeneous check's merge side is one
+pass over the ready pairs of `hcd._merge_table`: unioned into classes, they
+must form cliques on the MHCD's chains, which every merge order then reaches.
 Suites run the checks, one poset after another, over exhaustively enumerated
 small posets or seeded random families, and count per check the posets on
 which a size cap skipped it.
@@ -16,6 +18,7 @@ which a size cap skipped it.
 from __future__ import annotations
 
 from functools import cached_property
+from math import comb
 from typing import Iterable
 
 from .chains import (
@@ -47,7 +50,7 @@ from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
     _embedding,
-    _merge_replays,
+    _merge_table,
     acyclic_orientation,
     deletion_bounds,
     is_homogeneous,
@@ -72,7 +75,6 @@ from .poset import (
 )
 
 BRUTE_FORCE_CAP = 6
-MERGE_SHUFFLES = 8
 SEGMENT_SWEEP_CAP = 6
 
 
@@ -89,10 +91,10 @@ class Analysis:
 
     An artifact whose construction raises is not kept, so every check that
     reads it fails with the same error.  The checks never take a verdict from
-    the artifact they test: merge replays, homogeneity tests and brute-force
-    minima stay inside them, and `decompositions` is their shared oracle, a
-    walk on chain masks that tests homogeneity without the library's
-    `is_homogeneous`.
+    the artifact they test: the clique test on the ready pairs, homogeneity
+    tests and brute-force minima stay inside them, and `decompositions` is
+    their shared oracle, a walk on chain masks that tests homogeneity
+    without the library's `is_homogeneous`.
     Size caps are the readers' to apply: `noncrossing` has none.
     """
 
@@ -154,18 +156,24 @@ def check_dilworth(an: Analysis, seed: int = 0) -> dict:
 
 
 def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
-    """The twin classes are homogeneous, minimal, and every shuffled merge fixpoint.
+    """The twin classes are homogeneous, minimal, and every merge fixpoint.
 
-    The merge replays and the brute force compare chain masks, each as a
-    sorted tuple.  Below BRUTE_FORCE_CAP the least homogeneous partitions of
-    the partition walk must be the MHCD alone, and the library's
-    `is_homogeneous` must reject the walk's first mixed partition.
+    Only ready pairs ever merge (the lemma of `hcd._replay`), so every merge
+    order ends at the classes of the ready pairs when those form cliques:
+    `confluent` holds when the pairs of `hcd._merge_table` number the sum of
+    C(|class|, 2) over the classes they join, and those classes are the
+    MHCD's chains.  The verdict does not read `seed`.  The classes and the
+    brute force compare chain masks, each as a sorted tuple.  Below
+    BRUTE_FORCE_CAP the least homogeneous partitions of the partition walk
+    must be the MHCD alone, and the library's `is_homogeneous` must reject
+    the walk's first mixed partition.
     """
     p = an.p
     d = an.mhcd
     target = tuple(sorted(sum(1 << x for x in chain) for chain in d.chains))
-    replays = _merge_replays(p, range(seed, seed + MERGE_SHUFFLES))
-    confluent = all(fixpoint == target for fixpoint in replays)
+    ready = _merge_table(p)
+    classes = _ready_classes(p.n, ready)
+    confluent = classes == target and len(ready) == sum(comb(c.bit_count(), 2) for c in classes)
     details: dict = {"k": d.k, "confluent": confluent}
     passed = is_chain_decomposition(p, d) and is_homogeneous(p, d) and confluent
     if p.n <= BRUTE_FORCE_CAP:
@@ -187,6 +195,24 @@ def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     if not passed:
         out["witness"] = {"decomposition": d.to_lines()}
     return out
+
+
+def _ready_classes(n: int, ready: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The classes that the pairs of `ready` join on range(n), as the sorted
+    tuple of their bit masks (union-find with path halving)."""
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, j in ready:
+        parent[root(j)] = root(i)
+    classes = [0] * n
+    for x in range(n):
+        classes[root(x)] |= 1 << x
+    return tuple(sorted(c for c in classes if c))
 
 
 def check_deletion(an: Analysis, seed: int = 0) -> dict:

@@ -143,23 +143,28 @@ def mhcd_merges_first_two(monkeypatch):
 
 
 def merge_any_comparable(monkeypatch):
-    """The merge replays drop the profile test and merge any comparable pair."""
+    """The ready pairs drop the profile test: every comparable pair is ready."""
+    _rewrite(monkeypatch, hcd, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
+             "if True")
 
-    def mutant(p, shuffle_seed=None):
-        chains = [[x] for x in range(p.n)]
-        rng = random.Random(shuffle_seed)
-        while True:
-            pairs = [
-                (i, j)
-                for i, j in itertools.combinations(range(len(chains)), 2)
-                if all(p.lt[a, b] or p.lt[b, a] for a in chains[i] for b in chains[j])
-            ]
-            if not pairs:
-                return tuple(sorted(sum(1 << x for x in chain) for chain in chains))
-            i, j = rng.choice(pairs)
-            chains[i] += chains.pop(j)
 
-    monkeypatch.setattr(verify, "_merge_replays", lambda p, seeds: (mutant(p, s) for s in seeds))
+def ready_pairs_spanning_forest(monkeypatch):
+    """`_merge_table` drops each ready pair (i, j) for which (i, f) and (f, j)
+    are both ready, f the first partner of i: each class keeps a path of
+    ready pairs in place of its clique, so the classes stay connected."""
+    real = hcd._merge_table
+
+    def mutant(p):
+        ready = real(p)
+        pairs = set(ready)
+        first: dict[int, int] = {}
+        for i, j in ready:
+            first.setdefault(i, j)
+        # (i, first[i]) is ready by its definition
+        return [(i, j) for i, j in ready if (first[i], j) not in pairs]
+
+    for module in (hcd, verify):
+        monkeypatch.setattr(module, "_merge_table", mutant)
 
 
 def ready_admits_one_difference(monkeypatch):
@@ -685,7 +690,10 @@ MUTANTS = {
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
     "ready-admits-one-difference": (ready_admits_one_difference, check_fails("homogeneous")),
-    "replay-drops-second-only": (replay_drops_second_only, check_fails("homogeneous")),
+    # the classes keep their masks: only the clique count tells
+    "ready-pairs-spanning-forest": (ready_pairs_spanning_forest, check_fails("homogeneous")),
+    # the battery replays no merges: only the merge sequences tell
+    "replay-drops-second-only": (replay_drops_second_only, replays_differ_from_rescan),
     # every merge order reaches the same fixpoint: only the merges tell
     "replay-draw-always-first": (replay_draw_always_first, replays_differ_from_rescan),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
@@ -762,6 +770,17 @@ def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
         record = verify.run_poset_checks(p)
         errors = [c["details"].get("error", "") for c in record["checks"] if not c["passed"]]
         assert errors and any(e.startswith(error) for e in errors)
+
+
+def test_spanning_forest_is_seen_by_the_clique_count_alone(monkeypatch):
+    ready_pairs_spanning_forest(monkeypatch)
+    failing = [p for p in FAMILY if not verify.run_poset_checks(p, which=("homogeneous",))["ok"]]
+    assert len(failing) == 58
+    # without the pair count, the classes' masks alone pass every poset
+    check = _rewritten(verify, "check_homogeneous",
+                       " and len(ready) == sum(comb(c.bit_count(), 2) for c in classes)", "")
+    monkeypatch.setitem(verify._CHECKS, "homogeneous", check)
+    assert not check_fails("homogeneous")()
 
 
 def test_segment_walk_tests_both_crossing_roles():

@@ -7,10 +7,11 @@ import weakref
 
 import pytest
 
-from posetdecomp import kernels, verify
+from posetdecomp import kernels, mhcd, textio, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
+from posetdecomp.nccd import derived_extension
 from posetdecomp.poset import enumerate_posets
 
 import oracles
@@ -199,6 +200,42 @@ def test_segments_walk_matches_replay_and_per_permutation_oracles():
     for p in posets:
         perms = kernels.permutations_avoiding(*p.rows)
         assert _segments(p) == oracles.replay_record(p, perms) == oracles.segments_record(p, perms)
+
+
+# the populations on which the clique test must give the verdict of eight
+# shuffled runs of the merge oracle; random_poset(12, 0.6) has twin classes
+# of up to 9 elements
+CONFLUENCE_POPULATIONS = {
+    "n<=5": lambda: (p for n in range(6) for p in enumerate_posets(n)),
+    "every-65th-n6": lambda: itertools.islice(enumerate_posets(6, cap=None), 0, None, 65),
+    "random-n8": lambda: (random_poset(8, 0.3, seed=s) for s in range(400)),
+    "random-n12-dense": lambda: (random_poset(12, 0.6, seed=s) for s in range(20)),
+    "wrapforest-n20": lambda: (wrap_forest(20, seed=s) for s in range(200)),
+}
+
+
+@pytest.mark.parametrize("population", CONFLUENCE_POPULATIONS)
+def test_confluent_is_the_verdict_of_eight_shuffled_merges(population):
+    for p in CONFLUENCE_POPULATIONS[population]():
+        base = frozenset(mhcd(p).chains)
+        shuffled = all(oracles.merge_fixpoint(p, shuffle_seed=s) == base for s in range(8))
+        check = verify.check_homogeneous(verify.Analysis(p))
+        assert check["details"]["confluent"] == shuffled, p.labels
+
+
+def test_min_descents_ext_depends_on_the_listing():
+    # one poset, listed two ways: Min_d^e is taken over the derived extension
+    # of the listing given, (1, 0, 3, 2) here and (1, 0, 2, 3) there, so it
+    # is not an isomorphism invariant; every other detail agrees
+    details = []
+    for elements, extension in (("0 1 2 3", ("1", "0", "3", "2")), ("0 1 3 2", ("1", "0", "2", "3"))):
+        p = textio.loads(f"elements: {elements}\n0 < 3\n1 < 2\n1 < 3\n")
+        assert derived_extension(p) == extension
+        record = verify.run_poset_checks(p, which=("bounds",))
+        assert record["ok"]
+        details.append(record["checks"][0]["details"])
+    assert [d.pop("min_descents_ext") for d in details] == [2, 3]
+    assert details[0] == details[1]
 
 
 def test_decompositions_out_of_scope_above_brute_force_cap():
