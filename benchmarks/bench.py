@@ -25,6 +25,11 @@ which head beat base (ties count for neither).
 The perfbench commands run in each side's export; the other commands run
 in the directory that holds both exports, base/ and head/, and the input
 files.
+
+Of ANALYZE_INPUTS, random 300 and 1000 build and list their MHCD chain
+graphs on the dense side of `hcd._dense` (one unpack); chain 2000,
+antichain 2000 and wrapforest 8000 and 16000 stay on its sparse side (the
+loop over the edges).
 """
 
 from __future__ import annotations

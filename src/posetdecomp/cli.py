@@ -23,9 +23,9 @@ import sys
 from .cut import CUT_ENUMERATION_CAP, _admissible_identities
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError, refuse_above
 from .generate import FAMILIES, make_family
-from .hcd import ChainGraph, _embedding, _unoriented_order
+from .hcd import ChainGraph, _edge_pairs, _embedding, _unoriented_order
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
-from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset, _bits
+from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
 from .textio import dumps, load, loads
 from .verify import DEFAULT_CHECKS, Analysis, verify_exhaustive, verify_random
 
@@ -64,8 +64,8 @@ def _section_mhcd(an: Analysis, unsafe: bool) -> dict:
     gr = an.graph
     d = gr.decomposition
     names = [list(map(str, c)) for c in d.chains_as_labels()]
-    # straight off the oriented out rows, in the order of gr.edges()
-    edges = [[names[i], names[j]] for i, row in enumerate(gr.rows[0]) for j in _bits(row)]
+    # off the oriented out rows, in the order of gr.edges(), with no list of pairs between
+    edges = [[names[i], names[j]] for i, j in _edge_pairs(gr.rows[0], d.k, an.p.n)]
     return {
         "k": d.k,
         "decomposition": d.to_lines(),

@@ -134,6 +134,55 @@ def chain_comparability(p, chains):
     return comp, None
 
 
+def comparable_pairs_by_walk(p, d):
+    """`hcd._comparable_pairs` as the walk over chain pairs it replaced:
+    (out, into, mixed), with out and into complete only when mixed is None.
+
+    On the bit rows of p: chain i reaches the elements comparable to all of
+    its elements (`inside`, the AND of their closed rows) or to some of them
+    (`reach`, the OR).  Chain j is comparable to i when it lies in inside[i]
+    and incomparable when it misses reach[i]; anything else is mixed.  Chain
+    i visits only the later chains that meet reach[i], and the order of the
+    minima of two comparable chains directs the pair.
+    """
+    up, down = p.rows
+    chain_of = d.chain_of
+    masks, inside, reach = [], [], []
+    for chain in d.chains:
+        mask, every, some = 0, -1, 0
+        for x in chain:
+            closed = up[x] | down[x] | 1 << x
+            mask |= 1 << x
+            every &= closed
+            some |= closed
+        masks.append(mask)
+        inside.append(every)
+        reach.append(some)
+    low = [1 << c[0] for c in d.chains]
+    out, into = [0] * d.k, [0] * d.k
+    seen = 0  # the elements of chains 0..i
+    for i, chain in enumerate(d.chains):
+        seen |= masks[i]
+        rest = reach[i] & ~seen
+        above, below = up[chain[0]], down[chain[0]]
+        mixed = []
+        while rest:
+            j = chain_of[rest.bit_length() - 1]
+            rest ^= rest & masks[j]
+            if masks[j] & inside[i] != masks[j]:
+                mixed.append(j)
+            elif above & low[j]:
+                out[i] |= 1 << j
+                into[j] |= 1 << i
+            else:
+                assert below & low[j], "comparable chains with incomparable minima"
+                out[j] |= 1 << i
+                into[i] |= 1 << j
+        if mixed:
+            return out, into, (i, min(mixed))
+    return out, into, None
+
+
 def merge_fixpoint(p, shuffle_seed=None):
     """Greedy chain merging from singletons until no pair is mergeable.
 

@@ -332,14 +332,16 @@ def test_mhcd_section_edges_match_pair_oracle():
     posets = [p for n in range(6) for p in enumerate_posets(n)]
     posets += [random_poset(8, 0.3, seed=s) for s in range(50)]
     posets += [wrap_forest(20, seed=s) for s in range(50)]
-    posets.append(random_poset(60, 0.3))
-    edges = 0
+    posets += [random_poset(60, 0.3), random_poset(120, 0.6)]
+    edges, sides = 0, set()
     for p in posets:
         an = Analysis(p)
         got = _section_mhcd(an, False)["oriented_edges"]
         assert got == oracles.oriented_edges_by_pairs(p, an.mhcd.chains)
         edges += len(got)
-    assert edges > 0
+        sides.add(posetdecomp.hcd._dense(len(got), an.mhcd.k, p.n))
+    # the listing's loop and its unpack, on either side of the size rule
+    assert edges > 0 and sides == {False, True}
 
 
 def _analyze_json(make):

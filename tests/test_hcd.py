@@ -40,6 +40,8 @@ from posetdecomp.chains import (
 )
 from posetdecomp.hcd import (
     HOM_WORDS,
+    _comparable_pairs,
+    _dense,
     _embedding,
     _merge_table,
     _products,
@@ -77,6 +79,13 @@ def test_chain_comparability_raises_on_mixed_pair():
 
 
 def _comparability_agrees(p, d):
+    # the twin-row certificate against the chain-pair walk it replaced: the
+    # same rows when homogeneous, else the same first mixed pair
+    out, into, first = _comparable_pairs(p, d)
+    walk = oracles.comparable_pairs_by_walk(p, d)
+    assert first == walk[2]
+    if first is None:
+        assert (out, into) == walk[:2]
     expected, mixed = oracles.chain_comparability(p, d.chains)
     if mixed is None:
         assert np.array_equal(chain_comparability(p, d), expected)
@@ -90,13 +99,26 @@ def _comparability_agrees(p, d):
 
 def test_chain_comparability_matches_loop_oracle_exhaustive():
     # every chain decomposition of every poset with n <= 5, homogeneous or not
-    mixed = 0
+    seen = mixed = 0
     for n in range(6):
         for p in enumerate_posets(n):
             for d in enumerate_chain_decompositions(p):
                 _comparability_agrees(p, d)
+                seen += 1
                 mixed += not is_homogeneous(p, d)
-    assert mixed > 1000
+    assert (seen, mixed) == (69714, 50644)
+
+
+def test_comparable_pairs_match_walk_oracle_at_scale():
+    # MHCDs on both sides of the size rule: two dense graphs and a sparse one
+    # of 4,873 chains
+    sides = []
+    for p in (random_poset(300, 0.3), random_poset(120, 0.6), wrap_forest(16000)):
+        d = mhcd(p)
+        out, into, mixed = _comparable_pairs(p, d)
+        assert (out, into, mixed) == oracles.comparable_pairs_by_walk(p, d)
+        sides.append(_dense(sum(row.bit_count() for row in out), d.k, p.n))
+    assert sides == [True, True, False]
 
 
 def test_chain_comparability_matches_loop_oracle_on_wrap_forests():

@@ -186,8 +186,14 @@ def replay_draw_always_first(monkeypatch):
 
 
 def mixed_pair_comparable(monkeypatch):
-    """`_comparable_pairs` keeps only the OR test: a mixed chain pair counts as comparable."""
-    _rewrite(monkeypatch, hcd, "_comparable_pairs", "if masks[j] & inside[i] != masks[j]:", "if False:")
+    """`_comparable_pairs` never reads the rows' differences: a mixed chain
+    pair counts as comparable when its minima are."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "if any(diffs):", "if False:")
+
+
+def mixed_witness_first_bit(monkeypatch):
+    """The mixed-pair witness is the pair of the first differing bit, not the least pair."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "i, j = min(pairs)", "i, j = next(pairs)")
 
 
 def partition_joins_incomparable(monkeypatch):
@@ -204,13 +210,21 @@ def partition_skips_pair_status(monkeypatch):
 
 def orient_by_index(monkeypatch):
     """Every comparable chain pair points from the chain of lower index."""
-    _rewrite(monkeypatch, hcd, "_comparable_pairs", "if above & low[j]:", "if True:")
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "above = [up[x] & minima for x in lows]",
+             "above = [(up[x] | down[x]) & minima & -(2 << x) for x in lows]")
 
 
 def orient_reversed(monkeypatch):
     """Every comparable chain pair points from the chain with the larger minimum."""
-    _rewrite(monkeypatch, hcd, "_comparable_pairs", "above, below = up[chain[0]], down[chain[0]]",
-             "below, above = up[chain[0]], down[chain[0]]")
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "above = [up[x] & minima for x in lows]",
+             "above = [down[x] & minima for x in lows]")
+
+
+def dense_unpacks_down_rows(monkeypatch):
+    """The dense chain graph is read off the minima's down rows: every pair
+    points from the chain with the larger minimum."""
+    _rewrite(monkeypatch, hcd, "_comparable_pairs", "_unpack_rows([up[x] for x in lows], p.n)",
+             "_unpack_rows([down[x] for x in lows], p.n)")
 
 
 def section_reads_into_rows(monkeypatch):
@@ -567,13 +581,25 @@ def products_differ_from_oracle_words() -> bool:
 
 
 def orientation_differs_from_oracle() -> bool:
-    """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on FAMILY."""
-    for p in FAMILY:
+    """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on
+    FAMILY and on random_poset(120, 0.6), whose chain graph is dense."""
+    for p in [*FAMILY, random_poset(120, 0.6)]:
         g = hcd.acyclic_orientation(p)
         comp, _ = oracles.chain_comparability(p, g.decomposition.chains)
         if g.rows != oracles.bit_rows(oracles.orientation_by_minima(p, g.decomposition.chains, comp)):
             return True
     return False
+
+
+def mixed_pairs_differ_from_walk_oracle() -> bool:
+    """test_hcd.test_chain_comparability_matches_loop_oracle_exhaustive's
+    first mixed pairs, on every chain decomposition of every poset with n <= 5."""
+    return any(
+        hcd._comparable_pairs(p, d)[2] != oracles.comparable_pairs_by_walk(p, d)[2]
+        for n in range(6)
+        for p in poset.enumerate_posets(n)
+        for d in chains.enumerate_chain_decompositions(p)
+    )
 
 
 def mhcd_section_differs_from_pair_oracle() -> bool:
@@ -697,11 +723,15 @@ MUTANTS = {
     # every merge order reaches the same fixpoint: only the merges tell
     "replay-draw-always-first": (replay_draw_always_first, replays_differ_from_rescan),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
+    # the verdict stands: only the pair named in the error tells
+    "mixed-witness-first-bit": (mixed_witness_first_bit, mixed_pairs_differ_from_walk_oracle),
     "partition-joins-incomparable": (partition_joins_incomparable, check_fails("dilworth")),
     "partition-skips-pair-status": (partition_skips_pair_status, check_fails("homogeneous")),
     "orient-by-index": (orient_by_index, check_fails("embedding")),
     # the battery cannot see this one: a reversed acyclic orientation has the same symmetries
     "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
+    # nor this one, on the dense side of the size rule, which FAMILY never takes
+    "dense-unpacks-down-rows": (dense_unpacks_down_rows, orientation_differs_from_oracle),
     # the battery never reads the section, only the graph it lists
     "section-reads-into-rows": (section_reads_into_rows, mhcd_section_differs_from_pair_oracle),
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),

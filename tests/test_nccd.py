@@ -287,11 +287,14 @@ def _chain_layer_family():
     yield from (random_poset(n, seed=s) for n in range(8, 41) for s in range(10))
     yield from (wrap_forest(n, seed=s) for n in range(20, 201, 20) for s in range(10))
     yield nest(50)
+    yield random_poset(120, 0.6)
 
 
 def test_chain_layer_rows_match_dense_oracles():
     # the graph's rows, its adjacency and its orientation against the loop
-    # comparability and the minima matrix; the wrap rows against the product
+    # comparability and the minima matrix; the wrap rows against the product.
+    # The family's graphs lie on both sides of the size rule `hcd._dense`.
+    sides = set()
     for p in _chain_layer_family():
         g = hcd.acyclic_orientation(p)
         d = g.decomposition
@@ -301,11 +304,15 @@ def test_chain_layer_rows_match_dense_oracles():
         assert g.rows == oracles.bit_rows(oriented)
         assert g.adjacency.tolist() == comp.tolist()
         assert g.edges() == [tuple(e) for e in np.argwhere(oriented).tolist()]
+        undirected = hcd.ChainGraph(d, g.rows).edges()
+        assert undirected == [tuple(e) for e in np.argwhere(np.triu(comp, 1)).tolist()]
+        sides.add(hcd._dense(len(undirected), d.k, p.n))
         wrapped, above = oracles.wrap_matrices_by_product(p, d.chains)
         rows = nccd._wrap_rows(p, d)
         assert rows[0] == oracles.bit_rows(wrapped)[0]
         assert rows[1] == oracles.bit_rows(above)[0]
         assert rows[2:] == oracles.bit_rows(wrapped | above)
+    assert sides == {False, True}
 
 
 def test_canonical_order_diamond_frozen():
