@@ -11,7 +11,11 @@ Exit codes: 0 success, 1 a checked statement failed (witness printed),
 
 `analyze` builds one `verify.Analysis` of the poset, the one the check
 battery uses, and every section and the DOT output read their artifacts from
-it; the sections apply the size caps themselves.
+it; the sections apply the size caps themselves.  The MHCD section holds its
+oriented edges as `_EdgeRows`, the chains' names and the graph's out rows,
+and both writers write them one source chain at a time: each chain's names
+are encoded once, and each source row is one join of its targets' encodings,
+so no Python object is made per edge.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterator
 
 from .cut import CUT_ENUMERATION_CAP, _admissible_identities
 from .errors import CheckFailure, CycleError, FormatError, ScopeExceededError, refuse_above
 from .generate import FAMILIES, make_family
-from .hcd import ChainGraph, _edge_pairs, _embedding, _unoriented_order
+from .hcd import ChainGraph, _embedding, _row_targets, _unoriented_order
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
 from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
 from .textio import dumps, load, loads
@@ -38,12 +45,79 @@ def _read_poset(path: str) -> Poset:
     return load(path)
 
 
+@dataclass(frozen=True)
+class _EdgeRows:
+    """The oriented edges of the MHCD section, as the chains' label names and
+    the oriented chain graph's out bit rows on an n-element poset: bit j of
+    out[i] is the edge from chain i to chain j.  `pairs()` lists them as
+    [source names, target names]; the writers read them by `rows`."""
+
+    names: list[list[str]]
+    out: list[int]
+    n: int
+
+    def rows(self, encode: Callable[[list[str]], str]) -> Iterator[tuple[str, list[str]]]:
+        """(source, targets) for each chain with an out edge, in chain order:
+        its names encoded by `encode`, and the encodings of its targets in
+        chain order, listed by `hcd._row_targets`.  Each chain on an edge is
+        encoded once, and no other chain is."""
+        touched = 0
+        for i, row in enumerate(self.out):
+            if row:
+                touched |= row | 1 << i
+        codes = [encode(names) if touched >> i & 1 else "" for i, names in enumerate(self.names)]
+        listed = _row_targets(self.out, len(codes), self.n, codes)
+        return ((src, targets) for src, targets in zip(codes, listed) if targets)
+
+    def pairs(self) -> list[list[list[str]]]:
+        """The edges as [source names, target names], in the order of `ChainGraph.edges()`."""
+        k = len(self.names)
+        listed = _row_targets(self.out, k, self.n, range(k))
+        return [[self.names[i], self.names[j]] for i, targets in enumerate(listed) for j in targets]
+
+
 def _emit_json(doc: dict) -> None:
-    # compact, since with indent json falls back to its pure-Python encoder;
-    # every document is a tree built afresh, so the C encoder is spared its
-    # circular-reference bookkeeping (one id per container) and writes the
-    # same bytes
-    print(json.dumps(doc, sort_keys=True, check_circular=False))
+    """Write doc to stdout as the line `json.dumps(doc, sort_keys=True)`, with
+    each `_EdgeRows` in it as its `pairs()`, in pieces: the document is never
+    joined into one string.
+
+    A dict that holds a dict or edge rows is written key by key (its keys
+    are strings), in sorted order; every other subtree is one encode by the
+    encoder of `json.dumps(..., sort_keys=True, check_circular=False)`:
+    compact, since with indent json falls back to its pure-Python encoder,
+    and without the circular-reference bookkeeping (one id per container),
+    since every document is a tree built afresh.  Edge rows go out one
+    source chain at a time: each chain on an edge is encoded once, as
+    `json.dumps(names)` would (the encoder's own string escape, ", " between
+    items), and each source row is one join of its targets' encodings.
+    """
+    write = sys.stdout.write
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+    def encode_names(names: list[str]) -> str:
+        return "[" + ", ".join(map(encode_basestring_ascii, names)) + "]"
+
+    def emit(node) -> None:
+        if isinstance(node, _EdgeRows):
+            write("[")
+            sep = ""
+            for src, targets in node.rows(encode_names):
+                head = f"[{src}, "
+                write(sep + head + f"], {head}".join(targets) + "]")
+                sep = ", "
+            write("]")
+        elif isinstance(node, dict) and any(isinstance(v, (dict, _EdgeRows)) for v in node.values()):
+            sep = "{"
+            for key in sorted(node):
+                write(f"{sep}{encode(key)}: ")
+                emit(node[key])
+                sep = ", "
+            write("}")
+        else:
+            write(encode(node))
+
+    emit(doc)
+    write("\n")
 
 
 # -- analyze --------------------------------------------------------------------
@@ -63,13 +137,10 @@ def _section_dilworth(an: Analysis, unsafe: bool) -> dict:
 def _section_mhcd(an: Analysis, unsafe: bool) -> dict:
     gr = an.graph
     d = gr.decomposition
-    names = [list(map(str, c)) for c in d.chains_as_labels()]
-    # off the oriented out rows, in the order of gr.edges(), with no list of pairs between
-    edges = [[names[i], names[j]] for i, j in _edge_pairs(gr.rows[0], d.k, an.p.n)]
     return {
         "k": d.k,
         "decomposition": d.to_lines(),
-        "oriented_edges": edges,
+        "oriented_edges": _EdgeRows([list(map(str, c)) for c in d.chains_as_labels()], gr.rows[0], an.p.n),
     }
 
 
@@ -130,11 +201,10 @@ def _print_analysis(doc: dict) -> None:
         print(f"minimal homogeneous decomposition: k = {sec['k']}")
         for line in sec["decomposition"]:
             print(f"  {line}")
-        if sec["oriented_edges"]:
-            # one write for what can be tens of thousands of lines
-            print("\n".join(
-                f"  edge: <{','.join(src)}> -> <{','.join(dst)}>" for src, dst in sec["oriented_edges"]
-            ))
+        # one write per source chain for what can be hundreds of thousands of lines
+        for src, targets in sec["oriented_edges"].rows(",".join):
+            head = f"  edge: <{src}> -> <"
+            sys.stdout.write(head + f">\n{head}".join(targets) + ">\n")
     if "cut-check" in s:
         sec = s["cut-check"]
         holds = "holds on all" if sec["identity_holds"] else "FAILS"

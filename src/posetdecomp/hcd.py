@@ -31,7 +31,9 @@ reads the oriented chain graph off the minima's up and down rows, masked to
 the minima and compressed to chain indices.  The size rule `_dense` picks
 how the graph's rows are compressed and listed: by a loop over the edges,
 or off one unpack of the rows into a boolean matrix (a k x n one to build
-the graph, a k x k one to list its edges).  It unpacks when 150 * edges >
+the graph; a k x k one to list each chain's targets, `_row_targets`, as one
+boolean index per row into an object array of what is listed: chain
+indices, encoded chain names or DOT node names).  It unpacks when 150 * edges >
 k * n + 8000.  Measured in process on a 2-CPU Xeon (Python 3.11, numpy
 2.4), building the graph by the loop costs about 0.4-0.6 us per edge, and
 by the unpack about 25 us plus 1-5 ns per cell of the k x n matrix.  In
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,14 +157,17 @@ def _dense(edges: int, k: int, n: int) -> bool:
     return 150 * edges > k * n + 8000
 
 
-def _edge_pairs(rows: list[int], k: int, n: int) -> Iterable[tuple[int, int]]:
-    """(i, j) for each bit j of rows[i], by i and then by j, for the rows of
-    a chain graph on k chains of an n-element poset: off one unpack of the
-    rows when `_dense` says so, else by a loop over their bits."""
+def _row_targets(rows: list[int], k: int, n: int, items: Sequence) -> Iterator[list]:
+    """For each i, the list of items[j] over the bits j of rows[i] in
+    ascending order, for the rows of a chain graph on k chains of an
+    n-element poset, with items k scalars (chain indices or strings): off
+    one unpack of the rows, one boolean index of an object array of the
+    items per row, when `_dense` says so; else by a loop over their bits."""
     if _dense(sum(map(int.bit_count, rows)), k, n):
-        sources, targets = np.nonzero(_unpack_rows(rows, k))
-        return zip(sources.tolist(), targets.tolist())
-    return ((i, j) for i, row in enumerate(rows) for j in _bits(row))
+        mat = _unpack_rows(rows, k)
+        objs = np.array(items, dtype=object)
+        return (objs[mat[i]].tolist() for i in range(k))
+    return ([items[j] for j in _bits(row)] if row else [] for row in rows)
 
 
 def mhcd(p: Poset) -> ChainDecomposition:
@@ -311,14 +316,21 @@ class ChainGraph:
         """The comparable chain pairs as a read-only symmetric boolean matrix."""
         return _unpack_rows([a | b for a, b in zip(*self.rows)], self.k)
 
+    def _listed(self) -> list[int]:
+        """The out rows, or, undirected, each edge once at its smaller end."""
+        out, into = self.rows
+        if self.directed:
+            return out
+        return [(a | b) & -(2 << i) for i, (a, b) in enumerate(zip(out, into))]
+
     def edges(self) -> list[tuple[int, int]]:
         """The oriented edges, or each undirected edge once as (i, j), i < j."""
-        out, into = self.rows
-        if not self.directed:
-            out = [(a | b) & -(2 << i) for i, (a, b) in enumerate(zip(out, into))]
-        return list(_edge_pairs(out, self.k, self.decomposition.poset.n))
+        listed = _row_targets(self._listed(), self.k, self.decomposition.poset.n, range(self.k))
+        return [(i, j) for i, targets in enumerate(listed) for j in targets]
 
     def to_dot(self, name: str = "chains") -> str:
+        """Graphviz text: one node line per chain, then the edge lines in the
+        order of `edges()`, written one join per source chain."""
         labels = self.decomposition.chains_as_labels()
 
         def node(i: int) -> str:
@@ -329,7 +341,10 @@ class ChainGraph:
         head = ("digraph" if self.directed else "graph") + f" {name} {{"
         arrow = "->" if self.directed else "--"
         lines = [head] + [node(i) for i in range(self.k)]
-        lines += [f"  c{i} {arrow} c{j};" for i, j in self.edges()]
+        ends = [f"c{j};" for j in range(self.k)]
+        listed = _row_targets(self._listed(), self.k, self.decomposition.poset.n, ends)
+        lines += [f"  c{i} {arrow} " + f"\n  c{i} {arrow} ".join(targets)
+                  for i, targets in enumerate(listed) if targets]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

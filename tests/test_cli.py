@@ -1,5 +1,7 @@
 """Command line behavior: sections, formats, and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -11,11 +13,11 @@ import posetdecomp.cli
 import posetdecomp.cut
 import posetdecomp.hcd
 import posetdecomp.verify
-from posetdecomp.cli import _print_analysis, _section_mhcd, main
+from posetdecomp.cli import _EdgeRows, _print_analysis, _section_mhcd, main
 from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
 from posetdecomp.generate import FAMILIES, chain, random_poset, two_chain_fan, wrap_forest
 from posetdecomp.poset import enumerate_posets
-from posetdecomp.textio import dumps
+from posetdecomp.textio import dumps, loads
 from posetdecomp.verify import Analysis
 
 import oracles
@@ -336,12 +338,79 @@ def test_mhcd_section_edges_match_pair_oracle():
     edges, sides = 0, set()
     for p in posets:
         an = Analysis(p)
-        got = _section_mhcd(an, False)["oriented_edges"]
+        got = _section_mhcd(an, False)["oriented_edges"].pairs()
         assert got == oracles.oriented_edges_by_pairs(p, an.mhcd.chains)
         edges += len(got)
         sides.add(posetdecomp.hcd._dense(len(got), an.mhcd.k, p.n))
     # the listing's loop and its unpack, on either side of the size rule
     assert edges > 0 and sides == {False, True}
+
+
+# labels that JSON escapes, on both ends of edges: the MHCD chains are
+# <a"b,c\d>, <z,é> and <☃>, and both two-element chains point to <☃>
+ESCAPED = 'elements: a"b c\\d é ☃ z\na"b < c\\d\nc\\d < ☃\nz < é\né < ☃\n'
+WRITER_POSETS = {
+    "escaped": lambda: loads(ESCAPED),
+    "dense": lambda: random_poset(120, 0.6),
+    "wrapforest": lambda: wrap_forest(600),
+    "chain4": lambda: chain(4),
+    "one": lambda: loads("elements: x\n"),
+    "empty": lambda: loads("elements:\n"),
+}
+
+
+def _stdout(write, doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(doc)
+    return out.getvalue()
+
+
+def mhcd_writes(p) -> tuple[str, str, list[str], list[str]]:
+    """The MHCD section of p as `_emit_json` and `_print_analysis` write it,
+    each beside what the per-edge oracle expects: (JSON written, JSON
+    expected, edge lines written, edge lines expected).  The expected JSON is
+    json.dumps of the document with `oracles.oriented_edges_by_pairs` for its
+    edges, the expected edge lines one per oracle pair.  The writers are read
+    off the module at each call, so a defect patched into it is seen."""
+    an = Analysis(p)
+    sec = _section_mhcd(an, False)
+    doc = {"n": p.n, "sections": {"mhcd": sec}, "findings": [], "ok": True}
+    pairs = oracles.oriented_edges_by_pairs(p, an.mhcd.chains)
+    logical = {**doc, "sections": {"mhcd": {**sec, "oriented_edges": pairs}}}
+    text = _stdout(posetdecomp.cli._print_analysis, doc)
+    return (
+        _stdout(posetdecomp.cli._emit_json, doc),
+        json.dumps(logical, sort_keys=True) + "\n",
+        [line for line in text.split("\n") if line.startswith("  edge: ")],
+        [f"  edge: <{','.join(src)}> -> <{','.join(dst)}>" for src, dst in pairs],
+    )
+
+
+@pytest.mark.parametrize("name", WRITER_POSETS)
+def test_mhcd_writers_match_pair_oracle(name):
+    p = WRITER_POSETS[name]()
+    got, want, lines, want_lines = mhcd_writes(p)
+    assert got == want
+    assert lines == want_lines
+    # the row listing's unpack on the dense graph, its loop on the others
+    k = Analysis(p).mhcd.k
+    assert posetdecomp.hcd._dense(len(lines), k, p.n) == (name == "dense")
+    assert bool(lines) == (name in ("escaped", "dense", "wrapforest"))
+    if name == "escaped":
+        assert '"oriented_edges": [[["a\\"b", "c\\\\d"], ["\\u2603"]], [["z", "\\u00e9"], ["\\u2603"]]]' in got
+        assert lines == ["  edge: <a\"b,c\\d> -> <☃>", "  edge: <z,é> -> <☃>"]
+    if name == "empty":
+        assert '"oriented_edges": []' in got
+
+
+def _logical(node):
+    """node with every `_EdgeRows` in it replaced by its label pairs."""
+    if isinstance(node, _EdgeRows):
+        return node.pairs()
+    if isinstance(node, dict):
+        return {key: _logical(value) for key, value in node.items()}
+    return node
 
 
 def _analyze_json(make):
@@ -371,7 +440,7 @@ def test_json_output_is_plain_sorted_dumps(monkeypatch, tmp_path, capsys, argv):
     real = posetdecomp.cli._emit_json
     monkeypatch.setattr(posetdecomp.cli, "_emit_json", lambda doc: (docs.append(doc), real(doc)))
     assert main(argv(tmp_path)) == 0
-    assert capsys.readouterr().out == json.dumps(docs[0], sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(_logical(docs[0]), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("p", [random_poset(8, 0.3, seed=3), chain(4)], ids=["edges", "no-edges"])
@@ -380,7 +449,7 @@ def test_text_analysis_prints_one_line_per_edge(capsys, p):
     doc = {"n": p.n, "sections": {"mhcd": _section_mhcd(an, False)}, "findings": []}
     _print_analysis(doc)
     lines = capsys.readouterr().out.split("\n")
-    edges = doc["sections"]["mhcd"]["oriented_edges"]
+    edges = doc["sections"]["mhcd"]["oriented_edges"].pairs()
     assert lines[-1] == "" and "" not in lines[:-1]
     assert [line for line in lines if line.startswith("  edge: ")] == [
         f"  edge: <{','.join(src)}> -> <{','.join(dst)}>" for src, dst in edges

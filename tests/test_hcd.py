@@ -265,6 +265,22 @@ def test_to_dot_escapes_quotes_and_backslashes():
     assert 'c0 [label="<say \\"hi\\",a\\\\b>"];' in dot
 
 
+@pytest.mark.parametrize("p", [random_poset(120, 0.6), wrap_forest(200)], ids=["dense", "wrapforest"])
+def test_to_dot_edge_lines_match_oracle(p):
+    # both graphs' edge lines, one per oracle edge in row-major order, on
+    # either side of the size rule that lists them
+    for g in (chain_graph(p), acyclic_orientation(p)):
+        chains = g.decomposition.chains
+        comp, _ = oracles.chain_comparability(p, chains)
+        mat = oracles.orientation_by_minima(p, chains, comp) if g.directed else np.triu(comp, 1)
+        arrow = "->" if g.directed else "--"
+        lines = g.to_dot("g").split("\n")
+        assert lines[-2:] == ["}", ""]
+        edges = lines[1 + g.k:-2]
+        assert edges and edges == [f"  c{i} {arrow} c{j};" for i, j in np.argwhere(mat).tolist()]
+        assert _dense(len(edges), g.k, p.n) == (p.n == 120)
+
+
 def test_graph_automorphisms_square_cycle():
     # an undirected 4-cycle has the dihedral symmetry group of order 8
     mat = np.zeros((4, 4), dtype=bool)

@@ -23,6 +23,7 @@ from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
 import oracles
 import test_boundary
+import test_cli
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
@@ -230,6 +231,18 @@ def dense_unpacks_down_rows(monkeypatch):
 def section_reads_into_rows(monkeypatch):
     """The MHCD section lists its edges off the into rows instead of the out rows."""
     _rewrite(monkeypatch, cli, "_section_mhcd", "gr.rows[0]", "gr.rows[1]")
+
+
+def rows_read_columns(monkeypatch):
+    """The dense row listing takes column i of the unpacked rows for row i:
+    each chain lists the chains that point into it."""
+    _rewrite(monkeypatch, hcd, "_row_targets", "objs[mat[i]]", "objs[mat[:, i]]")
+
+
+def row_head_from_target(monkeypatch):
+    """A JSON edge row's head is built from its first target's encoding
+    instead of its source's."""
+    _rewrite(monkeypatch, cli, "_emit_json", 'head = f"[{src}, "', 'head = f"[{targets[0]}, "')
 
 
 def wrap_keeps_own_chain(monkeypatch):
@@ -606,7 +619,17 @@ def mhcd_section_differs_from_pair_oracle() -> bool:
     """test_cli.test_mhcd_section_edges_match_pair_oracle, on FAMILY."""
     for p in FAMILY:
         an = verify.Analysis(p)
-        if cli._section_mhcd(an, False)["oriented_edges"] != oracles.oriented_edges_by_pairs(p, an.mhcd.chains):
+        if cli._section_mhcd(an, False)["oriented_edges"].pairs() != oracles.oriented_edges_by_pairs(p, an.mhcd.chains):
+            return True
+    return False
+
+
+def mhcd_writers_differ_from_oracle() -> bool:
+    """test_cli.test_mhcd_writers_match_pair_oracle, on its posets: labels
+    that JSON escapes, a dense graph, a wrap forest and three without edges."""
+    for make in test_cli.WRITER_POSETS.values():
+        got, want, lines, want_lines = test_cli.mhcd_writes(make())
+        if got != want or lines != want_lines:
             return True
     return False
 
@@ -734,6 +757,10 @@ MUTANTS = {
     "dense-unpacks-down-rows": (dense_unpacks_down_rows, orientation_differs_from_oracle),
     # the battery never reads the section, only the graph it lists
     "section-reads-into-rows": (section_reads_into_rows, mhcd_section_differs_from_pair_oracle),
+    # nor the written section: only its bytes tell, the first on the dense
+    # side of the size rule, which FAMILY never takes
+    "rows-read-columns": (rows_read_columns, mhcd_writers_differ_from_oracle),
+    "row-head-from-target": (row_head_from_target, mhcd_writers_differ_from_oracle),
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
     "crossing-without-top": (crossing_without_top, check_fails("segments")),
     "run-extends-above-first": (run_extends_above_first, check_fails("segments")),
