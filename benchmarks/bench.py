@@ -57,11 +57,12 @@ ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # check (its one walk of the avoider tree) alone on every n <= 5 poset,
 # the dilworth and homogeneous checks (the brute-force partition walk and
 # the clique test on the ready pairs) alone on every n <= 5 poset,
-# the cut check alone on wrap forests of 30 elements, the homogeneous check
-# (its clique test on the ready pairs) alone on wrap forests of 40, and the
-# bounds check (the constructive pipeline) alone on wrap forests of 1000
-# (about 300 chains) and of 16000 (about 4,900 chains), and the embedding
-# check (the symmetry search) alone on wrap forests of 200
+# the cut check alone on wrap forests of 30 and of 40 elements (the latter
+# in blocks of up to 256 admissible cuts, whose side-series rows repeat
+# most), the homogeneous check (its clique test on the ready pairs) alone on
+# wrap forests of 40, the bounds check (the constructive pipeline) alone on
+# wrap forests of 1000 (about 300 chains) and of 16000 (about 4,900 chains),
+# and the embedding check (the symmetry search) alone on wrap forests of 200
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
@@ -69,6 +70,8 @@ VERIFY_INPUTS = {
     "verify-n5-brute": ["verify", "exhaustive", "--nmax", "5", "--checks", "dilworth,homogeneous"],
     "verify-wrapforest-n30-cut": ["verify", "random", "--family", "wrapforest", "--n", "30",
                                   "--count", "50", "--checks", "cut"],
+    "verify-wrapforest-n40-cut": ["verify", "random", "--family", "wrapforest", "--n", "40",
+                                  "--count", "20", "--checks", "cut"],
     "verify-wrapforest-n40-homogeneous": ["verify", "random", "--family", "wrapforest",
                                           "--n", "40", "--count", "50",
                                           "--checks", "homogeneous"],

@@ -357,15 +357,25 @@ def _exact_dtypes(bound) -> tuple:
 
 def _alternating_series(power: np.ndarray, strict: np.ndarray, inside=1) -> np.ndarray:
     """sum_s (-1)^s V_s with V_0 = power and V_{s+1} = (V_s @ strict) * inside,
-    up to the first zero power; `strict` is nilpotent, so one comes.  Each
-    power replaces the one before, so V_0 is not kept alive to the end."""
-    total = np.zeros_like(power)
-    sign = 1
-    while power.any():
-        total += sign * power
-        power = (power @ strict) * inside
-        sign = -sign
-    return total
+    up to the first zero power; `strict` is nilpotent, so one comes.
+
+    In place: the sum accumulates in `power` itself, which the caller hands
+    over; each power is masked in the product's own array and subtracted or
+    added, with no signed copy, and `inside` is cast to the work dtype once,
+    so a step allocates only its product, which replaces the power before."""
+    inside = np.asarray(inside, dtype=strict.dtype)
+    total = power
+    subtract = True
+    while True:
+        power = power @ strict
+        power *= inside
+        if not power.any():
+            return total
+        if subtract:
+            total -= power
+        else:
+            total += power
+        subtract = not subtract
 
 
 def signed_chain_count(p: Poset, x, y) -> int:
@@ -378,9 +388,12 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
 
     By its defining recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
     over x <= z < y, with y taken in a linear extension so that every
-    mu(x, z) is ready.  The elements z are the bits of
-    (up[x] | 1 << x) & down[y] on the bit rows.  By P. Hall's theorem this
-    is the signed chain-count matrix, computed another way.
+    mu(x, z) is ready.  The sum runs only over the z whose mu(x, z) is
+    nonzero so far: the bits of `nonzero & down[y]`, where the bit row
+    `nonzero` holds x and each y above x found with mu(x, y) != 0.  Every z
+    with x <= z < y comes before y in the extension, so the terms left out
+    are zero and the sum is the recursion's.  By P. Hall's theorem this is
+    the signed chain-count matrix, computed another way.
     """
     up, down = p.rows
     order = _topological_order(p)
@@ -388,10 +401,13 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
     for x in range(p.n):
         row = [0] * p.n
         row[x] = 1
-        at_least_x = up[x] | 1 << x
+        nonzero = 1 << x
         for y in order:
             if up[x] >> y & 1:
-                row[y] = -sum(row[z] for z in _bits(at_least_x & down[y]))
+                value = -sum(row[z] for z in _bits(nonzero & down[y]))
+                if value:
+                    row[y] = value
+                    nonzero |= 1 << y
         mu.append(row)
     return mu
 

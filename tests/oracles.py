@@ -1347,6 +1347,45 @@ def cut_identity_reports(p, chains) -> dict:
     return out
 
 
+def cut_kernel_by_rows(frame, heights) -> tuple:
+    """`cut._cut_kernel(frame, heights)` with one side-series row per (cut,
+    side, chain), as the kernel ran before its rows were keyed: the four
+    arrays of its batch (d_lower, d_upper, rhs, equal), in the same dtypes.
+
+    With `inside` each row's side mask, the series sums (-1)^s V_s from
+    V_0 = M * inside by V_{s+1} = (V_s @ lt) * inside, one signed copy per
+    power into a zeroed total, up to the first zero power; the dtypes come
+    from `poset._exact_dtypes` on the kernel's bounds.
+    """
+    from posetdecomp.poset import _exact_dtypes
+
+    _, _, _, chain_of, position, _, strict = frame.layout
+    c, k = heights.shape
+    n = len(position)
+    low = position < heights[:, chain_of]
+    inside = np.stack((low, ~low), axis=1)[:, :, None, :]
+    inside = np.broadcast_to(inside, (c, 2, k, n)).reshape(2 * c * k, n)
+    members = frame.members.astype(strict.dtype, copy=False)
+    power = np.tile(members, (2 * c, 1)) * inside
+    total = np.zeros_like(power)
+    sign = 1
+    while power.any():
+        total += sign * power
+        power = (power @ strict) * inside
+        sign = -sign
+    d_sides = (total @ members.T).reshape(c, 2, k, k)
+    m = max(int(np.abs(a).max()) if a.size else 0 for a in (d_sides, frame.d_whole))
+    work, exact = _exact_dtypes(k**3 * m * (m + 2))
+    d_sides = d_sides.astype(work, copy=False)
+    j_mat = frame.j.astype(work)
+    lower_j = d_sides[:, 0] @ j_mat
+    upper_j = d_sides[:, 1] @ j_mat
+    rhs = lower_j + upper_j - lower_j @ upper_j
+    equal = (rhs == frame.lhs.astype(work)).all(axis=(1, 2))
+    d_sides = d_sides.astype(exact, copy=False)
+    return d_sides[:, 0], d_sides[:, 1], rhs.astype(exact, copy=False), equal
+
+
 def side_counts_by_submatrix(p, chains, heights, scope) -> list:
     """One side's chain-aggregated signed counts, from the power sum on the
     strict order's submatrix over that side (`np.ix_`), per cut.

@@ -361,6 +361,57 @@ def test_batched_pass_matches_oracle_across_blocks():
         assert batch.rhs[row].tolist() == report["rhs"]
 
 
+def kernel_blocks(posets):
+    """A block of 40 random in-range heights per poset, improper and
+    inadmissible cuts included, on its MHCD's frame, and the block's first
+    `_KEYED - 1` cuts: one block on each side of the kernel's size rule."""
+    rng = np.random.default_rng(39)
+    small = cut_module._KEYED - 1
+    assert 40 >= cut_module._KEYED > small
+    for p in posets:
+        frame = cut_module.CutFrame(p, mhcd(p))
+        sizes = np.array([len(c) for c in frame.decomposition.chains], dtype=np.int64)
+        heights = rng.integers(0, sizes + 1, size=(40, len(sizes)))
+        yield frame, heights
+        yield frame, heights[:small]
+
+
+def kernel_faults(posets) -> int:
+    """The blocks of `kernel_blocks(posets)` on which `_cut_kernel` and the
+    one-row-per-(cut, side, chain) oracle differ in value or dtype."""
+    faults = 0
+    for frame, heights in kernel_blocks(posets):
+        pairs = zip(cut_module._cut_kernel(frame, heights), oracles.cut_kernel_by_rows(frame, heights))
+        faults += not all(got.dtype == want.dtype and np.array_equal(got, want) for got, want in pairs)
+    return faults
+
+
+def test_kernel_matches_row_oracle():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(5)]
+    posets += [random_poset(9, 0.3, seed=s) for s in range(30)]
+    assert kernel_faults(posets) == 0
+
+
+def test_kernel_runs_one_series_row_per_key(monkeypatch):
+    # wrap_forest(28, seed=6) has 7 chains and six blocks of 256 admissible
+    # cuts; a row per (cut, side, chain) would be 2 * 256 * 7 = 3,584 per block
+    p = wrap_forest(28, seed=6)
+    frame = cut_module.CutFrame(p, mhcd(p))
+    rows = []
+    real = cut_module._alternating_series
+
+    def counted(power, strict, inside=1):
+        rows.append(len(power))
+        return real(power, strict, inside)
+
+    monkeypatch.setattr(cut_module, "_alternating_series", counted)
+    sizes = [len(heights) for heights, _ in cut_module._admissible_identities(frame, None)]
+    k = frame.decomposition.k
+    assert [2 * c * k for c in sizes] == [3584] * 6
+    assert rows == [36] * 6
+
+
 def test_check_cut_witness_is_first_failing_cut(monkeypatch):
     # a kernel whose right-hand side is off by one on every cut with the last
     # cut's first height: the witness is the report on the first such cut,

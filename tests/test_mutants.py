@@ -6,6 +6,7 @@ the run (every poset with n <= 4 and a few wrap forests).  The killer must
 pass on the library as it is and fail under the defect.
 """
 
+import ast
 import inspect
 import itertools
 import linecache
@@ -24,6 +25,7 @@ from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 import oracles
 import test_boundary
 import test_cli
+import test_cut
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
@@ -46,17 +48,40 @@ def _segment_cases() -> list:
 SEGMENT_CASES = _segment_cases()
 
 
+def _top_level_sources() -> dict:
+    """The source of every function and class defined at the top level of
+    an imported posetdecomp module, decorators included, keyed by the
+    object, read once when this module is imported.  `inspect.getsource`
+    would reread the file at each rewrite, at the line numbers of the code
+    already loaded, so a source file edited during the run would hand a
+    rewrite the wrong lines."""
+    sources = {}
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("posetdecomp."):
+            lines = inspect.getsource(mod).splitlines(True)
+            for node in ast.parse("".join(lines)).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in vars(mod):
+                    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    sources[vars(mod)[node.name]] = "".join(lines[start - 1:node.end_lineno])
+    return sources
+
+
+SOURCES = _top_level_sources()
+
+
 def _rewritten(module, name, old, new):
     """module.name recompiled with `old`, which its source must hold once,
-    replaced by `new`.  The new source is registered with linecache, so a
-    rewritten function can be rewritten again."""
-    source = inspect.getsource(getattr(module, name))
+    replaced by `new`.  The new function's source joins SOURCES, so a
+    rewritten function can be rewritten again, and is registered with
+    linecache for tracebacks."""
+    source = SOURCES[getattr(module, name)]
     assert source.count(old) == 1
     source = source.replace(old, new)
     filename = f"<rewritten {module.__name__}.{name} {hash(source):x}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = dict(vars(module))
     exec(compile(source, filename, "exec"), namespace)
+    SOURCES[namespace[name]] = source
     return namespace[name]
 
 
@@ -337,12 +362,25 @@ def walk_joins_incomparable(monkeypatch):
 
 def unsigned_side_counts(monkeypatch):
     """The side counts drop the alternating sign: they count the chains."""
-    _rewrite(monkeypatch, poset, "_alternating_series", "sign = -sign", "sign = 1")
+    _rewrite(monkeypatch, poset, "_alternating_series", "total -= power", "total += power")
 
 
 def upper_over_lower_parts(monkeypatch):
     """The upper side is aggregated over the lower parts."""
     _rewrite(monkeypatch, cut_module, "_cut_kernel", "np.stack((low, ~low)", "np.stack((low, low)")
+
+
+def kernel_key_own_chain(monkeypatch):
+    """The kernel keys each row by its side's mask on chain i's own elements,
+    not on chain i's up-closure."""
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "_distinct_rows(inside, chains)",
+             "_distinct_rows(inside & frame.members.astype(bool)[chains], chains)")
+
+
+def kernel_key_drops_chain(monkeypatch):
+    """The kernel keys each row by its restricted mask alone, without the chain index."""
+    _rewrite(monkeypatch, cut_module, "_cut_kernel", "_distinct_rows(inside, chains)",
+             "_distinct_rows(inside, 0 * chains)")
 
 
 def admissible_by_comparability(monkeypatch):
@@ -352,15 +390,18 @@ def admissible_by_comparability(monkeypatch):
 
 
 def side_series_drops_last_power(monkeypatch):
-    """The side series stops before its last nonzero power."""
-    _rewrite(monkeypatch, poset, "_alternating_series", "while power.any():",
-             "while ((power @ strict) * inside).any():")
+    """The side series stops before its last nonzero power, which is V_0
+    itself when V_1 is zero."""
+    _rewrite(monkeypatch, poset, "_alternating_series", "    total = power\n",
+             "    total = power * ((power @ strict) * inside).any()\n")
+    _rewrite(monkeypatch, poset, "_alternating_series", "if not power.any():",
+             "if not ((power @ strict) * inside).any():")
 
 
 def side_series_keeps_v0(monkeypatch):
     """The side series keeps V_0 but drops its last nonzero power of order >= 1."""
-    _rewrite(monkeypatch, poset, "_alternating_series", "total += sign * power\n",
-             "total += sign * power * (not total.any() or ((power @ strict) * inside).any())\n")
+    _rewrite(monkeypatch, poset, "_alternating_series", "if not power.any():",
+             "if not ((power @ strict) * inside).any():")
 
 
 def float_tier_past_53(monkeypatch):
@@ -376,7 +417,7 @@ def j_without_identity(monkeypatch):
 
 def mobius_without_sign(monkeypatch):
     """The Mobius recursion drops its sign: mu(x, y) sums mu(x, z) over x <= z < y."""
-    _rewrite(monkeypatch, poset, "mobius_matrix", "row[y] = -sum(", "row[y] = sum(")
+    _rewrite(monkeypatch, poset, "mobius_matrix", "value = -sum(", "value = sum(")
 
 
 def mobius_unordered(monkeypatch):
@@ -695,6 +736,12 @@ def float_tier_differs_from_mobius() -> bool:
     )
 
 
+def kernel_differs_from_row_oracle() -> bool:
+    """test_cut.test_kernel_matches_row_oracle, on FAMILY's wrap forests:
+    blocks of random heights, improper and inadmissible cuts included."""
+    return test_cut.kernel_faults([p for p in FAMILY if p.n == 20]) > 0
+
+
 def catalan_check_fails() -> bool:
     """The exhaustive sweep's Catalan check."""
     return not verify.check_catalan_counts()["passed"]
@@ -783,6 +830,11 @@ MUTANTS = {
     "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
+    # on every block of admissible cuts tried, either key still gives every
+    # row its value, so the battery cannot see them: only improper and
+    # inadmissible cuts tell
+    "kernel-key-own-chain": (kernel_key_own_chain, kernel_differs_from_row_oracle),
+    "kernel-key-drops-chain": (kernel_key_drops_chain, kernel_differs_from_row_oracle),
     "admissible-by-comparability": (admissible_by_comparability, check_fails("cut")),
     "side-series-drops-last-power": (side_series_drops_last_power, check_fails("cut")),
     "side-series-keeps-v0": (side_series_keeps_v0, check_fails("cut")),
@@ -815,6 +867,19 @@ def test_mutant_is_killed(monkeypatch, name):
     assert not killed()
     mutate(monkeypatch)
     assert killed(), f"{name} survives {killed.__doc__}"
+
+
+def test_rewrites_read_no_source_file(monkeypatch):
+    # every rewrite reads the sources taken when this module was imported,
+    # so a source file edited during the run cannot shift the lines it sees
+    def edited(*args):
+        raise OSError("the source file changed on disk")
+
+    monkeypatch.setattr(inspect, "getsource", edited)
+    monkeypatch.setattr(linecache, "getlines", edited)
+    for mutate, _ in MUTANTS.values():
+        with pytest.MonkeyPatch.context() as mp:
+            mutate(mp)
 
 
 def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
