@@ -415,10 +415,12 @@ def enumerate_admissible_cuts(p: Poset, d, cap: int | None = None) -> list[Cut]:
 def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
     """`count` admissible cuts drawn with replacement (empty if none exist).
 
-    Refuses a negative count (ValueError) before enumerating any cut.
+    Refuses a negative count (ValueError) before enumerating any cut, and a
+    decomposition with more than CUT_ENUMERATION_CAP proper cuts
+    (ScopeExceededError) before the first block, since the pool holds them all.
     """
     refuse_negative("count", count)
-    pool = enumerate_admissible_cuts(p, d)
+    pool = enumerate_admissible_cuts(p, d, CUT_ENUMERATION_CAP)
     if not pool:
         return []
     rng = random.Random(seed)

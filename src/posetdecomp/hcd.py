@@ -12,13 +12,11 @@ other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
 `merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
 chain.  A pair whose rows differ off the pair never becomes a merge: the
 least element of a differing element's twin class is never merged away, and
-it stays in the difference (the lemma of `_replay`).  So a replay draws from
-the one list of ready pairs (`_merge_table`), dropping those a merge
-removes; the candidate list stays the rescan's, in order, so a seed draws
-the same merges.  A ready pair is a pair of twins, so the ready pairs form
-cliques and every merge order ends at their classes: the verifier's
-homogeneous check tests that the ready pairs form cliques whose classes are
-the MHCD's chains.
+it stays in the difference (the lemma of `_merge_table`).  So the loop fires
+from the one list of ready pairs, dropping those a merge removes.  A ready
+pair is a pair of twins, so the ready pairs form cliques and every merge
+order ends at their classes: the verifier's homogeneous check tests that the
+ready pairs form cliques whose classes are the MHCD's chains.
 
 Twin lemma.  A chain decomposition is homogeneous iff the elements of each
 chain share one closed row `up | down | 1 << x`.  Forward: an element is
@@ -43,13 +41,11 @@ sides were within 1.2x.  A graph on fewer than 11 chains has at most 45 edges an
 always takes the loop, as do the sparse scale inputs (wrap forests,
 chains); `random_poset(n, 0.3)` unpacks from n = 18 up.
 
-The seeded draws (the shuffled merge orders of `merge_fixpoint` and the
-product-replacement words of the embedding check) draw their indices from
-one integer stream (`_stream`): the seed is mixed once by the splitmix64
-finalizer, and each draw is one 64-bit LCG step whose high bits, mod m,
-pick the index.  Its modulo bias cannot matter: every merge order reaches
-the same fixpoint and every word is a product of automorphisms, so any draw
-is a valid one.
+The product-replacement words of the embedding check draw their indices
+from one seeded integer stream (`_stream`): the seed is mixed once by the
+splitmix64 finalizer, and each draw is one 64-bit LCG step whose high bits,
+mod m, pick the index.  Its modulo bias cannot matter: every word is a
+product of automorphisms, so any draw is a valid one.
 """
 
 from __future__ import annotations
@@ -193,26 +189,27 @@ def _twin_classes(rows: list[int]) -> list[list[int]]:
     return list(classes.values())
 
 
-def merge_fixpoint(p: Poset, shuffle_seed: int | None = None) -> ChainDecomposition:
+def merge_fixpoint(p: Poset) -> ChainDecomposition:
     """Greedy merging to the fixpoint: the MHCD by its definition.
 
     Starts from singletons and merges comparable chain pairs with identical
-    comparability profiles until none remains: each round fires the first of
-    the merges (i, j), i < j, in that order or, with `shuffle_seed`, the one
-    at the next index that `_stream(shuffle_seed)` draws; the fixpoint is the
-    same either way, since the MHCD is unique.  Chain i (named by its least
-    index) keeps element i's comparability row when j merges in, and a pair
-    that is not a merge at the start never becomes one (see `_replay`), so
-    the merges are drawn from the start's pairs alone (see `_merge_table`)
-    and the candidate list each round is the one a full rescan would list,
-    in the same order: a seed draws the same merges.  The battery's
-    homogeneous check neither runs this loop nor reads a seed: it tests the
-    ready pairs themselves (see `verify.check_homogeneous`).
+    comparability profiles until none remains, each round firing the first
+    merge (i, j), i < j, in that order; the MHCD is unique, so any order
+    reaches it.  Chain i (named by its least index) keeps element i's
+    comparability row when j merges in, and only ready pairs ever fire (see
+    `_merge_table`), so each round's candidates are the ready pairs left
+    once those that hold a merged-away element are dropped: the list a full
+    rescan would give, in the same order.  The battery's homogeneous check
+    does not run this loop: it tests the ready pairs themselves (see
+    `verify.check_homogeneous`).
     """
     masks = [1 << i for i in range(p.n)]
-    for i, j in _replay(_merge_table(p), shuffle_seed):
+    candidates = _merge_table(p)
+    while candidates:
+        i, j = candidates[0]
         masks[i] |= masks[j]
         masks[j] = 0
+        candidates = [c for c in candidates if j not in c]
     return ChainDecomposition._from_masks(p, [mask for mask in masks if mask])
 
 
@@ -221,28 +218,8 @@ def _merge_table(p: Poset) -> list[tuple[int, int]]:
 
     With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, is
     ready when its rows agree off the pair, (comp[i] ^ comp[j]) & ~(bit i |
-    bit j) == 0.  No other pair ever becomes a merge (see `_replay`), so
-    these are every merge any replay can fire.  The homogeneous check of
-    `verify` reads them, and nothing else of this module's merge code, as
-    its side independent of `mhcd`.
-    """
-    up, down = p.rows
-    comp = [u | d for u, d in zip(up, down)]
-    return [
-        (i, j)
-        for i in range(p.n)
-        for j in _bits(comp[i] & -(2 << i))
-        if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
-    ]
-
-
-def _replay(ready: list[tuple[int, int]], seed: int | None) -> list[tuple[int, int]]:
-    """The merges (i, j), in firing order, of one merge loop under `seed`, run
-    from the ready pairs of `_merge_table`, which it leaves intact.
-
-    Each round fires the candidate at the index `_stream(seed)` draws among
-    them or, with seed None, the first, and after each merge (i, j) the
-    candidates lose the pairs that hold j.  No pair is ever added:
+    bit j) == 0.  A merge (i, j) removes j, so the pairs that hold j leave
+    the candidates; no pair is ever added:
 
     Lemma.  A comparable pair (a, b) whose rows differ off the pair at some
     element c never becomes a merge.  Let r be the least element whose closed
@@ -253,16 +230,20 @@ def _replay(ready: list[tuple[int, int]], seed: int | None) -> list[tuple[int, i
     r is a or b.  r = a would put c in a's closed row, and so b in c's row
     (b is in a's row); but c relates to exactly one of a and b.  r = b fails
     the same way.  So the pair's difference always holds an alive element,
-    and by induction only ready pairs ever fire.
+    and by induction only ready pairs ever fire, in any merge order.
+
+    So these are every merge any merge loop can fire.  The homogeneous check
+    of `verify` reads them, and nothing else of this module's merge code, as
+    its side independent of `mhcd`.
     """
-    candidates = ready
-    draw = None if seed is None else _stream(seed)
-    merges = []
-    while candidates:
-        i, j = candidates[draw(len(candidates))] if draw else candidates[0]
-        merges.append((i, j))
-        candidates = [c for c in candidates if j not in c]
-    return merges
+    up, down = p.rows
+    comp = [u | d for u, d in zip(up, down)]
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in _bits(comp[i] & -(2 << i))
+        if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
+    ]
 
 
 def _stream(seed: int) -> Callable[[int], int]:

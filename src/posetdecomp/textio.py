@@ -31,9 +31,13 @@ def loads(text: str) -> Poset:
             if not line.startswith("elements:"):
                 raise FormatError("expected an 'elements:' line first", lineno)
             labels = line[len("elements:"):].split()
+            # split() leaves no whitespace and the comment is gone, so only a
+            # '<' or a leading 'elements:' can make a label unwritable: one
+            # scan of the line rules both out for most files
+            if "<" in line or "elements:" in line[len("elements:"):]:
+                for x in labels:
+                    _check_label(x, lineno)
             for x in labels:
-                if "<" in x:
-                    raise FormatError(f"label {x!r} may not contain '<'", lineno)
                 if x in seen:
                     raise FormatError(f"duplicate element {x!r}", lineno)
                 seen.add(x)
@@ -62,11 +66,14 @@ def load(path) -> Poset:
         return loads(fh.read())
 
 
-def _check_label(name: str) -> None:
+def _check_label(name: str, line: int | None = None) -> None:
+    """Raise FormatError, at `line` when given, unless the text format can
+    hold `name`: a relation line can name it, and it cannot be taken for
+    whitespace, a relation sign, a comment or an element line."""
     # split() != [name] catches the empty label and any whitespace, the
     # separators that splitlines() breaks lines at included
     if name.split() != [name] or "<" in name or "#" in name or name.startswith("elements:"):
-        raise FormatError(f"label {name!r} cannot be read back from the text format")
+        raise FormatError(f"label {name!r} is not allowed in the text format", line)
 
 
 def dumps(p: Poset) -> str:

@@ -158,12 +158,13 @@ def check_dilworth(an: Analysis, seed: int = 0) -> dict:
 def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     """The twin classes are homogeneous, minimal, and every merge fixpoint.
 
-    Only ready pairs ever merge (the lemma of `hcd._replay`), so every merge
-    order ends at the classes of the ready pairs when those form cliques:
-    `confluent` holds when the pairs of `hcd._merge_table` number the sum of
-    C(|class|, 2) over the classes they join, and those classes are the
-    MHCD's chains.  The verdict does not read `seed`.  The classes and the
-    brute force compare chain masks, each as a sorted tuple.  Below
+    Only ready pairs ever merge, in any merge order (the lemma in the
+    docstring of `hcd._merge_table`), so every merge order ends at the
+    classes of the ready pairs when those form cliques: `confluent` holds
+    when the pairs of `hcd._merge_table` number the sum of C(|class|, 2)
+    over the classes they join, and those classes are the MHCD's chains.
+    The verdict does not read `seed`.  The classes and the brute force
+    compare chain masks, each as a sorted tuple.  Below
     BRUTE_FORCE_CAP the least homogeneous partitions of the partition walk
     must be the MHCD alone, and the library's `is_homogeneous` must reject
     the walk's first mixed partition.

@@ -216,8 +216,30 @@ def merge_fixpoint(p, shuffle_seed=None):
     )
 
 
+def replay_ready_pairs(ready, seed=None):
+    """The merges (i, j), in firing order, of one merge loop run from
+    `ready`, the merges of its first round in (i, j) order, which it leaves
+    intact.
+
+    Each round fires the candidate that the next state of `draw_states(seed)`
+    picks among them or, with seed None, the first; after each merge (i, j)
+    the candidates lose the pairs that hold j, and no pair is ever added.
+    That none needs adding is the lemma in the docstring of
+    `hcd._merge_table`; `merge_sequence_by_rescan`, which lists the
+    candidates afresh each round, must fire the same merges.
+    """
+    states = None if seed is None else draw_states(seed)
+    candidates = ready
+    merges = []
+    while candidates:
+        i, j = candidates[pick(states, len(candidates))] if states else candidates[0]
+        merges.append((i, j))
+        candidates = [c for c in candidates if j not in c]
+    return merges
+
+
 def merge_sequence_by_rescan(p, shuffle_seed=None):
-    """The merges (i, j) of the library's greedy loop, by a rescan per round.
+    """The merges (i, j) of the greedy merge loop, by a rescan per round.
 
     On the bit rows, comp[x] = up[x] | down[x]; chain i is named by its least
     index and keeps comp[i] when j merges in.  Each round lists every alive
@@ -249,7 +271,8 @@ def merge_sequence_by_rescan(p, shuffle_seed=None):
 
 
 def draw_states(seed):
-    """The 64-bit states of the library's seeded draw stream, one per draw:
+    """The 64-bit states of the library's seeded draw stream (the one the
+    product-replacement words of its embedding check draw from), one per draw:
     splitmix64's finalizer (Steele, Lea & Flood 2014) mixes seed plus the
     golden gamma once, and each draw then takes one step of Knuth's MMIX
     linear congruential generator."""

@@ -152,6 +152,20 @@ def test_sample_refuses_a_negative_count(monkeypatch):
         sample_admissible_cuts(p, mhcd(p), -2)
 
 
+def test_sample_refuses_past_the_cut_cap(monkeypatch):
+    # the pool was built with no cap: wrap_forest(200), with about 6.5e15
+    # proper cuts, never returned; the refusal comes before the first block,
+    # whose frame is never built
+    def frame(p, d):
+        raise AssertionError("a block of cuts was built")
+
+    p = wrap_forest(200, seed=0)
+    d = mhcd(p)
+    monkeypatch.setattr(cut_module, "CutFrame", frame)
+    with pytest.raises(ScopeExceededError, match="capped at 10000 proper cuts"):
+        sample_admissible_cuts(p, d, 1)
+
+
 def test_cut_heights_must_be_integers():
     # a height was truncated by int(): [1.7] * 4 made the cut (1, 1, 1, 1)
     p = wrap_forest(12, seed=3)

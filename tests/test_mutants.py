@@ -200,15 +200,9 @@ def ready_admits_one_difference(monkeypatch):
              "if ((comp[i] ^ comp[j]) & ~(1 << i | 1 << j)).bit_count() <= 1")
 
 
-def replay_drops_second_only(monkeypatch):
-    """After a merge (i, j), only the candidates whose second element is j are dropped."""
-    _rewrite(monkeypatch, hcd, "_replay", "if j not in c]", "if c[1] != j]")
-
-
-def replay_draw_always_first(monkeypatch):
-    """A seeded replay fires the first candidate, as an unseeded one does."""
-    _rewrite(monkeypatch, hcd, "_replay", "candidates[draw(len(candidates))] if draw else candidates[0]",
-             "candidates[0]")
+def merge_drops_pairs_of_i(monkeypatch):
+    """After a merge (i, j), the loop drops the candidates that hold i, not j."""
+    _rewrite(monkeypatch, hcd, "merge_fixpoint", "if j not in c]", "if i not in c]")
 
 
 def mixed_pair_comparable(monkeypatch):
@@ -612,14 +606,9 @@ def scattered_chain_witness_differs() -> bool:
     return hcd._embedding(p, graph, 0).witness != oracles.embedding_by_label_maps(p, graph, 0).witness
 
 
-def replays_differ_from_rescan() -> bool:
-    """test_hcd.test_merge_sequences_match_rescan_oracle, on FAMILY."""
-    for p in FAMILY:
-        table = hcd._merge_table(p)
-        for s in [None, *range(8)]:
-            if hcd._replay(table, s) != oracles.merge_sequence_by_rescan(p, s):
-                return True
-    return False
+def merge_fixpoint_differs_from_mhcd() -> bool:
+    """test_hcd.test_library_merge_fixpoint_equals_twin_classes's identity, on FAMILY."""
+    return any(hcd.merge_fixpoint(p) != hcd.mhcd(p) for p in FAMILY)
 
 
 def products_differ_from_oracle_words() -> bool:
@@ -788,10 +777,8 @@ MUTANTS = {
     "ready-admits-one-difference": (ready_admits_one_difference, check_fails("homogeneous")),
     # the classes keep their masks: only the clique count tells
     "ready-pairs-spanning-forest": (ready_pairs_spanning_forest, check_fails("homogeneous")),
-    # the battery replays no merges: only the merge sequences tell
-    "replay-drops-second-only": (replay_drops_second_only, replays_differ_from_rescan),
-    # every merge order reaches the same fixpoint: only the merges tell
-    "replay-draw-always-first": (replay_draw_always_first, replays_differ_from_rescan),
+    # the battery runs no merge loop: only the loop's fixpoint tells
+    "merge-drops-pairs-of-i": (merge_drops_pairs_of_i, merge_fixpoint_differs_from_mhcd),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
     # the verdict stands: only the pair named in the error tells
     "mixed-witness-first-bit": (mixed_witness_first_bit, mixed_pairs_differ_from_walk_oracle),

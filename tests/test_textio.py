@@ -42,6 +42,14 @@ def test_self_relation_rejected():
         loads("elements: a\na < a\n")
 
 
+@pytest.mark.parametrize("line", ["elements: a elements:b", "elements: a<b c"])
+def test_unwritable_label_rejected_on_its_line(line):
+    # a label that starts with 'elements:' could never stand left of '<'
+    with pytest.raises(FormatError) as exc:
+        loads("# header\n" + line + "\n")
+    assert exc.value.line == 2
+
+
 def test_duplicate_elements_rejected():
     with pytest.raises(FormatError):
         loads("elements: a a\n")
