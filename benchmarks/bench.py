@@ -24,7 +24,11 @@ per metric each side's median and quartiles and the number of pairs in
 which head beat base (ties count for neither).
 The perfbench commands run in each side's export; the other commands run
 in the directory that holds both exports, base/ and head/, and the input
-files.
+files.  A run is ok when it exits with the status its input expects: 0, or
+the status VERIFY_EXIT declares for a command that refuses part of its
+input by design.  Each script in PROBES runs the same way, as one
+`python -c` process on the side's sources, and reports in-process times of
+its own, for work that no command line isolates.
 
 Of ANALYZE_INPUTS, random 300 and 1000 build and list their MHCD chain
 graphs on the dense side of `hcd._dense` (one unpack); chain 2000,
@@ -57,12 +61,13 @@ ANALYZE_ARGS = ["--dilworth", "--mhcd", "--json"]
 # check (its one walk of the avoider tree) alone on every n <= 5 poset,
 # the dilworth and homogeneous checks (the brute-force partition walk and
 # the clique test on the ready pairs) alone on every n <= 5 poset,
-# the cut check alone on wrap forests of 30 and of 40 elements (the latter
-# in blocks of up to 256 admissible cuts, whose side-series rows repeat
-# most), the homogeneous check (its clique test on the ready pairs) alone on
-# wrap forests of 40, the bounds check (the constructive pipeline) alone on
-# wrap forests of 1000 (about 300 chains) and of 16000 (about 4,900 chains),
-# and the embedding check (the symmetry search) alone on wrap forests of 200
+# the cut check alone on wrap forests of 30, of 40 (in blocks of up to 256
+# admissible cuts, whose side-series rows repeat most) and of 64 elements
+# (past the float64 tier that n alone allowed), the homogeneous check (its
+# clique test on the ready pairs) alone on wrap forests of 40, the bounds
+# check (the constructive pipeline) alone on wrap forests of 1000 (about 300
+# chains) and of 16000 (about 4,900 chains), and the embedding check (the
+# symmetry search) alone on wrap forests of 200
 VERIFY_INPUTS = {
     "verify-n6-deletion": ["verify", "exhaustive", "--nmax", "6", "--unsafe-scope",
                            "--checks", "deletion"],
@@ -71,6 +76,8 @@ VERIFY_INPUTS = {
     "verify-wrapforest-n30-cut": ["verify", "random", "--family", "wrapforest", "--n", "30",
                                   "--count", "50", "--checks", "cut"],
     "verify-wrapforest-n40-cut": ["verify", "random", "--family", "wrapforest", "--n", "40",
+                                  "--count", "20", "--checks", "cut"],
+    "verify-wrapforest-n64-cut": ["verify", "random", "--family", "wrapforest", "--n", "64",
                                   "--count", "20", "--checks", "cut"],
     "verify-wrapforest-n40-homogeneous": ["verify", "random", "--family", "wrapforest",
                                           "--n", "40", "--count", "50",
@@ -82,16 +89,55 @@ VERIFY_INPUTS = {
     "verify-wrapforest-n200-embedding": ["verify", "random", "--family", "wrapforest",
                                          "--n", "200", "--count", "5", "--checks", "embedding"],
 }
+# the exit status of a command that refuses part of its input by design
+# (others must exit 0): 16 of the 20 wrap forests of 64 elements have more
+# than the 10,000 proper cuts the cut check enumerates, so verify exits 1;
+# no poset or seed is dropped to make it pass
+VERIFY_EXIT = {"verify-wrapforest-n64-cut": 1}
+# the cut check alone, in process, on each wrap_forest(64..80), seeds 0..19,
+# with at most CUT_ENUMERATION_CAP proper cuts (28 posets), and the whole
+# poset's signed chain counts of wrap_forest(200): the scale at which the
+# exact dtype tiers used to follow n
+PROBES = {
+    "probe-cut-wrapforest-n64-80": """
+import json, math, statistics, time
+from posetdecomp import mhcd, verify
+from posetdecomp.cut import CUT_ENUMERATION_CAP
+from posetdecomp.generate import wrap_forest
+times = []
+for n in range(64, 81):
+    for seed in range(20):
+        p = wrap_forest(n, seed=seed)
+        if math.prod(len(c) - 1 for c in mhcd(p).chains) <= CUT_ENUMERATION_CAP:
+            start = time.perf_counter()
+            assert verify.run_poset_checks(p, which=("cut",))["ok"]
+            times.append(time.perf_counter() - start)
+assert len(times) == 28
+print(json.dumps({"max_poset_s": max(times), "p50_poset_s": statistics.median(times),
+                  "total_s": sum(times)}))
+""",
+    "probe-signed-counts-wrapforest-n200": """
+import json, time
+from posetdecomp import signed_chain_count_matrix
+from posetdecomp.generate import wrap_forest
+p = wrap_forest(200)
+start = time.perf_counter()
+signed_chain_count_matrix(p)
+print(json.dumps({"signed_counts_s": time.perf_counter() - start}))
+""",
+}
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def lower_is_better() -> set[str]:
-    """The end-to-end metrics that BENCHMARK.json marks lower-is-better, and wall_s."""
+    """The end-to-end metrics that BENCHMARK.json marks lower-is-better,
+    wall_s and the probes' times."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"}
+    probes = {"max_poset_s", "p50_poset_s", "total_s", "signed_counts_s"}
+    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -152,6 +198,20 @@ def timed(root: str, args: list[str], cwd: str) -> dict:
     return {"command": cmd, "exit": code,
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def probe(root: str, code: str, cwd: str) -> dict:
+    """Run a PROBES script on the export at root, single-threaded: its exit
+    status and the times it prints as its last line."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **SINGLE_THREADED)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    try:
+        times = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"exit": proc.returncode or 1, "stderr": proc.stderr[-2000:]}
+    return {"exit": proc.returncode,
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in times.items()}}
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -218,7 +278,7 @@ def main() -> int:
                 raise subprocess.CalledProcessError(code, cmd)
             files[name] = cmd
         results: dict[str, dict] = {}
-        for name in [*WORKLOADS, *files, *VERIFY_INPUTS]:
+        for name in [*WORKLOADS, *files, *VERIFY_INPUTS, *PROBES]:
             runs = []
             for pair in range(PAIRS):
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
@@ -227,12 +287,16 @@ def main() -> int:
                         run = timed(roots[side], ["analyze", name, *ANALYZE_ARGS], scratch)
                     elif name in VERIFY_INPUTS:
                         run = timed(roots[side], VERIFY_INPUTS[name], scratch)
+                    elif name in PROBES:
+                        run = probe(roots[side], PROBES[name], scratch)
                     else:
                         run = perfbench(roots[side], name, pair + 1)
                     runs.append({"pair": pair, "side": side, **run})
                     print(f"{name} pair {pair} {side}: exit {run['exit']}", file=sys.stderr)
-            ok = all(r["exit"] == 0 and r.get("correct", True) for r in runs)
-            results[name] = {"all_ok": ok, "runs": runs, "summary": summarize(runs)}
+            expected = VERIFY_EXIT.get(name, 0)
+            ok = all(r["exit"] == expected and r.get("correct", True) for r in runs)
+            results[name] = {"all_ok": ok, "expected_exit": expected, "runs": runs,
+                             "summary": summarize(runs)}
     doc = {"topic": args.topic, "machine": machine(), "sides": sides, "pairs": PAIRS,
            "inputs": files, "results": results}
     out = os.path.join(ROOT, f"BENCH_{args.topic}.json")

@@ -10,10 +10,12 @@ exact integer identity:
 
 Everything on the left-hand side depends on the decomposition only, not on
 the cut: a `CutFrame` holds the chain graph (whose comparability certifies
-homogeneity) and computes the k x n chain membership M, J, the Mobius matrix
-mu (by P. Hall's theorem, the signed chain counts), D_whole = M mu M^T (one
-pass of `_chain_sums` over the pairs x <= y), D_whole J and det J once, and
-every cut of that decomposition carries it.
+homogeneity) and computes the k x n chain membership M, J, the poset's
+chain-count bound, the Mobius array mu (by P. Hall's theorem, the signed
+chain counts), D_whole = M mu M^T, D_whole J and det J once, and every cut
+of that decomposition carries it.  M is 0/1 and partitions the elements, so
+D_whole is mu summed over blocks of rows and columns, the elements listed
+chain after chain (`_mobius_sums`, two `np.add.reduceat` passes).
 
 Cuts travel as (C, k) arrays of heights, in blocks of at most `_BLOCK` =
 256 from one generator, `_proper_heights`.  Every entry point answers two
@@ -35,20 +37,28 @@ entries; the identity is then checked with stacked k x k products.
 Arithmetic is exact.  Every entry of a power V_s, of a partial sum of the
 series or of D_side, and every partial sum of one of their dot products in
 whatever order BLAS adds its terms, counts distinct nonempty chains of the
-poset (or is a signed sum of such counts), so its absolute value is at most
-2**n - 1.  `poset._exact_dtypes` maps such a bound to a dtype: the series
-runs on float64 BLAS for n <= 53, where every value is an integer below
-2**53 and so no sum, product or fused multiply-add rounds; on int64 for
-n <= 63; and on Python integers (dtype object) above; D_whole, summed in
-Python integers, takes that bound's integer dtype.  With m the largest
-absolute entry of D_whole, D_low and D_up in a block, every entry of D J,
-D_side J, their product and the right-hand side, and every partial sum of
-those products, is at most k**3 * m * (m + 2) in absolute value (J is 0/1),
-so the k x k products take their dtype from that bound, which the kernel
-computes on the matrices it has; the frame's D_whole J alone needs only
-k * m, D_whole's own largest entry.  Every matrix a float64 tier computes
-leaves the kernel as int64, so a batch holds int64 or Python integers only,
-and reports carry both sides of the identity verbatim, as Python integers.
+poset that start on chain i (or is a signed sum of such counts), and so
+does every partial sum of mu's chain sums, since |mu(x, y)| is at most the
+number of chains from x to y.  Those chains lie inside the up-set of chain
+i's least element, so their number is at most the frame's `count_bound`,
+`poset._chain_count_bound`: 2**u - 1 with u the size of the largest
+principal up-set, or, where that passes 2**53, the exact largest number of
+chains inside one.  `poset._exact_dtypes` maps the bound to a dtype: the
+series runs on float64 BLAS below 2**53, where no sum, product or fused
+multiply-add of such integers rounds; on int64 below 2**63, its products
+on float64 BLAS by halves (`poset._by_halves`); and on Python integers
+(dtype object) above; mu and D_whole take the bound's integer dtype.  The
+bound, not n, picks the tier: `wrap_forest(200)` runs on float64, and
+`random_poset(300, 0.3)`, whose chain counts reach 2**139, on Python
+integers.  With m the largest absolute entry of D_whole, D_low and D_up in
+a block, every entry of D J, D_side J, their product and the right-hand
+side, and every partial sum of those products, is at most
+k**3 * m * (m + 2) in absolute value (J is 0/1), so the k x k products take
+their dtype from that bound, which the kernel computes on the matrices it
+has; the frame's D_whole J alone needs only k * m, D_whole's own largest
+entry.  Every matrix a float64 tier computes leaves the kernel as int64, so
+a batch holds int64 or Python integers only, and reports carry both sides
+of the identity verbatim, as Python integers.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ import numpy as np
 from .chains import ChainDecomposition, _as_decomposition
 from .errors import ScopeExceededError, refuse_negative
 from .hcd import ChainGraph, chain_graph
-from .poset import Poset, _alternating_series, _bits, _exact_dtypes, mobius_matrix
+from .poset import Poset, _alternating_series, _chain_count_bound, _exact_dtypes, mobius_matrix
 
 # Proper cuts (the product of chain length - 1 over the chains) that a capped
 # enumeration may walk; wrap_forest(200) has about 6.5e15.
@@ -87,10 +97,11 @@ class CutFrame:
     chain comparability, which certifies that it is homogeneous
     (NotHomogeneousError otherwise); a graph whose decomposition that rule
     uses as it stands carries its comparability already, and a graph of
-    another poset is rebuilt on its decomposition.  M, J, the Mobius matrix,
-    D_whole (its chain sums), D_whole J and det J are computed on first use
-    and then shared by every cut of the decomposition, as is the layout
-    `_admissible` and `_cut_kernel` read.
+    another poset is rebuilt on its decomposition.  M, J, the poset's
+    chain-count bound (`poset._chain_count_bound`, which sizes every exact
+    dtype below), the Mobius array, D_whole (its chain sums), D_whole J and
+    det J are computed on first use and then shared by every cut of the
+    decomposition, as is the layout `_admissible` and `_cut_kernel` read.
     """
 
     def __init__(self, p: Poset, d) -> None:
@@ -125,13 +136,23 @@ class CutFrame:
         return np.eye(k, dtype=np.int64) + self.graph.adjacency
 
     @cached_property
-    def mobius(self) -> list[list[int]]:
-        """The poset's Mobius matrix: its signed chain counts."""
-        return mobius_matrix(self.poset)
+    def count_bound(self) -> int:
+        """`poset._chain_count_bound` of the poset: every value of the side
+        series, of D_whole and of the signed counts is at most this."""
+        return _chain_count_bound(self.poset)
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        """The poset's Mobius matrix (its signed chain counts, by P. Hall's
+        theorem) as an n x n array in the exact dtype of the count bound."""
+        n = self.poset.n
+        exact = _exact_dtypes(self.count_bound)[1]
+        return np.array(mobius_matrix(self.poset), dtype=exact).reshape(n, n)
 
     @cached_property
     def d_whole(self) -> np.ndarray:
-        return _chain_sums(self.decomposition, self.mobius, (1 << self.poset.n) - 1)
+        """D_whole = M mu M^T: the Mobius array summed over chain pairs."""
+        return _mobius_sums(self, self.layout[1])
 
     @cached_property
     def lhs(self) -> np.ndarray:
@@ -151,7 +172,8 @@ class CutFrame:
         its top lower and bottom upper element), each chain's offset and
         size, each element's chain and position on it, the chain graph's
         edges (i, j) in both directions, and the strict order in the dtype
-        the side series computes in."""
+        the side series computes in: the work dtype of the count bound,
+        which bounds every value of the series (see the module docstring)."""
         d = self.decomposition
         sizes = np.array([len(c) for c in d.chains], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
@@ -160,7 +182,7 @@ class CutFrame:
         position = np.empty(d.poset.n, dtype=np.int64)
         position[flat[:-1]] = np.arange(d.poset.n) - np.repeat(offsets, sizes)
         edges = np.nonzero(self.graph.adjacency)
-        strict = self.poset.lt.astype(_exact_dtypes(2**d.poset.n - 1)[0])
+        strict = self.poset.lt.astype(_exact_dtypes(self.count_bound)[0])
         return flat, offsets, sizes, chain_of, position, edges, strict
 
 
@@ -266,7 +288,11 @@ def _cut_kernel(frame: CutFrame, heights: np.ndarray) -> _CutBatch:
 
     `heights` is a (C, k) integer array of heights in range for the frame's
     chains; improper and inadmissible cuts are evaluated too.  See the module
-    docstring for the series and the dtype bounds.
+    docstring for the series and the dtype bounds: the series runs in the
+    layout's strict dtype, the tier of the frame's count bound (each of the
+    28 posets `wrap_forest(64..80)`, seeds 0..19, under the cut cap runs on
+    float64 or int64, none on Python integers), and the k x k products in
+    the tier of the bound the kernel computes on its own matrices.
 
     Each (cut, side, chain i) row of the side series reads its side's mask
     `inside` only on U_i, the up-closure of chain i: V_0 = M_i * inside lies
@@ -380,13 +406,15 @@ def _admissible_identities(frame: CutFrame, cap: int | None) -> Iterator[tuple[l
             yield block.tolist(), _cut_kernel(frame, block)
 
 
-def enumerate_proper_cuts(p: Poset, d, cap: int | None = None) -> Iterator[Cut]:
+def enumerate_proper_cuts(
+    p: Poset, d, cap: int | None = CUT_ENUMERATION_CAP
+) -> Iterator[Cut]:
     """All proper cuts of the decomposition (empty when some chain is a point).
 
     Every cut shares one frame, built at the first proper cut, so a
     decomposition without proper cuts is never checked for homogeneity.
-    With `cap`, a decomposition with more than `cap` proper cuts raises
-    ScopeExceededError before the first cut.
+    A decomposition with more than `cap` proper cuts raises
+    ScopeExceededError before the first cut; cap=None lifts the cap.
     """
     d = _as_decomposition(p, d)
     frame = None
@@ -397,8 +425,12 @@ def enumerate_proper_cuts(p: Poset, d, cap: int | None = None) -> Iterator[Cut]:
             yield Cut(p, frame.decomposition, tuple(heights), frame)
 
 
-def enumerate_admissible_cuts(p: Poset, d, cap: int | None = None) -> list[Cut]:
-    """The admissible cuts among `enumerate_proper_cuts(p, d, cap)`, in its order."""
+def enumerate_admissible_cuts(
+    p: Poset, d, cap: int | None = CUT_ENUMERATION_CAP
+) -> list[Cut]:
+    """The admissible cuts among `enumerate_proper_cuts(p, d, cap)`, in its
+    order; more than `cap` proper cuts raise ScopeExceededError before the
+    first block, and cap=None lifts the cap."""
     d = _as_decomposition(p, d)
     frame = None
     cuts = []
@@ -420,7 +452,7 @@ def sample_admissible_cuts(p: Poset, d, count: int, seed: int = 0) -> list[Cut]:
     (ScopeExceededError) before the first block, since the pool holds them all.
     """
     refuse_negative("count", count)
-    pool = enumerate_admissible_cuts(p, d, CUT_ENUMERATION_CAP)
+    pool = enumerate_admissible_cuts(p, d)
     if not pool:
         return []
     rng = random.Random(seed)
@@ -439,11 +471,13 @@ def d_matrix(p: Poset, d, scope: str = "whole", cut: Cut | None = None) -> list[
     with an empty side contribute zero rows and columns (an empty side has no
     length-0 chains, so no diagonal unit appears).  `d` is read by
     `chains._as_decomposition`; a scoped `cut` must be a cut of p, or of an
-    equal poset, and of that decomposition (ValueError otherwise).
+    equal poset, and of that decomposition (ValueError otherwise).  The
+    whole scope is the D_whole of `CutFrame(p, d)`, so `d` must be
+    homogeneous there (NotHomogeneousError otherwise), as for `j_matrix`.
     """
-    d = _as_decomposition(p, d)
     if scope == "whole":
-        return _chain_sums(d, mobius_matrix(p), (1 << p.n) - 1).tolist()
+        return CutFrame(p, d).d_whole.tolist()
+    d = _as_decomposition(p, d)
     if scope not in ("lower", "upper"):
         raise ValueError(f"unknown scope {scope!r}")
     if cut is None:
@@ -462,16 +496,19 @@ def _check_cut(p: Poset, cut: Cut, d: ChainDecomposition | None = None) -> None:
         raise ValueError("the cut is of another decomposition")
 
 
-def _chain_sums(d: ChainDecomposition, mu: list[list[int]], keep: int) -> np.ndarray:
-    """k x k: entry (i, j) sums mu[x][y] over the pairs x <= y in the bits of
-    `keep` with x on chain i and y on chain j."""
-    up = d.poset.rows[0]
-    sums = [[0] * d.k for _ in range(d.k)]
-    for x in _bits(keep):
-        row, out = mu[x], sums[d.chain_of[x]]
-        for y in _bits(keep & (up[x] | 1 << x)):
-            out[d.chain_of[y]] += row[y]
-    return np.array(sums, dtype=_exact_dtypes(2**d.poset.n - 1)[1]).reshape(d.k, d.k)
+def _mobius_sums(frame: CutFrame, starts: np.ndarray) -> np.ndarray:
+    """The frame's Mobius array summed over blocks of the elements listed
+    chain after chain: entry (a, b) sums mu[x][y] over x in block a and y
+    in block b, where block a runs from position starts[a] of that list to
+    the next start (the last to the end).  `starts` must increase strictly
+    from 0, and is empty only for the empty poset, which has no chains.
+    Two `np.add.reduceat` passes, O(n**2) additions in any dtype; every
+    partial sum lies within the count bound (`CutFrame`)."""
+    if not len(starts):
+        return np.zeros((0, 0), dtype=frame.mobius.dtype)
+    flat = frame.layout[0][:-1]
+    mu = frame.mobius[flat][:, flat]
+    return np.add.reduceat(np.add.reduceat(mu, starts, axis=0), starts, axis=1)
 
 
 def j_matrix(p: Poset, d) -> list[list[int]]:

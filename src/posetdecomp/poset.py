@@ -310,12 +310,59 @@ def signed_chain_count_matrix(p: Poset) -> list[list[int]]:
 
     Entry (x, y) sums (-1)^s over all chains x = z_0 < z_1 < ... < z_s = y;
     the single length-0 chain contributes +1 on the diagonal.  The lists of
-    `_signed_counts(p.lt)`, so every entry is a Python integer.
+    `_signed_counts(p.lt, _chain_count_bound(p))`, so every entry is a
+    Python integer.
     """
-    return _signed_counts(p.lt).tolist()
+    return _signed_counts(p.lt, _chain_count_bound(p)).tolist()
 
 
-def _signed_counts(lt: np.ndarray) -> np.ndarray:
+def _chain_count_bound(p: Poset) -> int:
+    """An upper bound on the number of nonempty chains of p that lie inside
+    one principal up-set {z : x <= z}: the one bound by which the signed
+    counts, the cut check's side series, D_whole and the Mobius array of a
+    `cut.CutFrame` pick their exact dtype (`_exact_dtypes`).
+
+    It bounds every value they compute.  A chain from x to y lies inside the
+    interval [x, y], so the number N(x, y) of chains from x to y is at most
+    2**(u-2) for x < y, with u the size of the largest principal up-set (x
+    included): one chain per subset of the points strictly between.  The
+    cut check sums chain counts over the chains of a decomposition as well:
+    a row of the side series, chain-summed, counts the chains from any point
+    of chain i to y, and an entry of D the chains from chain i to chain j.
+    Each such chain lies inside the up-set of chain i's least element, and
+    distinct chains are distinct subsets of it, so the sums add at most a
+    factor of 4: every one is at most 2**u - 1, the number of nonempty
+    subsets.  The value of a power V_s, of a partial sum of the alternating
+    series, of a partial sum of a dot product (in whatever order BLAS adds
+    it: the terms are counts of distinct chains, each ending in a step to
+    the same y) and of a masked sum of the Mobius function (|mu(x, y)| <=
+    N(x, y)) is a count, or a signed sum of counts, of such chains, and a
+    side's chains are chains of p, so one bound serves the whole poset and
+    both sides of every cut.
+
+    First candidate: 2**u - 1.  Where it leaves the float tier (u >= 54),
+    the exact count replaces it, from one pass in Python integers over a
+    linear extension taken from the top: S(x), the number of chains whose
+    least point is x, is 1 plus the sum of S(w) over w > x.  A chain inside
+    x's up-set either has least point x or becomes one when x is added, so
+    the up-set holds 2 S(x) - 1 chains; the largest over x is the bound.
+    """
+    up = p.rows[0]
+    bound = (1 << max(map(int.bit_count, up), default=-1) + 1) - 1
+    if bound >= 2**53:
+        starts = [0] * p.n
+        for x in reversed(_topological_order(p)):
+            count, mask = 1, up[x]
+            while mask:
+                low = mask & -mask
+                count += starts[low.bit_length() - 1]
+                mask ^= low
+            starts[x] = count
+        bound = 2 * max(starts) - 1
+    return bound
+
+
+def _signed_counts(lt: np.ndarray, bound: int) -> np.ndarray:
     """Signed chain counts of a strict order matrix, as an exact numpy array.
 
     The alternating sum of the powers of the strict adjacency matrix (the
@@ -323,18 +370,16 @@ def _signed_counts(lt: np.ndarray) -> np.ndarray:
     cut check runs it once per poset, as the independent side of its
     comparison with `mobius_matrix`.
 
-    Every intermediate value is exact: an entry of a power, a partial sum of
-    one of its dot products (added in whatever order BLAS adds them), and a
-    partial sum of the alternating series each count distinct chains from x
-    to y, or are a signed sum of such counts, so they lie within the number
-    of chains from x to y, at most 2**(n-2) (one chain per subset of the
-    points strictly between).  `_exact_dtypes` turns that bound into the
-    dtype: the series runs on float64 BLAS for n <= 54 and returns int64, on
-    int64 for n <= 64, and on Python integers (dtype object) above.
+    `bound` is the order's `_chain_count_bound`.  Every intermediate value
+    (an entry of a power, a partial sum of one of its dot products, added in
+    whatever order BLAS adds them, and a partial sum of the alternating
+    series) counts distinct chains from x to y, or is a signed sum of such
+    counts, so it lies within that bound, and `_exact_dtypes` turns the
+    bound into the dtype: float64 BLAS returned as int64, int64, or Python
+    integers (dtype object).
     """
-    n = len(lt)
-    work, exact = _exact_dtypes(2 ** (n - 2))
-    counts = _alternating_series(np.eye(n, dtype=work), lt.astype(work))
+    work, exact = _exact_dtypes(bound)
+    counts = _alternating_series(np.eye(len(lt), dtype=work), lt.astype(work))
     return counts.astype(exact, copy=False)
 
 
@@ -346,8 +391,9 @@ def _exact_dtypes(bound) -> tuple:
     float64 below 2**53: a double holds every integer of at most 53 bits
     exactly, so no sum, product or fused multiply-add whose exact result is
     such an integer rounds, and the products run on BLAS; the result
-    returns as int64.  Below 2**63, int64 (numpy has no BLAS path for it);
-    above, Python integers (dtype object).
+    returns as int64.  Below 2**63, int64 (numpy has no BLAS path for it,
+    so `_alternating_series` splits its products by halves); above, Python
+    integers (dtype object).
     """
     if bound < 2**53:
         return np.float64, np.int64
@@ -357,17 +403,20 @@ def _exact_dtypes(bound) -> tuple:
 
 def _alternating_series(power: np.ndarray, strict: np.ndarray, inside=1) -> np.ndarray:
     """sum_s (-1)^s V_s with V_0 = power and V_{s+1} = (V_s @ strict) * inside,
-    up to the first zero power; `strict` is nilpotent, so one comes.
+    up to the first zero power; `strict` is nilpotent, so one comes.  Every
+    V_s is nonnegative and `strict` is 0/1; on int64 the products run on
+    float64 BLAS by halves (`_by_halves`).
 
     In place: the sum accumulates in `power` itself, which the caller hands
     over; each power is masked in the product's own array and subtracted or
     added, with no signed copy, and `inside` is cast to the work dtype once,
     so a step allocates only its product, which replaces the power before."""
     inside = np.asarray(inside, dtype=strict.dtype)
+    float_strict = strict.astype(np.float64) if strict.dtype == np.int64 else None
     total = power
     subtract = True
     while True:
-        power = power @ strict
+        power = power @ strict if float_strict is None else _by_halves(power, float_strict)
         power *= inside
         if not power.any():
             return total
@@ -376,6 +425,23 @@ def _alternating_series(power: np.ndarray, strict: np.ndarray, inside=1) -> np.n
         else:
             total += power
         subtract = not subtract
+
+
+def _by_halves(power: np.ndarray, strict: np.ndarray) -> np.ndarray:
+    """power @ strict, exactly, for a nonnegative int64 `power` and a 0/1
+    float64 `strict` with fewer than 2**21 rows, whose true product lies
+    below 2**63: the low and high 32 bits of power, each times `strict` on
+    float64 BLAS, then rejoined in int64.  Each half is below 2**32 and an
+    entry of its product sums fewer than 2**21 of its entries, so every
+    partial sum of either product stays below 2**53, where no float64 step
+    rounds; the high product, shifted back by 32 bits, is at most the true
+    one."""
+    low = (power & 0xFFFFFFFF).astype(np.float64) @ strict
+    out = (power >> 32).astype(np.float64) @ strict
+    out = out.astype(np.int64)
+    out <<= 32
+    out += low.astype(np.int64)
+    return out
 
 
 def signed_chain_count(p: Poset, x, y) -> int:
@@ -388,12 +454,13 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
 
     By its defining recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
     over x <= z < y, with y taken in a linear extension so that every
-    mu(x, z) is ready.  The sum runs only over the z whose mu(x, z) is
-    nonzero so far: the bits of `nonzero & down[y]`, where the bit row
-    `nonzero` holds x and each y above x found with mu(x, y) != 0.  Every z
-    with x <= z < y comes before y in the extension, so the terms left out
-    are zero and the sum is the recursion's.  By P. Hall's theorem this is
-    the signed chain-count matrix, computed another way.
+    mu(x, z) is ready.  The sum runs over y's down-set, by lowest set bit,
+    and only over the z whose mu(x, z) is nonzero so far: the bits of
+    `nonzero & down[y]`, where the bit row `nonzero` holds x and each y
+    above x found with mu(x, y) != 0.  Every z with x <= z < y comes before
+    y in the extension, so the terms left out are zero and the sum is the
+    recursion's.  By P. Hall's theorem this is the signed chain-count
+    matrix, computed another way; the cut check compares the two.
     """
     up, down = p.rows
     order = _topological_order(p)
@@ -402,9 +469,15 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
         row = [0] * p.n
         row[x] = 1
         nonzero = 1 << x
+        above = up[x]
         for y in order:
-            if up[x] >> y & 1:
-                value = -sum(row[z] for z in _bits(nonzero & down[y]))
+            if above >> y & 1:
+                mask = nonzero & down[y]
+                value = 0
+                while mask:
+                    low = mask & -mask
+                    value -= row[low.bit_length() - 1]
+                    mask ^= low
                 if value:
                     row[y] = value
                     nonzero |= 1 << y

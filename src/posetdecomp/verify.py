@@ -21,6 +21,8 @@ from functools import cached_property
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from .chains import (
     ChainDecomposition,
     _dilworth,
@@ -35,7 +37,7 @@ from .cut import (
     CutFrame,
     _CutBatch,
     _admissible_identities,
-    _chain_sums,
+    _mobius_sums,
     verify_cut_identity,
 )
 from .errors import (
@@ -70,8 +72,8 @@ from .nccd import (
 from .poset import (
     POSET_ENUMERATION_CAP,
     Poset,
+    _signed_counts,
     enumerate_posets,
-    signed_chain_count_matrix,
 )
 
 BRUTE_FORCE_CAP = 6
@@ -233,12 +235,13 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     """Cut identity on every admissible cut, plus two signed-count cross-checks.
 
     The cross-checks compare the power series against the frame's Mobius
-    matrix, which shares no code with it: the whole poset's signed
-    chain-count matrix against that matrix, and on the first admissible cut
-    each side's counts, as the cut kernel's series computed them, against
-    the matrix summed over that side (`_side_mismatch`).  All parts share
-    the analysis' CutFrame, so the Mobius matrix (which D_whole sums too)
-    and the chain comparability are computed once.  The cuts are
+    array, which shares no code with it: the whole poset's signed
+    chain-count array against that array, both in the dtype of the frame's
+    count bound, and on the first admissible cut each side's counts, as the
+    cut kernel's series computed them, against the array summed over that
+    side (`_side_mismatch`).  All parts share the analysis' CutFrame, so the
+    Mobius array (which D_whole sums too), the count bound and the chain
+    comparability are computed once.  The cuts are
     checked in blocks by the cut kernel; only the first failing cut gets a
     full report, which is the witness.  More than CUT_ENUMERATION_CAP proper
     cuts are refused with ScopeExceededError.
@@ -255,9 +258,8 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
             cut = Cut(p, frame.decomposition, tuple(heights[equal.index(False)]), frame)
             failure = verify_cut_identity(p, cut).to_dict()
         admissible += len(heights)
-    counts = signed_chain_count_matrix(p)
-    mobius = frame.mobius
-    hall = counts == mobius
+    counts = _signed_counts(p.lt, frame.count_bound)
+    hall = bool((counts == frame.mobius).all())
     out = {
         "name": "cut",
         "passed": failure is None and sides is None and hall,
@@ -271,26 +273,30 @@ def check_cut(an: Analysis, seed: int = 0) -> dict:
     elif sides is not None:
         out["witness"] = sides
     elif not hall:
-        out["witness"] = {"signed_counts": counts, "mobius": mobius}
+        out["witness"] = {"signed_counts": counts.tolist(), "mobius": frame.mobius.tolist()}
     return out
 
 
 def _side_mismatch(frame: CutFrame, heights: list[int], batch: _CutBatch) -> dict | None:
     """The first side of the cut at `heights`, the batch's first row, whose
-    counts differ from the frame's Mobius matrix summed over that side, as a
+    counts differ from the frame's Mobius array summed over that side, as a
     witness; None when both sides agree.  The sides of an admissible cut are
     a down-set and an up-set, which hold every interval between their
-    points, so mu restricted to a side is the side's own (Rota 1964)."""
-    d = frame.decomposition
-    lower = sum(1 << x for chain, h in zip(d.chains, heights) for x in chain[:h])
-    for side, keep, kernel in (
-        ("lower", lower, batch.d_lower[0]),
-        ("upper", ((1 << frame.poset.n) - 1) & ~lower, batch.d_upper[0]),
+    points, so mu restricted to a side is the side's own (Rota 1964).  The
+    cut is proper, so the lower and upper parts of the chains, in turn,
+    split the elements into 2k nonempty blocks, and one `_mobius_sums` over
+    them holds both sides' sums: the lower side's at even places, the
+    upper side's at odd ones."""
+    offsets = frame.layout[1]
+    starts = np.ravel([offsets, offsets + heights], order="F")
+    sums = _mobius_sums(frame, starts)
+    for side, mobius, kernel in (
+        ("lower", sums[0::2, 0::2], batch.d_lower[0]),
+        ("upper", sums[1::2, 1::2], batch.d_upper[0]),
     ):
-        mobius = _chain_sums(d, frame.mobius, keep).tolist()
-        kernel = kernel.tolist()
-        if kernel != mobius:
-            return {"heights": heights, "side": side, "kernel": kernel, "mobius": mobius}
+        if not (kernel == mobius).all():
+            return {"heights": heights, "side": side, "kernel": kernel.tolist(),
+                    "mobius": mobius.tolist()}
     return None
 
 

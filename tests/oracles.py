@@ -1370,7 +1370,7 @@ def cut_identity_reports(p, chains) -> dict:
     return out
 
 
-def cut_kernel_by_rows(frame, heights) -> tuple:
+def cut_kernel_by_rows(frame, heights, work=None) -> tuple:
     """`cut._cut_kernel(frame, heights)` with one side-series row per (cut,
     side, chain), as the kernel ran before its rows were keyed: the four
     arrays of its batch (d_lower, d_upper, rhs, equal), in the same dtypes.
@@ -1378,11 +1378,14 @@ def cut_kernel_by_rows(frame, heights) -> tuple:
     With `inside` each row's side mask, the series sums (-1)^s V_s from
     V_0 = M * inside by V_{s+1} = (V_s @ lt) * inside, one signed copy per
     power into a zeroed total, up to the first zero power; the dtypes come
-    from `poset._exact_dtypes` on the kernel's bounds.
+    from `poset._exact_dtypes` on the kernel's bounds.  With `work` the
+    series runs in that dtype, not in the layout's.
     """
     from posetdecomp.poset import _exact_dtypes
 
     _, _, _, chain_of, position, _, strict = frame.layout
+    if work is not None:
+        strict = frame.poset.lt.astype(work)
     c, k = heights.shape
     n = len(position)
     low = position < heights[:, chain_of]
@@ -1407,6 +1410,63 @@ def cut_kernel_by_rows(frame, heights) -> tuple:
     equal = (rhs == frame.lhs.astype(work)).all(axis=(1, 2))
     d_sides = d_sides.astype(exact, copy=False)
     return d_sides[:, 0], d_sides[:, 1], rhs.astype(exact, copy=False), equal
+
+
+def signed_counts_by_n(lt) -> np.ndarray:
+    """The signed chain counts of a strict order matrix in the tier that n
+    alone allows, as they ran before the poset's chain-count bound sized
+    them: every value counts chains from x to y, at most 2**(n-2), and
+    `poset._exact_dtypes` maps that to float64 BLAS (returned as int64),
+    int64 or Python integers.  The series sums (-1)^s A^s from I, one signed
+    copy per power, up to the first zero power."""
+    from posetdecomp.poset import _exact_dtypes
+
+    n = len(lt)
+    work, exact = _exact_dtypes(2 ** (n - 2))
+    adj = np.asarray(lt).astype(work)
+    total = power = np.eye(n, dtype=work)
+    sign = 1
+    while True:
+        power = power @ adj
+        if not power.any():
+            return total.astype(exact)
+        sign = -sign
+        total = total + sign * power
+
+
+def chain_sums(d, mu, keep: int) -> np.ndarray:
+    """k x k: entry (i, j) sums mu[x][y] over the pairs x <= y in the bits of
+    `keep` with x on chain i and y on chain j, pair by pair in Python
+    integers, returned in the dtype that n alone allows (int64 up to
+    n = 63): D_whole and the cut check's side sums as they were summed
+    before the frame's Mobius array."""
+    from posetdecomp.poset import _exact_dtypes
+
+    n = d.poset.n
+    sums = [[0] * d.k for _ in range(d.k)]
+    for x in _set_bits(keep):
+        for y in _set_bits(keep):
+            if x == y or d.poset.lt[x, y]:
+                sums[d.chain_of[x]][d.chain_of[y]] += mu[x][y]
+    return np.array(sums, dtype=_exact_dtypes(2**n - 1)[1]).reshape(d.k, d.k)
+
+
+def chains_in_up_sets(p) -> int:
+    """The largest number of nonempty chains inside one principal up-set
+    {z : x <= z}, counted from the top of each chain: for each x, the chains
+    inside x's up-set that end at y number 1 plus those that end at some
+    z < y in it, over y in an order by the number of points below."""
+    n = p.n
+    lt = [[bool(v) for v in row] for row in p.lt]
+    order = sorted(range(n), key=lambda y: sum(lt[z][y] for z in range(n)))
+    best = 0
+    for x in range(n):
+        ends = {}
+        for y in order:
+            if y == x or lt[x][y]:
+                ends[y] = 1 + sum(count for z, count in ends.items() if lt[z][y])
+        best = max(best, sum(ends.values()))
+    return best
 
 
 def side_counts_by_submatrix(p, chains, heights, scope) -> list:

@@ -1,6 +1,9 @@
 """Cuts of homogeneous decompositions and the signed-count matrix identity."""
 
+import itertools
+import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -294,9 +297,10 @@ def test_signed_counts_exact_past_int64():
 
 @pytest.mark.parametrize("n", [53, 54, 60, 63])
 def test_signed_counts_exact_across_float_tier(n):
-    # the whole-poset series runs on float64 BLAS up to n = 54 and on int64
-    # from n = 55; the chain's binomial power entries pass 2**53 by n = 60,
-    # where float64 would round them
+    # a chain of n elements holds 2**n - 1 chains inside its bottom's up-set,
+    # so its series runs on float64 BLAS up to n = 53 and on int64 from
+    # n = 54; the binomial power entries pass 2**53 by n = 60, where float64
+    # would round them
     p = chain(n)
     counts = signed_chain_count_matrix(p)
     assert counts == mobius_matrix(p) == oracles.power_sum_signed_counts(p.lt)
@@ -407,6 +411,69 @@ def test_kernel_matches_row_oracle():
     assert kernel_faults(posets) == 0
 
 
+def tier_faults(posets) -> list:
+    """The posets on which the exact arithmetic sized by the chain-count
+    bound differs from the oracles.  The bound must be at least the exact
+    largest number of chains inside one principal up-set, and in the tier
+    that number calls for (the second candidate is exact); the layout, the
+    Mobius array, D_whole and the signed counts must take that tier's
+    dtypes.  Values are compared with the paths that never use float64:
+    D_whole with the Mobius matrix summed pair by pair in Python integers,
+    the signed counts with the Mobius recursion and, up to 63 elements, with
+    the tier that n alone allows (signed counts are skipped past 100
+    elements, where the power series on Python integers takes a minute),
+    and the kernel's batch on the first block of admissible cuts with the
+    row oracle on int64 (or Python integers past 2**63 chains), on at most
+    16 cuts, enough for the keyed rows."""
+    faults = []
+    for p in posets:
+        frame = cut_module.CutFrame(p, mhcd(p))
+        exact = oracles.chains_in_up_sets(p)
+        work, whole = cut_module._exact_dtypes(exact)
+        ok = frame.count_bound >= exact
+        ok &= cut_module._exact_dtypes(frame.count_bound) == (work, whole)
+        ok &= frame.layout[-1].dtype == work
+        ok &= frame.mobius.dtype == frame.d_whole.dtype == whole
+        mu = mobius_matrix(p)
+        ok &= frame.d_whole.tolist() == oracles.chain_sums(frame.decomposition, mu, (1 << p.n) - 1).tolist()
+        if p.n <= 100:
+            counts = poset._signed_counts(p.lt, frame.count_bound)
+            ok &= counts.dtype == whole and counts.tolist() == mu
+            ok &= p.n > 63 or counts.tolist() == oracles.signed_counts_by_n(p.lt).tolist()
+        reference = np.int64 if exact < 2**63 else object
+        for heights, _ in itertools.islice(cut_module._admissible_identities(frame, None), 1):
+            heights = np.array(heights[:16])
+            pairs = zip(cut_module._cut_kernel(frame, heights),
+                        oracles.cut_kernel_by_rows(frame, heights, reference))
+            ok &= all(np.array_equal(got, want) for got, want in pairs)
+        if not ok:
+            faults.append(p)
+    return faults
+
+
+def under_cut_cap(p) -> bool:
+    return math.prod(len(c) - 1 for c in mhcd(p).chains) <= cut_module.CUT_ENUMERATION_CAP
+
+
+# posets whose largest principal up-set holds u >= 54 elements, so that the
+# first candidate, 2**u - 1, leaves float64; all are under the cut cap.  The
+# exact count keeps wrap_forest(64, seed=2) (u = 57) on float64, and puts the
+# others between 2**53 and 2**54 chains, on int64
+PAST_53 = [wrap_forest(64, seed=2), wrap_forest(72, seed=2), wrap_forest(80, seed=2), chain(54)]
+
+
+def test_tiers_sized_by_the_chain_count_bound():
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets += [q for n in range(20, 81) for s in range(3) if under_cut_cap(q := wrap_forest(n, seed=s))]
+    posets += PAST_53 + [random_poset(300, 0.3, seed=0)]
+    assert tier_faults(posets) == []
+    assert all(max(row.bit_count() for row in p.rows[0]) >= 53 for p in PAST_53)
+    bounds = [cut_module.CutFrame(p, mhcd(p)).count_bound for p in PAST_53]
+    assert bounds[0] < 2**53 <= min(bounds[1:]) <= max(bounds[1:]) < 2**54
+    # random_poset(300, 0.3) counts past 2**139 chains: Python integers
+    assert cut_module.CutFrame(posets[-1], mhcd(posets[-1])).count_bound > 2**139
+
+
 def test_kernel_runs_one_series_row_per_key(monkeypatch):
     # wrap_forest(28, seed=6) has 7 chains and six blocks of 256 admissible
     # cuts; a row per (cut, side, chain) would be 2 * 256 * 7 = 3,584 per block
@@ -513,11 +580,11 @@ def test_mobius_matches_loop_oracle():
 def test_lhs_is_the_exact_object_product():
     # D_whole J in the dtype its bound allows, k times D_whole's largest entry
     posets = [p for n in range(6) for p in enumerate_posets(n)]
-    for p in posets + [wrap_forest(600, seed=0)]:
+    for p in posets + [wrap_forest(600, seed=0), chain(70)]:
         frame = verify.Analysis(p).frame
         assert frame.lhs.dtype == np.int64
         assert frame.lhs.tolist() == (frame.d_whole.astype(object) @ frame.j).tolist()
-    # at n = 600 the whole-poset counts' bound is past 2**63, the product's is not
+    # chain(70)'s chain-count bound is past 2**63, the product's is not
     assert frame.d_whole.dtype == object
 
 
@@ -550,15 +617,15 @@ def test_side_mobius_is_the_restricted_mobius():
 
 def test_d_whole_is_the_membership_product():
     # D_whole sums the Mobius matrix over chain pairs; M S M^T sums the
-    # power series' signed counts.  chain(70) and wrap_forest(64) reach the
-    # Python-integer tier, wrap_forest(56..63) the int64 one
+    # power series' signed counts.  chain(70)'s chain-count bound reaches
+    # the Python-integer tier; wrap_forest(56..64, seed=0) stay on int64
     posets = _frame_family() + [chain(70)] + [wrap_forest(n, seed=0) for n in range(56, 65)]
     for p in posets:
         frame = cut_module.CutFrame(p, mhcd(p))
         members = frame.members.astype(object)
         counts = np.array(signed_chain_count_matrix(p), dtype=object)
         assert frame.d_whole.tolist() == (members @ counts @ members.T).tolist()
-        assert frame.d_whole.dtype == (object if p.n > 63 else np.int64)
+        assert frame.d_whole.dtype == (object if p == chain(70) else np.int64)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -584,7 +651,7 @@ def test_check_cut_builds_one_frame(monkeypatch):
     # cross-checks, and one power series, the Hall comparison's other side
     comparability = _count_calls(monkeypatch, "_comparable_pairs", [hcd])
     mobius = _count_calls(monkeypatch, "mobius_matrix", [poset, cut_module])
-    counts = _count_calls(monkeypatch, "_signed_counts", [poset])
+    counts = _count_calls(monkeypatch, "_signed_counts", [poset, verify])
     for p in _check_cut_family():
         comparability.clear()
         mobius.clear()
@@ -665,6 +732,20 @@ def test_cut_cap_refusal_never_formats_the_product():
             enumerate_admissible_cuts(p, chains, cap=10)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_cut_enumerators_refuse_by_default():
+    # wrap_forest(200, seed=0) has about 6.5e15 proper cuts: both
+    # enumerators refuse them before the first block unless cap=None
+    p = wrap_forest(200, seed=0)
+    d = mhcd(p)
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceededError):
+        enumerate_admissible_cuts(p, d)
+    with pytest.raises(ScopeExceededError):
+        next(enumerate_proper_cuts(p, d))
+    assert time.perf_counter() - start < 0.1
+    assert len(next(enumerate_proper_cuts(p, d, cap=None)).heights) == d.k
 
 
 def test_cut_cap_counts_proper_cuts():

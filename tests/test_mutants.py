@@ -403,6 +403,11 @@ def float_tier_past_53(monkeypatch):
     _rewrite(monkeypatch, poset, "_exact_dtypes", "if bound < 2**53:", "if bound < 2**63:")
 
 
+def halves_shift_short(monkeypatch):
+    """The int64 tier's products rejoin their halves one bit short."""
+    _rewrite(monkeypatch, poset, "_by_halves", "out <<= 32", "out <<= 31")
+
+
 def j_without_identity(monkeypatch):
     """The frame's J is the chain graph's adjacency alone: the identity is dropped."""
     _rewrite(monkeypatch, cut_module, "CutFrame", "np.eye(k, dtype=np.int64) + ",
@@ -411,7 +416,7 @@ def j_without_identity(monkeypatch):
 
 def mobius_without_sign(monkeypatch):
     """The Mobius recursion drops its sign: mu(x, y) sums mu(x, z) over x <= z < y."""
-    _rewrite(monkeypatch, poset, "mobius_matrix", "value = -sum(", "value = sum(")
+    _rewrite(monkeypatch, poset, "mobius_matrix", "value -= row[", "value += row[")
 
 
 def mobius_unordered(monkeypatch):
@@ -421,8 +426,15 @@ def mobius_unordered(monkeypatch):
 
 
 def chain_sums_skip_diagonal(monkeypatch):
-    """The chain sums of the Mobius matrix skip the pairs x = y."""
-    _rewrite(monkeypatch, cut_module, "_chain_sums", "keep & (up[x] | 1 << x)", "keep & up[x]")
+    """The chain sums of the Mobius array skip the pairs x = y."""
+    _rewrite(monkeypatch, cut_module, "_mobius_sums", "mu = frame.mobius[flat][:, flat]",
+             "mu = frame.mobius[flat][:, flat] * (1 - np.eye(len(flat), dtype=np.int64))")
+
+
+def bound_undercounts(monkeypatch):
+    """The chain-count bound is one bit short, which puts posets with
+    between 2**53 and 2**54 chains inside one up-set into float64."""
+    _rewrite(monkeypatch, poset, "_chain_count_bound", "    return bound\n", "    return bound >> 1\n")
 
 
 def closure_skips_last_pivot(monkeypatch):
@@ -725,6 +737,12 @@ def float_tier_differs_from_mobius() -> bool:
     )
 
 
+def tiers_differ_from_exact_count() -> bool:
+    """test_cut.test_tiers_sized_by_the_chain_count_bound, on its posets whose
+    first candidate leaves float64."""
+    return test_cut.tier_faults(test_cut.PAST_53) != []
+
+
 def kernel_differs_from_row_oracle() -> bool:
     """test_cut.test_kernel_matches_row_oracle, on FAMILY's wrap forests:
     blocks of random heights, improper and inadmissible cuts included."""
@@ -830,6 +848,8 @@ MUTANTS = {
     "mobius-without-sign": (mobius_without_sign, check_fails("cut")),
     "mobius-unordered": (mobius_unordered, check_fails("cut")),
     "chain-sums-skip-diagonal": (chain_sums_skip_diagonal, check_fails("cut")),
+    "bound-undercounts": (bound_undercounts, tiers_differ_from_exact_count),
+    "halves-shift-short": (halves_shift_short, tiers_differ_from_exact_count),
     "closure-skips-last-pivot": (closure_skips_last_pivot, closure_differs_from_squaring_oracle),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "down-pass-drops-own-bit": (down_pass_drops_own_bit, rows_differ_from_matrix),
