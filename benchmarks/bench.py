@@ -97,7 +97,9 @@ VERIFY_EXIT = {"verify-wrapforest-n64-cut": 1}
 # the cut check alone, in process, on each wrap_forest(64..80), seeds 0..19,
 # with at most CUT_ENUMERATION_CAP proper cuts (28 posets), and the whole
 # poset's signed chain counts of wrap_forest(200): the scale at which the
-# exact dtype tiers used to follow n
+# exact dtype tiers used to follow n; and the Dilworth pair alone (the
+# matching, its chains and the Koenig antichain), the median of five runs
+# on each of three posets whose bit rows are built beforehand
 PROBES = {
     "probe-cut-wrapforest-n64-80": """
 import json, math, statistics, time
@@ -125,6 +127,23 @@ start = time.perf_counter()
 signed_chain_count_matrix(p)
 print(json.dumps({"signed_counts_s": time.perf_counter() - start}))
 """,
+    "probe-dilworth-scale": """
+import json, statistics, time
+from posetdecomp import chains
+from posetdecomp.generate import chain, random_poset, wrap_forest
+out = {}
+for name, p in (("dilworth_wrapforest16000_s", wrap_forest(16000)),
+                ("dilworth_chain8000_s", chain(8000)),
+                ("dilworth_random1000_s", random_poset(1000, 0.3))):
+    p.rows
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        chains._dilworth(p)
+        times.append(time.perf_counter() - start)
+    out[name] = statistics.median(times)
+print(json.dumps(out))
+""",
 }
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -136,7 +155,8 @@ def lower_is_better() -> set[str]:
     wall_s and the probes' times."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    probes = {"max_poset_s", "p50_poset_s", "total_s", "signed_counts_s"}
+    probes = {"max_poset_s", "p50_poset_s", "total_s", "signed_counts_s",
+              "dilworth_wrapforest16000_s", "dilworth_chain8000_s", "dilworth_random1000_s"}
     return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes
 
 

@@ -4,15 +4,16 @@ The Dilworth bound is computed by maximum matching in the split bipartite
 graph (left copy x, right copy y, edge iff x < y): chains follow matched
 edges, the minimum count is n - |matching|, and the complement of the Koenig
 vertex cover recovers a maximum antichain of the same size.  The matching
-(Hopcroft-Karp) and the Koenig cover run on the bit rows `Poset.rows`: each
-BFS expands a right vertex once through a mask of those already seen, and the
+(Hopcroft-Karp) runs on the bit rows `Poset.rows`: its first phase, in which
+every augmenting path is one edge, is one greedy pass; each later BFS expands
+a right vertex once through a mask of those already seen, and the
 depth-first searches read their candidate edges off per-layer masks of right
-vertices, so no adjacency list is built.
+vertices, so no adjacency list is built.  The Koenig cover is the reach of
+the matching's last BFS, the one that finds no free right vertex.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -200,28 +201,50 @@ def is_chain_decomposition(p: Poset, parts) -> bool:
 # -- Dilworth bound ----------------------------------------------------------
 
 
-def _hopcroft_karp(up: list[int], n: int) -> tuple[list[int], list[int]]:
+def _hopcroft_karp(
+    up: list[int], n: int
+) -> tuple[list[int], list[int], tuple[list[int], int]]:
     """Maximum matching of the split graph on the bit rows `up` (bit y of
-    up[x] is the edge x -> y); left/right partner arrays (-1 free).
+    up[x] is the edge x -> y): the left/right partner arrays (-1 free) and
+    the reach of the last BFS.
 
-    Each phase's BFS expands every right vertex once, through a mask of the
-    ones already seen.  The BFS also fills layer[d], the matched right
+    In the first phase every vertex is free, so every augmenting path is a
+    single edge: that phase's BFS fills no layer, and its search from each
+    left vertex x, in index order, takes the lowest right vertex of up[x]
+    still free.  One greedy loop does exactly that, so the matching it
+    leaves, and with it every later phase, is that of the full first phase.
+
+    Each later phase's BFS expands every right vertex once, through a mask
+    of the ones already seen.  The BFS also fills layer[d], the matched right
     vertices whose owner sits at distance d, so the depth-first searches pick
     their next edge as the lowest bit of up[x] & (free_r | layer[dist[x] + 1])
     instead of testing every edge.  Edges are still tried in increasing y, so
     the matching is the one the edge-by-edge formulation finds.
+
+    The last BFS sees no free right vertex.  Its reach (zl, zr), the left
+    vertices it dequeues, in that order, and the mask of the right vertices
+    it saw, is Koenig's pair: the vertices that alternating paths reach from
+    the free left ones.  A matched x is dequeued only after its partner was
+    seen, so expanding all of up[x] adds no right vertex those paths miss.
     """
     match_l = [-1] * n
     match_r = [-1] * n
     free_r = (1 << n) - 1
+    for x in range(n):
+        cand = up[x] & free_r
+        if cand:
+            low = cand & -cand
+            free_r ^= low
+            match_l[x] = y = low.bit_length() - 1
+            match_r[y] = x
     inf = n + 1
     while True:
         dist = [0 if match_l[x] == -1 else inf for x in range(n)]
         layer = [0] * (n + 1)
-        queue = deque(x for x in range(n) if match_l[x] == -1)
+        queue = [x for x in range(n) if match_l[x] == -1]
         seen = 0
-        while queue:
-            x = queue.popleft()
+        # the loop reads the owners that it appends to the queue
+        for x in queue:
             new = up[x] & ~seen
             seen |= new
             owned = new & ~free_r
@@ -233,13 +256,12 @@ def _hopcroft_karp(up: list[int], n: int) -> tuple[list[int], list[int]]:
                 dist[owner] = dist[x] + 1
                 queue.append(owner)
         if not seen & free_r:
-            break
+            return match_l, match_r, (queue, seen)
         for x in range(n):
             if match_l[x] == -1:
                 y = _augment(x, up, match_l, match_r, dist, layer, free_r, inf)
                 if y != -1:
                     free_r &= ~(1 << y)
-    return match_l, match_r
 
 
 def _augment(
@@ -300,12 +322,11 @@ def _dilworth(p: Poset) -> tuple[ChainDecomposition, tuple]:
     """A minimum chain decomposition and a maximum antichain from one matching.
 
     The chains follow matched edges; the antichain, as labels, is the
-    complement of the Koenig vertex cover: Z_L and Z_R are the left and
-    right vertices reachable from the free left ones by alternating paths.
+    complement of the Koenig vertex cover: the left vertices in Z_L that are
+    not in Z_R, the reach of the matching's last BFS.
     """
     n = p.n
-    up = p.rows[0]
-    match_l, match_r = _hopcroft_karp(up, n)
+    match_l, match_r, (zl, zr) = _hopcroft_karp(p.rows[0], n)
     chains = []
     for start in range(n):
         if match_r[start] != -1:
@@ -314,25 +335,8 @@ def _dilworth(p: Poset) -> tuple[ChainDecomposition, tuple]:
         while match_l[chain[-1]] != -1:
             chain.append(match_l[chain[-1]])
         chains.append(chain)
-    in_zl = [match_l[x] == -1 for x in range(n)]
-    zr = 0
-    queue = deque(x for x in range(n) if in_zl[x])
-    while queue:
-        x = queue.popleft()
-        new = up[x] & ~zr
-        if match_l[x] != -1:
-            new &= ~(1 << match_l[x])
-        zr |= new
-        while new:
-            low = new & -new
-            new ^= low
-            owner = match_r[low.bit_length() - 1]
-            if owner != -1 and not in_zl[owner]:
-                in_zl[owner] = True
-                queue.append(owner)
-    antichain = [p.labels[x] for x in range(n) if in_zl[x] and not zr >> x & 1]
-    matched = sum(1 for x in range(n) if match_l[x] != -1)
-    if len(antichain) != n - matched or not is_antichain(p, antichain):
+    antichain = [p.labels[x] for x in sorted(zl) if not zr >> x & 1]
+    if len(antichain) != match_l.count(-1) or not is_antichain(p, antichain):
         raise InternalInconsistencyError("cover complement is not a maximum antichain")
     return ChainDecomposition._from_index_parts(p, chains), tuple(antichain)
 

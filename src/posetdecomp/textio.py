@@ -62,8 +62,17 @@ def loads(text: str) -> Poset:
 
 
 def load(path) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Read a poset file as UTF-8, skipping a leading byte-order mark; a byte
+    that is not UTF-8 raises FormatError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after a byte-order mark, if there is one
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"bytes that are not UTF-8 ({exc.reason})", line) from None
+    return loads(text)
 
 
 def _check_label(name: str, line: int | None = None) -> None:

@@ -571,6 +571,34 @@ def _augment(
     return False
 
 
+def koenig_reach(up: list[int], match_l: list[int], match_r: list[int]) -> tuple[list[int], int]:
+    """Koenig's pair (zl, zr) of a maximum matching on the bit rows `up`: the
+    left vertices that alternating paths reach from the free left ones, in
+    the order a BFS from those, in index order, dequeues them, and the mask
+    of the right vertices those paths reach.  The BFS that `_dilworth` ran
+    after its matching, before the matching's last BFS took its place."""
+    n = len(up)
+    in_zl = [match_l[x] == -1 for x in range(n)]
+    zr = 0
+    queue = deque(x for x in range(n) if in_zl[x])
+    order = []
+    while queue:
+        x = queue.popleft()
+        order.append(x)
+        new = up[x] & ~zr
+        if match_l[x] != -1:
+            new &= ~(1 << match_l[x])
+        zr |= new
+        while new:
+            low = new & -new
+            new ^= low
+            owner = match_r[low.bit_length() - 1]
+            if owner != -1 and not in_zl[owner]:
+                in_zl[owner] = True
+                queue.append(owner)
+    return order, zr
+
+
 def dilworth_by_lists(p) -> tuple[tuple[tuple[int, ...], ...], tuple]:
     """(chains, antichain) as the list-based `_dilworth` built them: the
     chains of matched edges sorted by first element, and the complement of

@@ -283,13 +283,26 @@ def _matching_populations():
 
 
 def test_bit_row_matching_is_the_list_matching():
-    # the bit-row search tries edges in the same order, so it must return
-    # the very matching, decomposition and antichain of the list-based one
-    for p in _matching_populations():
+    # the bit-row search tries edges in the same order, and its greedy first
+    # phase takes the edges that phase's searches take, so it must return
+    # the very matching, decomposition and antichain of the list-based one,
+    # here also on the three posets of perfbench's analyze-large workload
+    scale = [chain(1000), wrap_forest(600, seed=0), random_poset(300, 0.3, seed=0)]
+    for p in [*_matching_populations(), *scale]:
         succ = [np.flatnonzero(row).tolist() for row in p.lt]
-        assert chains_module._hopcroft_karp(p.rows[0], p.n) == oracles._hopcroft_karp(succ, p.n)
+        match_l, match_r, _ = chains_module._hopcroft_karp(p.rows[0], p.n)
+        assert (match_l, match_r) == oracles._hopcroft_karp(succ, p.n)
         d, a = chains_module._dilworth(p)
         assert (d.chains, a) == oracles.dilworth_by_lists(p)
+
+
+def test_last_bfs_reach_is_the_koenig_reach():
+    # the matching's last BFS dequeues Z_L, and sees Z_R, in the order of
+    # the alternating BFS that Koenig's theorem runs after the matching
+    for p in _matching_populations():
+        up = p.rows[0]
+        match_l, match_r, reach = chains_module._hopcroft_karp(up, p.n)
+        assert reach == oracles.koenig_reach(up, match_l, match_r)
 
 
 def test_dilworth_check_and_section_match_once(monkeypatch):

@@ -177,6 +177,25 @@ def test_exit_code_2_on_missing_file():
     assert out.returncode == 2
 
 
+def test_exit_code_2_on_bytes_that_are_not_utf8(tmp_path):
+    poset_file = tmp_path / "p.txt"
+    poset_file.write_bytes(b"\xff\xfe\x00bad")
+    out = run_cli("analyze", str(poset_file))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+
+
+def test_analyze_skips_a_byte_order_mark(tmp_path):
+    text = dumps(two_chain_fan(2))
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outs = [run_cli("analyze", str(f), "--dilworth", "--json") for f in (plain, marked)]
+    assert [o.returncode for o in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[1].stderr == ""
+
+
 def test_exit_code_3_on_scope_cap():
     gen = run_cli("generate", "antichain", "--n", "12")
     out = run_cli("analyze", "-", "--embedding", stdin=gen.stdout)

@@ -500,14 +500,27 @@ def deletion_keeps_column_z(monkeypatch):
 
 
 def matching_one_phase(monkeypatch):
-    """`_hopcroft_karp` stops after its first phase: the greedy matching."""
-    _rewrite(monkeypatch, chains, "_hopcroft_karp", "while True:", "for _phase in range(1):")
+    """`_hopcroft_karp` stops after its first phase: the greedy matching,
+    with the reach of the BFS that follows it."""
+    _rewrite(monkeypatch, chains, "_hopcroft_karp", "if not seen & free_r:", "if True:")
+
+
+def greedy_takes_highest_free(monkeypatch):
+    """The greedy first phase matches each left vertex to its highest free
+    right vertex: the later phases still end at a maximum matching."""
+    _rewrite(monkeypatch, chains, "_hopcroft_karp", "low = cand & -cand",
+             "low = 1 << cand.bit_length() - 1")
+
+
+def koenig_reach_drops_free_roots(monkeypatch):
+    """The reach of the last BFS leaves out the free left vertices it starts from."""
+    _rewrite(monkeypatch, chains, "_hopcroft_karp", "(queue, seen)",
+             "([x for x in queue if match_l[x] != -1], seen)")
 
 
 def antichain_keeps_right_cover(monkeypatch):
     """The antichain is Z_L: the right cover Z_R is not removed."""
-    _rewrite(monkeypatch, chains, "_dilworth", "if in_zl[x] and not zr >> x & 1]",
-             "if in_zl[x]]")
+    _rewrite(monkeypatch, chains, "_dilworth", " if not zr >> x & 1]", "]")
 
 
 def orders_choice_swapped(monkeypatch):
@@ -591,6 +604,15 @@ def orders_differ_from_listing_oracle() -> bool:
         != len(oracles._order_search(p.lt, p.lt, find_all=True))
         for p in FAMILY
     )
+
+
+def matching_differs_from_list_oracle() -> bool:
+    """test_chains.test_bit_row_matching_is_the_list_matching, on FAMILY."""
+    for p in FAMILY:
+        succ = [np.flatnonzero(row).tolist() for row in p.lt]
+        if chains._hopcroft_karp(p.rows[0], p.n)[:2] != oracles._hopcroft_karp(succ, p.n):
+            return True
+    return False
 
 
 def deletion_counts_differ_from_sub_posets() -> bool:
@@ -861,6 +883,9 @@ MUTANTS = {
     "markers-against-all-chains": (markers_against_all_chains, check_fails("bounds")),
     "deletion-keeps-column-z": (deletion_keeps_column_z, deletion_counts_differ_from_sub_posets),
     "matching-one-phase": (matching_one_phase, check_fails("dilworth")),
+    # another maximum matching passes every check: only the list matching tells
+    "greedy-takes-highest-free": (greedy_takes_highest_free, matching_differs_from_list_oracle),
+    "koenig-reach-drops-free-roots": (koenig_reach_drops_free_roots, check_fails("dilworth")),
     "antichain-keeps-right-cover": (antichain_keeps_right_cover, check_fails("dilworth")),
     "orders-choice-swapped": (orders_choice_swapped, orders_differ_from_product_oracle),
     "orders-skip-up-closure": (orders_skip_up_closure, orders_differ_from_product_oracle),

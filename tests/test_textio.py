@@ -2,7 +2,7 @@
 
 import pytest
 
-from posetdecomp import CycleError, FormatError, Poset, dumps, loads
+from posetdecomp import CycleError, FormatError, Poset, dumps, load, loads
 from posetdecomp.generate import antichain, boolean_lattice, random_poset, two_chain_fan
 
 
@@ -64,6 +64,23 @@ def test_malformed_relation_line():
     with pytest.raises(FormatError) as exc:
         loads("elements: a b\na b\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path, mark):
+    path = tmp_path / "p.txt"
+    path.write_bytes(mark + b"elements: a b\na < b\n\xff\xfe\x00bad\n")
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert exc.value.line == 3
+    assert "not UTF-8" in str(exc.value)
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    text = "elements: a b c\na < b\n"
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(path) == loads(text)
 
 
 def test_empty_poset_round_trip():
