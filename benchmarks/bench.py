@@ -97,9 +97,12 @@ VERIFY_EXIT = {"verify-wrapforest-n64-cut": 1}
 # the cut check alone, in process, on each wrap_forest(64..80), seeds 0..19,
 # with at most CUT_ENUMERATION_CAP proper cuts (28 posets), and the whole
 # poset's signed chain counts of wrap_forest(200): the scale at which the
-# exact dtype tiers used to follow n; and the Dilworth pair alone (the
+# exact dtype tiers used to follow n; the Dilworth pair alone (the
 # matching, its chains and the Koenig antichain), the median of five runs
-# on each of three posets whose bit rows are built beforehand
+# on each of three posets whose bit rows are built beforehand; and whole
+# in-process `analyze --dilworth --mhcd --json` calls, the median of 21 on
+# each of perfbench's analyze-large inputs (its generators and seeds, its
+# order), with `textio.loads` alone on the text of wrap_forest(16000)
 PROBES = {
     "probe-cut-wrapforest-n64-80": """
 import json, math, statistics, time
@@ -144,6 +147,34 @@ for name, p in (("dilworth_wrapforest16000_s", wrap_forest(16000)),
     out[name] = statistics.median(times)
 print(json.dumps(out))
 """,
+    "probe-analyze-in-process": """
+import contextlib, io, json, os, statistics, tempfile, time
+from posetdecomp import cli, textio
+from posetdecomp.generate import chain, random_poset, wrap_forest
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, p in (("wf600", wrap_forest(600, seed=0)),
+                    ("rnd300", random_poset(300, density=0.3, seed=0)),
+                    ("chain1000", chain(1000))):
+        path = os.path.join(tmp, name + ".txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(textio.dumps(p))
+        times = []
+        for _ in range(21):
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                assert cli.main(["analyze", path, "--dilworth", "--mhcd", "--json"]) == 0
+                times.append(time.perf_counter() - start)
+        out[f"analyze_{name}_s"] = statistics.median(times)
+text = textio.dumps(wrap_forest(16000))
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    textio.loads(text)
+    times.append(time.perf_counter() - start)
+out["loads_wrapforest16000_s"] = statistics.median(times)
+print(json.dumps(out))
+""",
 }
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -156,7 +187,8 @@ def lower_is_better() -> set[str]:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     probes = {"max_poset_s", "p50_poset_s", "total_s", "signed_counts_s",
-              "dilworth_wrapforest16000_s", "dilworth_chain8000_s", "dilworth_random1000_s"}
+              "dilworth_wrapforest16000_s", "dilworth_chain8000_s", "dilworth_random1000_s",
+              "analyze_wf600_s", "analyze_rnd300_s", "analyze_chain1000_s", "loads_wrapforest16000_s"}
     return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes
 
 

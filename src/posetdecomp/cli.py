@@ -9,6 +9,11 @@ Three subcommands:
 Exit codes: 0 success, 1 a checked statement failed (witness printed),
 2 malformed input, 3 a scope cap was hit (lift with --unsafe-scope).
 
+The argument parser is built once per process, on the first `main` call,
+and every later call reuses it; `main` picks the command function by the
+subcommand's name when it runs it.  `analyze` reads a file and stdin alike,
+as UTF-8 bytes by `textio`'s one rule.
+
 `analyze` builds one `verify.Analysis` of the poset, the one the check
 battery uses, and every section and the DOT output read their artifacts from
 it; the sections apply the size caps themselves.  The MHCD section holds its
@@ -21,6 +26,7 @@ so no Python object is made per edge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -33,15 +39,16 @@ from .generate import FAMILIES, make_family
 from .hcd import ChainGraph, _embedding, _row_targets, _unoriented_order
 from .nccd import DESCENT_SCAN_CAP, NONCROSSING_CAP, _chain_bounds
 from .poset import AUTOMORPHISM_CAP, POSET_ENUMERATION_CAP, Poset
-from .textio import dumps, load, loads
+from .textio import _decode, dumps, load, loads
 from .verify import DEFAULT_CHECKS, Analysis, verify_exhaustive, verify_random
 
 SECTIONS = ("dilworth", "mhcd", "cut-check", "embedding", "inequalities")
 
 
 def _read_poset(path: str) -> Poset:
+    """The poset in a file, or on stdin for '-', read by one byte rule."""
     if path == "-":
-        return loads(sys.stdin.read())
+        return loads(_decode(sys.stdin.buffer.read()))
     return load(path)
 
 
@@ -369,7 +376,10 @@ def _checks(text: str) -> tuple[str, ...]:
     return names
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on the first.
+    It holds no command function: `main` looks its command up by name."""
     parser = argparse.ArgumentParser(
         prog="posetdecomp",
         description="chain decompositions of finite posets: Dilworth minima, "
@@ -389,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift enumeration caps (exponential searches may run long)",
     )
-    an.set_defaults(func=_cmd_analyze)
 
     gen = sub.add_parser("generate", help="emit a poset from a named family")
     gen.add_argument("family", choices=FAMILIES)
@@ -397,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=_density, default=0.3, help="relation density (random family)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
-    gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="run the check suites over many posets")
     vsub = ver.add_subparsers(dest="mode", required=True)
@@ -419,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "n = 6 and 6,129,859 at n = 7, each through the battery; nmax = 7 would "
         "take hours)",
     )
-    vex.set_defaults(func=_cmd_verify)
 
     vr = vsub.add_parser("random", help="seeded random posets")
     vr.add_argument("--n", type=_size, default=8)
@@ -434,16 +441,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated check names (default: all)",
     )
     vr.add_argument("--json", action="store_true")
-    vr.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # read at each call, so a command rebound on this module is the one run
+    command = {"analyze": _cmd_analyze, "generate": _cmd_generate, "verify": _cmd_verify}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (FormatError, CycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

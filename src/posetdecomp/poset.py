@@ -154,6 +154,13 @@ class Poset:
                 succ[index[x]].add(index[y])
         except KeyError as unknown:
             raise UnknownElementError(unknown.args[0]) from None
+        return cls._from_successors(labels, succ)
+
+    @classmethod
+    def _from_successors(cls, labels: tuple, succ: list[set[int]]) -> "Poset":
+        """The order on distinct labels that the relation succ closes to: j in
+        succ[i] means labels[i] < labels[j].  A directed cycle raises
+        CycleError with the closing search's witness."""
         cycle, rows = _close_acyclic([sorted(ws) for ws in succ])
         if cycle is not None:
             raise CycleError([labels[i] for i in cycle])

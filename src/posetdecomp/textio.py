@@ -10,6 +10,14 @@ The element line must come first and lists every label once, whitespace
 separated.  Every following line is one strict relation; the reader accepts
 any acyclic relation set (redundant pairs included), the writer emits only the
 cover relations, in element input order.
+
+The reader makes one pass over the lines.  The element line gives a
+label-to-index dict, and each relation line is checked against it and filed
+as an index pair into the successor sets in the same step; a line that is
+not a relation between two distinct elements is then re-read once for its
+error.  `Poset._from_successors` closes the sets, or raises CycleError.
+Files and stdin are decoded by one rule: UTF-8, a leading byte-order mark
+skipped, and a byte that is not UTF-8 a FormatError at its line.
 """
 
 from __future__ import annotations
@@ -20,59 +28,81 @@ from .poset import Poset
 
 def loads(text: str) -> Poset:
     """Parse poset text; FormatError carries the 1-based line number."""
-    labels: list[str] | None = None
-    covers: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if labels is None:
-            if not line.startswith("elements:"):
-                raise FormatError("expected an 'elements:' line first", lineno)
-            labels = line[len("elements:"):].split()
-            # split() leaves no whitespace and the comment is gone, so only a
-            # '<' or a leading 'elements:' can make a label unwritable: one
-            # scan of the line rules both out for most files
-            if "<" in line or "elements:" in line[len("elements:"):]:
-                for x in labels:
-                    _check_label(x, lineno)
-            for x in labels:
-                if x in seen:
-                    raise FormatError(f"duplicate element {x!r}", lineno)
-                seen.add(x)
-            continue
-        if line.startswith("elements:"):
-            raise FormatError("second 'elements:' line", lineno)
-        parts = line.split("<")
-        if len(parts) != 2:
-            raise FormatError(f"expected 'x < y', got {line!r}", lineno)
-        x, y = parts[0].strip(), parts[1].strip()
-        if not x or not y:
-            raise FormatError(f"expected 'x < y', got {line!r}", lineno)
-        for side in (x, y):
-            if side not in seen:
-                raise FormatError(f"unknown element {side!r}", lineno)
-        if x == y:
-            raise FormatError(f"element {x!r} related to itself", lineno)
-        covers.append((x, y))
-    if labels is None:
+        if line:
+            break
+    else:
         raise FormatError("missing 'elements:' line", None)
-    return Poset.from_cover_relations(labels, covers)
+    if not line.startswith("elements:"):
+        raise FormatError("expected an 'elements:' line first", lineno)
+    labels = line[len("elements:"):].split()
+    # split() leaves no whitespace and the comment is gone, so only a '<' or
+    # a leading 'elements:' can make a label unwritable: one scan of the
+    # line rules both out for most files
+    if "<" in line or "elements:" in line[len("elements:"):]:
+        for x in labels:
+            _check_label(x, lineno)
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) != len(labels):
+        seen: set[str] = set()
+        for x in labels:
+            if x in seen:
+                raise FormatError(f"duplicate element {x!r}", lineno)
+            seen.add(x)
+    succ: list[set[int]] = [set() for _ in labels]
+    for lineno, raw in numbered:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        parts = raw.split("<")
+        if len(parts) == 2:
+            i = index.get(parts[0].strip())
+            j = index.get(parts[1].strip())
+            # no label starts with 'elements:', so this is a relation line
+            if i is not None and j is not None and i != j:
+                succ[i].add(j)
+                continue
+        line = raw.strip()
+        if line:
+            raise _relation_error(line, index, lineno)
+    return Poset._from_successors(tuple(labels), succ)
 
 
-def load(path) -> Poset:
-    """Read a poset file as UTF-8, skipping a leading byte-order mark; a byte
-    that is not UTF-8 raises FormatError at its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _relation_error(line: str, index: dict, lineno: int) -> FormatError:
+    """The FormatError of a nonblank line after the element line, its
+    comment cut off, that names no relation between two distinct elements.
+    The first rule the line breaks is reported, in this order: a second
+    element line, a line that is not 'x < y', an unknown element (the left
+    side first), a self relation."""
+    if line.startswith("elements:"):
+        return FormatError("second 'elements:' line", lineno)
+    parts = line.split("<")
+    x, y = (parts[0].strip(), parts[1].strip()) if len(parts) == 2 else ("", "")
+    if not x or not y:
+        return FormatError(f"expected 'x < y', got {line!r}", lineno)
+    for side in (x, y):
+        if side not in index:
+            return FormatError(f"unknown element {side!r}", lineno)
+    return FormatError(f"element {x!r} related to itself", lineno)
+
+
+def _decode(data: bytes) -> str:
+    """Poset text from the bytes of a file or of stdin: UTF-8, skipping a
+    leading byte-order mark; a byte that is not UTF-8 raises FormatError at
+    its line."""
     try:
-        text = data.decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.object is the data after a byte-order mark, if there is one
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"bytes that are not UTF-8 ({exc.reason})", line) from None
-    return loads(text)
+
+
+def load(path) -> Poset:
+    """Read a poset file by the byte rule of `_decode`."""
+    with open(path, "rb") as fh:
+        return loads(_decode(fh.read()))
 
 
 def _check_label(name: str, line: int | None = None) -> None:

@@ -449,6 +449,67 @@ def closure_of_pairs(labels, pairs):
     return closed
 
 
+def read_poset_text(text):
+    """What the text reader returns, by the two-pass reader it replaced: the
+    lines are checked and their label pairs listed first, then mapped to
+    indices and closed, so no check shares a step with the filing.
+
+    ("poset", labels, up rows) for a poset, ("FormatError", message, line)
+    for malformed text, and ("CycleError", message, witness labels) for a
+    cycle, whose witness is `find_cycle`'s on the relation matrix.  Every
+    label on the element line is checked, where the reader checks them only
+    when the line holds a '<' or a second 'elements:'.
+    """
+
+    def malformed(message, line):
+        return ("FormatError", message if line is None else f"line {line}: {message}", line)
+
+    labels = None
+    pairs = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if labels is None:
+            if not line.startswith("elements:"):
+                return malformed("expected an 'elements:' line first", lineno)
+            labels = line[len("elements:"):].split()
+            for x in labels:
+                if "<" in x or x.startswith("elements:"):
+                    return malformed(f"label {x!r} is not allowed in the text format", lineno)
+            for x in labels:
+                if x in seen:
+                    return malformed(f"duplicate element {x!r}", lineno)
+                seen.add(x)
+            continue
+        if line.startswith("elements:"):
+            return malformed("second 'elements:' line", lineno)
+        parts = line.split("<")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            return malformed(f"expected 'x < y', got {line!r}", lineno)
+        x, y = parts[0].strip(), parts[1].strip()
+        for side in (x, y):
+            if side not in seen:
+                return malformed(f"unknown element {side!r}", lineno)
+        if x == y:
+            return malformed(f"element {x!r} related to itself", lineno)
+        pairs.append((x, y))
+    if labels is None:
+        return malformed("missing 'elements:' line", None)
+    index = {x: i for i, x in enumerate(labels)}
+    rel = np.zeros((len(labels), len(labels)), dtype=bool)
+    for x, y in pairs:
+        rel[index[x], index[y]] = True
+    cycle = find_cycle(rel)
+    if cycle is not None:
+        witness = [labels[i] for i in cycle]
+        return ("CycleError", "cover relations contain a cycle: " + " < ".join(witness + witness[:1]), witness)
+    closed = closure_of_pairs(labels, pairs)
+    up = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in closed]
+    return ("poset", tuple(labels), up)
+
+
 def random_order_matrix(n, density, seed):
     """The matrix of `generate.random_poset(n, density, seed)`: the squaring
     closure of the same random upper-triangular relation."""

@@ -31,6 +31,10 @@ def run_cli(*args, stdin: str | None = None):
     )
 
 
+def run_cli_bytes(*args, stdin: bytes = b""):
+    return subprocess.run(CLI + list(args), capture_output=True, input=stdin)
+
+
 def test_generate_then_analyze_pipe():
     gen = run_cli("generate", "boolean", "--n", "2")
     assert gen.returncode == 0
@@ -184,6 +188,14 @@ def test_exit_code_2_on_bytes_that_are_not_utf8(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+    # stdin is read by the file's byte rule: refused at the line of the bad byte
+    data = b"elements: a\xffb c\na\xffb < c\n"
+    poset_file.write_bytes(data)
+    outs = [run_cli_bytes("analyze", str(poset_file), "--dilworth"),
+            run_cli_bytes("analyze", "-", "--dilworth", stdin=data)]
+    assert [o.returncode for o in outs] == [2, 2] and outs[1].stdout == b""
+    assert outs[1].stderr == outs[0].stderr
+    assert outs[1].stderr.startswith(b"error: line 1: bytes that are not UTF-8")
 
 
 def test_analyze_skips_a_byte_order_mark(tmp_path):
@@ -191,9 +203,46 @@ def test_analyze_skips_a_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(text, encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    outs = [run_cli("analyze", str(f), "--dilworth", "--json") for f in (plain, marked)]
-    assert [o.returncode for o in outs] == [0, 0]
-    assert outs[0].stdout == outs[1].stdout and outs[1].stderr == ""
+    outs = [run_cli_bytes("analyze", str(f), "--dilworth", "--json") for f in (plain, marked)]
+    outs.append(run_cli_bytes("analyze", "-", "--dilworth", "--json", stdin=marked.read_bytes()))
+    assert [o.returncode for o in outs] == [0, 0, 0]
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+    assert outs[1].stderr == outs[2].stderr == b""
+
+
+def _main_outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of one in-process `main(argv)`, a usage error's included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    poset_file = tmp_path / "p.txt"
+    poset_file.write_text(dumps(wrap_forest(20, seed=1)))
+    analyze = ["analyze", str(poset_file), "--dilworth", "--mhcd", "--json"]
+    calls = [analyze, ["generate", "random", "--n", "6", "--seed", "2"],
+             ["verify", "random", "--n", "5", "--count", "3"],
+             ["generate", "random", "--n", "4", "--density", "2"], analyze,
+             ["--help"], ["analyze", "--help"]]
+    fresh = []
+    for argv in calls:
+        posetdecomp.cli._build_parser.cache_clear()
+        fresh.append(_main_outcome(argv, capsys))
+    posetdecomp.cli._build_parser.cache_clear()
+    reused = [_main_outcome(argv, capsys) for argv in calls]
+    assert posetdecomp.cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0]
+    assert reused[4] == reused[0] and "must be in [0, 1]" in reused[3][2]
+    assert reused[5][1].startswith("usage: posetdecomp") and "--unsafe-scope" in reused[6][1]
+    # the command runs by name: one rebound on the module is the one reached
+    monkeypatch.setattr(posetdecomp.cli, "_cmd_verify", lambda args: 7)
+    assert main(["verify", "random", "--count", "0"]) == 7
+    assert posetdecomp.cli._build_parser.cache_info().misses == 1
 
 
 def test_exit_code_3_on_scope_cap():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from posetdecomp import cut as cut_module
-from posetdecomp import _reference, chains, cli, hcd, nccd, poset, verify
+from posetdecomp import _reference, chains, cli, hcd, nccd, poset, textio, verify
 from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
@@ -26,6 +26,7 @@ import oracles
 import test_boundary
 import test_cli
 import test_cut
+import test_textio
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
@@ -454,6 +455,11 @@ def down_pass_drops_own_bit(monkeypatch):
              "down[w] |= down[v]")
 
 
+def comment_cut_keeps_comment(monkeypatch):
+    """The reader's comment fast path keeps what follows the '#' of a relation line, not what precedes it."""
+    _rewrite(monkeypatch, textio, "loads", 'raw = raw[:raw.index("#")]', 'raw = raw[raw.index("#") + 1:]')
+
+
 def walk_skips_containment(monkeypatch):
     """The cover walk drops its containment test: no row is checked against x's."""
     _rewrite(monkeypatch, poset, "_cover_rows", "if up[y] & ~row:", "if False:")
@@ -570,6 +576,11 @@ def closure_differs_from_squaring_oracle() -> bool:
 def round_trip_through_covers_differs() -> bool:
     """Rebuilding each poset of FAMILY from its Hasse diagram."""
     return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
+
+
+def reader_differs_from_two_pass_oracle() -> bool:
+    """test_textio.test_reader_matches_two_pass_oracle, on its malformed and shapes groups."""
+    return test_textio.reader_faults([*test_textio.MALFORMED.values(), *test_textio.SHAPES.values()]) != []
 
 
 def rows_differ_from_matrix() -> bool:
@@ -875,6 +886,7 @@ MUTANTS = {
     "closure-skips-last-pivot": (closure_skips_last_pivot, closure_differs_from_squaring_oracle),
     "closure-skips-successor-bit": (closure_skips_successor_bit, round_trip_through_covers_differs),
     "down-pass-drops-own-bit": (down_pass_drops_own_bit, rows_differ_from_matrix),
+    "comment-cut-keeps-comment": (comment_cut_keeps_comment, reader_differs_from_two_pass_oracle),
     "walk-skips-containment": (walk_skips_containment, walk_differs_from_product_oracles),
     "covers-keep-reached": (covers_keep_reached, walk_differs_from_product_oracles),
     "extension-rows-reversed": (extension_rows_reversed, check_fails("bounds")),
