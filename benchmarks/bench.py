@@ -28,7 +28,10 @@ files.  A run is ok when it exits with the status its input expects: 0, or
 the status VERIFY_EXIT declares for a command that refuses part of its
 input by design.  Each script in PROBES runs the same way, as one
 `python -c` process on the side's sources, and reports in-process times of
-its own, for work that no command line isolates.
+its own (and counts, named without the `_s` suffix), for work that no
+command line isolates.  A script in SINGLE_PROBES runs in the same way, once
+per side, base first, after every other input: work too slow on the base
+side to repeat ten times.
 
 Of ANALYZE_INPUTS, random 300 and 1000 build and list their MHCD chain
 graphs on the dense side of `hcd._dense` (one unpack); chain 2000,
@@ -102,7 +105,10 @@ VERIFY_EXIT = {"verify-wrapforest-n64-cut": 1}
 # on each of three posets whose bit rows are built beforehand; and whole
 # in-process `analyze --dilworth --mhcd --json` calls, the median of 21 on
 # each of perfbench's analyze-large inputs (its generators and seeds, its
-# order), with `textio.loads` alone on the text of wrap_forest(16000)
+# order), with `textio.loads` alone on the text of wrap_forest(16000); and
+# the symmetry engine alone, its time and generator count, on wrap forests
+# of 300 and 400 elements and on random_poset(120, 0.015), seeds 0 and 1,
+# whose largest component has 96 elements
 PROBES = {
     "probe-cut-wrapforest-n64-80": """
 import json, math, statistics, time
@@ -175,21 +181,86 @@ for _ in range(5):
 out["loads_wrapforest16000_s"] = statistics.median(times)
 print(json.dumps(out))
 """,
+    "probe-symmetry-scale": """
+import json, time
+from posetdecomp.generate import random_poset, wrap_forest
+from posetdecomp.poset import automorphism_group
+out = {}
+for name, p in (("wrapforest300", wrap_forest(300, seed=0)), ("wrapforest400", wrap_forest(400, seed=0)),
+                ("random120_seed0", random_poset(120, 0.015, seed=0)),
+                ("random120_seed1", random_poset(120, 0.015, seed=1))):
+    rows = p.rows
+    start = time.perf_counter()
+    group = automorphism_group(rows)
+    out[f"symmetry_{name}_s"] = time.perf_counter() - start
+    out[f"symmetry_{name}_generators"] = len(group.generators)
+print(json.dumps(out))
+""",
+}
+# probes run once per side, base first, after the pairs: the symmetry engine
+# alone on connected 400-element wrap trees, seeds 0..5, built by
+# `wrap_forest`'s recursion on one root that always wraps children (a
+# forest's roots wrap with probability 0.7), which the parent's engine
+# takes minutes on
+SINGLE_PROBES = {
+    "probe-symmetry-wrap-trees": """
+import itertools, json, random, time
+from posetdecomp.generate import _composition
+from posetdecomp.poset import Poset, automorphism_group
+
+def wrap_tree(n, seed):
+    rng = random.Random(seed)
+    counter = itertools.count()
+    covers, labels = [], []
+
+    def new_chain(length):
+        elems = [f"w{next(counter)}" for _ in range(length)]
+        labels.extend(elems)
+        covers.extend(zip(elems, elems[1:]))
+        return elems
+
+    def build(budget, root=False):
+        if budget >= 6 and (root or rng.random() < 0.7):
+            length = rng.randint(2, budget - 4)
+            remaining = budget - length
+            parts = _composition(rng, remaining, rng.randint(2, remaining // 2), 2)
+            elems = new_chain(length)
+            gap = rng.randint(1, length - 1)
+            for part in parts:
+                child = build(part)
+                covers.append((elems[gap - 1], child[0]))
+                covers.append((child[-1], elems[gap]))
+            return elems
+        return new_chain(budget)
+
+    build(n, root=True)
+    return Poset.from_cover_relations(labels, covers)
+
+out = {}
+for seed in range(6):
+    rows = wrap_tree(400, seed).rows
+    start = time.perf_counter()
+    group = automorphism_group(rows)
+    out[f"symmetry_wraptree400_seed{seed}_s"] = time.perf_counter() - start
+    out[f"symmetry_wraptree400_seed{seed}_generators"] = len(group.generators)
+print(json.dumps(out))
+""",
 }
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def lower_is_better() -> set[str]:
+def lower_is_better(names: set[str]) -> set[str]:
     """The end-to-end metrics that BENCHMARK.json marks lower-is-better,
-    wall_s and the probes' times."""
+    wall_s and the probes' figures (times and generator counts)."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     probes = {"max_poset_s", "p50_poset_s", "total_s", "signed_counts_s",
               "dilworth_wrapforest16000_s", "dilworth_chain8000_s", "dilworth_random1000_s",
               "analyze_wf600_s", "analyze_rnd300_s", "analyze_chain1000_s", "loads_wrapforest16000_s"}
-    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes
+    symmetry = {name for name in names if name.startswith("symmetry_")}
+    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes | symmetry
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -263,7 +334,8 @@ def probe(root: str, code: str, cwd: str) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"exit": proc.returncode or 1, "stderr": proc.stderr[-2000:]}
     return {"exit": proc.returncode,
-            "metrics": {name: {"value": value, "unit": "s"} for name, value in times.items()}}
+            "metrics": {name: {"value": value, "unit": "s" if name.endswith("_s") else "count"}
+                        for name, value in times.items()}}
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -277,8 +349,8 @@ def quartiles(values: list[float]) -> list[float] | None:
 def summarize(runs: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, and in how many pairs head did better."""
     out = {}
-    lower_names = lower_is_better()
     names = {m for r in runs for m in r.get("metrics", {})}
+    lower_names = lower_is_better(names)
     for name in sorted(names):
         by_pair: dict[int, dict] = {}
         for r in runs:
@@ -330,17 +402,17 @@ def main() -> int:
                 raise subprocess.CalledProcessError(code, cmd)
             files[name] = cmd
         results: dict[str, dict] = {}
-        for name in [*WORKLOADS, *files, *VERIFY_INPUTS, *PROBES]:
+        for name in [*WORKLOADS, *files, *VERIFY_INPUTS, *PROBES, *SINGLE_PROBES]:
             runs = []
-            for pair in range(PAIRS):
+            for pair in range(1 if name in SINGLE_PROBES else PAIRS):
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 for side in order:
                     if name in files:
                         run = timed(roots[side], ["analyze", name, *ANALYZE_ARGS], scratch)
                     elif name in VERIFY_INPUTS:
                         run = timed(roots[side], VERIFY_INPUTS[name], scratch)
-                    elif name in PROBES:
-                        run = probe(roots[side], PROBES[name], scratch)
+                    elif name in PROBES or name in SINGLE_PROBES:
+                        run = probe(roots[side], {**PROBES, **SINGLE_PROBES}[name], scratch)
                     else:
                         run = perfbench(roots[side], name, pair + 1)
                     runs.append({"pair": pair, "side": side, **run})

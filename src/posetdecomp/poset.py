@@ -581,9 +581,14 @@ def count_linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) ->
 # every partial map is injective.  Domains start from a per-element invariant
 # (colour, loop bit, down and up counts), and the search branches on the
 # lowest open element.  The group of a relation is then found by base and
-# strong generators (Sims 1970): for base points b_1, b_2, ..., one witness
-# per new point of the orbit of b_i under the pointwise stabilizer of
-# b_1..b_{i-1}, and |G| is the product of the orbit sizes.
+# strong generators (Sims 1970): for base points b_1, b_2, ..., the orbit of
+# b_i under G^(i), the pointwise stabilizer of b_1..b_{i-1}, and |G| is the
+# product of the orbit sizes.  The levels are solved deepest first, as nauty
+# does (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
+# 2014): every generator already found lies in G^(i), so only an image of b_i
+# outside its orbit under all of them costs a witness search, and G^(i) is
+# generated by G^(i+1) and the level's witnesses.  Each witness joins two
+# orbits of the group found so far, so there are at most n - 1 generators.
 
 
 def _signatures(rows: tuple, colors: Sequence | None = None) -> list:
@@ -619,19 +624,33 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _place(rows: tuple, dom: list[int], free: int, i: int, j: int) -> tuple | None:
-    """Domains after mapping i to j, or None when some element is left no image."""
+    """Domains after mapping i to j, or None when some element is left no image.
+
+    Each free element u keeps the images that relate to j as u relates to i:
+    the free elements fall into four classes by i's rows (neither, above i
+    only, below only, both), and each class is masked by one mask read off
+    j's rows.
+    """
     up_a, down_a, up_b, down_b = rows
     dom = dom.copy()
     dom[i] = 1 << j
     free &= ~(1 << i)
-    ua, da = up_a[i], down_a[i]
+    ua, da = up_a[i] & free, down_a[i] & free
     ub, db, other = up_b[j], down_b[j], ~(1 << j)
-    for u in _bits(free):
-        bit = 1 << u
-        m = dom[u] & other & (ub if ua & bit else ~ub) & (db if da & bit else ~db)
-        if not m:
-            return None
-        dom[u] = m
+    for members, mask in (
+        (free & ~(ua | da), ~(ub | db) & other),
+        (ua & ~da, ub & ~db & other),
+        (da & ~ua, db & ~ub & other),
+        (ua & da, ub & db & other),
+    ):
+        while members:
+            low = members & -members
+            u = low.bit_length() - 1
+            m = dom[u] & mask
+            if not m:
+                return None
+            dom[u] = m
+            members ^= low
     return dom, free
 
 
@@ -686,13 +705,25 @@ def _transversal(b: int, gens: Sequence[tuple[int, ...]], n: int) -> dict[int, t
     return reps
 
 
+def _join_orbits(orbit: list[int], g: tuple[int, ...]) -> None:
+    """Join the orbit masks in `orbit` (each point's orbit, shared by its
+    members) so that every point shares one with its image under g."""
+    for x, y in enumerate(g):
+        if not orbit[x] >> y & 1:
+            joined = orbit[x] | orbit[y]
+            for z in _bits(joined):
+                orbit[z] = joined
+
+
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """A permutation group on 0..n-1 by base, strong generators and basic orbit sizes.
 
     The generators that fix base[:i] pointwise generate the pointwise
     stabilizer of base[:i], and orbit_sizes[i] is the length of base[i]'s
-    orbit under it, so the order is their exact product.
+    orbit under it, so the order is their exact product.  From
+    `automorphism_group` the generators come deepest level first, at most
+    n - 1 of them.
     """
 
     n: int
@@ -718,11 +749,16 @@ def automorphism_group(rows: tuple, colors: Sequence | None = None) -> Automorph
     """The colour-preserving automorphisms of a relation given by its bit rows
     (up, down), as `Poset.rows` or `_bitrows` of a boolean matrix give them.
 
-    Base points are taken in index order, skipping every point that the
-    stabilizer of the earlier ones must fix (its domain is itself alone).
-    For each image of b_i its domain allows and the orbit does not yet hold,
-    one witness search that fixes b_1..b_{i-1}; orbits use only the
-    generators that fix every earlier base point.
+    One descent fixes the base: points in index order, skipping every point
+    that the stabilizer of the earlier ones must fix (its domain is itself
+    alone), each placed on itself.  The levels are then solved deepest
+    first.  Every generator found so far fixes b_1..b_{i-1}, so at level i
+    the orbit of b_i under all of them lies in the level's group, and only
+    an image outside that orbit costs a witness search.  When one finds
+    none, the rest of that image's orbit is skipped: the generators would
+    carry a witness for any of it to one for the image.  Each witness joins
+    two orbits of the group found so far, so there are at most n - 1
+    generators.
     """
     up, down = rows
     n = len(up)
@@ -730,26 +766,28 @@ def automorphism_group(rows: tuple, colors: Sequence | None = None) -> Automorph
     rows = (up, down, up, down)
     dom = _domains(sig, sig)
     free = (1 << n) - 1
-    base: list[int] = []
+    levels = []
+    for b in range(n):
+        if dom[b] != 1 << b:
+            levels.append((b, dom, free))
+            dom, free = _place(rows, dom, free, b, b)
+    orbit = [1 << x for x in range(n)]  # as masks, under the generators found so far
     gens: list[tuple[int, ...]] = []
     sizes: list[int] = []
-    for b in range(n):
-        if dom[b] == 1 << b:
-            continue
-        level = _fixing(gens, base)
-        orbit = _transversal(b, level, n)
-        for x in _bits(dom[b]):
-            if x in orbit:
-                continue
+    for b, dom, free in reversed(levels):
+        todo = dom[b] & ~orbit[b]
+        while todo:
+            x = (todo & -todo).bit_length() - 1
             g = _witness(rows, dom, free, b, x)
-            if g is not None:
+            if g is None:
+                todo &= ~orbit[x]
+            else:
                 gens.append(g)
-                level.append(g)
-                orbit = _transversal(b, level, n)
-        base.append(b)
-        sizes.append(len(orbit))
-        dom, free = _place(rows, dom, free, b, b)
-    return AutomorphismGroup(n, tuple(base), tuple(gens), tuple(sizes))
+                _join_orbits(orbit, g)
+                todo &= ~orbit[b]
+        sizes.append(orbit[b].bit_count())
+    base = tuple(b for b, _, _ in levels)
+    return AutomorphismGroup(n, base, tuple(gens), tuple(reversed(sizes)))
 
 
 def automorphisms(p: Poset, cap: int | None = AUTOMORPHISM_CAP) -> list[tuple[int, ...]]:

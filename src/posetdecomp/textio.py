@@ -94,8 +94,10 @@ def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.object is the data after a byte-order mark, if there is one
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        # exc.object is the data after a byte-order mark, if there is one;
+        # the valid prefix is numbered by the line breaks `loads` splits at,
+        # and the character after it stands in for the bad byte
+        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise FormatError(f"bytes that are not UTF-8 ({exc.reason})", line) from None
 
 

@@ -1791,6 +1791,106 @@ def brute_embedding(p, pair_cap: int = 250_000) -> dict:
     return out
 
 
+# -- automorphism groups by a stabilizer chain solved top-down (the loop the
+# library ran before it solved the levels deepest first) ------------------------
+
+
+def _chain_place(up, down, dom, i, j):
+    """Domains, as sets, after mapping i to j, or None when some element is
+    left no image: every other element keeps the images other than j that
+    relate to j as it relates to i, in both directions."""
+    out = []
+    for u, images in enumerate(dom):
+        if u == i:
+            out.append({j})
+            continue
+        above, below = up[i] >> u & 1, down[i] >> u & 1
+        keep = {w for w in images
+                if w != j and up[j] >> w & 1 == above and down[j] >> w & 1 == below}
+        if not keep:
+            return None
+        out.append(keep)
+    return out
+
+
+def _chain_extend(up, down, dom, placed):
+    """One map that places every element not in `placed`, or None: the lowest
+    such element tries its images in increasing order, recursively."""
+    u = next((u for u in range(len(dom)) if u not in placed), None)
+    if u is None:
+        return tuple(min(images) for images in dom)
+    for j in sorted(dom[u]):
+        nxt = _chain_place(up, down, dom, u, j)
+        found = None if nxt is None else _chain_extend(up, down, nxt, placed | {u})
+        if found is not None:
+            return found
+    return None
+
+
+def _orbit(b, gens) -> set:
+    orbit, queue = {b}, [b]
+    for x in queue:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return orbit
+
+
+def stabilizer_chain_top_down(rows, colors=None) -> tuple:
+    """(base, generators, orbit sizes) of the colour-preserving automorphisms
+    of a relation given by bit rows (up, down), level by level from the top.
+
+    Domains start from (colour, loop bit, down count, up count) and shrink by
+    forward checking.  Base points are taken in index order, skipping every
+    point whose domain is itself alone once the earlier ones are placed on
+    themselves.  At base point b, each image in its domain outside the
+    orbit of b under the generators that fix every earlier base point gets
+    one witness search, and the orbit is recomputed after each witness.
+    """
+    up, down = rows
+    n = len(up)
+    colors = [0] * n if colors is None else colors
+    sig = [(colors[i], up[i] >> i & 1, bin(down[i]).count("1"), bin(up[i]).count("1"))
+           for i in range(n)]
+    dom = [{w for w in range(n) if sig[w] == sig[u]} for u in range(n)]
+    placed: set = set()
+    base, gens, sizes = [], [], []
+    for b in range(n):
+        if dom[b] == {b}:
+            continue
+        level = [g for g in gens if all(g[c] == c for c in base)]
+        orbit = _orbit(b, level)
+        for x in sorted(dom[b]):
+            if x in orbit:
+                continue
+            nxt = _chain_place(up, down, dom, b, x)
+            g = None if nxt is None else _chain_extend(up, down, nxt, placed | {b})
+            if g is not None:
+                gens.append(g)
+                level.append(g)
+                orbit = _orbit(b, level)
+        base.append(b)
+        sizes.append(len(orbit))
+        dom = _chain_place(up, down, dom, b, b)
+        placed.add(b)
+    return tuple(base), gens, tuple(sizes)
+
+
+def generated_group(n, gens) -> list:
+    """Every element of the permutation group that gens generate, sorted:
+    the identity closed under right multiplication by each generator."""
+    identity = tuple(range(n))
+    seen, queue = {identity}, [identity]
+    for h in queue:
+        for g in gens:
+            hg = tuple(g[h[x]] for x in range(n))
+            if hg not in seen:
+                seen.add(hg)
+                queue.append(hg)
+    return sorted(seen)
+
+
 # -- the embedding check with per-product label maps (the check the library
 # ran before it dropped the unreported search and mapped on index lists) -------
 

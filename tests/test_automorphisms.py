@@ -1,11 +1,13 @@
 """The automorphism engine and the embedding check, pinned against listing oracles."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from posetdecomp import Poset, verify_embedding
+from posetdecomp import Poset, poset, verify_embedding
 from posetdecomp.generate import antichain, random_poset, wrap_forest
 from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets, isomorphic
 
@@ -16,6 +18,33 @@ FAMILIES = {
     "random9": lambda: [random_poset(9, 0.3, seed=s) for s in range(60)],
     "wrapforest20": lambda: [wrap_forest(20, seed=s) for s in range(40)],
 }
+
+# two 9-element posets with groups that the smaller posets do not show:
+# C2 x C2, which swaps the two A's, the two B's or both (its stabilizer chain
+# needs two witnesses at one level), and C3, a rotation of three 3-chains
+# that induces a chain permutation of order 3, not an involution
+C2XC2 = Poset.from_cover_relations(
+    ["m1", "m2", "m3", "m4", "A12", "A34", "B13", "B24", "t"],
+    [("m1", "A12"), ("m2", "A12"), ("m3", "A34"), ("m4", "A34"), ("m1", "B13"), ("m3", "B13"),
+     ("m2", "B24"), ("m4", "B24"), ("A12", "t"), ("A34", "t")],
+)
+C3 = Poset.from_cover_relations(
+    [f"{x}{i}" for i in range(3) for x in "abc"],
+    [pair for i in range(3)
+     for pair in ((f"a{i}", f"b{i}"), (f"b{i}", f"c{i}"), (f"a{(i + 1) % 3}", f"c{i}"))],
+)
+
+# the top-down oracle's populations: |Aut| up to 5,000 lists every element
+CHAIN_POPULATIONS = {
+    "n<=5": FAMILIES["n<=5"],
+    "every-65th-n6": lambda: list(itertools.islice(enumerate_posets(6, cap=None), 0, None, 65)),
+    "random-n8": lambda: [random_poset(8, 0.3, seed=s) for s in range(400)],
+    "wrapforest-n20": lambda: [wrap_forest(20, seed=s) for s in range(200)],
+    "wrapforest-n30": lambda: [wrap_forest(30, seed=s) for s in range(50)],
+    "c2xc2-and-c3": lambda: [C2XC2, C3],
+}
+LISTED_ORDER = 5_000
+BOUND_POPULATIONS = {**CHAIN_POPULATIONS, "wrap_forest(400)": lambda: [wrap_forest(400, seed=0)]}
 
 VERDICTS = (
     "aut_poset_order",
@@ -43,6 +72,33 @@ def test_embedding_report_matches_oracle(family):
         rep = verify_embedding(p, seed=seed)
         assert {name: getattr(rep, name) for name in VERDICTS} == oracles.brute_embedding(p)
         assert rep.ok
+
+
+def chain_faults(posets) -> list:
+    """The posets whose group differs from the top-down oracle's in base,
+    basic orbit sizes or order, or, up to LISTED_ORDER, in its elements.
+    The engine is read off its module, where a rewrite binds it."""
+    faults = []
+    for p in posets:
+        group = poset.automorphism_group(p.rows)
+        base, gens, sizes = oracles.stabilizer_chain_top_down(p.rows)
+        if (group.base, group.orbit_sizes, group.order) != (base, sizes, math.prod(sizes)):
+            faults.append(p)
+        elif group.order <= LISTED_ORDER and group.elements() != oracles.generated_group(p.n, gens):
+            faults.append(p)
+    return faults
+
+
+@pytest.mark.parametrize("population", CHAIN_POPULATIONS)
+def test_bottom_up_chain_matches_top_down_oracle(population):
+    assert chain_faults(CHAIN_POPULATIONS[population]()) == []
+
+
+@pytest.mark.parametrize("population", BOUND_POPULATIONS)
+def test_generators_join_orbits(population):
+    # each witness joins two orbits of the group found before it
+    for p in BOUND_POPULATIONS[population]():
+        assert len(automorphism_group(p.rows).generators) <= max(p.n - 1, 0)
 
 
 def test_group_anchors():

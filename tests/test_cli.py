@@ -198,6 +198,23 @@ def test_exit_code_2_on_bytes_that_are_not_utf8(tmp_path):
     assert outs[1].stderr.startswith(b"error: line 1: bytes that are not UTF-8")
 
 
+@pytest.mark.parametrize("end", [b"\r", b"\r\n", "\u2028".encode()], ids=["cr", "crlf", "line-separator"])
+def test_bad_byte_line_follows_the_readers_line_ends(tmp_path, end):
+    # the file and stdin report the bad byte at the line where an unknown
+    # element in its place is reported
+    head = end.join([b"elements: a b", b"a < b", b"b < "])
+    poset_file = tmp_path / "p.txt"
+    outs = []
+    for data in (head + b"\xff\n", head + b"c\n"):
+        poset_file.write_bytes(data)
+        outs += [run_cli_bytes("analyze", str(poset_file), "--dilworth"),
+                 run_cli_bytes("analyze", "-", "--dilworth", stdin=data)]
+    assert [o.returncode for o in outs] == [2, 2, 2, 2]
+    assert outs[0].stderr == outs[1].stderr
+    assert outs[0].stderr.startswith(b"error: line 3: bytes that are not UTF-8")
+    assert outs[2].stderr == outs[3].stderr == b"error: line 3: unknown element 'c'\n"
+
+
 def test_analyze_skips_a_byte_order_mark(tmp_path):
     text = dumps(two_chain_fan(2))
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"

@@ -23,6 +23,7 @@ from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
 import oracles
+import test_automorphisms
 import test_boundary
 import test_cli
 import test_cut
@@ -30,6 +31,9 @@ import test_textio
 
 FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
 FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
+# on the posets above, the engine needs one witness per level, and every
+# generator induces an involution, so that sigma and its inverse agree
+FAMILY += [test_automorphisms.C2XC2, test_automorphisms.C3]
 NEAR_ORDERS = list(oracles.near_orders(seed=6, count=600))
 
 
@@ -114,6 +118,17 @@ def first_witness_only(monkeypatch):
         return g
 
     monkeypatch.setattr(poset, "_witness", mutant)
+
+
+def failed_witness_ends_level(monkeypatch):
+    """The engine leaves a level at its first image without a witness."""
+    _rewrite(monkeypatch, poset, "automorphism_group", "todo &= ~orbit[x]", "todo = 0")
+
+
+def orbit_kept_after_witness(monkeypatch):
+    """After a witness, the engine drops only its image from the level's
+    images to try, not the whole orbit the witness joined to b's."""
+    _rewrite(monkeypatch, poset, "automorphism_group", "todo &= ~orbit[b]", "todo &= ~(1 << x)")
 
 
 def signature_not_invariant(monkeypatch):
@@ -617,6 +632,17 @@ def orders_differ_from_listing_oracle() -> bool:
     )
 
 
+def chain_differs_from_top_down_oracle() -> bool:
+    """test_automorphisms.test_bottom_up_chain_matches_top_down_oracle, on
+    every poset with n <= 5."""
+    return test_automorphisms.chain_faults(test_automorphisms.CHAIN_POPULATIONS["n<=5"]()) != []
+
+
+def generators_exceed_orbit_bound() -> bool:
+    """test_automorphisms.test_generators_join_orbits, on FAMILY."""
+    return any(len(poset.automorphism_group(p.rows).generators) > max(p.n - 1, 0) for p in FAMILY)
+
+
 def matching_differs_from_list_oracle() -> bool:
     """test_chains.test_bit_row_matching_is_the_list_matching, on FAMILY."""
     for p in FAMILY:
@@ -816,6 +842,10 @@ def check_fails(name: str):
 MUTANTS = {
     "first-witness-only": (first_witness_only, orders_differ_from_listing_oracle),
     "signature-not-invariant": (signature_not_invariant, orders_differ_from_listing_oracle),
+    # a lost image at n = 5 at the earliest: only the oracle's populations tell
+    "failed-witness-ends-level": (failed_witness_ends_level, chain_differs_from_top_down_oracle),
+    # every extra witness is a true automorphism: only the generator count tells
+    "orbit-kept-after-witness": (orbit_kept_after_witness, generators_exceed_orbit_bound),
     "kernel-order-one": (kernel_order_one, injective_check_passes_non_chain_block),
     "reversed-images": (reversed_images, check_fails("embedding")),
     # a scattered chain that is also not a bijection: only the witness tells

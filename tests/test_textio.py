@@ -81,6 +81,24 @@ def test_load_rejects_bytes_that_are_not_utf8(tmp_path, mark):
     assert "not UTF-8" in str(exc.value)
 
 
+# the line ends `str.splitlines` breaks at beyond LF, as `loads` numbers them
+LINE_ENDS = {"cr": "\r", "crlf": "\r\n", "line-separator": "\u2028"}
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
+def test_bad_byte_numbered_as_loads_numbers_lines(tmp_path, end):
+    # a bad byte is reported at the line that an unknown element in its place is
+    head = end.join(["elements: a b", "a < b", "b < "]).encode()
+    path = tmp_path / "p.txt"
+    path.write_bytes(head + b"\xff\n")
+    with pytest.raises(FormatError) as bad:
+        load(path)
+    with pytest.raises(FormatError) as unknown:
+        loads((head + b"c\n").decode())
+    assert bad.value.line == unknown.value.line == 3
+    assert "not UTF-8" in str(bad.value) and "unknown element 'c'" in str(unknown.value)
+
+
 def test_load_skips_a_byte_order_mark(tmp_path):
     text = "elements: a b c\na < b\n"
     path = tmp_path / "p.txt"
