@@ -22,12 +22,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .poset import _bits, _closure_rows
 
-
-def min_descents(
-    up: list[int], down: list[int], lt: list[int], width: Callable[[int], int] | None = None
-) -> int:
+def min_descents(up: list[int], down: list[int], lt: list[int], width: Callable[[int], int]) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
 
     Bitset branch and bound over prefixes; a node also holds its last
@@ -42,17 +38,15 @@ def min_descents(
     as soon as the incumbent reaches it.  Ascents are tried before descents
     so that good incumbents come early.
 
-    `width` is that memoised width, `antichain_widths(comparability_rows(lt))`
-    by default.  Scans that read the same lt can share one; the floor and
-    every bound are read off it, so a shared memo must be this lt's.
+    `width` is that memoised width, `antichain_widths` over the bit rows of
+    the comparability graph; the floor and every bound are read off it, so
+    it must be this lt's.  Scans that read the same lt can share one.
     """
     n = len(up)
     if len(down) != n or len(lt) != n:
         raise ValueError("row count mismatch")
     if n == 0:
         return 0
-    if width is None:
-        width = antichain_widths(comparability_rows(lt))
     full = (1 << n) - 1
     floor = width(full)
     best = n + 1
@@ -83,15 +77,6 @@ def min_descents(
     succ = [*lt, full]
     scan(full, n, 0, 0)
     return best
-
-
-def comparability_rows(lt: list[int]) -> list[int]:
-    """The bit rows of the comparability graph of the transitive closure of lt."""
-    comparable = _closure_rows(lt)
-    for x, row in enumerate(comparable[:]):
-        for y in _bits(row):
-            comparable[y] |= 1 << x
-    return comparable
 
 
 def antichain_widths(comparable: list[int]) -> Callable[[int], int]:

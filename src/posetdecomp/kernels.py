@@ -6,9 +6,9 @@ ascending-run decomposition obeys, and its floor is the width of everything,
 read off its own width memo.  It is not seeded from the minimal homogeneous
 chain count, the noncrossing minimum or the Dilworth decomposition, because
 `verify_chain_bounds` compares the scan against exactly those quantities and
-a seed would assume the inequalities it tests.  Scans that read the same lt
-may share one memo, `antichain_widths` over the comparability rows of lt
-(`verify_chain_bounds` builds one for its two scans).
+a seed would assume the inequalities it tests.  Its caller passes the memo,
+`antichain_widths` over the comparability rows of lt: for a poset's own
+order, `nccd._widths`, which the two scans of `verify_chain_bounds` share.
 
 `permutations_avoiding` is the bitset walk of `_reference` that lists every
 pattern avoider in lexicographic order.  Both read `Poset.rows`.  `BACKEND`

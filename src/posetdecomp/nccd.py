@@ -47,7 +47,6 @@ from .poset import (
     _extension_rows,
     _topological_order,
     _unpack_rows,
-    is_linear_extension,
 )
 
 NONCROSSING_CAP = 10
@@ -296,7 +295,7 @@ def is_132_avoiding(p: Poset, perm: Sequence) -> bool:
 
 def is_132_avoiding_in_extension(p: Poset, perm: Sequence, e: Sequence) -> bool:
     """132 avoidance with "below" read off positions in the extension e."""
-    rows = _extension_rows(p, e)
+    rows = _extension_rows(p, [p.idx(x) for x in e])
     if rows is None:
         raise ValueError("reference order must be a linear extension")
     return _avoider_runs(*rows, _perm_indices(p, perm)) is not None
@@ -326,20 +325,23 @@ class DescentProfile:
         return len(self.positions)
 
 
-def descent_profile(p: Poset, perm: Sequence) -> DescentProfile:
-    """Positions i where perm does not strictly ascend into i+1, plus the end.
+def _descents(up: list[int], perm: Sequence[int]) -> list[int]:
+    """Positions i where the index permutation perm does not strictly ascend
+    into i+1 in the order with up rows `up`, plus the end.
 
     An adjacency counts as a descent when the left element is larger or the
     two are incomparable; the final position is always a descent, so every
     nonempty permutation has at least one.
     """
-    idxs = _perm_indices(p, perm)
-    positions = [
-        i for i in range(1, p.n) if not p.rows[0][idxs[i - 1]] >> idxs[i] & 1
-    ]
-    if p.n:
-        positions.append(p.n)
-    return DescentProfile(tuple(perm), tuple(positions))
+    positions = [i for i in range(1, len(perm)) if not up[perm[i - 1]] >> perm[i] & 1]
+    if perm:
+        positions.append(len(perm))
+    return positions
+
+
+def descent_profile(p: Poset, perm: Sequence) -> DescentProfile:
+    """The descent positions of a label permutation, as `_descents` reads them."""
+    return DescentProfile(tuple(perm), tuple(_descents(p.rows[0], _perm_indices(p, perm))))
 
 
 def ascending_runs_decomposition(p: Poset, perm: Sequence) -> ChainDecomposition:
@@ -361,10 +363,15 @@ def ascending_runs_decomposition(p: Poset, perm: Sequence) -> ChainDecomposition
     return d
 
 
+def _widths(p: Poset):
+    """The width memo of p's descent scans: antichains in p's comparability graph."""
+    return antichain_widths([u | v for u, v in zip(*p.rows)])
+
+
 def min_descents_over_avoiders(p: Poset, cap: int | None = DESCENT_SCAN_CAP) -> int:
     """Minimum descent count over all 132-avoiding permutations."""
     refuse_above("descent scan", cap, p.n)
-    return min_descents(*p.rows, p.rows[0])
+    return min_descents(*p.rows, p.rows[0], _widths(p))
 
 
 def min_descents_over_extension_avoiders(
@@ -372,10 +379,10 @@ def min_descents_over_extension_avoiders(
 ) -> int:
     """Minimum descent count over permutations avoiding 132 relative to e."""
     refuse_above("descent scan", cap, p.n)
-    rows = _extension_rows(p, e)
+    rows = _extension_rows(p, [p.idx(x) for x in e])
     if rows is None:
         raise ValueError("reference order must be a linear extension")
-    return min_descents(*rows, p.rows[0])
+    return min_descents(*rows, p.rows[0], _widths(p))
 
 
 # -- the wrap order over minimal homogeneous chains -----------------------------
@@ -565,9 +572,11 @@ def chain_concatenation(p: Poset, d, order: Sequence[int]) -> tuple:
     """Concatenate the chains (each ascending) in the given order, as labels.
 
     `d` is read by `chains._as_decomposition`, and `order` lists the chains
-    of the decomposition it returns.
+    of the decomposition it returns, each once.
     """
     d = _as_decomposition(p, d)
+    if sorted(order) != list(range(d.k)):
+        raise ValueError("order is not a permutation of the chains")
     return tuple(p.labels[x] for ci in order for x in d.chains[ci])
 
 
@@ -578,15 +587,12 @@ def descent_optimal_permutation(p: Poset) -> tuple:
     yields exactly one descent per chain and avoids 132; violations raise
     CheckFailure because they would refute the construction.
     """
-    d, _, _, pi, _ = _construction(p, chain_graph(p))
-    if not is_132_avoiding(p, pi):
+    d, _, _, pi, _, _, checks = _construction(p, chain_graph(p))
+    if not checks["witness-avoids-132"]:
         raise CheckFailure("chain concatenation contains a 132 pattern", witness=pi)
-    prof = descent_profile(p, pi)
-    if prof.count != d.k:
-        raise CheckFailure(
-            f"chain concatenation has {prof.count} descents, expected {d.k}",
-            witness=pi,
-        )
+    if not checks["witness-has-min-descents"]:
+        count = descent_profile(p, pi).count
+        raise CheckFailure(f"chain concatenation has {count} descents, expected {d.k}", witness=pi)
     return pi
 
 
@@ -654,7 +660,7 @@ def attachment_tree(p: Poset, d, order: Sequence[int]) -> TreeNode:
     """Plane tree built by leftmost attachment of the ordered chains.
 
     `d` is read by `chains._as_decomposition`, and `order` lists the chains
-    of the decomposition it returns.  The last chain hangs off the root
+    of the decomposition it returns, each once.  The last chain hangs off the root
     reversed (largest element on top); each earlier chain, processed in
     reverse order, attaches below the lowest vertex on the leftmost path
     that exceeds the chain's maximum (the root when none does), becoming the
@@ -662,6 +668,8 @@ def attachment_tree(p: Poset, d, order: Sequence[int]) -> TreeNode:
     each such vertex without a tree.
     """
     d = _as_decomposition(p, d)
+    if sorted(order) != list(range(d.k)):
+        raise ValueError("order is not a permutation of the chains")
     _, anchor = _leftmost_attachment(p, d, order)
     nodes: dict = {None: TreeNode(None)}
     for ci in reversed(order):
@@ -673,21 +681,30 @@ def attachment_tree(p: Poset, d, order: Sequence[int]) -> TreeNode:
     return nodes[None]
 
 
-def _construction(
-    p: Poset, graph: ChainGraph
-) -> tuple[ChainDecomposition, tuple[int, ...], list, tuple, tuple]:
+def _construction(p: Poset, graph: ChainGraph) -> tuple:
     """The constructive witnesses of the bound chain on the chain graph of mhcd(p).
 
-    Returns (d, order, findings, pi, e): the minimal homogeneous
+    Returns (d, order, findings, pi, e, ext, checks): the minimal homogeneous
     decomposition, its canonical chain order with that order's findings, the
-    chain concatenation along the order, and the reversed preorder of the
-    attachment tree.  e is not yet checked to be a linear extension.
+    chain concatenation along the order and the reversed preorder of the
+    attachment tree as label tuples, the rows of "earlier in e" (None unless
+    e is a linear extension), and the four witness facts, each tested once
+    on indices, under their `ChainBoundsReport.checks` keys.
     """
     d = graph.decomposition
     order, findings = canonical_chain_order(p, wrap=_verified_wrap_order(p, graph))
+    pi = [x for ci in order for x in d.chains[ci]]
     pre, _ = _leftmost_attachment(p, d, order)
-    e = tuple(p.labels[x] for x in reversed(pre))
-    return d, order, findings, chain_concatenation(p, d, order), e
+    pre.reverse()
+    ext = _extension_rows(p, pre)
+    checks = {
+        "extension-is-linear": ext is not None,
+        "witness-has-min-descents": len(_descents(p.rows[0], pi)) == d.k,
+        "witness-avoids-132": _avoider_runs(*p.rows, pi) is not None,
+        "witness-avoids-132-in-extension": ext is not None and _avoider_runs(*ext, pi) is not None,
+    }
+    pi, e = (tuple(p.labels[x] for x in s) for s in (pi, pre))
+    return d, order, findings, pi, e, ext, checks
 
 
 def derived_extension(p: Poset) -> tuple:
@@ -699,8 +716,8 @@ def derived_extension(p: Poset) -> tuple:
     the listing 0 1 2 3 gives (1, 0, 3, 2) and Min_d^e = 2, the listing
     0 1 3 2 gives (1, 0, 2, 3) and Min_d^e = 3.
     """
-    e = _construction(p, chain_graph(p))[4]
-    if not is_linear_extension(p, e):
+    e, _, checks = _construction(p, chain_graph(p))[4:]
+    if not checks["extension-is-linear"]:
         raise CheckFailure("derived order is not a linear extension", witness=e)
     return e
 
@@ -762,18 +779,11 @@ def _chain_bounds(
     `noncrossing` is the (size, witness) pair, or None when out of scope.
     Without `scans` the descent minima stay None and the noncrossing minimum
     is bounded by the homogeneous count directly; `scans` needs `noncrossing`.
-    The two scans, plain and relative to the derived extension, share one
-    width memo on the comparability rows of p.
+    The witness facts are the construction's own; the two scans, plain and
+    relative to the derived extension, share one width memo, `_widths(p)`.
     """
-    d, _, findings, pi, e = construction
-    ext = _extension_rows(p, e)
-    checks = {
-        "extension-is-linear": ext is not None,
-        "witness-has-min-descents": descent_profile(p, pi).count == d.k,
-        "witness-avoids-132": is_132_avoiding(p, pi),
-        "witness-avoids-132-in-extension": ext is not None
-        and _avoider_runs(*ext, _perm_indices(p, pi)) is not None,
-    }
+    d, _, findings, pi, e, ext, verdicts = construction
+    checks = dict(verdicts)
     min_nc, nc_witness = noncrossing or (None, None)
     if noncrossing:
         checks["chains-le-noncrossing"] = min_chains <= min_nc
@@ -781,7 +791,7 @@ def _chain_bounds(
     if scans:
         # both scans read lt = up: one width memo serves them
         up, down = p.rows
-        width = antichain_widths([u | v for u, v in zip(up, down)])
+        width = _widths(p)
         scan = min_descents(up, down, up, width)
         scan_ext = -1 if ext is None else min_descents(*ext, up, width)
         checks["noncrossing-le-descents"] = min_nc <= scan

@@ -544,15 +544,15 @@ def _linear_extensions_iter(p: Poset) -> Iterator[tuple]:
         start = i + 1
 
 
-def _extension_rows(p: Poset, seq: Sequence) -> tuple[list[int], list[int]] | None:
-    """The bit rows (up, down) of "earlier in seq", or None unless seq is a
-    linear extension of p: one pass that fails on a repeat or on an element
-    placed while one below it is not."""
+def _extension_rows(p: Poset, seq: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """The bit rows (up, down) of "earlier in seq", an index sequence, or None
+    unless seq is a linear extension of p: one pass that fails on a repeat or
+    on an element placed while one below it is not."""
     below = p.rows[1]
     full = (1 << p.n) - 1
     up, down = [0] * p.n, [0] * p.n
     placed = 0
-    for x in [p.idx(y) for y in seq]:
+    for x in seq:
         if placed >> x & 1 or below[x] & ~placed:
             return None
         down[x] = placed
@@ -563,7 +563,7 @@ def _extension_rows(p: Poset, seq: Sequence) -> tuple[list[int], list[int]] | No
 
 def is_linear_extension(p: Poset, seq: Sequence) -> bool:
     """True iff seq lists every element once and never places y before x < y."""
-    return _extension_rows(p, seq) is not None
+    return _extension_rows(p, [p.idx(y) for y in seq]) is not None
 
 
 def count_linear_extensions(p: Poset, cap: int | None = LINEAR_EXTENSION_CAP) -> int:

@@ -1157,6 +1157,24 @@ def naive_min_descents(p) -> int:
     return min((descent_count(p, perm) for perm in naive_avoiders(p)), default=0)
 
 
+# The descent kernel's default width memo before every caller passed its
+# own: the comparability rows of the Warshall closure of an arbitrary lt.
+def comparability_rows(lt: list[int]) -> list[int]:
+    """The bit rows of the comparability graph of the transitive closure of
+    the bit rows lt, cycles included."""
+    reach = list(lt)
+    for k in range(len(reach)):
+        for x in range(len(reach)):
+            if reach[x] >> k & 1:
+                reach[x] |= reach[k]
+    comparable = list(reach)
+    for x, row in enumerate(reach):
+        for y in range(len(reach)):
+            if row >> y & 1:
+                comparable[y] |= 1 << x
+    return comparable
+
+
 # The library's min_descents before its width-bounded bitset search, kept
 # verbatim: a plain pruned walk of the permutation tree.
 def scan_min_descents(pattern: bytes, lt: bytes, n: int) -> int:

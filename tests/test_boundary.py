@@ -41,7 +41,7 @@ from posetdecomp import (
     sample_admissible_cuts,
     wrap_relation,
 )
-from posetdecomp.generate import wrap_forest
+from posetdecomp.generate import two_chain_fan, wrap_forest
 from posetdecomp.nccd import TreeNode, tree_to_text
 from posetdecomp.poset import automorphism_group, enumerate_posets
 
@@ -176,6 +176,19 @@ def test_boundary_table(population):
         for cell in boundary_faults(p):
             faults.setdefault(cell, p)
     assert faults == {}
+
+
+@pytest.mark.parametrize("order", [[0, 0], [1], [-1, 0, 1, 2, 3], [0, 9], [0, 0, 1], [0, 1, 2, 3, 4, 4]])
+@pytest.mark.parametrize("fn", [chain_concatenation, attachment_tree])
+def test_chain_order_must_list_every_chain_once(fn, order):
+    # the MHCD of two_chain_fan(2) has five singleton chains: a repeat, a
+    # missing chain, a negative index and an index past k are all refused
+    p = two_chain_fan(2)
+    d = mhcd(p)
+    assert d.k == 5
+    with pytest.raises(ValueError, match="not a permutation of the chains"):
+        fn(p, d, order)
+    fn(p, d, [4, 3, 2, 1, 0])
 
 
 def test_table_covers_every_module_of_the_chain_layer():

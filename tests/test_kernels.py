@@ -21,29 +21,35 @@ def _bytes(m) -> bytes:
     return m.astype(np.uint8).tobytes()
 
 
+def _widths(lt: list[int]):
+    """The kernel's width memo on the oracle's comparability rows of lt."""
+    return kernels.antichain_widths(oracles.comparability_rows(lt))
+
+
 def _random_matrix(rng, n, density):
     """An n x n relation drawn row-major, each cell present with `density`."""
     return np.array([rng.random() < density for _ in range(n * n)], dtype=bool).reshape(n, n)
 
 
 def test_reference_trivial_sizes():
-    assert _reference.min_descents([], [], []) == 0
+    assert _reference.min_descents([], [], [], _widths([])) == 0
     assert _reference.permutations_avoiding([], []) == [()]
-    assert _reference.min_descents([0], [0], [0]) == 1
+    assert _reference.min_descents([0], [0], [0], _widths([0])) == 1
     assert _reference.permutations_avoiding([0], [0]) == [(0,)]
 
 
 def test_reference_matches_naive_oracle():
     for n in range(5):
         for p in enumerate_posets(n):
-            assert _reference.min_descents(*p.rows, p.rows[0]) == oracles.naive_min_descents(p)
+            width = _widths(p.rows[0])
+            assert _reference.min_descents(*p.rows, p.rows[0], width) == oracles.naive_min_descents(p)
             assert _reference.permutations_avoiding(*p.rows) == sorted(oracles.naive_avoiders(p))
 
 
 def _assert_min_descents_match(pattern, lt):
-    assert kernels.min_descents(*oracles.bit_rows(pattern), oracles.bit_rows(lt)[0]) == oracles.scan_min_descents(
-        _bytes(pattern), _bytes(lt), len(lt)
-    )
+    lt_rows = oracles.bit_rows(lt)[0]
+    got = kernels.min_descents(*oracles.bit_rows(pattern), lt_rows, _widths(lt_rows))
+    assert got == oracles.scan_min_descents(_bytes(pattern), _bytes(lt), len(lt))
 
 
 def _assert_poset_min_descents_match(p):
@@ -59,9 +65,9 @@ def test_min_descents_is_one_kernel():
 
 def test_min_descents_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        kernels.min_descents([0], [0], [0, 0])
+        kernels.min_descents([0], [0], [0, 0], _widths([0, 0]))
     with pytest.raises(ValueError):
-        kernels.min_descents([0, 0], [0], [0, 0])
+        kernels.min_descents([0, 0], [0], [0, 0], _widths([0, 0]))
 
 
 def test_min_descents_matches_scan_oracle_exhaustive():
@@ -84,7 +90,8 @@ def test_min_descents_matches_scan_oracle_large():
 
 
 def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
-    # neither matrix need be an order: the width bound closes lt transitively
+    # neither matrix need be an order: the oracle's width memo closes lt
+    # transitively, so the width bound holds
     rng = random.Random(20231)
     for _ in range(1500):
         n = rng.randint(1, 6)

@@ -166,9 +166,14 @@ def hom_word_same_slots(monkeypatch):
 
 
 def widths_from_up_only(monkeypatch):
-    """The descent scans' shared comparability is the up rows alone."""
-    _rewrite(monkeypatch, nccd, "_chain_bounds",
-             "antichain_widths([u | v for u, v in zip(up, down)])", "antichain_widths(list(up))")
+    """The descent scans' width memo reads the up rows alone as the comparability."""
+    _rewrite(monkeypatch, nccd, "_widths", "[u | v for u, v in zip(*p.rows)]", "list(p.rows[0])")
+
+
+def descents_without_final_position(monkeypatch):
+    """The construction counts the witness's descents without its final position."""
+    _rewrite(monkeypatch, nccd, "_construction", "len(_descents(p.rows[0], pi)) == d.k",
+             "len(_descents(p.rows[0], pi)) - 1 == d.k")
 
 
 def mhcd_merges_first_two(monkeypatch):
@@ -853,6 +858,7 @@ MUTANTS = {
     # every word is a product of automorphisms: only the products tell
     "hom-word-same-slots": (hom_word_same_slots, products_differ_from_oracle_words),
     "widths-from-up-only": (widths_from_up_only, check_fails("bounds")),
+    "descents-without-final-position": (descents_without_final_position, check_fails("bounds")),
     "mhcd-merges-first-two": (mhcd_merges_first_two, check_fails("homogeneous")),
     "merge-any-comparable": (merge_any_comparable, check_fails("homogeneous")),
     "ready-admits-one-difference": (ready_admits_one_difference, check_fails("homogeneous")),

@@ -214,7 +214,7 @@ def test_extension_rows_match_rank_matrix():
         p = random_poset(rng.randint(1, 12), density=rng.random(), seed=s)
         cases += [(p, _random_linear_extension(p, rng)) for _ in range(3)]
     for p, e in cases:
-        assert _extension_rows(p, e) == oracles.bit_rows(oracles.extension_matrix(p, e))
+        assert _extension_rows(p, [p.idx(x) for x in e]) == oracles.bit_rows(oracles.extension_matrix(p, e))
 
 
 def test_descent_profile_positions():
@@ -593,6 +593,27 @@ def test_construction_matches_recursive_oracles():
         e = nccd._construction(p, graph)[4]
         assert e == tuple(reversed(oracles.preorder_by_stack(walked)))
         assert e == tuple(reversed(oracles.preorder_labels(tree)))
+
+
+def test_construction_verdicts_equal_the_label_predicates():
+    # the construction tests its witnesses once, on indices; each verdict
+    # must be what the public label predicate says of the same witness
+    family = itertools.chain(
+        (p for n in range(6) for p in enumerate_posets(n)),
+        itertools.islice(enumerate_posets(6, cap=None), 0, None, 65),
+        (random_poset(8, 0.3, seed=s) for s in range(400)),
+        (wrap_forest(20, seed=s) for s in range(200)),
+    )
+    for p in family:
+        d, _, _, pi, e, ext, checks = nccd._construction(p, hcd.chain_graph(p))
+        linear = is_linear_extension(p, e)
+        assert checks == {
+            "extension-is-linear": linear,
+            "witness-has-min-descents": descent_profile(p, pi).count == d.k,
+            "witness-avoids-132": is_132_avoiding(p, pi),
+            "witness-avoids-132-in-extension": linear and is_132_avoiding_in_extension(p, pi, e),
+        }
+        assert ext == (oracles.bit_rows(oracles.extension_matrix(p, e)) if linear else None)
 
 
 def _relation_variants(graph, wrapped, above, rng):
