@@ -2,21 +2,12 @@
 
 A decomposition is homogeneous when every pair of its chains is all-or-nothing
 comparable: either all cross pairs of elements are comparable or none are.
-Merging two comparable chains whose comparability profile towards every other
-chain agrees preserves homogeneity, and the decomposition where no merge
-applies is unique, so greedy merging from singletons reaches it in any merge
-order.  That fixpoint, the minimal homogeneous chain decomposition (MHCD), is
-the partition into true-twin classes of the comparability graph: elements
-with the same closed neighbourhood (comparable to each other and to the same
-other elements).  `mhcd` groups the closed bit rows `up | down | 1 << i`;
-`merge_fixpoint` runs the merge loop itself, on one comparability bitmask per
-chain.  A pair whose rows differ off the pair never becomes a merge: the
-least element of a differing element's twin class is never merged away, and
-it stays in the difference (the lemma of `_merge_table`).  So the loop fires
-from the one list of ready pairs, dropping those a merge removes.  A ready
-pair is a pair of twins, so the ready pairs form cliques and every merge
-order ends at their classes: the verifier's homogeneous check tests that the
-ready pairs form cliques whose classes are the MHCD's chains.
+The minimal homogeneous chain decomposition (MHCD) is the partition into
+true-twin classes of the comparability graph: elements with the same closed
+neighbourhood (comparable to each other and to the same other elements).
+`mhcd` groups the closed bit rows `up | down | 1 << i`.  That greedy chain
+merging from singletons ends at these classes in any merge order is the
+lemma of `verify._merge_table`, which the battery's homogeneous check reads.
 
 Twin lemma.  A chain decomposition is homogeneous iff the elements of each
 chain share one closed row `up | down | 1 << x`.  Forward: an element is
@@ -187,63 +178,6 @@ def _twin_classes(rows: list[int]) -> list[list[int]]:
     for i, row in enumerate(rows):
         classes.setdefault(row, []).append(i)
     return list(classes.values())
-
-
-def merge_fixpoint(p: Poset) -> ChainDecomposition:
-    """Greedy merging to the fixpoint: the MHCD by its definition.
-
-    Starts from singletons and merges comparable chain pairs with identical
-    comparability profiles until none remains, each round firing the first
-    merge (i, j), i < j, in that order; the MHCD is unique, so any order
-    reaches it.  Chain i (named by its least index) keeps element i's
-    comparability row when j merges in, and only ready pairs ever fire (see
-    `_merge_table`), so each round's candidates are the ready pairs left
-    once those that hold a merged-away element are dropped: the list a full
-    rescan would give, in the same order.  The battery's homogeneous check
-    does not run this loop: it tests the ready pairs themselves (see
-    `verify.check_homogeneous`).
-    """
-    masks = [1 << i for i in range(p.n)]
-    candidates = _merge_table(p)
-    while candidates:
-        i, j = candidates[0]
-        masks[i] |= masks[j]
-        masks[j] = 0
-        candidates = [c for c in candidates if j not in c]
-    return ChainDecomposition._from_masks(p, [mask for mask in masks if mask])
-
-
-def _merge_table(p: Poset) -> list[tuple[int, int]]:
-    """The ready pairs: the merges of the first round, in (i, j) order.
-
-    With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j, is
-    ready when its rows agree off the pair, (comp[i] ^ comp[j]) & ~(bit i |
-    bit j) == 0.  A merge (i, j) removes j, so the pairs that hold j leave
-    the candidates; no pair is ever added:
-
-    Lemma.  A comparable pair (a, b) whose rows differ off the pair at some
-    element c never becomes a merge.  Let r be the least element whose closed
-    row `up | down | 1 << x` equals c's.  A ready pair has equal closed rows,
-    and every merge (i, j), i < j, fires a ready pair and removes j, so no
-    merge removes the least element of a class: r stays alive.  r relates to
-    every other element as c does, so r lies in the pair's difference unless
-    r is a or b.  r = a would put c in a's closed row, and so b in c's row
-    (b is in a's row); but c relates to exactly one of a and b.  r = b fails
-    the same way.  So the pair's difference always holds an alive element,
-    and by induction only ready pairs ever fire, in any merge order.
-
-    So these are every merge any merge loop can fire.  The homogeneous check
-    of `verify` reads them, and nothing else of this module's merge code, as
-    its side independent of `mhcd`.
-    """
-    up, down = p.rows
-    comp = [u | d for u, d in zip(up, down)]
-    return [
-        (i, j)
-        for i in range(p.n)
-        for j in _bits(comp[i] & -(2 << i))
-        if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
-    ]
 
 
 def _stream(seed: int) -> Callable[[int], int]:

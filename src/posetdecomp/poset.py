@@ -452,8 +452,16 @@ def _by_halves(power: np.ndarray, strict: np.ndarray) -> np.ndarray:
 
 
 def signed_chain_count(p: Poset, x, y) -> int:
-    """Signed count of increasing chains from x to y (0 unless x <= y)."""
-    return signed_chain_count_matrix(p)[p.idx(x)][p.idx(y)]
+    """Signed count of increasing chains from x to y (0 unless x <= y).
+
+    Row x of `signed_chain_count_matrix`: `_alternating_series` from row x
+    of I, in the dtype of `_chain_count_bound(p)`, which bounds every value
+    of the row as it bounds the whole matrix's.
+    """
+    i, j = p.idx(x), p.idx(y)
+    work = _exact_dtypes(_chain_count_bound(p))[0]
+    row = _alternating_series(np.eye(1, p.n, i, dtype=work), p.lt.astype(work))
+    return int(row[0, j])
 
 
 def mobius_matrix(p: Poset) -> list[list[int]]:
@@ -469,37 +477,35 @@ def mobius_matrix(p: Poset) -> list[list[int]]:
     recursion's.  By P. Hall's theorem this is the signed chain-count
     matrix, computed another way; the cut check compares the two.
     """
-    up, down = p.rows
     order = _topological_order(p)
-    mu = []
-    for x in range(p.n):
-        row = [0] * p.n
-        row[x] = 1
-        nonzero = 1 << x
-        above = up[x]
-        for y in order:
-            if above >> y & 1:
-                mask = nonzero & down[y]
-                value = 0
-                while mask:
-                    low = mask & -mask
-                    value -= row[low.bit_length() - 1]
-                    mask ^= low
-                if value:
-                    row[y] = value
-                    nonzero |= 1 << y
-        mu.append(row)
-    return mu
+    return [_mobius_row(p, order, x) for x in range(p.n)]
+
+
+def _mobius_row(p: Poset, order: list[int], x: int) -> list[int]:
+    """Row x of `mobius_matrix`, with `order` a linear extension of p."""
+    up, down = p.rows
+    row = [0] * p.n
+    row[x] = 1
+    nonzero = 1 << x
+    above = up[x]
+    for y in order:
+        if above >> y & 1:
+            mask = nonzero & down[y]
+            value = 0
+            while mask:
+                low = mask & -mask
+                value -= row[low.bit_length() - 1]
+                mask ^= low
+            if value:
+                row[y] = value
+                nonzero |= 1 << y
+    return row
 
 
 def mobius(p: Poset, x, y) -> int:
     """Mobius function mu(x, y); 0 when x and y are not ordered x <= y."""
     i, j = p.idx(x), p.idx(y)
-    if i == j:
-        return 1
-    if not p.rows[0][i] >> j & 1:
-        return 0
-    return mobius_matrix(p)[i][j]
+    return _mobius_row(p, _topological_order(p), i)[j]
 
 
 def _topological_order(p: Poset) -> list[int]:

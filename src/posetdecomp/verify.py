@@ -8,8 +8,9 @@ constructive pipeline, noncrossing minimum, brute-force decompositions)
 once; `posetdecomp analyze` reads its sections from one `Analysis` too.
 The brute force is one walk over the chain partitions on bit masks, with a
 homogeneity test of its own.  The homogeneous check's merge side is one
-pass over the ready pairs of `hcd._merge_table`: unioned into classes, they
-must form cliques on the MHCD's chains, which every merge order then reaches.
+pass over the ready pairs of `_merge_table`, whose docstring holds the lemma
+it rests on: only ready pairs ever merge, so when the ready pairs, unioned
+into classes, form cliques on the MHCD's chains, every merge order ends there.
 Suites run the checks, one poset after another, over exhaustively enumerated
 small posets or seeded random families, and count per check the posets on
 which a size cap skipped it.
@@ -52,7 +53,6 @@ from .generate import chain, random_poset, wrap_forest
 from .hcd import (
     ChainGraph,
     _embedding,
-    _merge_table,
     acyclic_orientation,
     deletion_bounds,
     is_homogeneous,
@@ -72,6 +72,7 @@ from .nccd import (
 from .poset import (
     POSET_ENUMERATION_CAP,
     Poset,
+    _bits,
     _signed_counts,
     enumerate_posets,
 )
@@ -161,10 +162,10 @@ def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     """The twin classes are homogeneous, minimal, and every merge fixpoint.
 
     Only ready pairs ever merge, in any merge order (the lemma in the
-    docstring of `hcd._merge_table`), so every merge order ends at the
-    classes of the ready pairs when those form cliques: `confluent` holds
-    when the pairs of `hcd._merge_table` number the sum of C(|class|, 2)
-    over the classes they join, and those classes are the MHCD's chains.
+    docstring of `_merge_table`), so every merge order ends at the classes
+    of the ready pairs when those form cliques: `confluent` holds when the
+    pairs of `_merge_table` number the sum of C(|class|, 2) over the classes
+    they join, and those classes are the MHCD's chains.
     The verdict does not read `seed`.  The classes and the brute force
     compare chain masks, each as a sorted tuple.  Below
     BRUTE_FORCE_CAP the least homogeneous partitions of the partition walk
@@ -198,6 +199,41 @@ def check_homogeneous(an: Analysis, seed: int = 0) -> dict:
     if not passed:
         out["witness"] = {"decomposition": d.to_lines()}
     return out
+
+
+def _merge_table(p: Poset) -> list[tuple[int, int]]:
+    """The ready pairs: the merges of the first round, in (i, j) order.
+
+    The merge loop starts from singletons and merges a comparable chain
+    pair whose comparability profiles towards every other chain agree;
+    chain i, named by its least index, keeps element i's row when j merges
+    in.  With comp[x] = up[x] | down[x], the comparable pair (i, j), i < j,
+    is ready when its rows agree off the pair, (comp[i] ^ comp[j]) & ~(bit
+    i | bit j) == 0.  A merge (i, j) removes j, so the pairs that hold j
+    leave the candidates; no pair is ever added:
+
+    Lemma.  A comparable pair (a, b) whose rows differ off the pair at some
+    element c never becomes a merge.  Let r be the least element whose closed
+    row `up | down | 1 << x` equals c's.  A ready pair has equal closed rows,
+    and every merge (i, j), i < j, fires a ready pair and removes j, so no
+    merge removes the least element of a class: r stays alive.  r relates to
+    every other element as c does, so r lies in the pair's difference unless
+    r is a or b.  r = a would put c in a's closed row, and so b in c's row
+    (b is in a's row); but c relates to exactly one of a and b.  r = b fails
+    the same way.  So the pair's difference always holds an alive element,
+    and by induction only ready pairs ever fire, in any merge order.
+
+    So these are every merge any merge loop can fire, and
+    `check_homogeneous` reads them as its side independent of `mhcd`.
+    """
+    up, down = p.rows
+    comp = [u | d for u, d in zip(up, down)]
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in _bits(comp[i] & -(2 << i))
+        if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)
+    ]
 
 
 def _ready_classes(n: int, ready: list[tuple[int, int]]) -> tuple[int, ...]:

@@ -225,7 +225,7 @@ def replay_ready_pairs(ready, seed=None):
     picks among them or, with seed None, the first; after each merge (i, j)
     the candidates lose the pairs that hold j, and no pair is ever added.
     That none needs adding is the lemma in the docstring of
-    `hcd._merge_table`; `merge_sequence_by_rescan`, which lists the
+    `verify._merge_table`; `merge_sequence_by_rescan`, which lists the
     candidates afresh each round, must fire the same merges.
     """
     states = None if seed is None else draw_states(seed)
@@ -1477,6 +1477,18 @@ def cut_identity_reports(p, chains) -> dict:
     return out
 
 
+def exact_dtypes(bound: int) -> tuple:
+    """(dtype to compute in, dtype to return) for integer matrix arithmetic
+    whose values and partial sums are all at most `bound` in absolute
+    value, by the bit length of `bound`: up to 53 bits, float64 (a double's
+    significand holds such an integer, so no step rounds), returned as
+    int64; up to 63 bits, int64; past that, Python integers."""
+    bits = int(bound).bit_length()
+    if bits <= 53:
+        return np.float64, np.int64
+    return (np.int64, np.int64) if bits <= 63 else (object, object)
+
+
 def cut_kernel_by_rows(frame, heights, work=None) -> tuple:
     """`cut._cut_kernel(frame, heights)` with one side-series row per (cut,
     side, chain), as the kernel ran before its rows were keyed: the four
@@ -1485,11 +1497,9 @@ def cut_kernel_by_rows(frame, heights, work=None) -> tuple:
     With `inside` each row's side mask, the series sums (-1)^s V_s from
     V_0 = M * inside by V_{s+1} = (V_s @ lt) * inside, one signed copy per
     power into a zeroed total, up to the first zero power; the dtypes come
-    from `poset._exact_dtypes` on the kernel's bounds.  With `work` the
-    series runs in that dtype, not in the layout's.
+    from `exact_dtypes` on the kernel's bounds.  With `work` the series
+    runs in that dtype, not in the layout's.
     """
-    from posetdecomp.poset import _exact_dtypes
-
     _, _, _, chain_of, position, _, strict = frame.layout
     if work is not None:
         strict = frame.poset.lt.astype(work)
@@ -1508,7 +1518,7 @@ def cut_kernel_by_rows(frame, heights, work=None) -> tuple:
         sign = -sign
     d_sides = (total @ members.T).reshape(c, 2, k, k)
     m = max(int(np.abs(a).max()) if a.size else 0 for a in (d_sides, frame.d_whole))
-    work, exact = _exact_dtypes(k**3 * m * (m + 2))
+    work, exact = exact_dtypes(k**3 * m * (m + 2))
     d_sides = d_sides.astype(work, copy=False)
     j_mat = frame.j.astype(work)
     lower_j = d_sides[:, 0] @ j_mat
@@ -1523,13 +1533,11 @@ def signed_counts_by_n(lt) -> np.ndarray:
     """The signed chain counts of a strict order matrix in the tier that n
     alone allows, as they ran before the poset's chain-count bound sized
     them: every value counts chains from x to y, at most 2**(n-2), and
-    `poset._exact_dtypes` maps that to float64 BLAS (returned as int64),
-    int64 or Python integers.  The series sums (-1)^s A^s from I, one signed
-    copy per power, up to the first zero power."""
-    from posetdecomp.poset import _exact_dtypes
-
+    `exact_dtypes` maps that to float64 BLAS (returned as int64), int64 or
+    Python integers.  The series sums (-1)^s A^s from I, one signed copy
+    per power, up to the first zero power."""
     n = len(lt)
-    work, exact = _exact_dtypes(2 ** (n - 2))
+    work, exact = exact_dtypes(2 ** (n - 2))
     adj = np.asarray(lt).astype(work)
     total = power = np.eye(n, dtype=work)
     sign = 1
@@ -1547,15 +1555,13 @@ def chain_sums(d, mu, keep: int) -> np.ndarray:
     integers, returned in the dtype that n alone allows (int64 up to
     n = 63): D_whole and the cut check's side sums as they were summed
     before the frame's Mobius array."""
-    from posetdecomp.poset import _exact_dtypes
-
     n = d.poset.n
     sums = [[0] * d.k for _ in range(d.k)]
     for x in _set_bits(keep):
         for y in _set_bits(keep):
             if x == y or d.poset.lt[x, y]:
                 sums[d.chain_of[x]][d.chain_of[y]] += mu[x][y]
-    return np.array(sums, dtype=_exact_dtypes(2**n - 1)[1]).reshape(d.k, d.k)
+    return np.array(sums, dtype=exact_dtypes(2**n - 1)[1]).reshape(d.k, d.k)
 
 
 def chains_in_up_sets(p) -> int:
@@ -1940,20 +1946,23 @@ def _compose(a, b) -> tuple:
     return tuple(a[x] for x in b)
 
 
+# the number of seeded product-replacement words in the embedding check's
+# homomorphism test, the library's HOM_WORDS, pinned here on its own
+WORDS = 16
+
+
 def word_products(n: int, k: int, gens, seed: int) -> list[tuple[tuple, tuple]]:
     """The (element, chain) products of the embedding's homomorphism test,
-    as tuples: the identity, every ordered pair of `gens`, then HOM_WORDS
+    as tuples: the identity, every ordered pair of `gens`, then WORDS
     product-replacement words.  Each word picks slot i of the state from the
     draw stream of `seed`, then slot j among the other slots in order, and
     replaces slot i by slot i after slot j."""
-    from posetdecomp.hcd import HOM_WORDS
-
     products = [(tuple(range(n)), tuple(range(k)))]
     products += [(_compose(a, b), _compose(sa, sb)) for a, sa in gens for b, sb in gens]
     if gens:
         states = draw_states(seed)
         state = gens * (1 if len(gens) > 1 else 2)
-        for _ in range(HOM_WORDS):
+        for _ in range(WORDS):
             i = pick(states, len(state))
             j = [s for s in range(len(state)) if s != i][pick(states, len(state) - 1)]
             (a, sa), (b, sb) = state[i], state[j]

@@ -24,8 +24,10 @@ from posetdecomp import (
     make_cut,
     mhcd,
     minimum_chain_decomposition,
+    mobius,
     mobius_matrix,
     sample_admissible_cuts,
+    signed_chain_count,
     signed_chain_count_matrix,
     verify_cut_identity,
 )
@@ -472,6 +474,22 @@ def test_tiers_sized_by_the_chain_count_bound():
     assert bounds[0] < 2**53 <= min(bounds[1:]) <= max(bounds[1:]) < 2**54
     # random_poset(300, 0.3) counts past 2**139 chains: Python integers
     assert cut_module.CutFrame(posets[-1], mhcd(posets[-1])).count_bound > 2**139
+
+
+def test_single_entries_match_the_matrices_in_every_tier():
+    # one poset per tier of the chain-count bound: float64, int64 and
+    # Python integers; each function computes one row, here at the entry of
+    # largest magnitude in every seventh row
+    tiers = [PAST_53[0], PAST_53[1], chain(70)]
+    dtypes = [poset._exact_dtypes(poset._chain_count_bound(p))[0] for p in tiers]
+    assert dtypes == [np.float64, np.int64, object]
+    for p in tiers:
+        counts, mu = signed_chain_count_matrix(p), mobius_matrix(p)
+        for x in range(0, p.n, 7):
+            y = max(range(p.n), key=lambda y: abs(mu[x][y]))
+            a, b = p.labels[x], p.labels[y]
+            assert signed_chain_count(p, a, b) == counts[x][y]
+            assert mobius(p, a, b) == mu[x][y]
 
 
 def test_kernel_runs_one_series_row_per_key(monkeypatch):

@@ -17,7 +17,6 @@ from posetdecomp import (
     graph_automorphisms,
     induced_chain_permutation,
     is_homogeneous,
-    merge_fixpoint,
     mhcd,
     min_homogeneous,
     minimum_chain_decomposition,
@@ -43,12 +42,12 @@ from posetdecomp.hcd import (
     _comparable_pairs,
     _dense,
     _embedding,
-    _merge_table,
     _products,
     _unoriented_order,
 )
 from posetdecomp.errors import ScatteringError
 from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
+from posetdecomp.verify import _merge_table
 
 import oracles
 
@@ -176,20 +175,6 @@ def test_twin_classes_equal_merge_oracle_on_seeded_families():
         for s in range(200):
             p = make(s)
             assert frozenset(mhcd(p).chains) == oracles.merge_fixpoint(p), s
-
-
-def test_library_merge_fixpoint_equals_twin_classes():
-    for p in [theta(), two_chain_fan(3), boolean_lattice(3), wrap_forest(12, seed=4)]:
-        d = mhcd(p)
-        assert merge_fixpoint(p) == d
-
-
-def test_library_merge_fixpoint_matches_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [random_poset(9, 0.3, seed=s) for s in range(60)]
-    posets += [wrap_forest(20, seed=s) for s in range(40)]
-    for p in posets:
-        assert frozenset(merge_fixpoint(p).chains) == oracles.merge_fixpoint(p)
 
 
 def test_merge_sequences_match_rescan_oracle():

@@ -191,7 +191,7 @@ def mhcd_merges_first_two(monkeypatch):
 
 def merge_any_comparable(monkeypatch):
     """The ready pairs drop the profile test: every comparable pair is ready."""
-    _rewrite(monkeypatch, hcd, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
+    _rewrite(monkeypatch, verify, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
              "if True")
 
 
@@ -199,7 +199,7 @@ def ready_pairs_spanning_forest(monkeypatch):
     """`_merge_table` drops each ready pair (i, j) for which (i, f) and (f, j)
     are both ready, f the first partner of i: each class keeps a path of
     ready pairs in place of its clique, so the classes stay connected."""
-    real = hcd._merge_table
+    real = verify._merge_table
 
     def mutant(p):
         ready = real(p)
@@ -210,20 +210,14 @@ def ready_pairs_spanning_forest(monkeypatch):
         # (i, first[i]) is ready by its definition
         return [(i, j) for i, j in ready if (first[i], j) not in pairs]
 
-    for module in (hcd, verify):
-        monkeypatch.setattr(module, "_merge_table", mutant)
+    monkeypatch.setattr(verify, "_merge_table", mutant)
 
 
 def ready_admits_one_difference(monkeypatch):
     """`_merge_table` counts a comparable pair whose rows differ off the pair
     in at most one element as ready."""
-    _rewrite(monkeypatch, hcd, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
+    _rewrite(monkeypatch, verify, "_merge_table", "if not (comp[i] ^ comp[j]) & ~(1 << i | 1 << j)",
              "if ((comp[i] ^ comp[j]) & ~(1 << i | 1 << j)).bit_count() <= 1")
-
-
-def merge_drops_pairs_of_i(monkeypatch):
-    """After a merge (i, j), the loop drops the candidates that hold i, not j."""
-    _rewrite(monkeypatch, hcd, "merge_fixpoint", "if j not in c]", "if i not in c]")
 
 
 def mixed_pair_comparable(monkeypatch):
@@ -437,7 +431,7 @@ def j_without_identity(monkeypatch):
 
 def mobius_without_sign(monkeypatch):
     """The Mobius recursion drops its sign: mu(x, y) sums mu(x, z) over x <= z < y."""
-    _rewrite(monkeypatch, poset, "mobius_matrix", "value -= row[", "value += row[")
+    _rewrite(monkeypatch, poset, "_mobius_row", "value -= row[", "value += row[")
 
 
 def mobius_unordered(monkeypatch):
@@ -682,11 +676,6 @@ def scattered_chain_witness_differs() -> bool:
     return hcd._embedding(p, graph, 0).witness != oracles.embedding_by_label_maps(p, graph, 0).witness
 
 
-def merge_fixpoint_differs_from_mhcd() -> bool:
-    """test_hcd.test_library_merge_fixpoint_equals_twin_classes's identity, on FAMILY."""
-    return any(hcd.merge_fixpoint(p) != hcd.mhcd(p) for p in FAMILY)
-
-
 def products_differ_from_oracle_words() -> bool:
     """test_hcd.test_products_match_oracle_words, on FAMILY."""
     for seed, p in enumerate(FAMILY):
@@ -864,8 +853,6 @@ MUTANTS = {
     "ready-admits-one-difference": (ready_admits_one_difference, check_fails("homogeneous")),
     # the classes keep their masks: only the clique count tells
     "ready-pairs-spanning-forest": (ready_pairs_spanning_forest, check_fails("homogeneous")),
-    # the battery runs no merge loop: only the loop's fixpoint tells
-    "merge-drops-pairs-of-i": (merge_drops_pairs_of_i, merge_fixpoint_differs_from_mhcd),
     "mixed-pair-comparable": (mixed_pair_comparable, check_fails("homogeneous")),
     # the verdict stands: only the pair named in the error tells
     "mixed-witness-first-bit": (mixed_witness_first_bit, mixed_pairs_differ_from_walk_oracle),

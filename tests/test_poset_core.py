@@ -371,6 +371,15 @@ def test_signed_counts_match_dfs_oracle():
                     assert got == oracles.signed_chain_count_oracle(p, x, y)
 
 
+def test_single_entries_match_the_matrices_small():
+    for n in range(6):
+        for p in enumerate_posets(n):
+            counts, mu = signed_chain_count_matrix(p), mobius_matrix(p)
+            for (x, a), (y, b) in itertools.product(enumerate(p.labels), repeat=2):
+                assert signed_chain_count(p, a, b) == counts[x][y]
+                assert mobius(p, a, b) == mu[x][y]
+
+
 def test_linear_extensions_chain_and_antichain():
     assert count_linear_extensions(chain(4)) == 1
     assert count_linear_extensions(antichain(4)) == 24
