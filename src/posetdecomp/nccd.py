@@ -88,53 +88,53 @@ def is_noncrossing(p: Poset, parts) -> bool:
     return crossing_witness(p, parts) is None
 
 
-def _creates_crossing(up: list[int], down: list[int], chains: list, j: int, v: int) -> bool:
-    """Does appending v to chain j complete a crossing?
-
-    Elements are placed in linear-extension order, so v can only ever play the
-    topmost role of a crossing; checking that one role keeps the search exact.
-    As in `_crossing`, the other chain's lowest element stands for every a.
-    """
-    mask_j = sum(1 << c for c in chains[j])
-    return any(
-        down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]
-        for i, ci in enumerate(chains)
-        if i != j
-        for b in ci[1:]
-    )
-
-
 def _noncrossing_walk(p: Poset, limit: list[int]) -> Iterator[list[list[int]]]:
     """Every noncrossing decomposition with fewer than limit[0] chains.
 
-    Elements are placed in linear-extension order; each one extends a chain
-    whose top lies below it without completing a crossing, or opens a new
-    chain while that stays under the limit.  Each decomposition is yielded as
-    the live chain lists, so a caller keeping one must copy it.  The limit is
-    read at every step, so the caller may lower it between yields.
+    One loop places the elements in linear-extension order from a stack of
+    picks; each extends a chain whose top lies below it without completing a
+    crossing, or opens a new chain while that stays under the limit.  It
+    yields the live chain lists (a caller keeping one must copy it) and reads
+    the limit at every step (the caller may lower it between yields).
+    Placed last, v can only be a crossing's top: joining chain j completes
+    one iff j meets the interval strictly between another chain i's lowest
+    element and some b of i below v.  Those b form a prefix of i, and down
+    rows nest along a chain, so the prefix's top gives the largest interval;
+    leaving out i's own elements makes the case i = j vacuous.
     """
     order = _topological_order(p)
     up, down = p.rows
     chains: list[list[int]] = []
-
-    def place(pos: int) -> Iterator[list[list[int]]]:
-        if len(chains) >= limit[0]:
-            return
-        if pos == p.n:
+    masks: list[int] = []
+    picks: list[tuple[int, int]] = []  # (chain joined, blocked mask) per placed element
+    j = blocked = 0  # the next chain to try at position len(picks)
+    while True:
+        if len(chains) < limit[0] and len(picks) == p.n:
             yield chains
+        elif len(chains) < limit[0]:
+            v = order[len(picks)]
+            if j == 0:  # a fresh position: blocked is 0
+                for chain, mask in zip(chains, masks):
+                    if (h := (mask & down[v]).bit_count()) > 1:
+                        blocked |= up[chain[0]] & down[chain[h - 1]] & ~mask
+            while j < len(chains) and (masks[j] & blocked or not up[chains[j][-1]] >> v & 1):
+                j += 1
+            if j < len(chains) or j == len(chains) and j + 1 < limit[0]:
+                if j == len(chains):
+                    chains.append([])
+                    masks.append(0)
+                chains[j].append(v)
+                masks[j] |= 1 << v
+                picks.append((j, blocked))
+                j = blocked = 0
+                continue
+        if not picks:
             return
-        v = order[pos]
-        for j, chain in enumerate(chains):
-            if up[chain[-1]] >> v & 1 and not _creates_crossing(up, down, chains, j, v):
-                chain.append(v)
-                yield from place(pos + 1)
-                chain.pop()
-        if len(chains) + 1 < limit[0]:
-            chains.append([v])
-            yield from place(pos + 1)
-            chains.pop()
-
-    return place(0)
+        j, blocked = picks.pop()
+        masks[j] ^= 1 << chains[j].pop()
+        if not masks[j]:
+            del chains[j], masks[j]
+        j += 1
 
 
 def minimum_noncrossing_decomposition(
@@ -146,7 +146,7 @@ def minimum_noncrossing_decomposition(
     Dilworth lower bound.  Returns (size, witness decomposition).
     """
     refuse_above("noncrossing minimum", cap, p.n)
-    return _noncrossing_minimum(p, width(p) if p.n else 0)
+    return _noncrossing_minimum(p, width(p))
 
 
 def _noncrossing_minimum(p: Poset, lower_bound: int) -> tuple[int, ChainDecomposition]:

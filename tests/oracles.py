@@ -815,6 +815,58 @@ def recursive_count_noncrossing(p) -> int:
     return place(0)
 
 
+# The library's placement walk on bit rows before it became one loop on chain
+# masks, kept verbatim apart from its placement order, recounted here as a
+# stable sort by down-row popcount.
+def _creates_crossing_on_rows(up: list[int], down: list[int], chains: list, j: int, v: int) -> bool:
+    """Does appending v to chain j complete a crossing?
+
+    Elements are placed in linear-extension order, so v can only ever play the
+    topmost role of a crossing; checking that one role keeps the search exact.
+    As in `_crossing`, the other chain's lowest element stands for every a.
+    """
+    mask_j = sum(1 << c for c in chains[j])
+    return any(
+        down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]
+        for i, ci in enumerate(chains)
+        if i != j
+        for b in ci[1:]
+    )
+
+
+def noncrossing_walk_by_recursion(p, limit: list[int]):
+    """Every noncrossing decomposition with fewer than limit[0] chains.
+
+    Elements are placed in linear-extension order; each one extends a chain
+    whose top lies below it without completing a crossing, or opens a new
+    chain while that stays under the limit.  Each decomposition is yielded as
+    the live chain lists, so a caller keeping one must copy it.  The limit is
+    read at every step, so the caller may lower it between yields.
+    """
+    up, down = p.rows
+    order = sorted(range(p.n), key=lambda x: down[x].bit_count())
+    chains: list[list[int]] = []
+
+    def place(pos: int):
+        if len(chains) >= limit[0]:
+            return
+        if pos == p.n:
+            yield chains
+            return
+        v = order[pos]
+        for j, chain in enumerate(chains):
+            if up[chain[-1]] >> v & 1 and not _creates_crossing_on_rows(up, down, chains, j, v):
+                chain.append(v)
+                yield from place(pos + 1)
+                chain.pop()
+        if len(chains) + 1 < limit[0]:
+            chains.append([v])
+            yield from place(pos + 1)
+            chains.pop()
+
+    return place(0)
+
+
 def wrap_matrices(p, chains):
     """(wrapped, above) as nested lists, by the pairwise loop over chains.
 

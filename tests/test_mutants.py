@@ -336,19 +336,18 @@ def descents_stop_above_floor(monkeypatch):
 
 
 def crossing_test_skips_the_chain(monkeypatch):
-    """`_creates_crossing` drops its second condition: v completes a
-    crossing with any chain that has an element below it, whether chain j
-    meets the interval or not."""
-    _rewrite(monkeypatch, nccd, "_creates_crossing",
-             "down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]", "down[v] >> b & 1")
+    """The walk's blocked mask drops its interval: v completes a crossing
+    with any chain that has two elements below it, whether chain j meets the
+    interval or not."""
+    _rewrite(monkeypatch, nccd, "_noncrossing_walk",
+             "blocked |= up[chain[0]] & down[chain[h - 1]] & ~mask", "blocked |= ~mask")
 
 
 def crossing_test_skips_the_top(monkeypatch):
-    """`_creates_crossing` drops its first condition: v completes a crossing
-    whenever chain j meets the interval above another chain's minimum and
-    below one of its elements, wherever v lies."""
-    _rewrite(monkeypatch, nccd, "_creates_crossing",
-             "down[v] >> b & 1 and mask_j & up[ci[0]] & down[b]", "mask_j & up[ci[0]] & down[b]")
+    """The walk's blocked mask ignores v: its interval runs from each chain's
+    lowest element to its top, wherever v lies."""
+    _rewrite(monkeypatch, nccd, "_noncrossing_walk", "(h := (mask & down[v]).bit_count())",
+             "(h := len(chain))")
 
 
 def catalan_off_at_four(monkeypatch):
@@ -366,7 +365,15 @@ def decomposition_by_index(monkeypatch):
 
 def walk_joins_incomparable(monkeypatch):
     """The noncrossing walk appends an element to a chain whose top it does not lie above."""
-    _rewrite(monkeypatch, nccd, "_noncrossing_walk", "up[chain[-1]] >> v & 1 and not", "not")
+    _rewrite(monkeypatch, nccd, "_noncrossing_walk",
+             " or not up[chains[j][-1]] >> v & 1)", ")")
+
+
+def walk_resumes_past_a_chain(monkeypatch):
+    """After undoing a pick, the walk resumes two chains on: the element
+    never tries the chain after the one it left."""
+    _rewrite(monkeypatch, nccd, "_noncrossing_walk",
+             "masks[j]\n        j += 1\n", "masks[j]\n        j += 2\n")
 
 
 def unsigned_side_counts(monkeypatch):
@@ -889,6 +896,7 @@ MUTANTS = {
     "catalan-off-at-four": (catalan_off_at_four, catalan_check_fails),
     "decomposition-by-index": (decomposition_by_index, boundary_table_fails_in_every_module),
     "walk-joins-incomparable": (walk_joins_incomparable, check_fails("noncrossing-trivial")),
+    "walk-resumes-past-a-chain": (walk_resumes_past_a_chain, catalan_check_fails),
     "unsigned-side-counts": (unsigned_side_counts, check_fails("cut")),
     "upper-over-lower-parts": (upper_over_lower_parts, check_fails("cut")),
     # on every block of admissible cuts tried, either key still gives every

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from posetdecomp import (
     wrap_relation,
 )
 from posetdecomp import hcd, kernels, nccd, verify
-from posetdecomp.chains import enumerate_chain_decompositions
+from posetdecomp.chains import ChainDecomposition, enumerate_chain_decompositions, width
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
 from posetdecomp.poset import _bitrows, _extension_rows, enumerate_posets
 
@@ -134,6 +135,69 @@ def test_noncrossing_walk_matches_recursive_searches():
         nc, witness = minimum_noncrossing_decomposition(p)
         assert (nc, witness.chains) == oracles.recursive_min_noncrossing(p)
         assert count_noncrossing_decompositions(p) == oracles.recursive_count_noncrossing(p)
+
+
+def walk_minimum(walk, p):
+    """(size, chains) of `walk`'s minimum under the limit-lowering protocol
+    of `nccd._noncrossing_minimum`: lower the limit to each yielded size, and
+    stop at the width."""
+    limit, best, floor = [p.n + 1], None, width(p)
+    for chains in walk(p, limit):
+        best = tuple(tuple(c) for c in chains)
+        limit[0] = len(best)
+        if limit[0] == floor:
+            break
+    return len(best), best
+
+
+def test_noncrossing_walk_matches_recursive_bit_row_walk():
+    # the whole sequence yielded with the limit at n + 1, and the minimum
+    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
+    posets += itertools.islice(enumerate_posets(6, cap=6), 0, None, 65)
+    posets += [random_poset(8, density=0.3, seed=seed) for seed in range(400)]
+    posets += [random_poset(9, density=0.2, seed=seed) for seed in range(50)]
+    for p in posets:
+        got = [[tuple(c) for c in chains] for chains in nccd._noncrossing_walk(p, [p.n + 1])]
+        want = [[tuple(c) for c in chains]
+                for chains in oracles.noncrossing_walk_by_recursion(p, [p.n + 1])]
+        assert got == want
+        nc, best = walk_minimum(oracles.noncrossing_walk_by_recursion, p)
+        assert nccd._noncrossing_minimum(p, width(p)) == (
+            nc, ChainDecomposition._from_index_parts(p, best))
+
+
+def test_noncrossing_minimum_matches_recursive_walk_on_deep_inputs():
+    # the recursive oracle places one element per frame: run it in a thread
+    # with room for that, and give the limit back whatever happens
+    found = {}
+
+    def deep():
+        for n in (1000, 2000):
+            p = wrap_forest(n, seed=0)
+            found[n] = p, walk_minimum(oracles.noncrossing_walk_by_recursion, p)
+
+    limit, stack = sys.getrecursionlimit(), threading.stack_size(64 << 20)
+    sys.setrecursionlimit(10_000)
+    try:
+        thread = threading.Thread(target=deep)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack)
+    assert not thread.is_alive() and len(found) == 2
+    for p, (nc, best) in found.values():
+        assert minimum_noncrossing_decomposition(p, cap=None) == (
+            nc, ChainDecomposition._from_index_parts(p, best))
+
+
+def test_noncrossing_minimum_needs_no_recursion():
+    # both walks are thousands of placements deep, past the default limit
+    assert minimum_noncrossing_decomposition(chain(5000), cap=None)[0] == 1
+    p = wrap_forest(3000, seed=0)
+    nc, witness = minimum_noncrossing_decomposition(p, cap=None)
+    assert nc == width(p)
+    assert is_noncrossing(p, witness)
 
 
 # -- patterns and descents --------------------------------------------------------
