@@ -30,8 +30,11 @@ input by design.  Each script in PROBES runs the same way, as one
 `python -c` process on the side's sources, and reports in-process times of
 its own (and counts, named without the `_s` suffix), for work that no
 command line isolates.  A script in SINGLE_PROBES runs in the same way, once
-per side, base first, after every other input: work too slow on the base
-side to repeat ten times.
+per side, base first, after the other inputs: work too slow on the base
+side to repeat ten times.  Last, TIER1 runs the side's own test suite once
+per side, base first, in its export: its exit status, the count of tests
+passed, its wall time, its user CPU time (with that of the processes it
+waited for, from wait4) and its slowest tests.
 
 Of ANALYZE_INPUTS, random 300 and 1000 build and list their MHCD chain
 graphs on the dense side of `hcd._dense` (one unpack); chain 2000,
@@ -45,6 +48,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -246,6 +250,9 @@ for seed in range(6):
 print(json.dumps(out))
 """,
 }
+# the tier-1 test suite, run once per side after every other input
+TIER1 = "tier1"
+TIER1_ARGS = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=20"]
 # perfbench/run.py's BLAS settings: one thread
 SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -260,7 +267,7 @@ def lower_is_better(names: set[str]) -> set[str]:
               "dilworth_wrapforest16000_s", "dilworth_chain8000_s", "dilworth_random1000_s",
               "analyze_wf600_s", "analyze_rnd300_s", "analyze_chain1000_s", "loads_wrapforest16000_s"}
     symmetry = {name for name in names if name.startswith("symmetry_")}
-    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s"} | probes | symmetry
+    return {m["name"] for m in metrics if m["better"] == "lower"} | {"wall_s", "user_cpu_s"} | probes | symmetry
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -338,6 +345,30 @@ def probe(root: str, code: str, cwd: str) -> dict:
                         for name, value in times.items()}}
 
 
+def tier1(root: str) -> dict:
+    """Run the test suite of the export at root, single-threaded, from the
+    export: its exit status, passed count, wall and user CPU seconds (the
+    suite's and its subprocesses', from wait4) and its slowest tests."""
+    cmd = [sys.executable, *TIER1_ARGS]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **SINGLE_THREADED)
+    start = time.perf_counter()
+    with subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True) as child:
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
+    lines = out.splitlines()
+    passed = re.search(r"(\d+) passed", lines[-1] if lines else "")
+    slowest = [ln for ln in lines if re.match(r"[\d.]+s (call|setup|teardown) ", ln)]
+    settings = [f"{name}={value}" for name, value in SINGLE_THREADED.items()]
+    return {"command": ["PYTHONPATH=src", *settings, "python3", *cmd[1:]], "exit": child.returncode,
+            "summary_line": lines[-1] if lines else "", "slowest": slowest,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "user_cpu_s": {"value": usage.ru_utime, "unit": "s"},
+                        "passed": {"value": int(passed.group(1)) if passed else 0, "unit": "count"}}}
+
+
 def quartiles(values: list[float]) -> list[float] | None:
     """The first and third quartiles, or None below two values."""
     if len(values) < 2:
@@ -402,9 +433,9 @@ def main() -> int:
                 raise subprocess.CalledProcessError(code, cmd)
             files[name] = cmd
         results: dict[str, dict] = {}
-        for name in [*WORKLOADS, *files, *VERIFY_INPUTS, *PROBES, *SINGLE_PROBES]:
+        for name in [*WORKLOADS, *files, *VERIFY_INPUTS, *PROBES, *SINGLE_PROBES, TIER1]:
             runs = []
-            for pair in range(1 if name in SINGLE_PROBES else PAIRS):
+            for pair in range(1 if name in SINGLE_PROBES or name == TIER1 else PAIRS):
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 for side in order:
                     if name in files:
@@ -413,6 +444,8 @@ def main() -> int:
                         run = timed(roots[side], VERIFY_INPUTS[name], scratch)
                     elif name in PROBES or name in SINGLE_PROBES:
                         run = probe(roots[side], {**PROBES, **SINGLE_PROBES}[name], scratch)
+                    elif name == TIER1:
+                        run = tier1(roots[side])
                     else:
                         run = perfbench(roots[side], name, pair + 1)
                     runs.append({"pair": pair, "side": side, **run})

@@ -8,6 +8,9 @@ and v is not appended when an unused element lies in `above` and
 pattern-below v.  That element must come later, where it would be the "2" of
 a pattern whose "1" is in the prefix and whose "3" is v; conversely every
 pattern occurrence is caught when its "3" is appended, so no avoider is lost.
+`min_descents` and its width memo are loops over explicit stacks, so they run
+at any depth; `permutations_avoiding` lists up to n! avoiders, so it never
+runs deep, and recurses.
 
 The rows are laid out as `Poset.rows`, with n = len(up): bit y of up[x] and
 bit x of down[y] mean x is pattern-below y (the strict order itself for plain
@@ -26,8 +29,10 @@ from typing import Callable
 def min_descents(up: list[int], down: list[int], lt: list[int], width: Callable[[int], int]) -> int:
     """Minimum descent count over all pattern-avoiding permutations.
 
-    Bitset branch and bound over prefixes; a node also holds its last
-    element and its descent count so far.
+    Bitset branch and bound over prefixes, one loop over a stack of frames,
+    one frame per prefix: its unused set, `above`, its descent count so far
+    and the candidates it has yet to try, ascents (lowest bit first) before
+    the others.  A frame leaves the stack when it has none left.
 
     The bound is the Dilworth width w(S) of the unused set S, taken in the
     comparability graph of the transitive closure of lt, so it holds for any
@@ -50,32 +55,34 @@ def min_descents(up: list[int], down: list[int], lt: list[int], width: Callable[
     full = (1 << n) - 1
     floor = width(full)
     best = n + 1
-
-    def scan(unused: int, last: int, above: int, d: int) -> None:
-        # returns with best == floor once the search is over
-        nonlocal best
-        ascents = unused & succ[last]
-        for group, nd in ((ascents, d), (unused ^ ascents, d + 1)):
-            while group:
-                low = group & -group
-                group ^= low
-                rest = unused ^ low
-                if not rest:
-                    if nd + 1 < best:
-                        best = nd + 1
-                        if best == floor:
-                            return
-                    continue
-                v = low.bit_length() - 1
-                if down[v] & above & rest or nd + width(rest) >= best:
-                    continue
-                scan(rest, v, above | up[v], nd)
+    # a frame: unused, above, descents so far, untried ascents, untried
+    # others; the first element ascends from a virtual start below everything
+    stack = [[full, 0, 0, full, 0]]
+    while stack:
+        frame = stack[-1]
+        unused, above, d, ascents, others = frame
+        if ascents:
+            low = ascents & -ascents
+            frame[3] = ascents ^ low
+        elif others:
+            low = others & -others
+            frame[4] = others ^ low
+            d += 1
+        else:
+            stack.pop()
+            continue
+        rest = unused ^ low
+        if not rest:
+            if d + 1 < best:
+                best = d + 1
                 if best == floor:
-                    return
-
-    # the first element ascends from a virtual start below everything
-    succ = [*lt, full]
-    scan(full, n, 0, 0)
+                    break
+            continue
+        v = low.bit_length() - 1
+        if down[v] & above & rest or d + width(rest) >= best:
+            continue
+        ascents = rest & lt[v]
+        stack.append([rest, above | up[v], d, ascents, rest ^ ascents])
     return best
 
 
@@ -86,15 +93,30 @@ def antichain_widths(comparable: list[int]) -> Callable[[int], int]:
     widths = {0: 0}
 
     def width(s: int) -> int:
-        # the largest antichain in s either skips its lowest element x, or
-        # holds x and nothing comparable to x
+        # the largest antichain in a set t either skips its lowest element x,
+        # or holds x and nothing comparable to x: t waits on the stack until
+        # the widths of both subsets are known
         w = widths.get(s)
-        if w is None:
-            low = s & -s
-            rest = s ^ low
-            w = max(width(rest), 1 + width(rest & ~comparable[low.bit_length() - 1]))
-            widths[s] = w
-        return w
+        if w is not None:
+            return w
+        stack = [s]
+        while stack:
+            t = stack[-1]
+            low = t & -t
+            skip = t ^ low
+            a = widths.get(skip)
+            if a is None:
+                stack.append(skip)
+                continue
+            take = skip & ~comparable[low.bit_length() - 1]
+            b = widths.get(take)
+            if b is None:
+                stack.append(take)
+                continue
+            # take is a subset of skip, so a >= b
+            widths[t] = a if a > b else b + 1
+            stack.pop()
+        return widths[s]
 
     return width
 

@@ -1,6 +1,7 @@
 """The permutation-scan kernels, one implementation each.
 
-`min_descents` is the width-bounded bitset branch and bound of `_reference`.
+`min_descents` is the width-bounded bitset branch and bound of `_reference`,
+a loop over a stack of frames, as is its width memo, so neither recurses.
 Its only bound is the Dilworth width of the unused elements, which every
 ascending-run decomposition obeys, and its floor is the width of everything,
 read off its own width memo.  It is not seeded from the minimal homogeneous

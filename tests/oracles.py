@@ -7,6 +7,8 @@ over indices so test expectations never share code paths with the library.
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import deque
 from typing import Sequence
 
@@ -1225,6 +1227,85 @@ def comparability_rows(lt: list[int]) -> list[int]:
             if row >> y & 1:
                 comparable[y] |= 1 << x
     return comparable
+
+
+# The library's descent scan and width memo before they became loops, kept
+# verbatim: both recurse once per element, so a deep input needs `run_deep`.
+def min_descents_by_recursion(up: list[int], down: list[int], lt: list[int], comparable: list[int]) -> int:
+    """Minimum descent count over all pattern-avoiding permutations, bounded
+    by the widths in the graph of bit rows `comparable`."""
+    width = antichain_widths_by_recursion(comparable)
+    n = len(up)
+    if len(down) != n or len(lt) != n:
+        raise ValueError("row count mismatch")
+    if n == 0:
+        return 0
+    full = (1 << n) - 1
+    floor = width(full)
+    best = n + 1
+
+    def scan(unused: int, last: int, above: int, d: int) -> None:
+        # returns with best == floor once the search is over
+        nonlocal best
+        ascents = unused & succ[last]
+        for group, nd in ((ascents, d), (unused ^ ascents, d + 1)):
+            while group:
+                low = group & -group
+                group ^= low
+                rest = unused ^ low
+                if not rest:
+                    if nd + 1 < best:
+                        best = nd + 1
+                        if best == floor:
+                            return
+                    continue
+                v = low.bit_length() - 1
+                if down[v] & above & rest or nd + width(rest) >= best:
+                    continue
+                scan(rest, v, above | up[v], nd)
+                if best == floor:
+                    return
+
+    # the first element ascends from a virtual start below everything
+    succ = [*lt, full]
+    scan(full, n, 0, 0)
+    return best
+
+
+def antichain_widths_by_recursion(comparable: list[int]):
+    """The width of a set of indices given as a bit mask, memoised over sets."""
+    widths = {0: 0}
+
+    def width(s: int) -> int:
+        # the largest antichain in s either skips its lowest element x, or
+        # holds x and nothing comparable to x
+        w = widths.get(s)
+        if w is None:
+            low = s & -s
+            rest = s ^ low
+            w = max(width(rest), 1 + width(rest & ~comparable[low.bit_length() - 1]))
+            widths[s] = w
+        return w
+
+    return width
+
+
+def run_deep(fn):
+    """fn() run in a thread with a 64 MB stack and a recursion limit of
+    10,000, for a recursive oracle on an input thousands of elements deep;
+    the limit and the stack size are given back whatever happens."""
+    result = []
+    limit, stack = sys.getrecursionlimit(), threading.stack_size(64 << 20)
+    sys.setrecursionlimit(10_000)
+    try:
+        thread = threading.Thread(target=lambda: result.append(fn()))
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack)
+    assert not thread.is_alive() and result, "the deep call did not finish"
+    return result[0]
 
 
 # The library's min_descents before its width-bounded bitset search, kept

@@ -45,6 +45,7 @@ from posetdecomp.nccd import (
 from posetdecomp.poset import enumerate_posets
 
 import oracles
+import populations
 
 DENSITIES = (0.15, 0.3, 0.5, 0.7)
 
@@ -60,17 +61,12 @@ def report(capsys):
     return _report
 
 
-@pytest.fixture(scope="module")
-def posets_by_size():
-    return {n: list(enumerate_posets(n, cap=5)) for n in range(6)}
-
-
-def test_criterion_1_dilworth_exactness(posets_by_size, report):
+def test_criterion_1_dilworth_exactness(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(5):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             d = minimum_chain_decomposition(p)
             a = maximum_antichain(p)
             brute = oracles.brute_min_chain_partition(p)
@@ -97,12 +93,12 @@ def test_criterion_1_dilworth_exactness(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_2_mhcd_unique_minimum(posets_by_size, report):
+def test_criterion_2_mhcd_unique_minimum(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             d = mhcd(p)
             if not (is_chain_decomposition(p, d) and is_homogeneous(p, d)):
                 ok, detail = False, ("invalid", p.covers())
@@ -121,12 +117,12 @@ def test_criterion_2_mhcd_unique_minimum(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_3_deletion_bounds(posets_by_size, report):
+def test_criterion_3_deletion_bounds(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(1, 6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             rep = deletion_bounds(p)
             if not rep.ok:
                 ok, detail = False, (p.covers(), rep.entries)
@@ -143,13 +139,13 @@ def test_criterion_3_deletion_bounds(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_4_cut_identity(posets_by_size, report):
+def test_criterion_4_cut_identity(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     cuts_checked = 0
     for n in range(6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             d = mhcd(p)
             for cut in enumerate_admissible_cuts(p, d):
                 rep = verify_cut_identity(p, cut)
@@ -183,7 +179,7 @@ def test_criterion_4_cut_identity(posets_by_size, report):
         # signed chain counts against the alternating-sum-free recursion,
         # exhaustively through six elements
         for n in range(7):
-            source = posets_by_size[n] if n <= 5 else enumerate_posets(6, cap=6)
+            source = populations.of_size(n) if n <= 5 else enumerate_posets(6, cap=6)
             for p in source:
                 if signed_chain_count_matrix(p) != mobius_matrix(p):
                     ok, detail = False, ("mobius", p.covers())
@@ -194,12 +190,12 @@ def test_criterion_4_cut_identity(posets_by_size, report):
     assert ok, (detail, cuts_checked)
 
 
-def test_criterion_5_automorphism_embedding(posets_by_size, report):
+def test_criterion_5_automorphism_embedding(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             rep = verify_embedding(p)
             if not (rep.well_defined and rep.injective and rep.homomorphism):
                 ok, detail = False, ("exhaustive", p.covers(), rep.witness)
@@ -231,12 +227,12 @@ def test_criterion_5_automorphism_embedding(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_6_five_minima_chain(posets_by_size, report):
+def test_criterion_6_five_minima_chain(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             rep = verify_chain_bounds(p)
             monotone = (
                 rep.min_chains
@@ -260,12 +256,12 @@ def test_criterion_6_five_minima_chain(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_7_descent_segments(posets_by_size, report):
+def test_criterion_7_descent_segments(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
     for n in range(6):
-        for p in posets_by_size[n]:
+        for p in populations.of_size(n):
             for perm in all_132_avoiding(p):
                 d = ascending_runs_decomposition(p, perm)
                 if not (
@@ -283,7 +279,7 @@ def test_criterion_7_descent_segments(posets_by_size, report):
     assert ok, detail
 
 
-def test_criterion_8_catalan_anchor(posets_by_size, report):
+def test_criterion_8_catalan_anchor(report):
     t0 = time.perf_counter()
     ok = True
     detail = None
@@ -297,7 +293,7 @@ def test_criterion_8_catalan_anchor(posets_by_size, report):
             break
     if ok:
         for n in range(6):
-            for p in posets_by_size[n]:
+            for p in populations.of_size(n):
                 nc, _ = minimum_noncrossing_decomposition(p)
                 total = is_chain(p, p.labels)
                 if p.n == 0:

@@ -1,6 +1,5 @@
 """The automorphism engine and the embedding check, pinned against listing oracles."""
 
-import itertools
 import math
 import random
 
@@ -9,14 +8,15 @@ import pytest
 
 from posetdecomp import Poset, poset, verify_embedding
 from posetdecomp.generate import antichain, random_poset, wrap_forest
-from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets, isomorphic
+from posetdecomp.poset import automorphism_group, automorphisms, isomorphic
 
 import oracles
+import populations
 
 FAMILIES = {
-    "n<=5": lambda: [p for n in range(6) for p in enumerate_posets(n)],
+    "n<=5": populations.up_to,
     "random9": lambda: [random_poset(9, 0.3, seed=s) for s in range(60)],
-    "wrapforest20": lambda: [wrap_forest(20, seed=s) for s in range(40)],
+    "wrapforest20": lambda: populations.wrapforest_n20(40),
 }
 
 # two 9-element posets with groups that the smaller posets do not show:
@@ -36,10 +36,7 @@ C3 = Poset.from_cover_relations(
 
 # the top-down oracle's populations: |Aut| up to 5,000 lists every element
 CHAIN_POPULATIONS = {
-    "n<=5": FAMILIES["n<=5"],
-    "every-65th-n6": lambda: list(itertools.islice(enumerate_posets(6, cap=None), 0, None, 65)),
-    "random-n8": lambda: [random_poset(8, 0.3, seed=s) for s in range(400)],
-    "wrapforest-n20": lambda: [wrap_forest(20, seed=s) for s in range(200)],
+    **populations.STANDARD,
     "wrapforest-n30": lambda: [wrap_forest(30, seed=s) for s in range(50)],
     "c2xc2-and-c3": lambda: [C2XC2, C3],
 }

@@ -43,7 +43,9 @@ from posetdecomp import (
 )
 from posetdecomp.generate import two_chain_fan, wrap_forest
 from posetdecomp.nccd import TreeNode, tree_to_text
-from posetdecomp.poset import automorphism_group, enumerate_posets
+from posetdecomp.poset import automorphism_group
+
+import populations
 
 
 def _key(value):
@@ -162,10 +164,8 @@ def boundary_faults(p: Poset) -> list[tuple[str, str]]:
 
 POPULATIONS = {
     "wrap_forest(12, 3)": lambda: [wrap_forest(12, 3)],
-    "wrap_forest(20)": lambda: [wrap_forest(20, seed=s) for s in range(10)],
-    "n<=4 and reversed": lambda: [
-        q for n in range(5) for p in enumerate_posets(n) for q in (p, reversed_copy(p))
-    ],
+    "wrap_forest(20)": lambda: populations.wrapforest_n20(10),
+    "n<=4 and reversed": lambda: [q for p in populations.up_to(4) for q in (p, reversed_copy(p))],
 }
 
 

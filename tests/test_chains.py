@@ -28,9 +28,9 @@ from posetdecomp.generate import (
     two_chain_fan,
     wrap_forest,
 )
-from posetdecomp.poset import enumerate_posets
 
 import oracles
+import populations
 
 
 def test_is_chain_and_antichain():
@@ -44,16 +44,15 @@ def test_is_chain_and_antichain():
 def test_chain_and_antichain_tests_match_pair_oracles():
     # random subsets of every poset with n <= 5, some with repeated elements
     rng = random.Random(21)
-    for n in range(6):
-        for p in enumerate_posets(n):
-            subsets = [[], list(p.labels)]
-            for _ in range(6):
-                subsets.append(rng.sample(p.labels, rng.randint(0, n)))
-                if n:
-                    subsets.append(rng.choices(p.labels, k=rng.randint(1, n + 2)))
-            for elems in subsets:
-                assert is_chain(p, elems) == oracles.is_chain_by_pairs(p, elems)
-                assert is_antichain(p, elems) == oracles.is_antichain_by_pairs(p, elems)
+    for p in populations.up_to():
+        subsets = [[], list(p.labels)]
+        for _ in range(6):
+            subsets.append(rng.sample(p.labels, rng.randint(0, p.n)))
+            if p.n:
+                subsets.append(rng.choices(p.labels, k=rng.randint(1, p.n + 2)))
+        for elems in subsets:
+            assert is_chain(p, elems) == oracles.is_chain_by_pairs(p, elems)
+            assert is_antichain(p, elems) == oracles.is_antichain_by_pairs(p, elems)
 
 
 def test_repeated_element_is_not_comparable_to_itself():
@@ -126,8 +125,7 @@ def _unchecked_families(p):
 def test_is_chain_decomposition_index_path_matches_label_path(monkeypatch):
     families = [
         (p, ChainDecomposition(p, tuple(parts)))
-        for n in range(5)
-        for p in enumerate_posets(n)
+        for p in populations.up_to(4)
         for parts in _unchecked_families(p)
     ]
     verdicts = [is_chain_decomposition(p, d.chains_as_labels()) for p, d in families]
@@ -186,14 +184,13 @@ def test_minimum_decomposition_known_sizes():
 
 
 def test_dilworth_equality_exhaustive():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            d = minimum_chain_decomposition(p)
-            a = maximum_antichain(p)
-            assert d.k == len(a)
-            assert is_antichain(p, a)
-            assert d.k == oracles.brute_min_chain_partition(p)
-            assert len(a) == oracles.max_antichain_size(p)
+    for p in populations.up_to(4):
+        d = minimum_chain_decomposition(p)
+        a = maximum_antichain(p)
+        assert d.k == len(a)
+        assert is_antichain(p, a)
+        assert d.k == oracles.brute_min_chain_partition(p)
+        assert len(a) == oracles.max_antichain_size(p)
 
 
 def test_dilworth_equality_random():
@@ -208,17 +205,10 @@ def test_width_matches_antichain():
 
 
 def test_enumerate_decompositions_matches_partition_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            got = {
-                frozenset(d.chains)
-                for d in enumerate_chain_decompositions(p, cap=6)
-            }
-            want = {
-                frozenset(tuple(block) for block in part)
-                for part in oracles.chain_partitions(p)
-            }
-            assert got == want
+    for p in populations.up_to(4):
+        got = {frozenset(d.chains) for d in enumerate_chain_decompositions(p, cap=6)}
+        want = {frozenset(tuple(block) for block in part) for part in oracles.chain_partitions(p)}
+        assert got == want
 
 
 def test_enumerate_decompositions_yields_each_once():
@@ -235,8 +225,7 @@ def test_partition_walk_is_the_object_enumeration():
     # order, and per partition the verdict of the library's is_homogeneous
     from posetdecomp.hcd import is_homogeneous
 
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [p for i, p in enumerate(enumerate_posets(6, cap=None)) if i % 65 == 0]
+    posets = populations.up_to() + populations.every_65th_n6()
     mixed = 0
     for p in posets:
         walk = list(chains_module._partition_walk(p, cap=6))
@@ -252,7 +241,7 @@ def test_partition_walk_is_the_object_enumeration():
 
 
 def test_empty_poset():
-    for p in enumerate_posets(0):
+    for p in populations.of_size(0):
         assert minimum_chain_decomposition(p).k == 0
         assert maximum_antichain(p) == ()
 
@@ -273,7 +262,7 @@ def test_matching_with_long_augmenting_path():
 
 
 def _matching_populations():
-    yield from (p for n in range(6) for p in enumerate_posets(n))
+    yield from populations.up_to()
     for density in (0.02, 0.05, 0.1, 0.2, 0.35, 0.5):
         for seed in range(8):
             yield random_poset(8 + 13 * (seed % 5), density=density, seed=seed)

@@ -16,11 +16,11 @@ import posetdecomp.verify
 from posetdecomp.cli import _EdgeRows, _print_analysis, _section_mhcd, main
 from posetdecomp.errors import InternalInconsistencyError, ScopeExceededError
 from posetdecomp.generate import FAMILIES, chain, random_poset, two_chain_fan, wrap_forest
-from posetdecomp.poset import enumerate_posets
 from posetdecomp.textio import dumps, loads
 from posetdecomp.verify import Analysis
 
 import oracles
+import populations
 
 CLI = [sys.executable, "-m", "posetdecomp.cli"]
 
@@ -416,9 +416,7 @@ def test_analyze_1000_chain_in_process(tmp_path, capsys):
 
 
 def test_mhcd_section_edges_match_pair_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [random_poset(8, 0.3, seed=s) for s in range(50)]
-    posets += [wrap_forest(20, seed=s) for s in range(50)]
+    posets = populations.up_to() + populations.random_n8(50) + populations.wrapforest_n20(50)
     posets += [random_poset(60, 0.3), random_poset(120, 0.6)]
     edges, sides = 0, set()
     for p in posets:

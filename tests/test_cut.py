@@ -34,9 +34,9 @@ from posetdecomp import (
 from posetdecomp import cut as cut_module
 from posetdecomp import hcd, poset, verify
 from posetdecomp.generate import boolean_lattice, chain, random_poset, wrap_forest
-from posetdecomp.poset import enumerate_posets
 
 import oracles
+import populations
 
 
 def theta():
@@ -209,12 +209,11 @@ def test_single_chain_cut():
 
 
 def test_identity_exhaustive_small():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            d = mhcd(p)
-            for cut in enumerate_admissible_cuts(p, d):
-                rep = verify_cut_identity(p, cut)
-                assert rep.equal, (p.covers(), cut.heights)
+    for p in populations.up_to():
+        d = mhcd(p)
+        for cut in enumerate_admissible_cuts(p, d):
+            rep = verify_cut_identity(p, cut)
+            assert rep.equal, (p.covers(), cut.heights)
 
 
 def test_identity_on_wrap_forests():
@@ -239,20 +238,14 @@ def test_improper_cut_reported_not_asserted():
 
 
 def test_d_matches_mobius_aggregation():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            d = mhcd(p)
-            mob = mobius_matrix(p)
-            agg = [[0] * d.k for _ in range(d.k)]
-            for i, ci in enumerate(d.chains):
-                for j, cj in enumerate(d.chains):
-                    agg[i][j] = sum(
-                        mob[x][y]
-                        for x in ci
-                        for y in cj
-                        if x == y or p.lt[x, y]
-                    )
-            assert d_matrix(p, d) == agg
+    for p in populations.up_to(4):
+        d = mhcd(p)
+        mob = mobius_matrix(p)
+        agg = [[0] * d.k for _ in range(d.k)]
+        for i, ci in enumerate(d.chains):
+            for j, cj in enumerate(d.chains):
+                agg[i][j] = sum(mob[x][y] for x in ci for y in cj if x == y or p.lt[x, y])
+        assert d_matrix(p, d) == agg
 
 
 def test_integer_determinant_known():
@@ -274,13 +267,12 @@ def test_j_can_be_singular():
 
 def test_signed_counts_equal_mobius_n6_sample():
     # the exhaustive n <= 6 sweep lives in the acceptance suite; spot-check here
-    for p in enumerate_posets(4):
+    for p in populations.of_size(4):
         assert signed_chain_count_matrix(p) == mobius_matrix(p)
 
 
 def test_signed_counts_match_power_sum_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [wrap_forest(20, seed=s) for s in range(50)]
+    posets = populations.up_to() + populations.wrapforest_n20(50)
     posets += [random_poset(14, 0.3, seed=s) for s in range(50)]
     for p in posets:
         assert signed_chain_count_matrix(p) == oracles.power_sum_signed_counts(p.lt)
@@ -338,7 +330,7 @@ def test_side_series_float_tier_matches_int64(monkeypatch):
 
 
 def test_identity_reports_match_per_cut_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(10)]
     for p in posets:
         d = mhcd(p)
@@ -407,7 +399,7 @@ def kernel_faults(posets) -> int:
 
 
 def test_kernel_matches_row_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(5)]
     posets += [random_poset(9, 0.3, seed=s) for s in range(30)]
     assert kernel_faults(posets) == 0
@@ -465,7 +457,7 @@ PAST_53 = [wrap_forest(64, seed=2), wrap_forest(72, seed=2), wrap_forest(80, see
 
 
 def test_tiers_sized_by_the_chain_count_bound():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     posets += [q for n in range(20, 81) for s in range(3) if under_cut_cap(q := wrap_forest(n, seed=s))]
     posets += PAST_53 + [random_poset(300, 0.3, seed=0)]
     assert tier_faults(posets) == []
@@ -588,7 +580,7 @@ def test_check_cut_evaluates_each_block_once(monkeypatch):
 
 
 def test_mobius_matches_loop_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     posets += [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(3)]
     for p in posets + [chain(70)]:
         assert mobius_matrix(p) == oracles.mobius_by_loop(p)
@@ -597,7 +589,7 @@ def test_mobius_matches_loop_oracle():
 
 def test_lhs_is_the_exact_object_product():
     # D_whole J in the dtype its bound allows, k times D_whole's largest entry
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     for p in posets + [wrap_forest(600, seed=0), chain(70)]:
         frame = verify.Analysis(p).frame
         assert frame.lhs.dtype == np.int64
@@ -607,8 +599,7 @@ def test_lhs_is_the_exact_object_product():
 
 
 def _frame_family():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [random_poset(8, 0.3, seed=s) for s in range(400)]
+    posets = populations.up_to() + populations.random_n8()
     return posets + [wrap_forest(n, seed=s) for n in range(12, 31) for s in range(10)]
 
 

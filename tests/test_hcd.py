@@ -46,10 +46,11 @@ from posetdecomp.hcd import (
     _unoriented_order,
 )
 from posetdecomp.errors import ScatteringError
-from posetdecomp.poset import automorphism_group, automorphisms, enumerate_posets
+from posetdecomp.poset import automorphism_group, automorphisms
 from posetdecomp.verify import _merge_table
 
 import oracles
+import populations
 
 
 def theta():
@@ -98,12 +99,11 @@ def _comparability_agrees(p, d):
 def test_chain_comparability_matches_loop_oracle_exhaustive():
     # every chain decomposition of every poset with n <= 5, homogeneous or not
     seen = mixed = 0
-    for n in range(6):
-        for p in enumerate_posets(n):
-            for d in enumerate_chain_decompositions(p):
-                _comparability_agrees(p, d)
-                seen += 1
-                mixed += not is_homogeneous(p, d)
+    for p in populations.up_to():
+        for d in enumerate_chain_decompositions(p):
+            _comparability_agrees(p, d)
+            seen += 1
+            mixed += not is_homogeneous(p, d)
     assert (seen, mixed) == (69714, 50644)
 
 
@@ -149,42 +149,39 @@ def test_mhcd_known_cases():
 
 
 def test_mhcd_matches_enumeration_oracle():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            d = mhcd(p)
-            minima = oracles.brute_minimal_homogeneous(p)
-            assert len(minima) == 1
-            assert frozenset(d.chains) == minima[0]
+    for p in populations.up_to():
+        d = mhcd(p)
+        minima = oracles.brute_minimal_homogeneous(p)
+        assert len(minima) == 1
+        assert frozenset(d.chains) == minima[0]
 
 
 def test_mhcd_confluent_under_shuffles():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            base = frozenset(mhcd(p).chains)
-            for s in range(5):
-                assert oracles.merge_fixpoint(p, shuffle_seed=s) == base
+    for p in populations.up_to():
+        base = frozenset(mhcd(p).chains)
+        for s in range(5):
+            assert oracles.merge_fixpoint(p, shuffle_seed=s) == base
 
 
 def test_twin_classes_equal_merge_oracle_on_seeded_families():
     families = (
-        lambda s: random_poset(9, seed=s),
-        lambda s: wrap_forest(20, seed=s),
-        lambda s: random_poset(14, density=0.15, seed=s),
+        [random_poset(9, seed=s) for s in range(200)],
+        populations.wrapforest_n20(),
+        [random_poset(14, density=0.15, seed=s) for s in range(200)],
     )
-    for make in families:
-        for s in range(200):
-            p = make(s)
+    for posets in families:
+        for s, p in enumerate(posets):
             assert frozenset(mhcd(p).chains) == oracles.merge_fixpoint(p), s
 
 
 def test_merge_sequences_match_rescan_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    posets = populations.up_to()
     posets += [random_poset(9, 0.3, seed=s) for s in range(60)]
     posets += [random_poset(14, 0.15, seed=s) for s in range(50)]
     # twin classes of up to 9 elements, interleaved, next to many pairs that
     # differ off the pair and so never become merges
     posets += [random_poset(12, 0.6, seed=s) for s in range(20)]
-    posets += [wrap_forest(20, seed=s) for s in range(40)]
+    posets += populations.wrapforest_n20(40)
     posets += [wrap_forest(40, seed=s) for s in range(10)]
     for p in posets:
         table = _merge_table(p)
@@ -195,14 +192,9 @@ def test_merge_sequences_match_rescan_oracle():
 def test_seeded_replays_take_as_many_orders_as_before():
     # the replays of seeds 0..7 differ from each other on as many posets as
     # under random.Random(seed), so the stream shuffles the merges as widely
-    populations = {
-        1506: (p for n in range(6) for p in enumerate_posets(n)),
-        152: (random_poset(8, 0.3, seed=s) for s in range(400)),
-        200: (wrap_forest(20, seed=s) for s in range(200)),
-    }
-    for expected, posets in populations.items():
+    for name, expected in (("n<=5", 1506), ("random-n8", 152), ("wrapforest-n20", 200)):
         differ = 0
-        for p in posets:
+        for p in populations.STANDARD[name]():
             table = _merge_table(p)
             differ += len({tuple(oracles.replay_ready_pairs(table, s)) for s in range(8)}) > 1
         assert differ == expected
@@ -221,15 +213,14 @@ def test_chain_graph_edges_theta():
 
 
 def test_orientation_is_acyclic_and_by_minima():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            g = acyclic_orientation(p)
-            mat = oracles.matrix_of_rows(g.rows[0])
-            # no two-cycles, and every oriented edge starts at the smaller minimum
-            assert not (mat & mat.T).any()
-            d = g.decomposition
-            for i, j in g.edges():
-                assert p.lt[d.chains[i][0], d.chains[j][0]]
+    for p in populations.up_to():
+        g = acyclic_orientation(p)
+        mat = oracles.matrix_of_rows(g.rows[0])
+        # no two-cycles, and every oriented edge starts at the smaller minimum
+        assert not (mat & mat.T).any()
+        d = g.decomposition
+        for i, j in g.edges():
+            assert p.lt[d.chains[i][0], d.chains[j][0]]
 
 
 def test_to_dot_shapes():
@@ -296,10 +287,9 @@ def test_preserves_length_classes():
 
 
 def test_embedding_exhaustive_small():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            rep = verify_embedding(p)
-            assert rep.well_defined and rep.injective and rep.homomorphism
+    for p in populations.up_to(4):
+        rep = verify_embedding(p)
+        assert rep.well_defined and rep.injective and rep.homomorphism
 
 
 def test_embedding_anchor_orders():
@@ -333,8 +323,7 @@ def test_embedding_hom_products_pairs_and_words():
 def test_products_match_oracle_words():
     # every product the homomorphism test maps, words included, against the
     # oracle's own draws, on every poset with n <= 5 and seeded wrap forests
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [wrap_forest(20, seed=s) for s in range(40)]
+    posets = populations.up_to() + populations.wrapforest_n20(40)
     for seed, p in enumerate(posets):
         d = mhcd(p)
         gens = [(g, induced_chain_permutation(p, d, g)) for g in automorphism_group(p.rows).generators]
@@ -362,16 +351,16 @@ def _homogeneous_graphs():
     """The oriented chain graph of every homogeneous chain decomposition of
     every poset with n <= 4, the MHCD's and every finer or other one: these
     reach the scattering, length and graph witnesses."""
-    for p in (p for n in range(5) for p in enumerate_posets(n)):
+    for p in populations.up_to(4):
         for masks, homogeneous in _partition_walk(p, None):
             if homogeneous:
                 yield p, acyclic_orientation(p, ChainDecomposition._from_masks(p, masks))
 
 
 EMBEDDING_CASES = {
-    "n<=5": lambda: ((p, acyclic_orientation(p)) for n in range(6) for p in enumerate_posets(n)),
-    "random8": lambda: ((p, acyclic_orientation(p)) for p in (random_poset(8, 0.3, seed=s) for s in range(400))),
-    "wrapforest20": lambda: ((p, acyclic_orientation(p)) for p in (wrap_forest(20, seed=s) for s in range(200))),
+    "n<=5": lambda: ((p, acyclic_orientation(p)) for p in populations.up_to()),
+    "random8": lambda: ((p, acyclic_orientation(p)) for p in populations.random_n8()),
+    "wrapforest20": lambda: ((p, acyclic_orientation(p)) for p in populations.wrapforest_n20()),
     "homogeneous-n<=4": _homogeneous_graphs,
     "non-chain-block": lambda: [
         (antichain(2), acyclic_orientation(antichain(2), ChainDecomposition(antichain(2), ((0, 1),)))),
@@ -414,7 +403,7 @@ def test_induced_map_matches_chain_set_oracle():
     # messages, on every chain decomposition of every poset with n <= 4 and
     # seeded element maps that need not be automorphisms
     rng = random.Random(31)
-    for p in (p for n in range(5) for p in enumerate_posets(n)):
+    for p in populations.up_to(4):
         maps = [tuple(rng.sample(range(p.n), p.n)) for _ in range(6)]
         maps += [tuple(rng.randrange(p.n) for _ in range(p.n)), tuple(range(p.n - 1))]
         for d in enumerate_chain_decompositions(p):
@@ -425,17 +414,14 @@ def test_induced_map_matches_chain_set_oracle():
 
 
 def test_deletion_bounds_exhaustive():
-    for n in range(1, 6):
-        for p in enumerate_posets(n, cap=5):
-            rep = deletion_bounds(p)
-            assert rep.ok
+    for p in populations.up_to()[1:]:
+        assert deletion_bounds(p).ok
 
 
 def test_deletion_counts_match_sub_poset_mhcd():
     # the twin classes of the comparability matrix without z, against the
     # MHCD of the validated sub-poset
-    posets = [p for n in range(1, 6) for p in enumerate_posets(n)]
-    posets += [wrap_forest(20, seed=s) for s in range(10)]
+    posets = populations.up_to()[1:] + populations.wrapforest_n20(10)
     for p in posets:
         counts = [e["k_without"] for e in deletion_bounds(p).entries]
         assert counts == [mhcd(p.without(z)).k for z in p.labels]

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 from posetdecomp import _reference, kernels
-from posetdecomp.generate import antichain, chain, random_poset, two_chain_fan
-from posetdecomp.nccd import derived_extension
-from posetdecomp.poset import enumerate_posets
+from posetdecomp.chains import width
+from posetdecomp.generate import antichain, chain, random_poset, two_chain_fan, wrap_forest
+from posetdecomp.nccd import (
+    derived_extension,
+    min_descents_over_avoiders,
+    min_descents_over_extension_avoiders,
+)
+from posetdecomp.poset import _extension_rows
 
 import oracles
+import populations
 
 
 def _bytes(m) -> bytes:
@@ -39,11 +45,10 @@ def test_reference_trivial_sizes():
 
 
 def test_reference_matches_naive_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            width = _widths(p.rows[0])
-            assert _reference.min_descents(*p.rows, p.rows[0], width) == oracles.naive_min_descents(p)
-            assert _reference.permutations_avoiding(*p.rows) == sorted(oracles.naive_avoiders(p))
+    for p in populations.up_to(4):
+        width = _widths(p.rows[0])
+        assert _reference.min_descents(*p.rows, p.rows[0], width) == oracles.naive_min_descents(p)
+        assert _reference.permutations_avoiding(*p.rows) == sorted(oracles.naive_avoiders(p))
 
 
 def _assert_min_descents_match(pattern, lt):
@@ -71,14 +76,13 @@ def test_min_descents_rejects_size_mismatch():
 
 
 def test_min_descents_matches_scan_oracle_exhaustive():
-    for n in range(6):
-        for p in enumerate_posets(n):
-            _assert_poset_min_descents_match(p)
+    for p in populations.up_to():
+        _assert_poset_min_descents_match(p)
 
 
 def test_min_descents_matches_scan_oracle_random_n8():
-    for s in range(200):
-        _assert_poset_min_descents_match(random_poset(8, density=0.3, seed=s))
+    for p in populations.random_n8(200):
+        _assert_poset_min_descents_match(p)
 
 
 def test_min_descents_matches_scan_oracle_large():
@@ -100,6 +104,40 @@ def test_min_descents_matches_scan_oracle_on_arbitrary_relations():
         _assert_min_descents_match(pattern, _random_matrix(rng, n, dl))
 
 
+def _assert_scans_match_recursion(p, deep=False):
+    """Both scans of p, plain and relative to its derived extension, against
+    the recursive scan and width memo, run deep when asked."""
+    up, down = p.rows
+    comparable = [u | v for u, v in zip(up, down)]
+    patterns = [(up, down), _extension_rows(p, [p.idx(x) for x in derived_extension(p)])]
+    widths = kernels.antichain_widths(comparable)
+    got = [kernels.min_descents(*rows, up, widths) for rows in patterns]
+
+    def want():
+        return [oracles.min_descents_by_recursion(*rows, up, comparable) for rows in patterns]
+
+    assert got == (oracles.run_deep(want) if deep else want())
+
+
+@pytest.mark.parametrize("population", populations.STANDARD)
+def test_min_descents_matches_recursive_scan(population):
+    for p in populations.STANDARD[population]():
+        _assert_scans_match_recursion(p)
+
+
+def test_min_descents_matches_recursive_scan_deep():
+    # the recursive scan and width memo are about 1,100 frames deep here
+    _assert_scans_match_recursion(wrap_forest(1100, seed=0), deep=True)
+
+
+def test_scans_need_no_recursion():
+    # the scan and the width memo are loops: 5,000 elements deep, both scans
+    # reach the width under the default recursion limit
+    for p in (chain(5000), wrap_forest(5000, seed=0)):
+        assert min_descents_over_avoiders(p, cap=None) == width(p)
+        assert min_descents_over_extension_avoiders(p, derived_extension(p), cap=None) == width(p)
+
+
 def _assert_avoiders_match(pattern):
     assert kernels.permutations_avoiding(*oracles.bit_rows(pattern)) == oracles.scan_avoiders(
         _bytes(pattern), len(pattern)
@@ -114,14 +152,13 @@ def test_permutations_avoiding_rejects_size_mismatch():
 
 
 def test_permutations_avoiding_matches_scan_oracle_exhaustive():
-    for n in range(6):
-        for p in enumerate_posets(n):
-            _assert_avoiders_match(p.lt)
-            _assert_avoiders_match(oracles.extension_matrix(p, derived_extension(p)))
+    for p in populations.up_to():
+        _assert_avoiders_match(p.lt)
+        _assert_avoiders_match(oracles.extension_matrix(p, derived_extension(p)))
 
 
 def test_permutations_avoiding_matches_scan_oracle_families():
-    cases = [antichain(7), chain(8), two_chain_fan(3), *(random_poset(8, seed=s) for s in range(6))]
+    cases = [antichain(7), chain(8), two_chain_fan(3), *populations.random_n8(6)]
     for p in cases:
         _assert_avoiders_match(p.lt)
 

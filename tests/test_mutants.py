@@ -2,8 +2,9 @@
 
 Each entry of MUTANTS monkeypatches one library function with a plausible
 bug and names what must catch it; the killer runs on a family fixed before
-the run (every poset with n <= 4 and a few wrap forests).  The killer must
-pass on the library as it is and fail under the defect.
+the run (every poset with n <= 4 and a few wrap forests), handed out as new
+posets at each call so that no defect's cached state outlives it.  The
+killer must pass on the library as it is and fail under the defect.
 """
 
 import ast
@@ -23,17 +24,25 @@ from posetdecomp.chains import ChainDecomposition
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 
 import oracles
+import populations
 import test_automorphisms
 import test_boundary
 import test_cli
 import test_cut
 import test_textio
 
-FAMILY = [p for n in range(5) for p in poset.enumerate_posets(n)]
-FAMILY += [wrap_forest(20, seed=s) for s in range(4)]
-# on the posets above, the engine needs one witness per level, and every
-# generator induces an involution, so that sigma and its inverse agree
-FAMILY += [test_automorphisms.C2XC2, test_automorphisms.C3]
+
+def family() -> list:
+    """Every poset with n <= 4, `wrap_forest(20)` seeds 0..3, and C2XC2 and
+    C3, as new `Poset` objects at each call."""
+    # on the other posets the engine needs one witness per level, and every
+    # generator induces an involution, so that sigma and its inverse agree;
+    # C2XC2 and C3 break both
+    return [*populations.up_to(4), *populations.wrapforest_n20(4),
+            *(poset.Poset._from_rows(q.labels, *map(list, q.rows))
+              for q in (test_automorphisms.C2XC2, test_automorphisms.C3))]
+
+
 NEAR_ORDERS = list(oracles.near_orders(seed=6, count=600))
 
 
@@ -41,10 +50,10 @@ def _segment_cases() -> list:
     """Every permutation of every poset with n <= 4, and 12 seeded
     permutations of each of 150 seeded posets with n = 5."""
     rng = random.Random(27)
-    cases = [(p, perm) for p in FAMILY if p.n <= 4 for perm in itertools.permutations(range(p.n))]
+    cases = [(p, perm) for p in populations.up_to(4) for perm in itertools.permutations(range(p.n))]
     cases += [
         (p, tuple(rng.sample(range(5), 5)))
-        for p in rng.sample(list(poset.enumerate_posets(5)), 150)
+        for p in rng.sample(populations.of_size(5), 150)
         for _ in range(12)
     ]
     return cases
@@ -335,6 +344,12 @@ def descents_stop_above_floor(monkeypatch):
              "floor = width(full) + 1\n")
 
 
+def descents_stop_at_first_dead_end(monkeypatch):
+    """The descent search ends at its first exhausted frame, so it returns
+    the best permutation of the first branch it closes, not the minimum."""
+    _rewrite(monkeypatch, _reference, "min_descents", "stack.pop()", "stack.clear()")
+
+
 def crossing_test_skips_the_chain(monkeypatch):
     """The walk's blocked mask drops its interval: v completes a crossing
     with any chain that has two elements below it, whether chain j meets the
@@ -595,8 +610,8 @@ def closure_differs_from_squaring_oracle() -> bool:
 
 
 def round_trip_through_covers_differs() -> bool:
-    """Rebuilding each poset of FAMILY from its Hasse diagram."""
-    return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in FAMILY)
+    """Rebuilding each poset of family() from its Hasse diagram."""
+    return any(poset.Poset.from_cover_relations(p.labels, p.covers()) != p for p in family())
 
 
 def reader_differs_from_two_pass_oracle() -> bool:
@@ -606,15 +621,15 @@ def reader_differs_from_two_pass_oracle() -> bool:
 
 def rows_differ_from_matrix() -> bool:
     """test_poset_core's rows-first invariant, on every poset with n <= 4 and
-    on FAMILY loaded again from its covers."""
+    on family() loaded again from its covers."""
     posets = [p for n in range(5) for p in poset.enumerate_posets(n)]
-    posets += [poset.Poset.from_cover_relations(p.labels, p.covers()) for p in FAMILY]
+    posets += [poset.Poset.from_cover_relations(p.labels, p.covers()) for p in family()]
     return any(p.rows != poset._bitrows(p.lt) for p in posets)
 
 
 def walk_differs_from_product_oracles() -> bool:
-    """test_poset_core's cover-walk agreement tests, on FAMILY and NEAR_ORDERS."""
-    for p in FAMILY:
+    """test_poset_core's cover-walk agreement tests, on family() and NEAR_ORDERS."""
+    for p in family():
         if poset.Poset(p.labels, p.lt).covers() != oracles.covers_by_product(p):
             return True
     for lt in NEAR_ORDERS:
@@ -634,7 +649,7 @@ def orders_differ_from_listing_oracle() -> bool:
     return any(
         poset.automorphism_group(p.rows).order
         != len(oracles._order_search(p.lt, p.lt, find_all=True))
-        for p in FAMILY
+        for p in family()
     )
 
 
@@ -645,13 +660,13 @@ def chain_differs_from_top_down_oracle() -> bool:
 
 
 def generators_exceed_orbit_bound() -> bool:
-    """test_automorphisms.test_generators_join_orbits, on FAMILY."""
-    return any(len(poset.automorphism_group(p.rows).generators) > max(p.n - 1, 0) for p in FAMILY)
+    """test_automorphisms.test_generators_join_orbits, on family()."""
+    return any(len(poset.automorphism_group(p.rows).generators) > max(p.n - 1, 0) for p in family())
 
 
 def matching_differs_from_list_oracle() -> bool:
-    """test_chains.test_bit_row_matching_is_the_list_matching, on FAMILY."""
-    for p in FAMILY:
+    """test_chains.test_bit_row_matching_is_the_list_matching, on family()."""
+    for p in family():
         succ = [np.flatnonzero(row).tolist() for row in p.lt]
         if chains._hopcroft_karp(p.rows[0], p.n)[:2] != oracles._hopcroft_karp(succ, p.n):
             return True
@@ -659,11 +674,11 @@ def matching_differs_from_list_oracle() -> bool:
 
 
 def deletion_counts_differ_from_sub_posets() -> bool:
-    """test_hcd.test_deletion_counts_match_sub_poset_mhcd, on FAMILY."""
+    """test_hcd.test_deletion_counts_match_sub_poset_mhcd, on family()."""
     return any(
         [e["k_without"] for e in hcd.deletion_bounds(p).entries]
         != [hcd.mhcd(p.without(z)).k for z in p.labels]
-        for p in FAMILY
+        for p in family()
     )
 
 
@@ -684,8 +699,8 @@ def scattered_chain_witness_differs() -> bool:
 
 
 def products_differ_from_oracle_words() -> bool:
-    """test_hcd.test_products_match_oracle_words, on FAMILY."""
-    for seed, p in enumerate(FAMILY):
+    """test_hcd.test_products_match_oracle_words, on family()."""
+    for seed, p in enumerate(family()):
         d = hcd.mhcd(p)
         generators = poset.automorphism_group(p.rows).generators
         gens = [(g, hcd.induced_chain_permutation(p, d, g)) for g in generators]
@@ -697,8 +712,8 @@ def products_differ_from_oracle_words() -> bool:
 
 def orientation_differs_from_oracle() -> bool:
     """test_nccd.test_chain_layer_rows_match_dense_oracles' orientation, on
-    FAMILY and on random_poset(120, 0.6), whose chain graph is dense."""
-    for p in [*FAMILY, random_poset(120, 0.6)]:
+    family() and on random_poset(120, 0.6), whose chain graph is dense."""
+    for p in [*family(), random_poset(120, 0.6)]:
         g = hcd.acyclic_orientation(p)
         comp, _ = oracles.chain_comparability(p, g.decomposition.chains)
         if g.rows != oracles.bit_rows(oracles.orientation_by_minima(p, g.decomposition.chains, comp)):
@@ -711,15 +726,14 @@ def mixed_pairs_differ_from_walk_oracle() -> bool:
     first mixed pairs, on every chain decomposition of every poset with n <= 5."""
     return any(
         hcd._comparable_pairs(p, d)[2] != oracles.comparable_pairs_by_walk(p, d)[2]
-        for n in range(6)
-        for p in poset.enumerate_posets(n)
+        for p in populations.up_to()
         for d in chains.enumerate_chain_decompositions(p)
     )
 
 
 def mhcd_section_differs_from_pair_oracle() -> bool:
-    """test_cli.test_mhcd_section_edges_match_pair_oracle, on FAMILY."""
-    for p in FAMILY:
+    """test_cli.test_mhcd_section_edges_match_pair_oracle, on family()."""
+    for p in family():
         an = verify.Analysis(p)
         if cli._section_mhcd(an, False)["oriented_edges"].pairs() != oracles.oriented_edges_by_pairs(p, an.mhcd.chains):
             return True
@@ -765,11 +779,11 @@ def segment_walk_differs_from_runs() -> bool:
 def segment_witness_differs_from_first_avoider() -> bool:
     """test_nccd.test_segment_walk_flags_what_the_prefix_replay_flags's
     witness test, on the order and the cover relation of every poset with
-    n <= 5: a flagged walk's witness is the avoider at its count.  FAMILY
+    n <= 5: a flagged walk's witness is the avoider at its count.  The family
     stops at n = 4, where a flagged node leaves at most one element to place:
     a run fails at its third element at the earliest, and a crossing at the
     fourth."""
-    for p in (p for n in range(6) for p in poset.enumerate_posets(n)):
+    for p in populations.up_to():
         lt = p.lt.astype(np.int64)
         for m in (p.lt, p.lt & ~(lt @ lt).astype(bool)):
             up, down = oracles.bit_rows(m)
@@ -804,9 +818,9 @@ def tiers_differ_from_exact_count() -> bool:
 
 
 def kernel_differs_from_row_oracle() -> bool:
-    """test_cut.test_kernel_matches_row_oracle, on FAMILY's wrap forests:
+    """test_cut.test_kernel_matches_row_oracle, on the family's wrap forests:
     blocks of random heights, improper and inadmissible cuts included."""
-    return test_cut.kernel_faults([p for p in FAMILY if p.n == 20]) > 0
+    return test_cut.kernel_faults(populations.wrapforest_n20(4)) > 0
 
 
 def catalan_check_fails() -> bool:
@@ -818,8 +832,7 @@ def noncrossing_count_differs_from_oracle() -> bool:
     """test_nccd.test_count_noncrossing_matches_oracle, on every poset with n <= 4."""
     return any(
         nccd.count_noncrossing_decompositions(p) != oracles.count_noncrossing(p)
-        for p in FAMILY
-        if p.n <= 4
+        for p in populations.up_to(4)
     )
 
 
@@ -831,10 +844,10 @@ def boundary_table_fails_in_every_module() -> bool:
 
 
 def check_fails(name: str):
-    """A killer: the battery's check `name` fails on some poset of FAMILY."""
+    """A killer: the battery's check `name` fails on some poset of family()."""
 
     def killed() -> bool:
-        return any(not verify.run_poset_checks(p, which=(name,))["ok"] for p in FAMILY)
+        return any(not verify.run_poset_checks(p, which=(name,))["ok"] for p in family())
 
     killed.__doc__ = f"The battery's {name} check."
     return killed
@@ -868,12 +881,12 @@ MUTANTS = {
     "orient-by-index": (orient_by_index, check_fails("embedding")),
     # the battery cannot see this one: a reversed acyclic orientation has the same symmetries
     "orient-reversed": (orient_reversed, orientation_differs_from_oracle),
-    # nor this one, on the dense side of the size rule, which FAMILY never takes
+    # nor this one, on the dense side of the size rule, which family() never takes
     "dense-unpacks-down-rows": (dense_unpacks_down_rows, orientation_differs_from_oracle),
     # the battery never reads the section, only the graph it lists
     "section-reads-into-rows": (section_reads_into_rows, mhcd_section_differs_from_pair_oracle),
     # nor the written section: only its bytes tell, the first on the dense
-    # side of the size rule, which FAMILY never takes
+    # side of the size rule, which family() never takes
     "rows-read-columns": (rows_read_columns, mhcd_writers_differ_from_oracle),
     "row-head-from-target": (row_head_from_target, mhcd_writers_differ_from_oracle),
     "wrap-keeps-own-chain": (wrap_keeps_own_chain, check_fails("bounds")),
@@ -889,8 +902,9 @@ MUTANTS = {
     "segment-witness-highest-candidate": (
         segment_witness_highest_candidate, segment_witness_differs_from_first_avoider),
     "descents-stop-above-floor": (descents_stop_above_floor, check_fails("bounds")),
+    "descents-stop-at-first-dead-end": (descents_stop_at_first_dead_end, check_fails("bounds")),
     # an over-eager crossing test blocks placements but keeps every minimum
-    # on FAMILY: only the counts tell
+    # on family(): only the counts tell
     "crossing-test-skips-the-chain": (crossing_test_skips_the_chain, catalan_check_fails),
     "crossing-test-skips-the-top": (crossing_test_skips_the_top, noncrossing_count_differs_from_oracle),
     "catalan-off-at-four": (catalan_off_at_four, catalan_check_fails),
@@ -971,7 +985,7 @@ def test_faulty_mhcd_fails_checks_instead_of_raising(monkeypatch):
 
 def test_spanning_forest_is_seen_by_the_clique_count_alone(monkeypatch):
     ready_pairs_spanning_forest(monkeypatch)
-    failing = [p for p in FAMILY if not verify.run_poset_checks(p, which=("homogeneous",))["ok"]]
+    failing = [p for p in family() if not verify.run_poset_checks(p, which=("homogeneous",))["ok"]]
     assert len(failing) == 58
     # without the pair count, the classes' masks alone pass every poset
     check = _rewritten(verify, "check_homogeneous",

@@ -3,7 +3,6 @@
 import itertools
 import random
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -38,9 +37,10 @@ from posetdecomp import (
 from posetdecomp import hcd, kernels, nccd, verify
 from posetdecomp.chains import ChainDecomposition, enumerate_chain_decompositions, width
 from posetdecomp.generate import antichain, boolean_lattice, chain, random_poset, wrap_forest
-from posetdecomp.poset import _bitrows, _extension_rows, enumerate_posets
+from posetdecomp.poset import _bitrows, _extension_rows
 
 import oracles
+import populations
 
 
 def diamond():
@@ -69,9 +69,9 @@ def nest(h: int) -> Poset:
 
 def oracle_family():
     """The posets on which the pipeline must match its recursive oracles."""
-    yield from (p for n in range(6) for p in enumerate_posets(n, cap=5))
-    yield from (random_poset(8, 0.3, seed=s) for s in range(400))
-    yield from (wrap_forest(20, seed=s) for s in range(200))
+    yield from populations.up_to()
+    yield from populations.random_n8()
+    yield from populations.wrapforest_n20()
     yield from (wrap_forest(200, seed=s) for s in range(30))
     yield from (random_poset(12, 0.2, seed=s) for s in range(100))
 
@@ -89,38 +89,33 @@ def test_crossing_witness_on_interleaved_chains():
 
 
 def test_crossing_witness_matches_scan_oracle():
-    for n in range(6):
-        for p in enumerate_posets(n):
-            for d in enumerate_chain_decompositions(p):
-                assert crossing_witness(p, d) == oracles.crossing_witness(p, d)
-    for s in range(200):
-        p = random_poset(8, 0.3, seed=s)
+    for p in populations.up_to():
+        for d in enumerate_chain_decompositions(p):
+            assert crossing_witness(p, d) == oracles.crossing_witness(p, d)
+    for p in populations.random_n8(200):
         _, d = minimum_noncrossing_decomposition(p)
         assert crossing_witness(p, d) is None
         assert oracles.crossing_witness(p, d) is None
 
 
 def test_noncrossing_matches_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            for part in oracles.chain_partitions(p):
-                labels = [[p.labels[x] for x in block] for block in part]
-                assert is_noncrossing(p, labels) == oracles.noncrossing_partition(p, part)
+    for p in populations.up_to(4):
+        for part in oracles.chain_partitions(p):
+            labels = [[p.labels[x] for x in block] for block in part]
+            assert is_noncrossing(p, labels) == oracles.noncrossing_partition(p, part)
 
 
 def test_minimum_noncrossing_matches_oracle():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            nc, witness = minimum_noncrossing_decomposition(p)
-            assert nc == oracles.brute_min_noncrossing(p)
-            assert is_noncrossing(p, witness)
-            assert witness.k == nc
+    for p in populations.up_to():
+        nc, witness = minimum_noncrossing_decomposition(p)
+        assert nc == oracles.brute_min_noncrossing(p)
+        assert is_noncrossing(p, witness)
+        assert witness.k == nc
 
 
 def test_count_noncrossing_matches_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            assert count_noncrossing_decompositions(p) == oracles.count_noncrossing(p)
+    for p in populations.up_to(4):
+        assert count_noncrossing_decompositions(p) == oracles.count_noncrossing(p)
 
 
 def test_catalan_counts():
@@ -129,8 +124,7 @@ def test_catalan_counts():
 
 
 def test_noncrossing_walk_matches_recursive_searches():
-    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
-    posets += [random_poset(8, density=0.3, seed=seed) for seed in range(200)]
+    posets = populations.up_to() + populations.random_n8(200)
     for p in posets:
         nc, witness = minimum_noncrossing_decomposition(p)
         assert (nc, witness.chains) == oracles.recursive_min_noncrossing(p)
@@ -152,9 +146,7 @@ def walk_minimum(walk, p):
 
 def test_noncrossing_walk_matches_recursive_bit_row_walk():
     # the whole sequence yielded with the limit at n + 1, and the minimum
-    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
-    posets += itertools.islice(enumerate_posets(6, cap=6), 0, None, 65)
-    posets += [random_poset(8, density=0.3, seed=seed) for seed in range(400)]
+    posets = populations.up_to() + populations.every_65th_n6() + populations.random_n8()
     posets += [random_poset(9, density=0.2, seed=seed) for seed in range(50)]
     for p in posets:
         got = [[tuple(c) for c in chains] for chains in nccd._noncrossing_walk(p, [p.n + 1])]
@@ -167,26 +159,10 @@ def test_noncrossing_walk_matches_recursive_bit_row_walk():
 
 
 def test_noncrossing_minimum_matches_recursive_walk_on_deep_inputs():
-    # the recursive oracle places one element per frame: run it in a thread
-    # with room for that, and give the limit back whatever happens
-    found = {}
-
-    def deep():
-        for n in (1000, 2000):
-            p = wrap_forest(n, seed=0)
-            found[n] = p, walk_minimum(oracles.noncrossing_walk_by_recursion, p)
-
-    limit, stack = sys.getrecursionlimit(), threading.stack_size(64 << 20)
-    sys.setrecursionlimit(10_000)
-    try:
-        thread = threading.Thread(target=deep)
-        thread.start()
-        thread.join(timeout=120)
-    finally:
-        sys.setrecursionlimit(limit)
-        threading.stack_size(stack)
-    assert not thread.is_alive() and len(found) == 2
-    for p, (nc, best) in found.values():
+    # the recursive oracle places one element per frame
+    for n in (1000, 2000):
+        p = wrap_forest(n, seed=0)
+        nc, best = oracles.run_deep(lambda: walk_minimum(oracles.noncrossing_walk_by_recursion, p))
         assert minimum_noncrossing_decomposition(p, cap=None) == (
             nc, ChainDecomposition._from_index_parts(p, best))
 
@@ -204,14 +180,13 @@ def test_noncrossing_minimum_needs_no_recursion():
 
 
 def test_132_predicate_matches_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            naive = {
-                tuple(p.labels[i] for i in perm) for perm in oracles.naive_avoiders(p)
-            }
-            assert set(all_132_avoiding(p)) == naive
-            for perm in itertools.permutations(p.labels):
-                assert is_132_avoiding(p, perm) == (perm in naive)
+    for p in populations.up_to(4):
+        naive = {
+            tuple(p.labels[i] for i in perm) for perm in oracles.naive_avoiders(p)
+        }
+        assert set(all_132_avoiding(p)) == naive
+        for perm in itertools.permutations(p.labels):
+            assert is_132_avoiding(p, perm) == (perm in naive)
 
 
 def test_segment_walk_flags_what_the_prefix_replay_flags():
@@ -220,7 +195,7 @@ def test_segment_walk_flags_what_the_prefix_replay_flags():
     # avoider that the prefix replay flags, return it as its witness, and
     # count them all otherwise
     flagged = 0
-    for p in (p for n in range(6) for p in enumerate_posets(n)):
+    for p in populations.up_to():
         lt = p.lt.astype(np.int64)
         for m in (p.lt, p.lt & ~(lt @ lt).astype(bool)):
             up, down = oracles.bit_rows(m)
@@ -272,7 +247,7 @@ def _random_linear_extension(p, rng):
 
 
 def test_extension_rows_match_rank_matrix():
-    cases = [(p, derived_extension(p)) for n in range(6) for p in enumerate_posets(n)]
+    cases = [(p, derived_extension(p)) for p in populations.up_to()]
     rng = random.Random(13)
     for s in range(40):
         p = random_poset(rng.randint(1, 12), density=rng.random(), seed=s)
@@ -297,18 +272,16 @@ def test_descent_profile_incomparable_counts():
 
 
 def test_min_descents_matches_oracle():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            assert min_descents_over_avoiders(p) == oracles.naive_min_descents(p)
+    for p in populations.up_to(4):
+        assert min_descents_over_avoiders(p) == oracles.naive_min_descents(p)
 
 
 def test_ascending_runs_form_noncrossing_decomposition():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            for perm in all_132_avoiding(p):
-                d = ascending_runs_decomposition(p, perm)
-                assert d.k == descent_profile(p, perm).count
-                assert is_noncrossing(p, d)
+    for p in populations.up_to(4):
+        for perm in all_132_avoiding(p):
+            d = ascending_runs_decomposition(p, perm)
+            assert d.k == descent_profile(p, perm).count
+            assert is_noncrossing(p, d)
 
 
 def test_ascending_runs_reject_pattern():
@@ -333,9 +306,9 @@ def test_wrap_relation_theta():
 
 
 def test_wrap_matrices_match_loop_oracle():
-    posets = [p for n in range(6) for p in enumerate_posets(n, cap=5)]
+    posets = populations.up_to()
     posets += [random_poset(9, seed=seed) for seed in range(20)]
-    posets += [wrap_forest(20, seed=seed) for seed in range(20)]
+    posets += populations.wrapforest_n20(20)
     for p in posets:
         w = wrap_order(p)
         wrapped, above = oracles.wrap_matrices(p, w.decomposition.chains)
@@ -347,7 +320,7 @@ def test_wrap_matrices_match_loop_oracle():
 
 
 def _chain_layer_family():
-    yield from (p for n in range(6) for p in enumerate_posets(n, cap=5))
+    yield from populations.up_to()
     yield from (random_poset(n, seed=s) for n in range(8, 41) for s in range(10))
     yield from (wrap_forest(n, seed=s) for n in range(20, 201, 20) for s in range(10))
     yield nest(50)
@@ -390,24 +363,22 @@ def test_canonical_order_diamond_frozen():
 
 
 def test_canonical_order_extends_wrap_order_everywhere():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            order, _ = canonical_chain_order(p)
-            rel = wrap_relation(p, mhcd(p))
-            pos = {c: i for i, c in enumerate(order)}
-            for a in range(len(order)):
-                for b in range(len(order)):
-                    if rel[a, b]:
-                        assert pos[a] < pos[b]
+    for p in populations.up_to():
+        order, _ = canonical_chain_order(p)
+        rel = wrap_relation(p, mhcd(p))
+        pos = {c: i for i, c in enumerate(order)}
+        for a in range(len(order)):
+            for b in range(len(order)):
+                if rel[a, b]:
+                    assert pos[a] < pos[b]
 
 
 def test_optimal_permutation_properties_exhaustive():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            pi = descent_optimal_permutation(p)
-            k = mhcd(p).k
-            assert descent_profile(p, pi).count == k
-            assert is_132_avoiding(p, pi)
+    for p in populations.up_to():
+        pi = descent_optimal_permutation(p)
+        k = mhcd(p).k
+        assert descent_profile(p, pi).count == k
+        assert is_132_avoiding(p, pi)
 
 
 # -- plane trees and the derived extension -----------------------------------------
@@ -469,10 +440,9 @@ def test_derived_extension_on_long_chain():
     assert e == p.labels
 
 def test_derived_extension_is_linear_extension_exhaustive():
-    for n in range(6):
-        for p in enumerate_posets(n, cap=5):
-            e = derived_extension(p)
-            assert is_linear_extension(p, e)
+    for p in populations.up_to():
+        e = derived_extension(p)
+        assert is_linear_extension(p, e)
 
 
 def test_derived_extension_wrap_forests():
@@ -488,17 +458,16 @@ def test_derived_extension_wrap_forests():
 
 
 def test_chain_bounds_exhaustive_small():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            rep = verify_chain_bounds(p)
-            assert rep.ok, rep.checks
-            assert (
-                rep.min_chains
-                <= rep.min_noncrossing
-                <= rep.min_descents
-                <= rep.min_descents_ext
-                <= rep.min_homogeneous
-            )
+    for p in populations.up_to(4):
+        rep = verify_chain_bounds(p)
+        assert rep.ok, rep.checks
+        assert (
+            rep.min_chains
+            <= rep.min_noncrossing
+            <= rep.min_descents
+            <= rep.min_descents_ext
+            <= rep.min_homogeneous
+        )
 
 
 def test_chain_bounds_strictness_witnesses():
@@ -546,8 +515,7 @@ def test_chain_bounds_shared_width_memo_matches_scans_run_alone(monkeypatch):
         return real(comparable)
 
     monkeypatch.setattr(nccd, "antichain_widths", counted)
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += [random_poset(8, 0.3, seed=s) for s in range(400)]
+    posets = populations.up_to() + populations.random_n8()
     posets += [random_poset(12, 0.2, seed=s) for s in range(5)]
     for p in posets:
         an = verify.Analysis(p)
@@ -572,7 +540,7 @@ def test_check_bounds_above_scan_cap_orders_chains_once(monkeypatch):
     cases = [(random_poset(9, seed=s), k) for s, k in enumerate((6, 5, 5, 7))]
     cases += [(random_poset(10, seed=s), k) for s, k in enumerate((5, 7, 10, 9))]
     cases += [(wrap_forest(12, seed=s), k) for s, k in enumerate((4, 3, 3, 4))]
-    cases += [(wrap_forest(20, seed=s), k) for s, k in enumerate((6, 5, 6, 8))]
+    cases += zip(populations.wrapforest_n20(4), (6, 5, 6, 8))
     for p, k in cases:
         calls.clear()
         out = verify.check_bounds(verify.Analysis(p))
@@ -593,7 +561,7 @@ def test_check_bounds_above_scan_cap_computes_mhcd_once(monkeypatch):
     # wrap order never recomputes the MHCD
     monkeypatch.setattr(hcd, "mhcd", counted)
     monkeypatch.setattr(verify, "mhcd", counted)
-    for p in [random_poset(9, seed=s) for s in range(4)] + [wrap_forest(20, seed=s) for s in range(4)]:
+    for p in [random_poset(9, seed=s) for s in range(4)] + populations.wrapforest_n20(4):
         calls.clear()
         assert verify.check_bounds(verify.Analysis(p))["passed"]
         assert len(calls) == 1
@@ -662,13 +630,7 @@ def test_construction_matches_recursive_oracles():
 def test_construction_verdicts_equal_the_label_predicates():
     # the construction tests its witnesses once, on indices; each verdict
     # must be what the public label predicate says of the same witness
-    family = itertools.chain(
-        (p for n in range(6) for p in enumerate_posets(n)),
-        itertools.islice(enumerate_posets(6, cap=None), 0, None, 65),
-        (random_poset(8, 0.3, seed=s) for s in range(400)),
-        (wrap_forest(20, seed=s) for s in range(200)),
-    )
-    for p in family:
+    for p in populations.standard():
         d, _, _, pi, e, ext, checks = nccd._construction(p, hcd.chain_graph(p))
         linear = is_linear_extension(p, e)
         assert checks == {
@@ -737,14 +699,13 @@ def test_wrap_failures_match_block_oracle(monkeypatch):
     cases += [(graph.decomposition.poset, graph, rel) for rel in _random_strict_orders(6, 200, rng)]
     # homogeneous decompositions other than the MHCD can interleave; under
     # the total order i < j on their chains the block count decides first
-    for n in range(5):
-        for p in enumerate_posets(n):
-            for d in enumerate_chain_decompositions(p):
-                if hcd.is_homogeneous(p, d):
-                    graph = hcd.chain_graph(p, d)
-                    total = np.triu(np.ones((d.k, d.k), dtype=bool), 1)
-                    cases.append((p, graph, oracles.wrap_matrices_by_product(p, d.chains)))
-                    cases.append((p, graph, (total, total & False)))
+    for p in populations.up_to(4):
+        for d in enumerate_chain_decompositions(p):
+            if hcd.is_homogeneous(p, d):
+                graph = hcd.chain_graph(p, d)
+                total = np.triu(np.ones((d.k, d.k), dtype=bool), 1)
+                cases.append((p, graph, oracles.wrap_matrices_by_product(p, d.chains)))
+                cases.append((p, graph, (total, total & False)))
     kinds = set()
     for p, graph, (wrapped, above) in cases:
         d = graph.decomposition

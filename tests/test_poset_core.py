@@ -35,6 +35,7 @@ from posetdecomp.poset import _bitrows, automorphisms, isomorphic
 from posetdecomp.verify import Analysis
 
 import oracles
+import populations
 
 
 def diamond():
@@ -129,7 +130,7 @@ def test_cover_walk_matches_product_oracles_on_large_orders():
 
 def test_matrix_is_read_only():
     loaded = textio.loads("elements: a b c\na < b\nb < c\n")
-    for p in (chain(3), loaded, list(enumerate_posets(3))[-1], Poset("ab", [[0, 1], [0, 0]])):
+    for p in (chain(3), loaded, populations.of_size(3)[-1], Poset("ab", [[0, 1], [0, 0]])):
         with pytest.raises(ValueError):
             p.lt[0, 1] = False
 
@@ -171,7 +172,7 @@ def test_generated_rows_match_matrix_oracles(monkeypatch):
 
 def test_no_matrix_until_lt_is_read():
     posets = [textio.loads(textio.dumps(wrap_forest(60, seed=s))) for s in range(3)]
-    posets += enumerate_posets(4)
+    posets += populations.of_size(4)
     posets += [make_family(name, n, seed=1) for name in FAMILIES for n in (1, 5)]
     for p in posets:
         assert "lt" not in p.__dict__
@@ -357,13 +358,12 @@ def test_mobius_chain_vanishes_beyond_covers():
 
 
 def test_signed_counts_match_mobius_small():
-    for n in range(5):
-        for p in enumerate_posets(n):
-            assert signed_chain_count_matrix(p) == mobius_matrix(p)
+    for p in populations.up_to(4):
+        assert signed_chain_count_matrix(p) == mobius_matrix(p)
 
 
 def test_signed_counts_match_dfs_oracle():
-    for p in enumerate_posets(4):
+    for p in populations.of_size(4):
         for x in range(p.n):
             for y in range(p.n):
                 if x == y or p.lt[x, y]:
@@ -372,12 +372,11 @@ def test_signed_counts_match_dfs_oracle():
 
 
 def test_single_entries_match_the_matrices_small():
-    for n in range(6):
-        for p in enumerate_posets(n):
-            counts, mu = signed_chain_count_matrix(p), mobius_matrix(p)
-            for (x, a), (y, b) in itertools.product(enumerate(p.labels), repeat=2):
-                assert signed_chain_count(p, a, b) == counts[x][y]
-                assert mobius(p, a, b) == mu[x][y]
+    for p in populations.up_to():
+        counts, mu = signed_chain_count_matrix(p), mobius_matrix(p)
+        for (x, a), (y, b) in itertools.product(enumerate(p.labels), repeat=2):
+            assert signed_chain_count(p, a, b) == counts[x][y]
+            assert mobius(p, a, b) == mu[x][y]
 
 
 def test_linear_extensions_chain_and_antichain():
@@ -391,7 +390,7 @@ def test_linear_extensions_chain_and_antichain():
 
 
 def test_linear_extensions_match_filter_oracle():
-    cases = [p for n in range(5) for p in enumerate_posets(n)]
+    cases = populations.up_to(4)
     cases += [random_poset(7, density=0.3, seed=s) for s in range(5)]
     for p in cases:
         want = [tuple(p.labels[i] for i in perm) for perm in oracles.linear_extensions_by_filter(p)]
@@ -511,6 +510,6 @@ def test_cached_rows_match_masks():
         for p, up in zip(enumerate_posets(n), oracles.poset_rows_by_product(n), strict=True):
             _assert_rows_first(p, oracles.matrix_of_rows(up))
             assert p.rows == oracles.bit_rows(p.lt)
-    for p in [wrap_forest(20, seed=s) for s in range(10)]:
+    for p in populations.wrapforest_n20(10):
         assert p.rows == oracles.bit_rows(p.lt)
         assert p.rows is p.rows

@@ -1,6 +1,5 @@
 """The per-poset analysis behind the check battery: shared artifacts built once."""
 
-import itertools
 import math
 import sys
 import weakref
@@ -12,9 +11,9 @@ from posetdecomp.chains import ChainDecomposition
 from posetdecomp.errors import InternalInconsistencyError
 from posetdecomp.generate import antichain, chain, random_poset, wrap_forest
 from posetdecomp.nccd import derived_extension
-from posetdecomp.poset import enumerate_posets
 
 import oracles
+import populations
 
 MODULES = [m for name, m in sorted(sys.modules.items()) if name.startswith("posetdecomp.")]
 
@@ -39,11 +38,9 @@ def _count(monkeypatch, module, name, calls: list):
 
 
 def _sweep_posets():
-    posets = [p for n in range(5) for p in enumerate_posets(n)]
-    posets += [random_poset(8, seed=s) for s in range(10)]
+    posets = populations.up_to(4) + populations.random_n8(10)
     posets += [random_poset(10, 0.15, seed=s) for s in range(4)]
-    posets += [wrap_forest(20, seed=s) for s in range(4)]
-    return posets
+    return posets + populations.wrapforest_n20(4)
 
 
 def test_battery_builds_each_artifact_once(monkeypatch):
@@ -154,8 +151,7 @@ def test_split_chain_mutant_fails_dilworth(monkeypatch):
         return ChainDecomposition._from_index_parts(p, parts), antichain
 
     monkeypatch.setattr(verify, "_dilworth", split)
-    posets = [p for n in range(5) for p in enumerate_posets(n)]
-    posets += [random_poset(8, seed=s) for s in range(5)] + [wrap_forest(20, seed=0)]
+    posets = populations.up_to(4) + populations.random_n8(5) + populations.wrapforest_n20(1)
     for p in posets:
         (check,) = verify.run_poset_checks(p, which=("dilworth",))["checks"]
         # a poset has a chain of two elements exactly when it is no antichain
@@ -190,14 +186,12 @@ def test_segments_counts_avoiders_without_the_kernel():
     for n, catalan in enumerate((1, 1, 2, 5, 14, 42, 132)):
         assert _segments(chain(n))["details"] == {"permutations": catalan}
         assert _segments(antichain(n))["details"] == {"permutations": math.factorial(n)}
-    for p in (p for n in range(5) for p in enumerate_posets(n)):
+    for p in populations.up_to(4):
         assert _segments(p)["details"] == {"permutations": len(oracles.naive_avoiders(p))}
 
 
 def test_segments_walk_matches_replay_and_per_permutation_oracles():
-    posets = [p for n in range(6) for p in enumerate_posets(n)]
-    posets += itertools.islice(enumerate_posets(6, cap=None), 0, None, 65)
-    for p in posets:
+    for p in populations.up_to() + populations.every_65th_n6():
         perms = kernels.permutations_avoiding(*p.rows)
         assert _segments(p) == oracles.replay_record(p, perms) == oracles.segments_record(p, perms)
 
@@ -206,11 +200,11 @@ def test_segments_walk_matches_replay_and_per_permutation_oracles():
 # shuffled runs of the merge oracle; random_poset(12, 0.6) has twin classes
 # of up to 9 elements
 CONFLUENCE_POPULATIONS = {
-    "n<=5": lambda: (p for n in range(6) for p in enumerate_posets(n)),
-    "every-65th-n6": lambda: itertools.islice(enumerate_posets(6, cap=None), 0, None, 65),
-    "random-n8": lambda: (random_poset(8, 0.3, seed=s) for s in range(400)),
+    "n<=5": populations.up_to,
+    "every-65th-n6": populations.every_65th_n6,
+    "random-n8": populations.random_n8,
     "random-n12-dense": lambda: (random_poset(12, 0.6, seed=s) for s in range(20)),
-    "wrapforest-n20": lambda: (wrap_forest(20, seed=s) for s in range(200)),
+    "wrapforest-n20": populations.wrapforest_n20,
 }
 
 
